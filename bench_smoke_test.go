@@ -239,6 +239,19 @@ var benchOnce = map[string]func(tb testing.TB){
 		}
 	},
 	"BenchmarkVSEFOverhead": func(tb testing.TB) { vsefOverheadOnce(tb) },
+	"BenchmarkVSEFWallClock": func(tb testing.TB) {
+		for size, c := range vsefWallClockOnce(tb, 200, 5) {
+			plain, probed := c[0], c[1]
+			if plain.wallNs <= 0 || probed.wallNs < plain.wallNs/2 {
+				tb.Errorf("%s: implausible ns/request: plain %.0f, probed %.0f", vsefSizes[size], plain.wallNs, probed.wallNs)
+			}
+			// The virtual clock is deterministic: probes only ever add cycles,
+			// and at CyclesPerProbe per hit an antibody costs well under half.
+			if probed.virtualCycles <= plain.virtualCycles || probed.virtualCycles > 1.5*plain.virtualCycles {
+				tb.Errorf("%s: virtual cycles/request %.0f probed against %.0f plain", vsefSizes[size], probed.virtualCycles, plain.virtualCycles)
+			}
+		}
+	},
 	"BenchmarkFigure5Recovery": func(tb testing.TB) {
 		recoveryGap, restartGap := figure5Once(tb)
 		if recoveryGap >= restartGap {

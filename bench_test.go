@@ -524,6 +524,123 @@ func BenchmarkVSEFOverhead(b *testing.B) {
 	b.ReportMetric(taintOverhead/float64(b.N)*100, "taint-baseline-overhead-%")
 }
 
+// vsefWallClockGuests absorbs the squid exploit on a full Sweeper and returns
+// two bare squid processes at its layout — one untouched, one carrying the
+// real final antibody's probes — each with the proxy that feeds it.
+func vsefWallClockGuests(tb testing.TB) (plain, probed *proc.Process, plainIn, probedIn *netproxy.Proxy) {
+	spec := apps.Squid()
+	cfg := core.DefaultConfig()
+	cfg.ASLRSeed = 1009
+	s, err := core.New(spec.Name, spec.Image, spec.Options, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		s.Submit(exploit.Benign("squid", i), "bench", false)
+	}
+	s.Submit(exploit.SquidExploit(), "worm", true)
+	res, err := s.ServeAll()
+	s.WaitAnalyses()
+	if err != nil || res.AttacksHandled != 1 {
+		tb.Fatalf("absorbing the exploit: %+v, %v", res, err)
+	}
+	final := s.Attacks()[0].FinalAntibody
+	if final == nil || len(final.VSEFs) == 0 {
+		tb.Fatal("no final antibody with VSEFs")
+	}
+	bare := func() (*proc.Process, *netproxy.Proxy) {
+		in := netproxy.New()
+		p, err := proc.New(spec.Name, spec.Image, s.Layout(), in, spec.Options)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return p, in
+	}
+	plain, plainIn = bare()
+	probed, probedIn = bare()
+	if _, err := final.Apply(probed, nil); err != nil {
+		tb.Fatal(err)
+	}
+	return plain, probed, plainIn, probedIn
+}
+
+// vsefWallClockPayloads returns the two benign request shapes of the
+// benchmark's workloads: the ~50-byte mix and an FTP URL with a 1500-byte
+// user part (~85k guest instructions, strlen/strcat bound).
+func vsefWallClockPayloads() (small [][]byte, heavy [][]byte) {
+	for i := 0; i < 64; i++ {
+		small = append(small, exploit.Benign("squid", i))
+	}
+	user := make([]byte, 1500)
+	for i := range user {
+		user[i] = byte('a' + i%26)
+	}
+	heavy = [][]byte{[]byte("ftp://" + string(user) + "@ftp.example.org/pub/file.tar.gz")}
+	return small, heavy
+}
+
+// requestCost is what one request costs a guest on the two clocks.
+type requestCost struct {
+	wallNs, virtualCycles float64
+}
+
+// serveBare runs n requests through a bare process and returns their mean
+// cost.
+func serveBare(tb testing.TB, p *proc.Process, in *netproxy.Proxy, payloads [][]byte, n int) requestCost {
+	start, cycles := time.Now(), p.Machine.Cycles()
+	for i := 0; i < n; i++ {
+		in.Submit(payloads[i%len(payloads)], "bench", false)
+		if stop := p.Run(0); stop.Reason != vm.StopWaitInput {
+			tb.Fatalf("guest stopped with %v", stop.Reason)
+		}
+	}
+	return requestCost{
+		wallNs:        float64(time.Since(start).Nanoseconds()) / float64(n),
+		virtualCycles: float64(p.Machine.Cycles()-cycles) / float64(n),
+	}
+}
+
+// vsefSizes names the two request shapes of vsefWallClockOnce's result.
+var vsefSizes = [2]string{"small", "heavy"}
+
+// vsefWallClockOnce measures one round of all four cells: cost[size][0] on
+// the plain guest, cost[size][1] on the probed one, sizes as in vsefSizes.
+func vsefWallClockOnce(tb testing.TB, nSmall, nHeavy int) (cost [2][2]requestCost) {
+	plain, probed, plainIn, probedIn := vsefWallClockGuests(tb)
+	small, heavy := vsefWallClockPayloads()
+	for size, w := range []struct {
+		payloads [][]byte
+		n        int
+	}{{small, nSmall}, {heavy, nHeavy}} {
+		cost[size][0] = serveBare(tb, plain, plainIn, w.payloads, w.n)
+		cost[size][1] = serveBare(tb, probed, probedIn, w.payloads, w.n)
+	}
+	return cost
+}
+
+// BenchmarkVSEFWallClock is §5.3 on both clocks: what one benign request
+// costs a guest with and without the real final squid antibody installed.
+// The virtual clock charges CyclesPerProbe per probe hit; the wall-clock
+// figures are what the host pays for the same hits.
+func BenchmarkVSEFWallClock(b *testing.B) {
+	var sum [2][2]requestCost
+	for i := 0; i < b.N; i++ {
+		for size, pair := range vsefWallClockOnce(b, 4000, 100) {
+			for probed, c := range pair {
+				sum[size][probed].wallNs += c.wallNs
+				sum[size][probed].virtualCycles += c.virtualCycles
+			}
+		}
+	}
+	for size, name := range vsefSizes {
+		plain, probed := sum[size][0], sum[size][1]
+		b.ReportMetric(plain.wallNs/float64(b.N), "ns/req-"+name)
+		b.ReportMetric(probed.wallNs/float64(b.N), "ns/req-"+name+"-probed")
+		b.ReportMetric((probed.wallNs/plain.wallNs-1)*100, "wall-overhead-%-"+name)
+		b.ReportMetric((probed.virtualCycles/plain.virtualCycles-1)*100, "virtual-overhead-%-"+name)
+	}
+}
+
 // --- Figure 5: throughput during an attack, Sweeper recovery vs restart ---
 
 func figure5Once(tb testing.TB) (recoveryGap, restartGap float64) {

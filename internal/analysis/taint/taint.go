@@ -10,7 +10,6 @@ package taint
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"sweeper/internal/proc"
 	"sweeper/internal/vm"
@@ -41,6 +40,13 @@ func (f Finding) Summary() string {
 	return fmt.Sprintf("%s at @%d (%s), data from %s", f.Kind, f.InstrIdx, f.Sym, f.Label)
 }
 
+// The 32-bit guest address space has 2^(32-PageShift) pages, split evenly
+// between the shadow table's two levels.
+const (
+	pageLeafBits = (32 - vm.PageShift) / 2
+	pageDirBits  = 32 - vm.PageShift - pageLeafBits
+)
+
 type regTaint struct {
 	tainted bool
 	label   Label
@@ -48,14 +54,12 @@ type regTaint struct {
 
 // taintPage is the page-granular shadow of guest memory taint: a presence
 // bitmap plus per-byte labels in lazily-allocated 64-byte lines (each bitmap
-// word covers exactly one line). Replacing the former per-byte map keeps
-// input labeling (an 8 KiB recv taints thousands of bytes at once) to one
-// map lookup per page instead of one map insert per byte, while a sparsely
-// tainted page costs one line (1 KiB of labels), not a full page's worth.
+// word covers exactly one line), so a sparsely tainted page costs one line
+// (1 KiB of labels), not a full page's worth.
 type taintPage struct {
 	set   [vm.PageSize / 64]uint64
 	lines [vm.PageSize / 64]*[64]Label
-	n     int // set bits, so empty pages can be dropped
+	n     int // set bits, feeding Tracker.tainted
 }
 
 func (tp *taintPage) get(off uint32) (Label, bool) {
@@ -123,15 +127,20 @@ type Tracker struct {
 	name        string
 	stopOnFirst bool
 
-	mem     map[uint32]*taintPage // page number -> shadow page
-	tainted int                   // total tainted bytes across all pages
+	// mem is a two-level table from page number to shadow page (pageDirBits
+	// of the page number select a lazily-allocated leaf): two dependent loads
+	// per lookup on the per-hit path of a taint VSEF, no hashing, and nothing
+	// to keep coherent when a copy loop alternates between a source and a
+	// destination page.
+	mem     [1 << pageDirBits]*[1 << pageLeafBits]*taintPage
+	tainted int // total tainted bytes across all pages
 	regs    [vm.NumRegs]regTaint
 
 	// restrict, when non-nil, limits propagation and sink checks to the
 	// listed static instructions (taint VSEF mode).
 	restrict map[int]bool
 
-	propagators map[int]bool
+	propagators []uint64 // bitset over static instruction indexes
 	findings    []Finding
 }
 
@@ -140,8 +149,6 @@ func New(stopOnFirst bool) *Tracker {
 	return &Tracker{
 		name:        "analysis.taint",
 		stopOnFirst: stopOnFirst,
-		mem:         make(map[uint32]*taintPage),
-		propagators: make(map[int]bool),
 	}
 }
 
@@ -186,11 +193,12 @@ func (t *Tracker) ResponsibleRequest() (int, bool) {
 // tainted data during the analysed execution; together with the sink they
 // form the taint-based VSEF.
 func (t *Tracker) Propagators() []int {
-	out := make([]int, 0, len(t.propagators))
-	for idx := range t.propagators {
-		out = append(out, idx)
+	var out []int
+	for w, word := range t.propagators {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, w*64+bits.TrailingZeros64(word))
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -203,7 +211,7 @@ func (t *Tracker) TaintedBytes() int { return t.tainted }
 // was tainted by an execution that no longer exists, and replayed requests
 // re-introduce their taint through OnInput.
 func (t *Tracker) ResetShadow() {
-	t.mem = make(map[uint32]*taintPage)
+	clear(t.mem[:])
 	t.tainted = 0
 	t.regs = [vm.NumRegs]regTaint{}
 }
@@ -283,7 +291,7 @@ func (t *Tracker) Propagate(m *vm.Machine, idx int, in *vm.Instr) {
 		addr := m.Regs[in.Rs] + uint32(in.Imm)
 		if lbl, ok := t.memTaint(addr, size); ok {
 			t.setReg(in.Rd, regTaint{tainted: true, label: lbl})
-			t.propagators[idx] = true
+			t.markPropagator(idx)
 		} else {
 			t.setReg(in.Rd, regTaint{})
 		}
@@ -296,7 +304,7 @@ func (t *Tracker) Propagate(m *vm.Machine, idx int, in *vm.Instr) {
 		addr := m.Regs[in.Rd] + uint32(in.Imm)
 		if rt := t.regs[in.Rs]; rt.tainted {
 			t.taintMem(addr, size, rt.label)
-			t.propagators[idx] = true
+			t.markPropagator(idx)
 		} else {
 			t.clearMem(addr, size)
 		}
@@ -306,14 +314,14 @@ func (t *Tracker) Propagate(m *vm.Machine, idx int, in *vm.Instr) {
 			// keep destination taint
 		} else if rt := t.regs[in.Rs]; rt.tainted {
 			t.setReg(in.Rd, regTaint{tainted: true, label: rt.label})
-			t.propagators[idx] = true
+			t.markPropagator(idx)
 		}
 
 	case vm.OpPush:
 		addr := m.Regs[vm.SP] - 4
 		if rt := t.regs[in.Rd]; rt.tainted {
 			t.taintMem(addr, 4, rt.label)
-			t.propagators[idx] = true
+			t.markPropagator(idx)
 		} else {
 			t.clearMem(addr, 4)
 		}
@@ -322,7 +330,7 @@ func (t *Tracker) Propagate(m *vm.Machine, idx int, in *vm.Instr) {
 		addr := m.Regs[vm.SP]
 		if lbl, ok := t.memTaint(addr, 4); ok {
 			t.setReg(in.Rd, regTaint{tainted: true, label: lbl})
-			t.propagators[idx] = true
+			t.markPropagator(idx)
 		} else {
 			t.setReg(in.Rd, regTaint{})
 		}
@@ -433,16 +441,41 @@ func (t *Tracker) copyRegTaint(idx int, dst, src vm.Reg) {
 	rt := t.regs[src]
 	t.setReg(dst, rt)
 	if rt.tainted {
-		t.propagators[idx] = true
+		t.markPropagator(idx)
 	}
 }
 
+// markPropagator records that static instruction idx moved tainted data.
+func (t *Tracker) markPropagator(idx int) {
+	w := idx >> 6
+	if w >= len(t.propagators) {
+		t.propagators = append(t.propagators, make([]uint64, w+1-len(t.propagators))...)
+	}
+	t.propagators[w] |= 1 << (uint(idx) & 63)
+}
+
+// page returns the shadow page for page number pn, or nil if none exists.
+func (t *Tracker) page(pn uint32) *taintPage {
+	if leaf := t.mem[pn>>pageLeafBits]; leaf != nil {
+		return leaf[pn&(1<<pageLeafBits-1)]
+	}
+	return nil
+}
+
 // shadowPage returns (creating if needed) the shadow page for page number pn.
+// Pages are kept once created, even when their last tainted byte is cleared:
+// a request buffer is tainted and scrubbed once per request, and dropping the
+// page each time would re-allocate its label lines on every request.
 func (t *Tracker) shadowPage(pn uint32) *taintPage {
-	tp := t.mem[pn]
+	leaf := t.mem[pn>>pageLeafBits]
+	if leaf == nil {
+		leaf = new([1 << pageLeafBits]*taintPage)
+		t.mem[pn>>pageLeafBits] = leaf
+	}
+	tp := leaf[pn&(1<<pageLeafBits-1)]
 	if tp == nil {
 		tp = &taintPage{}
-		t.mem[pn] = tp
+		leaf[pn&(1<<pageLeafBits-1)] = tp
 	}
 	return tp
 }
@@ -450,7 +483,7 @@ func (t *Tracker) shadowPage(pn uint32) *taintPage {
 func (t *Tracker) memTaint(addr uint32, size int) (Label, bool) {
 	for i := 0; i < size; i++ {
 		a := addr + uint32(i)
-		if tp := t.mem[a>>vm.PageShift]; tp != nil {
+		if tp := t.page(a >> vm.PageShift); tp != nil {
 			if lbl, ok := tp.get(a & (vm.PageSize - 1)); ok {
 				return lbl, true
 			}
@@ -472,15 +505,12 @@ func (t *Tracker) taintMem(addr uint32, size int, lbl Label) {
 func (t *Tracker) clearMem(addr uint32, size int) {
 	for i := 0; i < size; i++ {
 		a := addr + uint32(i)
-		tp := t.mem[a>>vm.PageShift]
+		tp := t.page(a >> vm.PageShift)
 		if tp == nil {
 			continue
 		}
 		before := tp.n
 		tp.clear(a & (vm.PageSize - 1))
 		t.tainted += tp.n - before
-		if tp.n == 0 {
-			delete(t.mem, a>>vm.PageShift)
-		}
 	}
 }

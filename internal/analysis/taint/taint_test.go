@@ -173,3 +173,47 @@ func TestRestrictedTrackerOnlyActsOnListedInstructions(t *testing.T) {
 		t.Errorf("propagators = %v, want [5]", props)
 	}
 }
+
+// TestRestrictedPropagateDoesNotAllocate: a taint VSEF runs Propagate on every
+// hit of its probed loads and stores (squid's strlen and strcat inner loops),
+// so in steady state — the request buffer tainted by OnInput, bytes copied to
+// a destination that is scrubbed and re-tainted request after request — the
+// shadow state must not allocate, and scrubbing a page's last tainted byte
+// must not drop the page for the next request to re-allocate.
+func TestRestrictedPropagateDoesNotAllocate(t *testing.T) {
+	spec, _ := apps.ByName("squid")
+	p, err := proc.New(spec.Name, spec.Image, vm.DefaultLayout(), netproxy.New(), spec.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := p.Machine
+	src, dst := m.Layout().DataBase, m.Layout().StackBase+vm.PageSize-2 // dst straddles a page boundary
+	tr := taint.NewRestricted("vsef", []int{7, 9, 700}, false)
+	payload := make([]byte, 64)
+	loadB := &vm.Instr{Op: vm.OpLoadB, Rd: vm.R1, Rs: vm.R2}
+	storeW := &vm.Instr{Op: vm.OpStoreW, Rd: vm.R3, Rs: vm.R1}
+	movI := &vm.Instr{Op: vm.OpMovI, Rd: vm.R1}
+	request := func() {
+		tr.OnInput(m, src, payload, 1)
+		for i := uint32(0); i < 64; i += 4 {
+			m.Regs[vm.R2], m.Regs[vm.R3] = src+i, dst+i
+			tr.Propagate(m, 7, loadB)    // tainted load
+			tr.Propagate(m, 700, storeW) // tainted store, past the first bitset word
+		}
+		for i := uint32(0); i < 64; i += 4 {
+			m.Regs[vm.R3] = dst + i
+			tr.Propagate(m, 9, movI)
+			tr.Propagate(m, 700, storeW) // clean store scrubs the destination
+		}
+	}
+	request()
+	if got, want := tr.TaintedBytes(), 64; got != want {
+		t.Fatalf("after one request %d bytes tainted, want the %d input bytes (destination scrubbed)", got, want)
+	}
+	if n := testing.AllocsPerRun(50, request); n != 0 {
+		t.Errorf("steady-state request allocates %v times in the shadow state, want 0", n)
+	}
+	if props := tr.Propagators(); len(props) != 2 || props[0] != 7 || props[1] != 700 {
+		t.Errorf("propagators = %v, want [7 700] in order", props)
+	}
+}

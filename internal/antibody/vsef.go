@@ -354,14 +354,6 @@ func (p *heapBoundsProbe) OnProbe(m *vm.Machine, idx int, in *vm.Instr) {
 	if !in.Op.IsStore() && !in.Op.IsLoad() {
 		return
 	}
-	if p.vsef.CallerIdx >= 0 {
-		// Only check in the recorded calling context.
-		if ret, ok := m.Mem.ReadWord(m.Regs[vm.SP]); ok {
-			if callIdx, ok := m.IndexOfAddr(ret); !ok || callIdx-1 != p.vsef.CallerIdx {
-				return
-			}
-		}
-	}
 	addr, size, _, ok := m.EffectiveAddr(in)
 	if !ok {
 		return
@@ -372,6 +364,16 @@ func (p *heapBoundsProbe) OnProbe(m *vm.Machine, idx int, in *vm.Instr) {
 	c, found := p.alloc.ChunkContaining(addr)
 	if found && c.Allocated && addr+uint32(size) <= c.End() {
 		return
+	}
+	if p.vsef.CallerIdx >= 0 {
+		// Only a violation in the recorded calling context. Checked last: an
+		// in-bounds access, the case every benign hit takes, then never
+		// touches the stack page.
+		if ret, ok := m.Mem.ReadWord(m.Regs[vm.SP]); ok {
+			if callIdx, ok := m.IndexOfAddr(ret); !ok || callIdx-1 != p.vsef.CallerIdx {
+				return
+			}
+		}
 	}
 	m.RaiseViolation(&vm.Violation{
 		Kind:   vm.ViolationBoundsCheck,

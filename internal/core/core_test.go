@@ -260,3 +260,35 @@ func TestShadowStackCatchesHijackWithoutASLR(t *testing.T) {
 		t.Error("recovery failed")
 	}
 }
+
+// TestNoFalseAlarmsOnFormerlyOverlappingLayouts: on these ASLR seeds the
+// independent segment draws used to drop squid's data segment inside the
+// heap region, membug blamed main's NUL store as a heap write outside any
+// chunk, and the refined heap-bounds VSEF then fired on every benign request.
+// With disjoint layouts the guest absorbs the exploit and keeps serving.
+func TestNoFalseAlarmsOnFormerlyOverlappingLayouts(t *testing.T) {
+	for _, seed := range []int64{1058, 1066, 1071, 12, 28, 37} {
+		s, spec := newSweeperFor(t, "squid", func(c *Config) { c.ASLRSeed = seed })
+		payload, err := exploit.Exploit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		submitBenign(s, "squid", 0, 10)
+		s.Submit(payload, "worm", true)
+		if _, err := s.ServeAll(); err != nil {
+			t.Fatalf("seed %d: ServeAll: %v", seed, err)
+		}
+		s.WaitAnalyses()
+		for i := 0; i < 20; i++ {
+			s.Submit(exploit.Benign("squid", 100+i), "client", false)
+			res, err := s.ServeAll()
+			if err != nil || res.RequestsServed != 1 || res.AttacksHandled != 0 {
+				t.Fatalf("seed %d: benign request %d after recovery: %+v, %v", seed, i, res, err)
+			}
+		}
+		s.WaitAnalyses()
+		if n := len(s.Attacks()); n != 1 {
+			t.Errorf("seed %d: %d attack reports, want exactly the exploit's", seed, n)
+		}
+	}
+}

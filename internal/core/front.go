@@ -42,10 +42,12 @@ func (g *Guest) AttachListener(addr string) error {
 			return 0, netproxy.StatusUnavailable
 		}
 		id, accepted := g.s.SubmitTracked(payload, src, false)
-		g.fleet.rec.Update(g.name, func(st *metrics.GuestStats) {
-			st.FilteredInputs = g.s.Proxy().Stats().Filtered
-		})
 		if !accepted {
+			// A filtered request never wakes the serving loop, whose
+			// updateMetrics publishes the count for accepted ones.
+			g.fleet.rec.Update(g.name, func(st *metrics.GuestStats) {
+				st.FilteredInputs = g.s.Proxy().Stats().Filtered
+			})
 			return id, netproxy.StatusFiltered
 		}
 		g.mu.Lock()

@@ -4,10 +4,22 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"sweeper/internal/exploit"
 	"sweeper/internal/netproxy"
 )
+
+// responsesTimed returns how many responses the guest's front end has timed,
+// once that reaches want (or after a second). The listener records a
+// response's sojourn time after flushing it to the socket, so the client can
+// hold the last response a moment before its sample is counted.
+func responsesTimed(g *Guest, want int) int {
+	for deadline := time.Now().Add(time.Second); g.FrontLatency().Count() < want && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	return g.FrontLatency().Count()
+}
 
 // TestFrontEndServesOverTCP drives a protected guest through its real TCP
 // front end: framed benign requests over a loopback socket must come back
@@ -43,7 +55,7 @@ func TestFrontEndServesOverTCP(t *testing.T) {
 			t.Fatalf("request %d: empty response payload", i)
 		}
 	}
-	if got := g.FrontLatency().Count(); got != requests {
+	if got := responsesTimed(g, requests); got != requests {
 		t.Errorf("latency recorder saw %d responses, want %d", got, requests)
 	}
 	if p50 := g.FrontLatency().Quantile(0.5); p50 <= 0 {
@@ -128,7 +140,7 @@ func TestFrontEndAbsorbsAttackOverTCP(t *testing.T) {
 		t.Error("guest halted")
 	}
 	// 16 benign ok + 1 absorbed + 1 filtered responses were all timed.
-	if got := g.FrontLatency().Count(); got != 18 {
+	if got := responsesTimed(g, 18); got != 18 {
 		t.Errorf("latency recorder saw %d responses, want 18", got)
 	}
 }
@@ -206,7 +218,7 @@ func TestFrontEndConcurrentClientsDuringAttack(t *testing.T) {
 	if g.Sweeper().Halted() {
 		t.Error("guest halted under concurrent socket load")
 	}
-	if got := g.FrontLatency().Count(); got != clients*perClient+1 {
+	if got := responsesTimed(g, clients*perClient+1); got != clients*perClient+1 {
 		t.Errorf("latency recorder saw %d responses, want %d", got, clients*perClient+1)
 	}
 }

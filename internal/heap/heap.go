@@ -303,48 +303,45 @@ func (a *Allocator) Free(addr uint32) error {
 	}
 }
 
-func (a *Allocator) walkArena(ar *arena) []Chunk {
-	var out []Chunk
-	hdr := ar.base
-	for hdr < ar.brk {
-		size, magic, ok := a.readHeader(hdr)
-		c := Chunk{HeaderAddr: hdr, Addr: hdr + HeaderSize, Size: size}
-		if !ok {
-			c.Corrupt = true
-			c.Reason = "header unmapped"
-			out = append(out, c)
-			return out
+// chunkAt decodes the chunk whose header sits at hdr in ar and returns the
+// address of the next header. It is the one scanner behind every heap walk
+// and allocates nothing on an intact heap. A corrupt chunk (header unmapped,
+// bad magic, size past the break) ends its arena's scan: next is ar.brk.
+func (a *Allocator) chunkAt(ar *arena, hdr uint32) (c Chunk, next uint32) {
+	size, magic, ok := a.readHeader(hdr)
+	c = Chunk{HeaderAddr: hdr, Addr: hdr + HeaderSize, Size: size}
+	next = hdr + HeaderSize + align4(size)
+	switch {
+	case !ok:
+		c.Reason = "header unmapped"
+	case magic != MagicAlloc && magic != MagicFree:
+		c.Reason = fmt.Sprintf("bad magic %#x", magic)
+	default:
+		c.Allocated = magic == MagicAlloc
+		if next <= ar.brk && next >= hdr {
+			return c, next
 		}
-		switch magic {
-		case MagicAlloc:
-			c.Allocated = true
-		case MagicFree:
-			c.Allocated = false
-		default:
-			c.Corrupt = true
-			c.Reason = fmt.Sprintf("bad magic %#x", magic)
-			out = append(out, c)
-			return out
-		}
-		next := hdr + HeaderSize + align4(size)
-		if next > ar.brk || next < hdr {
-			c.Corrupt = true
-			c.Reason = "size extends past break"
-			out = append(out, c)
-			return out
-		}
-		out = append(out, c)
-		hdr = next
+		c.Reason = "size extends past break"
 	}
-	return out
+	c.Corrupt = true
+	return c, ar.brk
 }
+
+// arenas lists both arenas in scan order.
+func (a *Allocator) arenas() [2]*arena { return [2]*arena{&a.main, &a.mmap} }
 
 // Walk returns every chunk found by scanning the inline metadata of both
 // arenas. A corrupted chunk terminates its arena's walk and is reported with
 // Corrupt set.
 func (a *Allocator) Walk() []Chunk {
-	out := a.walkArena(&a.main)
-	out = append(out, a.walkArena(&a.mmap)...)
+	var out []Chunk
+	for _, ar := range a.arenas() {
+		for hdr := ar.base; hdr < ar.brk; {
+			var c Chunk
+			c, hdr = a.chunkAt(ar, hdr)
+			out = append(out, c)
+		}
+	}
 	return out
 }
 
@@ -352,19 +349,29 @@ func (a *Allocator) Walk() []Chunk {
 // corruption found, or ok=true if the heap metadata is intact. Core-dump
 // analysis uses it to report "heap inconsistent".
 func (a *Allocator) CheckConsistency() (ok bool, detail string, corruptChunk Chunk) {
-	for _, c := range a.Walk() {
-		if c.Corrupt {
-			return false, fmt.Sprintf("chunk at %#x: %s", c.Addr, c.Reason), c
+	for _, ar := range a.arenas() {
+		for hdr := ar.base; hdr < ar.brk; {
+			var c Chunk
+			if c, hdr = a.chunkAt(ar, hdr); c.Corrupt {
+				return false, fmt.Sprintf("chunk at %#x: %s", c.Addr, c.Reason), c
+			}
 		}
 	}
 	return true, "", Chunk{}
 }
 
 // ChunkContaining returns the chunk whose payload contains addr. The
-// heap-bounds VSEF uses it to decide whether a store is in bounds.
+// heap-bounds VSEF calls it on every guarded store, so it scans only addr's
+// own arena (an intact chunk never reaches past its arena's break) and stops
+// at the first header above addr.
 func (a *Allocator) ChunkContaining(addr uint32) (Chunk, bool) {
-	for _, c := range a.Walk() {
-		if !c.Corrupt && c.Contains(addr) {
+	ar := a.arenaFor(addr)
+	if ar == nil {
+		return Chunk{}, false
+	}
+	for hdr := ar.base; hdr < ar.brk && hdr < addr; {
+		var c Chunk
+		if c, hdr = a.chunkAt(ar, hdr); !c.Corrupt && c.Contains(addr) {
 			return c, true
 		}
 	}

@@ -30,6 +30,13 @@ const DefaultEntropy = 12
 // Exploits carrying absolute addresses computed against vm.DefaultLayout()
 // then hit unmapped memory or non-code addresses with probability about
 // 1 - 2^-Entropy, turning infection attempts into detectable faults.
+//
+// The displacements span 16 MB at the default entropy while the default bases
+// sit 1-2 MB apart, so an independent draw can drop one segment inside
+// another (the data segment inside the heap region makes every heap-bounds
+// check of a data store a false alarm). Such a draw is discarded and the next
+// taken from the same stream, so a seed whose first draw is already disjoint
+// keeps that layout.
 func RandomizedLayout(opts RandomizeOptions) vm.Layout {
 	if opts.Entropy == 0 {
 		opts.Entropy = DefaultEntropy
@@ -41,18 +48,22 @@ func RandomizedLayout(opts RandomizeOptions) vm.Layout {
 	rng := rand.New(rand.NewSource(seed))
 	slots := int64(1) << opts.Entropy
 
-	l := vm.DefaultLayout()
 	shift := func() uint32 {
 		// Never return 0 so a randomised layout is always distinct from the
 		// default one (offset in [1, slots-1] pages).
 		return uint32(1+rng.Int63n(slots-1)) * vm.PageSize
 	}
-	l.CodeBase += shift()
-	l.DataBase += shift()
-	l.HeapBase += shift()
-	// Keep the heap below the stack; displace the stack downwards.
-	l.StackBase -= shift()
-	return l
+	for {
+		l := vm.DefaultLayout()
+		l.CodeBase += shift()
+		l.DataBase += shift()
+		l.HeapBase += shift()
+		// Keep the heap below the stack; displace the stack downwards.
+		l.StackBase -= shift()
+		if l.Validate() == nil {
+			return l
+		}
+	}
 }
 
 // DetectionSource says which lightweight mechanism flagged the request.

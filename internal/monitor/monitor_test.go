@@ -1,6 +1,7 @@
 package monitor_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"sweeper/internal/apps"
@@ -27,6 +28,51 @@ func TestRandomizedLayoutIsValidAndDistinct(t *testing.T) {
 	}
 	if len(seen) < 15 {
 		t.Errorf("only %d distinct code bases over 20 seeds; entropy too low", len(seen))
+	}
+}
+
+// TestRandomizedLayoutRedrawsOverlaps pins the ASLR false-alarm fix: seeds
+// whose independent draws used to drop the data segment inside the heap
+// region (1058 from the benchmark's default seed, 12 from its smoke seed)
+// now get a disjoint layout, and a seed whose first draw was already
+// disjoint keeps exactly that draw.
+func TestRandomizedLayoutRedrawsOverlaps(t *testing.T) {
+	firstDraw := func(seed int64) vm.Layout {
+		rng := rand.New(rand.NewSource(seed))
+		shift := func() uint32 { return uint32(1+rng.Int63n(1<<monitor.DefaultEntropy-1)) * vm.PageSize }
+		l := vm.DefaultLayout()
+		l.CodeBase += shift()
+		l.DataBase += shift()
+		l.HeapBase += shift()
+		l.StackBase -= shift()
+		return l
+	}
+	redrawn := 0
+	for seed := int64(1); seed <= 1200; seed++ {
+		l := monitor.RandomizedLayout(monitor.RandomizeOptions{Seed: seed})
+		if err := l.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		first := firstDraw(seed)
+		if first.Validate() == nil {
+			if l != first {
+				t.Fatalf("seed %d: first draw %+v was disjoint but the layout is %+v", seed, first, l)
+			}
+			continue
+		}
+		redrawn++
+		if l == first {
+			t.Fatalf("seed %d: overlapping first draw %+v kept", seed, first)
+		}
+	}
+	if redrawn == 0 || redrawn > 300 {
+		t.Errorf("%d of 1200 seeds re-drawn; expected roughly one in seven", redrawn)
+	}
+	for _, seed := range []int64{1058, 12} {
+		f := firstDraw(seed)
+		if !(f.DataBase >= f.HeapBase && f.DataBase < f.HeapBase+f.HeapSize) {
+			t.Errorf("seed %d: first draw %+v does not put data inside the heap; the test's premise moved", seed, f)
+		}
 	}
 }
 

@@ -49,6 +49,12 @@ type FilterDecision struct {
 	Filter  string
 }
 
+// filteredLogSize is how many of the most recent filter decisions the proxy
+// keeps (with their payloads) for inspection. A worm hammering an inoculated
+// host is dropped at line rate, so the log must not grow with the drops; the
+// total is kept as a counter.
+const filteredLogSize = 64
+
 // Stats summarises the proxy's activity.
 type Stats struct {
 	Submitted int
@@ -65,9 +71,10 @@ type Proxy struct {
 	nextID   int
 	queue    []*Request
 	filters  []Filter
-	filtered []FilterDecision
+	filtered [filteredLogSize]FilterDecision // ring; slot of drop n is n % filteredLogSize
 
 	submitted int
+	dropped   int
 	delivered int
 }
 
@@ -115,13 +122,19 @@ func (p *Proxy) Submit(payload []byte, src string, malicious bool) (req *Request
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.submitted++
+	var matched Filter
+	for _, f := range p.filters {
+		if f.Match(payload) {
+			matched = f
+			break
+		}
+	}
 	req = &Request{ID: p.nextID, Payload: append([]byte(nil), payload...), Src: src, Malicious: malicious}
 	p.nextID++
-	for _, f := range p.filters {
-		if f.Match(req.Payload) {
-			p.filtered = append(p.filtered, FilterDecision{Request: req, Filter: f.Name()})
-			return req, false
-		}
+	if matched != nil {
+		p.filtered[p.dropped%filteredLogSize] = FilterDecision{Request: req, Filter: matched.Name()}
+		p.dropped++
+		return req, false
 	}
 	p.queue = append(p.queue, req)
 	return req, true
@@ -147,12 +160,16 @@ func (p *Proxy) Pending() int {
 	return len(p.queue)
 }
 
-// FilteredRequests returns the requests dropped by filters so far.
+// FilteredRequests returns the most recent requests dropped by filters,
+// oldest first: at most filteredLogSize of them (Stats().Filtered counts all).
 func (p *Proxy) FilteredRequests() []FilterDecision {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]FilterDecision, len(p.filtered))
-	copy(out, p.filtered)
+	n := min(p.dropped, filteredLogSize)
+	out := make([]FilterDecision, 0, n)
+	for i := p.dropped - n; i < p.dropped; i++ {
+		out = append(out, p.filtered[i%filteredLogSize])
+	}
 	return out
 }
 
@@ -162,7 +179,7 @@ func (p *Proxy) Stats() Stats {
 	defer p.mu.Unlock()
 	return Stats{
 		Submitted: p.submitted,
-		Filtered:  len(p.filtered),
+		Filtered:  p.dropped,
 		Delivered: p.delivered,
 		Pending:   len(p.queue),
 	}

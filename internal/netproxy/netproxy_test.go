@@ -52,6 +52,35 @@ func TestSubmitCopiesPayload(t *testing.T) {
 	}
 }
 
+// TestFilteredLogIsBounded: a worm repeating a filtered exploit must not grow
+// the proxy. The log keeps the newest filteredLogSize decisions in order with
+// their own payload copies, and Stats().Filtered still counts every drop.
+func TestFilteredLogIsBounded(t *testing.T) {
+	p := New()
+	p.AddFilter(&substringFilter{name: "worm-sig", sub: []byte("EVIL")})
+	const drops = 3*filteredLogSize + 5
+	buf := []byte("EVIL 000")
+	for i := 0; i < drops; i++ {
+		buf[5] = byte('0' + i%10) // the caller reuses its buffer
+		if req, ok := p.Submit(buf, "w", true); ok || req.ID != i+1 {
+			t.Fatalf("submit %d: accepted=%v id=%d", i, ok, req.ID)
+		}
+	}
+	if st := p.Stats(); st.Filtered != drops || st.Submitted != drops || st.Pending != 0 {
+		t.Errorf("stats = %+v, want %d filtered of %d", st, drops, drops)
+	}
+	log := p.FilteredRequests()
+	if len(log) != filteredLogSize {
+		t.Fatalf("log holds %d decisions, want %d", len(log), filteredLogSize)
+	}
+	for i, d := range log {
+		wantID := drops - filteredLogSize + i + 1
+		if d.Request.ID != wantID || d.Filter != "worm-sig" || d.Request.Payload[5] != byte('0'+(wantID-1)%10) {
+			t.Errorf("log[%d] = req %d %q by %s, want req %d", i, d.Request.ID, d.Request.Payload, d.Filter, wantID)
+		}
+	}
+}
+
 func TestFiltering(t *testing.T) {
 	p := New()
 	p.AddFilter(&substringFilter{name: "worm-sig", sub: []byte("EVIL")})

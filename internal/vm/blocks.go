@@ -22,14 +22,16 @@ import "encoding/binary"
 // relocated immediates and are therefore per-Machine (built once at load).
 // There is no invalidation: code is immutable once loaded.
 //
-// Anything the fused loop cannot express falls back to Step(): attached
-// instr/mem tools disable it wholesale (fastDispatch), a registered probe
-// truncates fusion just before the probed index (probeGap), and syscalls,
-// halts, illegal opcodes and call/ret under call hooks are non-fusible
-// terminators handed back to the slow path. Faults and budget exhaustion
-// inside a run flush partial accounting so that every observable quantity —
-// Cycles(), InstrCount(), PC, StopInfo — is bit-identical to a pure-Step
-// execution at every stop point.
+// Attached instr/mem tools disable the fused loop wholesale (fastDispatch).
+// Registered probes do not: a block body is clamped to end just before the
+// next probed index (probeGap), and the loop delivers that index's probes
+// itself before executing it as the first instruction of the next body. What
+// the loop cannot express falls back to Step(): syscalls, halts, illegal
+// opcodes, call/ret under call hooks, and the first half of a fused pair that
+// a probe or the budget splits. Faults and budget exhaustion inside a run
+// flush partial accounting so that every observable quantity — Cycles(),
+// InstrCount(), PC, StopInfo, probe firing order — is bit-identical to a
+// pure-Step execution at every stop point.
 
 // blockInfo is the per-Program decoded block map.
 //
@@ -228,23 +230,32 @@ func (p *Program) blockMap() *blockInfo {
 }
 
 // rebuildProbeGap recomputes probeGap: probeGap[i] is the number of
-// consecutive probe-free instructions starting at i. The fused loop clamps a
-// block body to it, so registering a VSEF probe keeps block dispatch for
-// every unprobed stretch — probes stay "lightweight" even on the fast path.
+// consecutive probe-free instructions starting at i, zero at a probed index
+// and at the one-past-the-end sentinel. The fused loop clamps a block body to
+// it, so registering a VSEF probe keeps block dispatch for every unprobed
+// stretch — probes stay "lightweight" even on the fast path.
 func (m *Machine) rebuildProbeGap() {
-	if m.probeGap == nil {
-		m.probeGap = make([]int32, len(m.code))
-	}
 	n := len(m.code)
+	if m.probeGap == nil {
+		m.probeGap = make([]int32, n+1)
+	}
 	for i := n - 1; i >= 0; i-- {
 		if len(m.probes[i]) > 0 {
 			m.probeGap[i] = 0
-		} else if i+1 < n {
-			m.probeGap[i] = m.probeGap[i+1] + 1
 		} else {
-			m.probeGap[i] = 1
+			m.probeGap[i] = m.probeGap[i+1] + 1
 		}
 	}
+}
+
+// fireProbes delivers instruction idx's probes in registration order, each
+// charged CyclesPerProbe, and reports whether one raised a violation.
+func (m *Machine) fireProbes(idx int) bool {
+	for _, p := range m.probes[idx] {
+		m.cycles += CyclesPerProbe
+		p.OnProbe(m, idx, &m.code[idx])
+	}
+	return m.pendingViolation != nil
 }
 
 // commitFused flushes a fused run's batched accounting back to the machine:
@@ -271,12 +282,13 @@ func tlbLocals(mem *Memory) (rp *page, rpn uint32, wp *page, wpn uint32) {
 	return
 }
 
-// runFused is Machine.Run's fast path. It executes decoded basic blocks
-// until it retires limit instructions, the guest stops, or it reaches an
-// instruction only Step() can execute (probed index, syscall, halt, illegal
-// opcode, call/ret with call hooks attached); in the last case it returns a
-// nil stop and Run falls back to Step for that instruction. executed reports
-// how many instructions were retired, for Run's budget bookkeeping.
+// runFused is Machine.Run's fast path. It executes decoded basic blocks,
+// delivering probes at probed indexes, until it retires limit instructions,
+// the guest stops, or it reaches an instruction only Step() can execute
+// (syscall, halt, illegal opcode, call/ret with call hooks attached, a split
+// fused pair); in the last case it returns a nil stop and Run falls back to
+// Step for that instruction, probes included. executed reports how many
+// instructions were retired, for Run's budget bookkeeping.
 //
 // The loop mirrors Step()'s observable semantics exactly: the same cycle
 // constants, the same fault kinds/addresses/details, instruction counting
@@ -284,12 +296,16 @@ func tlbLocals(mem *Memory) (rp *page, rpn uint32, wp *page, wpn uint32) {
 // instruction for fault attribution. Registers, flags and the TLB mirrors
 // live in locals; every exit path flushes them before touching m.
 func (m *Machine) runFused(limit uint64) (stop *StopInfo, executed uint64) {
+	// done and cyc batch the call's accounting across passes. A pass ends
+	// where it delivers probes and names the index in m.probesFiredAt for the
+	// next (a field, not a local, to stay out of the block loop's registers).
+	var done, cyc uint64
+	m.probesFiredAt = -1
+pass:
 	var (
 		uops  = m.uops
 		mem   = m.Mem
 		pc    = m.PC
-		done  uint64
-		cyc   uint64
 		regs  = m.Regs
 		flags = m.Flags
 	)
@@ -299,9 +315,9 @@ func (m *Machine) runFused(limit uint64) (stop *StopInfo, executed uint64) {
 	if len(runLen) != len(uops) || len(cycp) != len(uops)+1 {
 		return nil, 0 // unreachable: both are sized from the code array
 	}
-	// Probes and tools can only change between runFused calls (hooks and
-	// syscalls run under Step), so the probe state is loop-invariant here.
-	// The gap table is rebuilt lazily: probe mutations just mark it dirty,
+	// Probes and tools can only change between passes (hooks and syscalls run
+	// under Step, probes between passes), so the probe state is loop-invariant
+	// here. The gap table is rebuilt lazily: probe mutations just mark it dirty,
 	// so installing or removing a whole antibody's probe set costs one
 	// O(code) rebuild on next entry instead of one per mutation.
 	var probeGap []int32
@@ -323,7 +339,36 @@ func (m *Machine) runFused(limit uint64) (stop *StopInfo, executed uint64) {
 		body := int(runLen[pc])
 		fuseTerm := true
 		if probeGap != nil {
-			if g := int(probeGap[pc]); g <= body {
+			g := int(probeGap[pc])
+			if g == 0 {
+				// pc is probed: its body is clamped at the next probed index.
+				g = 1 + int(probeGap[pc+1])
+				if pc != m.probesFiredAt {
+					// Deliver pc's probes, but only if the loop then executes
+					// pc: Step fires probes itself, so what is left to it (no
+					// budget, a fused pair's first half split off by the next
+					// probe or the budget, a terminator only Step can run) is
+					// left whole. Probes see committed state as under Step; the
+					// commit is then taken back so batching resumes, and a new
+					// pass reloads what a probe may touch: registers, TLBs, probes.
+					t, rem := Op(uops[pc]&uopOpMask), limit-done
+					m.Regs, m.Flags = regs, flags
+					m.commitFused(pc, done, cyc)
+					if rem == 0 || t >= numOps && (g == 1 || rem == 1) ||
+						body == 0 && (t > OpRet || t >= OpCall && m.callDispatch) {
+						return nil, done
+					}
+					if m.fireProbes(pc) {
+						return m.violationStop(), done
+					}
+					m.instrCount -= done
+					m.cycles -= cyc
+					m.PC, m.probesFiredAt = pc, pc // as under Step, a probe cannot move the PC
+					goto pass
+				}
+				m.probesFiredAt = -1
+			}
+			if g <= body {
 				body = g
 				fuseTerm = false
 			}
@@ -351,12 +396,14 @@ func (m *Machine) runFused(limit uint64) (stop *StopInfo, executed uint64) {
 		// Tight self-loop: an unclamped block whose terminator jumps back to
 		// its own base (spin waits, copy loops, counting loops) iterates via
 		// the backward goto below without re-running this prologue. fuseTerm
-		// guarantees the whole block — terminator included — is probe-free
-		// and that at least one full iteration fits the remaining budget.
+		// guarantees the block from base+1 on — terminator included — is
+		// probe-free and that at least one full iteration fits the budget; a
+		// probed base must come back through the prologue every iteration.
 		selfLoop := false
 		var stride, blockCyc, loopMax uint64
 		if fuseTerm && end < len(uops) {
-			if tu := uops[end]; Op(tu&uopOpMask) == OpJmp && int(int32(uint32(tu>>32))) == base {
+			if tu := uops[end]; Op(tu&uopOpMask) == OpJmp && int(int32(uint32(tu>>32))) == base &&
+				(probeGap == nil || probeGap[base] != 0) {
 				selfLoop = true
 				stride = uint64(body) + 1
 				blockCyc = cycp[end] - cycp[base] + cyclesBranch
@@ -706,8 +753,11 @@ func (m *Machine) runFused(limit uint64) (stop *StopInfo, executed uint64) {
 		cyc += cycp[end] - cycp[base]
 
 		if !fuseTerm {
-			// Budget boundary, probed instruction, or end of a clamped body:
-			// hand the next instruction (if any) back to the slow path.
+			if probeGap != nil && done < limit && probeGap[pc] == 0 {
+				continue // a probed index with budget left: deliver it above
+			}
+			// Budget boundary or a split pair: hand the next instruction (if
+			// any) back to the slow path.
 			m.Regs, m.Flags = regs, flags
 			m.commitFused(pc, done, cyc)
 			return nil, done

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"sweeper/internal/analysis/taint"
+	"sweeper/internal/asm"
+	"sweeper/internal/monitor"
 	"sweeper/internal/vm"
 )
 
@@ -158,4 +160,261 @@ func TestTooledDispatchDifferential(t *testing.T) {
 			})
 		}
 	}
+}
+
+// probeHit is everything a probe can observe of the machine when it fires.
+// In-loop delivery commits the fused loop's batched state before the call, so
+// each hit must read exactly what a probe under Step reads.
+type probeHit struct {
+	probe  string
+	idx    int
+	pc     int
+	flags  int
+	regs   [vm.NumRegs]uint32
+	cycles uint64
+	instrs uint64
+}
+
+// stateProbe records a probeHit per firing into a log shared by every probe
+// on the machine (so the log is the machine's probe firing order) and raises
+// a violation on its raiseOn-th firing (0: never).
+type stateProbe struct {
+	name    string
+	log     *[]probeHit
+	fired   *int
+	raiseOn int
+}
+
+func (p stateProbe) Name() string { return p.name }
+func (p stateProbe) OnProbe(m *vm.Machine, idx int, in *vm.Instr) {
+	*p.log = append(*p.log, probeHit{p.name, idx, m.PC, m.Flags, m.Regs, m.Cycles(), m.InstrCount()})
+	if *p.fired++; *p.fired == p.raiseOn {
+		m.RaiseViolation(&vm.Violation{Kind: vm.ViolationPolicy, Tool: p.name, Detail: "test violation"})
+	}
+}
+
+// probedPair is a fused-engine machine and a per-Step machine running the
+// same program under the same probes.
+type probedPair struct {
+	fast, slow       *vm.Machine
+	fastLog, slowLog []probeHit
+}
+
+func newProbedPair(t *testing.T, build func(b *asm.Builder)) *probedPair {
+	fast, slow := buildMachinePair(t, build)
+	return &probedPair{fast: fast, slow: slow}
+}
+
+// probe registers one probe on idx on both machines; raiseOn as in stateProbe.
+func (pp *probedPair) probe(t *testing.T, name string, idx, raiseOn int) {
+	t.Helper()
+	for _, side := range []struct {
+		m   *vm.Machine
+		log *[]probeHit
+	}{{pp.fast, &pp.fastLog}, {pp.slow, &pp.slowLog}} {
+		if err := side.m.AddProbe(idx, stateProbe{name, side.log, new(int), raiseOn}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// run executes budget instructions on both engines and compares the stop
+// (violation identity included), architectural state, accounting, guest
+// memory and the complete probe log so far. It returns the stop.
+func (pp *probedPair) run(t *testing.T, label string, budget uint64) *vm.StopInfo {
+	t.Helper()
+	fs, ss := pp.fast.Run(budget), pp.slow.Run(budget)
+	diffStop(t, label, pp.fast, pp.slow, fs, ss)
+	diffGuestMemory(t, label, pp.fast, pp.slow)
+	switch {
+	case (fs.Violation == nil) != (ss.Violation == nil):
+		t.Errorf("%s: violation presence fast=%v slow=%v", label, fs.Violation, ss.Violation)
+	case fs.Violation != nil && *fs.Violation != *ss.Violation:
+		t.Errorf("%s: violation fast=%+v slow=%+v", label, *fs.Violation, *ss.Violation)
+	}
+	if len(pp.fastLog) != len(pp.slowLog) {
+		t.Errorf("%s: probes fired fast=%d slow=%d times", label, len(pp.fastLog), len(pp.slowLog))
+		return fs
+	}
+	for i := range pp.fastLog {
+		if pp.fastLog[i] != pp.slowLog[i] {
+			t.Errorf("%s: probe firing %d\nfast: %+v\nslow: %+v", label, i, pp.fastLog[i], pp.slowLog[i])
+			break
+		}
+	}
+	return fs
+}
+
+// resumable reports whether both machines can run on after stop: a spent
+// budget, or a violation, which it clears (the probe that raised it has spent
+// its raiseOn).
+func (pp *probedPair) resumable(stop *vm.StopInfo) bool {
+	if stop.Reason == vm.StopViolation {
+		pp.fast.ClearStop()
+		pp.slow.ClearStop()
+		return true
+	}
+	return stop.Reason == vm.StopInstrBudget
+}
+
+// runChunked drives both engines to total instructions in Run calls of chunk
+// instructions, comparing at every stop.
+func (pp *probedPair) runChunked(t *testing.T, label string, chunk, total uint64) {
+	t.Helper()
+	for done := uint64(0); done < total && !t.Failed(); done += chunk {
+		if !pp.resumable(pp.run(t, fmt.Sprintf("%s chunk=%d at=%d", label, chunk, done), chunk)) {
+			return
+		}
+	}
+}
+
+// TestInLoopProbesDifferential runs the fuzz corpus under random probe sets
+// on the fused engine, which delivers probes inside its block loop, and on
+// the per-Step engine, in Run calls of random length, and requires identical
+// probe logs, Cycles(), InstrCount(), PC and StopInfo at every stop. Probes
+// come and go between Run calls, and some raise violations.
+func TestInLoopProbesDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x1009))
+	for trial := 0; trial < 72; trial++ {
+		seed := rng.Int63()
+		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
+			r := rand.New(rand.NewSource(seed))
+			pp := newProbedPair(t, randomGuest(r, 80))
+			n := len(pp.fast.Code())
+			addProbes := func(k int) {
+				for ; k > 0; k-- {
+					raiseOn := 0
+					if r.Intn(6) == 0 {
+						raiseOn = 1 + r.Intn(20)
+					}
+					// Names repeat, so RemoveProbes below takes out several;
+					// indexes repeat, so some carry two probes.
+					pp.probe(t, fmt.Sprintf("p%d", r.Intn(4)), r.Intn(n), raiseOn)
+				}
+			}
+			addProbes(1 + r.Intn(10))
+			for call := 0; call < 40 && !t.Failed(); call++ {
+				label := fmt.Sprintf("seed=%#x call=%d", seed, call)
+				if !pp.resumable(pp.run(t, label, uint64(1+r.Intn(400)))) {
+					return
+				}
+				switch r.Intn(5) {
+				case 0:
+					name := fmt.Sprintf("p%d", r.Intn(4))
+					if f, s := pp.fast.RemoveProbes(name), pp.slow.RemoveProbes(name); f != s {
+						t.Fatalf("%s: RemoveProbes(%s) fast=%d slow=%d", label, name, f, s)
+					}
+				case 1:
+					addProbes(1 + r.Intn(3))
+				}
+			}
+		})
+	}
+}
+
+// TestInLoopProbesDirected places probes where in-loop delivery has a
+// decision to make and sweeps the Run length from 1 up, so that a budget
+// expires on, just before and just after every probed index.
+func TestInLoopProbesDirected(t *testing.T) {
+	type site struct {
+		idx, raiseOn int
+	}
+	// loop: 0 movi | 1 addi 2 push 3 pop 4 storeb 5 addi 6 cmpi 7 jlt->1 | 8 halt
+	// with push/pop (2,3) and storeb/addi (4,5) fused.
+	loop := func(b *asm.Builder) {
+		b.DataSpace("scratch", 256)
+		b.Func("main")
+		b.LoadDataAddr(vm.R6, "scratch")
+		b.Label("main.loop")
+		b.AddI(vm.R1, 1)
+		b.Push(vm.R1)
+		b.Pop(vm.R2)
+		b.StoreB(vm.R6, 3, vm.R2)
+		b.AddI(vm.R6, 1)
+		b.CmpI(vm.R1, 12)
+		b.Jlt("main.loop")
+		b.Halt()
+	}
+	// calls: 0 movi 1 call f 2 addi 3 cmpi 4 jlt->1 5 halt | f: 6 addi 7 push 8 pop 9 ret
+	calls := func(b *asm.Builder) {
+		b.Func("main")
+		b.MovI(vm.R1, 0)
+		b.Label("main.again")
+		b.Call("f")
+		b.AddI(vm.R1, 1)
+		b.CmpI(vm.R1, 6)
+		b.Jlt("main.again")
+		b.Halt()
+		b.Func("f")
+		b.AddI(vm.R3, 2)
+		b.Push(vm.R3)
+		b.Pop(vm.R4)
+		b.Ret()
+	}
+	// spin: 0 movi | 1 addi 2 addi 3 xor 4 jmp->1: a self-loop block.
+	spin := func(b *asm.Builder) {
+		b.Func("main")
+		b.MovI(vm.R1, 0)
+		b.Label("main.spin")
+		b.AddI(vm.R1, 1)
+		b.AddI(vm.R2, 3)
+		b.Xor(vm.R3, vm.R1)
+		b.Jmp("main.spin")
+	}
+	cases := []struct {
+		name      string
+		build     func(b *asm.Builder)
+		sites     []site
+		callHooks bool
+	}{
+		{"mid-body", loop, []site{{4, 0}}, false},
+		{"second half of a fused pair", loop, []site{{3, 0}}, false},
+		{"both halves of a fused pair", loop, []site{{4, 0}, {5, 0}}, false},
+		{"block entry and branch", loop, []site{{1, 0}, {7, 0}}, false},
+		{"every instruction", loop, []site{{0, 0}, {1, 0}, {2, 0}, {3, 0}, {4, 0}, {5, 0}, {6, 0}, {7, 0}, {8, 0}}, false},
+		{"two probes on one index", loop, []site{{6, 0}, {6, 0}}, false},
+		{"violation", loop, []site{{4, 5}, {4, 0}, {6, 7}}, false},
+		{"halt (Step-only terminator)", loop, []site{{8, 0}}, false},
+		{"return guard: entry and ret", calls, []site{{6, 0}, {9, 0}}, false},
+		{"call site and ret", calls, []site{{1, 0}, {9, 3}}, false},
+		{"call and ret under a call hook", calls, []site{{1, 0}, {9, 0}, {7, 0}}, true},
+		{"self-loop terminator", spin, []site{{4, 0}}, false},
+		{"self-loop base", spin, []site{{1, 0}}, false},
+		{"self-loop body, fused pair's second half", spin, []site{{2, 4}}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for chunk := uint64(1); chunk <= 24 && !t.Failed(); chunk++ {
+				pp := newProbedPair(t, tc.build)
+				if tc.callHooks {
+					pp.fast.AttachTool(monitor.NewShadowStack())
+					pp.slow.AttachTool(monitor.NewShadowStack())
+				}
+				for i, s := range tc.sites {
+					pp.probe(t, fmt.Sprintf("p%d", i), s.idx, s.raiseOn)
+				}
+				pp.runChunked(t, tc.name, chunk, 160)
+			}
+		})
+	}
+	t.Run("probes added and removed between Run calls", func(t *testing.T) {
+		pp := newProbedPair(t, spin)
+		pp.run(t, "unprobed", 7)
+		pp.probe(t, "a", 2, 0)
+		pp.probe(t, "b", 4, 0)
+		pp.run(t, "a+b", 9)
+		if pp.fast.RemoveProbes("a") != 1 || pp.slow.RemoveProbes("a") != 1 {
+			t.Fatal("RemoveProbes(a) did not remove exactly one probe")
+		}
+		pp.run(t, "b only", 9)
+		pp.probe(t, "c", 1, 0)
+		pp.run(t, "b+c", 9)
+		pp.fast.ClearProbes()
+		pp.slow.ClearProbes()
+		before := len(pp.fastLog)
+		pp.run(t, "cleared", 9)
+		if before == 0 || len(pp.fastLog) != before {
+			t.Errorf("probe log went %d -> %d across a probe-free Run", before, len(pp.fastLog))
+		}
+	})
 }

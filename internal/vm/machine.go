@@ -135,6 +135,10 @@ type Machine struct {
 
 	stopped          bool
 	pendingViolation *Violation
+
+	// probesFiredAt is runFused's note to its next pass: the index whose
+	// probes the pass before delivered (-1: none).
+	probesFiredAt int
 }
 
 // NewMachine loads prog at the given layout and returns a machine ready to
@@ -145,6 +149,9 @@ func NewMachine(prog *Program, layout Layout, sys SyscallHandler) (*Machine, err
 	}
 	if len(prog.Code) == 0 {
 		return nil, fmt.Errorf("vm: program %q has no code", prog.Name)
+	}
+	if len(prog.Code)*InstrSize > SegmentSpan || len(prog.Data) > SegmentSpan {
+		return nil, fmt.Errorf("vm: program %q exceeds the %d-byte segment span layouts reserve", prog.Name, SegmentSpan)
 	}
 	m := &Machine{
 		Mem:    NewMemory(),
@@ -528,13 +535,7 @@ func (m *Machine) Step() *StopInfo {
 			m.cycles += CyclesPerHook
 			h.BeforeInstr(m, idx, &m.code[idx])
 		}
-		if probes := m.probes[idx]; len(probes) > 0 {
-			for _, p := range probes {
-				m.cycles += CyclesPerProbe
-				p.OnProbe(m, idx, &m.code[idx])
-			}
-		}
-		if m.pendingViolation != nil {
+		if m.fireProbes(idx) {
 			return m.violationStop()
 		}
 	}

@@ -514,6 +514,52 @@ func TestLayoutValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("zero stack size should be rejected")
 	}
+	// Overlap: a segment's first byte on another region's last page is
+	// rejected, the first byte past the region is accepted.
+	heapLast := good.HeapBase + good.HeapSize - vm.PageSize
+	for name, mutate := range map[string]func(l *vm.Layout){
+		"data at heap start":   func(l *vm.Layout) { l.DataBase = good.HeapBase },
+		"data on heap's end":   func(l *vm.Layout) { l.DataBase = heapLast },
+		"code on heap's end":   func(l *vm.Layout) { l.CodeBase = heapLast },
+		"stack on heap's end":  func(l *vm.Layout) { l.StackBase = heapLast },
+		"heap reaching data":   func(l *vm.Layout) { l.HeapBase = good.DataBase + vm.PageSize - good.HeapSize },
+		"stack reaching heap":  func(l *vm.Layout) { l.StackBase = good.HeapBase + vm.PageSize - good.StackSize },
+		"data wrapping to top": func(l *vm.Layout) { l.DataBase = 0xfffff000; l.StackBase = 0xffff0000 },
+	} {
+		bad = good
+		mutate(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s: overlapping layout accepted: %+v", name, bad)
+		}
+	}
+	ok := good
+	ok.DataBase = good.HeapBase + good.HeapSize
+	if err := ok.Validate(); err != nil {
+		t.Errorf("data segment directly above the heap rejected: %v", err)
+	}
+	ok = good
+	ok.DataBase = good.CodeBase + vm.SegmentSpan
+	if err := ok.Validate(); err != nil {
+		t.Errorf("data segment one span above the code rejected: %v", err)
+	}
+	bad = ok
+	bad.DataBase -= vm.PageSize
+	if err := bad.Validate(); err == nil {
+		t.Error("data segment inside the code span accepted")
+	}
+	// The seed-1058 layout that made every benign squid request a false
+	// alarm: data inside the heap region.
+	bad = vm.Layout{CodeBase: 0x08a00000, DataBase: 0x08cdd000, HeapBase: 0x08c0e000, HeapSize: 1 << 20, StackBase: 0xbf000000, StackSize: 1 << 16}
+	if err := bad.Validate(); err == nil {
+		t.Error("data segment inside the heap region accepted")
+	}
+}
+
+func TestNewMachineRejectsProgramBeyondSegmentSpan(t *testing.T) {
+	big := &vm.Program{Name: "big", Code: []vm.Instr{{Op: vm.OpHalt}}, Data: make([]byte, vm.SegmentSpan+1)}
+	if _, err := vm.NewMachine(big, vm.DefaultLayout(), nil); err == nil {
+		t.Error("a data segment larger than SegmentSpan should be rejected")
+	}
 }
 
 func TestNewMachineRejectsEmptyProgram(t *testing.T) {

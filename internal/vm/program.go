@@ -185,20 +185,26 @@ func DefaultLayout() Layout {
 	}
 }
 
-// Validate checks that the layout's regions are non-overlapping, page aligned
-// and avoid the NULL page.
+// SegmentSpan is the address range Validate reserves for each of the code and
+// data segments, a Layout being validated before any program is known: a
+// conservative bound on their loaded size, which NewMachine enforces.
+const SegmentSpan = 256 << 10
+
+// Validate checks that the layout's regions are non-overlapping (code and
+// data at SegmentSpan, heap and stack at full size), page aligned and avoid
+// the NULL page.
 func (l Layout) Validate() error {
 	type region struct {
 		name       string
 		base, size uint32
 	}
 	regions := []region{
-		{"code", l.CodeBase, 1},
-		{"data", l.DataBase, 1},
+		{"code", l.CodeBase, SegmentSpan},
+		{"data", l.DataBase, SegmentSpan},
 		{"heap", l.HeapBase, l.HeapSize},
 		{"stack", l.StackBase, l.StackSize},
 	}
-	for _, r := range regions {
+	for i, r := range regions {
 		if r.base == 0 {
 			return fmt.Errorf("layout: %s region at NULL page", r.name)
 		}
@@ -207,6 +213,11 @@ func (l Layout) Validate() error {
 		}
 		if r.base < PageSize {
 			return fmt.Errorf("layout: %s region overlaps NULL page", r.name)
+		}
+		for _, o := range regions[:i] {
+			if uint64(r.base) < uint64(o.base)+uint64(o.size) && uint64(o.base) < uint64(r.base)+uint64(r.size) {
+				return fmt.Errorf("layout: %s region at %#x overlaps %s region at %#x", r.name, r.base, o.name, o.base)
+			}
 		}
 	}
 	if l.HeapSize == 0 || l.StackSize == 0 {

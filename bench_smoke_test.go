@@ -93,6 +93,14 @@ var benchOnce = map[string]func(tb testing.TB){
 				pruned.Nodes, forced.Nodes)
 		}
 	},
+	"BenchmarkSlicingRecord": func(tb testing.TB) {
+		p, snap, culprit := squidAtDetection(tb)
+		restricted := slicingRecordOnce(tb, p, snap, culprit, true)
+		full := slicingRecordOnce(tb, p, snap, culprit, false)
+		if restricted >= full {
+			tb.Errorf("the exploit's request alone recorded %d nodes, the whole window %d", restricted, full)
+		}
+	},
 	"BenchmarkFigure4FleetSweep": func(tb testing.TB) {
 		sweep := figure4FleetSweepOnce(tb)
 		if len(sweep) != len(fleetSweepApps) {

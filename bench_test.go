@@ -266,6 +266,88 @@ func BenchmarkSliceFallbackPrune(b *testing.B) {
 	}
 }
 
+// --- slicing: what recording the dependence graph costs per node ---
+
+// squidWithBenignQueued returns a fresh squid Sweeper at ASLR seed 1009 with
+// 20 benign requests submitted and not yet served.
+func squidWithBenignQueued(tb testing.TB) *core.Sweeper {
+	spec := apps.Squid()
+	cfg := core.DefaultConfig()
+	cfg.ASLRSeed = 1009
+	s, err := core.New(spec.Name, spec.Image, spec.Options, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		s.Submit(exploit.Benign("squid", i), "bench", false)
+	}
+	return s
+}
+
+// squidAtDetection drives a fresh squid guest through 20 benign requests and
+// the exploit to the fault, and returns it with the rollback checkpoint the
+// analyses replay from and the exploit's request ID.
+func squidAtDetection(tb testing.TB) (p *proc.Process, snap *proc.Snapshot, culprit int) {
+	s := squidWithBenignQueued(tb)
+	if res, err := s.ServeAll(); err != nil || res.AttacksHandled != 0 {
+		tb.Fatalf("serving the benign requests: %+v, %v", res, err)
+	}
+	culprit, _ = s.SubmitTracked(exploit.SquidExploit(), "worm", true)
+	p = s.Process()
+	if stop := p.Run(0); stop.Reason != vm.StopFault {
+		tb.Fatalf("the exploit stopped the guest with %v, want a fault", stop.Reason)
+	}
+	return p, s.Checkpoints().Latest(), culprit
+}
+
+// slicingRecordOnce replays the attack window on a clone under a slicer that
+// records control dependences — the whole window, or the exploit's request
+// alone as the focused cross-check does — and returns the nodes recorded.
+func slicingRecordOnce(tb testing.TB, p *proc.Process, snap *proc.Snapshot, culprit int, restricted bool) int {
+	clone, err := p.Clone(snap)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if restricted {
+		for _, id := range clone.Log.RequestsSince(clone.Log.Cursor()) {
+			if id != culprit {
+				clone.DropRequests(id)
+			}
+		}
+	}
+	sl := slicing.New(slicing.Options{IncludeControlDeps: true})
+	clone.Machine.AttachTool(sl)
+	if stop := clone.Run(0); stop.Reason != vm.StopFault {
+		tb.Fatalf("the replay stopped with %v, want the fault", stop.Reason)
+	}
+	if sl.Truncated() || sl.NodeCount() == 0 {
+		tb.Fatalf("recorded %d nodes, truncated=%v", sl.NodeCount(), sl.Truncated())
+	}
+	return sl.NodeCount()
+}
+
+// BenchmarkSlicingRecord measures the slicer's recording path on the squid
+// exploit: with -benchmem, ns/op and B/op over nodes-per-op give the time and
+// the allocation one recorded node costs. A return to copying growth shows as
+// B/node well above the ~16 a node and its two dependences occupy.
+func BenchmarkSlicingRecord(b *testing.B) {
+	p, snap, culprit := squidAtDetection(b)
+	for _, mode := range []struct {
+		name       string
+		restricted bool
+	}{{"restricted", true}, {"full-window", false}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			nodes := 0
+			for i := 0; i < b.N; i++ {
+				nodes += slicingRecordOnce(b, p, snap, culprit, mode.restricted)
+			}
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
+		})
+	}
+}
+
 // --- Figure 4: checkpoint interval vs throughput overhead ---
 
 func figure4Once(tb testing.TB, intervalMs uint64) float64 {
@@ -529,15 +611,7 @@ func BenchmarkVSEFOverhead(b *testing.B) {
 // real final antibody's probes — each with the proxy that feeds it.
 func vsefWallClockGuests(tb testing.TB) (plain, probed *proc.Process, plainIn, probedIn *netproxy.Proxy) {
 	spec := apps.Squid()
-	cfg := core.DefaultConfig()
-	cfg.ASLRSeed = 1009
-	s, err := core.New(spec.Name, spec.Image, spec.Options, cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		s.Submit(exploit.Benign("squid", i), "bench", false)
-	}
+	s := squidWithBenignQueued(tb)
 	s.Submit(exploit.SquidExploit(), "worm", true)
 	res, err := s.ServeAll()
 	s.WaitAnalyses()

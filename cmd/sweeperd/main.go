@@ -502,6 +502,8 @@ func main() {
 				fmt.Printf("#3 input/taint   : exploit input not identified\n")
 			}
 			switch {
+			case r.SliceTruncated:
+				fmt.Printf("#4 slicing       : %s\n", r.ErrorFor("slicing"))
 			case r.FindingFor("slicing") != nil:
 				fmt.Printf("#4 slicing       : %d dynamic instructions, consistent=%v\n", r.SliceNodes, r.SliceConsistent)
 			case r.ErrorFor("slicing") != "":

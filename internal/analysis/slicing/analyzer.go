@@ -43,6 +43,12 @@ type Result struct {
 	// Recorded counts the dynamic instructions the dependence tracker
 	// recorded during the replay (the slice explores a subset of these).
 	Recorded int
+	// Truncated says the recording was cut short — the replay budget ran out
+	// or MaxNodes was reached before the failure — so its last node is not
+	// the failure and no slice was taken from it: the verdict is inconclusive
+	// (Consistent is false, Missing empty).
+	Truncated bool
+	cutBy     string // what cut the recording short, for Summary
 }
 
 // Analyzer implements analysis.Finding.
@@ -50,6 +56,9 @@ func (r *Result) Analyzer() string { return AnalyzerName }
 
 // Summary implements analysis.Finding.
 func (r *Result) Summary() string {
+	if r.Truncated {
+		return fmt.Sprintf("INCONCLUSIVE: recording cut short at %d dynamic instructions (%s) before the failure; nothing was verified", r.Recorded, r.cutBy)
+	}
 	if !r.Consistent {
 		return fmt.Sprintf("INCONSISTENT: implicated instructions %v not in the backward slice", r.Missing)
 	}
@@ -132,6 +141,20 @@ func (a Analyzer) Run(ctx *analysis.Context, sb *analysis.Sandbox) (analysis.Fin
 	sb.Machine().AttachTool(sl)
 	sb.Run()
 	res.Recorded = sl.NodeCount()
+
+	// A recording that stopped before the failure has an arbitrary
+	// instruction as its last node; a slice rooted there says nothing about
+	// the attack, whichever way its check comes out.
+	switch {
+	case sl.Truncated():
+		res.cutBy = "node limit reached"
+	case sb.Exhausted():
+		res.cutBy = fmt.Sprintf("replay budget of %d instructions exhausted", sb.Budget)
+	}
+	if res.cutBy != "" {
+		res.Truncated = true
+		return res, nil
+	}
 
 	if res.Restricted && len(focus) > 0 {
 		missing, nodes, instrs := sl.VerifyBackward(focus)

@@ -9,17 +9,11 @@ package slicing
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"sweeper/internal/vm"
 )
-
-// Node is one dynamic instruction instance.
-type Node struct {
-	Seq      int   // execution order
-	InstrIdx int   // static instruction index
-	Deps     []int // sequence numbers of the dynamic instructions it depends on
-}
 
 // Options configure the slicer.
 type Options struct {
@@ -35,29 +29,70 @@ type Options struct {
 // DefaultMaxNodes bounds the recorded dynamic instruction count.
 const DefaultMaxNodes = 2_000_000
 
+// Slabs and the visited bitmap are allocated chunkLen entries at a time.
+const (
+	chunkBits = 14
+	chunkLen  = 1 << chunkBits
+	chunkMask = chunkLen - 1
+)
+
+// slab is an append-only sequence of int32 stored as fixed-size chunks.
+// Growing it adds a chunk and copies nothing: a single slice grown by append
+// is re-allocated ~30 times on the way to a few hundred thousand entries and
+// moves about four times its final size through fresh large spans — garbage
+// the collector then chases on the processors the recovered service needs.
+type slab struct {
+	chunks []*[chunkLen]int32
+	n      int32
+}
+
+func (b *slab) push(v int32) {
+	off := b.n & chunkMask
+	if off == 0 {
+		b.chunks = append(b.chunks, new([chunkLen]int32))
+	}
+	b.chunks[len(b.chunks)-1][off] = v
+	b.n++
+}
+
+func (b *slab) at(i int32) int32 { return b.chunks[i>>chunkBits][i&chunkMask] }
+
+// shadowPage holds, for each byte of one guest page, seq+1 of the dynamic
+// instruction that last wrote it; 0 means never written.
+type shadowPage [vm.PageSize]int32
+
+// The 2^(32-PageShift) guest pages are split evenly between the two levels
+// of the last-writer shadow table.
+const (
+	shadowLeafBits = (32 - vm.PageShift) / 2
+	shadowDirBits  = 32 - vm.PageShift - shadowLeafBits
+)
+
 // Slicer is the dynamic-slicing tool; attach it with vm.Machine.AttachTool
 // before replaying from a checkpoint.
 //
-// The dependence graph is stored in flat CSR form — node seq i covers static
+// The dependence graph is stored in CSR form — node seq i covers static
 // instruction instrIdx[i] and depends on deps[depStart[i]:depStart[i+1]] —
-// instead of one Node struct with its own Deps slice per dynamic instruction.
-// A recorded replay produces millions of nodes, and per-node slice headers
-// mean millions of tiny pointer-bearing allocations: the garbage collector
-// then competes with the recovered service for CPU (this tool runs in the
-// deferred tier, behind live traffic). Three pointer-free int32 slabs record
-// the same graph with amortised-constant appends and nothing for the GC to
-// scan.
+// in three pointer-free chunked slabs, so recording a replay of millions of
+// nodes allocates one 64 KiB chunk per 16 Ki entries, copies nothing it has
+// already recorded and leaves the collector a few dozen objects with nothing
+// inside them to scan (this tool runs in the deferred tier, behind live
+// traffic). The last writer of every guest byte lives in a two-level table of
+// lazily allocated shadow pages, the shape of the taint tracker's shadow: an
+// access is two indexed loads and no address is ever hashed. Everything is
+// dropped with the Slicer; nothing is pooled between attacks.
 type Slicer struct {
 	opts Options
 
-	instrIdx []int32 // static instruction per node, indexed by seq
-	depStart []int32 // CSR row offsets into deps; len == len(instrIdx)+1
-	deps     []int32 // flattened dependence lists (sequence numbers)
+	instrIdx slab // static instruction per node, indexed by seq
+	depStart slab // CSR row offsets into deps; n == instrIdx.n+1
+	deps     slab // flattened dependence lists (sequence numbers)
 
 	lastRegWriter   [vm.NumRegs]int32
-	lastMemWriter   map[uint32]int32
 	lastFlagsWriter int32
 	lastBranch      int32
+
+	shadow [1 << shadowDirBits]*[1 << shadowLeafBits]*shadowPage
 
 	truncated bool
 }
@@ -69,11 +104,10 @@ func New(opts Options) *Slicer {
 	}
 	s := &Slicer{
 		opts:            opts,
-		depStart:        []int32{0},
-		lastMemWriter:   make(map[uint32]int32),
 		lastFlagsWriter: -1,
 		lastBranch:      -1,
 	}
+	s.depStart.push(0)
 	for i := range s.lastRegWriter {
 		s.lastRegWriter[i] = -1
 	}
@@ -84,41 +118,19 @@ func New(opts Options) *Slicer {
 func (s *Slicer) Name() string { return "analysis.slicing" }
 
 // NodeCount returns the number of dynamic instructions recorded.
-func (s *Slicer) NodeCount() int { return len(s.instrIdx) }
+func (s *Slicer) NodeCount() int { return int(s.instrIdx.n) }
 
 // Truncated reports whether recording stopped because MaxNodes was reached.
 func (s *Slicer) Truncated() bool { return s.truncated }
 
-// Nodes materialises the recorded dynamic instructions (for tests and
-// reports; traversals use the CSR arrays directly).
-func (s *Slicer) Nodes() []Node {
-	out := make([]Node, len(s.instrIdx))
-	for i := range out {
-		out[i] = Node{Seq: i, InstrIdx: int(s.instrIdx[i]), Deps: s.nodeDepsInt(i)}
-	}
-	return out
-}
-
-// nodeDeps returns node i's dependence row in the CSR arena.
-func (s *Slicer) nodeDeps(i int32) []int32 {
-	return s.deps[s.depStart[i]:s.depStart[i+1]]
-}
-
-func (s *Slicer) nodeDepsInt(i int) []int {
-	row := s.nodeDeps(int32(i))
-	if len(row) == 0 {
-		return nil
-	}
-	out := make([]int, len(row))
-	for j, d := range row {
-		out[j] = int(d)
-	}
-	return out
+// row returns the bounds of node i's dependence row in deps.
+func (s *Slicer) row(i int32) (from, to int32) {
+	return s.depStart.at(i), s.depStart.at(i + 1)
 }
 
 func (s *Slicer) addDep(d int32) {
 	if d >= 0 {
-		s.deps = append(s.deps, d)
+		s.deps.push(d)
 	}
 }
 
@@ -128,23 +140,64 @@ func (s *Slicer) depReg(r vm.Reg) {
 	}
 }
 
-func (s *Slicer) depMem(addr uint32, size int) {
-	for i := 0; i < size; i++ {
-		if w, ok := s.lastMemWriter[addr+uint32(i)]; ok {
-			s.addDep(w)
-		}
-	}
-}
-
 func (s *Slicer) writeReg(r vm.Reg, seq int32) {
 	if r < vm.NumRegs {
 		s.lastRegWriter[r] = seq
 	}
 }
 
-func (s *Slicer) writeMem(addr uint32, size int, seq int32) {
-	for i := 0; i < size; i++ {
-		s.lastMemWriter[addr+uint32(i)] = seq
+// page returns the shadow of guest page pn. Without create it returns nil
+// for a page no recorded instruction has written.
+func (s *Slicer) page(pn uint32, create bool) *shadowPage {
+	leaf := s.shadow[pn>>shadowLeafBits]
+	if leaf == nil {
+		if !create {
+			return nil
+		}
+		leaf = new([1 << shadowLeafBits]*shadowPage)
+		s.shadow[pn>>shadowLeafBits] = leaf
+	}
+	p := leaf[pn&(1<<shadowLeafBits-1)]
+	if p == nil {
+		if !create {
+			return nil
+		}
+		p = new(shadowPage)
+		leaf[pn&(1<<shadowLeafBits-1)] = p
+	}
+	return p
+}
+
+// depMem adds a dependence on the last writer of each of the size bytes at
+// addr, in address order.
+func (s *Slicer) depMem(addr, size uint32) {
+	off := addr & (vm.PageSize - 1)
+	if off+size > vm.PageSize {
+		// Straddles a page, or wraps the address space: byte by byte.
+		for i := uint32(0); i < size; i++ {
+			s.depMem(addr+i, 1)
+		}
+		return
+	}
+	if p := s.page(addr>>vm.PageShift, false); p != nil {
+		for _, w := range p[off : off+size] {
+			s.addDep(w - 1) // 0, never written, becomes the -1 addDep skips
+		}
+	}
+}
+
+// writeMem makes seq the last writer of the size bytes at addr.
+func (s *Slicer) writeMem(addr, size uint32, seq int32) {
+	off := addr & (vm.PageSize - 1)
+	if off+size > vm.PageSize {
+		for i := uint32(0); i < size; i++ {
+			s.writeMem(addr+i, 1, seq)
+		}
+		return
+	}
+	p := s.page(addr>>vm.PageShift, true)
+	for i := off; i < off+size; i++ {
+		p[i] = seq + 1
 	}
 }
 
@@ -152,11 +205,11 @@ func (s *Slicer) writeMem(addr uint32, size int, seq int32) {
 // its dependences. Effective addresses are computed from the pre-execution
 // register state.
 func (s *Slicer) BeforeInstr(m *vm.Machine, idx int, in *vm.Instr) {
-	if len(s.instrIdx) >= s.opts.MaxNodes {
+	if int(s.instrIdx.n) >= s.opts.MaxNodes {
 		s.truncated = true
 		return
 	}
-	seq := int32(len(s.instrIdx))
+	seq := s.instrIdx.n
 
 	if s.opts.IncludeControlDeps {
 		s.addDep(s.lastBranch)
@@ -172,7 +225,7 @@ func (s *Slicer) BeforeInstr(m *vm.Machine, idx int, in *vm.Instr) {
 		s.writeReg(in.Rd, seq)
 
 	case vm.OpLoadB, vm.OpLoadW:
-		size := 4
+		size := uint32(4)
 		if in.Op == vm.OpLoadB {
 			size = 1
 		}
@@ -181,7 +234,7 @@ func (s *Slicer) BeforeInstr(m *vm.Machine, idx int, in *vm.Instr) {
 		s.writeReg(in.Rd, seq)
 
 	case vm.OpStoreB, vm.OpStoreW:
-		size := 4
+		size := uint32(4)
 		if in.Op == vm.OpStoreB {
 			size = 1
 		}
@@ -255,11 +308,11 @@ func (s *Slicer) BeforeInstr(m *vm.Machine, idx int, in *vm.Instr) {
 		s.writeReg(vm.R0, seq)
 	}
 
-	s.instrIdx = append(s.instrIdx, int32(idx))
-	s.depStart = append(s.depStart, int32(len(s.deps)))
+	s.instrIdx.push(int32(idx))
+	s.depStart.push(s.deps.n)
 }
 
-// Slice is the result of a backward (or forward) slice computation.
+// Slice is the result of a backward slice computation.
 type Slice struct {
 	// FromSeq is the dynamic instruction the slice was computed from.
 	FromSeq int
@@ -285,86 +338,88 @@ func (sl *Slice) Instrs() []int {
 // Size returns the number of dynamic instructions in the slice.
 func (sl *Slice) Size() int { return len(sl.NodeSeqs) }
 
-// BackwardSlice computes the backward slice from the dynamic instruction with
-// the given sequence number.
-func (s *Slicer) BackwardSlice(fromSeq int) (*Slice, error) {
-	if fromSeq < 0 || fromSeq >= len(s.instrIdx) {
-		return nil, fmt.Errorf("slicing: sequence %d out of range (have %d nodes)", fromSeq, len(s.instrIdx))
+// seqSet is a set of node sequence numbers: a bitmap allocated one chunk of
+// nodes at a time, on first touch, so a search pays for the part of the graph
+// it visits rather than for everything recorded.
+type seqSet []*[chunkLen / 64]uint64
+
+// add inserts seq and reports whether it was absent.
+func (v seqSet) add(seq int32) bool {
+	c := v[seq>>chunkBits]
+	if c == nil {
+		c = new([chunkLen / 64]uint64)
+		v[seq>>chunkBits] = c
 	}
-	visited := make([]bool, len(s.instrIdx))
-	queue := []int32{int32(fromSeq)}
-	visited[fromSeq] = true
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, d := range s.nodeDeps(cur) {
-			if !visited[d] {
-				visited[d] = true
+	w, bit := &c[(seq&chunkMask)>>6], uint64(1)<<(seq&63)
+	if *w&bit != 0 {
+		return false
+	}
+	*w |= bit
+	return true
+}
+
+// reach explores the dependence graph backward from node from, breadth
+// first. visit, if non-nil, sees each node as it is dequeued, before its
+// dependences are followed; returning false ends the search there. reach
+// returns the nodes discovered (dequeued or still queued) and their count.
+func (s *Slicer) reach(from int32, visit func(seq int32) bool) (seen seqSet, n int) {
+	seen = make(seqSet, len(s.instrIdx.chunks))
+	seen.add(from)
+	queue := []int32{from}
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
+		if visit != nil && !visit(cur) {
+			break
+		}
+		for j, end := s.row(cur); j < end; j++ {
+			if d := s.deps.at(j); seen.add(d) {
 				queue = append(queue, d)
 			}
 		}
 	}
-	return s.buildSlice(fromSeq, visited), nil
+	return seen, len(queue)
+}
+
+// BackwardSlice computes the backward slice from the dynamic instruction with
+// the given sequence number.
+func (s *Slicer) BackwardSlice(fromSeq int) (*Slice, error) {
+	if fromSeq < 0 || fromSeq >= s.NodeCount() {
+		return nil, fmt.Errorf("slicing: sequence %d out of range (have %d nodes)", fromSeq, s.NodeCount())
+	}
+	seen, n := s.reach(int32(fromSeq), nil)
+
+	// Ascending iteration keeps NodeSeqs sorted without a separate sort pass.
+	sl := &Slice{FromSeq: fromSeq, NodeSeqs: make([]int, 0, n), InstrSet: make(map[int]bool)}
+	for c, words := range seen {
+		if words == nil {
+			continue
+		}
+		for w, word := range words {
+			for ; word != 0; word &= word - 1 {
+				seq := int32(c<<chunkBits | w<<6 | bits.TrailingZeros64(word))
+				sl.NodeSeqs = append(sl.NodeSeqs, int(seq))
+				sl.InstrSet[int(s.instrIdx.at(seq))] = true
+			}
+		}
+	}
+	return sl, nil
 }
 
 // BackwardSliceFromLast computes the backward slice from the most recently
 // recorded dynamic instruction (normally the faulting one).
 func (s *Slicer) BackwardSliceFromLast() (*Slice, error) {
-	return s.BackwardSlice(len(s.instrIdx) - 1)
+	return s.BackwardSlice(s.NodeCount() - 1)
 }
 
 // LastSeqOf returns the sequence number of the most recent dynamic instance
 // of the given static instruction, or -1.
 func (s *Slicer) LastSeqOf(instrIdx int) int {
-	for i := len(s.instrIdx) - 1; i >= 0; i-- {
-		if int(s.instrIdx[i]) == instrIdx {
-			return i
+	for i := s.instrIdx.n - 1; i >= 0; i-- {
+		if int(s.instrIdx.at(i)) == instrIdx {
+			return int(i)
 		}
 	}
 	return -1
-}
-
-// ForwardSlice computes the set of dynamic instructions influenced by the
-// given dynamic instruction (the paper mentions this as a possible use of the
-// same dependence tree).
-func (s *Slicer) ForwardSlice(fromSeq int) (*Slice, error) {
-	if fromSeq < 0 || fromSeq >= len(s.instrIdx) {
-		return nil, fmt.Errorf("slicing: sequence %d out of range (have %d nodes)", fromSeq, len(s.instrIdx))
-	}
-	// Build forward adjacency.
-	succ := make(map[int32][]int32)
-	for seq := range s.instrIdx {
-		for _, d := range s.nodeDeps(int32(seq)) {
-			succ[d] = append(succ[d], int32(seq))
-		}
-	}
-	visited := make([]bool, len(s.instrIdx))
-	visited[fromSeq] = true
-	queue := []int32{int32(fromSeq)}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nxt := range succ[cur] {
-			if !visited[nxt] {
-				visited[nxt] = true
-				queue = append(queue, nxt)
-			}
-		}
-	}
-	return s.buildSlice(fromSeq, visited), nil
-}
-
-// buildSlice materialises the slice from a visited bitmap; ascending seq
-// iteration keeps NodeSeqs sorted without a separate sort pass.
-func (s *Slicer) buildSlice(fromSeq int, visited []bool) *Slice {
-	sl := &Slice{FromSeq: fromSeq, InstrSet: make(map[int]bool)}
-	for seq, in := range visited {
-		if in {
-			sl.NodeSeqs = append(sl.NodeSeqs, seq)
-			sl.InstrSet[int(s.instrIdx[seq])] = true
-		}
-	}
-	return sl
 }
 
 // Verify checks whether every given static instruction is contained in the
@@ -398,40 +453,22 @@ func (s *Slicer) VerifyBackward(instrs []int) (missing []int, nodesExplored, ins
 		}
 	}
 	remaining := len(want)
-	if len(s.instrIdx) == 0 {
-		for idx := range want {
-			missing = append(missing, idx)
-		}
-		sort.Ints(missing)
-		return missing, 0, 0
-	}
-
-	visited := make([]bool, len(s.instrIdx))
 	instrSeen := make(map[int]bool)
-	start := int32(len(s.instrIdx) - 1)
-	visited[start] = true
-	queue := []int32{start}
-	nodesExplored = 1
-	for len(queue) > 0 && remaining > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		idx := int(s.instrIdx[cur])
-		if !instrSeen[idx] {
-			instrSeen[idx] = true
-			if want[idx] {
-				remaining--
-				if remaining == 0 {
-					break
+	switch {
+	case s.instrIdx.n == 0:
+	case remaining == 0:
+		nodesExplored = 1 // the root is touched even with nothing to look for
+	default:
+		_, nodesExplored = s.reach(s.instrIdx.n-1, func(seq int32) bool {
+			idx := int(s.instrIdx.at(seq))
+			if !instrSeen[idx] {
+				instrSeen[idx] = true
+				if want[idx] {
+					remaining--
 				}
 			}
-		}
-		for _, d := range s.nodeDeps(cur) {
-			if !visited[d] {
-				visited[d] = true
-				nodesExplored++
-				queue = append(queue, d)
-			}
-		}
+			return remaining > 0
+		})
 	}
 	for idx := range want {
 		if !instrSeen[idx] {

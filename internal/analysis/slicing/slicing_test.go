@@ -1,8 +1,15 @@
 package slicing_test
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sort"
+	"strings"
 	"testing"
 
+	"sweeper/internal/analysis"
 	"sweeper/internal/analysis/slicing"
 	"sweeper/internal/apps"
 	"sweeper/internal/asm"
@@ -10,6 +17,7 @@ import (
 	"sweeper/internal/netproxy"
 	"sweeper/internal/proc"
 	"sweeper/internal/vm"
+	"sweeper/internal/vm/vmtest"
 )
 
 // runSliced runs a small standalone program under the slicer.
@@ -125,27 +133,6 @@ func TestControlDependenceCapturedWhenEnabled(t *testing.T) {
 	}
 }
 
-func TestForwardSlice(t *testing.T) {
-	sl, _ := runSliced(t, slicing.Options{}, func(b *asm.Builder) {
-		b.Func("main")
-		b.MovI(vm.R1, 1)    // 0
-		b.Mov(vm.R2, vm.R1) // 1: influenced by 0
-		b.MovI(vm.R3, 9)    // 2: independent
-		b.Add(vm.R2, vm.R3) // 3: influenced by 0 (through r2) and 2
-		b.Halt()
-	})
-	fwd, err := sl.ForwardSlice(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fwd.Contains(1) || !fwd.Contains(3) {
-		t.Errorf("forward slice %v missing influenced instructions", fwd.Instrs())
-	}
-	if fwd.Contains(2) {
-		t.Errorf("forward slice %v contains independent instruction", fwd.Instrs())
-	}
-}
-
 func TestSliceErrorsAndTruncation(t *testing.T) {
 	sl, _ := runSliced(t, slicing.Options{MaxNodes: 3}, func(b *asm.Builder) {
 		b.Func("main")
@@ -163,29 +150,25 @@ func TestSliceErrorsAndTruncation(t *testing.T) {
 	if _, err := sl.BackwardSlice(999); err == nil {
 		t.Error("out-of-range slice should error")
 	}
-	if _, err := sl.ForwardSlice(-1); err == nil {
-		t.Error("negative forward slice should error")
+	if _, err := sl.BackwardSlice(-1); err == nil {
+		t.Error("negative slice origin should error")
 	}
 	if sl.LastSeqOf(9999) != -1 {
 		t.Error("LastSeqOf for never-executed instruction should be -1")
 	}
 }
 
-// TestSliceVerifiesSweeperFindings mirrors the paper's use of slicing as a
-// sanity check: for the apache1 exploit, the instructions blamed by the other
-// tools (the overflowing store in lmatcher and the faulting return) must be
-// inside the backward slice from the failure.
-func TestSliceVerifiesSweeperFindings(t *testing.T) {
-	spec, err := apps.ByName("apache1")
-	if err != nil {
-		t.Fatal(err)
-	}
+// exploitedProcess serves one benign request, checkpoints, and runs the
+// application's exploit to its fault (or halt): the state an analysis starts
+// from. The checkpoint is the one the attack window replays from.
+func exploitedProcess(t *testing.T, spec *apps.Spec) (*proc.Process, *proc.Snapshot) {
+	t.Helper()
 	payload, err := exploit.Exploit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	proxy := netproxy.New()
-	proxy.Submit(exploit.Benign("apache1", 0), "client", false)
+	proxy.Submit(exploit.Benign(spec.Name, 0), "client", false)
 	p, err := proc.New(spec.Name, spec.Image, vm.DefaultLayout(), proxy, spec.Options)
 	if err != nil {
 		t.Fatal(err)
@@ -195,11 +178,19 @@ func TestSliceVerifiesSweeperFindings(t *testing.T) {
 	}
 	snap := p.Snapshot(1)
 	proxy.Submit(payload, "worm", true)
-	stop := p.Run(0)
-	if stop.Reason != vm.StopHalt && stop.Reason != vm.StopFault {
+	if stop := p.Run(0); stop.Reason != vm.StopHalt && stop.Reason != vm.StopFault {
 		t.Fatalf("exploit outcome unexpected: %v", stop.Reason)
 	}
+	return p, snap
+}
 
+// TestSliceVerifiesSweeperFindings mirrors the paper's use of slicing as a
+// sanity check: for the apache1 exploit, the instructions blamed by the other
+// tools (the overflowing store in lmatcher and the faulting return) must be
+// inside the backward slice from the failure.
+func TestSliceVerifiesSweeperFindings(t *testing.T) {
+	spec := apps.Apache1()
+	p, snap := exploitedProcess(t, spec)
 	p.Rollback(snap, proc.ModeReplay, false)
 	sl := slicing.New(slicing.Options{IncludeControlDeps: true})
 	p.Machine.AttachTool(sl)
@@ -216,5 +207,482 @@ func TestSliceVerifiesSweeperFindings(t *testing.T) {
 	}
 	if slice.Size() == 0 || len(slice.Instrs()) == 0 {
 		t.Error("empty slice")
+	}
+}
+
+// refRecorder is the reference the graph-identity tests compare the Slicer
+// against: the recorder it replaced, with one []int row per node and a map
+// from byte address to last writer, and the searches over it written the
+// obvious way.
+type refRecorder struct {
+	control, truncated bool
+	max                int
+	instr              []int
+	rows               [][]int
+	reg                [vm.NumRegs]int
+	mem                map[uint32]int
+	flags, branch      int
+}
+
+func newRef(opts slicing.Options) *refRecorder {
+	r := &refRecorder{control: opts.IncludeControlDeps, max: opts.MaxNodes, mem: map[uint32]int{}, flags: -1, branch: -1}
+	if r.max == 0 {
+		r.max = slicing.DefaultMaxNodes
+	}
+	for i := range r.reg {
+		r.reg[i] = -1
+	}
+	return r
+}
+
+func (r *refRecorder) Name() string { return "test.refslicer" }
+
+func (r *refRecorder) BeforeInstr(m *vm.Machine, idx int, in *vm.Instr) {
+	if len(r.instr) >= r.max {
+		r.truncated = true
+		return
+	}
+	seq, row := len(r.instr), []int(nil)
+	dep := func(w int) {
+		if w >= 0 {
+			row = append(row, w)
+		}
+	}
+	use := func(regs ...vm.Reg) {
+		for _, x := range regs {
+			if x < vm.NumRegs {
+				dep(r.reg[x])
+			}
+		}
+	}
+	def := func(regs ...vm.Reg) {
+		for _, x := range regs {
+			if x < vm.NumRegs {
+				r.reg[x] = seq
+			}
+		}
+	}
+	load := func(addr uint32, n int) {
+		for i := 0; i < n; i++ {
+			if w, ok := r.mem[addr+uint32(i)]; ok {
+				dep(w)
+			}
+		}
+	}
+	store := func(addr uint32, n int) {
+		for i := 0; i < n; i++ {
+			r.mem[addr+uint32(i)] = seq
+		}
+	}
+	width := 4 // of a load or store; unused by the other instructions
+	if in.Op == vm.OpLoadB || in.Op == vm.OpStoreB {
+		width = 1
+	}
+	sp := m.Regs[vm.SP]
+	if r.control {
+		dep(r.branch)
+	}
+	switch op := in.Op; {
+	case op == vm.OpMovI:
+		def(in.Rd)
+	case op == vm.OpMov || op == vm.OpLea:
+		use(in.Rs)
+		def(in.Rd)
+	case op == vm.OpLoadB || op == vm.OpLoadW:
+		use(in.Rs)
+		load(m.Regs[in.Rs]+uint32(in.Imm), width)
+		def(in.Rd)
+	case op == vm.OpStoreB || op == vm.OpStoreW:
+		use(in.Rd, in.Rs)
+		store(m.Regs[in.Rd]+uint32(in.Imm), width)
+	case op >= vm.OpAdd && op <= vm.OpShr:
+		use(in.Rd, in.Rs)
+		def(in.Rd)
+	case op >= vm.OpAddI && op <= vm.OpShrI:
+		use(in.Rd)
+		def(in.Rd)
+	case op == vm.OpCmp:
+		use(in.Rd, in.Rs)
+		r.flags = seq
+	case op == vm.OpCmpI:
+		use(in.Rd)
+		r.flags = seq
+	case op == vm.OpJmp:
+		r.branch = seq
+	case op >= vm.OpJz && op <= vm.OpJge:
+		dep(r.flags)
+		r.branch = seq
+	case op == vm.OpJmpReg:
+		use(in.Rd)
+		r.branch = seq
+	case op == vm.OpCall || op == vm.OpCallReg:
+		if op == vm.OpCallReg {
+			use(in.Rd)
+		}
+		store(sp-4, 4)
+		def(vm.SP)
+		r.branch = seq
+	case op == vm.OpRet:
+		use(vm.SP)
+		load(sp, 4)
+		def(vm.SP)
+		r.branch = seq
+	case op == vm.OpPush || op == vm.OpPushI:
+		if op == vm.OpPush {
+			use(in.Rd)
+		}
+		use(vm.SP)
+		store(sp-4, 4)
+		def(vm.SP)
+	case op == vm.OpPop:
+		use(vm.SP)
+		load(sp, 4)
+		def(in.Rd, vm.SP)
+	case op == vm.OpSyscall:
+		use(vm.R0, vm.R1, vm.R2, vm.R3)
+		def(vm.R0)
+	}
+	r.instr = append(r.instr, idx)
+	r.rows = append(r.rows, row)
+}
+
+// backward is the breadth-first search both traversals are defined by: a
+// []bool over every node and a FIFO, stopping once every wanted static
+// instruction has been dequeued (never, when want is nil).
+func (r *refRecorder) backward(from int, want map[int]bool) (visited []bool, discovered int, instrSeen map[int]bool) {
+	visited, instrSeen = make([]bool, len(r.instr)), map[int]bool{}
+	visited[from] = true
+	queue, discovered, remaining := []int{from}, 1, len(want)
+	for len(queue) > 0 && (want == nil || remaining > 0) {
+		cur := queue[0]
+		queue = queue[1:]
+		if idx := r.instr[cur]; !instrSeen[idx] {
+			instrSeen[idx] = true
+			if want[idx] {
+				if remaining--; remaining == 0 {
+					break
+				}
+			}
+		}
+		for _, d := range r.rows[cur] {
+			if !visited[d] {
+				visited[d] = true
+				discovered++
+				queue = append(queue, d)
+			}
+		}
+	}
+	return visited, discovered, instrSeen
+}
+
+// requireSameGraph fails unless sl recorded exactly ref's graph and answers
+// BackwardSlice and VerifyBackward as ref's searches do, from the last node,
+// the first and a few drawn from rng, for a few sets of static instructions.
+func requireSameGraph(t *testing.T, sl *slicing.Slicer, ref *refRecorder, rng *rand.Rand) {
+	t.Helper()
+	if sl.NodeCount() != len(ref.instr) || sl.Truncated() != ref.truncated {
+		t.Fatalf("recorded %d nodes (truncated=%v), reference %d (%v)", sl.NodeCount(), sl.Truncated(), len(ref.instr), ref.truncated)
+	}
+	n := len(ref.instr)
+	for seq := 0; seq < n; seq++ {
+		idx, deps := sl.Row(seq)
+		if idx != ref.instr[seq] || !reflect.DeepEqual(deps, ref.rows[seq]) {
+			t.Fatalf("node %d: recorded @%d %v, reference @%d %v", seq, idx, deps, ref.instr[seq], ref.rows[seq])
+		}
+	}
+	if n == 0 {
+		return
+	}
+	for _, from := range []int{n - 1, 0, rng.Intn(n), rng.Intn(n), rng.Intn(n)} {
+		slice, err := sl.BackwardSlice(from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		visited, _, instrSeen := ref.backward(from, nil)
+		var seqs []int
+		for seq, in := range visited {
+			if in {
+				seqs = append(seqs, seq)
+			}
+		}
+		if slice.FromSeq != from || !reflect.DeepEqual(slice.NodeSeqs, seqs) || !reflect.DeepEqual(slice.InstrSet, instrSeen) {
+			t.Fatalf("BackwardSlice(%d): %d nodes / %d instructions, reference %d / %d", from, slice.Size(), len(slice.InstrSet), len(seqs), len(instrSeen))
+		}
+	}
+	never := 1 << 20 // no program here has this many static instructions
+	for _, focus := range [][]int{nil, {-1}, {ref.instr[n-1]}, {ref.instr[0]}, {ref.instr[rng.Intn(n)], ref.instr[rng.Intn(n)]}, {ref.instr[n/2], never}} {
+		want := map[int]bool{}
+		for _, idx := range focus {
+			if idx >= 0 {
+				want[idx] = true
+			}
+		}
+		_, nodes, instrSeen := ref.backward(n-1, want)
+		var missing []int
+		for idx := range want {
+			if !instrSeen[idx] {
+				missing = append(missing, idx)
+			}
+		}
+		sort.Ints(missing)
+		gotMissing, gotNodes, gotInstrs := sl.VerifyBackward(focus)
+		if !reflect.DeepEqual(gotMissing, missing) || gotNodes != nodes || gotInstrs != len(instrSeen) {
+			t.Fatalf("VerifyBackward(%v) = %v, %d, %d; reference %v, %d, %d", focus, gotMissing, gotNodes, gotInstrs, missing, nodes, len(instrSeen))
+		}
+	}
+}
+
+// TestGraphIdenticalToReferenceOnFuzzCorpus records the VM's differential
+// fuzz guests under the Slicer and the reference side by side.
+func TestGraphIdenticalToReferenceOnFuzzCorpus(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x511ce))
+	for trial := 0; trial < 48; trial++ {
+		seed := rng.Int63()
+		opts := slicing.Options{IncludeControlDeps: trial%2 == 0}
+		if trial%8 == 7 {
+			opts.MaxNodes = 50 + trial
+		}
+		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
+			r := rand.New(rand.NewSource(seed))
+			b := asm.New("fuzz")
+			vmtest.RandomGuest(r, 80)(b)
+			prog, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := vm.NewMachine(prog, vm.DefaultLayout(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sl, ref := slicing.New(opts), newRef(opts)
+			m.AttachTool(sl)
+			m.AttachTool(ref)
+			m.Run(uint64(200 + r.Intn(5000)))
+			requireSameGraph(t, sl, ref, r)
+		})
+	}
+}
+
+// TestGraphIdenticalToReferenceOnExploits replays each application's exploit
+// from its rollback checkpoint under both recorders: calls, returns, system
+// calls, heap and stack traffic over several guest pages, and tens to
+// hundreds of thousands of nodes across many chunks.
+func TestGraphIdenticalToReferenceOnExploits(t *testing.T) {
+	for _, spec := range apps.All() {
+		for _, control := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/control=%v", spec.Name, control), func(t *testing.T) {
+				p, snap := exploitedProcess(t, spec)
+				p.Rollback(snap, proc.ModeReplay, false)
+				opts := slicing.Options{IncludeControlDeps: control}
+				sl, ref := slicing.New(opts), newRef(opts)
+				p.Machine.AttachTool(sl)
+				p.Machine.AttachTool(ref)
+				p.Run(0)
+				if sl.NodeCount() < slicing.ChunkLen {
+					t.Logf("only %d nodes: the replay stays within one chunk", sl.NodeCount())
+				}
+				requireSameGraph(t, sl, ref, rand.New(rand.NewSource(1)))
+			})
+		}
+	}
+}
+
+// feed presents one synthetic instruction to both recorders, as the VM would
+// before executing it.
+func feed(m *vm.Machine, sl *slicing.Slicer, ref *refRecorder, idx int, in vm.Instr) {
+	sl.BeforeInstr(m, idx, &in)
+	ref.BeforeInstr(m, idx, &in)
+}
+
+// TestChunkBoundaries places node counts and dependence rows on the chunk
+// boundaries of the slabs.
+func TestChunkBoundaries(t *testing.T) {
+	const chunk = slicing.ChunkLen
+	for _, tc := range []struct {
+		name            string
+		nodes, maxNodes int
+	}{
+		{"one short of a chunk", chunk - 1, 0},
+		{"exactly one chunk", chunk, 0},
+		{"exactly three chunks", 3 * chunk, 0},
+		{"one past two chunks", 2*chunk + 1, 0},
+		{"MaxNodes reached mid-chunk", 2 * chunk, chunk + chunk/3},
+		{"MaxNodes on a chunk boundary", 2*chunk + 5, 2 * chunk},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := slicing.Options{IncludeControlDeps: true, MaxNodes: tc.maxNodes}
+			sl, ref := slicing.New(opts), newRef(opts)
+			m := new(vm.Machine)
+			// Rows of three dependences (the branch and two registers): a
+			// chunk is not a multiple of three entries, so rows straddle the
+			// dependence slab's chunk boundaries, as asserted below.
+			feed(m, sl, ref, 0, vm.Instr{Op: vm.OpJmp})
+			feed(m, sl, ref, 1, vm.Instr{Op: vm.OpMovI, Rd: vm.R1})
+			feed(m, sl, ref, 2, vm.Instr{Op: vm.OpMovI, Rd: vm.R2})
+			for i := 3; i < tc.nodes; i++ {
+				feed(m, sl, ref, 3+i%5, vm.Instr{Op: vm.OpAdd, Rd: vm.R1, Rs: vm.R2})
+			}
+			want := tc.nodes
+			if tc.maxNodes != 0 {
+				want = tc.maxNodes
+			}
+			if sl.NodeCount() != want || sl.Truncated() != (tc.maxNodes != 0) {
+				t.Fatalf("recorded %d nodes (truncated=%v), want %d", sl.NodeCount(), sl.Truncated(), want)
+			}
+			straddles, start := 0, 0
+			for _, row := range ref.rows {
+				if end := start + len(row); start/chunk != (end-1)/chunk && len(row) > 0 {
+					straddles++
+				}
+				start += len(row)
+			}
+			if want > chunk && straddles == 0 {
+				t.Fatal("no dependence row straddles a chunk boundary: the case is not exercised")
+			}
+			requireSameGraph(t, sl, ref, rand.New(rand.NewSource(2)))
+		})
+	}
+}
+
+// TestMemoryShadowEdges drives the last-writer shadow across a guest page
+// boundary and across the top of the address space.
+func TestMemoryShadowEdges(t *testing.T) {
+	sl, ref := slicing.New(slicing.Options{}), newRef(slicing.Options{})
+	m := new(vm.Machine)
+	at := func(addr uint32) { m.Regs[vm.R6] = addr }
+	idx := 0
+	// R6, the address of every access below, and R2, the value stored, are
+	// never written: rows hold memory dependences only.
+	do := func(op vm.Op, off int32) int {
+		in := vm.Instr{Op: op, Rd: vm.R1, Rs: vm.R6, Imm: off}
+		if op == vm.OpStoreB || op == vm.OpStoreW {
+			in.Rd, in.Rs = vm.R6, vm.R2
+		}
+		feed(m, sl, ref, idx, in)
+		idx++
+		return idx - 1
+	}
+	rowOf := func(seq int) []int {
+		_, deps := sl.Row(seq)
+		return deps
+	}
+
+	// A word store over the last two bytes of one page and the first two of
+	// the next, read back whole and by its halves.
+	at(5*vm.PageSize - 2)
+	store := do(vm.OpStoreW, 0)
+	if got := rowOf(do(vm.OpLoadW, 0)); !reflect.DeepEqual(got, []int{store, store, store, store}) {
+		t.Errorf("word load over the page boundary depends on %v, want four times node %d", got, store)
+	}
+	low := do(vm.OpStoreB, 1) // last byte of the lower page
+	if got := rowOf(do(vm.OpLoadW, 0)); !reflect.DeepEqual(got, []int{store, low, store, store}) {
+		t.Errorf("after overwriting one byte the word load depends on %v", got)
+	}
+	if got := rowOf(do(vm.OpLoadW, 2)); !reflect.DeepEqual(got, []int{store, store}) {
+		t.Errorf("word load half past the store depends on %v, want twice node %d", got, store)
+	}
+	if got := rowOf(do(vm.OpLoadW, -4)); len(got) != 0 {
+		t.Errorf("word load below the store depends on %v, want nothing", got)
+	}
+
+	// 0xFFFFFFFD: bytes FD, FE, FF of the last page, then byte 0 of page 0.
+	at(0xFFFFFFFD)
+	wrap := do(vm.OpStoreW, 0)
+	if got := rowOf(do(vm.OpLoadW, 0)); !reflect.DeepEqual(got, []int{wrap, wrap, wrap, wrap}) {
+		t.Errorf("word load across the address wrap depends on %v, want four times node %d", got, wrap)
+	}
+	at(0)
+	if got := rowOf(do(vm.OpLoadB, 0)); !reflect.DeepEqual(got, []int{wrap}) {
+		t.Errorf("byte 0 depends on %v, want node %d", got, wrap)
+	}
+	if got := rowOf(do(vm.OpLoadB, 1)); len(got) != 0 {
+		t.Errorf("byte 1 depends on %v, want nothing", got)
+	}
+	// Push and pop with SP at the bottom of the address space wrap the same way.
+	m.Regs[vm.SP] = 2
+	feed(m, sl, ref, idx, vm.Instr{Op: vm.OpPushI})
+	m.Regs[vm.SP] = 0xFFFFFFFE
+	feed(m, sl, ref, idx+1, vm.Instr{Op: vm.OpPop, Rd: vm.R1})
+	requireSameGraph(t, sl, ref, rand.New(rand.NewSource(3)))
+}
+
+// allocated runs f and returns the heap objects and bytes it allocated.
+func allocated(f func()) (objects, bytes uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestRecordingNeverCopiesWhatItRecorded pins the property the chunked slabs
+// exist for, so that a return to copying growth fails here and not in a
+// profile: recording allocates a chunk per chunkful of entries and little
+// else, and a check answered at the root allocates nothing in proportion to
+// the recording.
+func TestRecordingNeverCopiesWhatItRecorded(t *testing.T) {
+	const nodes = 200_000
+	m := new(vm.Machine)
+	in := vm.Instr{Op: vm.OpAdd, Rd: vm.R1, Rs: vm.R2}
+	var sl *slicing.Slicer
+	objects, bytes := allocated(func() {
+		sl = slicing.New(slicing.Options{})
+		sl.BeforeInstr(m, 0, &vm.Instr{Op: vm.OpMovI, Rd: vm.R1})
+		sl.BeforeInstr(m, 1, &vm.Instr{Op: vm.OpMovI, Rd: vm.R2})
+		for i := 2; i < nodes; i++ {
+			sl.BeforeInstr(m, 2+i%7, &in)
+		}
+	})
+	if sl.NodeCount() != nodes {
+		t.Fatalf("recorded %d nodes, want %d", sl.NodeCount(), nodes)
+	}
+	deps := 2 * (nodes - 2)
+	chunks := func(entries int) int { return (entries + slicing.ChunkLen - 1) / slicing.ChunkLen }
+	slabBytes := uint64(4 * (nodes + nodes + 1 + deps))
+	// The constant covers the Slicer and the growth of three chunk indexes.
+	if limit := uint64(chunks(nodes)+chunks(nodes+1)+chunks(deps)) + 40; objects > limit {
+		t.Errorf("recording %d nodes allocated %d objects, want at most %d", nodes, objects, limit)
+	}
+	if limit := slabBytes + slabBytes*15/100; bytes > limit {
+		t.Errorf("recording %d nodes allocated %d bytes for %d bytes of graph, want at most %d", nodes, bytes, slabBytes, limit)
+	}
+
+	root, _ := sl.Row(nodes - 1)
+	var explored int
+	_, bytes = allocated(func() { _, explored, _ = sl.VerifyBackward([]int{root}) })
+	if explored != 1 {
+		t.Fatalf("a check for the root's own instruction explored %d nodes, want 1", explored)
+	}
+	if bytes > 8<<10 {
+		t.Errorf("a check answered at the root allocated %d bytes over %d nodes, want a few KB", bytes, nodes)
+	}
+}
+
+// TestCutShortRecordingIsInconclusive: a replay that ends before the failure
+// leaves an arbitrary instruction as the last node, and the analyzer must
+// say so instead of returning a verdict about the slice from it.
+func TestCutShortRecordingIsInconclusive(t *testing.T) {
+	p, snap := exploitedProcess(t, apps.Squid())
+	run := func(budget uint64) *slicing.Result {
+		clone, err := p.Clone(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		finding, err := slicing.Analyzer{}.Run(analysis.NewContext(), analysis.NewSandbox(clone, budget, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return finding.(*slicing.Result)
+	}
+	whole := run(0)
+	if whole.Truncated || !whole.Consistent || whole.Nodes == 0 {
+		t.Fatalf("unbounded replay: %+v", whole)
+	}
+	short := run(1000)
+	if !short.Truncated || short.Consistent || short.Slice != nil || short.Nodes != 0 || short.Recorded != 1000 {
+		t.Errorf("replay cut short at 1000 instructions: %+v", short)
+	}
+	if sum := short.Summary(); !strings.Contains(sum, "INCONCLUSIVE") || !strings.Contains(sum, "1000") || !strings.Contains(sum, "budget") {
+		t.Errorf("summary does not say what was cut short, where and why: %q", sum)
 	}
 }

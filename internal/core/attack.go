@@ -60,6 +60,11 @@ type AttackReport struct {
 	// culprit request because both fast-tier analyses had implicated
 	// instructions (the cheap, focused cross-check).
 	SliceRestricted bool
+	// SliceTruncated says the slicing recording was cut short (replay budget
+	// or node limit) before the failure, so SliceConsistent is false because
+	// nothing could be verified, not because something was missing;
+	// ErrorFor("slicing") says what cut it and where.
+	SliceTruncated bool
 
 	// Exploit input identification.
 	CulpritRequestID int
@@ -150,7 +155,8 @@ func (r *AttackReport) FindingFor(analyzer string) analysis.Finding {
 // ErrorFor returns why the named analyzer produced no finding for this
 // attack — a sandbox-construction or Run error — or "" if it did not fail.
 // An analyzer that ran cleanly and found nothing has neither a finding nor
-// an error. Deferred-tier entries are present only after Done.
+// an error; a slicing run whose recording was cut short has both.
+// Deferred-tier entries are present only after Done.
 func (r *AttackReport) ErrorFor(analyzer string) string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -214,6 +220,10 @@ func (r *AttackReport) recordAnalyzer(ar *analyzerRun) {
 		r.MissingFromSlice = res.Missing
 		r.SliceConsistent = res.Consistent
 		r.SliceRestricted = res.Restricted
+		r.SliceTruncated = res.Truncated
+		if res.Truncated {
+			r.errs[ar.a.Name()] = res.Summary()
+		}
 		r.mu.Unlock()
 	}
 	r.recordRunOutcome(ar)

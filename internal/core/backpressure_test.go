@@ -78,6 +78,42 @@ func TestPerAnalyzerBudgetStarvesOnlyTheBudgetedAnalyzer(t *testing.T) {
 	}
 }
 
+// TestSlicingCutShortByItsBudgetIsReportedInconclusive gives the deferred
+// slicing replay a budget that ends long before the fault: the report must
+// not carry a verdict about the slice from wherever the recording stopped,
+// and must say why through ErrorFor, while everything else is untouched.
+func TestSlicingCutShortByItsBudgetIsReportedInconclusive(t *testing.T) {
+	reg := DefaultRegistry()
+	if err := reg.SetBudget("slicing", 2000); err != nil {
+		t.Fatal(err)
+	}
+	s, spec := newSweeperFor(t, "squid", func(c *Config) { c.Registry = reg })
+	payload, err := exploit.Exploit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitBenign(s, "squid", 0, 6)
+	s.Submit(payload, "worm", true)
+	if _, err := s.ServeAll(); err != nil {
+		t.Fatalf("ServeAll: %v", err)
+	}
+	s.WaitAnalyses()
+	r := s.Attacks()[0]
+	if !r.SliceTruncated || r.SliceConsistent || r.SliceNodes != 0 || len(r.MissingFromSlice) != 0 {
+		t.Errorf("truncated=%v consistent=%v nodes=%d missing=%v, want an inconclusive slice",
+			r.SliceTruncated, r.SliceConsistent, r.SliceNodes, r.MissingFromSlice)
+	}
+	if msg := r.ErrorFor("slicing"); !strings.Contains(msg, "cut short at 2000") || !strings.Contains(msg, "budget") {
+		t.Errorf("ErrorFor(slicing) = %q, want the cut, its place and its cause", msg)
+	}
+	if r.FindingFor("slicing") == nil {
+		t.Error("the truncated result should still be available as the finding")
+	}
+	if !r.Recovered || r.FinalAntibody == nil || r.ErrorFor("membug") != "" || r.ErrorFor("taint") != "" {
+		t.Error("the fast tier, the antibody and recovery should be unaffected")
+	}
+}
+
 // blockingDeferred is a deferred-tier analyzer that parks until released, so
 // a test can hold the deferred worker busy and fill the bounded queue.
 type blockingDeferred struct {

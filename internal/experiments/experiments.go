@@ -206,6 +206,8 @@ func Table2(appNames []string) ([]Table2Row, []*DefenseRun, error) {
 		}
 		if r.SliceConsistent {
 			row.Slicing = fmt.Sprintf("Verifies results (%d dynamic instructions, %d static)", r.SliceNodes, r.SliceInstrs)
+		} else if r.SliceTruncated {
+			row.Slicing = r.ErrorFor("slicing")
 		} else {
 			row.Slicing = fmt.Sprintf("INCONSISTENT: %v not in slice", r.MissingFromSlice)
 		}

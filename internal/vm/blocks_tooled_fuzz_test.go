@@ -9,6 +9,7 @@ import (
 	"sweeper/internal/asm"
 	"sweeper/internal/monitor"
 	"sweeper/internal/vm"
+	"sweeper/internal/vm/vmtest"
 )
 
 // seqInstrTool records the exact firing sequence of an instruction hook.
@@ -106,7 +107,7 @@ func TestTooledDispatchDifferential(t *testing.T) {
 			seed := rng.Int63()
 			t.Run(fmt.Sprintf("%s/trial=%d", cfg, k), func(t *testing.T) {
 				r := rand.New(rand.NewSource(seed))
-				fast, slow := buildMachinePair(t, randomGuest(r, 80))
+				fast, slow := buildMachinePair(t, vmtest.RandomGuest(r, 80))
 
 				var fastInstr, slowInstr, fastInstr2, slowInstr2 []int
 				var fastMem, slowMem []memEvent
@@ -279,7 +280,7 @@ func TestInLoopProbesDifferential(t *testing.T) {
 		seed := rng.Int63()
 		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
-			pp := newProbedPair(t, randomGuest(r, 80))
+			pp := newProbedPair(t, vmtest.RandomGuest(r, 80))
 			n := len(pp.fast.Code())
 			addProbes := func(k int) {
 				for ; k > 0; k-- {

@@ -219,33 +219,6 @@ var benchOnce = map[string]func(tb testing.TB){
 			tb.Errorf("bulk guest memory I/O only %.1fx faster than byte-at-a-time (want >= 2x)", r.BulkIOSpeedup)
 		}
 	},
-	"BenchmarkInterpreterDispatch": func(tb testing.TB) {
-		r, err := experiments.RunDispatchMicro()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if r.UntooledStepNs <= 0 || r.UntooledSlowPathNs <= 0 || r.TooledStepNs <= 0 {
-			tb.Fatalf("implausible dispatch times: %+v", r)
-		}
-		// The acceptance bar of the block-dispatch work: the fused block loop
-		// several times cheaper per instruction than the per-Step path
-		// (measured ~3.3x on the reference machine; 2x leaves noise headroom).
-		if r.DispatchSpeedup < 2 {
-			tb.Errorf("block dispatch only %.1fx faster than per-Step path (want >= 2x): fast %.2fns, slow %.2fns",
-				r.DispatchSpeedup, r.UntooledStepNs, r.UntooledSlowPathNs)
-		}
-		if r.TooledStepNs <= r.UntooledStepNs {
-			tb.Errorf("tooled per-instr cost %.2fns not above untooled fast path %.2fns", r.TooledStepNs, r.UntooledStepNs)
-		}
-		// The tooled-path acceptance bar: with a hook attached the block
-		// engines must still beat the per-Step path by a clear margin
-		// (measured ~2x on the reference machine; 1.5x leaves noise headroom).
-		// Ratio-based so it holds on any machine speed.
-		if r.TooledSpeedup < 1.5 {
-			tb.Errorf("tooled block dispatch only %.1fx faster than tooled per-Step path (want >= 1.5x): fast %.2fns, slow %.2fns",
-				r.TooledSpeedup, r.TooledStepNs, r.TooledSlowPathNs)
-		}
-	},
 	"BenchmarkVSEFOverhead": func(tb testing.TB) { vsefOverheadOnce(tb) },
 	"BenchmarkVSEFWallClock": func(tb testing.TB) {
 		for size, c := range vsefWallClockOnce(tb, 200, 5) {

@@ -557,25 +557,6 @@ func BenchmarkBulkGuestMemoryIO(b *testing.B) {
 	b.ReportMetric(speedup/n, "bulk-io-speedup-x")
 }
 
-func BenchmarkInterpreterDispatch(b *testing.B) {
-	var fast, slow, tooled, speedup float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunDispatchMicro()
-		if err != nil {
-			b.Fatal(err)
-		}
-		fast += r.UntooledStepNs
-		slow += r.UntooledSlowPathNs
-		tooled += r.TooledStepNs
-		speedup += r.DispatchSpeedup
-	}
-	n := float64(b.N)
-	b.ReportMetric(fast/n, "ns-per-untooled-instr")
-	b.ReportMetric(slow/n, "ns-per-untooled-instr-slowpath")
-	b.ReportMetric(tooled/n, "ns-per-tooled-instr")
-	b.ReportMetric(speedup/n, "untooled-dispatch-speedup-x")
-}
-
 // --- §5.3: vulnerability monitoring (VSEF) and baseline overheads ---
 
 func vsefOverheadOnce(tb testing.TB) (vsefOverhead, taintOverhead float64) {

@@ -10,9 +10,8 @@
 //	benchtables -overhead       # monitoring overhead comparison
 //	benchtables -ablation       # ablation studies
 //	benchtables -paper -all     # larger, paper-scale workloads
-//	benchtables -json BENCH_5.json  # machine-readable perf trajectory point
-//	benchtables -compare BENCH_4.json BENCH_5.json  # diff two records, exit 1 on regression
-//	benchtables -history vm_tooled     # tabulate matching metrics across all BENCH_<n>.json
+//	benchtables -json BENCH_ci.json  # machine-readable perf record
+//	benchtables -compare BENCH_16.json BENCH_ci.json  # diff two records, exit 1 on regression
 package main
 
 import (
@@ -28,8 +27,9 @@ import (
 )
 
 // benchJSON is the machine-readable benchmark record written by -json: one
-// flat metric map per run, committed as BENCH_<n>.json per PR (and archived
-// by CI) so the perf trajectory is recorded run-over-run.
+// flat metric map per run. One record is committed (the one CI's regression
+// gate compares against) and CI archives one per run; earlier records live in
+// git history.
 type benchJSON struct {
 	Schema      string             `json:"schema"`
 	GeneratedAt string             `json:"generated_at"`
@@ -63,11 +63,7 @@ func writeBenchJSON(path string, sizes experiments.Sizes, paperScale bool) error
 		return err
 	}
 	metrics["vm_untooled_step_ns"] = disp.UntooledStepNs
-	metrics["vm_untooled_step_slowpath_ns"] = disp.UntooledSlowPathNs
 	metrics["vm_tooled_step_ns"] = disp.TooledStepNs
-	metrics["vm_tooled_step_slowpath_ns"] = disp.TooledSlowPathNs
-	metrics["vm_untooled_dispatch_speedup_x"] = disp.DispatchSpeedup
-	metrics["vm_tooled_dispatch_speedup_x"] = disp.TooledSpeedup
 
 	for _, app := range []string{"apache1", "apache2", "cvs", "squid"} {
 		points, err := experiments.Figure4ForApp(app, []uint64{20, 100, 200}, sizes.Figure4Requests)
@@ -241,19 +237,12 @@ func main() {
 		paper    = flag.Bool("paper", false, "use paper-scale workload sizes (slower)")
 		jsonPath = flag.String("json", "", "run the quick perf suite and write machine-readable results (BENCH_<n>.json) to this file")
 		compare  = flag.Bool("compare", false, "compare two BENCH_<n>.json records (old new); exit 1 when a metric regressed beyond its tolerance")
-		history  = flag.String("history", "", "tabulate metrics matching this substring (\"all\" for every metric) across committed BENCH_<n>.json records; positional args select records, default all in cwd")
 		detThr   = flag.Float64("threshold", 0.20, "with -compare: relative worsening tolerated for deterministic virtual-clock metrics")
 		ratioThr = flag.Float64("ratio-threshold", 0.50, "with -compare: relative drop tolerated for speedup/reduction ratios")
 		wallThr  = flag.Float64("wall-threshold", 4.0, "with -compare: relative worsening tolerated for wall-clock timings (records may come from different machines)")
 	)
 	flag.Parse()
 
-	if *history != "" {
-		if err := historyBench(*history, flag.Args()); err != nil {
-			log.Fatalf("benchtables: %v", err)
-		}
-		return
-	}
 	if *compare {
 		paths := flag.Args()
 		if len(paths) != 2 {

@@ -9,29 +9,17 @@ import (
 )
 
 // DispatchMicro holds the interpreter-dispatch micro-benchmark results: what
-// one instruction costs on the block-dispatch fast path versus the per-Step
-// slow path it replaced, and what the same loop costs with an instruction
-// tool attached (the VSEF replay configuration, which always takes the slow
-// path). The workload is the ALU+stack spin loop the top-level
-// BenchmarkUntooledStep uses, so the JSON trajectory and `go test -bench`
-// measure the same thing.
+// one instruction costs on each of the VM's two engines. The workload is the
+// ALU+stack spin loop the vm package's BenchmarkUntooledStep uses, so the JSON
+// trajectory and `go test -bench` measure the same thing.
 type DispatchMicro struct {
-	// UntooledStepNs is ns per instruction with block dispatch on (the live
-	// guest hot path); UntooledSlowPathNs is the same machine forced onto the
-	// per-Step path via SetBlockDispatch(false).
-	UntooledStepNs     float64
-	UntooledSlowPathNs float64
-	// DispatchSpeedup is UntooledSlowPathNs / UntooledStepNs.
-	DispatchSpeedup float64
-
-	// TooledStepNs is ns per instruction with one no-op instruction hook
-	// attached — the monitored-guest/VSEF-replay configuration. Since the
-	// hook-calling block engines landed this runs block-dispatched;
-	// TooledSlowPathNs is the same tooled machine forced onto the per-Step
-	// path, and TooledSpeedup their ratio.
-	TooledStepNs     float64
-	TooledSlowPathNs float64
-	TooledSpeedup    float64
+	// UntooledStepNs is ns per instruction on the fused block engine (the
+	// live guest hot path).
+	UntooledStepNs float64
+	// TooledStepNs is ns per instruction on the hook-calling engine with one
+	// no-op instruction hook attached — the monitored-guest and
+	// analysis-replay configuration.
+	TooledStepNs float64
 }
 
 // nopInstrTool is the cheapest possible InstrHook, so TooledStepNs measures
@@ -42,7 +30,7 @@ func (nopInstrTool) Name() string                                     { return "
 func (nopInstrTool) BeforeInstr(m *vm.Machine, idx int, in *vm.Instr) {}
 
 // RunDispatchMicro measures per-instruction interpreter cost on the spin
-// loop. It is shared by the benchmark suite and by benchtables -json.
+// loop, for benchtables -json.
 func RunDispatchMicro() (*DispatchMicro, error) {
 	build := func() (*vm.Machine, error) {
 		b := asm.New("spin")
@@ -86,23 +74,8 @@ func RunDispatchMicro() (*DispatchMicro, error) {
 	if res.UntooledStepNs, err = perInstr(func(m *vm.Machine) {}); err != nil {
 		return nil, err
 	}
-	if res.UntooledSlowPathNs, err = perInstr(func(m *vm.Machine) { m.SetBlockDispatch(false) }); err != nil {
-		return nil, err
-	}
 	if res.TooledStepNs, err = perInstr(func(m *vm.Machine) { m.AttachTool(nopInstrTool{}) }); err != nil {
 		return nil, err
-	}
-	if res.TooledSlowPathNs, err = perInstr(func(m *vm.Machine) {
-		m.AttachTool(nopInstrTool{})
-		m.SetBlockDispatch(false)
-	}); err != nil {
-		return nil, err
-	}
-	if res.UntooledStepNs > 0 {
-		res.DispatchSpeedup = res.UntooledSlowPathNs / res.UntooledStepNs
-	}
-	if res.TooledStepNs > 0 {
-		res.TooledSpeedup = res.TooledSlowPathNs / res.TooledStepNs
 	}
 	return res, nil
 }

@@ -589,9 +589,9 @@ type EpidemicSweepConfig struct {
 	Gammas []int
 }
 
-// DefaultEpidemicSweepConfig returns the grid used by the committed BENCH_8
-// tables: a 100-host community swept over three producer fractions, three
-// deployment fractions and three reaction times.
+// DefaultEpidemicSweepConfig returns the grid behind the committed
+// epidemic_fig* metrics: a 100-host community swept over three producer
+// fractions, three deployment fractions and three reaction times.
 func DefaultEpidemicSweepConfig() EpidemicSweepConfig {
 	return EpidemicSweepConfig{
 		Base:    EpidemicPointConfig{Community: 100, Alpha: 0.05, Deploy: 1.0, GammaTicks: 8},

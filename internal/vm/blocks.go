@@ -4,16 +4,17 @@ import "encoding/binary"
 
 // Decoded basic-block dispatch.
 //
-// Step() pays a fixed per-instruction tax — dispatch-flag checks, budget
-// bookkeeping, and two read-modify-write clock updates — that dominates the
-// cost of executing the small ops making up most guest code. The block
-// dispatcher removes that tax for untooled guests: Program.Code is scanned
-// once into straight-line runs terminated by branches, calls, returns,
-// syscalls and halts, and Machine.Run executes a whole run in a fused loop
-// that charges virtual cycles and the retired-instruction count once per run
-// from precomputed prefix sums. The scan also re-encodes each instruction
-// into a packed 8-byte micro-op, so the fused loop fetches one machine word
-// per instruction instead of a 24-byte Instr with its symbol pointer.
+// Executing one instruction at a time pays a fixed per-instruction tax —
+// dispatch-flag checks, budget bookkeeping, and two read-modify-write clock
+// updates — that dominates the cost of executing the small ops making up most
+// guest code. The block dispatcher removes that tax for untooled guests:
+// Program.Code is scanned once into straight-line runs terminated by branches,
+// calls, returns, syscalls and halts, and Machine.Run executes a whole run in
+// a fused loop that charges virtual cycles and the retired-instruction count
+// once per run from precomputed prefix sums. The scan also re-encodes each
+// instruction into a packed 8-byte micro-op, so the fused loop fetches one
+// machine word per instruction instead of a 24-byte Instr with its symbol
+// pointer.
 //
 // Blocks are a pure function of the opcode stream plus relocated immediates.
 // Relocation patches only Instr.Imm, never Op, so the runLen/cyc structure of
@@ -26,12 +27,13 @@ import "encoding/binary"
 // Registered probes do not: a block body is clamped to end just before the
 // next probed index (probeGap), and the loop delivers that index's probes
 // itself before executing it as the first instruction of the next body. What
-// the loop cannot express falls back to Step(): syscalls, halts, illegal
+// the loop cannot express goes, one instruction at a time, through the
+// hook-calling engine (runHooked, blocks_tooled.go): syscalls, halts, illegal
 // opcodes, call/ret under call hooks, and the first half of a fused pair that
 // a probe or the budget splits. Faults and budget exhaustion inside a run
 // flush partial accounting so that every observable quantity — Cycles(),
-// InstrCount(), PC, StopInfo, probe firing order — is bit-identical to a
-// pure-Step execution at every stop point.
+// InstrCount(), PC, StopInfo, probe firing order — is bit-identical to that
+// engine's, and to the tests' reference interpreter's, at every stop point.
 
 // blockInfo is the per-Program decoded block map.
 //
@@ -77,8 +79,8 @@ func packUop(in Instr) uint64 {
 // every instruction index a valid entry point: a jump landing on the second
 // half executes the untouched original micro-op, and a budget or probe clamp
 // that splits a pair (end == pc+1) makes the executor retire only the first
-// half. Synthetic opcodes live only in Machine.uops — Program.Code, Step()
-// and the block map never see them.
+// half. Synthetic opcodes live only in Machine.uops — Program.Code, the
+// hook-calling engine and the block map never see them.
 // The synthetic opcodes sit directly after the real ones so the dispatch
 // switch still compiles to one compact jump table. Where the first half
 // leaves operand fields unused, fusion bakes the second half's destination
@@ -114,17 +116,18 @@ func fusePair(a, b Op) (Op, int32) {
 	return 0, 0
 }
 
-// packUops encodes relocated code into packed micro-ops and applies macro-op
-// fusion. Candidate pairs must lie inside one straight-line run (runLen[i] >=
-// 2 guarantees i and i+1 are both fusible body ops); among overlapping
-// candidates, a maximum-weight matching is picked by the classic linear DP
-// over each run, so e.g. addi;push;pop fuses as addi + [push;pop] (weight 3)
-// rather than [addi;push] + pop (weight 2).
-func packUops(code []Instr, runLen []int32) []uint64 {
+// packUops encodes relocated code into packed micro-ops, plain and with
+// macro-op fusion applied (the same slice when nothing fuses). Candidate pairs
+// must lie inside one straight-line run (runLen[i] >= 2 guarantees i and i+1
+// are both fusible body ops); among overlapping candidates, a maximum-weight
+// matching is picked by the classic linear DP over each run, so e.g.
+// addi;push;pop fuses as addi + [push;pop] (weight 3) rather than
+// [addi;push] + pop (weight 2).
+func packUops(code []Instr, runLen []int32) (uops, plain []uint64) {
 	n := len(code)
-	uops := make([]uint64, n)
+	plain = make([]uint64, n)
 	for i, in := range code {
-		uops[i] = packUop(in)
+		plain[i] = packUop(in)
 	}
 	pairOp := make([]Op, n)
 	weight := make([]int32, n)
@@ -139,8 +142,9 @@ func packUops(code []Instr, runLen []int32) []uint64 {
 		}
 	}
 	if !any {
-		return uops
+		return plain, plain
 	}
+	uops = append([]uint64(nil), plain...)
 	// best[i] = max total weight over the suffix starting at i; take[i]
 	// records whether fusing (i, i+1) is part of that optimum.
 	best := make([]int32, n+2)
@@ -167,7 +171,7 @@ func packUops(code []Instr, runLen []int32) []uint64 {
 		uops[i] = u
 		i += 2
 	}
-	return uops
+	return uops, plain
 }
 
 // invalidPN is the page-number sentinel for an empty local TLB mirror. Guest
@@ -180,14 +184,11 @@ const invalidPN = ^uint32(0)
 func fusedCost(op Op) (uint64, bool) {
 	switch op {
 	case OpNop, OpMovI, OpMov, OpLea,
-		OpAdd, OpSub, OpAnd, OpOr, OpXor, OpShl, OpShr,
-		OpAddI, OpSubI, OpAndI, OpOrI, OpXorI, OpShlI, OpShrI,
-		OpCmp, OpCmpI:
-		return cyclesALU, true
-	case OpMul, OpDiv, OpMod, OpMulI, OpDivI, OpModI:
-		return cyclesMulDiv, true
-	case OpLoadB, OpLoadW, OpStoreB, OpStoreW, OpPush, OpPushI, OpPop:
-		return cyclesMem, true
+		OpAdd, OpSub, OpMul, OpDiv, OpMod, OpAnd, OpOr, OpXor, OpShl, OpShr,
+		OpAddI, OpSubI, OpMulI, OpDivI, OpModI, OpAndI, OpOrI, OpXorI, OpShlI, OpShrI,
+		OpCmp, OpCmpI,
+		OpLoadB, OpLoadW, OpStoreB, OpStoreW, OpPush, OpPushI, OpPop:
+		return uint64(opCycles[op]), true
 	}
 	return 0, false
 }
@@ -282,15 +283,17 @@ func tlbLocals(mem *Memory) (rp *page, rpn uint32, wp *page, wpn uint32) {
 	return
 }
 
-// runFused is Machine.Run's fast path. It executes decoded basic blocks,
-// delivering probes at probed indexes, until it retires limit instructions,
-// the guest stops, or it reaches an instruction only Step() can execute
-// (syscall, halt, illegal opcode, call/ret with call hooks attached, a split
-// fused pair); in the last case it returns a nil stop and Run falls back to
-// Step for that instruction, probes included. executed reports how many
-// instructions were retired, for Run's budget bookkeeping.
+// runFused is the engine Machine.Run selects when no instr or mem tool is
+// attached. It executes decoded basic blocks, delivering probes at probed
+// indexes, until it retires limit instructions, the guest stops, or it reaches
+// an instruction only runHooked can execute (syscall, halt, illegal opcode,
+// call/ret with call hooks attached, a split fused pair); in the last case it
+// returns a nil stop and Run gives runHooked that one instruction, probes
+// included. executed reports how many instructions were retired, for Run's
+// budget bookkeeping.
 //
-// The loop mirrors Step()'s observable semantics exactly: the same cycle
+// The loop mirrors runHooked's observable semantics exactly (where its
+// comments say Step, read: runHooked with a limit of one): the same cycle
 // constants, the same fault kinds/addresses/details, instruction counting
 // that includes the faulting instruction, and the PC left on the faulting
 // instruction for fault attribution. Registers, flags and the TLB mirrors

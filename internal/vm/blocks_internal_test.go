@@ -46,7 +46,7 @@ func TestPackUopsFusionSelection(t *testing.T) {
 		{Op: OpPush, Rd: R4}, // 7  trailing pair at end of code
 		{Op: OpPop, Rd: R5},  // 8
 	}
-	uops := packUops(code, buildBlocks(code).runLen)
+	uops, _ := packUops(code, buildBlocks(code).runLen)
 	if got := Op(uops[1] & uopOpMask); got != OpAddI {
 		t.Errorf("uops[1] op = %d, want plain OpAddI (DP must skip the weaker addi/push pair)", got)
 	}

@@ -10,9 +10,9 @@ import (
 	"sweeper/internal/vm/vmtest"
 )
 
-// buildMachine assembles a program and loads it twice: once with block
-// dispatch (the default) and once forced onto the Step slow path, for
-// differential checks between the two engines.
+// buildMachinePair assembles a program and loads it twice, for differential
+// checks: fast is executed by Machine.Run (either engine, as instrumented),
+// slow by the reference interpreter vm.RefRun.
 func buildMachinePair(t testing.TB, build func(b *asm.Builder)) (fast, slow *vm.Machine) {
 	t.Helper()
 	b := asm.New("blocktest")
@@ -21,21 +21,27 @@ func buildMachinePair(t testing.TB, build func(b *asm.Builder)) (fast, slow *vm.
 	if err != nil {
 		t.Fatalf("assembling: %v", err)
 	}
-	fast, err = vm.NewMachine(prog, vm.DefaultLayout(), nil)
+	return loadMachinePair(t, prog, func() vm.SyscallHandler { return nil })
+}
+
+// loadMachinePair loads prog twice, each machine with its own syscall handler
+// from sys.
+func loadMachinePair(t testing.TB, prog *vm.Program, sys func() vm.SyscallHandler) (fast, slow *vm.Machine) {
+	t.Helper()
+	fast, err := vm.NewMachine(prog, vm.DefaultLayout(), sys())
 	if err != nil {
 		t.Fatalf("loading fast machine: %v", err)
 	}
-	slow, err = vm.NewMachine(prog, vm.DefaultLayout(), nil)
+	slow, err = vm.NewMachine(prog, vm.DefaultLayout(), sys())
 	if err != nil {
 		t.Fatalf("loading slow machine: %v", err)
 	}
-	slow.SetBlockDispatch(false)
 	return fast, slow
 }
 
 // diffStop compares every observable of two stopped machines: stop reason,
-// fault identity, architectural state and accounting. The block dispatcher's
-// contract is that all of these are bit-identical to a pure-Step run.
+// fault identity, architectural state and accounting. The engines' contract is
+// that all of these are bit-identical to the reference interpreter's.
 func diffStop(t *testing.T, label string, fast, slow *vm.Machine, fs, ss *vm.StopInfo) {
 	t.Helper()
 	if fs.Reason != ss.Reason {
@@ -70,21 +76,27 @@ func diffStop(t *testing.T, label string, fast, slow *vm.Machine, fs, ss *vm.Sto
 
 // TestNegativePCFaultAddress pins the negative-PC bugfix: a PC corrupted to
 // -1 must report a clamped in-segment fault address and the raw index in the
-// detail, not an address wrapped through uint32 — on both engines.
+// detail, not an address wrapped through uint32 — on both engines and the
+// reference.
 func TestNegativePCFaultAddress(t *testing.T) {
-	for _, blockDispatch := range []bool{true, false} {
-		t.Run(fmt.Sprintf("blockDispatch=%v", blockDispatch), func(t *testing.T) {
-			fast, slow := buildMachinePair(t, func(b *asm.Builder) {
+	for _, engine := range []string{"fused", "hooked", "reference"} {
+		t.Run("engine="+engine, func(t *testing.T) {
+			m, _ := buildMachinePair(t, func(b *asm.Builder) {
 				b.Func("main")
 				b.MovI(vm.R1, 1)
 				b.Halt()
 			})
-			m := fast
-			if !blockDispatch {
-				m = slow
-			}
 			m.PC = -1
-			stop := m.Run(10)
+			var stop *vm.StopInfo
+			switch engine {
+			case "fused":
+				stop = m.Run(10)
+			case "hooked":
+				m.AttachTool(&countingInstrTool{})
+				stop = m.Run(10)
+			case "reference":
+				stop = vm.RefRun(m, 10)
+			}
 			if stop.Reason != vm.StopFault || stop.Fault == nil {
 				t.Fatalf("stop = %+v, want fault", stop)
 			}
@@ -164,8 +176,8 @@ func TestAddrIndexRoundTrip(t *testing.T) {
 // TestRunBudgetBlockBoundaries sweeps Run budgets across a program with a
 // known block structure — exhausting the budget exactly at a block boundary,
 // one instruction before it, and midway through a block (including between
-// the halves of a fused push/pop pair) — and asserts block dispatch and the
-// forced slow path stop with identical observables everywhere.
+// the halves of a fused push/pop pair) — and asserts Run and the reference
+// stop with identical observables everywhere.
 func TestRunBudgetBlockBoundaries(t *testing.T) {
 	// Block layout: [movi addi push pop addi] jmp -> 6-instruction loop with
 	// a fused pair inside, so budgets land on every interesting boundary.
@@ -191,7 +203,7 @@ func TestRunBudgetBlockBoundaries(t *testing.T) {
 	for name, budget := range named {
 		t.Run(name, func(t *testing.T) {
 			fast, slow := buildMachinePair(t, build)
-			fs, ss := fast.Run(budget), slow.Run(budget)
+			fs, ss := fast.Run(budget), vm.RefRun(slow, budget)
 			if fs.Reason != vm.StopInstrBudget {
 				t.Errorf("budget %d: reason = %v, want StopInstrBudget", budget, fs.Reason)
 			}
@@ -204,7 +216,7 @@ func TestRunBudgetBlockBoundaries(t *testing.T) {
 	t.Run("sweep", func(t *testing.T) {
 		for budget := uint64(1); budget <= 40; budget++ {
 			fast, slow := buildMachinePair(t, build)
-			fs, ss := fast.Run(budget), slow.Run(budget)
+			fs, ss := fast.Run(budget), vm.RefRun(slow, budget)
 			diffStop(t, fmt.Sprintf("budget=%d", budget), fast, slow, fs, ss)
 		}
 	})
@@ -218,7 +230,7 @@ func TestRunBudgetBlockBoundaries(t *testing.T) {
 			fast.Run(chunk)
 			total += chunk
 		}
-		ss := slow.Run(total)
+		ss := vm.RefRun(slow, total)
 		diffStop(t, "chunked", fast, slow, &vm.StopInfo{Reason: ss.Reason}, ss)
 	})
 }
@@ -239,7 +251,7 @@ func TestFusedPairJumpIntoSecondHalf(t *testing.T) {
 		b.Halt()
 	}
 	fast, slow := buildMachinePair(t, build)
-	fs, ss := fast.Run(1000), slow.Run(1000)
+	fs, ss := fast.Run(1000), vm.RefRun(slow, 1000)
 	if fs.Reason != vm.StopHalt {
 		t.Fatalf("fast stop = %v, want halt", fs.Reason)
 	}
@@ -249,8 +261,8 @@ func TestFusedPairJumpIntoSecondHalf(t *testing.T) {
 	}
 }
 
-// TestFusedPairSPEdgeCases pins the push/pop fusion against Step's register
-// write ordering when SP itself is an operand.
+// TestFusedPairSPEdgeCases pins the push/pop fusion against the reference's
+// register write ordering when SP itself is an operand.
 func TestFusedPairSPEdgeCases(t *testing.T) {
 	cases := map[string]func(b *asm.Builder){
 		"pop into SP": func(b *asm.Builder) {
@@ -276,15 +288,15 @@ func TestFusedPairSPEdgeCases(t *testing.T) {
 	for name, build := range cases {
 		t.Run(name, func(t *testing.T) {
 			fast, slow := buildMachinePair(t, build)
-			fs, ss := fast.Run(1000), slow.Run(1000)
+			fs, ss := fast.Run(1000), vm.RefRun(slow, 1000)
 			diffStop(t, name, fast, slow, fs, ss)
 		})
 	}
 }
 
-// TestProbeParityFastPath checks that registering a probe keeps block
-// dispatch bit-compatible with the slow path: the probe fires the same
-// number of times at the same indexes and the accounting matches.
+// TestProbeParityFastPath checks that registering a probe keeps the fused
+// engine bit-compatible with the reference: the probe fires the same number of
+// times at the same indexes and the accounting matches.
 func TestProbeParityFastPath(t *testing.T) {
 	build := func(b *asm.Builder) {
 		b.Func("main")
@@ -298,36 +310,36 @@ func TestProbeParityFastPath(t *testing.T) {
 		b.Halt()
 	}
 	fast, slow := buildMachinePair(t, build)
-	var fastHits, slowHits []int
-	rec := func(sink *[]int) vm.Probe {
+	var fastHits, slowHits []sight
+	rec := func(sink *[]sight) vm.Probe {
 		return recordingProbe{hits: sink}
 	}
 	// Probe the middle of the loop body: the fused run must clamp short of
-	// it every iteration and hand it to Step.
+	// it every iteration and deliver it.
 	if err := fast.AddProbe(3, rec(&fastHits)); err != nil {
 		t.Fatal(err)
 	}
 	if err := slow.AddProbe(3, rec(&slowHits)); err != nil {
 		t.Fatal(err)
 	}
-	fs, ss := fast.Run(100000), slow.Run(100000)
+	fs, ss := fast.Run(100000), vm.RefRun(slow, 100000)
 	diffStop(t, "probed", fast, slow, fs, ss)
 	if len(fastHits) != 50 || len(slowHits) != 50 {
 		t.Fatalf("probe fired fast=%d slow=%d times, want 50", len(fastHits), len(slowHits))
 	}
 }
 
-type recordingProbe struct{ hits *[]int }
+type recordingProbe struct{ hits *[]sight }
 
 func (recordingProbe) Name() string { return "test.recorder" }
 func (p recordingProbe) OnProbe(m *vm.Machine, idx int, in *vm.Instr) {
-	*p.hits = append(*p.hits, idx)
+	*p.hits = append(*p.hits, see(m, idx))
 }
 
 // TestBlockDispatchDifferential runs randomly generated guests — ALU soup,
 // loads and stores through a data segment, stack traffic, division hazards
-// and dense branch webs — on both engines and requires every observable to
-// match, including after faults and budget exhaustion.
+// and dense branch webs — on the fused engine and on the reference and requires
+// every observable to match, including after faults and budget exhaustion.
 func TestBlockDispatchDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5eed))
 	for trial := 0; trial < 60; trial++ {
@@ -337,7 +349,7 @@ func TestBlockDispatchDifferential(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			fast, slow := buildMachinePair(t, vmtest.RandomGuest(r, 80))
 			budget := uint64(200 + r.Intn(5000))
-			fs, ss := fast.Run(budget), slow.Run(budget)
+			fs, ss := fast.Run(budget), vm.RefRun(slow, budget)
 			diffStop(t, fmt.Sprintf("seed=%#x budget=%d", seed, budget), fast, slow, fs, ss)
 
 			// Guest memory must match too: data segment and the touched

@@ -1,6 +1,9 @@
 package vm
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // tlbTryReadWord is ReadWord's TLB-hit path, kept under the inlining budget
 // by reporting a miss (hit=false) instead of falling back itself; the caller
@@ -38,460 +41,380 @@ func tlbTryWriteWord(mem *Memory, addr uint32, val uint32) bool {
 	return true
 }
 
-// Tooled basic-block dispatch.
+// The hook-calling engine.
 //
-// runFused (blocks.go) serves untooled guests; before this engine existed,
-// attaching an instruction or memory tool dropped the machine all the way
-// back to per-Step execution, which is what made monitored guests, analysis
-// replays and verification sandboxes several times slower than the block
-// path. runTooled is the hook-calling variant of the fused loop: it executes
-// the packed micro-op stream directly and dispatches instr/mem/call hooks
-// and probes inline, with exactly Step's ordering, cycle charges, violation
-// semantics and fault attribution.
+// runFused (blocks.go) serves guests with no instruction or memory tool
+// attached. runHooked is the other engine, and the complete one: it executes
+// every opcode — syscalls, halts and illegal opcodes included — one
+// architectural instruction at a time, and dispatches instr/mem/call/syscall
+// hooks and probes inline. Run uses it for a whole slice when an instr or mem
+// tool is attached, and for the single instruction at a time the fused loop
+// cannot express; Step is this engine with a limit of one.
 //
 // It runs the PLAIN (unfused) micro-op encoding: hooks must observe every
 // architectural instruction, and a fused pair would hide its second half
 // from BeforeInstr and collapse the push/pop memory traffic mem hooks watch.
-// What makes the loop faster than Step is everything around the hooks: no
-// per-instruction function call, an 8-byte micro-op fetch instead of a full
-// Instr decode, hoisted tool dispatch state, and cycle/instruction/PC
-// accounting accumulated in locals and committed only at exits. Unlike
-// runFused, guest-visible machine state (registers, flags, memory) is
-// operated on in place, never mirrored in locals: a hook may read or write
-// any of it at every dispatch point, so there is nothing to keep
-// re-synchronised — which also means the loop leans on Memory's own
-// one-entry TLBs rather than local mirrors a hook's write could invalidate.
 //
-// The virtual clock and retired-instruction count are the one documented
-// relaxation: they are committed at every stop and at every fall-back to
-// Step — so all stop-time accounting and every reading outside Run is
-// bit-identical to Step — but a hook reading them mid-run sees the value as
-// of loop entry. No in-tree tool does.
+// Nothing is batched or mirrored in locals. Registers, flags, memory, PC, the
+// virtual clock and the retired-instruction count are operated on in place, so
+// every hook and probe sees them committed — BeforeInstr and probes before the
+// instruction counts or is charged, mem/call/syscall hooks after — and may
+// change any of them.
 //
-// Syscalls, halts and illegal opcodes hand back to Run's Step fall-back
-// BEFORE any hook dispatch here, so their hooks fire exactly once, in Step.
-func (m *Machine) runTooled(limit uint64) (stop *StopInfo, executed uint64) {
-	if m.uopsPlain == nil {
-		m.uopsPlain = m.img.plainUops()
-	}
-	var (
-		uops = m.uopsPlain
-		code = m.code
-		mem  = m.Mem
-		pc   = m.PC
-		done uint64
-		cyc  uint64
-	)
+// An entry ends when a syscall retires: the handler runs the request boundary
+// (checkpoint, antibody install) and may change tools and probes, and with
+// them which engine Run must select and what this one calls before each
+// instruction. That callee is the one thing hoisted (see below), so a tool or
+// probe that a hook, rather than a syscall handler, attaches or removes takes
+// effect from the next entry.
+func (m *Machine) runHooked(limit uint64) (stop *StopInfo, executed uint64) {
+	uops, code := m.uopsPlain, m.code
 	// Length equality the prove pass uses to elide bounds checks: plain uops
 	// mirror code one-to-one.
-	if len(code) != len(uops) || len(m.probes) != len(uops) {
-		return nil, 0 // unreachable: all are sized from the code array
+	if len(code) != len(uops) {
+		panic("vm: micro-ops do not mirror the code array")
 	}
-	// Hoisted instrumentation state. Tools and probes can only change between
-	// run slices from the host's point of view (no in-tree hook attaches or
-	// detaches instrumentation mid-run); a change made by a hook is observed
-	// at the next runTooled entry or Step fall-back. The single-instr-hook
-	// case — a guest under exactly one monitor or analysis tracker — skips
-	// the slice loop entirely.
-	instr := m.tools.instr
-	call := m.tools.call
-	memHooks := m.memDispatch
-	callHooks := m.callDispatch
-	probes := m.probes
-	hasProbes := m.probeCount > 0
-	instrHooks := len(instr) > 0 || hasProbes
-	var h0 InstrHook
-	if len(instr) == 1 {
-		h0 = instr[0]
+	// What runs before each instruction is chosen once per entry: nothing, the
+	// one instruction hook itself, or an adapter that fans out to every hook
+	// and probe. One call site with its callee in a local is what keeps a
+	// replay under a single tracker cheap: with the hook list walked in this
+	// loop instead, the taint and slicing analyses ran 12-20% slower.
+	var before InstrHook
+	var beforeCyc uint64
+	if m.instrDispatch {
+		before = instrFanout{}
+		if len(m.tools.instr) == 1 && m.probeCount == 0 {
+			before, beforeCyc = m.tools.instr[0], CyclesPerHook
+		}
 	}
-
-	for done < limit {
+	for executed < limit {
+		pc := m.PC
 		if uint(pc) >= uint(len(uops)) {
-			m.commitTooled(pc, done, cyc)
-			return m.badPCFault(), done
+			return m.badPCFault(), executed
 		}
 		u := uops[pc]
 		op := Op(u & uopOpMask)
-		if op >= OpSyscall {
-			// Syscall, halt or illegal opcode: Step owns their hook dispatch
-			// and execution, so return before any hook fires here.
-			m.commitTooled(pc, done, cyc)
-			return nil, done
-		}
-		if instrHooks {
-			// Hooks observe the architectural PC (RaiseViolation and probe
-			// findings attribute to it), so it is stored before dispatch.
-			m.PC = pc
-			if h0 != nil {
-				cyc += CyclesPerHook
-				h0.BeforeInstr(m, pc, &code[pc])
-			} else {
-				for _, h := range instr {
-					cyc += CyclesPerHook
-					h.BeforeInstr(m, pc, &code[pc])
-				}
-			}
-			if hasProbes {
-				if ps := probes[pc]; len(ps) > 0 {
-					in := &code[pc]
-					for _, p := range ps {
-						cyc += CyclesPerProbe
-						p.OnProbe(m, pc, in)
-					}
-				}
-			}
+		if before != nil {
+			m.cycles += beforeCyc
+			before.BeforeInstr(m, pc, &code[pc])
 			if m.pendingViolation != nil {
 				// Raised before execution: the instruction neither runs nor
-				// counts, exactly as in Step.
-				m.commitTooled(pc, done, cyc)
-				return m.violationStop(), done
+				// counts.
+				return m.violationStop(), executed
 			}
 		}
-		done++
-		// Dispatch specialization mirroring runFused: resolve the most
-		// frequent ALU op and the unconditional block terminator through
-		// predictable direct compares before paying the switch's indirect
-		// jump.
-		if op == OpAddI {
-			cyc += cyclesALU
-			m.Regs[uint8(u>>uopRdShift)] += uint32(u >> 32)
-			pc++
-			continue
-		}
-		if op == OpJmp {
-			cyc += cyclesBranch
-			pc = int(int32(uint32(u >> 32)))
-			continue
-		}
+		executed++
+		m.instrCount++
+		m.cycles += uint64(opCycles[op])
 		nextPC := pc + 1
 
 		switch op {
 		case OpNop:
-			cyc += cyclesALU
 
 		case OpMovI:
-			cyc += cyclesALU
 			m.Regs[uint8(u>>uopRdShift)] = uint32(u >> 32)
 		case OpMov:
-			cyc += cyclesALU
 			m.Regs[uint8(u>>uopRdShift)] = m.Regs[uint8(u>>uopRsShift)]
 		case OpLea:
-			cyc += cyclesALU
 			m.Regs[uint8(u>>uopRdShift)] = m.Regs[uint8(u>>uopRsShift)] + uint32(u>>32)
 
 		case OpLoadB, OpLoadW:
-			cyc += cyclesMem
 			addr := m.Regs[uint8(u>>uopRsShift)] + uint32(u>>32)
+			size := 4
 			var val uint32
 			if op == OpLoadW {
-				v, hit := tlbTryReadWord(mem, addr)
+				v, hit := tlbTryReadWord(m.Mem, addr)
 				if !hit {
 					var ok bool
-					if v, ok = mem.ReadWord(addr); !ok {
-						m.commitTooled(pc, done, cyc)
-						return m.fault(FaultPage, addr, false, "read from unmapped memory"), done
+					if v, ok = m.Mem.ReadWord(addr); !ok {
+						return m.fault(FaultPage, addr, false, "read from unmapped memory"), executed
 					}
 				}
 				val = v
 			} else {
-				b, ok := mem.ReadU8(addr)
+				b, ok := m.Mem.ReadU8(addr)
 				if !ok {
-					m.commitTooled(pc, done, cyc)
-					return m.fault(FaultPage, addr, false, "read from unmapped memory"), done
+					return m.fault(FaultPage, addr, false, "read from unmapped memory"), executed
 				}
-				val = uint32(b)
+				val, size = uint32(b), 1
 			}
-			if memHooks {
-				size := 4
-				if op == OpLoadB {
-					size = 1
-				}
-				m.PC = pc
+			if m.memDispatch {
 				m.dispatchMemRead(pc, addr, size, val)
 				if m.pendingViolation != nil {
-					// The destination register is not written, as in Step.
-					m.commitTooled(pc, done, cyc)
-					return m.violationStop(), done
+					// The destination register is not written.
+					return m.violationStop(), executed
 				}
 			}
 			m.Regs[uint8(u>>uopRdShift)] = val
 
 		case OpStoreB, OpStoreW:
-			cyc += cyclesMem
 			addr := m.Regs[uint8(u>>uopRdShift)] + uint32(u>>32)
 			val := m.Regs[uint8(u>>uopRsShift)]
+			size := 4
 			if op == OpStoreW {
-				if !tlbTryWriteWord(mem, addr, val) && !mem.WriteWord(addr, val) {
-					m.commitTooled(pc, done, cyc)
-					return m.fault(FaultPage, addr, true, "write to unmapped memory"), done
+				if !tlbTryWriteWord(m.Mem, addr, val) && !m.Mem.WriteWord(addr, val) {
+					return m.fault(FaultPage, addr, true, "write to unmapped memory"), executed
 				}
 			} else {
-				if !mem.WriteU8(addr, byte(val)) {
-					m.commitTooled(pc, done, cyc)
-					return m.fault(FaultPage, addr, true, "write to unmapped memory"), done
+				if !m.Mem.WriteU8(addr, byte(val)) {
+					return m.fault(FaultPage, addr, true, "write to unmapped memory"), executed
 				}
+				size = 1
 			}
-			if memHooks {
-				size := 4
-				if op == OpStoreB {
-					size = 1
-				}
-				m.PC = pc
+			if m.memDispatch {
 				m.dispatchMemWrite(pc, addr, size, val)
 				if m.pendingViolation != nil {
-					m.commitTooled(pc, done, cyc)
-					return m.violationStop(), done
+					return m.violationStop(), executed
 				}
 			}
 
 		case OpAdd:
-			cyc += cyclesALU
 			m.Regs[uint8(u>>uopRdShift)] += m.Regs[uint8(u>>uopRsShift)]
 		case OpSub:
-			cyc += cyclesALU
 			m.Regs[uint8(u>>uopRdShift)] -= m.Regs[uint8(u>>uopRsShift)]
 		case OpMul:
-			cyc += cyclesMulDiv
 			m.Regs[uint8(u>>uopRdShift)] *= m.Regs[uint8(u>>uopRsShift)]
 		case OpDiv:
-			cyc += cyclesMulDiv
 			if m.Regs[uint8(u>>uopRsShift)] == 0 {
-				m.commitTooled(pc, done, cyc)
-				return m.fault(FaultDivZero, 0, false, "division by zero"), done
+				return m.fault(FaultDivZero, 0, false, "division by zero"), executed
 			}
 			m.Regs[uint8(u>>uopRdShift)] /= m.Regs[uint8(u>>uopRsShift)]
 		case OpMod:
-			cyc += cyclesMulDiv
 			if m.Regs[uint8(u>>uopRsShift)] == 0 {
-				m.commitTooled(pc, done, cyc)
-				return m.fault(FaultDivZero, 0, false, "modulo by zero"), done
+				return m.fault(FaultDivZero, 0, false, "modulo by zero"), executed
 			}
 			m.Regs[uint8(u>>uopRdShift)] %= m.Regs[uint8(u>>uopRsShift)]
 		case OpAnd:
-			cyc += cyclesALU
 			m.Regs[uint8(u>>uopRdShift)] &= m.Regs[uint8(u>>uopRsShift)]
 		case OpOr:
-			cyc += cyclesALU
 			m.Regs[uint8(u>>uopRdShift)] |= m.Regs[uint8(u>>uopRsShift)]
 		case OpXor:
-			cyc += cyclesALU
 			m.Regs[uint8(u>>uopRdShift)] ^= m.Regs[uint8(u>>uopRsShift)]
 		case OpShl:
-			cyc += cyclesALU
 			m.Regs[uint8(u>>uopRdShift)] <<= m.Regs[uint8(u>>uopRsShift)] & 31
 		case OpShr:
-			cyc += cyclesALU
 			m.Regs[uint8(u>>uopRdShift)] >>= m.Regs[uint8(u>>uopRsShift)] & 31
 
+		case OpAddI:
+			m.Regs[uint8(u>>uopRdShift)] += uint32(u >> 32)
 		case OpSubI:
-			cyc += cyclesALU
 			m.Regs[uint8(u>>uopRdShift)] -= uint32(u >> 32)
 		case OpMulI:
-			cyc += cyclesMulDiv
 			m.Regs[uint8(u>>uopRdShift)] *= uint32(u >> 32)
 		case OpDivI:
-			cyc += cyclesMulDiv
 			if uint32(u>>32) == 0 {
-				m.commitTooled(pc, done, cyc)
-				return m.fault(FaultDivZero, 0, false, "division by zero immediate"), done
+				return m.fault(FaultDivZero, 0, false, "division by zero immediate"), executed
 			}
 			m.Regs[uint8(u>>uopRdShift)] /= uint32(u >> 32)
 		case OpModI:
-			cyc += cyclesMulDiv
 			if uint32(u>>32) == 0 {
-				m.commitTooled(pc, done, cyc)
-				return m.fault(FaultDivZero, 0, false, "modulo by zero immediate"), done
+				return m.fault(FaultDivZero, 0, false, "modulo by zero immediate"), executed
 			}
 			m.Regs[uint8(u>>uopRdShift)] %= uint32(u >> 32)
 		case OpAndI:
-			cyc += cyclesALU
 			m.Regs[uint8(u>>uopRdShift)] &= uint32(u >> 32)
 		case OpOrI:
-			cyc += cyclesALU
 			m.Regs[uint8(u>>uopRdShift)] |= uint32(u >> 32)
 		case OpXorI:
-			cyc += cyclesALU
 			m.Regs[uint8(u>>uopRdShift)] ^= uint32(u >> 32)
 		case OpShlI:
-			cyc += cyclesALU
 			m.Regs[uint8(u>>uopRdShift)] <<= uint32(u>>32) & 31
 		case OpShrI:
-			cyc += cyclesALU
 			m.Regs[uint8(u>>uopRdShift)] >>= uint32(u>>32) & 31
 
 		case OpCmp:
-			cyc += cyclesALU
 			m.Flags = cmp32(int32(m.Regs[uint8(u>>uopRdShift)]), int32(m.Regs[uint8(u>>uopRsShift)]))
 		case OpCmpI:
-			cyc += cyclesALU
 			m.Flags = cmp32(int32(m.Regs[uint8(u>>uopRdShift)]), int32(uint32(u>>32)))
 
+		case OpJmp:
+			nextPC = int(int32(uint32(u >> 32)))
 		case OpJz:
-			cyc += cyclesBranch
 			if m.Flags == 0 {
 				nextPC = int(int32(uint32(u >> 32)))
 			}
 		case OpJnz:
-			cyc += cyclesBranch
 			if m.Flags != 0 {
 				nextPC = int(int32(uint32(u >> 32)))
 			}
 		case OpJlt:
-			cyc += cyclesBranch
 			if m.Flags < 0 {
 				nextPC = int(int32(uint32(u >> 32)))
 			}
 		case OpJle:
-			cyc += cyclesBranch
 			if m.Flags <= 0 {
 				nextPC = int(int32(uint32(u >> 32)))
 			}
 		case OpJgt:
-			cyc += cyclesBranch
 			if m.Flags > 0 {
 				nextPC = int(int32(uint32(u >> 32)))
 			}
 		case OpJge:
-			cyc += cyclesBranch
 			if m.Flags >= 0 {
 				nextPC = int(int32(uint32(u >> 32)))
 			}
 
 		case OpJmpReg:
-			cyc += cyclesBranch
 			target := m.Regs[uint8(u>>uopRdShift)]
 			tIdx, ok := m.IndexOfAddr(target)
 			if !ok {
-				m.commitTooled(pc, done, cyc)
-				return m.fault(FaultBadPC, target, false, "indirect jump outside code segment"), done
+				return m.fault(FaultBadPC, target, false, "indirect jump outside code segment"), executed
 			}
 			nextPC = tIdx
 
 		case OpCall, OpCallReg:
-			cyc += cyclesBranch + cyclesMem
-			var targetIdx int
-			if op == OpCall {
-				targetIdx = int(int32(uint32(u >> 32)))
-			} else {
+			targetIdx := int(int32(uint32(u >> 32)))
+			if op == OpCallReg {
 				target := m.Regs[uint8(u>>uopRdShift)]
 				tIdx, ok := m.IndexOfAddr(target)
 				if !ok {
-					m.commitTooled(pc, done, cyc)
-					return m.fault(FaultBadPC, target, false, "indirect call outside code segment"), done
+					return m.fault(FaultBadPC, target, false, "indirect call outside code segment"), executed
 				}
 				targetIdx = tIdx
 			}
 			retAddr := m.AddrOfIndex(pc + 1)
 			sp := m.Regs[SP] - 4
-			if !tlbTryWriteWord(mem, sp, retAddr) && !mem.WriteWord(sp, retAddr) {
-				m.commitTooled(pc, done, cyc)
-				return m.fault(FaultPage, sp, true, "stack push failed during call"), done
+			if !tlbTryWriteWord(m.Mem, sp, retAddr) && !m.Mem.WriteWord(sp, retAddr) {
+				return m.fault(FaultPage, sp, true, "stack push failed during call"), executed
 			}
 			m.Regs[SP] = sp
-			if memHooks || callHooks {
-				m.PC = pc
+			if m.memDispatch || m.callDispatch {
 				m.dispatchMemWrite(pc, sp, 4, retAddr)
-				for _, h := range call {
-					cyc += CyclesPerHook
+				for _, h := range m.tools.call {
+					m.cycles += CyclesPerHook
 					h.OnCall(m, pc, targetIdx, retAddr, sp)
 				}
 				if m.pendingViolation != nil {
-					m.commitTooled(pc, done, cyc)
-					return m.violationStop(), done
+					return m.violationStop(), executed
 				}
 			}
 			nextPC = targetIdx
 
 		case OpRet:
-			cyc += cyclesBranch + cyclesMem
 			retSlot := m.Regs[SP]
-			retAddr, hit := tlbTryReadWord(mem, retSlot)
+			retAddr, hit := tlbTryReadWord(m.Mem, retSlot)
 			if !hit {
 				var ok bool
-				if retAddr, ok = mem.ReadWord(retSlot); !ok {
-					m.commitTooled(pc, done, cyc)
-					return m.fault(FaultPage, retSlot, false, "stack read failed during return"), done
+				if retAddr, ok = m.Mem.ReadWord(retSlot); !ok {
+					return m.fault(FaultPage, retSlot, false, "stack read failed during return"), executed
 				}
 			}
-			if memHooks || callHooks {
-				m.PC = pc
+			if m.memDispatch || m.callDispatch {
 				m.dispatchMemRead(pc, retSlot, 4, retAddr)
-				for _, h := range call {
-					cyc += CyclesPerHook
+				for _, h := range m.tools.call {
+					m.cycles += CyclesPerHook
 					h.OnRet(m, pc, retAddr, retSlot)
 				}
 				if m.pendingViolation != nil {
-					// SP is not yet bumped past the return slot, as in Step.
-					m.commitTooled(pc, done, cyc)
-					return m.violationStop(), done
+					// SP is not yet bumped past the return slot.
+					return m.violationStop(), executed
 				}
 			}
 			m.Regs[SP] = retSlot + 4
 			tIdx, ok := m.IndexOfAddr(retAddr)
 			if !ok {
-				m.commitTooled(pc, done, cyc)
-				return m.fault(FaultBadPC, retAddr, false, "return to address outside code segment"), done
+				// A hijacked return address that does not land in mapped code:
+				// exactly what address-space randomisation turns attacks into.
+				return m.fault(FaultBadPC, retAddr, false, "return to address outside code segment"), executed
 			}
 			nextPC = tIdx
 
 		case OpPush, OpPushI:
-			cyc += cyclesMem
 			val := m.Regs[uint8(u>>uopRdShift)]
 			if op == OpPushI {
 				val = uint32(u >> 32)
 			}
 			sp := m.Regs[SP] - 4
-			if !tlbTryWriteWord(mem, sp, val) && !mem.WriteWord(sp, val) {
-				m.commitTooled(pc, done, cyc)
-				return m.fault(FaultPage, sp, true, "stack push to unmapped memory"), done
+			if !tlbTryWriteWord(m.Mem, sp, val) && !m.Mem.WriteWord(sp, val) {
+				return m.fault(FaultPage, sp, true, "stack push to unmapped memory"), executed
 			}
 			m.Regs[SP] = sp
-			if memHooks {
-				m.PC = pc
+			if m.memDispatch {
 				m.dispatchMemWrite(pc, sp, 4, val)
 				if m.pendingViolation != nil {
-					m.commitTooled(pc, done, cyc)
-					return m.violationStop(), done
+					return m.violationStop(), executed
 				}
 			}
 
 		case OpPop:
-			cyc += cyclesMem
 			slot := m.Regs[SP]
-			val, hit := tlbTryReadWord(mem, slot)
+			val, hit := tlbTryReadWord(m.Mem, slot)
 			if !hit {
 				var ok bool
-				if val, ok = mem.ReadWord(slot); !ok {
-					m.commitTooled(pc, done, cyc)
-					return m.fault(FaultPage, slot, false, "stack pop from unmapped memory"), done
+				if val, ok = m.Mem.ReadWord(slot); !ok {
+					return m.fault(FaultPage, slot, false, "stack pop from unmapped memory"), executed
 				}
 			}
-			if memHooks {
-				m.PC = pc
+			if m.memDispatch {
 				m.dispatchMemRead(pc, slot, 4, val)
 				if m.pendingViolation != nil {
-					// Rd and SP are not yet updated, as in Step.
-					m.commitTooled(pc, done, cyc)
-					return m.violationStop(), done
+					// Rd and SP are not yet updated.
+					return m.violationStop(), executed
 				}
 			}
 			m.Regs[uint8(u>>uopRdShift)] = val
 			m.Regs[SP] = slot + 4
+
+		case OpSyscall:
+			num := m.Regs[R0]
+			for _, h := range m.tools.syscall {
+				m.cycles += CyclesPerHook
+				h.BeforeSyscall(m, pc, num)
+			}
+			if m.pendingViolation != nil {
+				return m.violationStop(), executed
+			}
+			if m.sys == nil {
+				return m.fault(FaultBadSyscall, num, false, "no syscall handler installed"), executed
+			}
+			res, f := m.sys.Syscall(m, num)
+			if f != nil {
+				f.PC = pc
+				f.PCAddr = m.AddrOfIndex(pc)
+				f.Sym = m.SymbolAt(pc)
+				for _, h := range m.tools.fault {
+					h.OnFault(m, f)
+				}
+				m.stopped = true
+				return &StopInfo{Reason: StopFault, Fault: f}, executed
+			}
+			if m.pendingViolation != nil {
+				return m.violationStop(), executed
+			}
+			switch res {
+			case SysWaitInput:
+				// Leave PC on the syscall so that resuming retries it.
+				return &StopInfo{Reason: StopWaitInput}, executed
+			case SysHalt:
+				m.stopped = true
+				return &StopInfo{Reason: StopHalt}, executed
+			}
+			m.PC = nextPC
+			return nil, executed
+
+		case OpHalt:
+			m.stopped = true
+			return &StopInfo{Reason: StopHalt}, executed
+
+		default:
+			return m.fault(FaultBadPC, m.AddrOfIndex(pc), false, fmt.Sprintf("illegal opcode %d", op)), executed
 		}
 		// No trailing pendingViolation check: every path that can raise one
-		// (the hook dispatches above) already returned, matching Step's
-		// end-of-instruction check by construction.
-		pc = nextPC
+		// (the hook dispatches above) already returned.
+		m.PC = nextPC
 	}
-	m.commitTooled(pc, done, cyc)
-	return nil, done
+	return nil, executed
 }
 
-// commitTooled flushes the tooled loop's batched accounting back to the
-// machine: pc becomes the architectural PC, and the retired-instruction and
-// cycle deltas accumulated since runTooled was entered are charged.
-func (m *Machine) commitTooled(pc int, done, cyc uint64) {
-	m.PC = pc
-	m.instrCount += done
-	m.cycles += cyc
+// instrFanout is the InstrHook runHooked calls when there is more than one
+// thing to call before an instruction: every instruction hook, then the
+// instruction's probes, each charged as it is called.
+type instrFanout struct{}
+
+func (instrFanout) BeforeInstr(m *Machine, idx int, in *Instr) {
+	for _, h := range m.tools.instr {
+		m.cycles += CyclesPerHook
+		h.BeforeInstr(m, idx, in)
+	}
+	m.fireProbes(idx)
 }

@@ -12,20 +12,30 @@ import (
 	"sweeper/internal/vm/vmtest"
 )
 
+// sight is where a hook found the machine: the index it was called for, the
+// architectural PC, and the clock and retired-instruction count as committed
+// at that moment. Every engine must show every hook the same three.
+type sight struct {
+	idx, pc        int
+	cycles, instrs uint64
+}
+
+func see(m *vm.Machine, idx int) sight { return sight{idx, m.PC, m.Cycles(), m.InstrCount()} }
+
 // seqInstrTool records the exact firing sequence of an instruction hook.
 type seqInstrTool struct {
 	name string
-	seq  *[]int
+	seq  *[]sight
 }
 
 func (t seqInstrTool) Name() string { return t.name }
 func (t seqInstrTool) BeforeInstr(m *vm.Machine, idx int, in *vm.Instr) {
-	*t.seq = append(*t.seq, idx)
+	*t.seq = append(*t.seq, see(m, idx))
 }
 
 // memEvent is one memory-hook callback with everything it observed.
 type memEvent struct {
-	idx   int
+	sight
 	addr  uint32
 	size  int
 	val   uint32
@@ -40,27 +50,13 @@ type seqMemTool struct {
 
 func (t seqMemTool) Name() string { return t.name }
 func (t seqMemTool) OnMemRead(m *vm.Machine, idx int, addr uint32, size int, val uint32) {
-	*t.seq = append(*t.seq, memEvent{idx, addr, size, val, false})
+	*t.seq = append(*t.seq, memEvent{see(m, idx), addr, size, val, false})
 }
 func (t seqMemTool) OnMemWrite(m *vm.Machine, idx int, addr uint32, size int, val uint32) {
-	*t.seq = append(*t.seq, memEvent{idx, addr, size, val, true})
+	*t.seq = append(*t.seq, memEvent{see(m, idx), addr, size, val, true})
 }
 
-func diffIntSeq(t *testing.T, label string, fast, slow []int) {
-	t.Helper()
-	if len(fast) != len(slow) {
-		t.Errorf("%s: fired fast=%d slow=%d times", label, len(fast), len(slow))
-		return
-	}
-	for i := range fast {
-		if fast[i] != slow[i] {
-			t.Errorf("%s: firing %d at idx fast=%d slow=%d", label, i, fast[i], slow[i])
-			return
-		}
-	}
-}
-
-func diffMemSeq(t *testing.T, label string, fast, slow []memEvent) {
+func diffSeq[E comparable](t *testing.T, label string, fast, slow []E) {
 	t.Helper()
 	if len(fast) != len(slow) {
 		t.Errorf("%s: fired fast=%d slow=%d times", label, len(fast), len(slow))
@@ -91,12 +87,12 @@ func diffGuestMemory(t *testing.T, label string, fast, slow *vm.Machine) {
 }
 
 // TestTooledDispatchDifferential runs the random-guest fuzzer with
-// instrumentation attached: every tool mix the dispatcher specializes on —
-// the single-instruction-hook light engine, multi-hook, memory hooks with and
-// without instruction hooks, random VSEF-style probes, and the real taint
-// tracker — must leave the block-dispatched and per-Step engines bit-identical
-// in architectural state AND in what the hooks observed: firing order, counts
-// and callback arguments, not just the final state they left behind.
+// instrumentation attached: under every tool mix — one instruction hook
+// ("light"), two, memory hooks with and without instruction hooks, random
+// VSEF-style probes, and the real taint tracker — Run and the reference
+// interpreter must agree bit for bit in architectural state AND in what the
+// hooks observed: firing order, counts, callback arguments and the PC, clock
+// and instruction count each callback could read.
 func TestTooledDispatchDifferential(t *testing.T) {
 	configs := []string{"light", "two-instr", "instr+mem", "mem-only", "probed", "taint"}
 	rng := rand.New(rand.NewSource(0x7001ed))
@@ -109,12 +105,11 @@ func TestTooledDispatchDifferential(t *testing.T) {
 				r := rand.New(rand.NewSource(seed))
 				fast, slow := buildMachinePair(t, vmtest.RandomGuest(r, 80))
 
-				var fastInstr, slowInstr, fastInstr2, slowInstr2 []int
+				var fastInstr, slowInstr, fastInstr2, slowInstr2 []sight
 				var fastMem, slowMem []memEvent
-				var fastProbe, slowProbe []int
+				var fastProbe, slowProbe []sight
 				switch cfg {
 				case "light":
-					// Exactly one instruction hook: the specialized light loop.
 					fast.AttachTool(seqInstrTool{"t.instr", &fastInstr})
 					slow.AttachTool(seqInstrTool{"t.instr", &slowInstr})
 				case "two-instr":
@@ -142,22 +137,21 @@ func TestTooledDispatchDifferential(t *testing.T) {
 						}
 					}
 				case "taint":
-					// The real always-on taint tracker (one instr hook: rides
-					// the light engine) — no input ever arrives, so it must
-					// observe identical no-taint propagation on both engines.
+					// The real always-on taint tracker — no input ever arrives, so
+					// it must observe identical no-taint propagation on both sides.
 					fast.AttachTool(taint.New(true))
 					slow.AttachTool(taint.New(true))
 				}
 
 				budget := uint64(200 + r.Intn(5000))
-				fs, ss := fast.Run(budget), slow.Run(budget)
+				fs, ss := fast.Run(budget), vm.RefRun(slow, budget)
 				label := fmt.Sprintf("%s seed=%#x budget=%d", cfg, seed, budget)
 				diffStop(t, label, fast, slow, fs, ss)
 				diffGuestMemory(t, label, fast, slow)
-				diffIntSeq(t, label+" instr-hook", fastInstr, slowInstr)
-				diffIntSeq(t, label+" instr-hook2", fastInstr2, slowInstr2)
-				diffMemSeq(t, label+" mem-hook", fastMem, slowMem)
-				diffIntSeq(t, label+" probe", fastProbe, slowProbe)
+				diffSeq(t, label+" instr-hook", fastInstr, slowInstr)
+				diffSeq(t, label+" instr-hook2", fastInstr2, slowInstr2)
+				diffSeq(t, label+" mem-hook", fastMem, slowMem)
+				diffSeq(t, label+" probe", fastProbe, slowProbe)
 			})
 		}
 	}
@@ -165,7 +159,7 @@ func TestTooledDispatchDifferential(t *testing.T) {
 
 // probeHit is everything a probe can observe of the machine when it fires.
 // In-loop delivery commits the fused loop's batched state before the call, so
-// each hit must read exactly what a probe under Step reads.
+// each hit must read exactly what a probe under the reference reads.
 type probeHit struct {
 	probe  string
 	idx    int
@@ -194,11 +188,27 @@ func (p stateProbe) OnProbe(m *vm.Machine, idx int, in *vm.Instr) {
 	}
 }
 
-// probedPair is a fused-engine machine and a per-Step machine running the
-// same program under the same probes.
+// probedPair is a machine for Run and one for the reference interpreter,
+// running the same program under the same probes. fastSeq and slowSeq are for
+// whatever other hooks a test attaches to the two. With step set, the fast
+// machine is driven by Machine.Step, once per instruction of a budget.
 type probedPair struct {
 	fast, slow       *vm.Machine
 	fastLog, slowLog []probeHit
+	fastSeq, slowSeq []sight
+	step             bool
+}
+
+func (pp *probedPair) runFast(budget uint64) *vm.StopInfo {
+	if !pp.step {
+		return pp.fast.Run(budget)
+	}
+	for ; budget > 0; budget-- {
+		if stop := pp.fast.Step(); stop != nil {
+			return stop
+		}
+	}
+	return &vm.StopInfo{Reason: vm.StopInstrBudget}
 }
 
 func newProbedPair(t *testing.T, build func(b *asm.Builder)) *probedPair {
@@ -219,12 +229,12 @@ func (pp *probedPair) probe(t *testing.T, name string, idx, raiseOn int) {
 	}
 }
 
-// run executes budget instructions on both engines and compares the stop
+// run executes budget instructions on both sides and compares the stop
 // (violation identity included), architectural state, accounting, guest
 // memory and the complete probe log so far. It returns the stop.
 func (pp *probedPair) run(t *testing.T, label string, budget uint64) *vm.StopInfo {
 	t.Helper()
-	fs, ss := pp.fast.Run(budget), pp.slow.Run(budget)
+	fs, ss := pp.runFast(budget), vm.RefRun(pp.slow, budget)
 	diffStop(t, label, pp.fast, pp.slow, fs, ss)
 	diffGuestMemory(t, label, pp.fast, pp.slow)
 	switch {
@@ -233,32 +243,24 @@ func (pp *probedPair) run(t *testing.T, label string, budget uint64) *vm.StopInf
 	case fs.Violation != nil && *fs.Violation != *ss.Violation:
 		t.Errorf("%s: violation fast=%+v slow=%+v", label, *fs.Violation, *ss.Violation)
 	}
-	if len(pp.fastLog) != len(pp.slowLog) {
-		t.Errorf("%s: probes fired fast=%d slow=%d times", label, len(pp.fastLog), len(pp.slowLog))
-		return fs
-	}
-	for i := range pp.fastLog {
-		if pp.fastLog[i] != pp.slowLog[i] {
-			t.Errorf("%s: probe firing %d\nfast: %+v\nslow: %+v", label, i, pp.fastLog[i], pp.slowLog[i])
-			break
-		}
-	}
+	diffSeq(t, label+" probe", pp.fastLog, pp.slowLog)
+	diffSeq(t, label+" hook", pp.fastSeq, pp.slowSeq)
 	return fs
 }
 
 // resumable reports whether both machines can run on after stop: a spent
-// budget, or a violation, which it clears (the probe that raised it has spent
-// its raiseOn).
+// budget, a wait for input, or a violation, which it clears (the probe or hook
+// that raised it has spent its raiseOn).
 func (pp *probedPair) resumable(stop *vm.StopInfo) bool {
 	if stop.Reason == vm.StopViolation {
 		pp.fast.ClearStop()
 		pp.slow.ClearStop()
 		return true
 	}
-	return stop.Reason == vm.StopInstrBudget
+	return stop.Reason == vm.StopInstrBudget || stop.Reason == vm.StopWaitInput
 }
 
-// runChunked drives both engines to total instructions in Run calls of chunk
+// runChunked drives both sides to total instructions in Run calls of chunk
 // instructions, comparing at every stop.
 func (pp *probedPair) runChunked(t *testing.T, label string, chunk, total uint64) {
 	t.Helper()
@@ -271,7 +273,7 @@ func (pp *probedPair) runChunked(t *testing.T, label string, chunk, total uint64
 
 // TestInLoopProbesDifferential runs the fuzz corpus under random probe sets
 // on the fused engine, which delivers probes inside its block loop, and on
-// the per-Step engine, in Run calls of random length, and requires identical
+// the reference, in Run calls of random length, and requires identical
 // probe logs, Cycles(), InstrCount(), PC and StopInfo at every stop. Probes
 // come and go between Run calls, and some raise violations.
 func TestInLoopProbesDifferential(t *testing.T) {

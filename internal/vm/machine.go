@@ -86,6 +86,23 @@ const (
 	CyclesPerProbe = 2
 )
 
+// opCycles is the static virtual-cycle cost of each opcode, zero for halt and
+// for illegal opcodes. Hook and probe dispatches are charged on top.
+var opCycles = [256]uint8{
+	OpNop: cyclesALU, OpMovI: cyclesALU, OpMov: cyclesALU, OpLea: cyclesALU,
+	OpLoadB: cyclesMem, OpLoadW: cyclesMem, OpStoreB: cyclesMem, OpStoreW: cyclesMem,
+	OpAdd: cyclesALU, OpSub: cyclesALU, OpMul: cyclesMulDiv, OpDiv: cyclesMulDiv, OpMod: cyclesMulDiv,
+	OpAnd: cyclesALU, OpOr: cyclesALU, OpXor: cyclesALU, OpShl: cyclesALU, OpShr: cyclesALU,
+	OpAddI: cyclesALU, OpSubI: cyclesALU, OpMulI: cyclesMulDiv, OpDivI: cyclesMulDiv, OpModI: cyclesMulDiv,
+	OpAndI: cyclesALU, OpOrI: cyclesALU, OpXorI: cyclesALU, OpShlI: cyclesALU, OpShrI: cyclesALU,
+	OpCmp: cyclesALU, OpCmpI: cyclesALU,
+	OpJmp: cyclesBranch, OpJz: cyclesBranch, OpJnz: cyclesBranch, OpJlt: cyclesBranch,
+	OpJle: cyclesBranch, OpJgt: cyclesBranch, OpJge: cyclesBranch, OpJmpReg: cyclesBranch,
+	OpCall: cyclesBranch + cyclesMem, OpCallReg: cyclesBranch + cyclesMem, OpRet: cyclesBranch + cyclesMem,
+	OpPush: cyclesMem, OpPushI: cyclesMem, OpPop: cyclesMem,
+	OpSyscall: cyclesSyscall,
+}
+
 // Machine is a loaded guest program plus CPU and memory state.
 type Machine struct {
 	Mem   *Memory
@@ -95,7 +112,6 @@ type Machine struct {
 
 	prog   *Program
 	code   []Instr // relocated code, shared read-only via prog's relocImage
-	img    *relocImage
 	layout Layout
 
 	tools  toolSet
@@ -109,24 +125,18 @@ type Machine struct {
 	callDispatch  bool // a CallHook is attached
 	probeCount    int
 
-	// Block dispatch state (see blocks.go and blocks_tooled.go). blocks is
-	// the Program's shared decoded-block map; probeGap clamps fused runs
-	// short of probed indexes and is rebuilt lazily (probeGapDirty) so that
-	// installing a fleet-wide antibody's probes costs O(probes), not
-	// O(code) per machine. fastDispatch caches "Run may use the fused loop":
-	// block dispatch is enabled and no instr/mem tool is attached.
-	// tooledDispatch caches the complementary case: block dispatch is
-	// enabled and an instr or mem tool is attached, so Run uses the
-	// hook-calling block engine (runTooled) instead of per-Step execution.
-	blocks         *blockInfo
-	uops           []uint64 // packed fused micro-ops, shared via relocImage
-	uopsPlain      []uint64 // packed unfused micro-ops for runTooled, lazy
-	probeGap       []int32
-	blockDispatch  bool
-	fastDispatch   bool
-	tooledDispatch bool
-	lightTooled    bool // tooledDispatch may use the single-instr-hook engine
-	probeGapDirty  bool
+	// Engine state (see blocks.go and blocks_tooled.go). blocks is the
+	// Program's shared decoded-block map; probeGap clamps fused runs short of
+	// probed indexes and is rebuilt lazily (probeGapDirty) so that installing
+	// a fleet-wide antibody's probes costs O(probes), not O(code) per machine.
+	// fastDispatch caches Run's engine choice: no instr or mem tool is
+	// attached, so the fused loop runs; otherwise the hook-calling engine does.
+	blocks        *blockInfo
+	uops          []uint64 // packed fused micro-ops, shared via relocImage
+	uopsPlain     []uint64 // packed unfused micro-ops, likewise, for runHooked
+	probeGap      []int32
+	fastDispatch  bool
+	probeGapDirty bool
 
 	sys SyscallHandler
 
@@ -167,12 +177,11 @@ func NewMachine(prog *Program, layout Layout, sys SyscallHandler) (*Machine, err
 	if err != nil {
 		return nil, err
 	}
-	m.img = img
 	m.code = img.code
 	m.probes = make([][]Probe, len(m.code))
 	m.blocks = prog.blockMap()
 	m.uops = img.uops
-	m.blockDispatch = true
+	m.uopsPlain = img.plain
 	m.refreshDispatch()
 
 	// Map segments by restoring the program's shared base image: data and
@@ -285,32 +294,16 @@ func (m *Machine) InstrCount() uint64 { return m.instrCount }
 
 // refreshDispatch recomputes the cached hot-path dispatch flags. Everything
 // that changes instrumentation (AttachTool, DetachTool, AddProbe,
-// RemoveProbes, ClearProbes, SetBlockDispatch) funnels through here, which is
-// what keeps block dispatch honest: attaching an instr or mem tool drops
-// fastDispatch and raises tooledDispatch, moving Run from the fused loop to
-// the hook-calling block engine (runTooled) — never to silent hook skipping.
-// Probe changes mark the probe-gap table dirty; the fused loop rebuilds it
-// on next entry (see rebuildProbeGap).
+// RemoveProbes, ClearProbes) funnels through here, which is what keeps the
+// fused loop honest: attaching an instr or mem tool drops fastDispatch, moving
+// Run to the hook-calling engine — never to silent hook skipping. Probe
+// changes mark the probe-gap table dirty; the fused loop rebuilds it on next
+// entry (see rebuildProbeGap).
 func (m *Machine) refreshDispatch() {
 	m.instrDispatch = len(m.tools.instr) > 0 || m.probeCount > 0
 	m.memDispatch = len(m.tools.mem) > 0
 	m.callDispatch = len(m.tools.call) > 0
-	m.fastDispatch = m.blockDispatch && len(m.tools.instr) == 0 && len(m.tools.mem) == 0
-	m.tooledDispatch = m.blockDispatch && !m.fastDispatch
-	// The dominant tooled configuration — one instruction hook, nothing else —
-	// gets a specialized loop with a much smaller live set across the hook
-	// call (see runTooledLight).
-	m.lightTooled = m.tooledDispatch && len(m.tools.instr) == 1 &&
-		len(m.tools.mem) == 0 && len(m.tools.call) == 0 && m.probeCount == 0
-}
-
-// SetBlockDispatch enables or disables basic-block dispatch in Run (enabled
-// by default). Disabling forces every instruction through the Step slow
-// path; differential tests and the dispatch micro-benchmarks use it to
-// compare the two engines on identical guests.
-func (m *Machine) SetBlockDispatch(enabled bool) {
-	m.blockDispatch = enabled
-	m.refreshDispatch()
+	m.fastDispatch = len(m.tools.instr) == 0 && len(m.tools.mem) == 0
 }
 
 // AttachTool attaches an instrumentation tool; it takes effect from the next
@@ -477,21 +470,6 @@ func (m *Machine) violationStop() *StopInfo {
 	return &StopInfo{Reason: StopViolation, Violation: v}
 }
 
-func (m *Machine) readMem(addr uint32, size int) (uint32, bool) {
-	if size == 1 {
-		b, ok := m.Mem.ReadU8(addr)
-		return uint32(b), ok
-	}
-	return m.Mem.ReadWord(addr)
-}
-
-func (m *Machine) writeMem(addr uint32, size int, val uint32) bool {
-	if size == 1 {
-		return m.Mem.WriteU8(addr, byte(val))
-	}
-	return m.Mem.WriteWord(addr, val)
-}
-
 func (m *Machine) dispatchMemRead(idx int, addr uint32, size int, val uint32) {
 	for _, h := range m.tools.mem {
 		m.cycles += CyclesPerHook
@@ -506,355 +484,26 @@ func (m *Machine) dispatchMemWrite(idx int, addr uint32, size int, val uint32) {
 	}
 }
 
-// push writes val at SP-4 and updates SP; it reports the address used.
-func (m *Machine) push(val uint32) (uint32, bool) {
-	sp := m.Regs[SP] - 4
-	if !m.Mem.WriteWord(sp, val) {
-		return sp, false
-	}
-	m.Regs[SP] = sp
-	return sp, true
-}
-
-// Step executes a single instruction. It returns nil if execution may
+// Step executes a single instruction: the hook-calling engine (runHooked, see
+// blocks_tooled.go) with a limit of one. It returns nil if execution may
 // continue, or a StopInfo describing why it must stop.
 func (m *Machine) Step() *StopInfo {
+	if stop := m.stopAtEntry(); stop != nil {
+		return stop
+	}
+	stop, _ := m.runHooked(1)
+	return stop
+}
+
+// stopAtEntry reports the stop a machine that cannot execute is already in: it
+// has halted or faulted, or a violation was raised while it was not running.
+func (m *Machine) stopAtEntry() *StopInfo {
 	if m.stopped {
 		return &StopInfo{Reason: StopHalt}
 	}
-	if m.PC < 0 || m.PC >= len(m.code) {
-		return m.badPCFault()
-	}
-	idx := m.PC
-	in := m.code[idx]
-
-	// Full instrumentation hooks and targeted probes (VSEFs). The cached
-	// instrDispatch flag keeps untooled execution off this path entirely.
-	if m.instrDispatch {
-		for _, h := range m.tools.instr {
-			m.cycles += CyclesPerHook
-			h.BeforeInstr(m, idx, &m.code[idx])
-		}
-		if m.fireProbes(idx) {
-			return m.violationStop()
-		}
-	}
-
-	m.instrCount++
-	nextPC := idx + 1
-
-	switch in.Op {
-	case OpNop:
-		m.cycles += cyclesALU
-
-	case OpMovI:
-		m.cycles += cyclesALU
-		m.Regs[in.Rd] = uint32(in.Imm)
-	case OpMov:
-		m.cycles += cyclesALU
-		m.Regs[in.Rd] = m.Regs[in.Rs]
-	case OpLea:
-		m.cycles += cyclesALU
-		m.Regs[in.Rd] = m.Regs[in.Rs] + uint32(in.Imm)
-
-	case OpLoadB, OpLoadW:
-		m.cycles += cyclesMem
-		size := 4
-		if in.Op == OpLoadB {
-			size = 1
-		}
-		addr := m.Regs[in.Rs] + uint32(in.Imm)
-		val, ok := m.readMem(addr, size)
-		if !ok {
-			return m.fault(FaultPage, addr, false, "read from unmapped memory")
-		}
-		if m.memDispatch {
-			m.dispatchMemRead(idx, addr, size, val)
-			if m.pendingViolation != nil {
-				return m.violationStop()
-			}
-		}
-		m.Regs[in.Rd] = val
-
-	case OpStoreB, OpStoreW:
-		m.cycles += cyclesMem
-		size := 4
-		if in.Op == OpStoreB {
-			size = 1
-		}
-		addr := m.Regs[in.Rd] + uint32(in.Imm)
-		val := m.Regs[in.Rs]
-		if !m.writeMem(addr, size, val) {
-			return m.fault(FaultPage, addr, true, "write to unmapped memory")
-		}
-		if m.memDispatch {
-			m.dispatchMemWrite(idx, addr, size, val)
-			if m.pendingViolation != nil {
-				return m.violationStop()
-			}
-		}
-
-	case OpAdd:
-		m.cycles += cyclesALU
-		m.Regs[in.Rd] += m.Regs[in.Rs]
-	case OpSub:
-		m.cycles += cyclesALU
-		m.Regs[in.Rd] -= m.Regs[in.Rs]
-	case OpMul:
-		m.cycles += cyclesMulDiv
-		m.Regs[in.Rd] *= m.Regs[in.Rs]
-	case OpDiv:
-		m.cycles += cyclesMulDiv
-		if m.Regs[in.Rs] == 0 {
-			return m.fault(FaultDivZero, 0, false, "division by zero")
-		}
-		m.Regs[in.Rd] /= m.Regs[in.Rs]
-	case OpMod:
-		m.cycles += cyclesMulDiv
-		if m.Regs[in.Rs] == 0 {
-			return m.fault(FaultDivZero, 0, false, "modulo by zero")
-		}
-		m.Regs[in.Rd] %= m.Regs[in.Rs]
-	case OpAnd:
-		m.cycles += cyclesALU
-		m.Regs[in.Rd] &= m.Regs[in.Rs]
-	case OpOr:
-		m.cycles += cyclesALU
-		m.Regs[in.Rd] |= m.Regs[in.Rs]
-	case OpXor:
-		m.cycles += cyclesALU
-		m.Regs[in.Rd] ^= m.Regs[in.Rs]
-	case OpShl:
-		m.cycles += cyclesALU
-		m.Regs[in.Rd] <<= m.Regs[in.Rs] & 31
-	case OpShr:
-		m.cycles += cyclesALU
-		m.Regs[in.Rd] >>= m.Regs[in.Rs] & 31
-
-	case OpAddI:
-		m.cycles += cyclesALU
-		m.Regs[in.Rd] += uint32(in.Imm)
-	case OpSubI:
-		m.cycles += cyclesALU
-		m.Regs[in.Rd] -= uint32(in.Imm)
-	case OpMulI:
-		m.cycles += cyclesMulDiv
-		m.Regs[in.Rd] *= uint32(in.Imm)
-	case OpDivI:
-		m.cycles += cyclesMulDiv
-		if in.Imm == 0 {
-			return m.fault(FaultDivZero, 0, false, "division by zero immediate")
-		}
-		m.Regs[in.Rd] /= uint32(in.Imm)
-	case OpModI:
-		m.cycles += cyclesMulDiv
-		if in.Imm == 0 {
-			return m.fault(FaultDivZero, 0, false, "modulo by zero immediate")
-		}
-		m.Regs[in.Rd] %= uint32(in.Imm)
-	case OpAndI:
-		m.cycles += cyclesALU
-		m.Regs[in.Rd] &= uint32(in.Imm)
-	case OpOrI:
-		m.cycles += cyclesALU
-		m.Regs[in.Rd] |= uint32(in.Imm)
-	case OpXorI:
-		m.cycles += cyclesALU
-		m.Regs[in.Rd] ^= uint32(in.Imm)
-	case OpShlI:
-		m.cycles += cyclesALU
-		m.Regs[in.Rd] <<= uint32(in.Imm) & 31
-	case OpShrI:
-		m.cycles += cyclesALU
-		m.Regs[in.Rd] >>= uint32(in.Imm) & 31
-
-	case OpCmp:
-		m.cycles += cyclesALU
-		m.Flags = cmp32(int32(m.Regs[in.Rd]), int32(m.Regs[in.Rs]))
-	case OpCmpI:
-		m.cycles += cyclesALU
-		m.Flags = cmp32(int32(m.Regs[in.Rd]), in.Imm)
-
-	case OpJmp:
-		m.cycles += cyclesBranch
-		nextPC = int(in.Imm)
-	case OpJz:
-		m.cycles += cyclesBranch
-		if m.Flags == 0 {
-			nextPC = int(in.Imm)
-		}
-	case OpJnz:
-		m.cycles += cyclesBranch
-		if m.Flags != 0 {
-			nextPC = int(in.Imm)
-		}
-	case OpJlt:
-		m.cycles += cyclesBranch
-		if m.Flags < 0 {
-			nextPC = int(in.Imm)
-		}
-	case OpJle:
-		m.cycles += cyclesBranch
-		if m.Flags <= 0 {
-			nextPC = int(in.Imm)
-		}
-	case OpJgt:
-		m.cycles += cyclesBranch
-		if m.Flags > 0 {
-			nextPC = int(in.Imm)
-		}
-	case OpJge:
-		m.cycles += cyclesBranch
-		if m.Flags >= 0 {
-			nextPC = int(in.Imm)
-		}
-
-	case OpJmpReg:
-		m.cycles += cyclesBranch
-		target := m.Regs[in.Rd]
-		tIdx, ok := m.IndexOfAddr(target)
-		if !ok {
-			return m.fault(FaultBadPC, target, false, "indirect jump outside code segment")
-		}
-		nextPC = tIdx
-
-	case OpCall, OpCallReg:
-		m.cycles += cyclesBranch + cyclesMem
-		var targetIdx int
-		if in.Op == OpCall {
-			targetIdx = int(in.Imm)
-		} else {
-			target := m.Regs[in.Rd]
-			tIdx, ok := m.IndexOfAddr(target)
-			if !ok {
-				return m.fault(FaultBadPC, target, false, "indirect call outside code segment")
-			}
-			targetIdx = tIdx
-		}
-		retAddr := m.AddrOfIndex(idx + 1)
-		retSlot, ok := m.push(retAddr)
-		if !ok {
-			return m.fault(FaultPage, retSlot, true, "stack push failed during call")
-		}
-		if m.memDispatch || m.callDispatch {
-			m.dispatchMemWrite(idx, retSlot, 4, retAddr)
-			for _, h := range m.tools.call {
-				m.cycles += CyclesPerHook
-				h.OnCall(m, idx, targetIdx, retAddr, retSlot)
-			}
-			if m.pendingViolation != nil {
-				return m.violationStop()
-			}
-		}
-		nextPC = targetIdx
-
-	case OpRet:
-		m.cycles += cyclesBranch + cyclesMem
-		retSlot := m.Regs[SP]
-		retAddr, ok := m.Mem.ReadWord(retSlot)
-		if !ok {
-			return m.fault(FaultPage, retSlot, false, "stack read failed during return")
-		}
-		if m.memDispatch || m.callDispatch {
-			m.dispatchMemRead(idx, retSlot, 4, retAddr)
-			for _, h := range m.tools.call {
-				m.cycles += CyclesPerHook
-				h.OnRet(m, idx, retAddr, retSlot)
-			}
-			if m.pendingViolation != nil {
-				return m.violationStop()
-			}
-		}
-		m.Regs[SP] = retSlot + 4
-		tIdx, ok := m.IndexOfAddr(retAddr)
-		if !ok {
-			// A hijacked return address that does not land in mapped code:
-			// exactly what address-space randomisation turns attacks into.
-			return m.fault(FaultBadPC, retAddr, false, "return to address outside code segment")
-		}
-		nextPC = tIdx
-
-	case OpPush, OpPushI:
-		m.cycles += cyclesMem
-		val := m.Regs[in.Rd]
-		if in.Op == OpPushI {
-			val = uint32(in.Imm)
-		}
-		slot, ok := m.push(val)
-		if !ok {
-			return m.fault(FaultPage, slot, true, "stack push to unmapped memory")
-		}
-		if m.memDispatch {
-			m.dispatchMemWrite(idx, slot, 4, val)
-			if m.pendingViolation != nil {
-				return m.violationStop()
-			}
-		}
-
-	case OpPop:
-		m.cycles += cyclesMem
-		slot := m.Regs[SP]
-		val, ok := m.Mem.ReadWord(slot)
-		if !ok {
-			return m.fault(FaultPage, slot, false, "stack pop from unmapped memory")
-		}
-		if m.memDispatch {
-			m.dispatchMemRead(idx, slot, 4, val)
-			if m.pendingViolation != nil {
-				return m.violationStop()
-			}
-		}
-		m.Regs[in.Rd] = val
-		m.Regs[SP] = slot + 4
-
-	case OpSyscall:
-		m.cycles += cyclesSyscall
-		num := m.Regs[R0]
-		for _, h := range m.tools.syscall {
-			m.cycles += CyclesPerHook
-			h.BeforeSyscall(m, idx, num)
-		}
-		if m.pendingViolation != nil {
-			return m.violationStop()
-		}
-		if m.sys == nil {
-			return m.fault(FaultBadSyscall, num, false, "no syscall handler installed")
-		}
-		res, f := m.sys.Syscall(m, num)
-		if f != nil {
-			f.PC = idx
-			f.PCAddr = m.AddrOfIndex(idx)
-			f.Sym = m.SymbolAt(idx)
-			for _, h := range m.tools.fault {
-				h.OnFault(m, f)
-			}
-			m.stopped = true
-			return &StopInfo{Reason: StopFault, Fault: f}
-		}
-		if m.pendingViolation != nil {
-			return m.violationStop()
-		}
-		switch res {
-		case SysWaitInput:
-			// Leave PC on the syscall so that resuming retries it.
-			return &StopInfo{Reason: StopWaitInput}
-		case SysHalt:
-			m.stopped = true
-			return &StopInfo{Reason: StopHalt}
-		}
-
-	case OpHalt:
-		m.stopped = true
-		return &StopInfo{Reason: StopHalt}
-
-	default:
-		return m.fault(FaultBadPC, m.AddrOfIndex(idx), false, fmt.Sprintf("illegal opcode %d", in.Op))
-	}
-
 	if m.pendingViolation != nil {
 		return m.violationStop()
 	}
-	m.PC = nextPC
 	return nil
 }
 
@@ -862,47 +511,42 @@ func (m *Machine) Step() *StopInfo {
 // instructions; 0 means unlimited) is exhausted. Nothing is allocated on the
 // hot path: a StopInfo is built only when execution actually stops.
 //
-// Untooled machines execute through the fused basic-block dispatcher
-// (runFused, see blocks.go); machines with instr or mem tools attached
-// execute through the hook-calling block dispatcher (runTooled, see
-// blocks_tooled.go). Instructions neither block loop can express — probed
-// indexes in the fused loop, syscalls, halts — fall back to Step one
-// instruction at a time. All engines retire the same instructions with the
-// same accounting, so StopInstrBudget fires at exactly the same instruction
-// either way.
+// There are two engines, selected by what is attached. With no instr or mem
+// tool the fused basic-block engine runs (runFused, see blocks.go), and the
+// instructions it cannot express — syscalls, halts, illegal opcodes, call/ret
+// under call hooks, the first half of a fused pair that a probe or the budget
+// splits — go one at a time through the hook-calling engine (runHooked, see
+// blocks_tooled.go), which otherwise runs the whole slice. The choice is made
+// again after every hook-calling entry, since a syscall handler may attach
+// tools. Both engines retire the same instructions with the same accounting,
+// so StopInstrBudget fires at exactly the same instruction either way.
 func (m *Machine) Run(budget uint64) *StopInfo {
+	if stop := m.stopAtEntry(); stop != nil {
+		return stop
+	}
 	remaining := ^uint64(0) // unlimited
 	if budget > 0 {
 		remaining = budget
 	}
-	for {
-		if m.fastDispatch && !m.stopped && m.pendingViolation == nil {
+	for remaining > 0 {
+		limit := remaining
+		if m.fastDispatch {
 			stop, executed := m.runFused(remaining)
-			remaining -= executed
 			if stop != nil {
 				return stop
 			}
-		} else if m.tooledDispatch && !m.stopped && m.pendingViolation == nil {
-			var stop *StopInfo
-			var executed uint64
-			if m.lightTooled {
-				stop, executed = m.runTooledLight(remaining)
-			} else {
-				stop, executed = m.runTooled(remaining)
+			if remaining -= executed; remaining == 0 {
+				break
 			}
-			remaining -= executed
-			if stop != nil {
-				return stop
-			}
+			limit = 1
 		}
-		if remaining == 0 {
-			return &StopInfo{Reason: StopInstrBudget}
-		}
-		if stop := m.Step(); stop != nil {
+		stop, executed := m.runHooked(limit)
+		if stop != nil {
 			return stop
 		}
-		remaining--
+		remaining -= executed
 	}
+	return &StopInfo{Reason: StopInstrBudget}
 }
 
 // Halted reports whether the machine has permanently stopped.

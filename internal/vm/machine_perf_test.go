@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sweeper/internal/asm"
+	"sweeper/internal/monitor"
 	"sweeper/internal/vm"
 )
 
@@ -60,11 +61,31 @@ type nopProbe struct{}
 func (nopProbe) Name() string                                 { return "test.probe" }
 func (nopProbe) OnProbe(m *vm.Machine, idx int, in *vm.Instr) {}
 
-// TestDispatchFastPathFlags checks the cached dispatch flags: an untooled
-// machine charges no hook cycles, attaching a tool or probe re-enables
-// dispatch, and detaching everything restores the fast path.
+// TestDispatchFastPathFlags checks the cached dispatch flags and the two-way
+// engine selection they drive: the fused engine unless an instruction or
+// memory tool is attached — probes and call, syscall or fault tools leave it
+// selected. An untooled machine charges no hook cycles, attaching a tool or
+// probe re-enables dispatch, and detaching everything restores the fast path.
 func TestDispatchFastPathFlags(t *testing.T) {
 	m := spinMachine(t)
+	for _, step := range []struct {
+		what  string
+		do    func()
+		fused bool
+	}{
+		{"nothing attached", func() {}, true},
+		{"a call tool", func() { m.AttachTool(monitor.NewShadowStack()) }, true},
+		{"a probe", func() { m.AddProbe(2, nopProbe{}) }, true},
+		{"a memory tool", func() { m.AttachTool(seqMemTool{"t.mem", new([]memEvent)}) }, false},
+		{"an instruction tool too", func() { m.AttachTool(&countingInstrTool{}) }, false},
+		{"memory tool detached", func() { m.DetachTool("t.mem") }, false},
+		{"instruction tool detached", func() { m.DetachTool("test.counter") }, true},
+		{"everything removed", func() { m.DetachAllTools(); m.ClearProbes() }, true},
+	} {
+		if step.do(); m.FusedEngine() != step.fused {
+			t.Errorf("%s: FusedEngine() = %v, want %v", step.what, m.FusedEngine(), step.fused)
+		}
+	}
 	m.Run(1000)
 	base := m.Cycles()
 	m.Run(1000)
@@ -127,16 +148,6 @@ func BenchmarkUntooledStep(b *testing.B) {
 	m.Run(uint64(b.N))
 }
 
-// BenchmarkUntooledStepSlowPath is the same loop with block dispatch
-// disabled — the per-Step path BenchmarkUntooledStep is measured against.
-func BenchmarkUntooledStepSlowPath(b *testing.B) {
-	m := spinMachine(b)
-	m.SetBlockDispatch(false)
-	m.Run(10_000)
-	b.ResetTimer()
-	m.Run(uint64(b.N))
-}
-
 // BenchmarkUntooledALU measures block dispatch on a pure ALU loop (no memory
 // traffic), isolating the interpreter's dispatch cost from the store/load
 // work the spin loop's push/pop pair carries.
@@ -163,24 +174,11 @@ func BenchmarkUntooledALU(b *testing.B) {
 }
 
 // BenchmarkTooledStep is the same loop with one no-op instrumentation tool
-// attached, for comparison with BenchmarkUntooledStep. Since the hook-calling
-// block engines landed this runs block-dispatched, not per-Step.
+// attached (the hook-calling engine), for comparison with
+// BenchmarkUntooledStep.
 func BenchmarkTooledStep(b *testing.B) {
 	m := spinMachine(b)
 	m.AttachTool(&countingInstrTool{})
-	m.Run(10_000)
-	b.ResetTimer()
-	m.Run(uint64(b.N))
-}
-
-// BenchmarkTooledStepSlowPath is the same tooled loop forced onto the
-// per-Step path — the configuration every monitored guest ran in before the
-// hook-calling block engines, kept as the ratio baseline for
-// BenchmarkTooledStep.
-func BenchmarkTooledStepSlowPath(b *testing.B) {
-	m := spinMachine(b)
-	m.AttachTool(&countingInstrTool{})
-	m.SetBlockDispatch(false)
 	m.Run(10_000)
 	b.ResetTimer()
 	m.Run(uint64(b.N))

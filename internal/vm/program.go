@@ -70,29 +70,13 @@ type relocKey struct {
 // relocImage is a relocated view of the program for one pair of code/data
 // bases: the patched instruction stream plus the packed, macro-op-fused
 // micro-ops the fused dispatcher executes. All fields are immutable once
-// published; plain is the unfused micro-op encoding, built lazily on first
-// tooled-dispatch use (hook-calling execution must observe every
-// architectural instruction, so it cannot dispatch fused pairs — see
-// blocks_tooled.go).
+// published; plain is the unfused micro-op encoding (hook-calling execution
+// must observe every architectural instruction, so it cannot dispatch fused
+// pairs — see blocks_tooled.go).
 type relocImage struct {
-	code []Instr
-	uops []uint64
-
-	plainOnce sync.Once
-	plain     []uint64
-}
-
-// plainUops returns the image's unfused packed micro-ops, building them on
-// first use.
-func (img *relocImage) plainUops() []uint64 {
-	img.plainOnce.Do(func() {
-		u := make([]uint64, len(img.code))
-		for i, in := range img.code {
-			u[i] = packUop(in)
-		}
-		img.plain = u
-	})
-	return img.plain
+	code  []Instr
+	uops  []uint64
+	plain []uint64
 }
 
 // relocImage returns the program's shared relocated image for the given
@@ -122,7 +106,8 @@ func (p *Program) relocImage(layout Layout) (*relocImage, error) {
 			return nil, fmt.Errorf("vm: unknown relocation kind %d", r.Kind)
 		}
 	}
-	img := &relocImage{code: code, uops: packUops(code, p.blockMap().runLen)}
+	img := &relocImage{code: code}
+	img.uops, img.plain = packUops(code, p.blockMap().runLen)
 	if p.relocImages == nil {
 		p.relocImages = make(map[relocKey]*relocImage)
 	}

@@ -411,10 +411,10 @@ func main() {
 
 	fmt.Printf("\n=== fleet metrics ===\n")
 	for _, st := range fleet.Metrics().All() {
-		fmt.Printf("%-12s served=%-4d attacks=%d recovered=%d generated=%d adopted=%d verified=%d rejected=%d filtered=%d halted=%v\n",
+		fmt.Printf("%-12s served=%-4d attacks=%d recovered=%d generated=%d adopted=%d verified=%d provisional=%d rejected=%d filtered=%d halted=%v\n",
 			st.Guest, st.RequestsServed, st.AttacksHandled, st.Recovered,
 			st.AntibodiesGenerated, st.AntibodiesAdopted, st.AntibodiesVerified,
-			st.AntibodiesRejected, st.FilteredInputs, st.Halted)
+			st.ProvisionalInstalls, st.AntibodiesRejected, st.FilteredInputs, st.Halted)
 		if st.WorkloadOffered > 0 {
 			fmt.Printf("%-12s   workload: offered=%d (%.1f req/s) completed=%.1f req/s attacks-injected=%d rejected-at-proxy=%d\n",
 				"", st.WorkloadOffered, st.OfferedReqPerSec, st.CompletedReqPerSec,
@@ -422,10 +422,10 @@ func main() {
 		}
 	}
 	totals := fleet.Metrics().Totals()
-	fmt.Printf("%-12s served=%-4d attacks=%d recovered=%d generated=%d adopted=%d verified=%d rejected=%d filtered=%d\n",
+	fmt.Printf("%-12s served=%-4d attacks=%d recovered=%d generated=%d adopted=%d verified=%d provisional=%d rejected=%d filtered=%d\n",
 		"TOTAL", totals.RequestsServed, totals.AttacksHandled, totals.Recovered,
 		totals.AntibodiesGenerated, totals.AntibodiesAdopted, totals.AntibodiesVerified,
-		totals.AntibodiesRejected, totals.FilteredInputs)
+		totals.ProvisionalInstalls, totals.AntibodiesRejected, totals.FilteredInputs)
 	fmt.Printf("shared store: %d antibodies\n", fleet.Store().Len())
 	if *dataDir != "" {
 		d := fleet.Durability()

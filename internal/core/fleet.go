@@ -74,6 +74,13 @@ type Guest struct {
 	// verifyRetries counts re-runs of verifications whose sandbox failed
 	// transiently; after the bounded retries the rejection becomes final.
 	verifyRetries map[string]int
+	// regenerating counts adoptions whose regeneration half is with the
+	// Sweeper's deferred worker; regenerated holds the ones whose findings
+	// came back and wait for the serving goroutine to install their end
+	// state (see adopt). Both are guarded by mu; an adoption leaves the count
+	// when the serving loop takes it off the list.
+	regenerating int
+	regenerated  []*regeneration
 
 	// listener is the guest's optional TCP front end (see front.go);
 	// outCursor tracks how far into the process's append-only output stream
@@ -169,7 +176,7 @@ func (f *Fleet) AddGuest(guestName, program string, image *vm.Program, opts proc
 		g.inbox = nil
 		g.mu.Unlock()
 		for _, a := range inbox {
-			g.adopt(a)
+			g.adopt(a, false)
 		}
 	}
 	return g, nil
@@ -229,14 +236,14 @@ func (f *Fleet) Submit(guest string, payload []byte, src string, malicious bool)
 // Drain blocks until every guest is quiescent: no queued requests, no
 // pending antibody applications, no running workload generator, no attack
 // analysis in flight — including the deferred analysis tier, which completes
-// after a guest has already resumed service. It must not race with Submit
-// calls.
+// after a guest has already resumed service — and no adoption still holding
+// its provisional antibody. It must not race with Submit calls.
 func (f *Fleet) Drain() {
 	for {
 		waited := false
 		for _, g := range f.Guests() {
 			g.mu.Lock()
-			for !g.stopped && (g.busy || g.pending || len(g.inbox) > 0 || g.workloadRunnable()) {
+			for !g.stopped && (g.busy || g.pending || len(g.inbox) > 0 || g.regenerating > 0 || g.workloadRunnable()) {
 				waited = true
 				g.cond.Wait()
 			}
@@ -392,79 +399,159 @@ func (g *Guest) installedAntibodies() []*antibody.Antibody {
 func (g *Guest) markOwn(id string) { g.adopted[id] = true }
 
 // adopt installs a received antibody on the guest: VSEF probes on the
-// process, input signatures on the proxy. With cfg.VerifyAdoption set, the
-// antibody is first re-verified by replaying its attached exploit input on a
-// clone sandbox (see Sweeper.VerifyAntibody) and rejected — counted, never
-// installed — if the exploit does not reproduce a violation here; when the
-// replay regenerated local analysis findings, the guest synthesises its own
-// antibody from them and installs that instead of the sender's (see
-// Sweeper.RegenerateAntibody). A more refined stage of the same attack's
-// antibody replaces the earlier one — the new stage is applied first and the
-// old one removed only on success, so a failed application never leaves the
-// guest less protected than before. Runs on the guest's goroutine.
-func (g *Guest) adopt(a *antibody.Antibody) {
+// process, input signatures on the proxy. A more refined stage of the same
+// attack's antibody replaces the earlier one (see install).
+//
+// With cfg.VerifyAdoption set, the antibody is first re-verified by replaying
+// its attached exploit input on a clone sandbox (see Sweeper.VerifyAntibody)
+// and rejected — counted, never installed — if the exploit does not reproduce
+// a violation here. That gate is all that stands between the guest and the
+// worm, so when it passes and regeneration is configured the adoption is
+// piecemeal, like antibody generation itself: the guest at once installs a
+// provisional antibody of its own making (see provisionalAntibody) and is
+// immune to the exploit after one replay; the regeneration replays run on the
+// Sweeper's deferred worker, off the serving goroutine, and finishAdoption
+// installs the end state when their findings come back — the locally
+// regenerated antibody, or the sender's verified one when the findings yield
+// no VSEF. With mayDefer false (no serving loop exists yet to finish the
+// adoption), or when the deferred queue is full, regeneration runs inline:
+// it is never skipped. Runs on the guest's goroutine.
+func (g *Guest) adopt(a *antibody.Antibody, mayDefer bool) {
 	if g.adopted[a.ID] {
 		return
 	}
 	g.adopted[a.ID] = true
 	family := antibodyFamily(a.ID)
 	rank := stageRank(a.Stage)
-	prev, replacing := g.applied[family]
-	if replacing && rank < g.appliedRank[family] {
+	if _, replacing := g.applied[family]; replacing && rank < g.appliedRank[family] {
 		// A more refined stage of this attack's antibody is already
 		// installed; an earlier stage delivered late must not strip it (and
 		// is not worth a verification sandbox run).
 		return
 	}
-	install := a
-	if g.s.cfg.VerifyAdoption {
-		const maxVerifyRetries = 3
-		dec := g.s.VerifyAntibody(a, g.installedAntibodies()...)
-		if dec.Transient && g.verifyRetries[a.ID] < maxVerifyRetries {
-			// The sandbox failed, proving nothing about the antibody:
-			// forget the ID and requeue it so the serving loop retries the
-			// verification. After the bounded retries the rejection below
-			// becomes final (and counted) instead of silently dropping an
-			// antibody the store still holds.
-			g.verifyRetries[a.ID]++
-			delete(g.adopted, a.ID)
-			g.enqueueAntibody(a)
-			return
-		}
-		g.fleet.rec.Update(g.name, func(st *metrics.GuestStats) {
-			if dec.Reproduced {
-				st.AntibodiesVerified++
-			}
-			if !dec.Adoptable {
-				st.AntibodiesRejected++
-			}
-			st.FindingsRegenerated += len(dec.Regenerated)
-		})
-		if !dec.Adoptable {
-			return
-		}
-		if regen := g.s.RegenerateAntibody(a, dec); regen != nil {
-			// The locally synthesised antibody displaces the sender's:
-			// nothing of the received probe or filter definitions is
-			// installed, only evidence this host re-derived itself.
-			install = regen
-		}
-	}
-	ap, err := install.Apply(g.s.Process(), g.s.Proxy())
-	if err != nil {
+	if !g.s.cfg.VerifyAdoption {
+		g.installAdopted(family, rank, a)
 		return
 	}
-	if replacing {
+	const maxVerifyRetries = 3
+	dec, rep := g.s.verifyGate(a, g.installedAntibodies())
+	if dec.Transient && g.verifyRetries[a.ID] < maxVerifyRetries {
+		// The sandbox failed, proving nothing about the antibody:
+		// forget the ID and requeue it so the serving loop retries the
+		// verification. After the bounded retries the rejection below
+		// becomes final (and counted) instead of silently dropping an
+		// antibody the store still holds.
+		g.verifyRetries[a.ID]++
+		delete(g.adopted, a.ID)
+		g.enqueueAntibody(a)
+		return
+	}
+	g.fleet.rec.Update(g.name, func(st *metrics.GuestStats) {
+		if dec.Reproduced {
+			st.AntibodiesVerified++
+		}
+		if !dec.Adoptable {
+			st.AntibodiesRejected++
+		}
+	})
+	if !dec.Adoptable {
+		return
+	}
+	if rep == nil {
+		// Nothing to regenerate from (VSEF-only, or regeneration is not
+		// configured): the verified sender antibody is the end state.
+		g.installAdopted(family, rank, a)
+		return
+	}
+	prov := g.s.provisionalAntibody(a)
+	if !g.install(family, rank, prov) {
+		// A sender VSEF that does not apply here must not cost the guest
+		// its immunity: the exact filter alone always installs.
+		prov.VSEFs = nil
+		g.install(family, rank, prov)
+	}
+	g.fleet.rec.Update(g.name, func(st *metrics.GuestStats) { st.ProvisionalInstalls++ })
+	r := &regeneration{received: a, dec: dec, provisional: g.applied[family]}
+	if mayDefer && g.s.enqueueDeferred(func() {
+		r.dec.Regenerated = rep.regenerate(deferredYieldInstrs)
+		g.mu.Lock()
+		g.regenerated = append(g.regenerated, r)
+		g.cond.Broadcast()
+		g.mu.Unlock()
+	}) {
+		// Counted after the hand-over, which may already have come back:
+		// only this goroutine takes adoptions off the list and the count,
+		// and Drain sees the loop busy until it has.
+		g.mu.Lock()
+		g.regenerating++
+		g.mu.Unlock()
+		return
+	}
+	r.dec.Regenerated = rep.regenerate(0)
+	g.finishAdoption(r)
+}
+
+// regeneration is an adoption between its two halves: the gate passed, the
+// provisional antibody is installed, the end state is not.
+type regeneration struct {
+	received *antibody.Antibody
+	// dec is the gate's decision; Regenerated is filled in by the
+	// regeneration half before the serving goroutine sees it again.
+	dec VerifyDecision
+	// provisional is the family's installed handle at hand-over. If it is
+	// no longer the installed one when the findings land, a more refined
+	// stage took the family over and the end state must not displace it.
+	provisional *antibody.AppliedAntibody
+}
+
+// finishAdoption installs the end state of a verified adoption once its
+// findings are in: the antibody regenerated from them (nothing of the
+// received probe or filter definitions survives, only evidence this host
+// re-derived itself), or the sender's verified antibody when they yield no
+// VSEF. Runs on the guest's goroutine — RegenerateAntibody reads the live
+// clock.
+func (g *Guest) finishAdoption(r *regeneration) {
+	g.fleet.rec.Update(g.name, func(st *metrics.GuestStats) {
+		st.FindingsRegenerated += len(r.dec.Regenerated)
+	})
+	family := antibodyFamily(r.received.ID)
+	if g.applied[family] != r.provisional {
+		return
+	}
+	rank := stageRank(r.received.Stage)
+	if regen := g.s.RegenerateAntibody(r.received, r.dec); regen != nil {
+		if g.installAdopted(family, rank, regen) {
+			g.fleet.rec.Update(g.name, func(st *metrics.GuestStats) { st.AntibodiesRegenerated++ })
+		}
+		return
+	}
+	g.installAdopted(family, rank, r.received)
+}
+
+// install applies an antibody as the family's installed stage. The new stage
+// is applied first and the one it replaces removed only on success, so a
+// failed application never leaves the guest less protected than before.
+func (g *Guest) install(family string, rank int, a *antibody.Antibody) bool {
+	ap, err := a.Apply(g.s.Process(), g.s.Proxy())
+	if err != nil {
+		return false
+	}
+	if prev, replacing := g.applied[family]; replacing {
 		prev.Remove()
 	}
 	g.applied[family] = ap
 	g.appliedRank[family] = rank
-	g.fleet.rec.Update(g.name, func(st *metrics.GuestStats) {
-		st.AntibodiesAdopted++
-		if install != a {
-			st.AntibodiesRegenerated++
-		}
-	})
+	return true
+}
+
+// installAdopted is install for an adoption's end state, which is what
+// AntibodiesAdopted counts.
+func (g *Guest) installAdopted(family string, rank int, a *antibody.Antibody) bool {
+	if !g.install(family, rank, a) {
+		return false
+	}
+	g.fleet.rec.Update(g.name, func(st *metrics.GuestStats) { st.AntibodiesAdopted++ })
+	return true
 }
 
 // loop is the guest's serving goroutine: apply queued antibodies, serve
@@ -473,7 +560,7 @@ func (g *Guest) loop() {
 	defer g.fleet.wg.Done()
 	for {
 		g.mu.Lock()
-		for !g.stopped && !g.pending && len(g.inbox) == 0 && !g.workloadRunnable() {
+		for !g.stopped && !g.pending && len(g.inbox) == 0 && len(g.regenerated) == 0 && !g.workloadRunnable() {
 			g.cond.Wait()
 		}
 		if g.stopped {
@@ -482,6 +569,9 @@ func (g *Guest) loop() {
 		}
 		inbox := g.inbox
 		g.inbox = nil
+		regenerated := g.regenerated
+		g.regenerated = nil
+		g.regenerating -= len(regenerated)
 		serve := g.pending
 		g.pending = false
 		var gen *workloadGen
@@ -491,8 +581,11 @@ func (g *Guest) loop() {
 		g.busy = true
 		g.mu.Unlock()
 
+		for _, r := range regenerated {
+			g.finishAdoption(r)
+		}
 		for _, a := range inbox {
-			g.adopt(a)
+			g.adopt(a, true)
 		}
 		if gen != nil {
 			if g.s.Halted() {

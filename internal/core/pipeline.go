@@ -90,10 +90,14 @@ func buildAnalyzers(cfg Config) ([]analysis.Analyzer, *analysis.Registry, error)
 	return out, reg, nil
 }
 
-// deferredYieldInstrs is the replay chunk size for deferred-tier sandboxes:
-// small enough that a deferred replay yields to the serving goroutine every
-// few hundred microseconds even under expensive instrumentation, large enough
-// that the re-entry cost of vm.Machine.Run is noise.
+// deferredYieldInstrs is the replay chunk size for sandboxes that run on the
+// deferred worker, behind live service: the deferred analysis tier's and the
+// regeneration half of an adoption (see Guest.adopt). A replay yields to the
+// serving goroutine once per chunk; as measured on the benchmark host over
+// the 300 k-instruction squid exploit, a chunk takes 1.1–2.3 ms under the
+// slicer, 0.5–0.6 ms under taint and ~0.3 ms under membug — a fraction of the
+// runtime's 10 ms preemption quantum, and large enough that the re-entry cost
+// of vm.Machine.Run is noise.
 const deferredYieldInstrs = 50_000
 
 // analyzerRun is one analyzer's execution within a pipeline run. exec runs at
@@ -250,6 +254,7 @@ func (r *pipelineRun) finishDeferredAsync(report *AttackReport, t0 time.Time) {
 		report.finishPart()
 	})
 	if !enqueued {
+		r.s.deferredDropped.Add(1)
 		for _, ar := range r.deferred {
 			if ar.sb != nil {
 				ar.sb.Release()

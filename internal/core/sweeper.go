@@ -380,10 +380,11 @@ func (s *Sweeper) sandbox(snap *proc.Snapshot, budget uint64) (*analysis.Sandbox
 	return analysis.NewSandbox(clone, budget, nil), nil
 }
 
-// enqueueDeferred hands one attack's deferred-tier work to the per-Sweeper
+// enqueueDeferred hands one job — an attack's deferred tier, or the
+// regeneration half of an adoption (see Guest.adopt) — to the per-Sweeper
 // deferred worker, starting one if none is running. It reports false —
 // without running the job — when the bounded queue is full (the attack-storm
-// backpressure case).
+// backpressure case); what that costs is the caller's to decide and count.
 func (s *Sweeper) enqueueDeferred(job func()) bool {
 	s.deferredMu.Lock()
 	if s.deferredCh == nil {
@@ -403,7 +404,6 @@ func (s *Sweeper) enqueueDeferred(job func()) bool {
 	default:
 		s.deferredDepth.Add(-1)
 		s.deferredMu.Unlock()
-		s.deferredDropped.Add(1)
 		return false
 	}
 }
@@ -433,8 +433,8 @@ func (s *Sweeper) deferredWorker() {
 	}
 }
 
-// DeferredBacklog returns how many attacks' deferred analysis runs are
-// queued or in flight on the deferred worker.
+// DeferredBacklog returns how many jobs — attacks' deferred analysis runs and
+// adoptions' regenerations — are queued or in flight on the deferred worker.
 func (s *Sweeper) DeferredBacklog() int { return int(s.deferredDepth.Load()) }
 
 // DeferredDropped returns how many attacks had their deferred analyses

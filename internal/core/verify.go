@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"sweeper/internal/analysis"
 	"sweeper/internal/analysis/membug"
@@ -54,25 +55,37 @@ type VerifyDecision struct {
 // filters can detect — e.g. a polymorphic variant the generating host caught
 // via an earlier antibody's probes — still reproduces.
 func (s *Sweeper) VerifyAntibody(a *antibody.Antibody, installed ...*antibody.Antibody) VerifyDecision {
+	dec, rep := s.verifyGate(a, installed)
+	if rep != nil {
+		dec.Regenerated = rep.regenerate(0)
+	}
+	return dec
+}
+
+// verifyGate is the first half of VerifyAntibody — everything that decides
+// whether the antibody may be adopted. A non-nil reproduction is returned
+// when the exploit reproduced and regeneration is configured; the caller owes
+// it a regenerate call (which also returns the sandbox to the pool), on this
+// goroutine or another.
+func (s *Sweeper) verifyGate(a *antibody.Antibody, installed []*antibody.Antibody) (VerifyDecision, *reproduction) {
 	if len(a.ExploitInput) == 0 {
 		if len(a.Sigs) > 0 {
-			return VerifyDecision{Reason: "input signatures without an exploit input to verify them"}
+			return VerifyDecision{Reason: "input signatures without an exploit input to verify them"}, nil
 		}
-		return VerifyDecision{Adoptable: true, Reason: "VSEF-only antibody; harmless by construction"}
+		return VerifyDecision{Adoptable: true, Reason: "VSEF-only antibody; harmless by construction"}, nil
 	}
 	for _, sig := range a.Sigs {
 		if !sig.Match(a.ExploitInput) {
-			return VerifyDecision{Reason: fmt.Sprintf("signature %s does not match the attached exploit input", sig.Name())}
+			return VerifyDecision{Reason: fmt.Sprintf("signature %s does not match the attached exploit input", sig.Name())}, nil
 		}
 	}
-	rep := s.ReplayExploit(a.ExploitInput, installed)
+	replay, rep := s.replayGate(a.ExploitInput, installed)
 	return VerifyDecision{
-		Adoptable:   rep.Reproduced,
-		Reproduced:  rep.Reproduced,
-		Transient:   rep.Transient,
-		Reason:      rep.Reason,
-		Regenerated: rep.Regenerated,
-	}
+		Adoptable:  replay.Reproduced,
+		Reproduced: replay.Reproduced,
+		Transient:  replay.Transient,
+		Reason:     replay.Reason,
+	}, rep
 }
 
 // ExploitReplay is the outcome of replaying an exploit candidate in a
@@ -119,15 +132,53 @@ func (s *Sweeper) runToQuiescence(clone *proc.Process) *vm.StopInfo {
 // state), regenerating memory-bug and taint findings locally; the result is
 // returned in ExploitReplay.Regenerated.
 func (s *Sweeper) ReplayExploit(payload []byte, installed []*antibody.Antibody) ExploitReplay {
+	replay, rep := s.replayGate(payload, installed)
+	if rep != nil {
+		replay.Regenerated = rep.regenerate(0)
+	}
+	return replay
+}
+
+// Names the two halves of a verification are observed under in the Sweeper's
+// analyzer-latency recorder, beside the analyzers themselves.
+const (
+	latencyVerifyGate       = "verify-gate"
+	latencyVerifyRegenerate = "verify-regenerate"
+)
+
+// reproduction is an exploit replay that passed the gate and has not been
+// regenerated from yet: the sandbox the exploit stopped, and the quiescent
+// snapshot taken just before the exploit went in, which the regeneration
+// sub-clones replay from. Nothing in it is shared with the live process, so
+// regenerate may run on any goroutine.
+type reproduction struct {
+	s    *Sweeper
+	sb   *analysis.Sandbox
+	base *proc.Snapshot
+}
+
+// replayGate is the reproduction gate, the first half of ReplayExploit: it
+// builds the sandbox, drains it to quiescence, submits the candidate and
+// classifies the stop. It reads the live process's checkpoint and log, so it
+// runs on the serving goroutine. See verifyGate for the returned reproduction.
+func (s *Sweeper) replayGate(payload []byte, installed []*antibody.Antibody) (ExploitReplay, *reproduction) {
+	start := time.Now()
+	defer func() { s.latency.Observe(latencyVerifyGate, time.Since(start)) }()
 	snap := s.ckpt.Latest()
 	if snap == nil {
-		return ExploitReplay{Transient: true, Reason: "no checkpoint to build a verification sandbox from"}
+		return ExploitReplay{Transient: true, Reason: "no checkpoint to build a verification sandbox from"}, nil
 	}
 	sb, err := s.sandbox(snap, 0)
 	if err != nil {
-		return ExploitReplay{Transient: true, Reason: fmt.Sprintf("verification sandbox: %v", err)}
+		return ExploitReplay{Transient: true, Reason: fmt.Sprintf("verification sandbox: %v", err)}, nil
 	}
-	defer sb.Release()
+	// The sandbox goes back to the pool here unless a reproduction takes it.
+	handedOver := false
+	defer func() {
+		if !handedOver {
+			sb.Release()
+		}
+	}()
 	clone := sb.Proc
 	// The sandbox must detect everything the live guest would: clones carry
 	// no tools or probes, so re-attach the configured lightweight monitors
@@ -149,14 +200,14 @@ func (s *Sweeper) ReplayExploit(payload []byte, installed []*antibody.Antibody) 
 			continue
 		}
 		if _, err := inst.Apply(clone, nil); err != nil {
-			return ExploitReplay{Transient: true, Reason: fmt.Sprintf("verification sandbox: re-applying %s: %v", inst.ID, err)}
+			return ExploitReplay{Transient: true, Reason: fmt.Sprintf("verification sandbox: re-applying %s: %v", inst.ID, err)}, nil
 		}
 	}
 	if stop := s.runToQuiescence(clone); stop.Reason != vm.StopWaitInput {
-		return ExploitReplay{Transient: true, Reason: fmt.Sprintf("verification sandbox did not quiesce: %v", stop.Reason)}
+		return ExploitReplay{Transient: true, Reason: fmt.Sprintf("verification sandbox did not quiesce: %v", stop.Reason)}, nil
 	}
-	// Capture the quiescent state: the regeneration sub-clones below replay
-	// from here, with the candidate as the only logged request after it. The
+	// Capture the quiescent state: the regeneration sub-clones replay from
+	// here, with the candidate as the only logged request after it. The
 	// snapshot (a page-map copy plus COW arming) is only worth taking when
 	// regeneration is enabled and a fast-tier analyzer exists to consume it.
 	var base *proc.Snapshot
@@ -166,16 +217,18 @@ func (s *Sweeper) ReplayExploit(payload []byte, installed []*antibody.Antibody) 
 	clone.SetMode(proc.ModeLive, false)
 	clone.Proxy().Submit(payload, "verifier", true)
 	stop := s.runToQuiescence(clone)
-	if det := monitor.Classify(stop); det.Suspicious {
-		return ExploitReplay{
-			Reproduced:  true,
-			Reason:      "exploit replay reproduced: " + det.Reason,
-			Regenerated: s.regenerateFindings(clone, base),
-		}
+	det := monitor.Classify(stop)
+	if !det.Suspicious {
+		// A payload that neither quiesces nor violates (e.g. runs the budget
+		// out or halts the sandbox) is deterministic: rejecting it is final.
+		return ExploitReplay{Reason: fmt.Sprintf("exploit replay did not reproduce a violation (stop: %v)", stop.Reason)}, nil
 	}
-	// A payload that neither quiesces nor violates (e.g. runs the budget out
-	// or halts the sandbox) is deterministic: rejecting it is final.
-	return ExploitReplay{Reason: fmt.Sprintf("exploit replay did not reproduce a violation (stop: %v)", stop.Reason)}
+	replay := ExploitReplay{Reproduced: true, Reason: "exploit replay reproduced: " + det.Reason}
+	if base == nil {
+		return replay, nil
+	}
+	handedOver = true
+	return replay, &reproduction{s: s, sb: sb, base: base}
 }
 
 // RegenerateAntibody synthesises a local replacement for a verified received
@@ -223,6 +276,37 @@ func (s *Sweeper) RegenerateAntibody(a *antibody.Antibody, dec VerifyDecision) *
 	}
 }
 
+// provisionalAntibody builds what a guest installs the moment a received
+// antibody's exploit reproduced in its sandbox (see Guest.adopt): an exact
+// signature over that exploit, built here, plus copies of the sender's VSEFs.
+// None of the sender's signatures is in it — passing the gate shows that each
+// matches the exploit, not what else it matches. VSEFs are the trust class a
+// guest already adopts unverified as VSEF-only stages (an incorrect one only
+// adds checking, a faulty one is uninstalled by recovery), and without them
+// the family replacement would leave the guest with fewer probes than the
+// refined stage it displaces. The copies are renamed because probes are
+// removed by name: these must survive the removal of the sender's earlier
+// stage, and must not take the sender's own antibody with them when they go.
+func (s *Sweeper) provisionalAntibody(a *antibody.Antibody) *antibody.Antibody {
+	id := a.ID + "+gate"
+	vsefs := make([]*antibody.VSEF, len(a.VSEFs))
+	for i, v := range a.VSEFs {
+		c := *v
+		c.Name = id + "/" + v.Name
+		vsefs[i] = &c
+	}
+	return &antibody.Antibody{
+		ID:           id,
+		Program:      a.Program,
+		Stage:        a.Stage,
+		VSEFs:        vsefs,
+		Sigs:         []*antibody.Signature{antibody.ExactSignature(id+"-sig", a.ExploitInput)},
+		ExploitInput: a.ExploitInput,
+		CreatedAtMs:  s.proc.Machine.NowMillis(),
+		Notes:        []string{"provisional: exploit of " + a.ID + " reproduced here, regeneration pending"},
+	}
+}
+
 // hasFastAnalyzers reports whether any configured analyzer runs in the fast
 // tier.
 func (s *Sweeper) hasFastAnalyzers() bool {
@@ -234,27 +318,31 @@ func (s *Sweeper) hasFastAnalyzers() bool {
 	return false
 }
 
-// regenerateFindings re-runs the configured fast-tier analyzers against the
-// reproduced exploit: each on its own clone of the verification sandbox's
-// quiescent state, replaying only the candidate request. Sub-clones are built
-// directly from the sandbox (not the pool — their log view belongs to the
-// sandbox, not the live process). Failures are tolerated: regeneration is
-// corroborating evidence, not a gate.
-func (s *Sweeper) regenerateFindings(clone *proc.Process, base *proc.Snapshot) map[string]analysis.Finding {
+// regenerate is the second half of a verification: it re-runs the configured
+// fast-tier analyzers against the reproduced exploit, each on its own clone
+// of the sandbox's quiescent state, replaying only the candidate request, and
+// releases the sandbox. Sub-clones are built directly from the sandbox (not
+// the pool — their log view belongs to the sandbox, not the live process).
+// A non-zero yieldEvery chunks the replays like the deferred analysis tier's.
+// Failures are tolerated: regeneration is corroborating evidence, not a gate.
+func (r *reproduction) regenerate(yieldEvery uint64) map[string]analysis.Finding {
+	s := r.s
+	start := time.Now()
+	defer func() { s.latency.Observe(latencyVerifyRegenerate, time.Since(start)) }()
+	defer r.sb.Release()
 	out := make(map[string]analysis.Finding)
-	if base == nil {
-		return out
-	}
 	ctx := analysis.NewContext()
 	for _, a := range s.analyzers {
 		if a.Cost() != analysis.TierFast {
 			continue
 		}
-		sub, err := clone.Clone(base)
+		sub, err := r.sb.Proc.Clone(r.base)
 		if err != nil {
 			continue
 		}
-		f, err := a.Run(ctx, analysis.NewSandbox(sub, s.cfg.ReplayBudget, nil))
+		sb := analysis.NewSandbox(sub, s.cfg.ReplayBudget, nil)
+		sb.SetYieldEvery(yieldEvery)
+		f, err := a.Run(ctx, sb)
 		if err != nil || f == nil {
 			continue
 		}

@@ -38,7 +38,7 @@ func genuineFinalAntibody(t *testing.T, appName string) *antibody.Antibody {
 // newVerifyingConsumer builds a one-guest fleet whose guest re-verifies every
 // received antibody before adoption, running under a layout different from
 // the producer's (distinct ASLR seed), like a distinct federated host.
-func newVerifyingConsumer(t *testing.T, appName, guestName string, seed int64) *Fleet {
+func newVerifyingConsumer(t *testing.T, appName, guestName string, seed int64, mutate ...func(*Config)) *Fleet {
 	t.Helper()
 	spec, err := apps.ByName(appName)
 	if err != nil {
@@ -48,6 +48,11 @@ func newVerifyingConsumer(t *testing.T, appName, guestName string, seed int64) *
 	cfg := DefaultConfig()
 	cfg.ASLRSeed = seed
 	cfg.VerifyAdoption = true
+	for _, m := range mutate {
+		if m != nil {
+			m(&cfg)
+		}
+	}
 	if _, err := f.AddGuest(guestName, spec.Name, spec.Image, spec.Options, cfg); err != nil {
 		t.Fatal(err)
 	}

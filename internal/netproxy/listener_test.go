@@ -78,6 +78,17 @@ func newEchoListener(t *testing.T) (*Listener, *echoBackend) {
 	return l, b
 }
 
+// responsesTimed returns how many responses the listener has timed, once that
+// reaches want (or after a second). A response's sojourn time is recorded
+// after it is flushed to the socket, so the client can hold the last response
+// a moment before its sample is counted.
+func responsesTimed(l *Listener, want int) int {
+	for deadline := time.Now().Add(time.Second); l.Latency().Count() < want && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	return l.Latency().Count()
+}
+
 func TestListenerEcho(t *testing.T) {
 	if testing.Short() {
 		t.Skip("socket test: run without -short")
@@ -101,8 +112,8 @@ func TestListenerEcho(t *testing.T) {
 			t.Fatalf("Do(%d) = %q, want %q", i, resp, want)
 		}
 	}
-	if l.Latency().Count() != 50 {
-		t.Errorf("latency recorder saw %d responses, want 50", l.Latency().Count())
+	if got := responsesTimed(l, 50); got != 50 {
+		t.Errorf("latency recorder saw %d responses, want 50", got)
 	}
 	if l.Latency().Quantile(0.5) <= 0 {
 		t.Errorf("latency p50 = %v, want > 0", l.Latency().Quantile(0.5))
@@ -165,7 +176,7 @@ func TestListenerConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if got := l.Latency().Count(); got != clients*perClient {
+	if got := responsesTimed(l, clients*perClient); got != clients*perClient {
 		t.Errorf("latency recorder saw %d responses, want %d", got, clients*perClient)
 	}
 }

@@ -71,13 +71,20 @@ func (m *Manager) ByteStats() (captured, full int) {
 }
 
 // Checkpoint unconditionally takes a snapshot of p and adds it to the ring,
-// evicting the oldest if the ring is full.
+// evicting the oldest if the ring is full. The ring is also how much history
+// p keeps: with a snapshot goes everything p logged before the next one,
+// which nothing can roll back to any more.
 func (m *Manager) Checkpoint(p *proc.Process) *proc.Snapshot {
 	m.seq++
 	s := p.Snapshot(m.seq)
 	m.snaps = append(m.snaps, s)
-	if len(m.snaps) > m.policy.MaxKept {
-		m.snaps = m.snaps[1:]
+	if last := len(m.snaps) - 1; last >= m.policy.MaxKept {
+		// Move down in place: reslicing from the front would keep the evicted
+		// snapshot reachable from the array until append replaced it.
+		copy(m.snaps, m.snaps[1:])
+		m.snaps[last] = nil
+		m.snaps = m.snaps[:last]
+		p.DiscardHistoryBefore(m.snaps[0])
 	}
 	m.lastMs = s.TakenAtMs
 	m.taken++

@@ -1,7 +1,9 @@
 package checkpoint_test
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"sweeper/internal/apps"
 	"sweeper/internal/checkpoint"
@@ -181,4 +183,51 @@ func TestIncrementalCheckpointPageStats(t *testing.T) {
 	if p.Machine.Mem.MappedPages() != last.Mem.Pages() {
 		t.Errorf("rollback mapped %d pages, snapshot had %d", p.Machine.Mem.MappedPages(), last.Mem.Pages())
 	}
+}
+
+// TestEvictionReleasesTheSnapshotAndItsHistory: the snapshot the ring drops
+// is not kept reachable by the ring's array, and with it the process drops
+// the events and outputs logged before the new oldest snapshot.
+func TestEvictionReleasesTheSnapshotAndItsHistory(t *testing.T) {
+	p := newCVSProcess(t, 40)
+	m := checkpoint.NewManager(checkpoint.Policy{IntervalMs: 1, MaxKept: 3})
+	collected := make(chan struct{})
+	runtime.SetFinalizer(m.Checkpoint(p), func(*proc.Snapshot) { close(collected) })
+	p.OnRequestBoundary = func() { m.MaybeCheckpoint(p) }
+	if stop := p.Run(0); stop.Reason != vm.StopWaitInput {
+		t.Fatalf("serving failed: %v", stop.Reason)
+	}
+	if m.Taken() <= 3 {
+		t.Fatalf("%d checkpoints taken, the ring of 3 never evicted", m.Taken())
+	}
+	oldest := m.Oldest()
+	if oldest.LogLen == 0 || p.Log.Base() != oldest.LogLen || p.OutputCount()-len(p.Outputs()) != oldest.OutputCount {
+		t.Errorf("history starts at event %d and output %d, the oldest checkpoint at %d and %d",
+			p.Log.Base(), p.OutputCount()-len(p.Outputs()), oldest.LogLen, oldest.OutputCount)
+	}
+	if events := p.Log.Events(); len(events) != p.Log.Len()-oldest.LogLen {
+		t.Errorf("%d events retained, %d logged since the oldest checkpoint", len(events), p.Log.Len()-oldest.LogLen)
+	}
+	// Every retained checkpoint still replays to the live state's outputs.
+	for _, snap := range m.Snapshots() {
+		clone, err := p.Clone(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stop := clone.Run(0); stop.Reason != vm.StopWaitInput {
+			t.Fatalf("replay from checkpoint %d stopped with %v", snap.SeqNo, stop.Reason)
+		}
+		if diverged, why := clone.Diverged(); diverged || clone.ServedRequests() != p.ServedRequests() {
+			t.Errorf("replay from checkpoint %d: diverged %v (%s), served %d of %d", snap.SeqNo, diverged, why, clone.ServedRequests(), p.ServedRequests())
+		}
+	}
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Error("the evicted snapshot is still reachable from the manager")
 }

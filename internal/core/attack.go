@@ -15,7 +15,6 @@ import (
 	"sweeper/internal/antibody"
 	"sweeper/internal/monitor"
 	"sweeper/internal/proc"
-	"sweeper/internal/replay"
 	"sweeper/internal/vm"
 )
 
@@ -309,15 +308,10 @@ func (s *Sweeper) startPrefixReplay(snap *proc.Snapshot) *prefixReplay {
 func (s *Sweeper) snapshotForAnalysis() *proc.Snapshot {
 	// Find the log index of the request being served when the monitor
 	// tripped; any checkpoint at or before that index predates the request.
-	curID := s.proc.CurrentRequestID()
-	if curID != 0 {
-		events := s.proc.Log.Events()
-		for i, e := range events {
-			if e.Kind == replay.EventRequest && e.RequestID == curID {
-				if snap, err := s.ckpt.BeforeLogIndex(i); err == nil {
-					return snap
-				}
-				break
+	if curID := s.proc.CurrentRequestID(); curID != 0 {
+		if at, _, ok := s.proc.Log.FindRequest(curID); ok {
+			if snap, err := s.ckpt.BeforeLogIndex(at); err == nil {
+				return snap
 			}
 		}
 	}
@@ -593,10 +587,8 @@ func (s *Sweeper) HandleAttack(stop *vm.StopInfo, det monitor.Detection) *Attack
 
 // payloadOf returns the payload of a logged request.
 func (s *Sweeper) payloadOf(requestID int) []byte {
-	for _, e := range s.proc.Log.Events() {
-		if e.Kind == replay.EventRequest && e.RequestID == requestID {
-			return append([]byte(nil), e.Data...)
-		}
+	if _, payload, ok := s.proc.Log.FindRequest(requestID); ok {
+		return append([]byte(nil), payload...)
 	}
 	return nil
 }

@@ -91,16 +91,25 @@ func (g *Guest) FrontLatency() *metrics.LatencyRecorder {
 // outputs, replayed sends never re-append), so a cursor over it yields each
 // live request's outputs exactly once; stale partial outputs of an excised
 // attack request are skipped by the request-ID match. Runs on the serving
-// goroutine at the request's live-mode boundary.
+// goroutine at the request's live-mode boundary — before the checkpoint that
+// boundary may take, so the cursor is never behind what the process retains.
 func (g *Guest) respondServed(reqID int) {
-	outs := g.s.Process().Outputs()
+	p := g.s.Process()
 	var resp []byte
-	for _, o := range outs[g.outCursor:] {
-		if o.RequestID == reqID {
-			resp = append(resp, o.Data...)
+	for _, o := range p.OutputsSince(g.outCursor) {
+		if o.RequestID != reqID {
+			continue
+		}
+		// A request answered by one send — the usual case — is answered with
+		// that record's bytes, which nothing writes again; only several sends
+		// need joining (the clamped capacity makes the join copy).
+		if resp == nil {
+			resp = o.Data
+		} else {
+			resp = append(resp[:len(resp):len(resp)], o.Data...)
 		}
 	}
-	g.outCursor = len(outs)
+	g.outCursor = p.OutputCount()
 	g.listener.Resolve(reqID, netproxy.StatusOK, resp)
 }
 

@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"encoding/binary"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -122,6 +124,83 @@ func TestQuickThroughputSeriesConservation(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// referenceSeries is ThroughputSeries over the plain list of completion
+// times the recorder used to keep.
+func referenceSeries(times []uint64, bucketMs uint64) []float64 {
+	buckets := make([]float64, times[len(times)-1]/bucketMs+1)
+	for _, t := range times {
+		buckets[t/bucketMs] += 1000 / float64(bucketMs)
+	}
+	return buckets
+}
+
+// TestCompletionRecorderAgainstPlainList: while the run fits the recorder's
+// memory the series is the one a list of every completion time gives, at any
+// bucket width; past that the counts stay exact, the memory stops growing and
+// a completion moves at most Resolution() ms early.
+func TestCompletionRecorderAgainstPlainList(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	r := NewCompletionRecorder()
+	var times []uint64
+	record := func(n int) {
+		for i := 0; i < n; i++ {
+			now := uint64(0)
+			if len(times) > 0 {
+				now = times[len(times)-1]
+			}
+			switch rng.Intn(10) {
+			case 0: // same millisecond as the one before
+			case 1:
+				now += uint64(rng.Intn(3000)) // a recovery gap
+			default:
+				now += uint64(1 + rng.Intn(6))
+			}
+			times = append(times, now)
+			r.Record(now)
+		}
+	}
+	record(10_000) // the largest experiment
+	if r.Resolution() != 1 {
+		t.Fatalf("resolution %d ms after %d completions, want 1", r.Resolution(), len(times))
+	}
+	for _, bucketMs := range []uint64{1, 7, 100, 500, 4096} {
+		got, want := r.ThroughputSeries(bucketMs), referenceSeries(times, bucketMs)
+		if len(got) != len(want) {
+			t.Fatalf("bucket %d ms: %d samples, want %d", bucketMs, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].TimeMs != uint64(i)*bucketMs || math.Abs(got[i].Value-want[i]) > 1e-9 {
+				t.Fatalf("bucket %d ms, sample %d: %+v, want %v/s", bucketMs, i, got[i], want[i])
+			}
+		}
+	}
+
+	record(400_000)
+	last := times[len(times)-1]
+	if r.Count() != len(times) || r.Last() != last {
+		t.Errorf("count %d last %d, want %d and %d", r.Count(), r.Last(), len(times), last)
+	}
+	if want := float64(len(times)) / (float64(last) / 1000); math.Abs(r.Throughput()-want) > 1e-9 {
+		t.Errorf("throughput %v, want %v", r.Throughput(), want)
+	}
+	if len(r.runs) > maxRunBytes+2*binary.MaxVarintLen64 {
+		t.Errorf("%d bytes of runs held, bound %d", len(r.runs), maxRunBytes)
+	}
+	res := r.Resolution()
+	if res < 2 {
+		t.Fatalf("resolution still %d ms with %d completions in %d bytes", res, len(times), len(r.runs))
+	}
+	// At a bucket width the quantum divides, moving a completion to the start
+	// of its quantum keeps it in its bucket: the series is still exact.
+	bucketMs := 4 * res
+	got, want := r.ThroughputSeries(bucketMs), referenceSeries(times, bucketMs)
+	for i := range want {
+		if math.Abs(got[i].Value-want[i]) > 1e-9 {
+			t.Fatalf("resolution %d ms, bucket %d ms, sample %d: %v/s, want %v/s", res, bucketMs, i, got[i].Value, want[i])
+		}
 	}
 }
 

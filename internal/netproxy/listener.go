@@ -55,21 +55,30 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// ReadFrame reads one length-prefixed frame into a buffer of its own.
+func ReadFrame(r io.Reader) ([]byte, error) { return readFrameInto(r, nil) }
+
+// readFrameInto reads one length-prefixed frame into buf, which it replaces
+// when the frame does not fit; the length prefix passes through buf too. The
+// returned payload is buf's array: the caller keeps it for the next frame.
+func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(buf[:4])
 	if n > MaxFrameBytes {
 		return nil, fmt.Errorf("netproxy: frame of %d bytes exceeds the %d-byte limit", n, MaxFrameBytes)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if int(n) > cap(buf) {
+		buf = make([]byte, n)
+	}
+	if _, err := io.ReadFull(r, buf[:n]); err != nil {
 		return nil, err
 	}
-	return payload, nil
+	return buf[:n], nil
 }
 
 // SubmitFunc offers one framed request payload to a protected guest and
@@ -79,7 +88,9 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 // for a halted guest or failed submission) is answered to the client
 // immediately. The Listener calls it with its own mutex held, atomically
 // with waiter registration, so a completion for the returned ID can never
-// arrive before the waiter exists.
+// arrive before the waiter exists. The payload is the connection's read
+// buffer, overwritten by the next frame: what outlives the call is a copy
+// (Proxy.Submit makes one).
 type SubmitFunc func(payload []byte, src string) (reqID int, status byte)
 
 type tcpOutcome struct {
@@ -146,9 +157,15 @@ func (l *Listener) serveConn(conn net.Conn) {
 	src := conn.RemoteAddr().String()
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
+	// A connection has one request outstanding, so one read buffer and one
+	// outcome channel serve all of them: every registered waiter is sent to
+	// exactly once (Resolve and ResolveAll unregister before sending) and
+	// received from below before the next is registered.
+	var payload []byte
+	ch := make(chan tcpOutcome, 1)
 	for {
-		payload, err := ReadFrame(br)
-		if err != nil {
+		var err error
+		if payload, err = readFrameInto(br, payload[:cap(payload)]); err != nil {
 			return // client went away (or sent garbage); drop the connection
 		}
 		start := time.Now()
@@ -160,11 +177,9 @@ func (l *Listener) serveConn(conn net.Conn) {
 			return
 		}
 		id, st := l.submit(payload, src)
-		var ch chan tcpOutcome
 		if st == StatusOK {
 			// Registered under the same critical section as the submit: the
 			// guest cannot complete the request before the waiter exists.
-			ch = make(chan tcpOutcome, 1)
 			l.waiters[id] = ch
 		}
 		l.mu.Unlock()
@@ -187,12 +202,15 @@ func (l *Listener) serveConn(conn net.Conn) {
 // respond writes one response frame and records the sojourn time. It reports
 // whether the connection is still usable.
 func (l *Listener) respond(bw *bufio.Writer, start time.Time, status byte, payload []byte) bool {
-	frame := make([]byte, 1+len(payload))
-	frame[0] = status
-	copy(frame[1:], payload)
-	if err := WriteFrame(bw, frame); err != nil {
+	if 1+len(payload) > MaxFrameBytes {
 		return false
 	}
+	// Length prefix and status go into the writer's own buffer and the
+	// payload after them: the frame is never assembled anywhere else. The
+	// writer keeps its first error; Flush reports it.
+	head := binary.BigEndian.AppendUint32(bw.AvailableBuffer(), uint32(1+len(payload)))
+	bw.Write(append(head, status))
+	bw.Write(payload)
 	if err := bw.Flush(); err != nil {
 		return false
 	}

@@ -148,6 +148,7 @@ func (p *Proxy) Next() (*Request, bool) {
 		return nil, false
 	}
 	req := p.queue[0]
+	p.queue[0] = nil // or the array keeps the delivered request reachable
 	p.queue = p.queue[1:]
 	p.delivered++
 	return req, true

@@ -3,8 +3,10 @@ package netproxy
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 type substringFilter struct {
@@ -253,4 +255,33 @@ func TestAddFilterDuringSubmitStorm(t *testing.T) {
 			t.Errorf("request %d both filtered (by %s) and delivered", d.Request.ID, d.Filter)
 		}
 	}
+}
+
+// TestNextReleasesTheDeliveredRequest: a request taken off the queue is not
+// kept reachable by the queue's array behind the ones still waiting.
+func TestNextReleasesTheDeliveredRequest(t *testing.T) {
+	p := New()
+	for i := 0; i < 3; i++ {
+		p.Submit([]byte{byte(i)}, "client", false)
+	}
+	collected := make(chan struct{})
+	func() {
+		req, ok := p.Next()
+		if !ok {
+			t.Fatal("queue empty after three submissions")
+		}
+		runtime.SetFinalizer(req, func(*Request) { close(collected) })
+	}()
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			if p.Pending() != 2 {
+				t.Errorf("%d requests pending, want 2", p.Pending())
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Error("the delivered request is still reachable from the proxy")
 }

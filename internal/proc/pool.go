@@ -58,16 +58,21 @@ func (cp *ClonePool) Get(s *Snapshot) (*Process, error) {
 	if shell == nil {
 		return cp.src.Clone(s)
 	}
-	shell.resetForReuse(cp.src, s)
+	if err := shell.resetForReuse(cp.src, s); err != nil {
+		return nil, err
+	}
 	return shell, nil
 }
 
-// Put returns a clone to the pool. The clone may be dirty — reset happens on
-// the next Get. Only clones of this pool's source process may be returned.
+// Put returns a clone to the pool. Only clones of this pool's source process
+// may be returned. An idle shell is kept for its Machine alone: what its last
+// user left on it — analysis tools and their recordings, probes, the view of
+// the log, outputs — is dropped here, not held until some later Get.
 func (cp *ClonePool) Put(c *Process) {
 	if c == nil {
 		return
 	}
+	c.scrub()
 	cp.mu.Lock()
 	if len(cp.idle) < cp.maxIdle {
 		cp.idle = append(cp.idle, c)
@@ -83,14 +88,30 @@ func (cp *ClonePool) Stats() (created, reused int) {
 	return cp.created, cp.reused
 }
 
+// scrub drops what a clone's user left on it and an idle shell has no use
+// for. It establishes nothing: resetForReuse, which starts from it, does that
+// on the next Get.
+func (c *Process) scrub() {
+	c.Machine.DetachAllTools()
+	c.Machine.ClearProbes()
+	c.Log = nil
+	c.outputs, c.outBase = nil, 0
+	c.logMessages = nil
+}
+
 // resetForReuse makes a previously used clone shell equivalent to a fresh
 // src.Clone(s): same checkpoint state, same log view, no leftover tools,
 // probes, drops or outputs from the previous user. Unlike Rollback, the
 // virtual clock is reset to the snapshot's — a pooled sandbox has no
 // client-visible clock to keep monotonic, and fresh clones start there too,
 // which keeps pooled and fresh replays identical.
-func (c *Process) resetForReuse(src *Process, s *Snapshot) {
-	c.Log = src.Log.CloneForReplay(s.LogLen)
+func (c *Process) resetForReuse(src *Process, s *Snapshot) error {
+	log, err := src.replayLog(s)
+	if err != nil {
+		return err
+	}
+	c.scrub()
+	c.Log = log
 	c.proxy = netproxy.New()
 	c.mode = ModeReplay
 	c.replayThenLive = false
@@ -102,22 +123,19 @@ func (c *Process) resetForReuse(src *Process, s *Snapshot) {
 	for id := range src.excised {
 		c.excised[id] = true
 	}
-	c.outputs = nil
-	c.logMessages = nil
 	c.currentReqID = s.CurrentReqID
 	c.servedCount = s.ServedCount
 	c.rng = s.Rng
 	c.diverged = false
 	c.divergence = ""
 
-	// Drop the previous user's instrumentation, then restore machine state.
-	// NotifyRollback is deliberately invoked after the restore: a caller that
-	// re-attaches long-lived tools before running relies on the same shadow
-	// discipline Rollback establishes, and resets are idempotent.
-	c.Machine.DetachAllTools()
-	c.Machine.ClearProbes()
+	// Restore machine state, the previous user's instrumentation gone with
+	// scrub. NotifyRollback is deliberately invoked after the restore: a caller
+	// that re-attaches long-lived tools before running relies on the same
+	// shadow discipline Rollback establishes, and resets are idempotent.
 	c.Machine.Mem.Restore(s.Mem)
 	c.Machine.RestoreRegs(s.Regs)
 	c.Alloc.Restore(s.Alloc)
 	c.Machine.NotifyRollback()
+	return nil
 }

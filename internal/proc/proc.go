@@ -97,7 +97,10 @@ type Process struct {
 	// history prefix while the analyses still deliberate over the suspect.
 	stopBeforeReq int
 
+	// outputs is the retained suffix of the output stream: outputs[i] is the
+	// (outBase+i)-th send the process ever made (see DiscardHistoryBefore).
 	outputs     []OutputRecord
+	outBase     int
 	logMessages []LogMessage
 
 	currentReqID int
@@ -215,8 +218,37 @@ func (p *Process) CurrentRequestID() int { return p.currentReqID }
 // the next blocking recv).
 func (p *Process) ServedRequests() int { return p.servedCount }
 
-// Outputs returns the client-visible outputs produced so far.
+// Outputs returns the retained client-visible outputs, oldest first: every
+// send since the oldest checkpoint the process's history still reaches back
+// to. The slice is the process's own, valid until the process next runs.
 func (p *Process) Outputs() []OutputRecord { return p.outputs }
+
+// OutputCount returns how many sends the process has made so far, discarded
+// ones included: the position in the output stream a Snapshot records.
+func (p *Process) OutputCount() int { return p.outBase + len(p.outputs) }
+
+// OutputsSince returns the retained outputs at or after position n of the
+// output stream, under the same terms as Outputs.
+func (p *Process) OutputsSince(n int) []OutputRecord {
+	return p.outputs[min(max(n-p.outBase, 0), len(p.outputs)):]
+}
+
+// DiscardHistoryBefore drops the events and outputs that precede the given
+// snapshot of this process: once it is the oldest checkpoint anything can
+// roll back to, nothing can replay or re-read them. Positions recorded
+// earlier (Snapshot.LogLen, Snapshot.OutputCount, log cursors) keep meaning
+// the events they meant; clones made before keep their own view of the log.
+func (p *Process) DiscardHistoryBefore(s *Snapshot) {
+	p.Log.DiscardBefore(s.LogLen)
+	if n := s.OutputCount - p.outBase; n > 0 {
+		// Unlike the log, the output array is nobody else's: move it down in
+		// place, so that a steady ring allocates nothing here.
+		kept := copy(p.outputs, p.outputs[n:])
+		clear(p.outputs[kept:])
+		p.outputs = p.outputs[:kept]
+		p.outBase = s.OutputCount
+	}
+}
 
 // LogMessages returns guest debug messages.
 func (p *Process) LogMessages() []LogMessage { return p.logMessages }
@@ -320,7 +352,9 @@ func (p *Process) sysRecv(m *vm.Machine) (vm.SyscallResult, *vm.Fault) {
 		}
 		payload = req.Payload
 		reqID = req.ID
-		p.Log.Append(replay.Event{Kind: replay.EventRequest, RequestID: reqID, Data: append([]byte(nil), payload...)})
+		// The proxy's copy of the payload is never written again; the log
+		// shares it.
+		p.Log.Append(replay.Event{Kind: replay.EventRequest, RequestID: reqID, Data: payload})
 	}
 
 	n := uint32(len(payload))
@@ -499,7 +533,7 @@ func (p *Process) Snapshot(seq int) *Snapshot {
 		DirtyPages:    dirty,
 		CapturedBytes: captured,
 		LogLen:        p.Log.Len(),
-		OutputCount:   len(p.outputs),
+		OutputCount:   p.OutputCount(),
 		ServedCount:   p.servedCount,
 		CurrentReqID:  p.currentReqID,
 	}
@@ -522,9 +556,13 @@ func (p *Process) Snapshot(seq int) *Snapshot {
 // it blocks at the next recv instead of falling through to live input. Its
 // machine carries no tools or probes; callers attach what they need.
 func (p *Process) Clone(s *Snapshot) (*Process, error) {
+	log, err := p.replayLog(s)
+	if err != nil {
+		return nil, err
+	}
 	clone := &Process{
 		Name:          p.Name,
-		Log:           p.Log.CloneForReplay(s.LogLen),
+		Log:           log,
 		proxy:         netproxy.New(),
 		mode:          ModeReplay,
 		skip:          make(map[int]bool, len(p.skip)),
@@ -554,11 +592,33 @@ func (p *Process) Clone(s *Snapshot) (*Process, error) {
 	return clone, nil
 }
 
+// replayable returns an error when events that followed the snapshot have
+// been discarded (it is older than every checkpoint still retained): a replay
+// from it would skip them without a sign.
+func (p *Process) replayable(s *Snapshot) error {
+	if s.LogLen < p.Log.Base() {
+		return fmt.Errorf("proc: %s: snapshot %d predates the retained history (log index %d, oldest retained %d)",
+			p.Name, s.SeqNo, s.LogLen, p.Log.Base())
+	}
+	return nil
+}
+
+// replayLog returns a replay view of the event log positioned at the snapshot.
+func (p *Process) replayLog(s *Snapshot) (*replay.Log, error) {
+	if err := p.replayable(s); err != nil {
+		return nil, err
+	}
+	return p.Log.CloneForReplay(s.LogLen), nil
+}
+
 // Rollback reinstates the process state captured in s and switches the
 // process into the requested mode. After a rollback for analysis the event
 // log's cursor points at the first event logged after the checkpoint, so the
 // attack period replays deterministically.
 func (p *Process) Rollback(s *Snapshot, mode Mode, replayThenLive bool) {
+	if err := p.replayable(s); err != nil {
+		panic(err) // only a caller that kept a snapshot past its eviction gets here
+	}
 	// The virtual clock measures elapsed time as observed by clients; it
 	// keeps running across rollbacks (the work spent re-executing and
 	// analysing is real time during which no requests complete).

@@ -38,34 +38,60 @@ type Event struct {
 	Data      []byte // request payload or output bytes
 }
 
-// Log is an append-only event log with a replay cursor.
+// Log is an append-only event log with a replay cursor. Positions in it —
+// the cursor, Len, and every index its methods take — are absolute: event i is
+// the i-th event ever appended, whatever has been discarded since. The log
+// retains the events from Base on; DiscardBefore moves Base forward as the
+// checkpoint ring drops the snapshots that could have replayed the prefix.
 type Log struct {
-	events []Event
+	events []Event // the retained suffix: events[i] is event base+i
+	base   int
 	cursor int // next event to consume during replay
 }
+
+// minLogCap is the capacity the event array starts from.
+const minLogCap = 64
 
 // NewLog returns an empty log.
 func NewLog() *Log { return &Log{} }
 
-// Append records an event during live execution.
-func (l *Log) Append(e Event) { l.events = append(l.events, e) }
+// Append records an event during live execution. A full array is replaced by
+// one twice the retained window, not twice the history: the discarded prefix
+// is left behind with the old array. (The array is never compacted in place,
+// because replay clones read it.)
+func (l *Log) Append(e Event) {
+	if len(l.events) == cap(l.events) {
+		grown := make([]Event, len(l.events), max(2*len(l.events), minLogCap))
+		copy(grown, l.events)
+		l.events = grown
+	}
+	l.events = append(l.events, e)
+}
 
-// Len returns the number of logged events.
-func (l *Log) Len() int { return len(l.events) }
+// Len returns the number of events logged so far, discarded ones included:
+// the index the next appended event will get.
+func (l *Log) Len() int { return l.base + len(l.events) }
+
+// Base returns the index of the oldest retained event.
+func (l *Log) Base() int { return l.base }
 
 // Cursor returns the current replay cursor.
 func (l *Log) Cursor() int { return l.cursor }
 
+// clamp brings an index into the retained window [Base, Len].
+func (l *Log) clamp(i int) int { return min(max(i, l.base), l.Len()) }
+
 // SetCursor positions the replay cursor (used by rollback, which rewinds the
 // cursor to the value captured at checkpoint time).
-func (l *Log) SetCursor(c int) {
-	if c < 0 {
-		c = 0
-	}
-	if c > len(l.events) {
-		c = len(l.events)
-	}
-	l.cursor = c
+func (l *Log) SetCursor(c int) { l.cursor = l.clamp(c) }
+
+// DiscardBefore drops every event before index n; indexes of the remaining
+// events do not change. A cursor left in the dropped prefix moves to n.
+func (l *Log) DiscardBefore(n int) {
+	n = l.clamp(n)
+	l.events = l.events[n-l.base:]
+	l.base = n
+	l.cursor = max(l.cursor, n)
 }
 
 // CloneForReplay returns an independent view of the log for a replay-only
@@ -73,9 +99,11 @@ func (l *Log) SetCursor(c int) {
 // shares the already-logged events read-only with the original (the capacity
 // is clamped, so an append to either side copies rather than overwriting the
 // shared tail); several clones may therefore replay concurrently from their
-// own goroutines while the original keeps appending live events.
+// own goroutines while the original keeps appending live events. A clone
+// keeps the window it was made with: discarding from the original afterwards
+// does not take events away from it.
 func (l *Log) CloneForReplay(cursor int) *Log {
-	nl := &Log{events: l.events[:len(l.events):len(l.events)]}
+	nl := &Log{events: l.events[:len(l.events):len(l.events)], base: l.base}
 	nl.SetCursor(cursor)
 	return nl
 }
@@ -84,24 +112,21 @@ func (l *Log) CloneForReplay(cursor int) *Log {
 // the replayed execution diverges permanently from the logged one (the
 // remaining log entries no longer describe the new execution).
 func (l *Log) TruncateAt(n int) {
-	if n < 0 {
-		n = 0
-	}
-	if n > len(l.events) {
+	if n > l.Len() {
 		return
 	}
-	l.events = l.events[:n]
-	if l.cursor > n {
-		l.cursor = n
-	}
+	n = l.clamp(n)
+	// The capacity goes with the tail: clones may still be reading it.
+	l.events = l.events[: n-l.base : n-l.base]
+	l.cursor = min(l.cursor, n)
 }
 
 // Next consumes and returns the next event of the given kind during replay,
 // skipping events of other kinds. It returns ok=false when the log is
 // exhausted (the replayed execution has caught up with live execution).
 func (l *Log) Next(kind EventKind) (Event, bool) {
-	for l.cursor < len(l.events) {
-		e := l.events[l.cursor]
+	for l.cursor < l.Len() {
+		e := l.events[l.cursor-l.base]
 		l.cursor++
 		if e.Kind == kind {
 			return e, true
@@ -112,9 +137,9 @@ func (l *Log) Next(kind EventKind) (Event, bool) {
 
 // Peek returns the next event of the given kind without consuming anything.
 func (l *Log) Peek(kind EventKind) (Event, bool) {
-	for i := l.cursor; i < len(l.events); i++ {
-		if l.events[i].Kind == kind {
-			return l.events[i], true
+	for _, e := range l.events[l.cursor-l.base:] {
+		if e.Kind == kind {
+			return e, true
 		}
 	}
 	return Event{}, false
@@ -125,8 +150,7 @@ func (l *Log) Peek(kind EventKind) (Event, bool) {
 // dropped requests scanned over. Recovery uses it to suspend a replay exactly
 // at the boundary before a chosen request.
 func (l *Log) PeekRequest(drop func(id int) bool) (Event, bool) {
-	for i := l.cursor; i < len(l.events); i++ {
-		e := l.events[i]
+	for _, e := range l.events[l.cursor-l.base:] {
 		if e.Kind != EventRequest {
 			continue
 		}
@@ -138,30 +162,20 @@ func (l *Log) PeekRequest(drop func(id int) bool) (Event, bool) {
 	return Event{}, false
 }
 
-// Events returns a copy of all logged events (for inspection and tests).
-func (l *Log) Events() []Event {
-	out := make([]Event, len(l.events))
-	copy(out, l.events)
-	return out
-}
+// Events returns a copy of the retained events, oldest first (for inspection
+// and tests): event Base and everything after it.
+func (l *Log) Events() []Event { return l.EventsSince(l.base) }
 
-// EventsSince returns a copy of the events logged at or after index n.
+// EventsSince returns a copy of the retained events logged at or after index n.
 func (l *Log) EventsSince(n int) []Event {
-	if n < 0 {
-		n = 0
-	}
-	if n > len(l.events) {
-		n = len(l.events)
-	}
-	out := make([]Event, len(l.events)-n)
-	copy(out, l.events[n:])
-	return out
+	return append([]Event{}, l.events[l.clamp(n)-l.base:]...)
 }
 
-// RequestsSince returns the IDs of requests delivered at or after event index n.
+// RequestsSince returns the IDs of the retained requests delivered at or after
+// event index n.
 func (l *Log) RequestsSince(n int) []int {
 	var ids []int
-	for _, e := range l.EventsSince(n) {
+	for _, e := range l.events[l.clamp(n)-l.base:] {
 		if e.Kind == EventRequest {
 			ids = append(ids, e.RequestID)
 		}
@@ -169,12 +183,28 @@ func (l *Log) RequestsSince(n int) []int {
 	return ids
 }
 
+// FindRequest returns the index and payload of the retained event that
+// delivered the given request. It walks the window newest first and copies
+// nothing: the payload is the log's own and must not be written to.
+func (l *Log) FindRequest(id int) (index int, payload []byte, ok bool) {
+	for i := len(l.events) - 1; i >= 0; i-- {
+		if e := &l.events[i]; e.Kind == EventRequest && e.RequestID == id {
+			return l.base + i, e.Data, true
+		}
+	}
+	return 0, nil, false
+}
+
 // OutputsFor returns the logged output bytes produced while serving the given
 // request, concatenated in order. The output-commit check compares replayed
 // outputs against these.
 func (l *Log) OutputsFor(requestID int) []byte {
+	at, _, ok := l.FindRequest(requestID)
+	if !ok {
+		return nil
+	}
 	var out []byte
-	for _, e := range l.events {
+	for _, e := range l.events[at-l.base:] {
 		if e.Kind == EventOutput && e.RequestID == requestID {
 			out = append(out, e.Data...)
 		}

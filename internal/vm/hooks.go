@@ -130,8 +130,9 @@ func (ts *toolSet) detach(name string) bool {
 }
 
 func (ts *toolSet) detachAll() {
-	ts.all = nil
-	ts.rebuild()
+	// Not rebuild: the emptied hook lists would keep the detached tools
+	// reachable from their arrays.
+	*ts = toolSet{}
 }
 
 func (ts *toolSet) find(name string) Tool {

@@ -346,6 +346,11 @@ func (s *MemSnapshot) flatten() map[uint32]*page {
 	for pn, p := range base {
 		flat[pn] = p
 	}
+	// built holds the pages this walk has itself reconstructed. Nothing else
+	// can reach them before s.flat is published, so a later link's patch to
+	// the same page goes into the page in place: a hot page costs one copy
+	// per flatten, not one per link of the chain.
+	var built map[uint32]*page
 	for i := len(chain) - 1; i >= 0; i-- {
 		c := chain[i]
 		for _, pn := range c.dels {
@@ -359,12 +364,20 @@ func (s *MemSnapshot) flatten() map[uint32]*page {
 			// (what flat holds at this point of the walk) with the captured
 			// dirty run applied on top. The result is frozen and private to
 			// this flatten, so it is safe to share from here on.
-			np := &page{}
-			if prev := flat[pr.pn]; prev != nil {
-				np.data = prev.data
+			np := flat[pr.pn]
+			if np == nil || built[pr.pn] != np {
+				prev := np
+				np = &page{}
+				if prev != nil {
+					np.data = prev.data
+				}
+				if built == nil {
+					built = make(map[uint32]*page)
+				}
+				built[pr.pn] = np
+				flat[pr.pn] = np
 			}
 			copy(np.data[pr.off:], pr.data)
-			flat[pr.pn] = np
 		}
 	}
 	s.flat = flat

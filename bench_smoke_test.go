@@ -4,19 +4,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
-	"sync"
 	"testing"
 
 	"sweeper/internal/epidemic"
-	"sweeper/internal/experiments"
 	"sweeper/internal/vm"
 )
-
-// smokeHotPathMicro caches one RunHotPathMicro result for the smoke
-// registry, so the snapshot and bulk-I/O entries share a single (heavyweight)
-// measurement run instead of booting and warming squid twice.
-var smokeHotPathMicro = sync.OnceValues(experiments.RunHotPathMicro)
 
 // benchOnce maps every benchmark in this package to a function executing one
 // iteration of its body — the -benchtime=1x equivalent. TestBenchmarkSmoke
@@ -41,14 +33,6 @@ var benchOnce = map[string]func(tb testing.TB){
 		freshNs, pooledNs := pooledVsFreshOnce(tb)
 		if freshNs <= 0 || pooledNs <= 0 {
 			tb.Fatalf("implausible clone setup times: fresh %v ns, pooled %v ns", freshNs, pooledNs)
-		}
-		// Since the shared relocated image landed, a fresh clone no longer
-		// relocates code or packs micro-ops, so the two paths are close
-		// enough that race-detector instrumentation (which inflates the
-		// pooled reset's map copies most) can invert the ordering; the
-		// ordering bar only holds on uninstrumented builds.
-		if !raceEnabled && pooledNs >= freshNs {
-			tb.Errorf("pooled clone setup (%.0f ns) not below fresh clone setup (%.0f ns)", pooledNs, freshNs)
 		}
 	},
 	"BenchmarkFigure4CheckpointInterval20ms":  func(tb testing.TB) { figure4Once(tb, 20) },
@@ -152,51 +136,33 @@ var benchOnce = map[string]func(tb testing.TB){
 		}
 	},
 	"BenchmarkSnapshotSubPageVsPage": func(tb testing.TB) {
-		r, err := experiments.RunSubPageMicro()
-		if err != nil {
-			tb.Fatal(err)
-		}
+		r := captureVolumeOnce(tb)
 		// The headline acceptance bar of the sub-page work: at least 2x fewer
 		// captured bytes on the scattered-small-write workload (measured:
-		// ~512x), and no regression for sequential full-page writers.
+		// 512x), and no regression for sequential full-page writers.
 		if r.ScatteredReductionX < 2 {
-			tb.Errorf("scattered-write capture reduction %.2fx, want >= 2x (%d captured vs %d page-granular)",
-				r.ScatteredReductionX, r.ScatteredCapturedBytes, r.ScatteredPageBytes)
+			tb.Errorf("scattered-write capture reduction %.2fx, want >= 2x", r.ScatteredReductionX)
 		}
 		if r.SequentialReductionX < 0.99 {
-			tb.Errorf("sequential-write capture regressed: %.3fx (%d captured vs %d page-granular)",
-				r.SequentialReductionX, r.SequentialCapturedBytes, r.SequentialPageBytes)
+			tb.Errorf("sequential-write capture regressed: %.3fx", r.SequentialReductionX)
 		}
 	},
 	"BenchmarkSnapshotAlternatingWriter": func(tb testing.TB) {
-		r, err := experiments.RunSubPageMicro()
-		if err != nil {
-			tb.Fatal(err)
-		}
 		// The bugfix bar: header+trailer writers used to blow the single
 		// watermark past the patch cutoff and freeze whole pages (reduction
 		// ~1x). Run-list tracking must keep capture sub-page — the same
-		// order as the scattered case (measured: ~256x).
-		if r.AlternatingReductionX < 2 {
-			tb.Errorf("alternating-end capture reduction %.2fx, want >= 2x — whole-page fallback (%d captured vs %d page-granular)",
-				r.AlternatingReductionX, r.AlternatingCapturedBytes, r.AlternatingPageBytes)
+		// order as the scattered case (measured: 256x).
+		if r := captureVolumeOnce(tb); r.AlternatingReductionX < 2 {
+			tb.Errorf("alternating-end capture reduction %.2fx, want >= 2x — whole-page fallback", r.AlternatingReductionX)
 		}
 	},
 	"BenchmarkSnapshotDirtyVsFullScan": func(tb testing.TB) {
-		r, err := smokeHotPathMicro()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if r.SteadySnapshotNs <= 0 || r.FullSnapshotNs <= 0 {
-			tb.Fatalf("implausible snapshot times: %+v", r)
-		}
-		// The headline acceptance bar of the incremental-checkpoint work is
-		// "steady-state checkpoints at least 5x cheaper than full scans on
-		// the Squid image". It is gated on what the two designs copy, which
-		// repeats exactly — a full scan copies every mapped page — and not on
-		// the measured time ratio, which a busy host compresses below the bar
-		// about one run in four.
+		// "Steady-state checkpoints at least 5x cheaper than full scans on
+		// the Squid image", gated on what the two designs copy, which repeats
+		// exactly — a full scan copies every mapped page. What a capture
+		// costs in time is bench/'s checkpoint.capture_*_us.
 		const bar = 5
+		r := captureVolumeOnce(tb)
 		if r.SteadyDirtyPages <= 0 || r.SteadyDirtyPages*bar > r.MappedPages {
 			tb.Errorf("steady checkpoint captured %d of %d pages; want a dirty delta at most 1/%d of the image",
 				r.SteadyDirtyPages, r.MappedPages, bar)
@@ -205,28 +171,11 @@ var benchOnce = map[string]func(tb testing.TB){
 			tb.Errorf("steady checkpoint copied %d bytes, a full scan %d; want at most 1/%d",
 				r.SteadyCapturedBytes, full, bar)
 		}
-		tb.Logf("steady-state snapshot %.1fx cheaper than full scan in time: steady %.0fns, full %.0fns",
-			r.SnapshotSpeedup, r.SteadySnapshotNs, r.FullSnapshotNs)
-	},
-	"BenchmarkBulkGuestMemoryIO": func(tb testing.TB) {
-		r, err := smokeHotPathMicro()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if r.BulkReadNsPerByte <= 0 || r.BulkWriteNsPerByte <= 0 {
-			tb.Fatalf("implausible bulk I/O times: %+v", r)
-		}
-		if r.BulkIOSpeedup < 2 {
-			tb.Errorf("bulk guest memory I/O only %.1fx faster than byte-at-a-time (want >= 2x)", r.BulkIOSpeedup)
-		}
 	},
 	"BenchmarkVSEFOverhead": func(tb testing.TB) { vsefOverheadOnce(tb) },
 	"BenchmarkVSEFWallClock": func(tb testing.TB) {
 		for size, c := range vsefWallClockOnce(tb, 200, 5) {
 			plain, probed := c[0], c[1]
-			if plain.wallNs <= 0 || probed.wallNs < plain.wallNs/2 {
-				tb.Errorf("%s: implausible ns/request: plain %.0f, probed %.0f", vsefSizes[size], plain.wallNs, probed.wallNs)
-			}
 			// The virtual clock is deterministic: probes only ever add cycles,
 			// and at CyclesPerProbe per hit an antibody costs well under half.
 			if probed.virtualCycles <= plain.virtualCycles || probed.virtualCycles > 1.5*plain.virtualCycles {
@@ -297,32 +246,5 @@ func TestBenchmarkRegistryComplete(t *testing.T) {
 		if !inSource[name] {
 			t.Errorf("benchOnce entry %s does not match any Benchmark function", name)
 		}
-	}
-}
-
-// TestParallelAnalysisIsFasterThanSequential guards the headline latency
-// claim behind the parallel engine: with the analyses running concurrently
-// on independent clones, the final antibody ships after max(membug, taint)
-// instead of their sum. The win requires actual parallel hardware, so the
-// assertion is skipped on single-CPU machines (where goroutines only
-// interleave), and each engine is timed best-of-3 to shed collector noise.
-func TestParallelAnalysisIsFasterThanSequential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison skipped in -short mode")
-	}
-	// Two CPUs are enough for membug∥taint in principle, but on small shared
-	// runners the ~10ms phase is within scheduler noise; require headroom.
-	if runtime.NumCPU() < 4 {
-		t.Skipf("timing comparison needs parallel hardware headroom; NumCPU=%d", runtime.NumCPU())
-	}
-	if _, err := experiments.RunDefense("squid", 8, 8, nil); err != nil {
-		t.Fatal(err) // warm-up
-	}
-	seq, par := engineComparisonOnce(t)
-	t.Logf("time to final antibody: sequential best %.2fms, parallel best %.2fms (totals %.2fms / %.2fms)",
-		seq.antibodySec*1e3, par.antibodySec*1e3, seq.totalSec*1e3, par.totalSec*1e3)
-	if par.antibodySec >= seq.antibodySec {
-		t.Errorf("parallel time-to-antibody (%.2fms) not below sequential (%.2fms)",
-			par.antibodySec*1e3, seq.antibodySec*1e3)
 	}
 }

@@ -490,71 +490,45 @@ func BenchmarkFigure5FleetThroughput(b *testing.B) {
 	b.ReportMetric(float64(attacks)/n, "attacks-handled")
 }
 
-// --- snapshot and bulk-I/O hot-path micro-benchmarks ---
+// --- checkpoint capture volume (counts; capture time is bench/'s) ---
+
+func captureVolumeOnce(tb testing.TB) *experiments.CaptureVolume {
+	r, err := experiments.MeasureCaptureVolume()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
+// benchmarkCaptureVolume reports counts, which do not vary by iteration: the
+// last one's are the benchmark's.
+func benchmarkCaptureVolume(b *testing.B, report func(r *experiments.CaptureVolume)) {
+	var r *experiments.CaptureVolume
+	for i := 0; i < b.N; i++ {
+		r = captureVolumeOnce(b)
+	}
+	report(r)
+}
 
 func BenchmarkSnapshotSubPageVsPage(b *testing.B) {
-	var scattered, sequential float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunSubPageMicro()
-		if err != nil {
-			b.Fatal(err)
-		}
-		scattered += r.ScatteredReductionX
-		sequential += r.SequentialReductionX
-	}
-	n := float64(b.N)
-	b.ReportMetric(scattered/n, "scattered-captured-byte-reduction-x")
-	b.ReportMetric(sequential/n, "sequential-captured-byte-reduction-x")
+	benchmarkCaptureVolume(b, func(r *experiments.CaptureVolume) {
+		b.ReportMetric(r.ScatteredReductionX, "scattered-captured-byte-reduction-x")
+		b.ReportMetric(r.SequentialReductionX, "sequential-captured-byte-reduction-x")
+	})
 }
 
 func BenchmarkSnapshotAlternatingWriter(b *testing.B) {
-	var alternating float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunSubPageMicro()
-		if err != nil {
-			b.Fatal(err)
-		}
-		alternating += r.AlternatingReductionX
-	}
-	b.ReportMetric(alternating/float64(b.N), "alternating-captured-byte-reduction-x")
+	benchmarkCaptureVolume(b, func(r *experiments.CaptureVolume) {
+		b.ReportMetric(r.AlternatingReductionX, "alternating-captured-byte-reduction-x")
+	})
 }
 
 func BenchmarkSnapshotDirtyVsFullScan(b *testing.B) {
-	var full, steady, speedup float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunHotPathMicro()
-		if err != nil {
-			b.Fatal(err)
-		}
-		full += r.FullSnapshotNs
-		steady += r.SteadySnapshotNs
-		speedup += r.SnapshotSpeedup
-	}
-	n := float64(b.N)
-	b.ReportMetric(full/n, "ns-per-full-scan-snapshot")
-	b.ReportMetric(steady/n, "ns-per-steady-snapshot")
-	b.ReportMetric(speedup/n, "steady-snapshot-speedup-x")
-}
-
-func BenchmarkBulkGuestMemoryIO(b *testing.B) {
-	var bulkR, byteR, bulkW, byteW, speedup float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunHotPathMicro()
-		if err != nil {
-			b.Fatal(err)
-		}
-		bulkR += r.BulkReadNsPerByte
-		byteR += r.ByteReadNsPerByte
-		bulkW += r.BulkWriteNsPerByte
-		byteW += r.ByteWriteNsPerByte
-		speedup += r.BulkIOSpeedup
-	}
-	n := float64(b.N)
-	b.ReportMetric(bulkR/n, "ns-per-byte-bulk-read")
-	b.ReportMetric(byteR/n, "ns-per-byte-bytewise-read")
-	b.ReportMetric(bulkW/n, "ns-per-byte-bulk-write")
-	b.ReportMetric(byteW/n, "ns-per-byte-bytewise-write")
-	b.ReportMetric(speedup/n, "bulk-io-speedup-x")
+	benchmarkCaptureVolume(b, func(r *experiments.CaptureVolume) {
+		b.ReportMetric(float64(r.MappedPages), "full-scan-pages")
+		b.ReportMetric(float64(r.SteadyDirtyPages), "steady-dirty-pages")
+		b.ReportMetric(float64(r.SteadyCapturedBytes), "steady-captured-bytes")
+	})
 }
 
 // --- §5.3: vulnerability monitoring (VSEF) and baseline overheads ---

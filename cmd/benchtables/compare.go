@@ -8,77 +8,52 @@ import (
 	"strings"
 )
 
-// Thresholds tier the regression comparison by how reproducible a metric is:
-// deterministic virtual-clock quantities (overhead percentages, virtual-ms
-// gaps, generator rates) are compared tightly, dimensionless speedup/
-// reduction ratios more loosely (they drift with host parallelism), and raw
-// wall-clock timings most loosely of all, since consecutive BENCH records
-// routinely come from different machines. Each class also carries an
-// absolute floor, so a 0.05%→0.09% overhead blip is not a "regression".
-type Thresholds struct {
-	Deterministic float64 // relative worsening tolerated for virtual-clock metrics
-	Ratio         float64 // relative drop tolerated for speedup/reduction ratios
-	Wall          float64 // relative worsening tolerated for wall-clock timings
-}
-
-type metricClass int
-
+// Every metric in a record is a virtual-clock quantity or a count, so it
+// repeats from run to run and from machine to machine; the tolerances are
+// there for legitimate changes to the defence pipeline, not for noise. Each
+// gated shape also carries an absolute floor, so a 0.05%→0.09% overhead blip
+// is not a "regression".
 const (
-	classInfo metricClass = iota // counts and sizes: reported, never a regression
-	classDeterministic
-	classRatio
-	classWall
+	deterministicTolerance = 0.20 // relative worsening tolerated for virtual-clock metrics
+	ratioTolerance         = 0.50 // relative drop tolerated for reduction ratios
 )
 
-// classify buckets a metric by name and says whether larger values are
-// better. Unknown shapes fall back to informational.
-func classify(name string) (class metricClass, higherBetter bool, floor float64) {
+// classify maps a metric name to the relative worsening it tolerates, whether
+// larger values are better, and its absolute floor. A zero tolerance means
+// informational — counts, sizes and unknown shapes: reported, never flagged.
+func classify(name string) (tolerance float64, higherBetter bool, floor float64) {
 	switch {
 	case strings.Contains(name, "_pages") || strings.HasSuffix(name, "_bytes") ||
 		strings.HasSuffix(name, "_count"):
-		return classInfo, false, 0
-	case strings.Contains(name, "speedup"):
-		// Speedups divide two wall-clock timings: the quotient inherits
-		// their machine-to-machine (and run-to-run) noise, so it gets the
-		// wall tolerance. Observed spread on one idle machine: ~2.5x.
-		return classWall, true, 0.5
+		return 0, false, 0
 	case strings.Contains(name, "reduction"):
 		// Reductions divide deterministic quantities (captured bytes,
-		// explored nodes): tight comparison is safe.
-		return classRatio, true, 0.5
+		// explored nodes).
+		return ratioTolerance, true, 0.5
 	case strings.Contains(name, "overhead_pct"):
-		return classDeterministic, false, 0.5 // percentage points
+		return deterministicTolerance, false, 0.5 // percentage points
 	case strings.Contains(name, "retained_pct"):
 		// Antibody retention across a crash is a durability guarantee: a
 		// drop of more than a point means the WAL or replay regressed.
-		return classDeterministic, true, 1 // percentage points
+		return deterministicTolerance, true, 1 // percentage points
 	case strings.Contains(name, "infected_pct"):
 		// Live epidemic outcomes are seeded-PRNG deterministic, but any code
 		// change to the defence pipeline legitimately moves them; gate only
 		// gross blow-ups (the community failing to contain the worm).
-		return classDeterministic, false, 10 // percentage points
-	case strings.Contains(name, "shared_fraction") || strings.Contains(name, "fraction"):
-		return classDeterministic, true, 0.05 // fractions of pages shared
+		return deterministicTolerance, false, 10 // percentage points
+	case strings.Contains(name, "fraction"):
+		return deterministicTolerance, true, 0.05 // fractions of pages shared
 	case strings.Contains(name, "virtual_ms"):
-		return classDeterministic, false, 10 // virtual milliseconds
+		return deterministicTolerance, false, 10 // virtual milliseconds
 	case strings.Contains(name, "req_per_s"):
-		return classDeterministic, true, 5 // requests per virtual second
-	case strings.HasSuffix(name, "_ns") || strings.HasSuffix(name, "_ms") ||
-		strings.Contains(name, "ns_per_byte"):
-		return classWall, false, 0
+		return deterministicTolerance, true, 5 // requests per virtual second
 	}
-	return classInfo, false, 0
+	return 0, false, 0
 }
-
-// minComparableWall skips wall metrics whose baseline is tiny (fractions of
-// a nanosecond per byte): at that scale a multiple is measurement noise, not
-// a regression.
-const minComparableWall = 0.5
 
 type comparison struct {
 	name       string
 	old, new   float64
-	class      metricClass
 	regression bool
 	note       string
 }
@@ -104,7 +79,7 @@ func loadBench(path string) (map[string]float64, error) {
 // flagged — but it is not allowed to shrink: a metric present in OLD and
 // missing from NEW means a benchmark was deleted (or silently stopped
 // reporting), and that fails the gate rather than vanishing from the table.
-func compareBench(oldPath, newPath string, th Thresholds) (int, error) {
+func compareBench(oldPath, newPath string) (int, error) {
 	oldM, err := loadBench(oldPath)
 	if err != nil {
 		return 0, err
@@ -133,32 +108,16 @@ func compareBench(oldPath, newPath string, th Thresholds) (int, error) {
 			})
 			continue
 		}
-		class, higherBetter, floor := classify(name)
-		c := comparison{name: name, old: oldV, new: newV, class: class}
-		var rel float64
-		switch class {
-		case classInfo:
+		rel, higherBetter, floor := classify(name)
+		c := comparison{name: name, old: oldV, new: newV}
+		switch {
+		case rel == 0:
 			c.note = "informational"
-		case classDeterministic:
-			rel = th.Deterministic
-		case classRatio:
-			rel = th.Ratio
-		case classWall:
-			rel = th.Wall
-			if oldV < minComparableWall {
-				c.note = "below comparable scale"
-				class = classInfo
-				c.class = classInfo
-			}
-		}
-		if class != classInfo && oldV > 0 {
-			var worsened float64 // absolute worsening in the metric's own units
+		case oldV > 0:
 			if higherBetter {
-				worsened = oldV - newV
-				c.regression = newV < oldV/(1+rel) && worsened > floor
+				c.regression = newV < oldV/(1+rel) && oldV-newV > floor
 			} else {
-				worsened = newV - oldV
-				c.regression = newV > oldV*(1+rel) && worsened > floor
+				c.regression = newV > oldV*(1+rel) && newV-oldV > floor
 			}
 			if c.regression {
 				regressions++

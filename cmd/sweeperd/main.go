@@ -10,8 +10,7 @@
 // offers -requests requests at -rate req/s of virtual time (idle gaps advance
 // the virtual clock, backlog builds when the guest falls behind), and
 // -attack-every injects an exploit variant into guest 0's stream every Nth
-// request. -stats-every prints per-guest offered/completed rates while the
-// workload runs.
+// request.
 //
 // With -listen and -peers, several sweeperd daemons federate their antibody
 // stores over HTTP+JSON: each daemon pushes what it publishes, polls what
@@ -28,7 +27,7 @@
 //	sweeperd -app apache1,cvs -benign 50 -variants 2
 //	sweeperd -app cvs -no-aslr -shadow-stack
 //	sweeperd -app squid -sequential
-//	sweeperd -app squid -rate 150 -requests 600 -attack-every 100 -stats-every 200ms
+//	sweeperd -app squid -rate 150 -requests 600 -attack-every 100
 //
 //	# a federated pair: a producer that gets attacked and a consumer that
 //	# only ever sees the antibody arrive over the wire
@@ -93,12 +92,10 @@ func main() {
 		shadowStack  = flag.Bool("shadow-stack", false, "enable the shadow-stack lightweight monitor")
 		sequential   = flag.Bool("sequential", false, "run the heavyweight analyses sequentially instead of in parallel")
 		analyses     = flag.String("analyses", "membug,taint,slicing", "comma-separated analyses to run after detection (registered: membug, taint, slicing)")
-		noPool       = flag.Bool("no-clone-pool", false, "build a fresh clone per analysis replay instead of reusing pooled shells")
 		showAntibody = flag.Bool("show-antibody", false, "print each final antibody as JSON")
 		rate         = flag.Float64("rate", 0, "per-guest open-loop workload rate in requests per virtual second; replaces the scripted benign+worm workload (0 = scripted)")
 		requests     = flag.Int("requests", 400, "with -rate: total requests each guest's generator offers")
 		attackEvery  = flag.Int("attack-every", 100, "with -rate: inject an exploit variant every Nth request of guest 0's stream (0 = benign only)")
-		statsEvery   = flag.Duration("stats-every", 0, "with -rate: print per-guest generator stats at this wall-clock period while the workload runs (0 = off)")
 		listen       = flag.String("listen", "", "serve the antibody store to federation peers on this address (e.g. 127.0.0.1:7070)")
 		peers        = flag.String("peers", "", "comma-separated federation peers to gossip antibodies with (host:port)")
 		verifyAdopt  = flag.Bool("verify-adopt", false, "replay each received antibody's exploit in a sandbox before adoption (default on when -listen or -peers is set)")
@@ -109,7 +106,6 @@ func main() {
 		perGuestPort = flag.Bool("per-guest-port", false, "with -tcp-listen: guest i listens on the base port plus i (required for more than one guest unless the base port is 0)")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060) for profiling the live daemon")
 		dataDir      = flag.String("data-dir", "", "persist the antibody store (write-ahead log + snapshot) and guest checkpoints under this directory; a restarted daemon replays the WAL and warm-restores its guests from it")
-		shards       = flag.Int("shards", 0, "antibody store shard count (0 = default)")
 	)
 	flag.Parse()
 	if *guests < 1 {
@@ -142,7 +138,7 @@ func main() {
 		fmt.Printf("sweeperd: pprof on http://%s/debug/pprof/\n", lis.Addr())
 	}
 
-	fleet := core.NewFleetWithOptions(core.FleetOptions{DataDir: *dataDir, Shards: *shards})
+	fleet := core.NewFleetWithOptions(core.FleetOptions{DataDir: *dataDir})
 	if *dataDir != "" {
 		if d := fleet.Durability(); d.Warnings > 0 {
 			fmt.Printf("sweeperd: WARNING: data directory %s unusable (%d warnings); running in-memory\n", *dataDir, d.Warnings)
@@ -169,7 +165,6 @@ func main() {
 			cfg.ShadowStack = *shadowStack
 			cfg.ParallelAnalysis = !*sequential
 			cfg.Analyses = selected
-			cfg.PoolClones = !*noPool
 			cfg.VerifyAdoption = verify
 			guestName := fmt.Sprintf("%s-%d", spec.Name, i)
 			if _, err := fleet.AddGuest(guestName, spec.Name, spec.Image, spec.Options, cfg); err != nil {
@@ -283,53 +278,6 @@ func main() {
 	fmt.Println()
 	fleet.Start()
 
-	// Periodic stats: with -rate, the per-guest generator counters; and for
-	// any guest with a TCP front end, the client-observed latency percentiles
-	// of each attack window — the delta between recorder snapshots taken at
-	// the stats ticks bracketing the tick(s) in which attacks were handled.
-	stopStats := make(chan struct{})
-	if *statsEvery > 0 {
-		go func() {
-			ticker := time.NewTicker(*statsEvery)
-			defer ticker.Stop()
-			type statsMark struct {
-				snap    *metrics.LatencySnapshot
-				attacks int
-			}
-			prev := make(map[string]statsMark)
-			for {
-				select {
-				case <-stopStats:
-					return
-				case <-ticker.C:
-					if *rate > 0 {
-						for _, st := range fleet.Metrics().All() {
-							fmt.Printf("loadgen: %-12s offered=%-4d (%.1f req/s) completed=%.1f req/s attacks-injected=%d handled=%d adopted=%d filtered=%d\n",
-								st.Guest, st.WorkloadOffered, st.OfferedReqPerSec, st.CompletedReqPerSec,
-								st.WorkloadAttacks, st.AttacksHandled, st.AntibodiesAdopted, st.FilteredInputs)
-						}
-					}
-					for _, g := range fleet.Guests() {
-						lat := g.FrontLatency()
-						if lat == nil {
-							continue
-						}
-						cur := statsMark{snap: lat.Snapshot(), attacks: len(g.Sweeper().Attacks())}
-						if p, ok := prev[g.Name()]; ok && cur.attacks > p.attacks {
-							if win := cur.snap.Delta(p.snap); win.Count() > 0 {
-								p50, p95, p99 := win.Percentiles()
-								fmt.Printf("attack-window: %-12s %d attack(s) handled, %d responses in window, client-observed p50=%v p95=%v p99=%v\n",
-									g.Name(), cur.attacks-p.attacks, win.Count(),
-									p50.Round(time.Microsecond), p95.Round(time.Microsecond), p99.Round(time.Microsecond))
-							}
-						}
-						prev[g.Name()] = cur
-					}
-				}
-			}
-		}()
-	}
-
 	if *rate > 0 {
 		fleet.Drain()
 	} else {
@@ -406,7 +354,6 @@ func main() {
 				guestName, accepted, !accepted)
 		}
 	}
-	close(stopStats)
 	fleet.Stop()
 
 	fmt.Printf("\n=== fleet metrics ===\n")

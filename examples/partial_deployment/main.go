@@ -54,9 +54,7 @@ func main() {
 
 	// --- Consumer host: lightweight runtime only (no analysis steps). ---
 	consumerCfg := core.DefaultConfig()
-	consumerCfg.EnableMemBug = false
-	consumerCfg.EnableTaint = false
-	consumerCfg.EnableSlicing = false
+	consumerCfg.Analyses = []string{}
 	consumerCfg.ASLRSeed = 777 // a different randomisation than the producer
 	consumer, err := core.New(spec.Name, spec.Image, spec.Options, consumerCfg)
 	if err != nil {

@@ -1,36 +1,6 @@
 package antibody
 
-import (
-	"hash/fnv"
-	"sort"
-	"sync"
-	"sync/atomic"
-)
-
-// DefaultShards is the shard count used by NewStore. Sharding by program
-// family keeps a fleet-wide publish storm from funnelling every publish
-// through one lock while preserving a single global publication order for
-// the federation `Since` cursor.
-const DefaultShards = 8
-
-// shardRec pairs a stored antibody with its global publication sequence
-// number. Per-shard record slices are naturally sorted by seq (records are
-// appended while holding the shard lock that assigned the seq), which lets
-// Since gather each shard's suffix with a binary search and merge by seq.
-type shardRec struct {
-	seq uint64
-	a   *Antibody
-}
-
-type storeShard struct {
-	mu   sync.Mutex
-	byID map[string]*Antibody
-	recs []shardRec
-	// byProgram indexes the antibodies by target program, in publication
-	// order, so the per-program lookup every joining guest performs stays
-	// O(matches) instead of rescanning a fleet-sized store.
-	byProgram map[string][]*Antibody
-}
+import "sync"
 
 // Store is a thread-safe, deduplicating registry of antibodies shared by a
 // fleet of protected guests. A guest that generates an antibody publishes it
@@ -39,79 +9,58 @@ type storeShard struct {
 // can inoculate all others — the paper's community-defence flow inside one
 // daemon.
 //
-// The store is sharded by program family. Each shard has its own mutex and
-// indexes; a global atomic sequence counter (assigned while holding the
-// shard lock) preserves a total publication order across shards so the
-// federation path's Since cursor keeps its exact pre-sharding semantics.
-//
-// Lock order: subsMu before any shard mutex, shard mutexes in index order,
-// walMu after all shard mutexes. Publish holds subsMu for read across both
-// the shard insert and the subscriber-list copy; Subscribe holds it for
-// write across the full-store snapshot and the subscriber append. That
+// One mutex guards everything but the WAL: the store's traffic is one
+// program and three publishes per attack. An antibody's publication sequence
+// number is its index in recs, which is the federation path's Since cursor.
+// Publish inserts and copies the subscriber list under the lock; Subscribe
+// appends itself and snapshots the store under the same lock. That
 // serialisation is what gives each subscriber every antibody exactly once.
+//
+// Lock order: mu, then walMu — and never both: mu is released before a WAL
+// append or a compaction takes walMu.
 type Store struct {
-	shards []*storeShard
-	seq    uint64 // next global sequence number; atomic, bumped under a shard lock
+	mu   sync.Mutex
+	recs []*Antibody // publication order
+	byID map[string]*Antibody
+	// byProgram indexes the antibodies by target program, in publication
+	// order, so the per-program lookup every joining guest performs stays
+	// O(matches) instead of rescanning a fleet-sized store.
+	byProgram map[string][]*Antibody
+	subs      []func(*Antibody)
 
-	subsMu sync.RWMutex
-	subs   []func(*Antibody)
-
-	// walMu serialises WAL appends (which may come from any shard) and
-	// compaction. It is always taken after shard locks are released.
+	// walMu serialises WAL appends and compaction.
 	walMu sync.Mutex
 	wal   *wal
 }
 
-// NewStore returns an empty store with the default shard count.
-func NewStore() *Store { return NewStoreSharded(DefaultShards) }
-
-// NewStoreSharded returns an empty store with the given shard count
-// (values below 1 fall back to DefaultShards).
-func NewStoreSharded(shards int) *Store {
-	if shards < 1 {
-		shards = DefaultShards
+// NewStore returns an empty in-memory store.
+func NewStore() *Store {
+	return &Store{
+		byID:      make(map[string]*Antibody),
+		byProgram: make(map[string][]*Antibody),
 	}
-	st := &Store{shards: make([]*storeShard, shards)}
-	for i := range st.shards {
-		st.shards[i] = &storeShard{
-			byID:      make(map[string]*Antibody),
-			byProgram: make(map[string][]*Antibody),
-		}
-	}
-	return st
-}
-
-// Shards returns the store's shard count.
-func (st *Store) Shards() int { return len(st.shards) }
-
-func (st *Store) shard(program string) *storeShard {
-	h := fnv.New32a()
-	h.Write([]byte(program))
-	return st.shards[h.Sum32()%uint32(len(st.shards))]
 }
 
 // Publish adds the antibody to the store and notifies subscribers. It
 // reports whether the antibody was new; an already-known ID is ignored, so
 // guests may republish received antibodies without causing loops.
 func (st *Store) Publish(a *Antibody) bool {
-	st.subsMu.RLock()
-	sh := st.shard(a.Program)
-	sh.mu.Lock()
-	if _, dup := sh.byID[a.ID]; dup {
-		sh.mu.Unlock()
-		st.subsMu.RUnlock()
+	st.mu.Lock()
+	if _, dup := st.byID[a.ID]; dup {
+		st.mu.Unlock()
 		return false
 	}
-	seq := atomic.AddUint64(&st.seq, 1) - 1
-	sh.byID[a.ID] = a
-	sh.recs = append(sh.recs, shardRec{seq: seq, a: a})
-	sh.byProgram[a.Program] = append(sh.byProgram[a.Program], a)
-	sh.mu.Unlock()
-	var subs []func(*Antibody)
-	subs = append(subs, st.subs...)
-	st.subsMu.RUnlock()
-	st.walAppend(seq, a)
-	// Notify outside the locks so subscribers may publish or query freely.
+	seq := len(st.recs)
+	st.byID[a.ID] = a
+	st.recs = append(st.recs, a)
+	st.byProgram[a.Program] = append(st.byProgram[a.Program], a)
+	// subs and recs only ever grow by append, so the elements below len are
+	// never written again and a slice header taken under the lock can be
+	// read after the unlock.
+	subs := st.subs
+	st.mu.Unlock()
+	st.walAppend(uint64(seq), a)
+	// Notify outside the lock so subscribers may publish or query freely.
 	for _, fn := range subs {
 		fn(a)
 	}
@@ -122,10 +71,10 @@ func (st *Store) Publish(a *Antibody) bool {
 // antibody, and immediately replays every antibody already stored (so a
 // late-joining guest is inoculated against everything the fleet has learned).
 func (st *Store) Subscribe(fn func(*Antibody)) {
-	st.subsMu.Lock()
+	st.mu.Lock()
 	st.subs = append(st.subs, fn)
-	replay, _ := st.snapshotSince(0)
-	st.subsMu.Unlock()
+	replay := st.recs
+	st.mu.Unlock()
 	for _, a := range replay {
 		fn(a)
 	}
@@ -133,20 +82,15 @@ func (st *Store) Subscribe(fn func(*Antibody)) {
 
 // Get returns the stored antibody with the given ID.
 func (st *Store) Get(id string) (*Antibody, bool) {
-	for _, sh := range st.shards {
-		sh.mu.Lock()
-		a, ok := sh.byID[id]
-		sh.mu.Unlock()
-		if ok {
-			return a, true
-		}
-	}
-	return nil, false
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	a, ok := st.byID[id]
+	return a, ok
 }
 
 // All returns every stored antibody in publication order.
 func (st *Store) All() []*Antibody {
-	out, _ := st.snapshotSince(0)
+	out, _ := st.Since(0)
 	return out
 }
 
@@ -154,70 +98,30 @@ func (st *Store) All() []*Antibody {
 // cursor, plus the cursor to pass next time. A federated peer polls with the
 // returned cursor to stream the store incrementally: Since(0) is the
 // full-store replay a joining peer performs, and an up-to-date peer gets an
-// empty slice back.
+// empty slice back. A cursor outside the store clamps to its nearer end.
 func (st *Store) Since(cursor int) ([]*Antibody, int) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	total := len(st.recs)
 	if cursor < 0 {
 		cursor = 0
-	}
-	return st.snapshotSince(uint64(cursor))
-}
-
-// snapshotSince locks every shard, reads the global sequence counter, and
-// merges each shard's records with seq >= cursor into global publication
-// order. Holding all shard locks guarantees no sequence number has been
-// assigned without its record being visible (both happen under the same
-// shard lock), so the returned cursor is always consistent.
-func (st *Store) snapshotSince(cursor uint64) ([]*Antibody, int) {
-	for _, sh := range st.shards {
-		sh.mu.Lock()
-	}
-	total := atomic.LoadUint64(&st.seq)
-	if cursor > total {
+	} else if cursor > total {
 		cursor = total
 	}
-	merged := make([]shardRec, 0, total-cursor)
-	for _, sh := range st.shards {
-		// recs is sorted by seq; binary search for the suffix >= cursor.
-		lo, hi := 0, len(sh.recs)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if sh.recs[mid].seq < cursor {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		merged = append(merged, sh.recs[lo:]...)
-	}
-	for _, sh := range st.shards {
-		sh.mu.Unlock()
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].seq < merged[j].seq })
-	out := make([]*Antibody, len(merged))
-	for i, r := range merged {
-		out[i] = r.a
-	}
-	return out, int(total)
+	return append(make([]*Antibody, 0, total-cursor), st.recs[cursor:]...), total
 }
 
 // ForProgram returns every stored antibody generated for the given program,
-// in publication order. The per-program index maintained by Publish makes
-// this O(matches) regardless of how many programs share the store.
+// in publication order.
 func (st *Store) ForProgram(program string) []*Antibody {
-	sh := st.shard(program)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return append([]*Antibody(nil), sh.byProgram[program]...)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return append([]*Antibody(nil), st.byProgram[program]...)
 }
 
 // Len returns the number of stored antibodies.
 func (st *Store) Len() int {
-	for _, sh := range st.shards {
-		sh.mu.Lock()
-	}
-	n := atomic.LoadUint64(&st.seq)
-	for _, sh := range st.shards {
-		sh.mu.Unlock()
-	}
-	return int(n)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return len(st.recs)
 }

@@ -217,9 +217,32 @@ func TestStoreConcurrentPublishers(t *testing.T) {
 			}
 		}(p)
 	}
+	// A federation peer pages through the store with Since while the
+	// publishers run: the pages, concatenated, must be the store in
+	// publication order — no antibody skipped, repeated or reordered.
+	var paged []*Antibody
+	pagerDone := make(chan struct{})
+	go func() {
+		defer close(pagerDone)
+		for cursor := 0; cursor < publishers*each; {
+			var page []*Antibody
+			page, cursor = st.Since(cursor)
+			paged = append(paged, page...)
+		}
+	}()
 	wg.Wait()
+	<-pagerDone
 	if st.Len() != publishers*each {
 		t.Fatalf("store holds %d antibodies, want %d", st.Len(), publishers*each)
+	}
+	all := st.All()
+	if len(paged) != len(all) {
+		t.Fatalf("Since pages hold %d antibodies, All() %d", len(paged), len(all))
+	}
+	for i := range all {
+		if paged[i] != all[i] {
+			t.Fatalf("Since pages diverge from All() at %d: %s vs %s", i, paged[i].ID, all[i].ID)
+		}
 	}
 	count := 0
 	notified.Range(func(_, _ any) bool { count++; return true })

@@ -196,15 +196,25 @@ func FromTaint(name string, program string, t *taint.Tracker) *VSEF {
 
 // Applied is a handle to a VSEF installed on a process; Remove uninstalls it.
 type Applied struct {
-	name string
-	p    *proc.Process
+	p *proc.Process
+	// probe is the VSEF's one probe instance and sites the instructions it
+	// is registered on.
+	probe vm.Probe
+	sites []int
 	// extraTools lists full tools (not probes) attached for this VSEF.
 	extraTools []string
 }
 
-// Remove uninstalls the VSEF's probes and tools.
+// Remove uninstalls what this handle installed and nothing else. The stages
+// of one attack's antibody share VSEFs by name (initial ⊂ refined ⊂ final)
+// and a stage is replaced by applying its successor first, so at the moment
+// of removal a second registration stands under each shared name: probes are
+// removed by identity, and a tool by name, which detaches the oldest holder
+// of the name — this handle's.
 func (a *Applied) Remove() {
-	a.p.Machine.RemoveProbes(a.name)
+	for _, idx := range a.sites {
+		a.p.Machine.RemoveProbe(idx, a.probe)
+	}
 	for _, t := range a.extraTools {
 		a.p.Machine.DetachTool(t)
 	}
@@ -214,60 +224,42 @@ func (a *Applied) Remove() {
 // guards, a lightweight input hook). The returned handle removes it again.
 func (v *VSEF) Apply(p *proc.Process) (*Applied, error) {
 	m := p.Machine
-	applied := &Applied{name: v.Name, p: p}
+	applied := &Applied{p: p}
+	sites := []int{v.InstrIdx}
 	switch v.Kind {
 	case VSEFReturnGuard:
 		entry, rets, err := functionSites(m, v.FuncSym)
 		if err != nil {
 			return nil, err
 		}
-		probe := &returnGuardProbe{name: v.Name, vsef: v}
-		if err := m.AddProbe(entry, probe); err != nil {
-			return nil, err
-		}
-		for _, r := range rets {
-			if err := m.AddProbe(r, probe); err != nil {
-				return nil, err
-			}
-		}
+		applied.probe = &returnGuardProbe{name: v.Name, vsef: v}
+		sites = append([]int{entry}, rets...)
 	case VSEFHeapBounds:
-		probe := &heapBoundsProbe{name: v.Name, vsef: v, alloc: p.Alloc}
-		if err := m.AddProbe(v.InstrIdx, probe); err != nil {
-			return nil, err
-		}
+		applied.probe = &heapBoundsProbe{name: v.Name, vsef: v, alloc: p.Alloc}
 	case VSEFStackStore:
-		probe := &stackStoreProbe{name: v.Name, vsef: v}
-		if err := m.AddProbe(v.InstrIdx, probe); err != nil {
-			return nil, err
-		}
+		applied.probe = &stackStoreProbe{name: v.Name, vsef: v}
 	case VSEFDoubleFree:
-		probe := &doubleFreeProbe{name: v.Name, vsef: v, alloc: p.Alloc}
-		if err := m.AddProbe(v.InstrIdx, probe); err != nil {
-			return nil, err
-		}
+		applied.probe = &doubleFreeProbe{name: v.Name, vsef: v, alloc: p.Alloc}
 	case VSEFFreeGuard:
-		probe := &freeGuardProbe{name: v.Name, vsef: v, alloc: p.Alloc}
-		if err := m.AddProbe(v.InstrIdx, probe); err != nil {
-			return nil, err
-		}
+		applied.probe = &freeGuardProbe{name: v.Name, vsef: v, alloc: p.Alloc}
 	case VSEFNullCheck:
-		probe := &nullCheckProbe{name: v.Name, vsef: v}
-		if err := m.AddProbe(v.InstrIdx, probe); err != nil {
-			return nil, err
-		}
+		applied.probe = &nullCheckProbe{name: v.Name, vsef: v}
 	case VSEFTaint:
 		tracker := taint.NewRestricted(v.Name+".tracker", v.TaintInstrs, true)
-		probe := &taintProbe{name: v.Name, tracker: tracker}
-		for _, idx := range v.TaintInstrs {
-			if err := m.AddProbe(idx, probe); err != nil {
-				return nil, err
-			}
-		}
+		applied.probe = &taintProbe{name: v.Name, tracker: tracker}
+		sites = v.TaintInstrs
 		src := &taintSource{name: v.Name + ".source", tracker: tracker}
 		m.AttachTool(src)
 		applied.extraTools = append(applied.extraTools, src.Name())
 	default:
 		return nil, fmt.Errorf("antibody: unknown VSEF kind %q", v.Kind)
+	}
+	for _, idx := range sites {
+		if err := m.AddProbe(idx, applied.probe); err != nil {
+			applied.Remove()
+			return nil, err
+		}
+		applied.sites = append(applied.sites, idx)
 	}
 	return applied, nil
 }

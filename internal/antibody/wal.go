@@ -19,9 +19,10 @@ import (
 //	wal.log       — append-only log of publishes since the last compaction.
 //	                Each record is framed [4B BE payload len][4B BE IEEE
 //	                CRC32 of payload][payload]; the payload is a JSON
-//	                walRecord carrying the publication seq so that records
-//	                appended concurrently from different shards can be
-//	                replayed in global publication order.
+//	                walRecord carrying the publication seq: a publish
+//	                appends after it has released the store lock, so two
+//	                records can reach the log out of order, and replay
+//	                sorts by seq to restore publication order.
 //
 // On open, a torn final record (short frame or CRC mismatch — the tail a
 // crash mid-append leaves behind) is truncated away; everything before it
@@ -36,8 +37,6 @@ const (
 
 // DurableOptions configures OpenDurable. Zero values get defaults.
 type DurableOptions struct {
-	// Shards is the store shard count (default DefaultShards).
-	Shards int
 	// CompactEvery triggers snapshot compaction after this many WAL
 	// appends (default 256). Compaction rewrites snapshot.json with the
 	// full store and truncates the log.
@@ -68,7 +67,7 @@ type wal struct {
 }
 
 // OpenDurable opens (creating if necessary) a durable store rooted at dir.
-// It replays the snapshot and WAL into a fresh sharded store, truncating a
+// It replays the snapshot and WAL into a fresh store, truncating a
 // torn WAL tail, then compacts immediately so the log restarts empty with
 // sequence numbers consistent with the rebuilt in-memory order. The replay
 // preserves publication order, so federation Since cursors held by peers
@@ -80,7 +79,7 @@ func OpenDurable(dir string, opts DurableOptions) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("antibody: durable store: %w", err)
 	}
-	st := NewStoreSharded(opts.Shards)
+	st := NewStore()
 
 	// Replay snapshot first (already in publication order)…
 	snapPath := filepath.Join(dir, snapshotFileName)
@@ -174,7 +173,7 @@ func readWALRecords(f *os.File) ([]walRecord, int64, error) {
 }
 
 // walAppend durably records a publish. Called by Publish after the
-// in-memory insert, outside shard locks; a no-op for in-memory stores.
+// in-memory insert, outside the store lock; a no-op for in-memory stores.
 // Append errors are counted, not fatal: losing durability must never take
 // down the serving path.
 func (st *Store) walAppend(seq uint64, a *Antibody) {
@@ -205,8 +204,8 @@ func (st *Store) walAppend(seq uint64, a *Antibody) {
 }
 
 // compactLocked rewrites snapshot.json from the full in-memory store and
-// truncates the WAL. Caller holds walMu (shard locks are NOT held — All
-// takes them itself). A publish racing with compaction may land in both the
+// truncates the WAL. Caller holds walMu (and not the store lock — All takes
+// it itself). A publish racing with compaction may land in both the
 // snapshot and a later WAL append; load-time dedup absorbs the duplicate,
 // and nothing is ever lost because the in-memory insert happens before the
 // WAL append.

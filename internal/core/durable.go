@@ -19,9 +19,6 @@ type FleetOptions struct {
 	//
 	// Empty means fully in-memory, the NewFleet default.
 	DataDir string
-	// Shards is the antibody store shard count (default
-	// antibody.DefaultShards).
-	Shards int
 	// CompactEvery is the WAL compaction threshold (default 256 appends).
 	CompactEvery int
 }
@@ -52,16 +49,15 @@ func NewFleetWithOptions(opts FleetOptions) *Fleet {
 		guests: make(map[string]*Guest),
 	}
 	if opts.DataDir == "" {
-		f.store = antibody.NewStoreSharded(opts.Shards)
+		f.store = antibody.NewStore()
 	} else {
 		f.dataDir = opts.DataDir
 		st, err := antibody.OpenDurable(filepath.Join(opts.DataDir, "antibodies"), antibody.DurableOptions{
-			Shards:       opts.Shards,
 			CompactEvery: opts.CompactEvery,
 		})
 		if err != nil {
 			f.durability.Warnings++
-			st = antibody.NewStoreSharded(opts.Shards)
+			st = antibody.NewStore()
 		}
 		f.store = st
 		ds, err := checkpoint.OpenDiskStore(filepath.Join(opts.DataDir, "checkpoints"))

@@ -5,8 +5,10 @@ import (
 	"sync"
 	"testing"
 
+	"sweeper/internal/antibody"
 	"sweeper/internal/apps"
 	"sweeper/internal/exploit"
+	"sweeper/internal/monitor"
 )
 
 func newFleetWith(t *testing.T, appName string, guests int) (*Fleet, *apps.Spec) {
@@ -275,5 +277,81 @@ func TestFleetConcurrentAttacksRaceStress(t *testing.T) {
 		if !found {
 			t.Errorf("store antibody %s has unexpected program %q", a.ID, a.Program)
 		}
+	}
+}
+
+// TestStagedAdoptionKeepsSharedVSEFs: the stages of one attack's antibody
+// share VSEFs by name (initial ⊂ refined ⊂ final), and a guest replaces a
+// stage by applying its successor and then removing it. A guest that adopted
+// initial → refined → final must end up carrying exactly what a guest that
+// adopted the final stage alone carries, and its VSEFs — not just the exact
+// signature — must still stop a polymorphic variant.
+func TestStagedAdoptionKeepsSharedVSEFs(t *testing.T) {
+	for _, appName := range []string{"apache1", "apache2", "cvs", "squid"} {
+		t.Run(appName, func(t *testing.T) {
+			spec, err := apps.ByName(appName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := exploit.ExploitVariant(spec, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			variant, err := exploit.ExploitVariant(spec, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			producer, err := New(spec.Name, spec.Image, spec.Options, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			producer.Submit(first, "worm", true)
+			if _, err := producer.ServeAll(); err != nil {
+				t.Fatal(err)
+			}
+			producer.WaitAnalyses()
+			report := producer.Attacks()[0]
+			stages := []*antibody.Antibody{report.InitialAntibody, report.RefinedAntibody, report.FinalAntibody}
+			final := report.FinalAntibody
+			if final == nil {
+				t.Fatal("no final antibody")
+			}
+
+			adopting := func(abs ...*antibody.Antibody) (*Fleet, *Guest) {
+				f, _ := newFleetWith(t, appName, 1)
+				f.Start()
+				t.Cleanup(f.Stop)
+				for _, a := range abs {
+					if a != nil {
+						f.Store().Publish(a)
+						f.Drain()
+					}
+				}
+				g, _ := f.Guest(appName + "-0")
+				return f, g
+			}
+			f, staged := adopting(stages...)
+			_, direct := adopting(final)
+			sm, dm := staged.Sweeper().Process().Machine, direct.Sweeper().Process().Machine
+			if sm.ProbeCount() == 0 || sm.ProbeCount() != dm.ProbeCount() {
+				t.Errorf("staged adoption left %d probes, the final stage alone installs %d", sm.ProbeCount(), dm.ProbeCount())
+			}
+			if got, want := fmt.Sprint(sm.Tools()), fmt.Sprint(dm.Tools()); got != want {
+				t.Errorf("staged adoption left tools %s, the final stage alone %s", got, want)
+			}
+
+			name := appName + "-0"
+			if !f.Submit(name, variant, "worm", true) {
+				t.Fatal("variant was filtered by the exact signature; test is vacuous")
+			}
+			f.Drain()
+			attacks := staged.Sweeper().Attacks()
+			if len(attacks) != 1 || !attacks[0].Recovered {
+				t.Fatalf("variant on the staged guest: %d attacks handled", len(attacks))
+			}
+			if det := attacks[0].Detection; det.Source != monitor.SourceViolation {
+				t.Errorf("variant was caught by %q, want an adopted VSEF's violation", det.Reason)
+			}
+		})
 	}
 }

@@ -222,3 +222,41 @@ func TestFrontEndConcurrentClientsDuringAttack(t *testing.T) {
 		t.Errorf("latency recorder saw %d responses, want %d", got, clients*perClient+1)
 	}
 }
+
+// TestFrontEndStopFlushesWithClientConnected: a daemon told to stop while a
+// client still holds its connection open must hang up on the client, not wait
+// for it — the final checkpoint persist and the WAL fsync sit behind the
+// listener's Close. The next generation restarting warm is the proof that the
+// flush was reached.
+func TestFrontEndStopFlushesWithClientConnected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("socket test: run without -short")
+	}
+	dir := t.TempDir()
+	f, _ := newDurableFleetWith(t, dir, "cvs", 1)
+	g, _ := f.Guest("cvs-0")
+	if err := g.AttachListener("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	c, err := netproxy.Dial(g.ListenAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close() // after Stop: the connection is open, and idle, throughout
+	if status, _, err := c.Do(exploit.Benign("cvs", 0)); err != nil || status != netproxy.StatusOK {
+		t.Fatalf("benign request: status %s, err %v", netproxy.StatusName(status), err)
+	}
+	stopped := make(chan struct{})
+	go func() { f.Stop(); close(stopped) }()
+	select {
+	case <-stopped:
+	case <-time.After(time.Second):
+		t.Fatal("Fleet.Stop still blocked after 1 s with an idle client connected")
+	}
+	f2, _ := newDurableFleetWith(t, dir, "cvs", 1)
+	defer f2.Stop()
+	if d := f2.Durability(); d.WarmRestarts != 1 || d.Warnings != 0 {
+		t.Errorf("restart after Stop: %+v, want one warm restart from the flushed checkpoint", d)
+	}
+}

@@ -44,35 +44,16 @@ func stepNameFor(analyzer string) string {
 // buildAnalyzers resolves the configuration into the analyzer set this
 // Sweeper runs per attack, plus the registry they came from (so per-analyzer
 // replay budgets are read live — a SetBudget after construction takes effect
-// on the next attack). With cfg.Analyses set the listed names are
-// authoritative; otherwise every registered analyzer runs, with the builtin
-// three individually gated by the Enable* switches.
+// on the next attack): the names cfg.Analyses lists, or every registered
+// analyzer when it is nil.
 func buildAnalyzers(cfg Config) ([]analysis.Analyzer, *analysis.Registry, error) {
 	reg := cfg.Registry
 	if reg == nil {
 		reg = DefaultRegistry()
 	}
-	var names []string
-	if cfg.Analyses != nil {
-		names = cfg.Analyses
-	} else {
-		for _, n := range reg.Names() {
-			switch n {
-			case membug.AnalyzerName:
-				if !cfg.EnableMemBug {
-					continue
-				}
-			case taint.AnalyzerName:
-				if !cfg.EnableTaint {
-					continue
-				}
-			case slicing.AnalyzerName:
-				if !cfg.EnableSlicing {
-					continue
-				}
-			}
-			names = append(names, n)
-		}
+	names := cfg.Analyses
+	if names == nil {
+		names = reg.Names()
 	}
 	out := make([]analysis.Analyzer, 0, len(names))
 	seen := make(map[string]bool, len(names))

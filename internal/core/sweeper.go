@@ -47,17 +47,9 @@ type Config struct {
 	// slicing. Custom analyzers are made available by registering them here.
 	Registry *analysis.Registry
 	// Analyses selects, by name, which registered analyzers run after an
-	// attack is detected. Nil means every registered analyzer, subject to
-	// the Enable* switches below; an empty non-nil slice disables the
-	// heavyweight analyses entirely. When set, it is authoritative (the
-	// Enable* switches are ignored).
+	// attack is detected. Nil means every registered analyzer; an empty
+	// non-nil slice disables the heavyweight analyses entirely.
 	Analyses []string
-
-	// EnableMemBug, EnableTaint and EnableSlicing gate the three builtin
-	// analyzers when Analyses is nil. All default to true.
-	EnableMemBug  bool
-	EnableTaint   bool
-	EnableSlicing bool
 
 	// ParallelAnalysis runs the fast-tier analyzers concurrently, each
 	// replaying the attack window on its own copy-on-write clone of the
@@ -66,35 +58,21 @@ type Config struct {
 	// antibodies.
 	ParallelAnalysis bool
 
-	// PoolClones serves analysis, isolation and verification sandboxes from
-	// a pool of reusable clone shells (reset to the requested checkpoint)
-	// instead of building a fresh Machine and page-map copy per replay.
-	// Defaults to true in DefaultConfig; pooled and fresh replays are
-	// byte-for-byte identical, so this is purely a setup-cost knob.
-	PoolClones bool
-
 	// AlwaysOnTaint attaches full dynamic taint analysis during normal
 	// execution (the TaintCheck/Vigilante-style baseline Sweeper argues
 	// against); used only for overhead comparisons.
 	AlwaysOnTaint bool
 
-	// RegenerateOnVerify makes the verification sandbox re-run the fast
-	// analysis tier against a reproduced exploit, regenerating the
-	// memory-bug/taint evidence locally (VerifyDecision.Regenerated) instead
-	// of trusting only "a violation reproduced". It costs one snapshot of the
-	// sandbox per verification plus one fast-tier replay per reproduction;
-	// disable it for adoption-rate-bound fleets that only need the
-	// reproduction check. Default on (DefaultConfig).
-	RegenerateOnVerify bool
-
 	// VerifyAdoption makes the guest re-verify every antibody it did not
 	// generate itself before adopting it: the antibody's attached exploit
 	// input is replayed on a copy-on-write clone of the latest checkpoint and
 	// the antibody is rejected unless the replay reproduces a detectable
-	// violation. This is the paper's community-defence trust boundary —
-	// antibodies from federated peers are untrusted by default — so sweeperd
-	// enables it whenever it peers with other daemons. Off by default: guests
-	// inside one daemon share a trust domain.
+	// violation; with a fast-tier analyzer configured, the reproduction is
+	// re-analysed and the evidence regenerated locally
+	// (VerifyDecision.Regenerated). This is the paper's community-defence
+	// trust boundary — antibodies from federated peers are untrusted by
+	// default — so sweeperd enables it whenever it peers with other daemons.
+	// Off by default: guests inside one daemon share a trust domain.
 	VerifyAdoption bool
 
 	// PipelinedRecovery overlaps recovery with analysis: the benign history
@@ -116,8 +94,6 @@ type Config struct {
 	// entry registered with its own budget (analysis.Registry.
 	// RegisterBudgeted) overrides it for that analyzer only.
 	ReplayBudget uint64
-	// ServeBudget bounds each slice of normal execution, in instructions.
-	ServeBudget uint64
 
 	// DeferredQueueDepth bounds the per-Sweeper queue of deferred-tier
 	// pipeline runs. Deferred analyses of distinct attacks complete on one
@@ -137,9 +113,6 @@ type Config struct {
 	// Default true (DefaultConfig).
 	ProduceAntibodies bool
 
-	// RandSeed seeds the guest-visible RNG.
-	RandSeed uint32
-
 	// InstanceID distinguishes this Sweeper instance when several protect
 	// guests of the same program (a fleet): it prefixes generated antibody
 	// IDs so antibodies from different guests never collide in a shared
@@ -156,16 +129,10 @@ func DefaultConfig() Config {
 		MaxCheckpoints:       20,
 		ASLR:                 true,
 		ASLRSeed:             0x5eed,
-		EnableMemBug:         true,
-		EnableTaint:          true,
-		EnableSlicing:        true,
 		ParallelAnalysis:     true,
-		PoolClones:           true,
-		RegenerateOnVerify:   true,
 		PipelinedRecovery:    true,
 		ProduceAntibodies:    true,
 		ReplayBudget:         200_000_000,
-		ServeBudget:          0,
 		DeferredQueueDepth:   16,
 	}
 }
@@ -199,10 +166,6 @@ type Sweeper struct {
 	deferredWorking bool
 	deferredDepth   atomic.Int32
 	deferredDropped atomic.Int64
-	// unpooledSandboxes counts sandboxes built with PoolClones off, so
-	// ClonePoolStats stays truthful in pooled-vs-fresh comparisons. Atomic:
-	// isolation workers build sandboxes concurrently.
-	unpooledSandboxes atomic.Int64
 
 	antibodies []*antibody.Antibody
 	applied    []*antibody.AppliedAntibody
@@ -251,9 +214,6 @@ func New(name string, prog *vm.Program, procOpts proc.Options, cfg Config) (*Swe
 	layout := vm.DefaultLayout()
 	if cfg.ASLR {
 		layout = monitor.RandomizedLayout(monitor.RandomizeOptions{Seed: cfg.ASLRSeed})
-	}
-	if procOpts.RandSeed == 0 {
-		procOpts.RandSeed = cfg.RandSeed
 	}
 	proxy := netproxy.New()
 	p, err := proc.New(name, prog, layout, proxy, procOpts)
@@ -333,13 +293,8 @@ func (s *Sweeper) AnalyzerLatencies() []metrics.AnalyzerLatency {
 }
 
 // ClonePoolStats reports how many analysis sandboxes were freshly built
-// (pooled misses plus, with PoolClones off, every fresh clone) and how many
-// were served by resetting a pooled shell.
-func (s *Sweeper) ClonePoolStats() (created, reused int) {
-	created, reused = s.pool.Stats()
-	created += int(s.unpooledSandboxes.Load())
-	return created, reused
-}
+// (pool misses) and how many were served by resetting a pooled shell.
+func (s *Sweeper) ClonePoolStats() (created, reused int) { return s.pool.Stats() }
 
 // Completions returns the request-completion recorder (throughput series).
 func (s *Sweeper) Completions() *metrics.CompletionRecorder { return s.completions }
@@ -357,27 +312,18 @@ func (s *Sweeper) budgetFor(analyzer string) uint64 {
 	return s.cfg.ReplayBudget
 }
 
-// sandbox builds a replay sandbox positioned at the given snapshot — from
-// the clone pool when cfg.PoolClones is set, as a fresh Process.Clone
-// otherwise — bounded by the given replay budget (0 means the instance-wide
-// budget). Releasing the sandbox returns pooled shells for reuse.
+// sandbox serves a replay sandbox positioned at the given snapshot from the
+// clone pool, bounded by the given replay budget (0 means the instance-wide
+// budget). Releasing the sandbox returns its shell for reuse.
 func (s *Sweeper) sandbox(snap *proc.Snapshot, budget uint64) (*analysis.Sandbox, error) {
 	if budget == 0 {
 		budget = s.cfg.ReplayBudget
 	}
-	if s.cfg.PoolClones {
-		clone, err := s.pool.Get(snap)
-		if err != nil {
-			return nil, err
-		}
-		return analysis.NewSandbox(clone, budget, func() { s.pool.Put(clone) }), nil
-	}
-	clone, err := s.proc.Clone(snap)
+	clone, err := s.pool.Get(snap)
 	if err != nil {
 		return nil, err
 	}
-	s.unpooledSandboxes.Add(1)
-	return analysis.NewSandbox(clone, budget, nil), nil
+	return analysis.NewSandbox(clone, budget, func() { s.pool.Put(clone) }), nil
 }
 
 // enqueueDeferred hands one job — an attack's deferred tier, or the
@@ -482,7 +428,7 @@ func (s *Sweeper) ServeAll() (ServeResult, error) {
 	}
 	startServed := s.proc.ServedRequests()
 	for {
-		stop := s.proc.Run(s.cfg.ServeBudget)
+		stop := s.proc.Run(0)
 		switch stop.Reason {
 		case vm.StopWaitInput:
 			if s.proxy.Pending() == 0 {

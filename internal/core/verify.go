@@ -208,10 +208,10 @@ func (s *Sweeper) replayGate(payload []byte, installed []*antibody.Antibody) (Ex
 	}
 	// Capture the quiescent state: the regeneration sub-clones replay from
 	// here, with the candidate as the only logged request after it. The
-	// snapshot (a page-map copy plus COW arming) is only worth taking when
-	// regeneration is enabled and a fast-tier analyzer exists to consume it.
+	// snapshot (a page-map copy plus COW arming) is only worth taking when a
+	// fast-tier analyzer exists to consume it.
 	var base *proc.Snapshot
-	if s.cfg.RegenerateOnVerify && s.hasFastAnalyzers() {
+	if s.hasFastAnalyzers() {
 		base = clone.Snapshot(0)
 	}
 	clone.SetMode(proc.ModeLive, false)

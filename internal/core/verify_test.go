@@ -288,8 +288,9 @@ func TestAdoptInstallsRegeneratedAntibody(t *testing.T) {
 		t.Errorf("regenerated family %q != original family %q", got, want)
 	}
 
-	// With regeneration disabled, the consumer verifies and falls back to
-	// installing the sender's antibody, and counts no regeneration.
+	// With no fast-tier analyzer to regenerate from, the consumer verifies and
+	// falls back to installing the sender's antibody, and counts no
+	// regeneration.
 	spec, err := apps.ByName("squid")
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +299,7 @@ func TestAdoptInstallsRegeneratedAntibody(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ASLRSeed = 141421
 	cfg.VerifyAdoption = true
-	cfg.RegenerateOnVerify = false
+	cfg.Analyses = []string{}
 	if _, err := f2.AddGuest("plain-consumer", spec.Name, spec.Image, spec.Options, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +312,7 @@ func TestAdoptInstallsRegeneratedAntibody(t *testing.T) {
 	f2.Drain()
 	st2, _ := f2.Metrics().Guest("plain-consumer")
 	if st2.AntibodiesAdopted != 1 || st2.AntibodiesRegenerated != 0 {
-		t.Errorf("adopted=%d regenerated=%d, want 1/0 with regeneration disabled",
+		t.Errorf("adopted=%d regenerated=%d, want 1/0 with no fast-tier analyzer",
 			st2.AntibodiesAdopted, st2.AntibodiesRegenerated)
 	}
 	if f2.Submit("plain-consumer", final.ExploitInput, "worm", true) {

@@ -355,6 +355,100 @@ func Figure4ForApp(app string, intervals []uint64, requests int) ([]Figure4Point
 	return out, nil
 }
 
+// --- checkpoint capture volume ---
+
+// CaptureVolume is what checkpoints copy, in counts that repeat exactly: a
+// steady-state squid checkpoint against its image, and sub-page dirty-run
+// capture against page-granular capture (touched pages times vm.PageSize)
+// on the three write shapes that bound the design.
+type CaptureVolume struct {
+	// MappedPages is the squid image with its heap filled (the paper's squid
+	// carries a large in-memory cache); SteadyDirtyPages and
+	// SteadyCapturedBytes are what a checkpoint one benign request after the
+	// previous one captures of it.
+	MappedPages, SteadyDirtyPages, SteadyCapturedBytes int
+	// ScatteredReductionX: 8 bytes at a shifting offset in 64 pages per
+	// epoch. AlternatingReductionX: 8 bytes at the header and 8 at the
+	// trailer of 64 pages, the shape one [lo,hi) watermark per page froze
+	// whole. SequentialReductionX: 16 whole pages per epoch, ~1 by design.
+	ScatteredReductionX, AlternatingReductionX, SequentialReductionX float64
+}
+
+// MeasureCaptureVolume counts; it times nothing (bench/ reports
+// checkpoint.capture_*_us).
+func MeasureCaptureVolume() (*CaptureVolume, error) {
+	spec, err := apps.ByName("squid")
+	if err != nil {
+		return nil, err
+	}
+	proxy := netproxy.New()
+	p, err := proc.New(spec.Name, spec.Image, vm.DefaultLayout(), proxy, spec.Options)
+	if err != nil {
+		return nil, err
+	}
+	serve := func(from, n int) error {
+		for i := from; i < from+n; i++ {
+			proxy.Submit(exploit.Benign("squid", i), "client", false)
+		}
+		if !serveOne(p) {
+			return fmt.Errorf("experiments: squid did not quiesce")
+		}
+		return nil
+	}
+	if err := serve(0, 32); err != nil {
+		return nil, err
+	}
+	for {
+		if _, err := p.Alloc.Malloc(vm.PageSize); err != nil {
+			break
+		}
+	}
+	mem := p.Machine.Mem
+	res := &CaptureVolume{MappedPages: mem.MappedPages()}
+	mem.Snapshot()
+	if err := serve(32, 1); err != nil {
+		return nil, err
+	}
+	steady := mem.Snapshot()
+	res.SteadyDirtyPages, res.SteadyCapturedBytes = steady.DeltaPages(), steady.CapturedBytes()
+
+	const (
+		arena  = uint32(0x100000)
+		pages  = 256
+		epochs = 16
+	)
+	// reduction runs one write shape for 16 checkpoint epochs, writes(e, i)
+	// being what the shape writes to the i-th page it touches in epoch e.
+	// Dirty runs are tracked by the range written, not the bytes.
+	type write struct{ page, off, n int }
+	buf := make([]byte, vm.PageSize)
+	reduction := func(touched int, writes func(e, i int) []write) float64 {
+		m := vm.NewMemory()
+		m.MapRegion(arena, pages*vm.PageSize)
+		m.Snapshot()
+		captured := 0
+		for e := 0; e < epochs; e++ {
+			for i := 0; i < touched; i++ {
+				for _, w := range writes(e, i) {
+					m.WriteBytes(arena+uint32(w.page*vm.PageSize+w.off), buf[:w.n])
+				}
+			}
+			captured += m.Snapshot().CapturedBytes()
+		}
+		return float64(epochs*touched*vm.PageSize) / float64(captured)
+	}
+	res.ScatteredReductionX = reduction(64, func(e, i int) []write {
+		return []write{{i * 4, (e*97 + i*131) % (vm.PageSize - 8), 8}}
+	})
+	res.AlternatingReductionX = reduction(64, func(e, i int) []write {
+		return []write{{i * 4, 0, 8}, {i * 4, vm.PageSize - 8, 8}}
+	})
+	res.SequentialReductionX = reduction(16, func(e, i int) []write {
+		return []write{{(e*16 + i) % pages, 0, vm.PageSize}}
+	})
+	return res, nil
+}
+
 // --- §5.3: VSEF overhead ---
 
 // OverheadRow compares the throughput of one monitoring configuration against

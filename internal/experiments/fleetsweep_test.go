@@ -2,25 +2,6 @@ package experiments
 
 import "testing"
 
-// TestRunSubPageMicro pins the headline sub-page claim: scattered small
-// writes capture at least 2x fewer bytes than page-granular checkpoints
-// would, and sequential full-page writers do not regress.
-func TestRunSubPageMicro(t *testing.T) {
-	r, err := RunSubPageMicro()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("scattered: %d captured vs %d page-granular (%.0fx); sequential: %d vs %d (%.2fx)",
-		r.ScatteredCapturedBytes, r.ScatteredPageBytes, r.ScatteredReductionX,
-		r.SequentialCapturedBytes, r.SequentialPageBytes, r.SequentialReductionX)
-	if r.ScatteredReductionX < 2 {
-		t.Errorf("scattered-write capture reduction %.2fx, want >= 2x", r.ScatteredReductionX)
-	}
-	if r.SequentialReductionX < 0.99 {
-		t.Errorf("sequential-write capture regressed: reduction %.3fx below 1", r.SequentialReductionX)
-	}
-}
-
 // TestRunFleetOverheadSweep runs the live-fleet interval sweep on one image
 // at test scale: two concurrent guests, generator-driven, overhead
 // monotonically non-increasing as the interval grows.

@@ -13,6 +13,7 @@
 package federate
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -199,29 +200,65 @@ func (n *Node) enqueue(a *antibody.Antibody) {
 	n.mu.Unlock()
 }
 
-// importFrom publishes antibodies received from a peer into the local store.
-// Duplicates are dropped by the store (no subscriber fires, so nothing is
-// re-pushed: this ends the gossip loop); fresh ones are tagged with their
-// source peer so the push loop does not echo them straight back.
-func (n *Node) importFrom(p Transport, abs []*antibody.Antibody) {
+// authorized is the token check of both servers: a server configured with a
+// token refuses, and counts, a request that does not present it.
+func authorized(rec *metrics.FederationRecorder, want, got string) bool {
+	if want == "" || got == want {
+		return true
+	}
+	rec.Update(func(st *metrics.FederationStats) { st.Rejected++ })
+	return false
+}
+
+// accept is the one way antibodies from a peer enter a store, whether pushed
+// to the HTTP server or a hub endpoint or pulled by a node. A batch holding
+// an antibody without an ID or a program is refused whole and counted
+// Rejected; otherwise every antibody is published, counted Received when the
+// store had not seen it (accepted counts these) and Duplicates when it had —
+// the dedup that terminates gossip loops. Nothing is verified here: that
+// happens on the adopting guests, not at the network boundary. tag, when
+// non-nil, is told of each antibody before it is published and again when
+// the store refuses it as a duplicate.
+func accept(store *antibody.Store, rec *metrics.FederationRecorder, abs []*antibody.Antibody, tag func(id string, arriving bool)) (accepted int, err error) {
 	for _, a := range abs {
-		if a == nil || a.ID == "" {
-			continue
-		}
-		n.mu.Lock()
-		n.fromPeer[a.ID] = p
-		n.mu.Unlock()
-		if n.store.Publish(a) {
-			n.rec.Update(func(s *metrics.FederationStats) { s.Received++ })
-		} else {
-			// Duplicate: no subscriber fired, so the push loop will never
-			// consume (or clear) the source tag — drop it here.
-			n.mu.Lock()
-			delete(n.fromPeer, a.ID)
-			n.mu.Unlock()
-			n.rec.Update(func(s *metrics.FederationStats) { s.Duplicates++ })
+		if a == nil || a.ID == "" || a.Program == "" {
+			rec.Update(func(st *metrics.FederationStats) { st.Rejected++ })
+			return 0, errors.New("antibody without id or program")
 		}
 	}
+	for _, a := range abs {
+		if tag != nil {
+			tag(a.ID, true)
+		}
+		if store.Publish(a) {
+			accepted++
+		} else if tag != nil {
+			tag(a.ID, false)
+		}
+	}
+	rec.Update(func(st *metrics.FederationStats) {
+		st.Received += accepted
+		st.Duplicates += len(abs) - accepted
+	})
+	return accepted, nil
+}
+
+// importFrom accepts antibodies pulled from a peer into the local store.
+// Each is tagged with its source peer before it is published, so the push
+// loop — which the store's subscription wakes from inside Publish — does not
+// echo it straight back. A duplicate fires no subscriber, so the push loop
+// will never consume (or clear) its tag: it is dropped here (this ends the
+// gossip loop). A malformed page is refused whole, like a malformed push.
+func (n *Node) importFrom(p Transport, abs []*antibody.Antibody) {
+	accept(n.store, n.rec, abs, func(id string, arriving bool) {
+		n.mu.Lock()
+		if arriving {
+			n.fromPeer[id] = p
+		} else {
+			delete(n.fromPeer, id)
+		}
+		n.mu.Unlock()
+	})
 }
 
 // pushLoop drains the publish queue, pushing each batch to every peer in the

@@ -3,13 +3,14 @@ package federate
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"sweeper/internal/antibody"
 	"sweeper/internal/metrics"
 )
 
 // Hub is an in-process federation fabric: a registry of named endpoints,
-// each the channel-backed equivalent of one daemon's HTTP Server. Dialing an
+// each the in-process equivalent of one daemon's HTTP Server. Dialing an
 // endpoint yields a Transport with the HTTP peer's exact semantics — push
 // with per-antibody accept counts, cursor-paged pulls, structural
 // validation, auth-token rejection — so one process can host hundreds of
@@ -32,21 +33,13 @@ func (h *Hub) Register(name string, store *antibody.Store, rec *metrics.Federati
 	if name == "" {
 		return nil, fmt.Errorf("federate: inproc endpoint needs a name")
 	}
-	ep := &Endpoint{
-		name:  name,
-		store: store,
-		rec:   rec,
-		token: token,
-		reqs:  make(chan inprocReq),
-		done:  make(chan struct{}),
-	}
+	ep := &Endpoint{name: name, store: store, rec: rec, token: token}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if _, taken := h.eps[name]; taken {
 		return nil, fmt.Errorf("federate: inproc endpoint %q already registered", name)
 	}
 	h.eps[name] = ep
-	go ep.serve()
 	return ep, nil
 }
 
@@ -109,101 +102,31 @@ func (h *Hub) Close() {
 	}
 }
 
-// Endpoint is one daemon's in-process federation server: a dispatcher
-// goroutine consuming push/pull requests off a channel, so request handling
-// is serialised exactly like an HTTP handler invocation and the store/metrics
-// interaction stays identical to Server's.
+// Endpoint is one daemon's in-process federation server. Like net/http it
+// serves its callers concurrently, on their own goroutines, over the same
+// goroutine-safe store and recorder as Server.
 type Endpoint struct {
 	name  string
 	store *antibody.Store
 	rec   *metrics.FederationRecorder
 	token string
 
-	reqs      chan inprocReq
-	done      chan struct{}
-	closeOnce sync.Once
-}
-
-// inprocReq is one request crossing the hub: a push (env != nil) or a pull
-// (pullSince). The reply channel is buffered so the dispatcher never blocks
-// on a caller that gave up.
-type inprocReq struct {
-	token     string
-	env       *antibody.PushEnvelope
-	pullSince int
-	reply     chan inprocResp
-}
-
-type inprocResp struct {
-	accepted int
-	page     *antibody.PullPage
-	err      error
+	closed atomic.Bool
 }
 
 // Name returns the endpoint's hub name.
 func (ep *Endpoint) Name() string { return ep.name }
 
-// Close stops the dispatcher; in-flight and future requests fail like a
+// Close stops the endpoint; in-flight and future requests fail like a
 // connection refused, which the poll loops absorb.
-func (ep *Endpoint) Close() {
-	ep.closeOnce.Do(func() { close(ep.done) })
-}
+func (ep *Endpoint) Close() { ep.closed.Store(true) }
 
-// serve is the dispatcher loop.
-func (ep *Endpoint) serve() {
-	for {
-		select {
-		case <-ep.done:
-			return
-		case req := <-ep.reqs:
-			req.reply <- ep.handle(req)
-		}
+// closedErr is the error a request to a closed endpoint fails with.
+func (ep *Endpoint) closedErr() error {
+	if ep.closed.Load() {
+		return fmt.Errorf("federate: inproc %s: endpoint closed", ep.name)
 	}
-}
-
-// handle services one request with Server's semantics.
-func (ep *Endpoint) handle(req inprocReq) inprocResp {
-	if ep.token != "" && req.token != ep.token {
-		ep.rec.Update(func(st *metrics.FederationStats) { st.Rejected++ })
-		return inprocResp{err: fmt.Errorf("federate: inproc %s: bad or missing auth token", ep.name)}
-	}
-	if req.env == nil {
-		abs, next := ep.store.Since(req.pullSince)
-		return inprocResp{page: &antibody.PullPage{Next: next, Antibodies: abs}}
-	}
-	for _, a := range req.env.Antibodies {
-		if a == nil || a.ID == "" || a.Program == "" {
-			ep.rec.Update(func(st *metrics.FederationStats) { st.Rejected++ })
-			return inprocResp{err: fmt.Errorf("federate: inproc %s: antibody without id or program", ep.name)}
-		}
-	}
-	accepted := 0
-	for _, a := range req.env.Antibodies {
-		if ep.store.Publish(a) {
-			accepted++
-			ep.rec.Update(func(st *metrics.FederationStats) { st.Received++ })
-		} else {
-			ep.rec.Update(func(st *metrics.FederationStats) { st.Duplicates++ })
-		}
-	}
-	return inprocResp{accepted: accepted}
-}
-
-// call sends one request to the endpoint's dispatcher and waits for the
-// reply, failing if the endpoint closed.
-func (ep *Endpoint) call(req inprocReq) (inprocResp, error) {
-	req.reply = make(chan inprocResp, 1)
-	select {
-	case ep.reqs <- req:
-	case <-ep.done:
-		return inprocResp{}, fmt.Errorf("federate: inproc %s: endpoint closed", ep.name)
-	}
-	select {
-	case resp := <-req.reply:
-		return resp, nil
-	case <-ep.done:
-		return inprocResp{}, fmt.Errorf("federate: inproc %s: endpoint closed", ep.name)
-	}
+	return nil
 }
 
 // inprocPeer is the dialer side: a Transport that resolves its hub name to
@@ -218,38 +141,47 @@ type inprocPeer struct {
 // URL identifies the peer as inproc://name.
 func (p *inprocPeer) URL() string { return "inproc://" + p.name }
 
-// call resolves the name and forwards the request; an unregistered name
-// fails like a refused connection.
-func (p *inprocPeer) call(req inprocReq) (inprocResp, error) {
+// dial resolves the name to its current endpoint and presents the token. An
+// unregistered name or a closed endpoint fails like a refused connection.
+func (p *inprocPeer) dial() (*Endpoint, error) {
 	ep := p.hub.lookup(p.name)
 	if ep == nil {
-		return inprocResp{}, fmt.Errorf("federate: inproc %s: endpoint not registered", p.name)
+		return nil, fmt.Errorf("federate: inproc %s: endpoint not registered", p.name)
 	}
-	return ep.call(req)
+	if err := ep.closedErr(); err != nil {
+		return nil, err
+	}
+	if !authorized(ep.rec, ep.token, p.token) {
+		return nil, fmt.Errorf("federate: inproc %s: bad or missing auth token", p.name)
+	}
+	return ep, nil
 }
 
 // Push delivers antibodies to the endpoint's store and returns how many it
-// had not seen before.
+// had not seen before. An endpoint that closes while the push is in flight
+// fails it like a torn connection, whatever reached the store.
 func (p *inprocPeer) Push(from string, abs []*antibody.Antibody) (int, error) {
-	resp, err := p.call(inprocReq{
-		token: p.token,
-		env:   &antibody.PushEnvelope{From: from, Antibodies: abs},
-	})
+	ep, err := p.dial()
 	if err != nil {
 		return 0, err
 	}
-	return resp.accepted, resp.err
+	accepted, err := accept(ep.store, ep.rec, abs, nil)
+	if err != nil {
+		return 0, fmt.Errorf("federate: inproc %s: %w", p.name, err)
+	}
+	return accepted, ep.closedErr()
 }
 
 // Pull fetches the endpoint's store from the cursor onward; Pull(0) replays
 // the full store.
 func (p *inprocPeer) Pull(cursor int) (*antibody.PullPage, error) {
-	resp, err := p.call(inprocReq{token: p.token, pullSince: cursor})
+	ep, err := p.dial()
 	if err != nil {
 		return nil, err
 	}
-	if resp.err != nil {
-		return nil, resp.err
+	abs, next := ep.store.Since(cursor)
+	if err := ep.closedErr(); err != nil {
+		return nil, err
 	}
-	return resp.page, nil
+	return &antibody.PullPage{Next: next, Antibodies: abs}, nil
 }

@@ -40,8 +40,7 @@ func (s *Server) SetAuthToken(token string) { s.token = token }
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 func (s *Server) handleAntibodies(w http.ResponseWriter, r *http.Request) {
-	if s.token != "" && r.Header.Get(AuthHeader) != s.token {
-		s.rec.Update(func(st *metrics.FederationStats) { st.Rejected++ })
+	if !authorized(s.rec, s.token, r.Header.Get(AuthHeader)) {
 		http.Error(w, "bad or missing auth token", http.StatusUnauthorized)
 		return
 	}
@@ -84,21 +83,10 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	for _, a := range env.Antibodies {
-		if a == nil || a.ID == "" || a.Program == "" {
-			s.rec.Update(func(st *metrics.FederationStats) { st.Rejected++ })
-			http.Error(w, "antibody without id or program", http.StatusBadRequest)
-			return
-		}
-	}
-	accepted := 0
-	for _, a := range env.Antibodies {
-		if s.store.Publish(a) {
-			accepted++
-			s.rec.Update(func(st *metrics.FederationStats) { st.Received++ })
-		} else {
-			s.rec.Update(func(st *metrics.FederationStats) { st.Duplicates++ })
-		}
+	accepted, err := accept(s.store, s.rec, env.Antibodies, nil)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
 	writeJSON(w, &antibody.PushResult{Accepted: accepted})
 }

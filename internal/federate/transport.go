@@ -7,7 +7,7 @@ import "sweeper/internal/antibody"
 // the in-process hub (Hub/Endpoint) provides the same semantics — push
 // delivery with per-antibody accept counts, cursor-paged pulls whose Pull(0)
 // replays the peer's full store, structural validation and auth-token
-// rejection — over channels, so one process can host hundreds of
+// rejection — by direct call, so one process can host hundreds of
 // sweeperd-equivalent daemons without sockets.
 type Transport interface {
 	// URL identifies the peer for diagnostics ("http://host:port" or

@@ -77,10 +77,12 @@ func (l *LatencyRecorder) Mean() time.Duration {
 	return time.Duration(l.sumNs.Load() / n)
 }
 
-// quantileFrom resolves the q-th quantile over a histogram exposed through a
-// bucket-loader function; LatencyRecorder (atomic counters) and
-// LatencySnapshot (plain copies) share it.
-func quantileFrom(count func(int) uint64, n uint64, q float64) time.Duration {
+// Quantile returns the q-th quantile (0 < q <= 1) of the recorded times,
+// resolved to the midpoint of the bucket the quantile falls in. Zero when
+// nothing has been recorded. Concurrent Records move it monotonically, never
+// corrupt it.
+func (l *LatencyRecorder) Quantile(q float64) time.Duration {
+	n := l.total.Load()
 	if n == 0 {
 		return 0
 	}
@@ -95,7 +97,7 @@ func quantileFrom(count func(int) uint64, n uint64, q float64) time.Duration {
 	}
 	var seen uint64
 	for i := 0; i < latBuckets; i++ {
-		c := count(i)
+		c := l.counts[i].Load()
 		if c == 0 {
 			continue
 		}
@@ -107,14 +109,6 @@ func quantileFrom(count func(int) uint64, n uint64, q float64) time.Duration {
 		}
 	}
 	return 0
-}
-
-// Quantile returns the q-th quantile (0 < q <= 1) of the recorded times,
-// resolved to the midpoint of the bucket the quantile falls in. Zero when
-// nothing has been recorded. Concurrent Records move it monotonically, never
-// corrupt it.
-func (l *LatencyRecorder) Quantile(q float64) time.Duration {
-	return quantileFrom(func(i int) uint64 { return l.counts[i].Load() }, l.total.Load(), q)
 }
 
 // Percentiles returns the p50, p95 and p99 sojourn times.
@@ -137,73 +131,4 @@ func (l *LatencyRecorder) Reset() {
 func (l *LatencyRecorder) String() string {
 	p50, p95, p99 := l.Percentiles()
 	return fmt.Sprintf("n=%d p50=%v p95=%v p99=%v", l.Count(), p50, p95, p99)
-}
-
-// LatencySnapshot is an immutable point-in-time copy of a recorder's
-// histogram. Snapshots subtract (Delta), so one continuously fed recorder
-// yields exact per-phase percentiles — mark a snapshot at each phase
-// boundary and diff adjacent marks — without Reset races or per-phase
-// recorder juggling.
-type LatencySnapshot struct {
-	counts [latBuckets]uint64
-	total  uint64
-	sumNs  uint64
-}
-
-// Snapshot copies the recorder's current histogram. Safe under concurrent
-// Records; an observation racing the copy lands in either the snapshot or a
-// later one, never in neither.
-func (l *LatencyRecorder) Snapshot() *LatencySnapshot {
-	s := &LatencySnapshot{}
-	for i := range l.counts {
-		s.counts[i] = l.counts[i].Load()
-	}
-	s.total = l.total.Load()
-	s.sumNs = l.sumNs.Load()
-	return s
-}
-
-// Delta returns the observations recorded after prev and up to s — the phase
-// window between two marks on the same recorder. A nil prev means "since the
-// beginning" (a copy of s).
-func (s *LatencySnapshot) Delta(prev *LatencySnapshot) *LatencySnapshot {
-	out := &LatencySnapshot{}
-	*out = *s
-	if prev == nil {
-		return out
-	}
-	for i := range out.counts {
-		out.counts[i] -= prev.counts[i]
-	}
-	out.total -= prev.total
-	out.sumNs -= prev.sumNs
-	return out
-}
-
-// Count returns the number of observations in the snapshot.
-func (s *LatencySnapshot) Count() int { return int(s.total) }
-
-// Mean returns the snapshot's mean sojourn time (0 when empty).
-func (s *LatencySnapshot) Mean() time.Duration {
-	if s.total == 0 {
-		return 0
-	}
-	return time.Duration(s.sumNs / s.total)
-}
-
-// Quantile returns the q-th quantile of the snapshot, like
-// LatencyRecorder.Quantile.
-func (s *LatencySnapshot) Quantile(q float64) time.Duration {
-	return quantileFrom(func(i int) uint64 { return s.counts[i] }, s.total, q)
-}
-
-// Percentiles returns the snapshot's p50, p95 and p99 sojourn times.
-func (s *LatencySnapshot) Percentiles() (p50, p95, p99 time.Duration) {
-	return s.Quantile(0.50), s.Quantile(0.95), s.Quantile(0.99)
-}
-
-// String renders the snapshot's percentiles for logs.
-func (s *LatencySnapshot) String() string {
-	p50, p95, p99 := s.Percentiles()
-	return fmt.Sprintf("n=%d p50=%v p95=%v p99=%v", s.Count(), p50, p95, p99)
 }

@@ -111,8 +111,11 @@ type Listener struct {
 
 	mu      sync.Mutex
 	waiters map[int]chan tcpOutcome
-	closed  bool
-	wg      sync.WaitGroup
+	// conns holds every connection a serveConn goroutine is reading, so
+	// Close can end the read of one whose client neither sends nor hangs up.
+	conns  map[net.Conn]struct{}
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // NewListener starts a TCP front end on addr (e.g. "127.0.0.1:0") feeding
@@ -127,6 +130,7 @@ func NewListener(addr string, submit SubmitFunc) (*Listener, error) {
 		submit:  submit,
 		lat:     metrics.NewLatencyRecorder(),
 		waiters: make(map[int]chan tcpOutcome),
+		conns:   make(map[net.Conn]struct{}),
 	}
 	l.wg.Add(1)
 	go l.acceptLoop()
@@ -146,14 +150,29 @@ func (l *Listener) acceptLoop() {
 		if err != nil {
 			return // Close shut the listener down
 		}
+		// Registered under the lock Close takes to set closed: a connection
+		// is either in conns when Close walks it or refused here.
+		l.mu.Lock()
+		if l.closed {
+			l.mu.Unlock()
+			conn.Close()
+			continue
+		}
+		l.conns[conn] = struct{}{}
 		l.wg.Add(1)
+		l.mu.Unlock()
 		go l.serveConn(conn)
 	}
 }
 
 func (l *Listener) serveConn(conn net.Conn) {
 	defer l.wg.Done()
-	defer conn.Close()
+	defer func() {
+		l.mu.Lock()
+		delete(l.conns, conn)
+		l.mu.Unlock()
+		conn.Close()
+	}()
 	src := conn.RemoteAddr().String()
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
@@ -248,8 +267,11 @@ func (l *Listener) ResolveAll(status byte) {
 	}
 }
 
-// Close stops accepting, fails outstanding waiters with StatusError and
-// waits for the connection goroutines to drain.
+// Close stops accepting, fails outstanding waiters with StatusError, ends
+// the read of every open connection and waits for the connection goroutines
+// to drain. It does not wait for clients: one that holds its connection open,
+// idle or mid-frame, is hung up on. A waiter's goroutine writes its
+// StatusError first and meets the expired read after.
 func (l *Listener) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -260,6 +282,12 @@ func (l *Listener) Close() error {
 	l.mu.Unlock()
 	err := l.ln.Close()
 	l.ResolveAll(StatusError)
+	now := time.Now()
+	l.mu.Lock()
+	for conn := range l.conns {
+		conn.SetReadDeadline(now)
+	}
+	l.mu.Unlock()
 	l.wg.Wait()
 	return err
 }

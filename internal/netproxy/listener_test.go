@@ -220,6 +220,84 @@ func TestListenerCloseFailsWaiters(t *testing.T) {
 	}
 }
 
+// TestListenerCloseDoesNotWaitForClients: Close returns while clients still
+// hold their connections open — idle after an answered request, waiting on a
+// request the guest never completes (answered StatusError first), or stopped
+// halfway through a frame. A daemon's shutdown flush sits behind this call.
+func TestListenerCloseDoesNotWaitForClients(t *testing.T) {
+	if testing.Short() {
+		t.Skip("socket test: run without -short")
+	}
+	closeWithin := func(t *testing.T, l *Listener) {
+		t.Helper()
+		closed := make(chan struct{})
+		go func() { l.Close(); close(closed) }()
+		select {
+		case <-closed:
+		case <-time.After(time.Second):
+			t.Fatal("Close still blocked after 1 s with a client connection open")
+		}
+	}
+	t.Run("idle", func(t *testing.T) {
+		l, _ := newEchoListener(t)
+		c, err := Dial(l.Addr())
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		defer c.Close()
+		if status, _, err := c.Do([]byte("hello")); err != nil || status != StatusOK {
+			t.Fatalf("Do: status %s, err %v", StatusName(status), err)
+		}
+		closeWithin(t, l)
+		if status, _, err := c.Do([]byte("after close")); err == nil && status != StatusError {
+			t.Errorf("request after Close answered %s", StatusName(status))
+		}
+	})
+	t.Run("mid-request", func(t *testing.T) {
+		submitted := make(chan struct{})
+		l, err := NewListener("127.0.0.1:0", func(payload []byte, src string) (int, byte) {
+			close(submitted)
+			return 1, StatusOK // and never resolved
+		})
+		if err != nil {
+			t.Fatalf("NewListener: %v", err)
+		}
+		c, err := Dial(l.Addr())
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		defer c.Close()
+		type reply struct {
+			status byte
+			err    error
+		}
+		done := make(chan reply, 1)
+		go func() {
+			status, _, err := c.Do([]byte("stuck"))
+			done <- reply{status, err}
+		}()
+		// The waiter is registered in the critical section that called
+		// submit, and Close takes that lock first.
+		<-submitted
+		closeWithin(t, l)
+		if r := <-done; r.err != nil || r.status != StatusError {
+			t.Errorf("registered waiter got status %s, err %v; want an error status", StatusName(r.status), r.err)
+		}
+	})
+	t.Run("mid-frame", func(t *testing.T) {
+		l, _ := newEchoListener(t)
+		conn, err := net.Dial("tcp", l.Addr())
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write([]byte{0, 0, 0, 9, 'h', 'a'}); err != nil {
+			t.Fatal(err)
+		}
+		closeWithin(t, l)
+	})
+}
+
 func TestListenerUnavailableSubmit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("socket test: run without -short")

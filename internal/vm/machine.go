@@ -374,6 +374,26 @@ func (m *Machine) RemoveProbes(name string) int {
 	return removed
 }
 
+// RemoveProbe removes one registration of p on instruction idx: what one
+// AddProbe(idx, p) added, and nothing another owner registered there under
+// the same name. It reports whether p was registered on idx.
+func (m *Machine) RemoveProbe(idx int, p Probe) bool {
+	if idx < 0 || idx >= len(m.probes) {
+		return false
+	}
+	list := m.probes[idx]
+	for i, q := range list {
+		if q == p {
+			m.probes[idx] = append(list[:i], list[i+1:]...)
+			m.probeCount--
+			m.probeGapDirty = true
+			m.refreshDispatch()
+			return true
+		}
+	}
+	return false
+}
+
 // ClearProbes removes every registered probe regardless of owner. The clone
 // pool uses it when resetting a shell for reuse.
 func (m *Machine) ClearProbes() {

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -286,6 +287,83 @@ func TestMemorySubPageRunCapture(t *testing.T) {
 	}
 	if b, _ := s3.Fork().ReadU8(0x10000 + 3*PageSize + 9); b != 7 {
 		t.Errorf("s3 fork must keep the earlier patch, got %d", b)
+	}
+}
+
+// TestMemoryCaptureByWritePattern runs the three write shapes that bound the
+// sub-page design for 16 checkpoint epochs over a 256-page arena and pins what
+// the snapshots capture against what page-granular capture would (touched
+// pages times PageSize), with the first and last epoch's snapshots restoring
+// byte-identically to a shadow copy of the arena.
+func TestMemoryCaptureByWritePattern(t *testing.T) {
+	const (
+		arena  = uint32(0x100000)
+		pages  = 256
+		epochs = 16
+	)
+	type write struct{ page, off, n int }
+	for _, tc := range []struct {
+		name      string
+		touched   int // pages written per epoch
+		writes    func(epoch, i int) []write
+		reduction int // page-granular bytes / captured bytes
+	}{
+		// 8 bytes at a shifting offset in each of 64 pages.
+		{"scattered", 64, func(e, i int) []write {
+			return []write{{i * 4, (e*97 + i*131) % (PageSize - 8), 8}}
+		}, 512},
+		// 8 bytes at the header and 8 at the trailer of each of 64 pages: one
+		// [lo,hi) watermark per page spans nearly all of it and freezes the
+		// page whole; the run list keeps both spans.
+		{"alternating", 64, func(e, i int) []write {
+			return []write{{i * 4, 0, 8}, {i * 4, PageSize - 8, 8}}
+		}, 256},
+		// 16 whole pages: large runs fall back to whole-page freezing, so
+		// the sub-page path neither wins nor regresses.
+		{"sequential", 16, func(e, i int) []write {
+			return []write{{(e*16 + i) % pages, 0, PageSize}}
+		}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMemory()
+			m.MapRegion(arena, pages*PageSize)
+			shadow := make([]byte, pages*PageSize)
+			m.Snapshot() // captures everything; the epochs start after it
+			type retained struct {
+				snap   *MemSnapshot
+				shadow []byte
+			}
+			var keep []retained
+			captured := 0
+			for e := 0; e < epochs; e++ {
+				for i := 0; i < tc.touched; i++ {
+					for _, w := range tc.writes(e, i) {
+						at := w.page*PageSize + w.off
+						for j := 0; j < w.n; j++ {
+							shadow[at+j] = byte(e*3 + i + j)
+						}
+						if !m.WriteBytes(arena+uint32(at), shadow[at:at+w.n]) {
+							t.Fatalf("epoch %d: write at +%#x failed", e, at)
+						}
+					}
+				}
+				s := m.Snapshot()
+				captured += s.CapturedBytes()
+				if e == 0 || e == epochs-1 {
+					keep = append(keep, retained{s, append([]byte(nil), shadow...)})
+				}
+			}
+			if want := epochs * tc.touched * PageSize / tc.reduction; captured != want {
+				t.Errorf("captured %d bytes over %d epochs, want %d (1/%d of page-granular capture)",
+					captured, epochs, want, tc.reduction)
+			}
+			for i, r := range keep {
+				got, ok := r.snap.Fork().ReadBytes(arena, len(r.shadow))
+				if !ok || !bytes.Equal(got, r.shadow) {
+					t.Errorf("retained snapshot %d does not restore byte-identically", i)
+				}
+			}
+		})
 	}
 }
 

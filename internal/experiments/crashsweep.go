@@ -2,16 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"path/filepath"
-	"sync"
-	"time"
 
-	"sweeper/internal/apps"
-	"sweeper/internal/core"
 	"sweeper/internal/exploit"
-	"sweeper/internal/federate"
-	"sweeper/internal/metrics"
 )
+
+// crashWarmup is each guest's generator load before the first wave: live
+// checkpoints on disk before anything crashes.
+const crashWarmup = 8
 
 // CrashRecoveryConfig sizes one crash-recovery fault-injection run: a
 // community of Community durable daemons (each with its own data directory
@@ -22,11 +19,10 @@ import (
 // SIGKILL), a second attack wave lands on the survivors, and the crashed
 // daemons restart from disk and rejoin. The run measures what the paper's
 // community defence needs from durability: how much of the antibody store
-// survives the crash, how long a warm restart takes, and how long the
-// community needs to reconverge compared with the no-crash baseline.
+// survives the crash, whether every guest comes back warm and immune, and
+// whether the community reconverges. How long a restart takes is bench/'s to
+// say (antibody.wal_replay_1k_ms, checkpoint.disk_load_us).
 type CrashRecoveryConfig struct {
-	// App names the protected application image (default squid).
-	App string
 	// Community is the number of daemons (default 100).
 	Community int
 	// Alpha is the producer fraction (default 0.05).
@@ -38,22 +34,9 @@ type CrashRecoveryConfig struct {
 	Seed uint64
 	// Root is the directory holding each daemon's data directory. Required.
 	Root string
-	// BenignPerGuest warms each guest before the attack (default 8).
-	BenignPerGuest int
-	// TargetReqPerSec is each warmup generator's offered rate (default 400).
-	TargetReqPerSec float64
-	// PollInterval is the federation poll cadence (default 20ms).
-	PollInterval time.Duration
-	// AuthToken is the community's shared secret (default "sweeper-community").
-	AuthToken string
-	// Timeout bounds each convergence wait (default 60s).
-	Timeout time.Duration
 }
 
 func (c *CrashRecoveryConfig) defaults() error {
-	if c.App == "" {
-		c.App = "squid"
-	}
 	if c.Community == 0 {
 		c.Community = 100
 	}
@@ -65,21 +48,6 @@ func (c *CrashRecoveryConfig) defaults() error {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.BenignPerGuest == 0 {
-		c.BenignPerGuest = 8
-	}
-	if c.TargetReqPerSec == 0 {
-		c.TargetReqPerSec = 400
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 20 * time.Millisecond
-	}
-	if c.AuthToken == "" {
-		c.AuthToken = "sweeper-community"
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 60 * time.Second
 	}
 	if c.Root == "" {
 		return fmt.Errorf("experiments: crash recovery needs a Root data directory")
@@ -95,7 +63,6 @@ func (c *CrashRecoveryConfig) defaults() error {
 
 // CrashRecoveryResult is the outcome of one fault-injection run.
 type CrashRecoveryResult struct {
-	Config CrashRecoveryConfig
 	// N, Producers and Crashed are the realised community split.
 	N         int
 	Producers int
@@ -103,20 +70,6 @@ type CrashRecoveryResult struct {
 	// CrashedProducers counts producers among the crash victims (their
 	// surviving pollers exercise the backoff path until the restart).
 	CrashedProducers int
-	// BaselineConvergeMs is the no-crash yardstick: wall time from the first
-	// attack-wave submission until every daemon's store held the full
-	// antibody union.
-	BaselineConvergeMs float64
-	// CrashReconvergeMs is the recovery figure: wall time from the first
-	// restart until every daemon — restarted ones included — held the full
-	// post-crash union (the second wave's antibodies reach the restarted
-	// daemons only through the federation).
-	CrashReconvergeMs float64
-	// WarmRestartMsMean and WarmRestartMsMax time the restart itself per
-	// crashed daemon: opening the durable store (WAL replay), reopening the
-	// checkpoint store and warm-restoring the guest.
-	WarmRestartMsMean float64
-	WarmRestartMsMax  float64
 	// AntibodiesRetainedPct is 100 · (antibodies present after restart,
 	// before rejoining the federation) / (antibodies present at the moment
 	// of the crash), aggregated over the crashed daemons.
@@ -138,53 +91,6 @@ type CrashRecoveryResult struct {
 	// backoff, restarting them recovers the peers.
 	PeerDown      int
 	PeerRecovered int
-	// Elapsed is the wall-clock cost of the run.
-	Elapsed time.Duration
-}
-
-// crashDaemon is one durable community member.
-type crashDaemon struct {
-	name     string
-	producer bool
-	dir      string
-	fleet    *core.Fleet
-	rec      *metrics.FederationRecorder
-	node     *federate.Node
-	guest    *core.Guest
-	// preCrash is the store size at the moment of the Kill.
-	preCrash int
-}
-
-// start builds (or rebuilds, on restart) the daemon's fleet from its data
-// directory. Warmup workload is only attached on first boot — a restarted
-// guest already carries its served history in the restored checkpoint.
-func (d *crashDaemon) start(spec *apps.Spec, cfg CrashRecoveryConfig, firstBoot bool) error {
-	d.fleet = core.NewFleetWithOptions(core.FleetOptions{DataDir: d.dir})
-	d.rec = metrics.NewFederationRecorder()
-	gcfg := core.DefaultConfig()
-	gcfg.ASLRSeed = 0x5eed + int64(len(d.name))*131 + int64(d.name[len(d.name)-1])*7919
-	gcfg.VerifyAdoption = true
-	if !d.producer {
-		gcfg.Analyses = []string{}
-		gcfg.ProduceAntibodies = false
-	}
-	g, err := d.fleet.AddGuest(d.name+"-g0", spec.Name, spec.Image, spec.Options, gcfg)
-	if err != nil {
-		return err
-	}
-	d.guest = g
-	if firstBoot {
-		wcfg := core.WorkloadConfig{
-			TargetReqPerSec: cfg.TargetReqPerSec,
-			Requests:        cfg.BenignPerGuest,
-			Benign:          func(j int) []byte { return exploit.Benign(cfg.App, j) },
-			Source:          "loadgen",
-		}
-		if err := g.SetWorkload(wcfg); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // RunCrashRecovery runs one fault-injection point: converge, crash, attack
@@ -193,147 +99,52 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (*CrashRecoveryResult, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	spec, err := apps.ByName(cfg.App)
-	if err != nil {
-		return nil, err
-	}
-	wave1, err := exploit.ExploitVariant(spec, 0)
-	if err != nil {
-		return nil, err
-	}
-	wave2, err := exploit.ExploitVariant(spec, 1)
-	if err != nil {
-		return nil, err
-	}
-
 	n := cfg.Community
-	producers := int(cfg.Alpha*float64(n) + 0.5)
-	if producers < 1 {
-		producers = 1
-	}
+	producers := max(int(cfg.Alpha*float64(n)+0.5), 1)
 	if producers >= n {
 		return nil, fmt.Errorf("experiments: crash recovery needs at least one consumer (%d producers of %d)", producers, n)
 	}
-	res := &CrashRecoveryResult{Config: cfg, N: n, Producers: producers}
+	res := &CrashRecoveryResult{N: n, Producers: producers}
 
-	hub := federate.NewHub()
-	defer hub.Close()
-	daemons := make([]*crashDaemon, n)
-	defer func() {
-		for _, d := range daemons {
-			if d != nil && d.fleet != nil {
-				if d.node != nil {
-					d.node.Close()
-				}
-				d.fleet.Stop()
-			}
-		}
-	}()
-
-	// Boot the community: durable single-guest fleets, all federated with
-	// every producer (producers among themselves too).
-	for i := range daemons {
-		d := &crashDaemon{
-			name:     fmt.Sprintf("host%d", i),
-			producer: i < producers,
-			dir:      filepath.Join(cfg.Root, fmt.Sprintf("host%d", i)),
-		}
-		if err := d.start(spec, cfg, true); err != nil {
+	// Durable single-guest daemons, every one linked to every producer
+	// (producers among themselves too).
+	c, err := newCommunity(communitySpec{members: n, producers: producers, root: cfg.Root, warmup: crashWarmup})
+	if err != nil {
+		return nil, err
+	}
+	defer c.close()
+	wave1, err := exploit.ExploitVariant(c.app, 0)
+	if err != nil {
+		return nil, err
+	}
+	wave2, err := exploit.ExploitVariant(c.app, 1)
+	if err != nil {
+		return nil, err
+	}
+	prods := c.members[:producers]
+	for _, m := range c.members {
+		if err := m.link(false, prods...); err != nil {
 			return nil, err
 		}
-		if _, err := hub.Register(d.name, d.fleet.Store(), d.rec, cfg.AuthToken); err != nil {
-			return nil, err
-		}
-		d.node = federate.NewNode(d.fleet.Store(), d.rec, federate.Config{
-			Name:         d.name,
-			PollInterval: cfg.PollInterval,
-			AuthToken:    cfg.AuthToken,
-		})
-		d.fleet.Start()
-		daemons[i] = d
-	}
-	for _, d := range daemons {
-		d.fleet.Drain() // warmup traffic: live checkpoints before any attack
-	}
-	for i, d := range daemons {
-		for j := 0; j < producers; j++ {
-			if i == j {
-				continue
-			}
-			t, err := hub.Dial(daemons[j].name, cfg.AuthToken)
-			if err != nil {
-				return nil, err
-			}
-			if err := d.node.AddTransport(t); err != nil {
-				return nil, err
-			}
-		}
 	}
 
-	// unionSize is the antibody union across the given daemons.
-	unionSize := func(ds []*crashDaemon) int {
-		union := make(map[string]bool)
-		for _, d := range ds {
-			for _, a := range d.fleet.Store().All() {
-				union[a.ID] = true
-			}
-		}
-		return len(union)
+	// Wave 1, with nobody down: attack every producer, let gossip converge
+	// the whole community.
+	for _, m := range prods {
+		m.wormContact(wave1)
 	}
-	// converged waits until every listed daemon's store holds at least want
-	// antibodies, returning false on timeout.
-	converged := func(ds []*crashDaemon, want int) bool {
-		deadline := time.Now().Add(cfg.Timeout)
-		for {
-			ok := true
-			for _, d := range ds {
-				if d.fleet.Store().Len() < want {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return true
-			}
-			if time.Now().After(deadline) {
-				return false
-			}
-			time.Sleep(cfg.PollInterval / 2)
-		}
-	}
-
-	// Wave 1 — the no-crash baseline: attack every producer, let gossip
-	// converge the whole community.
-	baselineStart := time.Now()
-	for i := 0; i < producers; i++ {
-		d := daemons[i]
-		if d.fleet.Submit(d.guest.Name(), wave1, "worm", true) {
-			d.fleet.Drain()
-		}
-	}
-	want := unionSize(daemons[:producers])
+	want := storeUnion(prods)
 	if want == 0 {
 		return nil, fmt.Errorf("experiments: crash recovery: wave 1 produced no antibodies")
 	}
-	if !converged(daemons, want) {
+	if !awaitStores(c.members, want) {
 		return nil, fmt.Errorf("experiments: crash recovery: community never converged on wave 1 (%d antibodies)", want)
 	}
-	for _, d := range daemons {
-		d.fleet.Drain() // verify-then-adopt everything that arrived
-	}
-	res.BaselineConvergeMs = float64(time.Since(baselineStart)) / float64(time.Millisecond)
+	c.drain() // verify-then-adopt everything that arrived
 
-	// Seeded crash selection: CrashFraction·N victims, at least one producer
-	// left standing.
-	rng := &wormRNG{s: cfg.Seed*0x9e3779b97f4a7c15 + 0x632be59bd9b4e019}
-	crashCount := int(cfg.CrashFraction*float64(n) + 0.5)
-	if crashCount < 1 {
-		crashCount = 1
-	}
-	if crashCount > n-1 {
-		crashCount = n - 1
-	}
+	// Seeded crash selection: the first CrashFraction·N of a seeded shuffle,
+	// passing over a producer that would leave none standing.
+	rng := newWormRNG(cfg.Seed)
 	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i
@@ -342,171 +153,76 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (*CrashRecoveryResult, error) {
 		j := rng.intn(i + 1)
 		perm[i], perm[j] = perm[j], perm[i]
 	}
-	crashed := perm[:crashCount]
-	surviving := 0
-	for i := 0; i < producers; i++ {
-		survives := true
-		for _, c := range crashed {
-			if c == i {
-				survives = false
-				break
+	var crashed []*member
+	standing := producers
+	for _, i := range perm[:min(max(int(cfg.CrashFraction*float64(n)+0.5), 1), n-1)] {
+		if i < producers {
+			if standing == 1 {
+				continue
 			}
+			standing--
 		}
-		if survives {
-			surviving++
-		}
+		crashed = append(crashed, c.members[i])
 	}
-	if surviving == 0 {
-		// The seed happened to kill every producer: spare the first victim
-		// that is one.
-		for k, c := range crashed {
-			if c < producers {
-				crashed = append(crashed[:k], crashed[k+1:]...)
-				break
-			}
-		}
-	}
-	res.Crashed = len(crashed)
+	res.Crashed, res.CrashedProducers = len(crashed), producers-standing
 
-	// Hard-stop the victims: no drain, no flush, WAL detached unsynced.
-	// The hub endpoint disappears too, so surviving pollers see a dead peer
-	// and back off.
-	for _, i := range crashed {
-		d := daemons[i]
-		if d.producer {
-			res.CrashedProducers++
-		}
-		d.preCrash = d.fleet.Store().Len()
-		d.node.Close()
-		d.node = nil
-		d.fleet.Kill()
-		d.fleet = nil
-		hub.Unregister(d.name)
+	// Hard-stop the victims. Their endpoints disappear too, so surviving
+	// pollers see a dead peer and back off.
+	preCrash := make([]int, len(crashed)) // store size at the moment of the kill
+	for k, m := range crashed {
+		preCrash[k] = m.fleet.Store().Len()
+		m.kill()
 	}
 
 	// Wave 2 lands while they are down: the first surviving producer handles
 	// a fresh variant and the survivors converge on the grown union.
-	var waveProducer *crashDaemon
-	for i := 0; i < producers; i++ {
-		if daemons[i].fleet != nil {
-			waveProducer = daemons[i]
-			break
-		}
-	}
-	if waveProducer.fleet.Submit(waveProducer.guest.Name(), wave2, "worm", true) {
-		waveProducer.fleet.Drain()
-	}
-	var survivors []*crashDaemon
-	for _, d := range daemons {
-		if d.fleet != nil {
-			survivors = append(survivors, d)
-		}
-	}
-	res.AntibodiesTotal = unionSize(survivors[:1])
-	if u := unionSize(survivors); u > res.AntibodiesTotal {
-		res.AntibodiesTotal = u
-	}
-	if !converged(survivors, res.AntibodiesTotal) {
+	survivors := c.live()
+	survivors[0].wormContact(wave2) // members are in index order: a producer
+	res.AntibodiesTotal = storeUnion(survivors)
+	if !awaitStores(survivors, res.AntibodiesTotal) {
 		return nil, fmt.Errorf("experiments: crash recovery: survivors never converged on wave 2")
 	}
 
-	// Restart the crashed daemons from disk, concurrently like independent
-	// machines rebooting: open the durable store (WAL replay), warm-restore
-	// the guest, measure retention before any federation traffic, then
-	// rejoin through lazy transports and the re-registered hub endpoints.
-	reconvergeStart := time.Now()
-	var (
-		restartMu    sync.Mutex
-		restartErr   error
-		restartTimes []time.Duration
-		retained     int
-		preCrashSum  int
-	)
-	var wg sync.WaitGroup
-	for _, i := range crashed {
-		wg.Add(1)
-		go func(d *crashDaemon) {
-			defer wg.Done()
-			t0 := time.Now()
-			err := d.start(spec, cfg, false)
-			warm := time.Since(t0)
-			restartMu.Lock()
-			defer restartMu.Unlock()
-			if err != nil {
-				if restartErr == nil {
-					restartErr = err
-				}
-				return
-			}
-			restartTimes = append(restartTimes, warm)
-			got := d.fleet.Store().Len()
-			if got > d.preCrash {
-				got = d.preCrash
-			}
-			retained += got
-			preCrashSum += d.preCrash
-			dur := d.fleet.Durability()
-			res.WarmRestarts += dur.WarmRestarts
-			res.ColdFallbacks += dur.ColdFallbacks
-		}(daemons[i])
-	}
-	wg.Wait()
-	if restartErr != nil {
-		return nil, restartErr
-	}
-	if preCrashSum > 0 {
-		res.AntibodiesRetainedPct = 100 * float64(retained) / float64(preCrashSum)
-	}
-	var totalRestart time.Duration
-	for _, t := range restartTimes {
-		totalRestart += t
-		if ms := float64(t) / float64(time.Millisecond); ms > res.WarmRestartMsMax {
-			res.WarmRestartMsMax = ms
-		}
-	}
-	if len(restartTimes) > 0 {
-		res.WarmRestartMsMean = float64(totalRestart) / float64(len(restartTimes)) / float64(time.Millisecond)
-	}
-
-	// Filters-before-serving: each restarted daemon must filter the first
-	// wave's exploit from its replayed store alone, before rejoining the
-	// federation.
-	for _, i := range crashed {
-		d := daemons[i]
-		d.fleet.Start()
-		d.fleet.Drain() // the serving loop applies the replayed inbox here
-		if !d.fleet.Submit(d.guest.Name(), wave1, "worm", true) {
-			res.RestartedImmune++
-		}
-		d.fleet.Drain()
-	}
-	for _, i := range crashed {
-		d := daemons[i]
-		if _, err := hub.Register(d.name, d.fleet.Store(), d.rec, cfg.AuthToken); err != nil {
+	// Restart the crashed daemons from disk: open the durable store (WAL
+	// replay) and warm-restore the guest. Still off the federation, each must
+	// hold what it held when it was killed, and filter the first wave's
+	// exploit from that replayed store alone.
+	retained, held := 0, 0
+	for k, m := range crashed {
+		if err := m.restart(); err != nil {
 			return nil, err
 		}
-		d.node = federate.NewNode(d.fleet.Store(), d.rec, federate.Config{
-			Name:         d.name,
-			PollInterval: cfg.PollInterval,
-			AuthToken:    cfg.AuthToken,
-		})
-		for j := 0; j < producers; j++ {
-			if daemons[j].name == d.name {
-				continue
-			}
-			d.node.AddTransportLazy(hub.Transport(daemons[j].name, cfg.AuthToken))
+		// Capped: a push that landed between the count and the kill is not
+		// retention.
+		retained += min(m.fleet.Store().Len(), preCrash[k])
+		held += preCrash[k]
+		dur := m.fleet.Durability()
+		res.WarmRestarts += dur.WarmRestarts
+		res.ColdFallbacks += dur.ColdFallbacks
+		m.fleet.Drain() // the serving loop applies the replayed inbox here
+		if m.wormContact(wave1) {
+			res.RestartedImmune++
 		}
 	}
-	res.Converged = converged(daemons, res.AntibodiesTotal)
-	res.CrashReconvergeMs = float64(time.Since(reconvergeStart)) / float64(time.Millisecond)
-	for _, d := range daemons {
-		d.fleet.Drain()
+	if held > 0 {
+		res.AntibodiesRetainedPct = 100 * float64(retained) / float64(held)
 	}
-	for _, d := range daemons {
-		fs := d.rec.Snapshot()
+	// Rejoin: lazy links, because a producer among the restarted may not be
+	// back on the hub yet when another dials it.
+	for _, m := range crashed {
+		if err := m.join(); err != nil {
+			return nil, err
+		}
+		if err := m.link(true, prods...); err != nil {
+			return nil, err
+		}
+	}
+	res.Converged = awaitStores(c.members, res.AntibodiesTotal)
+	c.drain()
+	for _, m := range c.members {
+		fs := m.rec.Snapshot()
 		res.PeerDown += fs.PeerDown
 		res.PeerRecovered += fs.PeerRecovered
 	}
-	res.Elapsed = time.Since(start)
 	return res, nil
 }

@@ -11,9 +11,8 @@ import (
 // second wave lands on the survivors, and the crashed daemons restart from
 // disk. The community must retain (nearly) every antibody across the crash,
 // every restarted guest must come back warm with its filters reinstalled
-// before serving, and the community must reconverge. The converge and restart
-// times are logged, not judged: bench/ times a restart
-// (antibody.wal_replay_1k_ms, checkpoint.disk_load_us).
+// before serving, and the community must reconverge. No time is read here:
+// bench/ times a restart (antibody.wal_replay_1k_ms, checkpoint.disk_load_us).
 func TestCrashRecoverySmoke(t *testing.T) {
 	cfg := CrashRecoveryConfig{
 		Community:     100,
@@ -26,15 +25,12 @@ func TestCrashRecoverySmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunCrashRecovery: %v", err)
 	}
-	t.Logf("N=%d producers=%d crashed=%d (producers %d) baseline=%.1fms reconverge=%.1fms "+
-		"warm-restart mean=%.1fms max=%.1fms retained=%.1f%% warm=%d cold=%d immune=%d/%d "+
-		"peer-down=%d peer-recovered=%d antibodies=%d converged=%v elapsed=%s",
+	t.Logf("N=%d producers=%d crashed=%d (producers %d) retained=%.1f%% warm=%d cold=%d immune=%d/%d "+
+		"peer-down=%d peer-recovered=%d antibodies=%d converged=%v",
 		res.N, res.Producers, res.Crashed, res.CrashedProducers,
-		res.BaselineConvergeMs, res.CrashReconvergeMs,
-		res.WarmRestartMsMean, res.WarmRestartMsMax,
 		res.AntibodiesRetainedPct, res.WarmRestarts, res.ColdFallbacks,
 		res.RestartedImmune, res.Crashed, res.PeerDown, res.PeerRecovered,
-		res.AntibodiesTotal, res.Converged, res.Elapsed)
+		res.AntibodiesTotal, res.Converged)
 
 	if res.Crashed < res.N/10 {
 		t.Fatalf("crashed only %d of %d daemons; the fault injection did not bite", res.Crashed, res.N)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -21,10 +22,10 @@ func TestEpidemicSweepFigures(t *testing.T) {
 		t.Fatalf("RunEpidemicSweep: %v", err)
 	}
 	logPoint := func(axis string, p *EpidemicPointResult) {
-		t.Logf("%s alpha=%.2f deploy=%.1f gamma=%d: T0=%d final=%d/%d (%.0f%%) model=%.0f%% immune=%d/%d converged=%v elapsed=%s",
+		t.Logf("%s alpha=%.2f deploy=%.1f gamma=%d: T0=%d final=%d/%d (%.0f%%) model=%.0f%% immune=%d/%d converged=%v",
 			axis, p.Config.Alpha, p.Config.Deploy, p.Config.GammaTicks,
 			p.T0, p.FinalInfected, p.N, 100*p.InfectionRatio, 100*p.ModelInfectionRatio,
-			p.Immune, p.Protected, p.Converged, p.Elapsed)
+			p.Immune, p.Protected, p.Converged)
 	}
 	checkPoint := func(axis string, p *EpidemicPointResult) {
 		logPoint(axis, p)
@@ -107,12 +108,12 @@ func TestEpidemicScaleSmoke(t *testing.T) {
 	}
 	t.Logf("N=%d protected=%d producers=%d T0=%d infectedAtT0=%d final=%d (%.0f%%) model=%.0f%% ticks=%d "+
 		"attacked=%d blocked=%d immune=%d adopted=%d verified=%d rejected=%d regenerated=%d "+
-		"antibodies=%d sharedPages=%.3f elapsed=%s",
+		"antibodies=%d sharedPages=%.3f",
 		res.N, res.Protected, res.Producers, res.T0, res.InfectedAtT0, res.FinalInfected,
 		100*res.InfectionRatio, 100*res.ModelInfectionRatio, res.Ticks,
 		res.ProducersAttacked, res.BlockedContacts, res.Immune,
 		res.Adopted, res.Verified, res.Rejected, res.Regenerated,
-		res.AntibodiesTotal, res.SharedPageFraction, res.Elapsed)
+		res.AntibodiesTotal, res.SharedPageFraction)
 
 	if res.Protected != 100 {
 		t.Fatalf("protected = %d, want 100 in-process daemons", res.Protected)
@@ -152,5 +153,28 @@ func TestEpidemicScaleSmoke(t *testing.T) {
 	// share of the 100 guests' pages must still be the interned base images.
 	if res.SharedPageFraction < 0.75 {
 		t.Fatalf("shared base pages = %.3f of resident pages, want >= 0.75", res.SharedPageFraction)
+	}
+}
+
+// TestEpidemicPointRepeatsPerSeed holds cmd/benchtables to its word that the
+// infection outcomes are "deterministic per record": gossip, verification and
+// adoption run on host-clock goroutines, yet the worm's contact stream — and
+// so T0, the final count and the whole infection series — is a function of
+// the seed alone.
+func TestEpidemicPointRepeatsPerSeed(t *testing.T) {
+	cfg := EpidemicPointConfig{Community: 100, Alpha: 0.05, GammaTicks: 8, Seed: 7}
+	a, err := RunEpidemicPoint(cfg)
+	if err != nil {
+		t.Fatalf("first run: %v", err)
+	}
+	b, err := RunEpidemicPoint(cfg)
+	if err != nil {
+		t.Fatalf("second run: %v", err)
+	}
+	if a.T0 != b.T0 || a.FinalInfected != b.FinalInfected {
+		t.Errorf("T0 %d vs %d, final infected %d vs %d on one seed", a.T0, b.T0, a.FinalInfected, b.FinalInfected)
+	}
+	if !reflect.DeepEqual(a.Series, b.Series) {
+		t.Errorf("infection series differ on one seed:\n%v\n%v", a.Series, b.Series)
 	}
 }

@@ -2,73 +2,24 @@ package experiments
 
 import (
 	"fmt"
-	"net"
-	"net/http"
-	"time"
 
 	"sweeper/internal/antibody"
-	"sweeper/internal/apps"
-	"sweeper/internal/core"
 	"sweeper/internal/exploit"
-	"sweeper/internal/federate"
 	"sweeper/internal/metrics"
 )
 
-// FederatedEpidemicConfig sizes a live epidemic run against real federated
-// daemons: the Figure 6 community-defence flow measured on the actual system
-// instead of the SI model. α·N producer daemons are attacked and generate
-// antibodies; the consumer daemons receive them over real loopback HTTP,
-// re-verify each by exploit replay, and adopt — after which the worm finds
-// every daemon inoculated.
+// FederatedEpidemicConfig sizes a live epidemic run against daemons
+// federated over real loopback HTTP: the Figure 6 community-defence flow on
+// the actual system instead of the SI model. The producers are attacked and
+// generate antibodies; the consumers receive them over the wire, re-verify
+// each by exploit replay, and adopt — after which the worm finds every
+// daemon inoculated.
 type FederatedEpidemicConfig struct {
-	// App names the protected application (default squid).
-	App string
-	// Daemons is the community size N (default 3, the minimum interesting).
+	// Daemons is the community size N, at least 3 (the minimum interesting).
 	Daemons int
-	// Producers is α·N: how many daemons are attacked directly (default 1).
+	// Producers is α·N, how many daemons are attacked directly: at least one,
+	// and at least one daemon fewer than Daemons is left a consumer.
 	Producers int
-	// GuestsPerDaemon is the fleet size inside each daemon (default 1).
-	GuestsPerDaemon int
-	// Benign is the benign-request count per guest before the attack.
-	Benign int
-	// PollInterval is each node's federation poll cadence (default 10ms).
-	PollInterval time.Duration
-	// Timeout bounds the wait for store convergence (default 30s).
-	Timeout time.Duration
-	// SkipCorrupted disables the rogue-publisher phase (a corrupted antibody
-	// pushed into the community, which every verifying guest must reject).
-	SkipCorrupted bool
-}
-
-func (c *FederatedEpidemicConfig) defaults() error {
-	if c.App == "" {
-		c.App = "squid"
-	}
-	if c.Daemons == 0 {
-		c.Daemons = 3
-	}
-	if c.Producers == 0 {
-		c.Producers = 1
-	}
-	if c.GuestsPerDaemon == 0 {
-		c.GuestsPerDaemon = 1
-	}
-	if c.Benign == 0 {
-		c.Benign = 3
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 10 * time.Millisecond
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 30 * time.Second
-	}
-	if c.Daemons < 3 {
-		return fmt.Errorf("experiments: federated epidemic needs at least 3 daemons, got %d", c.Daemons)
-	}
-	if c.Producers >= c.Daemons {
-		return fmt.Errorf("experiments: need at least one consumer daemon (%d producers of %d daemons)", c.Producers, c.Daemons)
-	}
-	return nil
 }
 
 // FederatedDaemonResult is the outcome at one daemon.
@@ -79,24 +30,18 @@ type FederatedDaemonResult struct {
 	StoreLen int
 	Guests   []metrics.GuestStats
 	Fed      metrics.FederationStats
-	// ExploitFiltered says the worm's exploit was dropped at every guest's
+	// ExploitFiltered says the worm's exploit was dropped at the daemon's
 	// proxy during the final sweep.
 	ExploitFiltered bool
 }
 
 // FederatedEpidemicResult is the outcome of one live epidemic run.
 type FederatedEpidemicResult struct {
-	Config  FederatedEpidemicConfig
 	Daemons []FederatedDaemonResult
 	// Converged says every store reached the full antibody union in time.
 	Converged bool
-	// ConvergenceTime is how long the stores took to converge after the
-	// last producer attack.
-	ConvergenceTime time.Duration
 	// AntibodiesTotal is the converged store size.
 	AntibodiesTotal int
-	// CorruptedID names the rogue antibody (empty when SkipCorrupted).
-	CorruptedID string
 	// CorruptedSpread counts stores the corrupted antibody gossiped into
 	// (rejection happens at adoption, not in transit, so this should equal
 	// Daemons).
@@ -105,236 +50,99 @@ type FederatedEpidemicResult struct {
 	CorruptedRejections int
 }
 
-// federatedDaemon is one real daemon: a fleet, its peer-facing HTTP server on
-// a loopback port, and its federation node.
-type federatedDaemon struct {
-	name     string
-	producer bool
-	fleet    *core.Fleet
-	rec      *metrics.FederationRecorder
-	lis      net.Listener
-	srv      *http.Server
-	node     *federate.Node
-}
-
-func (d *federatedDaemon) addr() string { return d.lis.Addr().String() }
-
-func (d *federatedDaemon) close() {
-	if d.node != nil {
-		d.node.Close()
-	}
-	if d.srv != nil {
-		d.srv.Close()
-	}
-	if d.fleet != nil {
-		d.fleet.Stop()
-	}
-}
-
-// RunFederatedEpidemic stands up cfg.Daemons real sweeperd-equivalent daemons
-// federated over loopback HTTP in a full mesh, attacks the producers, and
-// measures the epidemic response of the actual system: antibody generation,
-// gossip, verify-before-adopt at every consumer, and community-wide
-// inoculation — then has a rogue publisher push a corrupted antibody, which
-// must spread freely but be rejected by every verifying guest.
+// RunFederatedEpidemic stands up cfg.Daemons daemons federated over loopback
+// HTTP in a full mesh, attacks the producers, and measures the epidemic
+// response of the actual system: antibody generation, gossip,
+// verify-before-adopt at every consumer, and community-wide inoculation —
+// then has a rogue publisher push a corrupted antibody, which must spread
+// freely but be rejected by every verifying guest.
 func RunFederatedEpidemic(cfg FederatedEpidemicConfig) (*FederatedEpidemicResult, error) {
-	if err := cfg.defaults(); err != nil {
-		return nil, err
+	if cfg.Daemons < 3 || cfg.Producers < 1 || cfg.Producers >= cfg.Daemons {
+		return nil, fmt.Errorf("experiments: federated epidemic needs 3 or more daemons, a producer and a consumer among them: got %d producers of %d",
+			cfg.Producers, cfg.Daemons)
 	}
-	spec, err := apps.ByName(cfg.App)
+	c, err := newCommunity(communitySpec{
+		members: cfg.Daemons, producers: cfg.Producers, http: true, warmup: epidemicWarmup,
+	})
 	if err != nil {
 		return nil, err
 	}
-	payload, err := exploit.Exploit(spec)
+	defer c.close()
+	payload, err := exploit.Exploit(c.app)
 	if err != nil {
 		return nil, err
 	}
-
-	daemons := make([]*federatedDaemon, cfg.Daemons)
-	defer func() {
-		for _, d := range daemons {
-			if d != nil {
-				d.close()
-			}
-		}
-	}()
-	for i := range daemons {
-		d := &federatedDaemon{
-			name:     fmt.Sprintf("daemon%d", i),
-			producer: i < cfg.Producers,
-			fleet:    core.NewFleet(),
-			rec:      metrics.NewFederationRecorder(),
-		}
-		for g := 0; g < cfg.GuestsPerDaemon; g++ {
-			gcfg := core.DefaultConfig()
-			// Every guest on every daemon runs its own randomised layout,
-			// like distinct hosts; verification must still succeed.
-			gcfg.ASLRSeed = 0x5eed + int64(i*997+g)*7919
-			gcfg.VerifyAdoption = true
-			guestName := fmt.Sprintf("%s-g%d", d.name, g)
-			if _, err := d.fleet.AddGuest(guestName, spec.Name, spec.Image, spec.Options, gcfg); err != nil {
-				return nil, err
-			}
-		}
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("experiments: loopback listener: %w", err)
-		}
-		d.lis = lis
-		d.srv = &http.Server{Handler: federate.NewServer(d.fleet.Store(), d.rec)}
-		go d.srv.Serve(lis)
-		d.node = federate.NewNode(d.fleet.Store(), d.rec, federate.Config{
-			Name:         d.name,
-			PollInterval: cfg.PollInterval,
-		})
-		d.fleet.Start()
-		daemons[i] = d
-	}
-	// Full-mesh peering over the real loopback transport.
-	for i, d := range daemons {
-		for j, peer := range daemons {
-			if i == j {
-				continue
-			}
-			if err := d.node.AddPeer(peer.addr()); err != nil {
-				return nil, err
-			}
+	for _, m := range c.members {
+		if err := m.link(false, c.members...); err != nil {
+			return nil, err
 		}
 	}
 
-	// Benign load everywhere, then the worm hits guest 0 of each producer.
-	for _, d := range daemons {
-		for _, g := range d.fleet.Guests() {
-			for r := 0; r < cfg.Benign; r++ {
-				d.fleet.Submit(g.Name(), exploit.Benign(cfg.App, r), "client", false)
-			}
-		}
-		d.fleet.Drain()
-	}
-	for i := 0; i < cfg.Producers; i++ {
-		d := daemons[i]
-		if !d.fleet.Submit(d.fleet.Guests()[0].Name(), payload, "worm", true) {
-			// Producers are attacked sequentially with live gossip running:
-			// a later producer may already be inoculated by an earlier one's
-			// antibody before the worm reaches it. That is the community
-			// defence succeeding, not a failed run — except for the first
-			// producer, where no antibody can exist yet.
-			if i == 0 {
-				return nil, fmt.Errorf("experiments: exploit filtered at %s before any antibody existed", d.name)
-			}
-			continue
-		}
-		d.fleet.Drain()
-	}
-	attackDone := time.Now()
-
-	// Wait for every store to converge on the union of the producers'
-	// antibodies. Producer stores may already hold gossip from each other, so
-	// the union size is the largest store, not the per-producer sum.
-	union := make(map[string]bool)
-	for i := 0; i < cfg.Producers; i++ {
-		for _, a := range daemons[i].fleet.Store().All() {
-			union[a.ID] = true
+	// Producers are attacked one after another with live gossip running: a
+	// later producer may already be inoculated by an earlier one's antibody
+	// before the worm reaches it. That is the community defence succeeding,
+	// not a failed run — except for the first producer, where no antibody
+	// can exist yet.
+	producers := c.members[:cfg.Producers]
+	for i, m := range producers {
+		if m.wormContact(payload) && i == 0 {
+			return nil, fmt.Errorf("experiments: exploit filtered at %s before any antibody existed", m.name)
 		}
 	}
-	want := len(union)
+	want := storeUnion(producers)
 	if want == 0 {
 		return nil, fmt.Errorf("experiments: producers generated no antibodies")
 	}
-	res := &FederatedEpidemicResult{Config: cfg}
-	deadline := time.Now().Add(cfg.Timeout)
-	for {
-		converged := true
-		for _, d := range daemons {
-			if d.fleet.Store().Len() != want {
-				converged = false
-				break
-			}
-		}
-		if converged {
-			res.Converged = true
-			break
-		}
-		if time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(cfg.PollInterval)
-	}
-	res.ConvergenceTime = time.Since(attackDone)
-	res.AntibodiesTotal = want
-	// Let every guest finish verifying and adopting what just arrived.
-	for _, d := range daemons {
-		d.fleet.Drain()
-	}
+	res := &FederatedEpidemicResult{AntibodiesTotal: want}
+	res.Converged = awaitStores(c.members, want)
+	c.drain() // every guest verifies and adopts what just arrived
 
 	// Rogue publisher: a corrupted antibody (its exploit input no longer
 	// exploits anything, with a self-consistent signature that would censor
-	// nothing real but proves nothing either). Gossip must spread it — the
-	// network layer does not judge — and every verifying guest must reject
-	// it. Rejections are attributed by delta, so a rejection of anything
-	// else (there should be none) cannot masquerade as a corrupted-antibody
+	// nothing real but proves nothing either). It holds the community token —
+	// peers are untrusted, not strangers. Gossip must spread it — the network
+	// layer does not judge — and every verifying guest must reject it.
+	// Rejections are attributed by delta, so a rejection of anything else
+	// (there should be none) cannot masquerade as a corrupted-antibody
 	// rejection.
-	rejectedBefore := 0
-	for _, d := range daemons {
-		for _, st := range d.fleet.Metrics().All() {
-			rejectedBefore += st.AntibodiesRejected
+	rejected := func() (n int) {
+		for _, m := range c.members {
+			n += m.fleet.Metrics().Totals().AntibodiesRejected
+		}
+		return n
+	}
+	rejectedBefore := rejected()
+	corrupted := &antibody.Antibody{
+		ID:           "rogue-corrupted-final",
+		Program:      c.app.Name,
+		Stage:        antibody.StageFinal,
+		ExploitInput: append([]byte(nil), payload[:len(payload)/4]...),
+	}
+	corrupted.Sigs = []*antibody.Signature{antibody.ExactSignature("rogue-corrupted-sig", corrupted.ExploitInput)}
+	if _, err := c.transport(c.members[cfg.Producers]).Push("rogue", []*antibody.Antibody{corrupted}); err != nil {
+		return nil, fmt.Errorf("experiments: rogue push: %w", err)
+	}
+	awaitStores(c.members, want+1)
+	for _, m := range c.members {
+		if _, ok := m.fleet.Store().Get(corrupted.ID); ok {
+			res.CorruptedSpread++
 		}
 	}
-	if !cfg.SkipCorrupted {
-		corrupted := &antibody.Antibody{
-			ID:      "rogue-corrupted-final",
-			Program: spec.Name,
-			Stage:   antibody.StageFinal,
-		}
-		corrupted.ExploitInput = append([]byte(nil), payload[:len(payload)/4]...)
-		corrupted.Sigs = []*antibody.Signature{antibody.ExactSignature("rogue-corrupted-sig", corrupted.ExploitInput)}
-		res.CorruptedID = corrupted.ID
-		rogue := federate.NewPeer(daemons[cfg.Producers].addr(), 5*time.Second)
-		if _, err := rogue.Push("rogue", []*antibody.Antibody{corrupted}); err != nil {
-			return nil, fmt.Errorf("experiments: rogue push: %w", err)
-		}
-		spreadDeadline := time.Now().Add(cfg.Timeout)
-		for time.Now().Before(spreadDeadline) {
-			spread := 0
-			for _, d := range daemons {
-				if _, ok := d.fleet.Store().Get(corrupted.ID); ok {
-					spread++
-				}
-			}
-			res.CorruptedSpread = spread
-			if spread == len(daemons) {
-				break
-			}
-			time.Sleep(cfg.PollInterval)
-		}
-		for _, d := range daemons {
-			d.fleet.Drain()
-		}
-	}
+	c.drain()
+	res.CorruptedRejections = rejected() - rejectedBefore
 
 	// Final sweep: the worm retries everywhere; every proxy must drop it.
-	for _, d := range daemons {
-		filtered := true
-		for _, g := range d.fleet.Guests() {
-			if d.fleet.Submit(g.Name(), payload, "worm", true) {
-				filtered = false
-			}
-		}
-		d.fleet.Drain()
-		dr := FederatedDaemonResult{
-			Name:            d.name,
-			Addr:            d.addr(),
-			Producer:        d.producer,
-			StoreLen:        d.fleet.Store().Len(),
-			Guests:          d.fleet.Metrics().All(),
-			Fed:             d.rec.Snapshot(),
+	for _, m := range c.members {
+		filtered := m.wormContact(payload)
+		res.Daemons = append(res.Daemons, FederatedDaemonResult{
+			Name:            m.name,
+			Addr:            m.addr,
+			Producer:        m.producer,
+			StoreLen:        m.fleet.Store().Len(),
+			Guests:          m.fleet.Metrics().All(),
+			Fed:             m.rec.Snapshot(),
 			ExploitFiltered: filtered,
-		}
-		for _, st := range dr.Guests {
-			res.CorruptedRejections += st.AntibodiesRejected
-		}
-		res.Daemons = append(res.Daemons, dr)
+		})
 	}
-	res.CorruptedRejections -= rejectedBefore
 	return res, nil
 }

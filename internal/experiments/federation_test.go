@@ -1,8 +1,8 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
-	"time"
 )
 
 // TestFederatedEpidemicLiveCommunityDefense runs the Figure 6 community flow
@@ -12,12 +12,7 @@ import (
 // corrupted antibody pushed by a rogue publisher must gossip everywhere yet
 // be rejected by every guest.
 func TestFederatedEpidemicLiveCommunityDefense(t *testing.T) {
-	res, err := RunFederatedEpidemic(FederatedEpidemicConfig{
-		Daemons:         3,
-		Producers:       1,
-		GuestsPerDaemon: 1,
-		PollInterval:    5 * time.Millisecond,
-	})
+	res, err := RunFederatedEpidemic(FederatedEpidemicConfig{Daemons: 3, Producers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,6 +28,10 @@ func TestFederatedEpidemicLiveCommunityDefense(t *testing.T) {
 	}
 
 	for _, d := range res.Daemons {
+		// Every antibody below crossed a loopback TCP port, not the hub.
+		if !strings.HasPrefix(d.Addr, "127.0.0.1:") {
+			t.Errorf("%s: endpoint %q is not a loopback HTTP address", d.Name, d.Addr)
+		}
 		if !d.ExploitFiltered {
 			t.Errorf("%s: worm exploit was not filtered after the epidemic response", d.Name)
 		}

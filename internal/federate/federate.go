@@ -105,9 +105,6 @@ func NewNode(store *antibody.Store, rec *metrics.FederationRecorder, cfg Config)
 	return n
 }
 
-// Store returns the node's local store.
-func (n *Node) Store() *antibody.Store { return n.store }
-
 // AddPeer connects to the HTTP peer at addr ("host:port" or a full URL),
 // carrying the node's auth token if one is configured.
 func (n *Node) AddPeer(addr string) error {
@@ -117,21 +114,12 @@ func (n *Node) AddPeer(addr string) error {
 // AddTransport connects to a peer over any Transport (an HTTP Peer or an
 // in-process hub endpoint). The first pull — the full-store replay a joining
 // daemon performs — happens synchronously so the caller learns immediately
-// whether the peer is reachable; the poll loop then keeps the stores
-// converged.
+// whether the peer is reachable: when it is not, the error is returned and
+// the peer is not registered. The poll loop then keeps the stores converged.
 func (n *Node) AddTransport(t Transport) error {
-	page, err := t.Pull(0)
-	if err != nil {
+	if err := n.join(t, false); err != nil {
 		return fmt.Errorf("federate: joining peer %s: %w", t.URL(), err)
 	}
-	n.importFrom(t, page.Antibodies)
-	n.mu.Lock()
-	n.peers = append(n.peers, t)
-	peerCount := len(n.peers)
-	n.mu.Unlock()
-	n.rec.Update(func(s *metrics.FederationStats) { s.Peers = peerCount })
-	n.wg.Add(1)
-	go n.pollLoop(t, page.Next, false)
 	return nil
 }
 
@@ -141,15 +129,21 @@ func (n *Node) AddTransport(t Transport) error {
 // down (FederationStats.PeerDown) and its poll loop keeps retrying with
 // capped exponential backoff from cursor 0, so the full-store replay happens
 // at the first successful poll after the peer appears.
-func (n *Node) AddTransportLazy(t Transport) {
+func (n *Node) AddTransportLazy(t Transport) { n.join(t, true) }
+
+// join is the one way a peer is added: first pull, import, register, poll. A
+// failed first pull is returned unless lazy, in which case the peer is
+// registered down and polled from cursor 0.
+func (n *Node) join(t Transport, lazy bool) error {
 	cursor := 0
-	down := false
-	if page, err := t.Pull(0); err == nil {
+	page, err := t.Pull(0)
+	if err == nil {
 		n.importFrom(t, page.Antibodies)
 		cursor = page.Next
-	} else {
-		down = true
+	} else if !lazy {
+		return err
 	}
+	down := err != nil
 	n.mu.Lock()
 	n.peers = append(n.peers, t)
 	peerCount := len(n.peers)
@@ -162,6 +156,7 @@ func (n *Node) AddTransportLazy(t Transport) {
 	})
 	n.wg.Add(1)
 	go n.pollLoop(t, cursor, down)
+	return nil
 }
 
 // Peers returns the URLs of the connected peers.

@@ -64,13 +64,10 @@ func (h *Hub) Unregister(name string) {
 // on every call, so it survives the endpoint being unregistered and
 // re-registered (a daemon restart).
 func (h *Hub) Dial(name, token string) (Transport, error) {
-	h.mu.Lock()
-	_, ok := h.eps[name]
-	h.mu.Unlock()
-	if !ok {
+	if h.lookup(name) == nil {
 		return nil, fmt.Errorf("federate: inproc endpoint %q not registered", name)
 	}
-	return &inprocPeer{hub: h, name: name, token: token}, nil
+	return h.Transport(name, token), nil
 }
 
 // Transport returns a Transport bound to the name whether or not the
@@ -113,9 +110,6 @@ type Endpoint struct {
 
 	closed atomic.Bool
 }
-
-// Name returns the endpoint's hub name.
-func (ep *Endpoint) Name() string { return ep.name }
 
 // Close stops the endpoint; in-flight and future requests fail like a
 // connection refused, which the poll loops absorb.

@@ -86,55 +86,6 @@ var benchOnce = map[string]func(tb testing.TB){
 			tb.Errorf("the exploit's request alone recorded %d nodes, the whole window %d", restricted, full)
 		}
 	},
-	"BenchmarkFigure4FleetSweep": func(tb testing.TB) {
-		sweep := figure4FleetSweepOnce(tb)
-		if len(sweep) != len(fleetSweepApps) {
-			tb.Fatalf("fleet sweep covered %d apps, want %d", len(sweep), len(fleetSweepApps))
-		}
-		for _, app := range sweep {
-			if app.Guests < 2 {
-				tb.Fatalf("%s: fleet sweep ran %d guests, want >= 2 concurrent live guests", app.App, app.Guests)
-			}
-			if len(app.Points) != len(figure4SweepIntervals) {
-				tb.Fatalf("%s: sweep returned %d points, want %d", app.App, len(app.Points), len(figure4SweepIntervals))
-			}
-			for _, pt := range app.Points {
-				if pt.ThroughputPerGuest <= 0 || pt.OfferedPerGuest <= 0 {
-					tb.Errorf("%s @%dms: empty generator rates: %+v", app.App, pt.IntervalMs, pt)
-				}
-				if pt.Overhead < -1e-9 || pt.Overhead > 1 {
-					tb.Errorf("%s @%dms: implausible overhead %v", app.App, pt.IntervalMs, pt.Overhead)
-				}
-				if pt.CapturedBytes <= 0 || pt.CapturedBytes >= pt.FullScanBytes {
-					tb.Errorf("%s @%dms: captured %d bytes not below full-scan %d", app.App, pt.IntervalMs, pt.CapturedBytes, pt.FullScanBytes)
-				}
-			}
-			// Overhead-vs-interval must come out monotone (non-increasing)
-			// against the live fleet, like the single-guest Figure 4 sweep.
-			if first, last := app.Points[0].Overhead, app.Points[len(app.Points)-1].Overhead; first < last-1e-9 {
-				tb.Errorf("%s: fleet overhead at %dms (%v) below overhead at %dms (%v)",
-					app.App, app.Points[0].IntervalMs, first, app.Points[len(app.Points)-1].IntervalMs, last)
-			}
-		}
-	},
-	"BenchmarkFigure5FleetThroughput": func(tb testing.TB) {
-		app := figure5FleetOnce(tb)
-		pt := app.Points[0]
-		if pt.AttacksHandled == 0 || pt.AntibodiesGenerated == 0 {
-			tb.Errorf("worm injections triggered no defence: %+v", pt)
-		}
-		if pt.OfferedPerGuest <= 0 || pt.ThroughputPerGuest <= 0 {
-			tb.Fatalf("empty fleet throughput: %+v", pt)
-		}
-		// The excised exploit injections and recovery gaps cost some completed
-		// requests, but the fleet must stay close to the offered load.
-		if pt.ThroughputPerGuest > pt.OfferedPerGuest*1.001 {
-			tb.Errorf("completed rate %.1f above offered rate %.1f", pt.ThroughputPerGuest, pt.OfferedPerGuest)
-		}
-		if pt.ThroughputPerGuest < pt.OfferedPerGuest*0.8 {
-			tb.Errorf("completed rate %.1f collapsed below 80%% of offered %.1f", pt.ThroughputPerGuest, pt.OfferedPerGuest)
-		}
-	},
 	"BenchmarkSnapshotSubPageVsPage": func(tb testing.TB) {
 		r := captureVolumeOnce(tb)
 		// The headline acceptance bar of the sub-page work: at least 2x fewer

@@ -421,75 +421,6 @@ func BenchmarkFigure4CheckpointIntervalSweep(b *testing.B) {
 	}
 }
 
-// --- Figure 4/5 against the live fleet: generator-driven interval sweep ---
-
-// fleetSweepApps fixes the sweep grid: every evaluation application, two
-// concurrent generator-driven guests each, at the paper's shortest, a middle
-// and the default checkpoint interval.
-var fleetSweepApps = []string{"apache1", "apache2", "cvs", "squid"}
-
-func figure4FleetSweepOnce(tb testing.TB) []experiments.FleetSweepApp {
-	sweep, err := experiments.RunFleetOverheadSweep(fleetSweepApps, experiments.QuickFleetWorkload(), figure4SweepIntervals)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return sweep
-}
-
-// BenchmarkFigure4FleetSweep reproduces the Figure 4 trade-off against the
-// live fleet: per application image, two concurrently-serving guests driven
-// by saturating open-loop workload generators, checkpoint interval swept
-// against a checkpointing-disabled baseline fleet. Overheads are
-// virtual-clock quantities, deterministic per configuration.
-func BenchmarkFigure4FleetSweep(b *testing.B) {
-	acc := make(map[string][]float64)
-	for i := 0; i < b.N; i++ {
-		for _, app := range figure4FleetSweepOnce(b) {
-			if acc[app.App] == nil {
-				acc[app.App] = make([]float64, len(app.Points))
-			}
-			for j, pt := range app.Points {
-				acc[app.App][j] += pt.Overhead
-			}
-		}
-	}
-	for _, app := range fleetSweepApps {
-		for j, interval := range figure4SweepIntervals {
-			b.ReportMetric(acc[app][j]/float64(b.N)*100, fmt.Sprintf("%s-fleet-overhead-%%-at-%dms", app, interval))
-		}
-	}
-}
-
-func figure5FleetOnce(tb testing.TB) experiments.FleetSweepApp {
-	sweep, err := experiments.RunFleetOverheadSweep([]string{"squid"}, experiments.Figure5FleetWorkload(), []uint64{200})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return sweep[0]
-}
-
-// BenchmarkFigure5FleetThroughput measures client-visible throughput on the
-// live fleet while a worm injects exploits into one guest's request stream:
-// offered versus completed req/s per guest across detection, analysis,
-// antibody distribution and rollback recovery.
-func BenchmarkFigure5FleetThroughput(b *testing.B) {
-	var offered, completed, overhead float64
-	var attacks int
-	for i := 0; i < b.N; i++ {
-		app := figure5FleetOnce(b)
-		pt := app.Points[0]
-		offered += pt.OfferedPerGuest
-		completed += pt.ThroughputPerGuest
-		overhead += pt.Overhead
-		attacks += pt.AttacksHandled
-	}
-	n := float64(b.N)
-	b.ReportMetric(offered/n, "offered-req-per-s-per-guest")
-	b.ReportMetric(completed/n, "completed-req-per-s-per-guest")
-	b.ReportMetric(overhead/n*100, "overhead-%-vs-no-checkpoint")
-	b.ReportMetric(float64(attacks)/n, "attacks-handled")
-}
-
 // --- checkpoint capture volume (counts; capture time is bench/'s) ---
 
 func captureVolumeOnce(tb testing.TB) *experiments.CaptureVolume {

@@ -45,8 +45,6 @@ func classify(name string) (tolerance float64, higherBetter bool, floor float64)
 		return deterministicTolerance, true, 0.05 // fractions of pages shared
 	case strings.Contains(name, "virtual_ms"):
 		return deterministicTolerance, false, 10 // virtual milliseconds
-	case strings.Contains(name, "req_per_s"):
-		return deterministicTolerance, true, 5 // requests per virtual second
 	}
 	return 0, false, 0
 }

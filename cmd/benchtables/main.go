@@ -11,7 +11,7 @@
 //	benchtables -ablation       # ablation studies
 //	benchtables -paper -all     # larger, paper-scale workloads
 //	benchtables -json BENCH_ci.json  # machine-readable virtual-clock record
-//	benchtables -compare BENCH_23.json BENCH_ci.json  # diff two records, exit 1 on regression
+//	benchtables -compare BENCH_25.json BENCH_ci.json  # diff two records, exit 1 on regression
 //
 // Nothing here reads the host clock into a record: every wall-clock number is
 // bench/'s (bash bench/run.sh). Table 3 prints the times one run measured,
@@ -84,25 +84,6 @@ func writeBenchJSON(path string, sizes experiments.Sizes, paperScale bool) error
 		}
 		metrics["monitoring_overhead_pct_"+r.Key] = r.Overhead * 100
 	}
-
-	sweep, err := experiments.RunFleetOverheadSweep(
-		[]string{"apache1", "apache2", "cvs", "squid"}, experiments.QuickFleetWorkload(), []uint64{20, 100, 200})
-	if err != nil {
-		return err
-	}
-	for _, app := range sweep {
-		for _, pt := range app.Points {
-			metrics[fmt.Sprintf("figure4_fleet_%s_overhead_pct_%dms", app.App, pt.IntervalMs)] = pt.Overhead * 100
-		}
-	}
-	f5, err := experiments.RunFleetOverheadSweep([]string{"squid"}, experiments.Figure5FleetWorkload(), []uint64{200})
-	if err != nil {
-		return err
-	}
-	f5pt := f5[0].Points[0]
-	metrics["figure5_fleet_offered_req_per_s"] = f5pt.OfferedPerGuest
-	metrics["figure5_fleet_completed_req_per_s"] = f5pt.ThroughputPerGuest
-	metrics["figure5_fleet_attacks_handled_count"] = float64(f5pt.AttacksHandled)
 
 	pruned, forced, err := experiments.SliceFallbackComparison()
 	if err != nil {

@@ -5,13 +5,6 @@
 // result, the antibodies generated (and when), recovery, and how the shared
 // antibodies inoculate the rest of the fleet against the same worm.
 //
-// With -rate, the fixed benign+worm script is replaced by a rate-controlled
-// open-loop workload generator per guest: each guest's serving goroutine
-// offers -requests requests at -rate req/s of virtual time (idle gaps advance
-// the virtual clock, backlog builds when the guest falls behind), and
-// -attack-every injects an exploit variant into guest 0's stream every Nth
-// request.
-//
 // With -listen and -peers, several sweeperd daemons federate their antibody
 // stores over HTTP+JSON: each daemon pushes what it publishes, polls what
 // pushes missed, and replays a peer's full store on join. Federated daemons
@@ -27,7 +20,6 @@
 //	sweeperd -app apache1,cvs -benign 50 -variants 2
 //	sweeperd -app cvs -no-aslr -shadow-stack
 //	sweeperd -app squid -sequential
-//	sweeperd -app squid -rate 150 -requests 600 -attack-every 100
 //
 //	# a federated pair: a producer that gets attacked and a consumer that
 //	# only ever sees the antibody arrive over the wire
@@ -62,7 +54,6 @@ import (
 
 	"sweeper/internal/apps"
 	"sweeper/internal/core"
-	"sweeper/internal/experiments"
 	"sweeper/internal/exploit"
 	"sweeper/internal/federate"
 	"sweeper/internal/metrics"
@@ -93,9 +84,6 @@ func main() {
 		sequential   = flag.Bool("sequential", false, "run the heavyweight analyses sequentially instead of in parallel")
 		analyses     = flag.String("analyses", "membug,taint,slicing", "comma-separated analyses to run after detection (registered: membug, taint, slicing)")
 		showAntibody = flag.Bool("show-antibody", false, "print each final antibody as JSON")
-		rate         = flag.Float64("rate", 0, "per-guest open-loop workload rate in requests per virtual second; replaces the scripted benign+worm workload (0 = scripted)")
-		requests     = flag.Int("requests", 400, "with -rate: total requests each guest's generator offers")
-		attackEvery  = flag.Int("attack-every", 100, "with -rate: inject an exploit variant every Nth request of guest 0's stream (0 = benign only)")
 		listen       = flag.String("listen", "", "serve the antibody store to federation peers on this address (e.g. 127.0.0.1:7070)")
 		peers        = flag.String("peers", "", "comma-separated federation peers to gossip antibodies with (host:port)")
 		verifyAdopt  = flag.Bool("verify-adopt", false, "replay each received antibody's exploit in a sandbox before adoption (default on when -listen or -peers is set)")
@@ -217,9 +205,6 @@ func main() {
 			fmt.Printf("  federation: peered with %s\n", addr)
 		}
 	}
-	// With -rate, every guest gets an open-loop workload generator (attached
-	// before the serving goroutines launch); otherwise the fixed benign+worm
-	// script below drives the fleet.
 	exploits := make(map[string][]byte)
 	for _, spec := range specs {
 		payload0, err := exploit.ExploitVariant(spec, 0)
@@ -227,27 +212,6 @@ func main() {
 			log.Fatalf("sweeperd: building exploit: %v", err)
 		}
 		exploits[spec.Name] = payload0
-	}
-	attacksLaunched := *variants > 0
-	if *rate > 0 {
-		attacksLaunched = *attackEvery > 0 && *attackEvery <= *requests
-		for _, spec := range specs {
-			for i := 0; i < *guests; i++ {
-				g, _ := fleet.Guest(fmt.Sprintf("%s-%d", spec.Name, i))
-				wcfg, err := experiments.FleetGuestWorkload(spec, i, *rate, *requests, *attackEvery)
-				if err != nil {
-					log.Fatalf("sweeperd: building exploit: %v", err)
-				}
-				if err := g.SetWorkload(wcfg); err != nil {
-					log.Fatalf("sweeperd: %v", err)
-				}
-			}
-		}
-		fmt.Printf("  workload: open-loop generators, %g req/s x %d requests per guest", *rate, *requests)
-		if *attackEvery > 0 {
-			fmt.Printf(", exploit every %d requests at guest 0", *attackEvery)
-		}
-		fmt.Println()
 	}
 	// TCP front ends: one listener per guest, attached before the serving
 	// goroutines launch.
@@ -278,41 +242,37 @@ func main() {
 	fmt.Println()
 	fleet.Start()
 
-	if *rate > 0 {
-		fleet.Drain()
-	} else {
-		// Benign traffic to every guest, the worm's exploit variants at guest
-		// 0 of each application, then more benign traffic.
-		for _, spec := range specs {
-			payload0 := exploits[spec.Name]
-			for i := 0; i < *guests; i++ {
-				guestName := fmt.Sprintf("%s-%d", spec.Name, i)
-				for r := 0; r < *benign; r++ {
-					fleet.Submit(guestName, exploit.Benign(spec.Name, r), "client", false)
-				}
-			}
-			for v := 0; v < *variants; v++ {
-				payload := payload0
-				if v > 0 {
-					var err error
-					payload, err = exploit.ExploitVariant(spec, v)
-					if err != nil {
-						log.Fatalf("sweeperd: building exploit: %v", err)
-					}
-				}
-				accepted := fleet.Submit(spec.Name+"-0", payload, "worm", true)
-				fmt.Printf("worm: exploit variant %d submitted to %s-0 (%d bytes), accepted by proxy: %v\n",
-					v, spec.Name, len(payload), accepted)
-			}
-			for i := 0; i < *guests; i++ {
-				guestName := fmt.Sprintf("%s-%d", spec.Name, i)
-				for r := 0; r < *benign; r++ {
-					fleet.Submit(guestName, exploit.Benign(spec.Name, 1000+r), "client", false)
-				}
+	// Benign traffic to every guest, the worm's exploit variants at guest 0
+	// of each application, then more benign traffic.
+	for _, spec := range specs {
+		payload0 := exploits[spec.Name]
+		for i := 0; i < *guests; i++ {
+			guestName := fmt.Sprintf("%s-%d", spec.Name, i)
+			for r := 0; r < *benign; r++ {
+				fleet.Submit(guestName, exploit.Benign(spec.Name, r), "client", false)
 			}
 		}
-		fleet.Drain()
+		for v := 0; v < *variants; v++ {
+			payload := payload0
+			if v > 0 {
+				var err error
+				payload, err = exploit.ExploitVariant(spec, v)
+				if err != nil {
+					log.Fatalf("sweeperd: building exploit: %v", err)
+				}
+			}
+			accepted := fleet.Submit(spec.Name+"-0", payload, "worm", true)
+			fmt.Printf("worm: exploit variant %d submitted to %s-0 (%d bytes), accepted by proxy: %v\n",
+				v, spec.Name, len(payload), accepted)
+		}
+		for i := 0; i < *guests; i++ {
+			guestName := fmt.Sprintf("%s-%d", spec.Name, i)
+			for r := 0; r < *benign; r++ {
+				fleet.Submit(guestName, exploit.Benign(spec.Name, 1000+r), "client", false)
+			}
+		}
 	}
+	fleet.Drain()
 
 	// Linger: keep serving federation peers and absorbing their gossip (a
 	// consumer daemon receives, verifies and adopts antibodies during this
@@ -343,7 +303,7 @@ func main() {
 	// proxy.
 	fmt.Println()
 	for _, spec := range specs {
-		if !attacksLaunched && !federated {
+		if *variants <= 0 && !federated {
 			continue // no exploit was ever launched and none could arrive
 		}
 		payload := exploits[spec.Name]
@@ -362,11 +322,6 @@ func main() {
 			st.Guest, st.RequestsServed, st.AttacksHandled, st.Recovered,
 			st.AntibodiesGenerated, st.AntibodiesAdopted, st.AntibodiesVerified,
 			st.ProvisionalInstalls, st.AntibodiesRejected, st.FilteredInputs, st.Halted)
-		if st.WorkloadOffered > 0 {
-			fmt.Printf("%-12s   workload: offered=%d (%.1f req/s) completed=%.1f req/s attacks-injected=%d rejected-at-proxy=%d\n",
-				"", st.WorkloadOffered, st.OfferedReqPerSec, st.CompletedReqPerSec,
-				st.WorkloadAttacks, st.WorkloadRejected)
-		}
 	}
 	totals := fleet.Metrics().Totals()
 	fmt.Printf("%-12s served=%-4d attacks=%d recovered=%d generated=%d adopted=%d verified=%d provisional=%d rejected=%d filtered=%d\n",

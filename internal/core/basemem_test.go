@@ -36,15 +36,6 @@ func TestFleetMemoryGrowsSublinearly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wcfg := core.WorkloadConfig{
-			TargetReqPerSec: 5000,
-			Requests:        60,
-			Benign:          func(j int) []byte { return exploit.Benign("squid", j) },
-			Source:          "loadgen",
-		}
-		if err := g.SetWorkload(wcfg); err != nil {
-			t.Fatal(err)
-		}
 		guests = append(guests, g)
 	}
 
@@ -69,6 +60,11 @@ func TestFleetMemoryGrowsSublinearly(t *testing.T) {
 	}
 
 	// Steady serving: most live pages must remain base-backed.
+	for _, g := range guests {
+		for j := 0; j < 60; j++ {
+			fleet.Submit(g.Name(), exploit.Benign("squid", j), "client", false)
+		}
+	}
 	fleet.Start()
 	fleet.Drain()
 	fleet.Stop()

@@ -79,7 +79,7 @@ func TestDurableFleetWarmRestartFiltersBeforeServing(t *testing.T) {
 		g, _ := f2.Guest(name)
 		// Warm restore means the virtual clock continues from the persisted
 		// state, not from a cold image at time zero.
-		if g.Sweeper().Process().Machine.NowMicros() == 0 {
+		if g.Sweeper().Process().Machine.Cycles() == 0 {
 			t.Errorf("guest %s restarted with a cold clock; warm restore did not take", name)
 		}
 		st, _ := f2.Metrics().Guest(name)

@@ -55,13 +55,6 @@ type Guest struct {
 	// goroutines) must see the halt to answer StatusUnavailable.
 	halted bool
 
-	// gen is the guest's optional open-loop workload generator (see
-	// workload.go). genDone mirrors its completion under mu so Drain and the
-	// serving loop agree; genStats is the latest snapshot of its counters.
-	gen      *workloadGen
-	genDone  bool
-	genStats WorkloadStats
-
 	// applied maps an antibody family (owner-attackN) to the currently
 	// installed refinement stage, so a refined antibody replaces the initial
 	// one instead of stacking probes; appliedRank remembers how refined the
@@ -220,30 +213,40 @@ func (f *Fleet) Submit(guest string, payload []byte, src string, malicious bool)
 	if !ok {
 		return false
 	}
-	accepted := g.s.Submit(payload, src, malicious)
-	f.rec.Update(g.name, func(st *metrics.GuestStats) {
-		st.FilteredInputs = g.s.Proxy().Stats().Filtered
-	})
-	if accepted {
-		g.mu.Lock()
-		g.pending = true
-		g.cond.Broadcast()
-		g.mu.Unlock()
-	}
+	_, accepted := g.submit(payload, src, malicious)
 	return accepted
 }
 
+// submit offers a request to the guest's filtering proxy, for Fleet.Submit
+// and the TCP front end alike. A filtered request never wakes the serving
+// loop, so its count is published here; an accepted one wakes the loop,
+// whose updateMetrics publishes the rest.
+func (g *Guest) submit(payload []byte, src string, malicious bool) (reqID int, accepted bool) {
+	reqID, accepted = g.s.SubmitTracked(payload, src, malicious)
+	if !accepted {
+		g.fleet.rec.Update(g.name, func(st *metrics.GuestStats) {
+			st.FilteredInputs = g.s.Proxy().Stats().Filtered
+		})
+		return reqID, false
+	}
+	g.mu.Lock()
+	g.pending = true
+	g.cond.Broadcast()
+	g.mu.Unlock()
+	return reqID, true
+}
+
 // Drain blocks until every guest is quiescent: no queued requests, no
-// pending antibody applications, no running workload generator, no attack
-// analysis in flight — including the deferred analysis tier, which completes
-// after a guest has already resumed service — and no adoption still holding
-// its provisional antibody. It must not race with Submit calls.
+// pending antibody applications, no attack analysis in flight — including
+// the deferred analysis tier, which completes after a guest has already
+// resumed service — and no adoption still holding its provisional antibody.
+// It must not race with Submit calls.
 func (f *Fleet) Drain() {
 	for {
 		waited := false
 		for _, g := range f.Guests() {
 			g.mu.Lock()
-			for !g.stopped && (g.busy || g.pending || len(g.inbox) > 0 || g.regenerating > 0 || g.workloadRunnable()) {
+			for !g.stopped && (g.busy || g.pending || len(g.inbox) > 0 || g.regenerating > 0) {
 				waited = true
 				g.cond.Wait()
 			}
@@ -254,12 +257,6 @@ func (f *Fleet) Drain() {
 			return
 		}
 	}
-}
-
-// workloadRunnable reports whether the guest's workload generator still has
-// load to offer. Callers hold g.mu.
-func (g *Guest) workloadRunnable() bool {
-	return g.gen != nil && !g.genDone && g.serveErr == nil
 }
 
 // Stop drains outstanding work, terminates every guest goroutine, waits for
@@ -554,13 +551,16 @@ func (g *Guest) installAdopted(family string, rank int, a *antibody.Antibody) bo
 	return true
 }
 
-// loop is the guest's serving goroutine: apply queued antibodies, serve
-// queued requests (handling any attacks inline), publish metrics, repeat.
+// loop is the guest's serving goroutine. It has three sources of work —
+// adoptions whose regeneration came back, the antibody inbox, and requests
+// pending at the proxy — and takes them in that order: finish adoptions,
+// apply queued antibodies, serve queued requests (handling any attacks
+// inline), publish metrics, repeat.
 func (g *Guest) loop() {
 	defer g.fleet.wg.Done()
 	for {
 		g.mu.Lock()
-		for !g.stopped && !g.pending && len(g.inbox) == 0 && len(g.regenerated) == 0 && !g.workloadRunnable() {
+		for !g.stopped && !g.pending && len(g.inbox) == 0 && len(g.regenerated) == 0 {
 			g.cond.Wait()
 		}
 		if g.stopped {
@@ -574,10 +574,6 @@ func (g *Guest) loop() {
 		g.regenerating -= len(regenerated)
 		serve := g.pending
 		g.pending = false
-		var gen *workloadGen
-		if g.workloadRunnable() {
-			gen = g.gen
-		}
 		g.busy = true
 		g.mu.Unlock()
 
@@ -586,27 +582,6 @@ func (g *Guest) loop() {
 		}
 		for _, a := range inbox {
 			g.adopt(a, true)
-		}
-		if gen != nil {
-			if g.s.Halted() {
-				// The guest halted outside the workload slice (e.g. an
-				// externally submitted request took it down in the serve
-				// branch below): retire the generator, or workloadRunnable
-				// would keep the loop spinning and Drain waiting forever.
-				g.mu.Lock()
-				g.genDone = true
-				g.mu.Unlock()
-			} else {
-				done, err := g.runWorkloadSlice(gen)
-				g.mu.Lock()
-				if done {
-					g.genDone = true
-				}
-				if err != nil {
-					g.serveErr = err
-				}
-				g.mu.Unlock()
-			}
 		}
 		if serve && !g.s.Halted() {
 			_, err := g.s.ServeAll()
@@ -638,37 +613,20 @@ func (g *Guest) loop() {
 // updateMetrics publishes the guest's absolute counters to the recorder.
 // Runs on the guest's serving goroutine.
 func (g *Guest) updateMetrics() {
+	attacks := g.s.Attacks()
 	recovered := 0
-	for _, r := range g.s.Attacks() {
+	for _, r := range attacks {
 		if r.Recovered {
 			recovered++
 		}
 	}
-	served := g.s.Process().ServedRequests()
-	g.mu.Lock()
-	gen, done := g.gen, g.genDone
-	g.mu.Unlock()
-	var wl WorkloadStats
-	if gen != nil {
-		wl = gen.stats(g.s.Process().Machine.NowMicros(), served, done)
-		g.mu.Lock()
-		g.genStats = wl
-		g.mu.Unlock()
-	}
 	g.fleet.rec.Update(g.name, func(st *metrics.GuestStats) {
-		st.RequestsServed = served
-		st.AttacksHandled = len(g.s.Attacks())
+		st.RequestsServed = g.s.Process().ServedRequests()
+		st.AttacksHandled = len(attacks)
 		st.Recovered = recovered
 		st.FilteredInputs = g.s.Proxy().Stats().Filtered
 		st.DeferredBacklog = g.s.DeferredBacklog()
 		st.DeferredDropped = g.s.DeferredDropped()
 		st.Halted = g.s.Halted()
-		if gen != nil {
-			st.WorkloadOffered = wl.Offered
-			st.WorkloadAttacks = wl.Attacks
-			st.WorkloadRejected = wl.Rejected
-			st.OfferedReqPerSec = wl.OfferedPerSec()
-			st.CompletedReqPerSec = wl.CompletedPerSec()
-		}
 	})
 }

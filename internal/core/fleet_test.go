@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"sweeper/internal/antibody"
 	"sweeper/internal/apps"
@@ -117,6 +118,60 @@ func TestFleetLateJoinerIsInoculatedFromStore(t *testing.T) {
 	st, _ := f.Metrics().Guest("squid-late")
 	if st.AntibodiesAdopted == 0 {
 		t.Error("late joiner adopted no antibodies")
+	}
+}
+
+// TestFleetGuestHaltEndsDrain pins the shutdown path: when a guest dies with
+// requests queued on both sides of the one that killed it (here: an exploit
+// hijacks an ASLR-less guest, which exits without an error), Drain and Stop
+// return instead of waiting on requests the dead guest can never serve, and
+// its stats say it halted.
+func TestFleetGuestHaltEndsDrain(t *testing.T) {
+	const benign = 50
+	spec, err := apps.ByName("apache1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := exploit.Exploit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewFleet()
+	cfg := DefaultConfig()
+	cfg.ASLR = false // the hijack succeeds and the guest halts
+	g, err := f.AddGuest("apache1-0", spec.Name, spec.Image, spec.Options, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < benign; j++ {
+		f.Submit(g.Name(), exploit.Benign("apache1", j), "client", false)
+	}
+	f.Start()
+	f.Submit(g.Name(), payload, "worm", true)
+	for j := 0; j < benign; j++ {
+		f.Submit(g.Name(), exploit.Benign("apache1", benign+j), "client", false)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		f.Drain()
+		f.Stop()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Drain/Stop hung after the guest halted")
+	}
+	if !g.Sweeper().Halted() {
+		t.Fatal("guest did not halt; the scenario needs the ASLR-less hijack to succeed")
+	}
+	st, _ := f.Metrics().Guest(g.Name())
+	if !st.Halted {
+		t.Errorf("halt not surfaced in the guest's stats: %+v", st)
+	}
+	if st.RequestsServed >= 2*benign {
+		t.Errorf("the halted guest served %d requests, every benign one submitted", st.RequestsServed)
 	}
 }
 

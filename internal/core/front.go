@@ -41,19 +41,10 @@ func (g *Guest) AttachListener(addr string) error {
 		if halted {
 			return 0, netproxy.StatusUnavailable
 		}
-		id, accepted := g.s.SubmitTracked(payload, src, false)
+		id, accepted := g.submit(payload, src, false)
 		if !accepted {
-			// A filtered request never wakes the serving loop, whose
-			// updateMetrics publishes the count for accepted ones.
-			g.fleet.rec.Update(g.name, func(st *metrics.GuestStats) {
-				st.FilteredInputs = g.s.Proxy().Stats().Filtered
-			})
 			return id, netproxy.StatusFiltered
 		}
-		g.mu.Lock()
-		g.pending = true
-		g.cond.Broadcast()
-		g.mu.Unlock()
 		return id, netproxy.StatusOK
 	}
 	ln, err := netproxy.NewListener(addr, submit)

@@ -257,8 +257,8 @@ func (s *Sweeper) Config() Config { return s.cfg }
 // Layout returns the (possibly randomised) layout the process runs at.
 func (s *Sweeper) Layout() vm.Layout { return s.layout }
 
-// Proxy returns the protecting network proxy; workload generators submit
-// requests through it.
+// Proxy returns the protecting network proxy; every request reaches the
+// process through it.
 func (s *Sweeper) Proxy() *netproxy.Proxy { return s.proxy }
 
 // Process returns the protected process.

@@ -6,7 +6,7 @@ import (
 	"sweeper/internal/exploit"
 )
 
-// crashWarmup is each guest's generator load before the first wave: live
+// crashWarmup is each guest's benign requests before the first wave: live
 // checkpoints on disk before anything crashes.
 const crashWarmup = 8
 

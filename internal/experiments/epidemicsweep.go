@@ -11,7 +11,7 @@ import (
 const (
 	epidemicBeta     = 0.1  // contacts per infected host per tick: the paper's observed Slammer rate
 	epidemicRho      = 1.0  // chance a contact infects a not-yet-immune consumer: no proactive protection
-	epidemicWarmup   = 12   // generator requests each guest serves before the worm is released
+	epidemicWarmup   = 12   // benign requests each guest serves before the worm is released
 	epidemicFanout   = 3    // each node's per-batch push fan-out
 	epidemicMaxTicks = 5000 // bound on the epidemic clock
 )
@@ -141,8 +141,8 @@ func (r *wormRNG) next() uint64 {
 func (r *wormRNG) intn(n int) int { return int(r.next() % uint64(n)) }
 
 // RunEpidemicPoint stands up one live community — Deploy·Community real
-// daemons on the in-process hub, each guest warmed with generator-driven load
-// — releases the worm, and measures the epidemic response of the actual
+// daemons on the in-process hub, each guest warmed with benign requests —
+// releases the worm, and measures the epidemic response of the actual
 // system: producers generate antibodies under attack, gossip converges the
 // stores, consumers verify-then-adopt GammaTicks after the first producer
 // contact, and the infection freezes everywhere the defence reached.
@@ -356,7 +356,7 @@ type EpidemicSweepResult struct {
 
 // RunEpidemicSweep reproduces the structure of the paper's Figures 6-8
 // against live communities: every grid cell stands up its own in-process
-// daemon community (generator-driven load on every guest), releases the worm,
+// daemon community (benign load on every guest), releases the worm,
 // and measures the infection outcome of the real antibody pipeline instead of
 // the differential-equation model. The three axes share Base and differ in
 // exactly one parameter, so each result slice is a curve. Every point of an

@@ -91,7 +91,7 @@ func TestEpidemicSweepFigures(t *testing.T) {
 
 // TestEpidemicScaleSmoke is the production-scale convergence check: one
 // hundred real in-process daemons (95 consumers, 5 producers) federated over
-// the hub, generator-driven load on every guest, one worm outbreak. It runs
+// the hub, benign load on every guest, one worm outbreak. It runs
 // in the -short CI lane; the shared base-image store is what makes a
 // community this size affordable in one test process.
 func TestEpidemicScaleSmoke(t *testing.T) {

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"time"
 
+	"sweeper/internal/analysis"
+	"sweeper/internal/analysis/slicing"
 	"sweeper/internal/antibody"
 	"sweeper/internal/apps"
 	"sweeper/internal/core"
@@ -267,6 +269,42 @@ func Table3(appNames []string) ([]Table3Row, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// SliceFallbackComparison measures the slicing analyzer's full-slice
+// fallback path (only slicing configured, so neither membug nor taint
+// implicates anything) on the real Squid exploit, with and without the
+// control-dependence prune: the pruned run is the production default, the
+// forced run registers slicing.Analyzer{ForceControlDeps: true} — the
+// pre-prune behaviour — under an otherwise identical configuration.
+func SliceFallbackComparison() (pruned, forced *slicing.Result, err error) {
+	runOne := func(force bool) (*slicing.Result, error) {
+		run, err := RunDefense("squid", 8, 8, func(c *core.Config) {
+			c.Analyses = []string{slicing.AnalyzerName}
+			if force {
+				reg := analysis.NewRegistry()
+				if err := reg.Register(slicing.Analyzer{ForceControlDeps: true}); err != nil {
+					panic(err) // unreachable: one registration in a fresh registry
+				}
+				c.Registry = reg
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
+		res, ok := run.Report.FindingFor(slicing.AnalyzerName).(*slicing.Result)
+		if !ok {
+			return nil, fmt.Errorf("experiments: slicing produced no result (error: %q)", run.Report.ErrorFor(slicing.AnalyzerName))
+		}
+		return res, nil
+	}
+	if pruned, err = runOne(false); err != nil {
+		return nil, nil, err
+	}
+	if forced, err = runOne(true); err != nil {
+		return nil, nil, err
+	}
+	return pruned, forced, nil
 }
 
 // --- Figure 4: checkpoint interval vs overhead ---

@@ -23,7 +23,6 @@ const (
 	communityToken   = "sweeper-community"
 	communityPoll    = 20 * time.Millisecond // node poll cadence, and awaitStores's
 	communityTimeout = 60 * time.Second      // bound on one awaitStores
-	warmupReqPerSec  = 400                   // offered rate of a member's warm-up generator
 )
 
 // communitySpec is what differs between the scenarios' communities.
@@ -36,8 +35,9 @@ type communitySpec struct {
 	// http serves each member on a loopback HTTP port instead of the
 	// in-process hub.
 	http bool
-	// warmup is the generator load each guest serves before anything else:
-	// live traffic, and the checkpoints verification sandboxes replay from.
+	// warmup is the number of benign requests each guest serves before
+	// anything else: live traffic, and the checkpoints verification sandboxes
+	// replay from.
 	warmup int
 	// fanout is each node's federate.Config.MaxPushFanout.
 	fanout int
@@ -111,7 +111,7 @@ func newCommunity(spec communitySpec) (*community, error) {
 }
 
 // boot builds the member's fleet and guest — from its data directory, when it
-// has one — and starts serving. warmup generator requests are offered first.
+// has one — and starts serving. warmup benign requests are submitted first.
 func (m *member) boot(warmup int) error {
 	m.fleet = core.NewFleetWithOptions(core.FleetOptions{DataDir: m.dir})
 	m.rec = metrics.NewFederationRecorder()
@@ -131,16 +131,8 @@ func (m *member) boot(warmup int) error {
 		return err
 	}
 	m.guest = g
-	if warmup > 0 {
-		err := g.SetWorkload(core.WorkloadConfig{
-			TargetReqPerSec: warmupReqPerSec,
-			Requests:        warmup,
-			Benign:          func(j int) []byte { return exploit.Benign(communityApp, j) },
-			Source:          "loadgen",
-		})
-		if err != nil {
-			return err
-		}
+	for j := 0; j < warmup; j++ {
+		m.fleet.Submit(g.Name(), exploit.Benign(communityApp, j), "loadgen", false)
 	}
 	m.fleet.Start()
 	return nil

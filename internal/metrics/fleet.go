@@ -53,19 +53,6 @@ type GuestStats struct {
 	// DeferredDropped counts attacks whose deferred analyses were dropped
 	// because the bounded queue was full (attack-storm backpressure).
 	DeferredDropped int
-	// WorkloadOffered, WorkloadAttacks and WorkloadRejected describe the
-	// guest's open-loop workload generator, when one is attached: requests
-	// offered so far, exploit injections among them, and offers the proxy's
-	// input-signature filters rejected.
-	WorkloadOffered  int
-	WorkloadAttacks  int
-	WorkloadRejected int
-	// OfferedReqPerSec and CompletedReqPerSec compare the generator's offered
-	// load with what the guest actually completed, in requests per virtual
-	// second over the workload window — the Figure 5 throughput comparison,
-	// per guest.
-	OfferedReqPerSec   float64
-	CompletedReqPerSec float64
 	// Halted records that the guest's server exited.
 	Halted bool
 	// WarmRestarted records that the guest's state was restored from a
@@ -148,11 +135,6 @@ func (r *FleetRecorder) Totals() GuestStats {
 		total.FilteredInputs += g.FilteredInputs
 		total.DeferredBacklog += g.DeferredBacklog
 		total.DeferredDropped += g.DeferredDropped
-		total.WorkloadOffered += g.WorkloadOffered
-		total.WorkloadAttacks += g.WorkloadAttacks
-		total.WorkloadRejected += g.WorkloadRejected
-		total.OfferedReqPerSec += g.OfferedReqPerSec
-		total.CompletedReqPerSec += g.CompletedReqPerSec
 		total.Halted = total.Halted || g.Halted
 	}
 	return total

@@ -1,15 +1,10 @@
 // Package metrics provides the small measurement helpers used by the
 // evaluation harnesses: time-series of request completions (for the Figure 5
-// throughput-over-time plot), throughput/overhead computations (Figure 4 and
-// the VSEF-overhead experiment) and simple summary statistics.
+// throughput-over-time plot) and throughput/overhead computations (Figure 4
+// and the VSEF-overhead experiment).
 package metrics
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-	"sort"
-)
+import "encoding/binary"
 
 // Sample is one (time, value) point of a series.
 type Sample struct {
@@ -19,15 +14,6 @@ type Sample struct {
 
 // Series is an ordered list of samples.
 type Series []Sample
-
-// String renders the series as "t value" lines (gnuplot-style).
-func (s Series) String() string {
-	out := ""
-	for _, p := range s {
-		out += fmt.Sprintf("%d\t%.3f\n", p.TimeMs, p.Value)
-	}
-	return out
-}
 
 // CompletionRecorder records the virtual completion time of every request and
 // converts them into a throughput-over-time series. Times must not decrease.
@@ -148,67 +134,11 @@ func (c *CompletionRecorder) ThroughputSeries(bucketMs uint64) Series {
 }
 
 // Overhead returns the fractional slowdown of measured relative to baseline
-// (e.g. 0.0093 for a 0.93% throughput drop). Throughputs of zero yield zero.
+// (e.g. 0.0093 for a 0.93% throughput drop), negative when measured was
+// faster. A baseline of zero yields zero.
 func Overhead(baselineThroughput, measuredThroughput float64) float64 {
 	if baselineThroughput <= 0 {
 		return 0
 	}
-	ov := (baselineThroughput - measuredThroughput) / baselineThroughput
-	if ov < 0 {
-		return ov // negative overhead = measured was faster; callers may round
-	}
-	return ov
-}
-
-// Summary holds simple order statistics of a sample set.
-type Summary struct {
-	Count  int
-	Min    float64
-	Max    float64
-	Mean   float64
-	Median float64
-	P95    float64
-	StdDev float64
-}
-
-// Summarize computes summary statistics of the values.
-func Summarize(values []float64) Summary {
-	if len(values) == 0 {
-		return Summary{}
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	sum := 0.0
-	for _, v := range sorted {
-		sum += v
-	}
-	mean := sum / float64(len(sorted))
-	variance := 0.0
-	for _, v := range sorted {
-		variance += (v - mean) * (v - mean)
-	}
-	variance /= float64(len(sorted))
-	return Summary{
-		Count:  len(sorted),
-		Min:    sorted[0],
-		Max:    sorted[len(sorted)-1],
-		Mean:   mean,
-		Median: percentile(sorted, 0.5),
-		P95:    percentile(sorted, 0.95),
-		StdDev: math.Sqrt(variance),
-	}
-}
-
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := p * float64(len(sorted)-1)
-	lo := int(math.Floor(idx))
-	hi := int(math.Ceil(idx))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := idx - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return (baselineThroughput - measuredThroughput) / baselineThroughput
 }

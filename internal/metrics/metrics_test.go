@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -42,9 +41,6 @@ func TestThroughputSeries(t *testing.T) {
 	if r.ThroughputSeries(0) != nil {
 		t.Error("zero bucket should yield nil")
 	}
-	if !strings.Contains(s.String(), "\t") {
-		t.Error("series String() should be tab separated")
-	}
 }
 
 func TestOverhead(t *testing.T) {
@@ -56,48 +52,6 @@ func TestOverhead(t *testing.T) {
 	}
 	if got := Overhead(100, 110); got >= 0 {
 		t.Errorf("faster measurement should give negative overhead, got %f", got)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{4, 1, 3, 2, 5})
-	if s.Count != 5 || s.Min != 1 || s.Max != 5 || s.Mean != 3 || s.Median != 3 {
-		t.Errorf("summary = %+v", s)
-	}
-	if s.P95 < 4 || s.P95 > 5 {
-		t.Errorf("p95 = %f", s.P95)
-	}
-	if math.Abs(s.StdDev-math.Sqrt(2)) > 1e-9 {
-		t.Errorf("stddev = %f", s.StdDev)
-	}
-	if z := Summarize(nil); z.Count != 0 {
-		t.Error("empty summary should be zero")
-	}
-}
-
-// TestQuickSummarizeBounds: for any input, Min <= Median <= Max,
-// Min <= Mean <= Max and P95 <= Max.
-func TestQuickSummarizeBounds(t *testing.T) {
-	prop := func(raw []float64) bool {
-		var vals []float64
-		for _, v := range raw {
-			// Keep magnitudes moderate so sums and variances cannot overflow;
-			// the property under test is ordering, not extended-precision
-			// arithmetic.
-			if !math.IsNaN(v) && !math.IsInf(v, 0) && math.Abs(v) < 1e12 {
-				vals = append(vals, v)
-			}
-		}
-		if len(vals) == 0 {
-			return true
-		}
-		s := Summarize(vals)
-		return s.Min <= s.Median+1e-9 && s.Median <= s.Max+1e-9 &&
-			s.Min <= s.Mean+1e-9 && s.Mean <= s.Max+1e-9 &&
-			s.P95 <= s.Max+1e-9 && s.StdDev >= 0
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -64,8 +64,8 @@ type Stats struct {
 }
 
 // Proxy is a logging, filtering request queue. It is safe for concurrent use:
-// workload generators submit requests from their own goroutines while the
-// protected process consumes them.
+// clients submit requests from their own goroutines while the protected
+// process consumes them.
 type Proxy struct {
 	mu       sync.Mutex
 	nextID   int

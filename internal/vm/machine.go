@@ -283,9 +283,6 @@ func (m *Machine) AddCycles(n uint64) { m.cycles += n }
 // monotonic with respect to any timestamps they have already recorded.
 func (m *Machine) SetCycles(c uint64) { m.cycles = c }
 
-// NowMicros returns the virtual time in microseconds.
-func (m *Machine) NowMicros() uint64 { return m.cycles / CyclesPerMicrosecond }
-
 // NowMillis returns the virtual time in milliseconds.
 func (m *Machine) NowMillis() uint64 { return m.cycles / (CyclesPerMicrosecond * 1000) }
 

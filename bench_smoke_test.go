@@ -6,7 +6,6 @@ import (
 	"regexp"
 	"testing"
 
-	"sweeper/internal/epidemic"
 	"sweeper/internal/vm"
 )
 
@@ -140,23 +139,12 @@ var benchOnce = map[string]func(tb testing.TB){
 			tb.Errorf("recovery gap %v ms not below restart gap %v ms", recoveryGap, restartGap)
 		}
 	},
-	"BenchmarkFigure6EpidemicSlammer": func(tb testing.TB) {
-		communityFigureOnce(0.1, 1.0, epidemic.Figure6Alphas(), 0.0001, 5)
-	},
-	"BenchmarkFigure7EpidemicHitlist1000": func(tb testing.TB) {
-		communityFigureOnce(1000, epidemic.DefaultRho, epidemic.Figure78Alphas(), 0.0001, 10)
-	},
-	"BenchmarkFigure8EpidemicHitlist4000": func(tb testing.TB) {
-		communityFigureOnce(4000, epidemic.DefaultRho, epidemic.Figure78Alphas(), 0.0001, 10)
-	},
-	"BenchmarkEpidemicLiveCommunity": func(tb testing.TB) { epidemicLiveOnce(tb) },
 	"BenchmarkAblationProactiveProtection": func(tb testing.TB) {
 		with, without := proactiveAblationOnce()
 		if with >= without {
 			tb.Errorf("proactive protection did not reduce infection: with %v, without %v", with, without)
 		}
 	},
-	"BenchmarkAgentBasedCrossCheck": func(tb testing.TB) { agentCrossCheckOnce(tb, 1) },
 }
 
 // TestBenchmarkSmoke executes one iteration of every registered benchmark.

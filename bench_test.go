@@ -3,8 +3,9 @@
 //
 //	go test -bench=. -benchmem
 //
-// regenerates the quantities behind Tables 1-3 and Figures 4-8, plus the
-// ablation and baseline comparisons described in DESIGN.md. Custom metrics
+// regenerates the quantities behind Tables 1-3 and Figures 4-5, plus the
+// ablation and baseline comparisons described in DESIGN.md. Figures 6-8 come
+// from cmd/benchtables and are checked by internal/experiments' tests. Custom metrics
 // (overhead fractions, infection ratios, virtual-time gaps) are attached to
 // the benchmark results via ReportMetric.
 //
@@ -23,7 +24,6 @@ import (
 	"sweeper/internal/analysis/slicing"
 	"sweeper/internal/apps"
 	"sweeper/internal/core"
-	"sweeper/internal/epidemic"
 	"sweeper/internal/experiments"
 	"sweeper/internal/exploit"
 	"sweeper/internal/netproxy"
@@ -623,92 +623,7 @@ func BenchmarkFigure5Recovery(b *testing.B) {
 	b.ReportMetric(restartGap/float64(b.N), "restart-gap-virtual-ms")
 }
 
-// --- Figures 6-8: community defence model sweeps ---
-
-func communityFigureOnce(beta, rho float64, alphas []float64, reportAlpha, reportGamma float64) float64 {
-	var ratio float64
-	for _, gamma := range epidemic.StandardGammas() {
-		for _, alpha := range alphas {
-			r := epidemic.InfectionRatio(beta, 100000, alpha, gamma, rho)
-			if alpha == reportAlpha && gamma == reportGamma {
-				ratio = r
-			}
-		}
-	}
-	return ratio
-}
-
-func benchmarkCommunityFigure(b *testing.B, beta, rho float64, alphas []float64, reportAlpha, reportGamma float64) {
-	b.Helper()
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		ratio = communityFigureOnce(beta, rho, alphas, reportAlpha, reportGamma)
-	}
-	b.ReportMetric(ratio*100, "infection-%-at-reference-point")
-}
-
-func BenchmarkFigure6EpidemicSlammer(b *testing.B) {
-	benchmarkCommunityFigure(b, 0.1, 1.0, epidemic.Figure6Alphas(), 0.0001, 5)
-}
-
-func BenchmarkFigure7EpidemicHitlist1000(b *testing.B) {
-	benchmarkCommunityFigure(b, 1000, epidemic.DefaultRho, epidemic.Figure78Alphas(), 0.0001, 10)
-}
-
-func BenchmarkFigure8EpidemicHitlist4000(b *testing.B) {
-	benchmarkCommunityFigure(b, 4000, epidemic.DefaultRho, epidemic.Figure78Alphas(), 0.0001, 10)
-}
-
-// --- Figures 6-8 live: the epidemic measured on a real daemon community ---
-
-// epidemicLiveOnce runs one worm outbreak against 100 real in-process
-// daemons — 5 producers with the full analysis pipeline, 95 consumers
-// receiving antibodies over the in-process federation hub — and checks the
-// community-defence invariants hold at production scale.
-func epidemicLiveOnce(tb testing.TB) *experiments.EpidemicPointResult {
-	res, err := experiments.RunEpidemicPoint(experiments.EpidemicPointConfig{
-		Community:  100,
-		Alpha:      0.05,
-		GammaTicks: 8,
-		Seed:       7,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if !res.Converged {
-		tb.Fatalf("stores did not converge on %d antibodies", res.AntibodiesTotal)
-	}
-	if res.Immune != res.Protected {
-		tb.Fatalf("only %d of %d daemons immune after the community response", res.Immune, res.Protected)
-	}
-	if res.FinalInfected >= res.N {
-		tb.Fatalf("the whole community was infected despite the response")
-	}
-	if res.SharedPageFraction < 0.75 {
-		tb.Fatalf("shared base pages %.3f of resident pages, want >= 0.75", res.SharedPageFraction)
-	}
-	return res
-}
-
-// BenchmarkEpidemicLiveCommunity is the live counterpart of the Figure 6
-// model sweeps: the infection outcome of a real 100-daemon community per
-// outbreak, plus the shared base-image fraction that keeps a community that
-// size resident in one process.
-func BenchmarkEpidemicLiveCommunity(b *testing.B) {
-	var infected, shared, t0 float64
-	for i := 0; i < b.N; i++ {
-		r := epidemicLiveOnce(b)
-		infected += r.InfectionRatio
-		shared += r.SharedPageFraction
-		t0 += float64(r.T0)
-	}
-	n := float64(b.N)
-	b.ReportMetric(infected/n*100, "live-infection-%")
-	b.ReportMetric(t0/n, "t0-ticks")
-	b.ReportMetric(shared/n, "shared-base-page-fraction")
-}
-
-// --- Ablations and cross-checks ---
+// --- Ablations ---
 
 func proactiveAblationOnce() (with, without float64) {
 	rows := experiments.ProactiveAblation(1000)
@@ -727,19 +642,4 @@ func BenchmarkAblationProactiveProtection(b *testing.B) {
 	}
 	b.ReportMetric(with*100, "with-proactive-infection-%")
 	b.ReportMetric(without*100, "without-proactive-infection-%")
-}
-
-func agentCrossCheckOnce(tb testing.TB, seed int64) {
-	_, _, err := epidemic.SimulateAgentsMean(epidemic.AgentParams{
-		N: 20000, Alpha: 0.001, Beta: 1000, Gamma: 10, Rho: epidemic.DefaultRho, Seed: seed,
-	}, 1)
-	if err != nil {
-		tb.Fatal(err)
-	}
-}
-
-func BenchmarkAgentBasedCrossCheck(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		agentCrossCheckOnce(b, int64(i+1))
-	}
 }

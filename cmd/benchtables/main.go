@@ -95,8 +95,9 @@ func writeBenchJSON(path string, sizes experiments.Sizes, paperScale bool) error
 
 	// The live epidemic grid (Figures 6-8 measured on real 100-host
 	// in-process communities) and the shared base-image economy that makes
-	// those communities affordable. The infection outcomes are driven by a
-	// seeded PRNG over virtual ticks, so they are deterministic per record.
+	// those communities affordable. The infection outcomes are the seeded
+	// epidemic.SimulateAgents worm over virtual ticks, so they are
+	// deterministic per record.
 	eps, err := experiments.RunEpidemicSweep(experiments.DefaultEpidemicSweepConfig())
 	if err != nil {
 		return err
@@ -116,7 +117,7 @@ func writeBenchJSON(path string, sizes experiments.Sizes, paperScale bool) error
 		metrics[key+"_model_infected_pct"] = 100 * p.ModelInfectionRatio
 	}
 	base := eps.Figure6[len(eps.Figure6)-1]
-	metrics["epidemic_t0_ticks"] = float64(base.T0)
+	metrics["epidemic_t0_ticks"] = base.T0
 	metrics["epidemic_antibodies_count"] = float64(base.AntibodiesTotal)
 	metrics["epidemic_adoptions_count"] = float64(base.Adopted)
 	metrics["epidemic_shared_page_fraction"] = base.SharedPageFraction

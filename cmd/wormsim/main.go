@@ -9,8 +9,10 @@
 // mid-attack.
 //
 // Without -connect, it runs the Section 6 community-defence models: the
-// Susceptible-Infected differential-equation model (equations 1-4) and the
-// agent-based cross-check, for arbitrary worm and deployment parameters.
+// Susceptible-Infected differential-equation model (equations 1-4) and, with
+// -agent, its cross-check: the agent-based worm the live communities of
+// Figures 6-8 run, here with no daemons under full deployment, for arbitrary
+// worm and deployment parameters.
 //
 // Examples:
 //
@@ -55,7 +57,7 @@ func main() {
 		rho    = flag.Float64("rho", 1.0, "per-attempt success probability under proactive protection (2^-12 = 0.000244)")
 		agent  = flag.Bool("agent", false, "also run the agent-based simulation")
 		runs   = flag.Int("runs", 3, "agent-based runs to average")
-		seed   = flag.Int64("seed", 1, "agent-based RNG seed")
+		seed   = flag.Uint64("seed", 1, "agent-based contact-stream seed")
 		series = flag.Bool("series", false, "print the I(t)/P(t) time series of the ODE model")
 	)
 	flag.Parse()
@@ -91,12 +93,13 @@ func main() {
 
 	if *agent {
 		mean, results, err := epidemic.SimulateAgentsMean(epidemic.AgentParams{
-			N:     int(*n),
-			Alpha: *alpha,
-			Beta:  *beta,
-			Gamma: *gamma,
-			Rho:   *rho,
-			Seed:  *seed,
+			N:      int(*n),
+			Alpha:  *alpha,
+			Deploy: 1,
+			Beta:   *beta,
+			Gamma:  *gamma,
+			Rho:    *rho,
+			Seed:   *seed,
 		}, *runs)
 		if err != nil {
 			log.Fatalf("wormsim: agent simulation: %v", err)

@@ -3,8 +3,10 @@
 // (equations 1-4), used to evaluate how a small fraction of Producers
 // (hosts running the full Sweeper system) protects Consumers against
 // Slammer-class and hit-list worms, with and without proactive probabilistic
-// protection (address-space randomisation). An independent agent-based
-// simulator in this package cross-checks the differential-equation model.
+// protection (address-space randomisation). The package's one agent-based
+// simulator, SimulateAgents, cross-checks the differential-equation model
+// host by host, and is also the worm of the live communities in
+// internal/experiments, which plug their daemons in through AgentHooks.
 package epidemic
 
 import (
@@ -87,9 +89,6 @@ func (p Params) withDefaults() Params {
 	if p.I0 <= 0 {
 		p.I0 = 1
 	}
-	if p.Rho == 0 {
-		p.Rho = 1
-	}
 	growth := p.Beta * p.Rho
 	if growth <= 0 {
 		growth = p.Beta
@@ -141,7 +140,6 @@ func Simulate(params Params, recordSeries bool) (Result, error) {
 
 	I, P := p.I0, 0.0
 	t := 0.0
-	t0 := math.Inf(1)
 	var res Result
 	maxInfected := (1 - p.Alpha) * p.N
 
@@ -169,30 +167,25 @@ func Simulate(params Params, recordSeries bool) (Result, error) {
 	}
 
 	// Phase 1: run until the first producer has been contacted (P >= 1).
-	if p.Alpha > 0 {
-		for P < 1 && t < p.MaxTime {
-			step(p.Dt)
-			record()
-		}
-		if P < 1 {
-			// No producer was ever contacted (alpha too small / worm too
-			// slow): the worm saturates the susceptible population.
-			res.T0 = math.Inf(1)
-			res.InfectedAtT0 = I
-			res.FinalInfected = maxInfected
-			res.InfectionRatio = res.FinalInfected / p.N
-			res.Saturated = true
-			return res, nil
-		}
-		t0 = t
-	} else {
-		// With no producers at all there is no response: total infection.
+	for p.Alpha > 0 && P < 1 && t < p.MaxTime {
+		step(p.Dt)
+		record()
+	}
+	if P < 1 {
+		// No producer was ever contacted (there are none, or alpha is too
+		// small / the worm too slow): nothing stops the worm, and it
+		// saturates the susceptible population, unless no attempt can
+		// succeed (Rho = 0).
 		res.T0 = math.Inf(1)
-		res.FinalInfected = p.N
-		res.InfectionRatio = 1
-		res.Saturated = true
+		res.InfectedAtT0 = I
+		res.FinalInfected, res.Saturated = maxInfected, true
+		if p.Rho == 0 {
+			res.FinalInfected, res.Saturated = I, false
+		}
+		res.InfectionRatio = res.FinalInfected / p.N
 		return res, nil
 	}
+	t0 := t
 	res.T0 = t0
 	res.InfectedAtT0 = I
 
@@ -228,22 +221,6 @@ type SweepPoint struct {
 	Alpha          float64
 	Gamma          float64
 	InfectionRatio float64
-}
-
-// DeploymentSweep evaluates the model over a grid of deployment ratios and
-// response times (the structure of Figures 6, 7 and 8).
-func DeploymentSweep(beta, n, rho float64, alphas, gammas []float64) []SweepPoint {
-	var out []SweepPoint
-	for _, gamma := range gammas {
-		for _, alpha := range alphas {
-			out = append(out, SweepPoint{
-				Alpha:          alpha,
-				Gamma:          gamma,
-				InfectionRatio: InfectionRatio(beta, n, alpha, gamma, rho),
-			})
-		}
-	}
-	return out
 }
 
 // Figure6Alphas are the deployment ratios on the x-axis of Figure 6.

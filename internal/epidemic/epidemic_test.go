@@ -1,9 +1,13 @@
 package epidemic
 
 import (
+	"errors"
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestValidate(t *testing.T) {
@@ -140,18 +144,6 @@ func TestHelperConstructors(t *testing.T) {
 	}
 }
 
-func TestDeploymentSweepShape(t *testing.T) {
-	pts := DeploymentSweep(0.1, 100000, 1.0, []float64{0.01, 0.001}, []float64{5, 10})
-	if len(pts) != 4 {
-		t.Fatalf("sweep size = %d", len(pts))
-	}
-	for _, p := range pts {
-		if p.InfectionRatio < 0 || p.InfectionRatio > 1 {
-			t.Errorf("ratio out of range: %+v", p)
-		}
-	}
-}
-
 // TestQuickInfectionRatioBounds: for any parameters in range, the infection
 // ratio is within [0, 1] and bounded by the non-producer fraction.
 func TestQuickInfectionRatioBounds(t *testing.T) {
@@ -174,7 +166,7 @@ func TestQuickInfectionRatioBounds(t *testing.T) {
 // --- agent-based simulator ---
 
 func TestAgentSimulationBasics(t *testing.T) {
-	res, err := SimulateAgents(AgentParams{N: 5000, Alpha: 0.01, Beta: 1.0, Gamma: 5, Rho: 1, Seed: 1})
+	res, err := SimulateAgents(AgentParams{N: 5000, Alpha: 0.01, Deploy: 1, Beta: 1.0, Gamma: 5, Rho: 1, Seed: 1}, AgentHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,15 +176,128 @@ func TestAgentSimulationBasics(t *testing.T) {
 	if res.Attempts == 0 {
 		t.Error("no infection attempts recorded")
 	}
-	if _, err := SimulateAgents(AgentParams{N: 0, Beta: 1}); err == nil {
-		t.Error("invalid agent params accepted")
+	if len(res.Series) != res.Infected || !sort.IntsAreSorted(res.Series) {
+		t.Errorf("series of %d infections, not in step order, for %d infected", len(res.Series), res.Infected)
+	}
+}
+
+// TestAgentRejectsBadParams: every out-of-range input is an error, returned
+// at once — a community with no consumer used to hang the simulator looking
+// for a patient zero.
+func TestAgentRejectsBadParams(t *testing.T) {
+	good := AgentParams{N: 100, Alpha: 0.05, Deploy: 1, Beta: 0.1, Gamma: 8, Rho: 1, Step: 1, Seed: 1}
+	if _, err := SimulateAgents(good, AgentHooks{}); err != nil {
+		t.Fatalf("good params rejected: %v", err)
+	}
+	for name, bad := range map[string]func(p *AgentParams){
+		"every host a producer": func(p *AgentParams) { p.N, p.Alpha, p.Beta = 10, 1, 1 },
+		"no consumer deployed":  func(p *AgentParams) { p.Deploy = p.Alpha },
+		"two hosts":             func(p *AgentParams) { p.N = 2 },
+		"alpha above 1":         func(p *AgentParams) { p.Alpha = 1.5 },
+		"negative alpha":        func(p *AgentParams) { p.Alpha = -0.1 },
+		"no deployment":         func(p *AgentParams) { p.Deploy = 0 },
+		"deploy above 1":        func(p *AgentParams) { p.Deploy = 2 },
+		"zero beta":             func(p *AgentParams) { p.Beta = 0 },
+		"NaN beta":              func(p *AgentParams) { p.Beta = math.NaN() },
+		"infinite beta":         func(p *AgentParams) { p.Beta = math.Inf(1) },
+		"negative gamma":        func(p *AgentParams) { p.Gamma = -1 },
+		"infinite gamma":        func(p *AgentParams) { p.Gamma = math.Inf(1) },
+		"negative step":         func(p *AgentParams) { p.Step = -1 },
+		"rho above 1":           func(p *AgentParams) { p.Rho = 1.5 },
+		"negative rho":          func(p *AgentParams) { p.Rho = -0.5 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			p := good
+			bad(&p)
+			done := make(chan error, 1)
+			go func() {
+				_, err := SimulateAgents(p, AgentHooks{})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Errorf("%+v accepted", p)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%+v: no answer after 5 s", p)
+			}
+		})
+	}
+}
+
+// TestRhoZeroNeverInfects: rho = 0 is perfect proactive protection, not a
+// default. No attempt succeeds against a protected host, so the model keeps
+// I0 and the agent keeps patient zero plus the unprotected hosts it owns.
+func TestRhoZeroNeverInfects(t *testing.T) {
+	// Producers reached, producers never reached (one, contacted at an ever
+	// slower rate), no producers at all.
+	for _, alpha := range []float64{0.01, 0.001, 0} {
+		if r := InfectionRatio(0.1, 1000, alpha, 20, 0); math.Abs(r-1.0/1000) > 1e-12 {
+			t.Errorf("model at rho=0, alpha=%g: ratio %g, want I0/N = 0.001", alpha, r)
+		}
+	}
+	for _, deploy := range []float64{1, 0.5} {
+		p := AgentParams{N: 1000, Alpha: 0.01, Deploy: deploy, Beta: 1, Gamma: 20, Rho: 0, Seed: 1}
+		res, err := SimulateAgents(p, AgentHooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, protected, _ := p.Hosts()
+		if want := max(p.N-protected, 1); res.Infected != want {
+			t.Errorf("agent at rho=0, deploy=%g: %d infected, want %d", deploy, res.Infected, want)
+		}
+	}
+}
+
+// TestAgentHooks: the contact hook hears every producer contact, the response
+// runs once at T0+Gamma, and a protected host it leaves unreached stays
+// exposed — here every consumer, so the run matches one whose response
+// reached nobody.
+func TestAgentHooks(t *testing.T) {
+	p := AgentParams{N: 200, Alpha: 0.05, Deploy: 1, Beta: 0.1, Gamma: 8, Rho: 1, Step: 1, Seed: 3}
+	contacts, responses := 0, 0
+	res, err := SimulateAgents(p, AgentHooks{
+		Contact: func(producer int) {
+			if producer >= 10 {
+				t.Errorf("contact hook called for host %d, not a producer", producer)
+			}
+			contacts++
+		},
+		Respond: func(immune []bool) error {
+			responses++
+			if len(immune) != p.N {
+				t.Errorf("response sees %d protected hosts, want %d", len(immune), p.N)
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if responses != 1 || contacts == 0 {
+		t.Fatalf("%d responses, %d producer contacts", responses, contacts)
+	}
+	if want := int(res.T0 + p.Gamma); res.Steps != want {
+		t.Errorf("run ended at step %d, want T0+Gamma = %d under full deployment", res.Steps, want)
+	}
+	free, err := SimulateAgents(p, AgentHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, free) {
+		t.Errorf("hooks changed the contact stream:\n%+v\n%+v", res, free)
+	}
+	failed := errors.New("link failed")
+	if _, err := SimulateAgents(p, AgentHooks{Respond: func([]bool) error { return failed }}); !errors.Is(err, failed) {
+		t.Errorf("response error %v, want %v", err, failed)
 	}
 }
 
 func TestAgentSimulationDeterministicPerSeed(t *testing.T) {
-	p := AgentParams{N: 3000, Alpha: 0.01, Beta: 2, Gamma: 3, Rho: 1, Seed: 42}
-	a, _ := SimulateAgents(p)
-	b, _ := SimulateAgents(p)
+	p := AgentParams{N: 3000, Alpha: 0.01, Deploy: 1, Beta: 2, Gamma: 3, Rho: 1, Seed: 42}
+	a, _ := SimulateAgents(p, AgentHooks{})
+	b, _ := SimulateAgents(p, AgentHooks{})
 	if a.Infected != b.Infected || a.T0 != b.T0 {
 		t.Error("same seed should reproduce the same outcome")
 	}
@@ -202,7 +307,7 @@ func TestAgentMatchesModelWithinTolerance(t *testing.T) {
 	// One Slammer-like configuration: the agent simulation should land in the
 	// same ballpark as the ODE model (factor-of-two band).
 	model := InfectionRatio(0.1, 20000, 0.01, 20, 1.0)
-	agent, _, err := SimulateAgentsMean(AgentParams{N: 20000, Alpha: 0.01, Beta: 0.1, Gamma: 20, Rho: 1, Seed: 3}, 3)
+	agent, _, err := SimulateAgentsMean(AgentParams{N: 20000, Alpha: 0.01, Deploy: 1, Beta: 0.1, Gamma: 20, Rho: 1, Seed: 3}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,13 +320,13 @@ func TestAgentMatchesModelWithinTolerance(t *testing.T) {
 }
 
 func TestAgentProactiveProtectionSlowsWorm(t *testing.T) {
-	base := AgentParams{N: 10000, Alpha: 0.001, Beta: 1000, Gamma: 5, Seed: 9}
+	base := AgentParams{N: 10000, Alpha: 0.001, Deploy: 1, Beta: 1000, Gamma: 5, Seed: 9}
 	unprotected := base
 	unprotected.Rho = 1
 	protected := base
 	protected.Rho = DefaultRho
-	u, _ := SimulateAgents(unprotected)
-	p, _ := SimulateAgents(protected)
+	u, _ := SimulateAgents(unprotected, AgentHooks{})
+	p, _ := SimulateAgents(protected, AgentHooks{})
 	if p.InfectionRatio >= u.InfectionRatio {
 		t.Errorf("proactive protection should reduce infection: %.4f vs %.4f", p.InfectionRatio, u.InfectionRatio)
 	}

@@ -122,7 +122,8 @@ type AgentCrossCheckRow struct {
 }
 
 // AgentCrossCheck validates the differential-equation model against the
-// independent agent-based simulator on a few representative configurations.
+// agent-based simulator, run on its own under full deployment, on a few
+// representative configurations.
 func AgentCrossCheck(n int, runs int) ([]AgentCrossCheckRow, error) {
 	if n <= 0 {
 		n = 20000
@@ -139,12 +140,13 @@ func AgentCrossCheck(n int, runs int) ([]AgentCrossCheckRow, error) {
 	for _, c := range configs {
 		model := epidemic.InfectionRatio(c.beta, float64(n), c.alpha, c.gamma, c.rho)
 		agent, _, err := epidemic.SimulateAgentsMean(epidemic.AgentParams{
-			N:     n,
-			Alpha: c.alpha,
-			Beta:  c.beta,
-			Gamma: c.gamma,
-			Rho:   c.rho,
-			Seed:  1,
+			N:      n,
+			Alpha:  c.alpha,
+			Deploy: 1,
+			Beta:   c.beta,
+			Gamma:  c.gamma,
+			Rho:    c.rho,
+			Seed:   1,
 		}, runs)
 		if err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand/v2"
 
 	"sweeper/internal/exploit"
 )
@@ -144,15 +145,7 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (*CrashRecoveryResult, error) {
 
 	// Seeded crash selection: the first CrashFraction·N of a seeded shuffle,
 	// passing over a producer that would leave none standing.
-	rng := newWormRNG(cfg.Seed)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := rng.intn(i + 1)
-		perm[i], perm[j] = perm[j], perm[i]
-	}
+	perm := rand.New(rand.NewPCG(cfg.Seed, 0)).Perm(n)
 	var crashed []*member
 	standing := producers
 	for _, i := range perm[:min(max(int(cfg.CrashFraction*float64(n)+0.5), 1), n-1)] {

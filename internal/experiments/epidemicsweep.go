@@ -9,11 +9,10 @@ import (
 
 // What every epidemic point shares; no caller ever varied them.
 const (
-	epidemicBeta     = 0.1  // contacts per infected host per tick: the paper's observed Slammer rate
-	epidemicRho      = 1.0  // chance a contact infects a not-yet-immune consumer: no proactive protection
-	epidemicWarmup   = 12   // benign requests each guest serves before the worm is released
-	epidemicFanout   = 3    // each node's per-batch push fan-out
-	epidemicMaxTicks = 5000 // bound on the epidemic clock
+	epidemicBeta   = 0.1 // contacts per infected host per tick: the paper's observed Slammer rate
+	epidemicRho    = 1.0 // chance a contact infects a not-yet-immune consumer: no proactive protection
+	epidemicWarmup = 12  // benign requests each guest serves before the worm is released
+	epidemicFanout = 3   // each node's per-batch push fan-out
 )
 
 // EpidemicPointConfig sizes one live community-defence run: a community of N
@@ -21,9 +20,9 @@ const (
 // node on the in-process hub) and the rest are unprotected model hosts, with
 // Alpha·N of the community acting as Producers (full Sweeper analysis
 // pipeline) and the remaining daemons as Consumers (detect and recover, but
-// publish nothing — core.Config.ProduceAntibodies false). A deterministic
-// worm spreads over a tick clock (1 tick = 1 model second): epidemicBeta
-// infection attempts per infected host per tick against uniformly random
+// publish nothing — core.Config.ProduceAntibodies false). The worm is
+// epidemic.SimulateAgents stepping a tick clock (1 tick = 1 model second):
+// epidemicBeta contacts per infected host per tick against uniformly random
 // targets. The community reaction time GammaTicks models γ = γ1 + γ2 —
 // consumers join the federation (and verify-then-adopt the producers'
 // antibodies) GammaTicks after the first producer is contacted.
@@ -37,11 +36,12 @@ type EpidemicPointConfig struct {
 	Deploy float64
 	// GammaTicks is the community reaction time in ticks (default 8).
 	GammaTicks int
-	// Seed drives the worm's deterministic PRNG (default 1).
+	// Seed selects the worm's contact stream (default 1).
 	Seed uint64
 }
 
-func (c *EpidemicPointConfig) defaults() error {
+// worm fills in the defaults and returns the point's worm: one step per tick.
+func (c *EpidemicPointConfig) worm() epidemic.AgentParams {
 	if c.Community == 0 {
 		c.Community = 100
 	}
@@ -57,21 +57,10 @@ func (c *EpidemicPointConfig) defaults() error {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Community < 3 {
-		return fmt.Errorf("experiments: epidemic community needs at least 3 hosts, got %d", c.Community)
+	return epidemic.AgentParams{
+		N: c.Community, Alpha: c.Alpha, Deploy: c.Deploy, Beta: epidemicBeta,
+		Gamma: float64(c.GammaTicks), Rho: epidemicRho, Step: 1, Seed: c.Seed,
 	}
-	if c.Alpha < 0 || c.Alpha > 1 || c.Deploy <= 0 || c.Deploy > 1 {
-		return fmt.Errorf("experiments: epidemic alpha %g / deploy %g out of range", c.Alpha, c.Deploy)
-	}
-	return nil
-}
-
-// EpidemicTickPoint is one sample of the live infection time series — the
-// Figure 6 curve of one run.
-type EpidemicTickPoint struct {
-	Tick int
-	// Infected counts hosts ever infected by this tick.
-	Infected int
 }
 
 // EpidemicPointResult is the outcome of one live community run.
@@ -82,19 +71,9 @@ type EpidemicPointResult struct {
 	N         int
 	Protected int
 	Producers int
-	// T0 is the tick at which the worm first contacted a producer (-1 when
-	// it never did before the unprotected population saturated).
-	T0 int
-	// InfectedAtT0 is the ever-infected count at T0.
-	InfectedAtT0 int
-	// FinalInfected is the total number of hosts ever infected and
-	// InfectionRatio is FinalInfected / N — the paper's I(T0+γ)/N.
-	FinalInfected  int
-	InfectionRatio float64
-	// Series is the per-tick infection time series.
-	Series []EpidemicTickPoint
-	// Ticks is the total epidemic-clock duration of the run.
-	Ticks int
+	// AgentResult is the worm's side of the run, on the tick clock: T0 and
+	// Steps are in ticks.
+	epidemic.AgentResult
 	// Converged says every daemon's store reached the producers' full
 	// antibody union within the timeout after the consumers joined.
 	Converged bool
@@ -103,9 +82,6 @@ type EpidemicPointResult struct {
 	// ProducersAttacked counts producers that handled a real exploit
 	// end-to-end (later producers are often already inoculated by gossip).
 	ProducersAttacked int
-	// BlockedContacts counts worm contacts a protected host survived because
-	// an installed antibody's input signature filtered them.
-	BlockedContacts int
 	// Immune counts protected daemons whose proxy filtered the worm in the
 	// final sweep (producers via their own antibodies, consumers via
 	// verify-then-adopt).
@@ -123,23 +99,6 @@ type EpidemicPointResult struct {
 	ModelInfectionRatio float64
 }
 
-// wormRNG is a deterministic xorshift64* generator: the epidemic must not
-// depend on global randomness, so runs are reproducible per seed.
-type wormRNG struct{ s uint64 }
-
-func newWormRNG(seed uint64) *wormRNG {
-	return &wormRNG{s: seed*0x9e3779b97f4a7c15 + 0x632be59bd9b4e019}
-}
-
-func (r *wormRNG) next() uint64 {
-	r.s ^= r.s << 13
-	r.s ^= r.s >> 7
-	r.s ^= r.s << 17
-	return r.s * 0x2545f4914f6cdd1d
-}
-
-func (r *wormRNG) intn(n int) int { return int(r.next() % uint64(n)) }
-
 // RunEpidemicPoint stands up one live community — Deploy·Community real
 // daemons on the in-process hub, each guest warmed with benign requests —
 // releases the worm, and measures the epidemic response of the actual
@@ -147,16 +106,11 @@ func (r *wormRNG) intn(n int) int { return int(r.next() % uint64(n)) }
 // stores, consumers verify-then-adopt GammaTicks after the first producer
 // contact, and the infection freezes everywhere the defence reached.
 func RunEpidemicPoint(cfg EpidemicPointConfig) (*EpidemicPointResult, error) {
-	if err := cfg.defaults(); err != nil {
+	worm := cfg.worm()
+	producers, protected, err := worm.Hosts()
+	if err != nil {
 		return nil, err
 	}
-	n := cfg.Community
-	protected := min(max(int(cfg.Deploy*float64(n)+0.5), 1), n)
-	producers := max(int(cfg.Alpha*float64(n)+0.5), 1)
-	if producers >= protected {
-		return nil, fmt.Errorf("experiments: epidemic needs at least one consumer daemon (%d producers of %d protected)", producers, protected)
-	}
-
 	c, err := newCommunity(communitySpec{
 		members: protected, producers: producers, warmup: epidemicWarmup, fanout: epidemicFanout,
 	})
@@ -177,119 +131,44 @@ func RunEpidemicPoint(cfg EpidemicPointConfig) (*EpidemicPointResult, error) {
 		}
 	}
 
-	res := &EpidemicPointResult{
-		Config:    cfg,
-		N:         n,
-		Protected: protected,
-		Producers: producers,
-		T0:        -1,
-	}
-
-	// Host state. Hosts [0, producers) are producers, [producers, protected)
-	// consumer daemons, [protected, n) unprotected model hosts. The seed
-	// infection is host n-1: the last unprotected host, or — under full
-	// deployment — a consumer that was already compromised when the outbreak
-	// began.
-	infected := make([]bool, n)
-	immune := make([]bool, n) // set for daemons only, by the probe below
-	infected[n-1] = true
-	infectedCount := 1
-	rng := newWormRNG(cfg.Seed)
-
-	contact := func(target int) {
-		switch {
-		case target < producers:
-			if res.T0 < 0 {
-				res.T0 = res.Ticks
-				res.InfectedAtT0 = infectedCount
-			}
-			// Producers meet every contact head-on: either the proxy filter
-			// (their own or a gossiped antibody) drops it, or the guest
-			// detects, analyses, recovers and publishes.
-			if c.members[target].wormContact(payload) {
-				res.BlockedContacts++
-			} else {
+	res := &EpidemicPointResult{Config: cfg, N: cfg.Community, Protected: protected, Producers: producers}
+	res.AgentResult, err = epidemic.SimulateAgents(worm, epidemic.AgentHooks{
+		// Producers meet every contact head-on: either the proxy filter
+		// (their own or a gossiped antibody) drops it, or the guest detects,
+		// analyses, recovers and publishes.
+		Contact: func(i int) {
+			if !c.members[i].wormContact(payload) {
 				res.ProducersAttacked++
 			}
-		case infected[target]:
-			// Already compromised; nothing changes.
-		case immune[target]:
-			res.BlockedContacts++
-		default:
-			// An unprotected host, or a consumer the response has not reached:
-			// with ρ = 1 every contact compromises it silently, no monitor
-			// ever firing. The draw is the ρ coin; it stays so that a seed's
-			// contact stream is the one the committed record was made with.
-			if target < protected {
-				rng.next()
-			}
-			infected[target] = true
-			infectedCount++
-		}
-	}
-
-	// One tick: epidemicBeta attempts per infected host, fractional attempts
-	// carried across ticks.
-	attempts := 0.0
-	tick := func() {
-		res.Ticks++
-		attempts += epidemicBeta * float64(infectedCount)
-		for attempts >= 1 {
-			attempts--
-			contact(rng.intn(n))
-		}
-		res.Series = append(res.Series, EpidemicTickPoint{Tick: res.Ticks, Infected: infectedCount})
-	}
-	res.Series = append(res.Series, EpidemicTickPoint{Tick: 0, Infected: infectedCount})
-
-	// Phase 1: the worm spreads freely until T0+γ, when the community
-	// response completes.
-	for res.Ticks < epidemicMaxTicks && (res.T0 < 0 || res.Ticks < res.T0+cfg.GammaTicks) {
-		tick()
-	}
-
-	// Community response: consumers join the federation (each linking to two
-	// producers — the initial pull replays the full store, the poll loops
-	// converge the rest), verify the antibodies by replaying the attached
-	// exploits in their own sandboxes, and adopt.
-	if res.T0 >= 0 {
-		res.AntibodiesTotal = storeUnion(prods)
-		for i, m := range consumers {
-			for k := 0; k < 2 && k < producers; k++ {
-				if err := m.link(false, prods[(i+k)%producers]); err != nil {
-					return nil, err
+		},
+		// Community response: consumers join the federation (each linking to
+		// two producers — the initial pull replays the full store, the poll
+		// loops converge the rest), verify the antibodies by replaying the
+		// attached exploits in their own sandboxes, and adopt. One more worm
+		// contact per daemon, off the epidemic clock, then establishes
+		// ground-truth immunity for the rest of the run.
+		Respond: func(immune []bool) error {
+			res.AntibodiesTotal = storeUnion(prods)
+			for i, m := range consumers {
+				for k := 0; k < 2 && k < producers; k++ {
+					if err := m.link(false, prods[(i+k)%producers]); err != nil {
+						return err
+					}
 				}
 			}
-		}
-		res.Converged = awaitStores(c.members, res.AntibodiesTotal)
-		c.drain() // verify-then-adopt everything that arrived
-		// Probe: one more worm contact per daemon, off the epidemic clock,
-		// establishing ground-truth immunity for the remaining ticks.
-		for i, m := range c.members {
-			if immune[i] = m.wormContact(payload); immune[i] {
-				res.Immune++
+			res.Converged = awaitStores(c.members, res.AntibodiesTotal)
+			c.drain() // verify-then-adopt everything that arrived
+			for i, m := range c.members {
+				if immune[i] = m.wormContact(payload); immune[i] {
+					res.Immune++
+				}
 			}
-		}
+			return nil
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	// Phase 2: with every reachable daemon immune, the worm still owns the
-	// unprotected remainder of the community (the Figure 7 story) — run the
-	// clock until it has taken what it can (no ticks at all, under full
-	// deployment).
-	saturated := func() bool {
-		for _, taken := range infected[protected:] {
-			if !taken {
-				return false
-			}
-		}
-		return true
-	}
-	for res.Ticks < epidemicMaxTicks && !saturated() {
-		tick()
-	}
-
-	res.FinalInfected = infectedCount
-	res.InfectionRatio = float64(infectedCount) / float64(n)
 
 	// Aggregate the defence counters, and the shared-page economy across
 	// every live guest.
@@ -308,8 +187,8 @@ func RunEpidemicPoint(cfg EpidemicPointConfig) (*EpidemicPointResult, error) {
 		res.SharedPageFraction = float64(sharedPages) / float64(totalPages)
 	}
 	if cfg.Deploy >= 1 {
-		res.ModelInfectionRatio = epidemic.InfectionRatio(
-			epidemicBeta, float64(n), float64(producers)/float64(n), float64(cfg.GammaTicks), epidemicRho)
+		n := float64(worm.N)
+		res.ModelInfectionRatio = epidemic.InfectionRatio(worm.Beta, n, float64(producers)/n, worm.Gamma, worm.Rho)
 	}
 	return res, nil
 }

@@ -7,20 +7,18 @@ import "encoding/binary"
 // Executing one instruction at a time pays a fixed per-instruction tax —
 // dispatch-flag checks, budget bookkeeping, and two read-modify-write clock
 // updates — that dominates the cost of executing the small ops making up most
-// guest code. The block dispatcher removes that tax for untooled guests:
-// Program.Code is scanned once into straight-line runs terminated by branches,
-// calls, returns, syscalls and halts, and Machine.Run executes a whole run in
-// a fused loop that charges virtual cycles and the retired-instruction count
-// once per run from precomputed prefix sums. The scan also re-encodes each
-// instruction into a packed 8-byte micro-op, so the fused loop fetches one
-// machine word per instruction instead of a 24-byte Instr with its symbol
-// pointer.
+// guest code. The block dispatcher removes that tax for untooled guests: the
+// relocated code is scanned once into straight-line runs terminated by
+// branches, calls, returns, syscalls and halts, and Machine.Run executes a
+// whole run in a fused loop that charges virtual cycles and the
+// retired-instruction count once per run from a precomputed block descriptor.
+// The scan also re-encodes each instruction into a packed 8-byte micro-op, so
+// the fused loop fetches one machine word per instruction instead of a
+// 24-byte Instr with its symbol pointer.
 //
-// Blocks are a pure function of the opcode stream plus relocated immediates.
-// Relocation patches only Instr.Imm, never Op, so the runLen/cyc structure of
-// one blockInfo — built lazily and cached on the Program — is shared by every
-// Machine loaded from the same image; the packed micro-ops bake in the
-// relocated immediates and are therefore per-Machine (built once at load).
+// Descriptors and micro-ops are a pure function of the relocated code, built
+// once per relocated image (Program.relocImage) and shared by every Machine
+// loaded at the same code and data bases: clones and pooled shells included.
 // There is no invalidation: code is immutable once loaded.
 //
 // Attached instr/mem tools disable the fused loop wholesale (fastDispatch).
@@ -35,21 +33,29 @@ import "encoding/binary"
 // InstrCount(), PC, StopInfo, probe firing order — is bit-identical to that
 // engine's, and to the tests' reference interpreter's, at every stop point.
 
-// blockInfo is the per-Program decoded block map.
+// Block descriptors. desc[i] describes the block a jump to index i enters
+// (every index is a legal entry, since indirect jumps can land anywhere):
 //
-// runLen[i] is the number of consecutive fusible instructions starting at i
-// (zero if code[i] itself is a terminator or otherwise non-fusible): the
-// straight-line body the fused loop may execute before it must look at
-// code[i+runLen[i]] as a terminator.
+//   - bits 0-31: the body length, the number of consecutive fusible
+//     instructions starting at i (zero if code[i] itself is a terminator or
+//     otherwise non-fusible) — the straight-line run the fused loop may
+//     execute before it must look at code[i+len] as a terminator;
+//   - bit 32 (descSelfLoop): that terminator is a jmp back to i;
+//   - bits 34-63: the body's static virtual-cycle cost.
 //
-// cyc holds prefix sums of the static cycle cost of fusible instructions:
-// cyc[i+1]-cyc[i] is the cost of instruction i (zero for non-fusible ones),
-// so the cost of a body [base, end) is cyc[end]-cyc[base] — one subtraction
-// per block instead of one clock update per instruction.
-type blockInfo struct {
-	runLen []int32
-	cyc    []uint64
-}
+// A run's suffixes share its end, so the cost of any stretch [a, b) of one
+// body is the cost field of desc[a] less that of desc[b]; the table carries a
+// zero entry at len(code) so that b may be the end of the code. The clamped
+// path and the fault exits charge partial bodies that way. Code is at most
+// SegmentSpan/InstrSize = 65 536 instructions, so neither field can overflow.
+const (
+	descSelfLoop = 1 << 32
+	// descClamped marks a descriptor runFused made for a body a probe or the
+	// budget cut short: its terminator is not to be executed. The table
+	// never carries it.
+	descClamped  = 1 << 33
+	descCycShift = 34
+)
 
 // Packed micro-op layout: op in bits 0-7, Rd in 8-15, Rs in 16-23, the
 // (relocated) immediate in bits 32-63.
@@ -118,12 +124,12 @@ func fusePair(a, b Op) (Op, int32) {
 
 // packUops encodes relocated code into packed micro-ops, plain and with
 // macro-op fusion applied (the same slice when nothing fuses). Candidate pairs
-// must lie inside one straight-line run (runLen[i] >= 2 guarantees i and i+1
-// are both fusible body ops); among overlapping candidates, a maximum-weight
-// matching is picked by the classic linear DP over each run, so e.g.
-// addi;push;pop fuses as addi + [push;pop] (weight 3) rather than
-// [addi;push] + pop (weight 2).
-func packUops(code []Instr, runLen []int32) (uops, plain []uint64) {
+// must lie inside one straight-line run (a body length of at least 2 in
+// desc[i] guarantees i and i+1 are both fusible body ops); among overlapping
+// candidates, a maximum-weight matching is picked by the classic linear DP
+// over each run, so e.g. addi;push;pop fuses as addi + [push;pop] (weight 3)
+// rather than [addi;push] + pop (weight 2).
+func packUops(code []Instr, desc []uint64) (uops, plain []uint64) {
 	n := len(code)
 	plain = make([]uint64, n)
 	for i, in := range code {
@@ -133,7 +139,7 @@ func packUops(code []Instr, runLen []int32) (uops, plain []uint64) {
 	weight := make([]int32, n)
 	any := false
 	for i := 0; i+1 < n; i++ {
-		if runLen[i] < 2 {
+		if uint32(desc[i]) < 2 {
 			continue
 		}
 		if f, w := fusePair(code[i].Op, code[i+1].Op); w > 0 {
@@ -178,56 +184,39 @@ func packUops(code []Instr, runLen []int32) (uops, plain []uint64) {
 // addresses are 32-bit, so no real page number reaches it.
 const invalidPN = ^uint32(0)
 
-// fusedCost returns the static virtual-cycle cost of op if the fused body
-// loop can execute it, and ok=false for terminators and non-fusible ops
-// (control flow, syscall, halt, illegal opcodes).
-func fusedCost(op Op) (uint64, bool) {
+// fusible reports whether the fused body loop can execute op: false for
+// terminators and other non-fusible ops (control flow, syscall, halt, illegal
+// opcodes).
+func fusible(op Op) bool {
 	switch op {
 	case OpNop, OpMovI, OpMov, OpLea,
 		OpAdd, OpSub, OpMul, OpDiv, OpMod, OpAnd, OpOr, OpXor, OpShl, OpShr,
 		OpAddI, OpSubI, OpMulI, OpDivI, OpModI, OpAndI, OpOrI, OpXorI, OpShlI, OpShrI,
 		OpCmp, OpCmpI,
 		OpLoadB, OpLoadW, OpStoreB, OpStoreW, OpPush, OpPushI, OpPop:
-		return uint64(opCycles[op]), true
+		return true
 	}
-	return 0, false
+	return false
 }
 
-// buildBlocks decodes the opcode stream into a blockInfo. Every instruction
-// index is a legal block entry (indirect jumps can land anywhere), so runLen
-// is computed for all of them: a single right-to-left pass, since a run
-// starting at i is one instruction longer than the run starting at i+1.
-func buildBlocks(code []Instr) *blockInfo {
+// buildBlocks decodes relocated code into its block descriptors: a single
+// right-to-left pass, since the body starting at i is instruction i followed
+// by the body starting at i+1, then a pass marking self-loops.
+func buildBlocks(code []Instr) []uint64 {
 	n := len(code)
-	bi := &blockInfo{
-		runLen: make([]int32, n),
-		cyc:    make([]uint64, n+1),
-	}
+	desc := make([]uint64, n+1)
 	for i := n - 1; i >= 0; i-- {
-		if _, ok := fusedCost(code[i].Op); ok {
-			run := int32(1)
-			if i+1 < n {
-				run += bi.runLen[i+1]
-			}
-			bi.runLen[i] = run
+		if op := code[i].Op; fusible(op) {
+			next := desc[i+1]
+			desc[i] = (uint64(uint32(next)) + 1) | (next>>descCycShift+uint64(opCycles[op]))<<descCycShift
 		}
 	}
 	for i := 0; i < n; i++ {
-		cost, _ := fusedCost(code[i].Op)
-		bi.cyc[i+1] = bi.cyc[i] + cost
+		if end := i + int(uint32(desc[i])); end < n && code[end].Op == OpJmp && int(code[end].Imm) == i {
+			desc[i] |= descSelfLoop
+		}
 	}
-	return bi
-}
-
-// blockMap returns the program's decoded block map, building it on first
-// use. Safe for concurrent callers: a lost CompareAndSwap race just rebuilds
-// an identical map and discards it.
-func (p *Program) blockMap() *blockInfo {
-	if b := p.blocks.Load(); b != nil {
-		return b
-	}
-	p.blocks.CompareAndSwap(nil, buildBlocks(p.Code))
-	return p.blocks.Load()
+	return desc
 }
 
 // rebuildProbeGap recomputes probeGap: probeGap[i] is the number of
@@ -307,17 +296,12 @@ func (m *Machine) runFused(limit uint64) (stop *StopInfo, executed uint64) {
 pass:
 	var (
 		uops  = m.uops
+		desc  = m.desc
 		mem   = m.Mem
 		pc    = m.PC
 		regs  = m.Regs
 		flags = m.Flags
 	)
-	runLen, cycp := m.blocks.runLen, m.blocks.cyc
-	// Length equalities the prove pass uses to elide bounds checks in the
-	// block loop: runLen and uops mirror code, cyc has one extra slot.
-	if len(runLen) != len(uops) || len(cycp) != len(uops)+1 {
-		return nil, 0 // unreachable: both are sized from the code array
-	}
 	// Probes and tools can only change between passes (hooks and syscalls run
 	// under Step, probes between passes), so the probe state is loop-invariant
 	// here. The gap table is rebuilt lazily: probe mutations just mark it dirty,
@@ -334,88 +318,82 @@ pass:
 	rp, rpn, wp, wpn := tlbLocals(mem)
 
 	for {
-		if pc < 0 || pc >= len(uops) {
+		if uint(pc) >= uint(len(uops)) {
 			m.Regs, m.Flags = regs, flags
 			m.commitFused(pc, done, cyc)
 			return m.badPCFault(), done
 		}
-		body := int(runLen[pc])
-		fuseTerm := true
-		if probeGap != nil {
-			g := int(probeGap[pc])
-			if g == 0 {
-				// pc is probed: its body is clamped at the next probed index.
-				g = 1 + int(probeGap[pc+1])
-				if pc != m.probesFiredAt {
-					// Deliver pc's probes, but only if the loop then executes
-					// pc: Step fires probes itself, so what is left to it (no
-					// budget, a fused pair's first half split off by the next
-					// probe or the budget, a terminator only Step can run) is
-					// left whole. Probes see committed state as under Step; the
-					// commit is then taken back so batching resumes, and a new
-					// pass reloads what a probe may touch: registers, TLBs, probes.
-					t, rem := Op(uops[pc]&uopOpMask), limit-done
-					m.Regs, m.Flags = regs, flags
-					m.commitFused(pc, done, cyc)
-					if rem == 0 || t >= numOps && (g == 1 || rem == 1) ||
-						body == 0 && (t > OpRet || t >= OpCall && m.callDispatch) {
-						return nil, done
+		// d is the block's descriptor, the only block state the body loop
+		// carries. An unprobed block whose body and terminator fit the budget
+		// runs on it as built (and is usually entered straight from the branch
+		// that reached it, below); otherwise the clamped path makes one for the
+		// stretch the loop may execute.
+		d := desc[pc]
+		if probeGap != nil || limit-done <= uint64(uint32(d)) {
+			body := int(uint32(d))
+			clamped := false
+			if probeGap != nil {
+				g := int(probeGap[pc])
+				if g == 0 {
+					// pc is probed: its body is clamped at the next probed index.
+					g = 1 + int(probeGap[pc+1])
+					if pc != m.probesFiredAt {
+						// Deliver pc's probes, but only if the loop then executes
+						// pc: Step fires probes itself, so what is left to it (no
+						// budget, a fused pair's first half split off by the next
+						// probe or the budget, a terminator only Step can run) is
+						// left whole. Probes see committed state as under Step; the
+						// commit is then taken back so batching resumes, and a new
+						// pass reloads what a probe may touch: registers, TLBs, probes.
+						t, rem := Op(uops[pc]&uopOpMask), limit-done
+						m.Regs, m.Flags = regs, flags
+						m.commitFused(pc, done, cyc)
+						if rem == 0 || t >= numOps && (g == 1 || rem == 1) ||
+							body == 0 && (t > OpRet || t >= OpCall && m.callDispatch) {
+							return nil, done
+						}
+						if m.fireProbes(pc) {
+							return m.violationStop(), done
+						}
+						m.instrCount -= done
+						m.cycles -= cyc
+						m.PC, m.probesFiredAt = pc, pc // as under Step, a probe cannot move the PC
+						goto pass
 					}
-					if m.fireProbes(pc) {
-						return m.violationStop(), done
-					}
-					m.instrCount -= done
-					m.cycles -= cyc
-					m.PC, m.probesFiredAt = pc, pc // as under Step, a probe cannot move the PC
-					goto pass
+					m.probesFiredAt = -1
 				}
-				m.probesFiredAt = -1
+				if g <= body {
+					body = g
+					clamped = true
+				}
 			}
-			if g <= body {
-				body = g
-				fuseTerm = false
+			if rem := limit - done; rem <= uint64(body) {
+				body = int(rem)
+				clamped = true
 			}
-		}
-		if rem := limit - done; rem <= uint64(body) {
-			body = int(rem)
-			fuseTerm = false
-		}
-		// A probe or budget clamp may land between the halves of a fused
-		// pair. Rather than split the pair in the body loop, shorten the body
-		// by one and let Run's Step fallback execute the pair's first half
-		// from the original (unfused) code — the fused cases below can then
-		// assume every pair they dispatch is whole. Observables are
-		// unchanged: the stop still lands on exactly the same instruction. A
-		// single decrement suffices, because the instruction before a pair's
-		// first half is never itself a pair's first half.
-		if !fuseTerm && body > 0 && Op(uops[pc+body-1]&uopOpMask) >= numOps {
-			body--
-		}
-		base := pc
-		end := pc + body
-		if end > len(uops) {
-			end = len(uops) // unreachable (runLen never runs past the end); helps prove
-		}
-		// Tight self-loop: an unclamped block whose terminator jumps back to
-		// its own base (spin waits, copy loops, counting loops) iterates via
-		// the backward goto below without re-running this prologue. fuseTerm
-		// guarantees the block from base+1 on — terminator included — is
-		// probe-free and that at least one full iteration fits the budget; a
-		// probed base must come back through the prologue every iteration.
-		selfLoop := false
-		var stride, blockCyc, loopMax uint64
-		if fuseTerm && end < len(uops) {
-			if tu := uops[end]; Op(tu&uopOpMask) == OpJmp && int(int32(uint32(tu>>32))) == base &&
-				(probeGap == nil || probeGap[base] != 0) {
-				selfLoop = true
-				stride = uint64(body) + 1
-				blockCyc = cycp[end] - cycp[base] + cyclesBranch
-				// Iterate again while done <= loopMax, i.e. while a whole
-				// further iteration still fits the budget. fuseTerm implies
-				// limit-done >= stride, so the subtraction cannot wrap.
-				loopMax = limit - stride
+			if clamped {
+				// A probe or budget clamp may land between the halves of a
+				// fused pair. Rather than split the pair in the body loop,
+				// shorten the body by one and let Run's Step fallback execute
+				// the pair's first half from the original (unfused) code — the
+				// fused cases below can then assume every pair they dispatch is
+				// whole. Observables are unchanged: the stop still lands on
+				// exactly the same instruction. A single decrement suffices,
+				// because the instruction before a pair's first half is never
+				// itself a pair's first half.
+				if body > 0 && Op(uops[pc+body-1]&uopOpMask) >= numOps {
+					body--
+				}
+				d = uint64(body) | descClamped | (d>>descCycShift-desc[pc+body]>>descCycShift)<<descCycShift
+			} else if probeGap[pc] == 0 {
+				// Unclamped, the block came here for its probes. It is
+				// probe-free from base+1 through its terminator, but a probed
+				// base must come back through here every iteration: it is no
+				// self-loop.
+				d &^= descSelfLoop
 			}
 		}
+		base, end := pc, pc+int(uint32(d))
 
 	iterate:
 		for pc < end {
@@ -425,12 +403,19 @@ pass:
 			// table is expensive on virtualized hosts (IBRS-era indirect
 			// branch costs), so the hottest micro-ops resolve through
 			// predictable direct compares first — the single most frequent
-			// ALU op across the app images, then (one range test) every
-			// synthetic fused pair, which is hot by construction since
+			// ALU op across the app images; cmpi, the whole body of the
+			// compare-and-branch blocks character loops chain (a sixth of
+			// all dispatches on long squid requests); then (one range test)
+			// every synthetic fused pair, which is hot by construction since
 			// fusion targets the most frequent pairs. Everything else takes
 			// the jump table below.
 			if op == OpAddI {
 				regs[uint8(u>>uopRdShift)] += uint32(u >> 32)
+				pc++
+				continue
+			}
+			if op == OpCmpI {
+				flags = cmp32(int32(regs[uint8(u>>uopRdShift)]), int32(uint32(u>>32)))
 				pc++
 				continue
 			}
@@ -453,10 +438,7 @@ pass:
 					} else if mem.WriteWord(sp, val) {
 						rp, rpn, wp, wpn = tlbLocals(mem)
 					} else {
-						m.Regs, m.Flags = regs, flags
-						done += uint64(pc-base) + 1
-						m.commitFused(pc, done, cyc+cycp[pc+1]-cycp[base])
-						return m.fault(FaultPage, sp, true, "stack push to unmapped memory"), done
+						return m.fusedFault(&regs, flags, base, pc, done, cyc, FaultPage, sp, true, "stack push to unmapped memory")
 					}
 					// The pop re-reads the slot the push just wrote: forward
 					// the value and restore SP (write-then-read of a mapped page
@@ -480,10 +462,7 @@ pass:
 						regs[uint8(u>>uopRdShift)] = uint32(b)
 						rp, rpn, wp, wpn = tlbLocals(mem)
 					} else {
-						m.Regs, m.Flags = regs, flags
-						done += uint64(pc-base) + 1
-						m.commitFused(pc, done, cyc+cycp[pc+1]-cycp[base])
-						return m.fault(FaultPage, addr, false, "read from unmapped memory"), done
+						return m.fusedFault(&regs, flags, base, pc, done, cyc, FaultPage, addr, false, "read from unmapped memory")
 					}
 					u2 := uops[pc+1]
 					flags = cmp32(int32(regs[uint8(u2>>uopRdShift)]), int32(uint32(u2>>32)))
@@ -499,10 +478,7 @@ pass:
 							regs[uint8(u>>32)] = v
 							rp, rpn, wp, wpn = tlbLocals(mem)
 						} else {
-							m.Regs, m.Flags = regs, flags
-							done += uint64(pc-base) + 2
-							m.commitFused(pc+1, done, cyc+cycp[pc+2]-cycp[base])
-							return m.fault(FaultPage, slot, false, "stack pop from unmapped memory"), done
+							return m.fusedFault(&regs, flags, base, pc+1, done, cyc, FaultPage, slot, false, "stack pop from unmapped memory")
 						}
 						regs[SP] = slot + 4
 						pc++
@@ -518,10 +494,7 @@ pass:
 					} else if mem.WriteU8(addr, byte(val)) {
 						rp, rpn, wp, wpn = tlbLocals(mem)
 					} else {
-						m.Regs, m.Flags = regs, flags
-						done += uint64(pc-base) + 1
-						m.commitFused(pc, done, cyc+cycp[pc+1]-cycp[base])
-						return m.fault(FaultPage, addr, true, "write to unmapped memory"), done
+						return m.fusedFault(&regs, flags, base, pc, done, cyc, FaultPage, addr, true, "write to unmapped memory")
 					}
 					u2 := uops[pc+1]
 					regs[uint8(u2>>uopRdShift)] += uint32(u2 >> 32)
@@ -539,10 +512,7 @@ pass:
 						} else if mem.WriteWord(sp, val) {
 							rp, rpn, wp, wpn = tlbLocals(mem)
 						} else {
-							m.Regs, m.Flags = regs, flags
-							done += uint64(pc-base) + 2
-							m.commitFused(pc+1, done, cyc+cycp[pc+2]-cycp[base])
-							return m.fault(FaultPage, sp, true, "stack push to unmapped memory"), done
+							return m.fusedFault(&regs, flags, base, pc+1, done, cyc, FaultPage, sp, true, "stack push to unmapped memory")
 						}
 						regs[SP] = sp
 						pc++
@@ -568,10 +538,7 @@ pass:
 					regs[uint8(u>>uopRdShift)] = uint32(b)
 					rp, rpn, wp, wpn = tlbLocals(mem)
 				} else {
-					m.Regs, m.Flags = regs, flags
-					done += uint64(pc-base) + 1
-					m.commitFused(pc, done, cyc+cycp[pc+1]-cycp[base])
-					return m.fault(FaultPage, addr, false, "read from unmapped memory"), done
+					return m.fusedFault(&regs, flags, base, pc, done, cyc, FaultPage, addr, false, "read from unmapped memory")
 				}
 			case OpLoadW:
 				addr := regs[uint8(u>>uopRsShift)] + uint32(u>>32)
@@ -581,10 +548,7 @@ pass:
 					regs[uint8(u>>uopRdShift)] = v
 					rp, rpn, wp, wpn = tlbLocals(mem)
 				} else {
-					m.Regs, m.Flags = regs, flags
-					done += uint64(pc-base) + 1
-					m.commitFused(pc, done, cyc+cycp[pc+1]-cycp[base])
-					return m.fault(FaultPage, addr, false, "read from unmapped memory"), done
+					return m.fusedFault(&regs, flags, base, pc, done, cyc, FaultPage, addr, false, "read from unmapped memory")
 				}
 
 			case OpStoreB:
@@ -597,10 +561,7 @@ pass:
 				} else if mem.WriteU8(addr, byte(val)) {
 					rp, rpn, wp, wpn = tlbLocals(mem)
 				} else {
-					m.Regs, m.Flags = regs, flags
-					done += uint64(pc-base) + 1
-					m.commitFused(pc, done, cyc+cycp[pc+1]-cycp[base])
-					return m.fault(FaultPage, addr, true, "write to unmapped memory"), done
+					return m.fusedFault(&regs, flags, base, pc, done, cyc, FaultPage, addr, true, "write to unmapped memory")
 				}
 			case OpStoreW:
 				addr := regs[uint8(u>>uopRdShift)] + uint32(u>>32)
@@ -612,10 +573,7 @@ pass:
 				} else if mem.WriteWord(addr, val) {
 					rp, rpn, wp, wpn = tlbLocals(mem)
 				} else {
-					m.Regs, m.Flags = regs, flags
-					done += uint64(pc-base) + 1
-					m.commitFused(pc, done, cyc+cycp[pc+1]-cycp[base])
-					return m.fault(FaultPage, addr, true, "write to unmapped memory"), done
+					return m.fusedFault(&regs, flags, base, pc, done, cyc, FaultPage, addr, true, "write to unmapped memory")
 				}
 
 			case OpAdd:
@@ -631,10 +589,7 @@ pass:
 					if Op(u&uopOpMask) == OpMod {
 						detail = "modulo by zero"
 					}
-					m.Regs, m.Flags = regs, flags
-					done += uint64(pc-base) + 1
-					m.commitFused(pc, done, cyc+cycp[pc+1]-cycp[base])
-					return m.fault(FaultDivZero, 0, false, detail), done
+					return m.fusedFault(&regs, flags, base, pc, done, cyc, FaultDivZero, 0, false, detail)
 				}
 				if Op(u&uopOpMask) == OpDiv {
 					regs[uint8(u>>uopRdShift)] /= d
@@ -664,10 +619,7 @@ pass:
 					if Op(u&uopOpMask) == OpModI {
 						detail = "modulo by zero immediate"
 					}
-					m.Regs, m.Flags = regs, flags
-					done += uint64(pc-base) + 1
-					m.commitFused(pc, done, cyc+cycp[pc+1]-cycp[base])
-					return m.fault(FaultDivZero, 0, false, detail), done
+					return m.fusedFault(&regs, flags, base, pc, done, cyc, FaultDivZero, 0, false, detail)
 				}
 				if Op(u&uopOpMask) == OpDivI {
 					regs[uint8(u>>uopRdShift)] /= uint32(u >> 32)
@@ -700,10 +652,7 @@ pass:
 				} else if mem.WriteWord(sp, val) {
 					rp, rpn, wp, wpn = tlbLocals(mem)
 				} else {
-					m.Regs, m.Flags = regs, flags
-					done += uint64(pc-base) + 1
-					m.commitFused(pc, done, cyc+cycp[pc+1]-cycp[base])
-					return m.fault(FaultPage, sp, true, "stack push to unmapped memory"), done
+					return m.fusedFault(&regs, flags, base, pc, done, cyc, FaultPage, sp, true, "stack push to unmapped memory")
 				}
 				regs[SP] = sp
 
@@ -717,10 +666,7 @@ pass:
 				} else if mem.WriteWord(sp, val) {
 					rp, rpn, wp, wpn = tlbLocals(mem)
 				} else {
-					m.Regs, m.Flags = regs, flags
-					done += uint64(pc-base) + 1
-					m.commitFused(pc, done, cyc+cycp[pc+1]-cycp[base])
-					return m.fault(FaultPage, sp, true, "stack push to unmapped memory"), done
+					return m.fusedFault(&regs, flags, base, pc, done, cyc, FaultPage, sp, true, "stack push to unmapped memory")
 				}
 				regs[SP] = sp
 
@@ -732,30 +678,30 @@ pass:
 					regs[uint8(u>>uopRdShift)] = v
 					rp, rpn, wp, wpn = tlbLocals(mem)
 				} else {
-					m.Regs, m.Flags = regs, flags
-					done += uint64(pc-base) + 1
-					m.commitFused(pc, done, cyc+cycp[pc+1]-cycp[base])
-					return m.fault(FaultPage, slot, false, "stack pop from unmapped memory"), done
+					return m.fusedFault(&regs, flags, base, pc, done, cyc, FaultPage, slot, false, "stack pop from unmapped memory")
 				}
 				regs[SP] = slot + 4
 
 			}
 			pc++
 		}
-		if selfLoop {
-			// The jmp terminator is folded into the per-iteration accounting.
-			done += stride
-			cyc += blockCyc
+		done += uint64(end - base)
+		cyc += d >> descCycShift
+		if d&descSelfLoop != 0 {
+			// Tight self-loop: an unclamped block whose terminator jumps back
+			// to its own base (spin waits, copy loops, counting loops) runs its
+			// body again without re-entering, while a whole further iteration
+			// still fits the budget. The jmp terminator is folded into the
+			// per-iteration accounting.
+			done++
+			cyc += cyclesBranch
 			pc = base
-			if done <= loopMax {
+			if limit-done > uint64(end-base) {
 				goto iterate
 			}
 			continue // remaining budget < one iteration: let the prologue clamp
 		}
-		done += uint64(end - base)
-		cyc += cycp[end] - cycp[base]
-
-		if !fuseTerm {
+		if d&descClamped != 0 {
 			if probeGap != nil && done < limit && probeGap[pc] == 0 {
 				continue // a probed index with budget left: deliver it above
 			}
@@ -773,46 +719,44 @@ pass:
 			continue
 		}
 
-		// Terminator.
+		// Terminator. Jumps and conditional branches, the way out of nearly
+		// every block, resolve ahead of the switch without an indirect jump:
+		// one range compare, then the taken bit for the sign of flags (read as
+		// RefRun reads it, any int included). The next block, when unprobed
+		// and within budget, is entered right here on its descriptor alone.
 		u := uops[pc]
-		switch Op(u & uopOpMask) {
-		case OpJmp:
+		op := Op(u & uopOpMask)
+		if op-OpJmp <= OpJge-OpJmp {
 			cyc += cyclesBranch
 			done++
-			pc = int(int32(uint32(u >> 32)))
-		case OpJz, OpJnz, OpJlt, OpJle, OpJgt, OpJge:
-			cyc += cyclesBranch
-			done++
-			taken := false
-			switch Op(u & uopOpMask) {
-			case OpJz:
-				taken = flags == 0
-			case OpJnz:
-				taken = flags != 0
-			case OpJlt:
-				taken = flags < 0
-			case OpJle:
-				taken = flags <= 0
-			case OpJgt:
-				taken = flags > 0
-			case OpJge:
-				taken = flags >= 0
+			class := uint(1) // flags == 0
+			if flags < 0 {
+				class = 0
 			}
-			if taken {
+			if flags > 0 {
+				class = 2
+			}
+			if branchTaken>>((3*uint(op-OpJmp)+class)&31)&1 != 0 {
 				pc = int(int32(uint32(u >> 32)))
 			} else {
 				pc++
 			}
-
+			if uint(pc) < uint(len(uops)) && probeGap == nil {
+				if d = desc[pc]; limit-done > uint64(uint32(d)) {
+					base, end = pc, pc+int(uint32(d))
+					goto iterate
+				}
+			}
+			continue
+		}
+		switch op {
 		case OpJmpReg:
 			cyc += cyclesBranch
 			done++
 			target := regs[uint8(u>>uopRdShift)]
 			tIdx, ok := m.IndexOfAddr(target)
 			if !ok {
-				m.Regs, m.Flags = regs, flags
-				m.commitFused(pc, done, cyc)
-				return m.fault(FaultBadPC, target, false, "indirect jump outside code segment"), done
+				return m.fusedFault(&regs, flags, pc+1, pc, done, cyc, FaultBadPC, target, false, "indirect jump outside code segment")
 			}
 			pc = tIdx
 
@@ -827,13 +771,11 @@ pass:
 			cyc += cyclesBranch + cyclesMem
 			done++
 			targetIdx := int(int32(uint32(u >> 32)))
-			if Op(u&uopOpMask) == OpCallReg {
+			if op == OpCallReg {
 				target := regs[uint8(u>>uopRdShift)]
 				tIdx, ok := m.IndexOfAddr(target)
 				if !ok {
-					m.Regs, m.Flags = regs, flags
-					m.commitFused(pc, done, cyc)
-					return m.fault(FaultBadPC, target, false, "indirect call outside code segment"), done
+					return m.fusedFault(&regs, flags, pc+1, pc, done, cyc, FaultBadPC, target, false, "indirect call outside code segment")
 				}
 				targetIdx = tIdx
 			}
@@ -846,9 +788,7 @@ pass:
 			} else if mem.WriteWord(sp, retAddr) {
 				rp, rpn, wp, wpn = tlbLocals(mem)
 			} else {
-				m.Regs, m.Flags = regs, flags
-				m.commitFused(pc, done, cyc)
-				return m.fault(FaultPage, sp, true, "stack push failed during call"), done
+				return m.fusedFault(&regs, flags, pc+1, pc, done, cyc, FaultPage, sp, true, "stack push failed during call")
 			}
 			regs[SP] = sp
 			pc = targetIdx
@@ -869,16 +809,12 @@ pass:
 				retAddr = v
 				rp, rpn, wp, wpn = tlbLocals(mem)
 			} else {
-				m.Regs, m.Flags = regs, flags
-				m.commitFused(pc, done, cyc)
-				return m.fault(FaultPage, retSlot, false, "stack read failed during return"), done
+				return m.fusedFault(&regs, flags, pc+1, pc, done, cyc, FaultPage, retSlot, false, "stack read failed during return")
 			}
 			regs[SP] = retSlot + 4
 			tIdx, ok := m.IndexOfAddr(retAddr)
 			if !ok {
-				m.Regs, m.Flags = regs, flags
-				m.commitFused(pc, done, cyc)
-				return m.fault(FaultBadPC, retAddr, false, "return to address outside code segment"), done
+				return m.fusedFault(&regs, flags, pc+1, pc, done, cyc, FaultBadPC, retAddr, false, "return to address outside code segment")
 			}
 			pc = tIdx
 
@@ -889,4 +825,25 @@ pass:
 			return nil, done
 		}
 	}
+}
+
+// branchTaken holds, three bits per opcode from OpJmp to OpJge, whether the
+// branch is taken when flags is negative (low bit), zero, or positive.
+const branchTaken = 0b111 | 0b010<<3 | 0b101<<6 | 0b001<<9 | 0b011<<12 | 0b100<<15 | 0b110<<18
+
+// fusedFault is every fault exit of runFused. It flushes the loop's registers
+// and flags, charges the body instructions base through at that the loop has
+// not yet counted (none when base is at+1: a terminator charges itself before
+// it can fault), commits with the PC on the faulting instruction at, and
+// raises the fault. Out of line, it keeps the exits' argument set-up out of
+// the dispatch loop.
+//
+//go:noinline
+func (m *Machine) fusedFault(regs *[NumRegs]uint32, flags, base, at int, done, cyc uint64,
+	kind FaultKind, addr uint32, isWrite bool, detail string) (*StopInfo, uint64) {
+	done += uint64(at + 1 - base)
+	cyc += m.desc[base]>>descCycShift - m.desc[at+1]>>descCycShift
+	m.Regs, m.Flags = *regs, flags
+	m.commitFused(at, done, cyc)
+	return m.fault(kind, addr, isWrite, detail), done
 }

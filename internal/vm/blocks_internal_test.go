@@ -1,9 +1,14 @@
 package vm
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
-// TestBuildBlocksRunLen pins the block decoder: runLen counts the fusible
-// straight-line suffix from each index and is zero on terminators.
+// TestBuildBlocksRunLen pins the block decoder: the body length counts the
+// fusible straight-line suffix from each index and is zero on terminators,
+// the cost field sums the body's cycles, and only an entry whose terminator
+// jumps back to it is a self-loop.
 func TestBuildBlocksRunLen(t *testing.T) {
 	code := []Instr{
 		{Op: OpMovI, Rd: R1},          // 0
@@ -14,19 +19,23 @@ func TestBuildBlocksRunLen(t *testing.T) {
 		{Op: OpHalt},                  // 5 terminator
 		{Op: OpCmpI, Rd: R1, Imm: 10}, // 6 (run to end of code)
 	}
-	bi := buildBlocks(code)
-	wantRun := []int32{3, 2, 1, 0, 1, 0, 1}
-	for i, want := range wantRun {
-		if bi.runLen[i] != want {
-			t.Errorf("runLen[%d] = %d, want %d", i, bi.runLen[i], want)
-		}
+	desc := buildBlocks(code)
+	if len(desc) != len(code)+1 || desc[len(code)] != 0 {
+		t.Fatalf("desc has %d entries ending %#x, want %d ending 0", len(desc), desc[len(desc)-1], len(code)+1)
 	}
-	// Prefix sums: movi/addi cost cyclesALU, push cyclesMem; terminators
-	// contribute zero (they are charged by the terminator dispatch).
-	wantCost := []uint64{cyclesALU, cyclesALU, cyclesMem, 0, cyclesALU, 0, cyclesALU}
-	for i, want := range wantCost {
-		if got := bi.cyc[i+1] - bi.cyc[i]; got != want {
-			t.Errorf("cyc[%d] = %d, want %d", i, got, want)
+	wantRun := []uint32{3, 2, 1, 0, 1, 0, 1}
+	// movi/addi cost cyclesALU, push cyclesMem; terminators contribute zero
+	// (they are charged by the terminator dispatch).
+	wantCyc := []uint64{2*cyclesALU + cyclesMem, cyclesALU + cyclesMem, cyclesMem, 0, cyclesALU, 0, cyclesALU}
+	for i := range wantRun {
+		if got := uint32(desc[i]); got != wantRun[i] {
+			t.Errorf("body length at %d = %d, want %d", i, got, wantRun[i])
+		}
+		if got := desc[i] >> descCycShift; got != wantCyc[i] {
+			t.Errorf("body cycles at %d = %d, want %d", i, got, wantCyc[i])
+		}
+		if got, want := desc[i]&descSelfLoop != 0, i == 1; got != want {
+			t.Errorf("self-loop at %d = %v, want %v", i, got, want)
 		}
 	}
 }
@@ -46,7 +55,7 @@ func TestPackUopsFusionSelection(t *testing.T) {
 		{Op: OpPush, Rd: R4}, // 7  trailing pair at end of code
 		{Op: OpPop, Rd: R5},  // 8
 	}
-	uops, _ := packUops(code, buildBlocks(code).runLen)
+	uops, _ := packUops(code, buildBlocks(code))
 	if got := Op(uops[1] & uopOpMask); got != OpAddI {
 		t.Errorf("uops[1] op = %d, want plain OpAddI (DP must skip the weaker addi/push pair)", got)
 	}
@@ -79,20 +88,52 @@ func TestSyntheticOpcodesDisjoint(t *testing.T) {
 		}
 	}
 	// Every pattern in the fusion table must pair two fusible body ops —
-	// fusedCost is what buildBlocks uses to bound runs, and packUops relies
-	// on runLen >= 2 implying both halves are body ops.
+	// fusible is what buildBlocks uses to bound runs, and packUops relies
+	// on a body length >= 2 implying both halves are body ops.
 	pairs := [][2]Op{
 		{OpPush, OpPop}, {OpAddI, OpAddI}, {OpLoadB, OpCmpI},
 		{OpMov, OpPop}, {OpStoreB, OpAddI}, {OpAddI, OpPush},
 	}
 	for _, p := range pairs {
 		if f, w := fusePair(p[0], p[1]); w > 0 {
-			if _, ok := fusedCost(p[0]); !ok {
+			if !fusible(p[0]) {
 				t.Errorf("fusion %d pairs non-fusible first half %v", f, p[0])
 			}
-			if _, ok := fusedCost(p[1]); !ok {
+			if !fusible(p[1]) {
 				t.Errorf("fusion %d pairs non-fusible second half %v", f, p[1])
 			}
 		}
 	}
+}
+
+// CheckBlockDescriptors recomputes m's block descriptors by brute force from
+// its relocated code — each body walked instruction by instruction, costed by
+// the reference interpreter's refCost, a self-loop wherever the instruction
+// ending it is a jmp back to the entry — and reports the first entry of the
+// shared table that disagrees.
+func CheckBlockDescriptors(m *Machine) error {
+	code, desc := m.code, m.desc
+	if len(desc) != len(code)+1 || desc[len(code)] != 0 {
+		return fmt.Errorf("%d descriptors ending %#x for %d instructions, want %d ending 0",
+			len(desc), desc[len(desc)-1], len(code), len(code)+1)
+	}
+	for i := range code {
+		end, cost := i, uint64(0)
+		for ; end < len(code); end++ {
+			op := code[end].Op
+			if op.IsBranch() || op == OpSyscall || op >= OpHalt {
+				break
+			}
+			cost += refCost(op)
+		}
+		want := uint64(end-i) | cost<<descCycShift
+		if end < len(code) && code[end].Op == OpJmp && int(code[end].Imm) == i {
+			want |= descSelfLoop
+		}
+		if desc[i] != want {
+			return fmt.Errorf("descriptor %d = %#x (length %d, cycles %d), want %#x (length %d, cycles %d, ended by %v)",
+				i, desc[i], uint32(desc[i]), desc[i]>>descCycShift, want, end-i, cost, m.InstrAt(end))
+		}
+	}
+	return nil
 }

@@ -2,10 +2,13 @@ package vm_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"sweeper/internal/apps"
 	"sweeper/internal/asm"
+	"sweeper/internal/monitor"
 	"sweeper/internal/vm"
 	"sweeper/internal/vm/vmtest"
 )
@@ -367,5 +370,66 @@ func TestBlockDispatchDifferential(t *testing.T) {
 				t.Errorf("stack memory diverged")
 			}
 		})
+	}
+}
+
+// TestBlockDescriptorsMatchBruteForce pins every relocated image's block
+// descriptor table — the four applications at the default and a randomized
+// layout, the random-guest corpus and a self-loop — against a recomputation
+// from the relocated code.
+func TestBlockDescriptorsMatchBruteForce(t *testing.T) {
+	if err := vm.CheckBlockDescriptors(spinMachine(t)); err != nil {
+		t.Errorf("spin loop: %v", err)
+	}
+	for _, spec := range apps.All() {
+		for _, layout := range []vm.Layout{vm.DefaultLayout(), monitor.RandomizedLayout(monitor.RandomizeOptions{Seed: 27})} {
+			m, err := vm.NewMachine(spec.Image, layout, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := vm.CheckBlockDescriptors(m); err != nil {
+				t.Errorf("%s at code base %#x: %v", spec.Name, layout.CodeBase, err)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(0xb10c))
+	for trial := 0; trial < 60; trial++ {
+		m, _ := buildMachinePair(t, vmtest.RandomGuest(rand.New(rand.NewSource(rng.Int63())), 80))
+		if err := vm.CheckBlockDescriptors(m); err != nil {
+			t.Errorf("random guest %d: %v", trial, err)
+		}
+	}
+}
+
+// TestBranchesReadAnyFlags runs every conditional branch, as the terminator of
+// a block and on the hooked engine, with Flags set — as a snapshot may restore
+// it — to values a compare never produces, against the reference interpreter.
+func TestBranchesReadAnyFlags(t *testing.T) {
+	branches := map[string]func(b *asm.Builder, label string) int{
+		"jz": (*asm.Builder).Jz, "jnz": (*asm.Builder).Jnz, "jlt": (*asm.Builder).Jlt,
+		"jle": (*asm.Builder).Jle, "jgt": (*asm.Builder).Jgt, "jge": (*asm.Builder).Jge,
+	}
+	for name, branch := range branches {
+		for _, flags := range []int{math.MinInt, -7, -1, 0, 1, 2, math.MaxInt} {
+			for _, tooled := range []bool{false, true} {
+				fast, slow := buildMachinePair(t, func(b *asm.Builder) {
+					b.Func("main")
+					b.AddI(vm.R2, 1)
+					branch(b, "main.taken")
+					b.MovI(vm.R1, 1)
+					b.Halt()
+					b.Label("main.taken")
+					b.MovI(vm.R1, 2)
+					b.Halt()
+				})
+				if tooled {
+					fast.AttachTool(&countingInstrTool{})
+					slow.AttachTool(&countingInstrTool{})
+				}
+				fast.Flags, slow.Flags = flags, flags
+				fs, ss := fast.Run(100), vm.RefRun(slow, 100)
+				diffStop(t, fmt.Sprintf("%s flags=%d tooled=%v", name, flags, tooled), fast, slow, fs, ss)
+			}
+		}
 	}
 }

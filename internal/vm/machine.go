@@ -125,14 +125,14 @@ type Machine struct {
 	callDispatch  bool // a CallHook is attached
 	probeCount    int
 
-	// Engine state (see blocks.go and blocks_tooled.go). blocks is the
-	// Program's shared decoded-block map; probeGap clamps fused runs short of
-	// probed indexes and is rebuilt lazily (probeGapDirty) so that installing
-	// a fleet-wide antibody's probes costs O(probes), not O(code) per machine.
-	// fastDispatch caches Run's engine choice: no instr or mem tool is
-	// attached, so the fused loop runs; otherwise the hook-calling engine does.
-	blocks        *blockInfo
-	uops          []uint64 // packed fused micro-ops, shared via relocImage
+	// Engine state (see blocks.go and blocks_tooled.go). probeGap clamps
+	// fused runs short of probed indexes and is rebuilt lazily
+	// (probeGapDirty) so that installing a fleet-wide antibody's probes costs
+	// O(probes), not O(code) per machine. fastDispatch caches Run's engine
+	// choice: no instr or mem tool is attached, so the fused loop runs;
+	// otherwise the hook-calling engine does.
+	desc          []uint64 // block descriptors, shared via relocImage
+	uops          []uint64 // packed fused micro-ops, likewise
 	uopsPlain     []uint64 // packed unfused micro-ops, likewise, for runHooked
 	probeGap      []int32
 	fastDispatch  bool
@@ -179,7 +179,7 @@ func NewMachine(prog *Program, layout Layout, sys SyscallHandler) (*Machine, err
 	}
 	m.code = img.code
 	m.probes = make([][]Probe, len(m.code))
-	m.blocks = prog.blockMap()
+	m.desc = img.desc
 	m.uops = img.uops
 	m.uopsPlain = img.plain
 	m.refreshDispatch()

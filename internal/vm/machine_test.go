@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"strings"
 	"testing"
 
 	"sweeper/internal/asm"
@@ -565,5 +566,68 @@ func TestNewMachineRejectsProgramBeyondSegmentSpan(t *testing.T) {
 func TestNewMachineRejectsEmptyProgram(t *testing.T) {
 	if _, err := vm.NewMachine(&vm.Program{Name: "empty"}, vm.DefaultLayout(), nil); err == nil {
 		t.Error("empty program should be rejected")
+	}
+}
+
+// TestNewMachineRejectsOutOfRangeRegisters loads one instruction of every
+// opcode with a register past bp in each field: a field the opcode uses must
+// fail the load, naming the instruction, instead of panicking Run later; a
+// field it ignores may hold anything, RegNone included.
+func TestNewMachineRejectsOutOfRangeRegisters(t *testing.T) {
+	classes := []struct {
+		name   string
+		ops    []vm.Op
+		rd, rs bool // the fields the class uses
+	}{
+		{"no register", []vm.Op{vm.OpNop, vm.OpPushI, vm.OpRet, vm.OpSyscall, vm.OpHalt}, false, false},
+		{"direct branch", []vm.Op{vm.OpJmp, vm.OpJz, vm.OpJnz, vm.OpJlt, vm.OpJle, vm.OpJgt, vm.OpJge, vm.OpCall}, false, false},
+		{"register and immediate", []vm.Op{vm.OpMovI, vm.OpAddI, vm.OpSubI, vm.OpMulI, vm.OpDivI, vm.OpModI,
+			vm.OpAndI, vm.OpOrI, vm.OpXorI, vm.OpShlI, vm.OpShrI, vm.OpCmpI}, true, false},
+		{"two registers", []vm.Op{vm.OpMov, vm.OpLea, vm.OpAdd, vm.OpSub, vm.OpMul, vm.OpDiv, vm.OpMod,
+			vm.OpAnd, vm.OpOr, vm.OpXor, vm.OpShl, vm.OpShr, vm.OpCmp}, true, true},
+		{"memory", []vm.Op{vm.OpLoadB, vm.OpLoadW, vm.OpStoreB, vm.OpStoreW}, true, true},
+		{"stack", []vm.Op{vm.OpPush, vm.OpPop}, true, false},
+		{"indirect branch", []vm.Op{vm.OpJmpReg, vm.OpCallReg}, true, false},
+	}
+	load := func(in vm.Instr) error {
+		prog := &vm.Program{Name: "regs", Code: []vm.Instr{{Op: vm.OpNop}, in, {Op: vm.OpHalt}}}
+		_, err := vm.NewMachine(prog, vm.DefaultLayout(), nil)
+		return err
+	}
+	ops := 0
+	for _, c := range classes {
+		for _, op := range c.ops {
+			ops++
+			in := vm.Instr{Op: op, Rd: vm.R1, Rs: vm.BP}
+			if !c.rd {
+				in.Rd = vm.RegNone
+			}
+			if !c.rs {
+				in.Rs = vm.RegNone
+			}
+			if err := load(in); err != nil {
+				t.Errorf("%s %v with RegNone in its unused fields: %v", c.name, op, err)
+			}
+			for _, f := range []struct {
+				name string
+				used bool
+				set  func(in *vm.Instr)
+			}{
+				{"rd", c.rd, func(in *vm.Instr) { in.Rd = vm.NumRegs + 2 }},
+				{"rs", c.rs, func(in *vm.Instr) { in.Rs = vm.NumRegs }},
+			} {
+				in := vm.Instr{Op: op, Rd: vm.R1, Rs: vm.BP}
+				f.set(&in)
+				switch err := load(in); {
+				case f.used && (err == nil || !strings.Contains(err.Error(), "instruction 1 ")):
+					t.Errorf("%s %v with %s out of range: err = %v, want one naming instruction 1", c.name, op, f.name, err)
+				case !f.used && err != nil:
+					t.Errorf("%s %v ignores %s, yet an out-of-range one is rejected: %v", c.name, op, f.name, err)
+				}
+			}
+		}
+	}
+	if ops != int(vm.OpHalt)+1 {
+		t.Errorf("the table covers %d opcodes, the ISA has %d", ops, vm.OpHalt+1)
 	}
 }

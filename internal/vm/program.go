@@ -41,15 +41,10 @@ type Program struct {
 	DataSymbols map[string]uint32 // data label -> offset within Data
 	Entry       int               // entry instruction index
 
-	// blocks caches the decoded basic-block map (see blocks.go), built
-	// lazily on first load and shared by every Machine running this image:
-	// blocks depend only on opcodes, which relocation never touches. Do not
-	// copy a Program by value once it has been loaded.
-	blocks atomic.Pointer[blockInfo]
-
 	// dataDigest caches the sha256 of Data, keying the program's shared base
 	// image in the BaseStore (see basestore.go). Data is immutable once the
-	// program is loadable, so a racing double computation is benign.
+	// program is loadable, so a racing double computation is benign. Do not
+	// copy a Program by value once it has been loaded.
 	dataDigest atomic.Pointer[[sha256.Size]byte]
 
 	// relocMu guards relocImages, the per-layout cache of relocated code and
@@ -68,13 +63,14 @@ type relocKey struct {
 }
 
 // relocImage is a relocated view of the program for one pair of code/data
-// bases: the patched instruction stream plus the packed, macro-op-fused
-// micro-ops the fused dispatcher executes. All fields are immutable once
-// published; plain is the unfused micro-op encoding (hook-calling execution
-// must observe every architectural instruction, so it cannot dispatch fused
-// pairs — see blocks_tooled.go).
+// bases: the patched instruction stream plus the block descriptors and the
+// packed, macro-op-fused micro-ops the fused dispatcher executes. All fields
+// are immutable once published; plain is the unfused micro-op encoding
+// (hook-calling execution must observe every architectural instruction, so it
+// cannot dispatch fused pairs — see blocks_tooled.go).
 type relocImage struct {
 	code  []Instr
+	desc  []uint64
 	uops  []uint64
 	plain []uint64
 }
@@ -106,13 +102,38 @@ func (p *Program) relocImage(layout Layout) (*relocImage, error) {
 			return nil, fmt.Errorf("vm: unknown relocation kind %d", r.Kind)
 		}
 	}
-	img := &relocImage{code: code}
-	img.uops, img.plain = packUops(code, p.blockMap().runLen)
+	if err := checkRegs(p.Name, code); err != nil {
+		return nil, err
+	}
+	img := &relocImage{code: code, desc: buildBlocks(code)}
+	img.uops, img.plain = packUops(code, img.desc)
 	if p.relocImages == nil {
 		p.relocImages = make(map[relocKey]*relocImage)
 	}
 	p.relocImages[key] = img
 	return img, nil
+}
+
+// checkRegs rejects code that names a register outside r0-bp in an operand its
+// opcode uses: the engines index the register file with that field, so such
+// code would load and then panic the host mid-run. Fields an opcode ignores
+// may hold anything, RegNone included.
+func checkRegs(name string, code []Instr) error {
+	for i, in := range code {
+		var rd, rs bool
+		switch in.Op {
+		case OpMov, OpLea, OpLoadB, OpLoadW, OpStoreB, OpStoreW,
+			OpAdd, OpSub, OpMul, OpDiv, OpMod, OpAnd, OpOr, OpXor, OpShl, OpShr, OpCmp:
+			rd, rs = true, true
+		case OpMovI, OpAddI, OpSubI, OpMulI, OpDivI, OpModI, OpAndI, OpOrI, OpXorI, OpShlI, OpShrI,
+			OpCmpI, OpJmpReg, OpCallReg, OpPush, OpPop:
+			rd = true
+		}
+		if rd && in.Rd >= NumRegs || rs && in.Rs >= NumRegs {
+			return fmt.Errorf("vm: program %q instruction %d (%v) names a register outside r0-bp", name, i, in)
+		}
+	}
+	return nil
 }
 
 // dataHash returns (and caches) the sha256 digest of the initial data

@@ -4,10 +4,11 @@
 //	go test -bench=. -benchmem
 //
 // regenerates the quantities behind Tables 1-3 and Figures 4-5, plus the
-// ablation and baseline comparisons described in DESIGN.md. Figures 6-8 come
-// from cmd/benchtables and are checked by internal/experiments' tests. Custom metrics
-// (overhead fractions, infection ratios, virtual-time gaps) are attached to
-// the benchmark results via ReportMetric.
+// ablation and baseline comparisons of README.md's Performance section.
+// Figures 6-8 come from cmd/benchtables and are checked by
+// internal/experiments' tests. Custom metrics (overhead fractions, infection
+// ratios, virtual-time gaps) are attached to the benchmark results via
+// ReportMetric.
 //
 // Every benchmark's body is factored into a one-iteration function
 // registered in benchOnce (bench_smoke_test.go), so that plain `go test`

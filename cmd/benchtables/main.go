@@ -1,6 +1,6 @@
 // Command benchtables regenerates every table and figure of the paper's
 // evaluation from the reproduction: Tables 1-3, Figures 4-8, the VSEF
-// overhead experiment and the ablations described in DESIGN.md.
+// overhead experiment and the ablations (README.md, "Performance").
 //
 // Usage:
 //

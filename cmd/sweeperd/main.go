@@ -30,11 +30,12 @@
 // request protocol (see internal/netproxy): connections are accepted, each
 // length-prefixed request flows through the guest's filtering proxy, and the
 // response (the guest's output, or the absorbed/filtered verdict) is written
-// back on the same connection. -per-guest-port assigns guest i the base port
-// plus i; client-observed latency percentiles are printed at shutdown. The
-// daemon keeps serving until interrupted. Drive it with wormsim -connect:
+// back on the same connection. Guest i listens on the base port plus i (on an
+// ephemeral port each when the base port is 0); client-observed latency
+// percentiles are printed at shutdown. The daemon keeps serving until
+// interrupted. Drive it with wormsim -connect:
 //
-//	sweeperd -app squid -guests 2 -benign 0 -variants 0 -tcp-listen 127.0.0.1:7400 -per-guest-port
+//	sweeperd -app squid -guests 2 -benign 0 -variants 0 -tcp-listen 127.0.0.1:7400
 //	wormsim -connect 127.0.0.1:7400 -app squid -requests 50 -attack
 package main
 
@@ -90,8 +91,7 @@ func main() {
 		pollMs       = flag.Int("poll-ms", 25, "federation poll interval in milliseconds")
 		authToken    = flag.String("auth-token", "", "federation shared-secret: require it on every served push/poll and attach it to every outgoing request (empty = open federation)")
 		linger       = flag.Duration("linger", 0, "keep the daemon alive this long after the scripted workload, serving peers and absorbing gossip")
-		tcpListen    = flag.String("tcp-listen", "", "serve framed TCP requests to the guests from this base address (e.g. 127.0.0.1:7400); the daemon then runs until interrupted")
-		perGuestPort = flag.Bool("per-guest-port", false, "with -tcp-listen: guest i listens on the base port plus i (required for more than one guest unless the base port is 0)")
+		tcpListen    = flag.String("tcp-listen", "", "serve framed TCP requests to the guests from this base address (e.g. 127.0.0.1:7400; guest i takes the base port plus i, or an ephemeral port when it is 0); the daemon then runs until interrupted")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060) for profiling the live daemon")
 		dataDir      = flag.String("data-dir", "", "persist the antibody store (write-ahead log + snapshot) and guest checkpoints under this directory; a restarted daemon replays the WAL and warm-restores its guests from it")
 	)
@@ -224,13 +224,9 @@ func main() {
 		if err != nil {
 			log.Fatalf("sweeperd: -tcp-listen %s: bad port: %v", *tcpListen, err)
 		}
-		allGuests := fleet.Guests()
-		if len(allGuests) > 1 && basePort != 0 && !*perGuestPort {
-			log.Fatalf("sweeperd: %d guests cannot share TCP port %d; pass -per-guest-port (or a base port of 0)", len(allGuests), basePort)
-		}
-		for i, g := range allGuests {
+		for i, g := range fleet.Guests() {
 			port := basePort
-			if *perGuestPort && basePort != 0 {
+			if basePort != 0 {
 				port = basePort + i
 			}
 			if err := g.AttachListener(net.JoinHostPort(host, strconv.Itoa(port))); err != nil {

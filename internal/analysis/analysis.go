@@ -78,9 +78,9 @@ type Sandbox struct {
 	// Proc is the replay clone. Analyzers attach tools to Proc.Machine and
 	// may restrict the replayed requests via Proc.DropRequests.
 	Proc *proc.Process
-	// Budget bounds the replay, in instructions. The pipeline sets it from
-	// the analyzer's registry budget when one was registered, falling back to
-	// the instance-wide replay budget.
+	// Budget bounds the replay, in instructions. The pipeline sets it to the
+	// instance-wide replay budget; an analyzer that wants less lowers it in
+	// its own Run, before replaying.
 	Budget uint64
 
 	exhausted  bool
@@ -254,29 +254,21 @@ func (c *Context) FindingOf(analyzer string) Finding {
 }
 
 // Registry maps analyzer names to Analyzer implementations, in registration
-// order, each with an optional per-analyzer replay budget. It is safe for
-// concurrent use.
+// order. It is safe for concurrent use.
 type Registry struct {
-	mu      sync.Mutex
-	order   []string
-	byN     map[string]Analyzer
-	budgets map[string]uint64
+	mu    sync.Mutex
+	order []string
+	byN   map[string]Analyzer
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byN: make(map[string]Analyzer), budgets: make(map[string]uint64)}
+	return &Registry{byN: make(map[string]Analyzer)}
 }
 
-// Register adds an analyzer under its own name with no budget override.
-// Registering a duplicate or empty name is an error.
-func (r *Registry) Register(a Analyzer) error { return r.RegisterBudgeted(a, 0) }
-
-// RegisterBudgeted adds an analyzer with its own replay budget (in
-// instructions), overriding the instance-wide replay budget for this analyzer
-// only: an expensive custom analyzer gets a hard cap instead of starving the
-// fast tier. A budget of 0 means "inherit the instance-wide budget".
-func (r *Registry) RegisterBudgeted(a Analyzer, budget uint64) error {
+// Register adds an analyzer under its own name. Registering a duplicate or
+// empty name is an error.
+func (r *Registry) Register(a Analyzer) error {
 	name := a.Name()
 	if name == "" {
 		return fmt.Errorf("analysis: analyzer with empty name")
@@ -288,34 +280,7 @@ func (r *Registry) RegisterBudgeted(a Analyzer, budget uint64) error {
 	}
 	r.byN[name] = a
 	r.order = append(r.order, name)
-	if budget > 0 {
-		r.budgets[name] = budget
-	}
 	return nil
-}
-
-// SetBudget installs (or, with 0, removes) the named analyzer's replay-budget
-// override after registration.
-func (r *Registry) SetBudget(name string, budget uint64) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.byN[name]; !ok {
-		return fmt.Errorf("analysis: analyzer %q is not registered", name)
-	}
-	if budget == 0 {
-		delete(r.budgets, name)
-	} else {
-		r.budgets[name] = budget
-	}
-	return nil
-}
-
-// Budget returns the named analyzer's replay-budget override, or 0 when the
-// analyzer inherits the instance-wide budget.
-func (r *Registry) Budget(name string) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.budgets[name]
 }
 
 // Get returns the named analyzer.

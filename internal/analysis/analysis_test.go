@@ -46,40 +46,6 @@ func TestRegistryOrderAndDuplicates(t *testing.T) {
 	}
 }
 
-func TestRegistryBudgets(t *testing.T) {
-	r := NewRegistry()
-	if err := r.RegisterBudgeted(stubAnalyzer{name: "capped", tier: TierFast}, 1234); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Register(stubAnalyzer{name: "uncapped", tier: TierFast}); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Budget("capped"); got != 1234 {
-		t.Errorf("Budget(capped) = %d, want 1234", got)
-	}
-	if got := r.Budget("uncapped"); got != 0 {
-		t.Errorf("Budget(uncapped) = %d, want 0 (inherit)", got)
-	}
-	if err := r.SetBudget("uncapped", 99); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Budget("uncapped"); got != 99 {
-		t.Errorf("Budget(uncapped) after SetBudget = %d, want 99", got)
-	}
-	if err := r.SetBudget("capped", 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Budget("capped"); got != 0 {
-		t.Errorf("Budget(capped) after reset = %d, want 0", got)
-	}
-	if err := r.SetBudget("missing", 7); err == nil {
-		t.Error("SetBudget on unknown analyzer accepted")
-	}
-	if err := r.RegisterBudgeted(stubAnalyzer{name: "capped"}, 5); err == nil {
-		t.Error("duplicate budgeted registration accepted")
-	}
-}
-
 func TestContextImplicationUnionIsSortedAndDeduplicated(t *testing.T) {
 	ctx := NewContext()
 	ctx.Implicate("membug", 9, 3, -1)

@@ -60,7 +60,7 @@ func TestAnalyzeSquidHeapOverflow(t *testing.T) {
 }
 
 func TestAnalyzeApache1StackSmash(t *testing.T) {
-	layout := monitor.RandomizedLayout(monitor.RandomizeOptions{Seed: 11})
+	layout := monitor.RandomizedLayout(11)
 	p, stop := crashApp(t, "apache1", layout)
 	r := coredump.Analyze(p, stop)
 	if r.Class != coredump.ClassStackSmash {

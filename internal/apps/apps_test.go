@@ -106,7 +106,7 @@ func TestBenignWorkloads(t *testing.T) {
 }
 
 func TestBenignWorkloadsUnderRandomizedLayout(t *testing.T) {
-	layout := monitor.RandomizedLayout(monitor.RandomizeOptions{Seed: 7})
+	layout := monitor.RandomizedLayout(7)
 	for _, spec := range All() {
 		t.Run(spec.Name, func(t *testing.T) {
 			var payloads [][]byte
@@ -198,7 +198,7 @@ func TestApache1ExploitFaultsUnderASLR(t *testing.T) {
 	payload := append([]byte("GET "), uri...)
 	payload = append(payload, []byte(" HTTP/1.0\r\n\r\n")...)
 
-	layout := monitor.RandomizedLayout(monitor.RandomizeOptions{Seed: 99})
+	layout := monitor.RandomizedLayout(99)
 	_, stop := runApp(t, spec, layout, payload)
 	if stop.Reason != vm.StopFault {
 		t.Fatalf("expected fault under ASLR, got %v", stop.Reason)

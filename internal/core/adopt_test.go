@@ -245,14 +245,14 @@ func TestNothingProvisionalBeforeTheGatePasses(t *testing.T) {
 }
 
 // TestAdoptRegeneratesInlineWhenDeferredQueueFull: with the deferred worker
-// busy and its one-slot queue taken, the adoption does not skip regeneration
+// busy and every slot of its queue taken, the adoption does not skip regeneration
 // and does not wait for the queue — it regenerates on the serving goroutine
 // and reaches the same end state.
 func TestAdoptRegeneratesInlineWhenDeferredQueueFull(t *testing.T) {
 	final := genuineFinalAntibody(t, "squid")
-	f := newVerifyingConsumer(t, "squid", consumerName, 299792, func(c *Config) { c.DeferredQueueDepth = 1 })
+	f := newVerifyingConsumer(t, "squid", consumerName, 299792)
 	g, _ := f.Guest(consumerName)
-	release := blockDeferredWorker(t, g, 1)
+	release := blockDeferredWorker(t, g, deferredQueueDepth)
 	if !f.Store().Publish(final) {
 		t.Fatal("store rejected the genuine antibody")
 	}
@@ -338,7 +338,7 @@ func TestAdoptBeforeStartCompletesInline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFleet()
+	f := NewFleetWithOptions(FleetOptions{})
 	if !f.Store().Publish(final) {
 		t.Fatal("store rejected the genuine antibody")
 	}

@@ -367,8 +367,7 @@ func (s *Sweeper) HandleAttack(stop *vm.StopInfo, det monitor.Detection) *Attack
 	// probes rebuild their shadow state during a serial replay, which the
 	// clone (which carries neither) cannot stand in for.
 	var prefix *prefixReplay
-	if s.cfg.PipelinedRecovery && s.proc.Machine.ProbeCount() == 0 &&
-		len(s.proc.Machine.Tools()) == 0 {
+	if s.proc.Machine.ProbeCount() == 0 && len(s.proc.Machine.Tools()) == 0 {
 		prefix = s.startPrefixReplay(snap)
 	}
 

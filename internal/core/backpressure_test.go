@@ -6,28 +6,32 @@ import (
 	"time"
 
 	"sweeper/internal/analysis"
+	"sweeper/internal/analysis/membug"
+	"sweeper/internal/analysis/slicing"
+	"sweeper/internal/analysis/taint"
 	"sweeper/internal/exploit"
 )
 
-// budgetHog is a fast-tier analyzer that replays its whole window; registered
-// with a tiny budget it must run out and say so, without touching the
-// builtin analyzers or the antibody path.
+// budgetHog is a fast-tier analyzer that cuts its own replay budget to 50
+// instructions and replays its whole window: it must run out and say so,
+// without touching the builtin analyzers or the antibody path.
 type budgetHog struct{}
 
 func (budgetHog) Name() string        { return "test.hog" }
 func (budgetHog) Cost() analysis.Tier { return analysis.TierFast }
 func (budgetHog) Run(ctx *analysis.Context, sb *analysis.Sandbox) (analysis.Finding, error) {
+	sb.Budget = 50
 	sb.Run()
 	return nil, nil
 }
 
-// TestPerAnalyzerBudgetStarvesOnlyTheBudgetedAnalyzer registers an expensive
-// custom analyzer with a 50-instruction budget: its exhaustion must surface
-// via AttackReport.ErrorFor while the builtin fast tier, the antibody and
-// recovery proceed untouched.
-func TestPerAnalyzerBudgetStarvesOnlyTheBudgetedAnalyzer(t *testing.T) {
+// TestAnalyzerBudgetStarvesOnlyThatAnalyzer registers an expensive custom
+// analyzer that bounds its own replay to 50 instructions: its exhaustion must
+// surface via AttackReport.ErrorFor while the builtin fast tier, the antibody
+// and recovery proceed untouched.
+func TestAnalyzerBudgetStarvesOnlyThatAnalyzer(t *testing.T) {
 	reg := DefaultRegistry()
-	if err := reg.RegisterBudgeted(budgetHog{}, 50); err != nil {
+	if err := reg.Register(budgetHog{}); err != nil {
 		t.Fatal(err)
 	}
 	s, spec := newSweeperFor(t, "squid", func(c *Config) { c.Registry = reg })
@@ -57,25 +61,15 @@ func TestPerAnalyzerBudgetStarvesOnlyTheBudgetedAnalyzer(t *testing.T) {
 	if r.FinalAntibody == nil {
 		t.Error("final antibody should still ship")
 	}
+}
 
-	// Budgets are read from the registry live: lifting the cap after the
-	// Sweeper was built must take effect on the next attack.
-	if err := reg.SetBudget("test.hog", 0); err != nil {
-		t.Fatal(err)
-	}
-	variant, err := exploit.ExploitVariant(spec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	submitBenign(s, "squid", 100, 3)
-	s.Submit(variant, "worm", true)
-	if _, err := s.ServeAll(); err != nil {
-		t.Fatalf("ServeAll(variant): %v", err)
-	}
-	s.WaitAnalyses()
-	if msg := s.Attacks()[1].ErrorFor("test.hog"); msg != "" {
-		t.Errorf("after lifting the budget, analyzer still failed: %q", msg)
-	}
+// shortSlicer is the slicing analyzer with its replay cut to 2000
+// instructions, long before the squid exploit's fault.
+type shortSlicer struct{ slicing.Analyzer }
+
+func (a shortSlicer) Run(ctx *analysis.Context, sb *analysis.Sandbox) (analysis.Finding, error) {
+	sb.Budget = 2000
+	return a.Analyzer.Run(ctx, sb)
 }
 
 // TestSlicingCutShortByItsBudgetIsReportedInconclusive gives the deferred
@@ -83,9 +77,11 @@ func TestPerAnalyzerBudgetStarvesOnlyTheBudgetedAnalyzer(t *testing.T) {
 // not carry a verdict about the slice from wherever the recording stopped,
 // and must say why through ErrorFor, while everything else is untouched.
 func TestSlicingCutShortByItsBudgetIsReportedInconclusive(t *testing.T) {
-	reg := DefaultRegistry()
-	if err := reg.SetBudget("slicing", 2000); err != nil {
-		t.Fatal(err)
+	reg := analysis.NewRegistry()
+	for _, a := range []analysis.Analyzer{membug.Analyzer{}, taint.Analyzer{}, shortSlicer{}} {
+		if err := reg.Register(a); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s, spec := newSweeperFor(t, "squid", func(c *Config) { c.Registry = reg })
 	payload, err := exploit.Exploit(spec)
@@ -133,10 +129,10 @@ func (b *blockingDeferred) Run(ctx *analysis.Context, sb *analysis.Sandbox) (ana
 }
 
 // TestDeferredTierBackpressureBoundsTheQueue holds the single deferred
-// worker busy with a queue depth of 1 and drives three attacks: the first
-// occupies the worker, the second queues, and the third must be dropped —
-// surfaced via ErrorFor and counted — while its report still seals and the
-// guest keeps recovering and serving.
+// worker busy and drives three attacks: the first occupies the worker, filler
+// jobs take all but one queue slot, the second attack takes the last, and the
+// third must be dropped — surfaced via ErrorFor and counted — while its
+// report still seals and the guest keeps recovering and serving.
 func TestDeferredTierBackpressureBoundsTheQueue(t *testing.T) {
 	blocker := &blockingDeferred{started: make(chan struct{}, 8), release: make(chan struct{})}
 	reg := analysis.NewRegistry()
@@ -146,7 +142,6 @@ func TestDeferredTierBackpressureBoundsTheQueue(t *testing.T) {
 	s, spec := newSweeperFor(t, "squid", func(c *Config) {
 		c.Registry = reg
 		c.Analyses = []string{"test.blockingdeferred"}
-		c.DeferredQueueDepth = 1
 	})
 
 	attack := func(variant int) {
@@ -172,14 +167,19 @@ func TestDeferredTierBackpressureBoundsTheQueue(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("deferred worker never started attack 0's analysis")
 	}
-	attack(1) // queues behind the blocked worker
+	for i := 0; i < deferredQueueDepth-1; i++ {
+		if !s.enqueueDeferred(func() {}) {
+			t.Fatalf("deferred queue refused filler job %d", i)
+		}
+	}
+	attack(1) // takes the last slot behind the blocked worker
 	attack(2) // queue full: must be dropped, not piled up
 
 	if got := s.DeferredDropped(); got != 1 {
 		t.Errorf("DeferredDropped = %d, want 1", got)
 	}
-	if got := s.DeferredBacklog(); got != 2 {
-		t.Errorf("DeferredBacklog = %d, want 2 (one running, one queued)", got)
+	if got, want := s.DeferredBacklog(), deferredQueueDepth+1; got != want {
+		t.Errorf("DeferredBacklog = %d, want %d (one running, a full queue)", got, want)
 	}
 	close(blocker.release)
 	s.WaitAnalyses()

@@ -27,7 +27,7 @@ func TestFleetMemoryGrowsSublinearly(t *testing.T) {
 	before := store.Stats()
 
 	const fleetSize = 12
-	fleet := core.NewFleet()
+	fleet := core.NewFleetWithOptions(core.FleetOptions{})
 	var guests []*core.Guest
 	for i := 0; i < fleetSize; i++ {
 		cfg := core.DefaultConfig()

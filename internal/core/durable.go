@@ -17,10 +17,8 @@ type FleetOptions struct {
 	//	<DataDir>/antibodies/  — antibody WAL + snapshot (antibody.OpenDurable)
 	//	<DataDir>/checkpoints/ — content-addressed checkpoint store
 	//
-	// Empty means fully in-memory, the NewFleet default.
+	// Empty means fully in-memory.
 	DataDir string
-	// CompactEvery is the WAL compaction threshold (default 256 appends).
-	CompactEvery int
 }
 
 // DurabilityStats counts the fleet's durability events.
@@ -37,12 +35,16 @@ type DurabilityStats struct {
 	Warnings int
 }
 
-// NewFleetWithOptions returns a fleet whose antibody store and guest
-// checkpoints persist under opts.DataDir. Opening is crash-tolerant (torn
-// WAL tails are truncated, manifest chains fold to their last consistent
-// record) and failure-tolerant: if either store cannot be opened the fleet
-// degrades to the in-memory equivalent with a counted warning rather than
-// failing — a daemon that lost its disk still defends its guests.
+// NewFleetWithOptions returns an empty fleet around a fresh shared antibody
+// store. The fleet subscribes to its own store: every antibody entering the
+// store — from a guest's analysis pipeline or published by an external actor
+// such as the federation layer — is fanned out to every guest running that
+// program. With opts.DataDir set, the store and the guest checkpoints persist
+// under it. Opening is crash-tolerant (torn WAL tails are truncated, manifest
+// chains fold to their last consistent record) and failure-tolerant: if
+// either store cannot be opened the fleet degrades to the in-memory
+// equivalent with a counted warning rather than failing — a daemon that lost
+// its disk still defends its guests.
 func NewFleetWithOptions(opts FleetOptions) *Fleet {
 	f := &Fleet{
 		rec:    metrics.NewFleetRecorder(),
@@ -52,9 +54,7 @@ func NewFleetWithOptions(opts FleetOptions) *Fleet {
 		f.store = antibody.NewStore()
 	} else {
 		f.dataDir = opts.DataDir
-		st, err := antibody.OpenDurable(filepath.Join(opts.DataDir, "antibodies"), antibody.DurableOptions{
-			CompactEvery: opts.CompactEvery,
-		})
+		st, err := antibody.OpenDurable(filepath.Join(opts.DataDir, "antibodies"), antibody.DurableOptions{})
 		if err != nil {
 			f.durability.Warnings++
 			st = antibody.NewStore()

@@ -26,7 +26,7 @@ func (s *Sweeper) isolateInput(snap *proc.Snapshot) int {
 	}
 	sort.Ints(candidates)
 	tryCandidate := func(i int) bool {
-		sb, err := s.sandbox(snap, 0)
+		sb, err := s.sandbox(snap)
 		if err != nil {
 			return false
 		}

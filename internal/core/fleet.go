@@ -90,20 +90,6 @@ type Guest struct {
 	serveErr error
 }
 
-// NewFleet returns an empty fleet with a fresh shared antibody store. The
-// fleet subscribes to its own store: every antibody entering the store — from
-// a guest's analysis pipeline or published by an external actor such as the
-// federation layer — is fanned out to every guest running that program.
-func NewFleet() *Fleet {
-	f := &Fleet{
-		store:  antibody.NewStore(),
-		rec:    metrics.NewFleetRecorder(),
-		guests: make(map[string]*Guest),
-	}
-	f.store.Subscribe(f.distribute)
-	return f
-}
-
 // Store returns the shared antibody store.
 func (f *Fleet) Store() *antibody.Store { return f.store }
 

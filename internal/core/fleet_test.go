@@ -18,7 +18,7 @@ func newFleetWith(t *testing.T, appName string, guests int) (*Fleet, *apps.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFleet()
+	f := NewFleetWithOptions(FleetOptions{})
 	for i := 0; i < guests; i++ {
 		cfg := DefaultConfig()
 		cfg.ASLRSeed = 42 + int64(i)*7919
@@ -136,7 +136,7 @@ func TestFleetGuestHaltEndsDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFleet()
+	f := NewFleetWithOptions(FleetOptions{})
 	cfg := DefaultConfig()
 	cfg.ASLR = false // the hijack succeeds and the guest halts
 	g, err := f.AddGuest("apache1-0", spec.Name, spec.Image, spec.Options, cfg)
@@ -243,7 +243,7 @@ func TestFleetAttackAfterAdoptionRecovers(t *testing.T) {
 func TestFleetConcurrentAttacksRaceStress(t *testing.T) {
 	const guestsPerApp = 3
 	appNames := []string{"cvs", "squid", "apache1"}
-	f := NewFleet()
+	f := NewFleetWithOptions(FleetOptions{})
 	payloads := make(map[string][]byte)
 	for ai, appName := range appNames {
 		spec, err := apps.ByName(appName)

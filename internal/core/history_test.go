@@ -12,6 +12,7 @@ import (
 	"sweeper/internal/analysis/slicing"
 	"sweeper/internal/analysis/taint"
 	"sweeper/internal/antibody"
+	"sweeper/internal/checkpoint"
 	"sweeper/internal/exploit"
 	"sweeper/internal/netproxy"
 	"sweeper/internal/proc"
@@ -132,7 +133,7 @@ func TestEveryRetainedCheckpointReplays(t *testing.T) {
 	genesis := s.Checkpoints().Oldest()
 	serveSmall(t, s, smallMix(512), 0, requests)
 	snaps := s.Checkpoints().Snapshots()
-	if len(snaps) != s.Config().MaxCheckpoints || snaps[0] == genesis {
+	if len(snaps) != checkpoint.DefaultPolicy().MaxKept || snaps[0] == genesis {
 		t.Fatalf("%d checkpoints retained, the first still there: %v; the ring never wrapped", len(snaps), snaps[0] == genesis)
 	}
 

@@ -42,11 +42,9 @@ func stepNameFor(analyzer string) string {
 }
 
 // buildAnalyzers resolves the configuration into the analyzer set this
-// Sweeper runs per attack, plus the registry they came from (so per-analyzer
-// replay budgets are read live — a SetBudget after construction takes effect
-// on the next attack): the names cfg.Analyses lists, or every registered
+// Sweeper runs per attack: the names cfg.Analyses lists, or every registered
 // analyzer when it is nil.
-func buildAnalyzers(cfg Config) ([]analysis.Analyzer, *analysis.Registry, error) {
+func buildAnalyzers(cfg Config) ([]analysis.Analyzer, error) {
 	reg := cfg.Registry
 	if reg == nil {
 		reg = DefaultRegistry()
@@ -59,16 +57,16 @@ func buildAnalyzers(cfg Config) ([]analysis.Analyzer, *analysis.Registry, error)
 	seen := make(map[string]bool, len(names))
 	for _, n := range names {
 		if seen[n] {
-			return nil, nil, fmt.Errorf("core: analysis %q listed twice in Config.Analyses", n)
+			return nil, fmt.Errorf("core: analysis %q listed twice in Config.Analyses", n)
 		}
 		seen[n] = true
 		a, ok := reg.Get(n)
 		if !ok {
-			return nil, nil, fmt.Errorf("core: analysis %q is not registered (registered: %v)", n, reg.Names())
+			return nil, fmt.Errorf("core: analysis %q is not registered (registered: %v)", n, reg.Names())
 		}
 		out = append(out, a)
 	}
-	return out, reg, nil
+	return out, nil
 }
 
 // deferredYieldInstrs is the replay chunk size for sandboxes that run on the
@@ -155,7 +153,7 @@ func (s *Sweeper) startAnalyses(snap *proc.Snapshot) *pipelineRun {
 			stepName: stepNameFor(a.Name()),
 			done:     make(chan struct{}),
 		}
-		ar.sb, ar.sbErr = s.sandbox(snap, s.budgetFor(a.Name()))
+		ar.sb, ar.sbErr = s.sandbox(snap)
 		run.byName[a.Name()] = ar
 		if a.Cost() == analysis.TierDeferred {
 			if ar.sb != nil {
@@ -211,7 +209,7 @@ func (r *pipelineRun) waitFast() {
 //
 // The work runs on the Sweeper's single deferred worker, fed by a bounded
 // queue: under an attack storm the deferred runs of distinct attacks queue
-// up to cfg.DeferredQueueDepth instead of spawning a goroutine each, and
+// up to deferredQueueDepth instead of spawning a goroutine each, and
 // once the queue is full the newest attack's deferred analyses are dropped —
 // surfaced per analyzer via AttackReport.ErrorFor — rather than piling up
 // unbounded work behind the recovered service.
@@ -242,7 +240,7 @@ func (r *pipelineRun) finishDeferredAsync(report *AttackReport, t0 time.Time) {
 			}
 			report.mu.Lock()
 			report.errs[ar.a.Name()] = fmt.Sprintf(
-				"deferred analysis dropped: queue full (%d attacks backlogged)", r.s.cfg.DeferredQueueDepth)
+				"deferred analysis dropped: queue full (%d attacks backlogged)", deferredQueueDepth)
 			report.mu.Unlock()
 		}
 		seal()

@@ -8,12 +8,23 @@ import (
 	"sweeper/internal/vm"
 )
 
+// inertTool is a tool with no hooks: it changes nothing about execution, but
+// a live machine that carries any tool makes recovery fall back to the
+// serial replay, since only a serial replay can rebuild a tool's shadow state.
+type inertTool struct{}
+
+func (inertTool) Name() string { return "test.inert" }
+
 // runRecoveryCycle drives one full attack-and-recovery cycle (benign traffic,
-// exploit, more benign traffic) with the requested recovery path and returns
-// the quiesced Sweeper for state inspection.
+// exploit, more benign traffic) and returns the quiesced Sweeper for state
+// inspection. Unless pipelined, the live machine carries an inertTool, which
+// sends recovery down the serial path.
 func runRecoveryCycle(t *testing.T, appName string, pipelined bool) *Sweeper {
 	t.Helper()
-	s, spec := newSweeperFor(t, appName, func(c *Config) { c.PipelinedRecovery = pipelined })
+	s, spec := newSweeperFor(t, appName, nil)
+	if !pipelined {
+		s.Process().Machine.AttachTool(inertTool{})
+	}
 	payload, err := exploit.Exploit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +69,8 @@ func guestPages(t *testing.T, m *vm.Machine) map[uint32][]byte {
 // registers and identical client-visible outputs. Virtual time is exempt by
 // design (shrinking it is the point of the pipeline). Run under the race
 // detector this also exercises the prefix clone racing the analysis clones
-// over the shared snapshot and event log.
+// over the shared snapshot and event log. The serial reference is reached the
+// way production reaches it: a tool on the live machine.
 func TestPipelinedRecoveryMatchesSerialState(t *testing.T) {
 	for _, appName := range []string{"apache1", "apache2", "cvs", "squid"} {
 		t.Run(appName, func(t *testing.T) {
@@ -67,10 +79,10 @@ func TestPipelinedRecoveryMatchesSerialState(t *testing.T) {
 
 			sr, pr := ser.Attacks()[0], pip.Attacks()[0]
 			if sr.RecoveryPipelined {
-				t.Fatal("serial run reported the pipelined recovery path")
+				t.Fatal("a live machine carrying a tool took the pipelined recovery path")
 			}
 			if !pr.RecoveryPipelined {
-				t.Fatal("pipelined run fell back to the serial recovery path")
+				t.Fatal("a tool- and probe-free live machine fell back to the serial recovery path")
 			}
 			if sr.CulpritRequestID != pr.CulpritRequestID {
 				t.Fatalf("culprit differs: serial %d, pipelined %d", sr.CulpritRequestID, pr.CulpritRequestID)

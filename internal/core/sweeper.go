@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 
 	"sweeper/internal/analysis"
-	"sweeper/internal/analysis/taint"
 	"sweeper/internal/antibody"
 	"sweeper/internal/checkpoint"
 	"sweeper/internal/metrics"
@@ -29,8 +28,6 @@ type Config struct {
 	// CheckpointIntervalMs is the virtual time between lightweight
 	// checkpoints (the paper's default is 200 ms).
 	CheckpointIntervalMs uint64
-	// MaxCheckpoints is the number of recent checkpoints retained (20).
-	MaxCheckpoints int
 
 	// ASLR enables address-space randomisation, the default lightweight
 	// monitor. When disabled, the process is loaded at the well-known layout
@@ -58,11 +55,6 @@ type Config struct {
 	// antibodies.
 	ParallelAnalysis bool
 
-	// AlwaysOnTaint attaches full dynamic taint analysis during normal
-	// execution (the TaintCheck/Vigilante-style baseline Sweeper argues
-	// against); used only for overhead comparisons.
-	AlwaysOnTaint bool
-
 	// VerifyAdoption makes the guest re-verify every antibody it did not
 	// generate itself before adopting it: the antibody's attached exploit
 	// input is replayed on a copy-on-write clone of the latest checkpoint and
@@ -75,34 +67,9 @@ type Config struct {
 	// Off by default: guests inside one daemon share a trust domain.
 	VerifyAdoption bool
 
-	// PipelinedRecovery overlaps recovery with analysis: the benign history
-	// prefix (everything before the suspect request) starts replaying on a
-	// copy-on-write recovery clone at the moment of detection, concurrently
-	// with the fast analysis tier, and when the analyses confirm the suspect
-	// as the culprit the live process adopts the clone's finished state
-	// instead of re-executing the prefix serially after them. The
-	// client-visible recovery gap then costs the rollback constant plus the
-	// (usually empty) post-suspect tail. Recovery automatically falls back to
-	// the serial replay when the culprit turns out not to be the suspect
-	// request, when the prefix replay did not end cleanly, or when the live
-	// machine carries tools or probes whose shadow state only a serial replay
-	// can rebuild (always-on monitors, previously adopted antibodies).
-	// Default true (DefaultConfig).
-	PipelinedRecovery bool
-
-	// ReplayBudget bounds each analysis replay, in instructions. A registry
-	// entry registered with its own budget (analysis.Registry.
-	// RegisterBudgeted) overrides it for that analyzer only.
+	// ReplayBudget bounds each analysis replay, in instructions. An analyzer
+	// that wants less sets analysis.Sandbox.Budget in its own Run.
 	ReplayBudget uint64
-
-	// DeferredQueueDepth bounds the per-Sweeper queue of deferred-tier
-	// pipeline runs. Deferred analyses of distinct attacks complete on one
-	// worker goroutine drawing from this queue, so an attack storm cannot
-	// pile up unbounded deferred work; when the queue is full the deferred
-	// analyses of the newest attack are dropped (surfaced per analyzer via
-	// AttackReport.ErrorFor, counted in Sweeper.DeferredDropped) and the
-	// report seals without them. Zero means the default of 16.
-	DeferredQueueDepth int
 
 	// ProduceAntibodies gates antibody publication. When false the Sweeper
 	// still detects attacks, recovers in place and keeps its full report, but
@@ -121,21 +88,26 @@ type Config struct {
 }
 
 // DefaultConfig returns the configuration used in the paper's experiments:
-// 200 ms checkpoints, 20 retained, ASLR on, all analyses enabled, pooled
-// clone sandboxes.
+// 200 ms checkpoints, ASLR on, all analyses enabled and run in parallel,
+// antibodies produced.
 func DefaultConfig() Config {
 	return Config{
 		CheckpointIntervalMs: 200,
-		MaxCheckpoints:       20,
 		ASLR:                 true,
 		ASLRSeed:             0x5eed,
 		ParallelAnalysis:     true,
-		PipelinedRecovery:    true,
 		ProduceAntibodies:    true,
 		ReplayBudget:         200_000_000,
-		DeferredQueueDepth:   16,
 	}
 }
+
+// deferredQueueDepth bounds the per-Sweeper queue of deferred-tier jobs.
+// Deferred analyses of distinct attacks complete on one worker goroutine
+// drawing from this queue, so an attack storm cannot pile up unbounded
+// deferred work; when the queue is full the deferred analyses of the newest
+// attack are dropped (surfaced per analyzer via AttackReport.ErrorFor,
+// counted in Sweeper.DeferredDropped) and the report seals without them.
+const deferredQueueDepth = 16
 
 // Sweeper protects one guest server process.
 type Sweeper struct {
@@ -150,15 +122,11 @@ type Sweeper struct {
 	ckpt   *checkpoint.Manager
 
 	analyzers []analysis.Analyzer
-	// registry is where the analyzers were resolved from; per-analyzer
-	// replay budgets are read from it live, so a SetBudget call after
-	// construction applies to the next attack.
-	registry *analysis.Registry
-	pool     *proc.ClonePool
-	latency  *metrics.AnalysisRecorder
+	pool      *proc.ClonePool
+	latency   *metrics.AnalysisRecorder
 
 	// The deferred analysis tier of every attack runs on one worker
-	// goroutine fed by a bounded queue (cfg.DeferredQueueDepth). The worker
+	// goroutine fed by a bounded queue (deferredQueueDepth). The worker
 	// is started on demand and exits once the queue drains, so an idle
 	// Sweeper holds no goroutine.
 	deferredMu      sync.Mutex
@@ -195,25 +163,20 @@ type Sweeper struct {
 
 // New creates a Sweeper instance protecting the given program.
 func New(name string, prog *vm.Program, procOpts proc.Options, cfg Config) (*Sweeper, error) {
+	def := DefaultConfig()
 	if cfg.CheckpointIntervalMs == 0 {
-		cfg.CheckpointIntervalMs = 200
-	}
-	if cfg.MaxCheckpoints == 0 {
-		cfg.MaxCheckpoints = 20
+		cfg.CheckpointIntervalMs = def.CheckpointIntervalMs
 	}
 	if cfg.ReplayBudget == 0 {
-		cfg.ReplayBudget = 200_000_000
+		cfg.ReplayBudget = def.ReplayBudget
 	}
-	if cfg.DeferredQueueDepth <= 0 {
-		cfg.DeferredQueueDepth = 16
-	}
-	analyzers, registry, err := buildAnalyzers(cfg)
+	analyzers, err := buildAnalyzers(cfg)
 	if err != nil {
 		return nil, err
 	}
 	layout := vm.DefaultLayout()
 	if cfg.ASLR {
-		layout = monitor.RandomizedLayout(monitor.RandomizeOptions{Seed: cfg.ASLRSeed})
+		layout = monitor.RandomizedLayout(cfg.ASLRSeed)
 	}
 	proxy := netproxy.New()
 	p, err := proc.New(name, prog, layout, proxy, procOpts)
@@ -228,9 +191,8 @@ func New(name string, prog *vm.Program, procOpts proc.Options, cfg Config) (*Swe
 		layout:      layout,
 		proxy:       proxy,
 		proc:        p,
-		ckpt:        checkpoint.NewManager(checkpoint.Policy{IntervalMs: cfg.CheckpointIntervalMs, MaxKept: cfg.MaxCheckpoints}),
+		ckpt:        checkpoint.NewManager(checkpoint.Policy{IntervalMs: cfg.CheckpointIntervalMs, MaxKept: checkpoint.DefaultPolicy().MaxKept}),
 		analyzers:   analyzers,
-		registry:    registry,
 		pool:        proc.NewClonePool(p),
 		latency:     metrics.NewAnalysisRecorder(),
 		completions: metrics.NewCompletionRecorder(),
@@ -238,9 +200,6 @@ func New(name string, prog *vm.Program, procOpts proc.Options, cfg Config) (*Swe
 	p.OnRequestBoundary = s.onRequestBoundary
 	if cfg.ShadowStack {
 		p.Machine.AttachTool(monitor.NewShadowStack())
-	}
-	if cfg.AlwaysOnTaint {
-		p.Machine.AttachTool(taint.New(true))
 	}
 	// Always start from a known-good checkpoint so analysis and recovery have
 	// somewhere to roll back to even if the very first request is the attack.
@@ -303,27 +262,15 @@ func (s *Sweeper) Completions() *metrics.CompletionRecorder { return s.completio
 // hijack called exit, or the guest program terminated).
 func (s *Sweeper) Halted() bool { return s.halted }
 
-// budgetFor resolves the replay budget for the named analyzer: its current
-// registry override when one is set, the instance-wide budget otherwise.
-func (s *Sweeper) budgetFor(analyzer string) uint64 {
-	if b := s.registry.Budget(analyzer); b > 0 {
-		return b
-	}
-	return s.cfg.ReplayBudget
-}
-
 // sandbox serves a replay sandbox positioned at the given snapshot from the
-// clone pool, bounded by the given replay budget (0 means the instance-wide
-// budget). Releasing the sandbox returns its shell for reuse.
-func (s *Sweeper) sandbox(snap *proc.Snapshot, budget uint64) (*analysis.Sandbox, error) {
-	if budget == 0 {
-		budget = s.cfg.ReplayBudget
-	}
+// clone pool, bounded by the instance-wide replay budget. Releasing the
+// sandbox returns its shell for reuse.
+func (s *Sweeper) sandbox(snap *proc.Snapshot) (*analysis.Sandbox, error) {
 	clone, err := s.pool.Get(snap)
 	if err != nil {
 		return nil, err
 	}
-	return analysis.NewSandbox(clone, budget, func() { s.pool.Put(clone) }), nil
+	return analysis.NewSandbox(clone, s.cfg.ReplayBudget, func() { s.pool.Put(clone) }), nil
 }
 
 // enqueueDeferred hands one job — an attack's deferred tier, or the
@@ -334,7 +281,7 @@ func (s *Sweeper) sandbox(snap *proc.Snapshot, budget uint64) (*analysis.Sandbox
 func (s *Sweeper) enqueueDeferred(job func()) bool {
 	s.deferredMu.Lock()
 	if s.deferredCh == nil {
-		s.deferredCh = make(chan func(), s.cfg.DeferredQueueDepth)
+		s.deferredCh = make(chan func(), deferredQueueDepth)
 	}
 	// Raise the gauge before the job becomes visible so a worker finishing
 	// it can never drive the backlog reading negative.

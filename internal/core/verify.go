@@ -62,47 +62,6 @@ func (s *Sweeper) VerifyAntibody(a *antibody.Antibody, installed ...*antibody.An
 	return dec
 }
 
-// verifyGate is the first half of VerifyAntibody — everything that decides
-// whether the antibody may be adopted. A non-nil reproduction is returned
-// when the exploit reproduced and regeneration is configured; the caller owes
-// it a regenerate call (which also returns the sandbox to the pool), on this
-// goroutine or another.
-func (s *Sweeper) verifyGate(a *antibody.Antibody, installed []*antibody.Antibody) (VerifyDecision, *reproduction) {
-	if len(a.ExploitInput) == 0 {
-		if len(a.Sigs) > 0 {
-			return VerifyDecision{Reason: "input signatures without an exploit input to verify them"}, nil
-		}
-		return VerifyDecision{Adoptable: true, Reason: "VSEF-only antibody; harmless by construction"}, nil
-	}
-	for _, sig := range a.Sigs {
-		if !sig.Match(a.ExploitInput) {
-			return VerifyDecision{Reason: fmt.Sprintf("signature %s does not match the attached exploit input", sig.Name())}, nil
-		}
-	}
-	replay, rep := s.replayGate(a.ExploitInput, installed)
-	return VerifyDecision{
-		Adoptable:  replay.Reproduced,
-		Reproduced: replay.Reproduced,
-		Transient:  replay.Transient,
-		Reason:     replay.Reason,
-	}, rep
-}
-
-// ExploitReplay is the outcome of replaying an exploit candidate in a
-// verification sandbox.
-type ExploitReplay struct {
-	// Reproduced says the replay reproduced a detectable violation.
-	Reproduced bool
-	// Transient says the sandbox itself failed — the verdict proves nothing
-	// about the payload.
-	Transient bool
-	// Reason explains the outcome.
-	Reason string
-	// Regenerated holds the fast-tier findings re-derived from the
-	// reproduction (see VerifyDecision.Regenerated).
-	Regenerated map[string]analysis.Finding
-}
-
 // replayBudgetSlices bounds how many ReplayBudget-sized slices each sandbox
 // run may take before the verification gives up.
 const replayBudgetSlices = 8
@@ -118,25 +77,6 @@ func (s *Sweeper) runToQuiescence(clone *proc.Process) *vm.StopInfo {
 		}
 	}
 	return stop
-}
-
-// ReplayExploit replays an exploit candidate in a sandbox and reports whether
-// it reproduces a detectable violation. The sandbox is a (pooled) copy-on-
-// write clone of the latest checkpoint: the clone first drains its logged
-// replay window to reach a quiescent, up-to-date state, then is switched live
-// and fed the candidate through its own fresh (filterless) proxy. The live
-// process, its proxy and its clock are never touched.
-//
-// When the violation reproduces, the fast analysis tier is re-run against the
-// reproduction (each analyzer on its own sub-clone of the quiescent sandbox
-// state), regenerating memory-bug and taint findings locally; the result is
-// returned in ExploitReplay.Regenerated.
-func (s *Sweeper) ReplayExploit(payload []byte, installed []*antibody.Antibody) ExploitReplay {
-	replay, rep := s.replayGate(payload, installed)
-	if rep != nil {
-		replay.Regenerated = rep.regenerate(0)
-	}
-	return replay
 }
 
 // Names the two halves of a verification are observed under in the Sweeper's
@@ -157,20 +97,40 @@ type reproduction struct {
 	base *proc.Snapshot
 }
 
-// replayGate is the reproduction gate, the first half of ReplayExploit: it
-// builds the sandbox, drains it to quiescence, submits the candidate and
-// classifies the stop. It reads the live process's checkpoint and log, so it
-// runs on the serving goroutine. See verifyGate for the returned reproduction.
-func (s *Sweeper) replayGate(payload []byte, installed []*antibody.Antibody) (ExploitReplay, *reproduction) {
+// verifyGate is the first half of VerifyAntibody — everything that decides
+// whether the antibody may be adopted. Past the signature checks it replays
+// the exploit: it builds a (pooled) copy-on-write clone of the latest
+// checkpoint, drains the clone's logged replay window to reach a quiescent,
+// up-to-date state, switches it live, feeds it the exploit through its own
+// fresh (filterless) proxy and classifies the stop. The live process, its
+// proxy and its clock are never touched, but the gate reads the live
+// process's checkpoint and log, so it runs on the serving goroutine.
+//
+// A non-nil reproduction is returned when the exploit reproduced and a
+// fast-tier analyzer is configured to regenerate from it; the caller owes it
+// a regenerate call (which also returns the sandbox to the pool), on this
+// goroutine or another.
+func (s *Sweeper) verifyGate(a *antibody.Antibody, installed []*antibody.Antibody) (VerifyDecision, *reproduction) {
+	if len(a.ExploitInput) == 0 {
+		if len(a.Sigs) > 0 {
+			return VerifyDecision{Reason: "input signatures without an exploit input to verify them"}, nil
+		}
+		return VerifyDecision{Adoptable: true, Reason: "VSEF-only antibody; harmless by construction"}, nil
+	}
+	for _, sig := range a.Sigs {
+		if !sig.Match(a.ExploitInput) {
+			return VerifyDecision{Reason: fmt.Sprintf("signature %s does not match the attached exploit input", sig.Name())}, nil
+		}
+	}
 	start := time.Now()
 	defer func() { s.latency.Observe(latencyVerifyGate, time.Since(start)) }()
 	snap := s.ckpt.Latest()
 	if snap == nil {
-		return ExploitReplay{Transient: true, Reason: "no checkpoint to build a verification sandbox from"}, nil
+		return VerifyDecision{Transient: true, Reason: "no checkpoint to build a verification sandbox from"}, nil
 	}
-	sb, err := s.sandbox(snap, 0)
+	sb, err := s.sandbox(snap)
 	if err != nil {
-		return ExploitReplay{Transient: true, Reason: fmt.Sprintf("verification sandbox: %v", err)}, nil
+		return VerifyDecision{Transient: true, Reason: fmt.Sprintf("verification sandbox: %v", err)}, nil
 	}
 	// The sandbox goes back to the pool here unless a reproduction takes it.
 	handedOver := false
@@ -181,33 +141,30 @@ func (s *Sweeper) replayGate(payload []byte, installed []*antibody.Antibody) (Ex
 	}()
 	clone := sb.Proc
 	// The sandbox must detect everything the live guest would: clones carry
-	// no tools or probes, so re-attach the configured lightweight monitors
+	// no tools or probes, so re-attach the configured lightweight monitor
 	// (the layout, and with it ASLR, is inherited) and re-apply the VSEF
 	// probes of the already-installed antibodies. Without these, an exploit
 	// the live guest catches via e.g. the shadow stack or an earlier
 	// antibody's probes would fail to "reproduce" on a bare clone and a
 	// genuine antibody would be rejected. Input filters are deliberately NOT
-	// installed on the sandbox proxy: they would swallow the candidate before
+	// installed on the sandbox proxy: they would swallow the exploit before
 	// it could prove anything.
 	if s.cfg.ShadowStack {
 		clone.Machine.AttachTool(monitor.NewShadowStack())
-	}
-	if s.cfg.AlwaysOnTaint {
-		clone.Machine.AttachTool(taint.New(true))
 	}
 	for _, inst := range installed {
 		if inst == nil {
 			continue
 		}
 		if _, err := inst.Apply(clone, nil); err != nil {
-			return ExploitReplay{Transient: true, Reason: fmt.Sprintf("verification sandbox: re-applying %s: %v", inst.ID, err)}, nil
+			return VerifyDecision{Transient: true, Reason: fmt.Sprintf("verification sandbox: re-applying %s: %v", inst.ID, err)}, nil
 		}
 	}
 	if stop := s.runToQuiescence(clone); stop.Reason != vm.StopWaitInput {
-		return ExploitReplay{Transient: true, Reason: fmt.Sprintf("verification sandbox did not quiesce: %v", stop.Reason)}, nil
+		return VerifyDecision{Transient: true, Reason: fmt.Sprintf("verification sandbox did not quiesce: %v", stop.Reason)}, nil
 	}
 	// Capture the quiescent state: the regeneration sub-clones replay from
-	// here, with the candidate as the only logged request after it. The
+	// here, with the exploit as the only logged request after it. The
 	// snapshot (a page-map copy plus COW arming) is only worth taking when a
 	// fast-tier analyzer exists to consume it.
 	var base *proc.Snapshot
@@ -215,20 +172,20 @@ func (s *Sweeper) replayGate(payload []byte, installed []*antibody.Antibody) (Ex
 		base = clone.Snapshot(0)
 	}
 	clone.SetMode(proc.ModeLive, false)
-	clone.Proxy().Submit(payload, "verifier", true)
+	clone.Proxy().Submit(a.ExploitInput, "verifier", true)
 	stop := s.runToQuiescence(clone)
 	det := monitor.Classify(stop)
 	if !det.Suspicious {
-		// A payload that neither quiesces nor violates (e.g. runs the budget
+		// An exploit that neither quiesces nor violates (e.g. runs the budget
 		// out or halts the sandbox) is deterministic: rejecting it is final.
-		return ExploitReplay{Reason: fmt.Sprintf("exploit replay did not reproduce a violation (stop: %v)", stop.Reason)}, nil
+		return VerifyDecision{Reason: fmt.Sprintf("exploit replay did not reproduce a violation (stop: %v)", stop.Reason)}, nil
 	}
-	replay := ExploitReplay{Reproduced: true, Reason: "exploit replay reproduced: " + det.Reason}
+	dec := VerifyDecision{Adoptable: true, Reproduced: true, Reason: "exploit replay reproduced: " + det.Reason}
 	if base == nil {
-		return replay, nil
+		return dec, nil
 	}
 	handedOver = true
-	return replay, &reproduction{s: s, sb: sb, base: base}
+	return dec, &reproduction{s: s, sb: sb, base: base}
 }
 
 // RegenerateAntibody synthesises a local replacement for a verified received

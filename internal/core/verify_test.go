@@ -44,7 +44,7 @@ func newVerifyingConsumer(t *testing.T, appName, guestName string, seed int64, m
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFleet()
+	f := NewFleetWithOptions(FleetOptions{})
 	cfg := DefaultConfig()
 	cfg.ASLRSeed = seed
 	cfg.VerifyAdoption = true
@@ -295,7 +295,7 @@ func TestAdoptInstallsRegeneratedAntibody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2 := NewFleet()
+	f2 := NewFleetWithOptions(FleetOptions{})
 	cfg := DefaultConfig()
 	cfg.ASLRSeed = 141421
 	cfg.VerifyAdoption = true
@@ -324,7 +324,7 @@ func TestAdoptInstallsRegeneratedAntibody(t *testing.T) {
 // TestVerifyReproducesViaConfiguredMonitors: an exploit that the live guest
 // detects through an attached monitor (shadow stack; no ASLR, so no fault)
 // must also reproduce in the verification sandbox — the clone carries no
-// tools by default, so ReplayExploit re-attaches the configured monitors. A
+// tools by default, so verifyGate re-attaches the configured monitor. A
 // bare clone would let the hijack run cleanly and reject the genuine
 // antibody forever.
 func TestVerifyReproducesViaConfiguredMonitors(t *testing.T) {
@@ -353,7 +353,7 @@ func TestVerifyReproducesViaConfiguredMonitors(t *testing.T) {
 		t.Fatal("final antibody carries no exploit input")
 	}
 
-	f := NewFleet()
+	f := NewFleetWithOptions(FleetOptions{})
 	cfg := DefaultConfig()
 	shadowCfg(&cfg)
 	cfg.VerifyAdoption = true

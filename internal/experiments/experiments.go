@@ -1,7 +1,8 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (Section 5) and community-defence analysis (Section 6) against
-// the simulated substrate. The cmd/benchtables tool, the top-level benchmark
-// suite and EXPERIMENTS.md are all generated from the functions here.
+// the simulated substrate. The cmd/benchtables tool and the top-level
+// benchmark suite both run the functions here; the README's Performance
+// section describes the tables, figures and ablations they produce.
 package experiments
 
 import (
@@ -10,6 +11,7 @@ import (
 
 	"sweeper/internal/analysis"
 	"sweeper/internal/analysis/slicing"
+	"sweeper/internal/analysis/taint"
 	"sweeper/internal/antibody"
 	"sweeper/internal/apps"
 	"sweeper/internal/core"
@@ -543,9 +545,10 @@ func MonitoringOverhead(requests int) ([]OverheadRow, error) {
 	}
 	rows = append(rows, OverheadRow{Key: "vsef", Mode: fmt.Sprintf("sweeper + deployed VSEF (%d probes)", vsefProbeCount(ab)), Throughput: vsefTp, Overhead: metrics.Overhead(baseline, vsefTp)})
 
-	taintTp, err := benignThroughput("squid", requests, func(c *core.Config) {
-		c.AlwaysOnTaint = true
-	}, nil)
+	taintTp, err := benignThroughput("squid", requests, nil, func(s *core.Sweeper) error {
+		s.Process().Machine.AttachTool(taint.New(true))
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -653,7 +656,7 @@ func restartBaseline(totalRequests, attackAt int, bucketMs uint64) (metrics.Seri
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	layout := monitor.RandomizedLayout(monitor.RandomizeOptions{Seed: 7})
+	layout := monitor.RandomizedLayout(7)
 
 	newServer := func() (*netproxy.Proxy, *proc.Process, error) {
 		proxy := netproxy.New()

@@ -30,8 +30,6 @@ type Config struct {
 	// PollInterval is how often each peer is polled for antibodies that a
 	// push did not deliver (default 25ms).
 	PollInterval time.Duration
-	// RequestTimeout bounds every HTTP call to a peer (default 5s).
-	RequestTimeout time.Duration
 	// AuthToken, when set, is attached to every push and poll this node
 	// sends (HTTP peers carry it in the X-Sweeper-Token header). Servers
 	// configured with a token reject requests that do not present it.
@@ -41,28 +39,22 @@ type Config struct {
 	// peers, and the remaining peers' poll loops recover the antibodies.
 	// Zero pushes to every peer (the small-community default).
 	MaxPushFanout int
-	// MaxPollBackoff caps the exponential backoff a poll loop applies to an
-	// unreachable peer. Each consecutive failure doubles the poll delay from
-	// PollInterval up to this cap (with ±25% jitter so a community of
-	// daemons does not hammer a recovering peer in lockstep); the first
-	// successful poll snaps back to PollInterval. Default: the smaller of
-	// 64×PollInterval and 2s.
-	MaxPollBackoff time.Duration
 }
 
 func (c *Config) defaults() {
 	if c.PollInterval <= 0 {
 		c.PollInterval = 25 * time.Millisecond
 	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 5 * time.Second
-	}
-	if c.MaxPollBackoff <= 0 {
-		c.MaxPollBackoff = 64 * c.PollInterval
-		if c.MaxPollBackoff > 2*time.Second {
-			c.MaxPollBackoff = 2 * time.Second
-		}
-	}
+}
+
+// requestTimeout bounds every HTTP call to a peer.
+const requestTimeout = 5 * time.Second
+
+// maxPollBackoff caps the exponential backoff a poll loop applies to an
+// unreachable peer: each consecutive failure doubles the poll delay from
+// PollInterval up to the smaller of 64×PollInterval and 2s.
+func (c *Config) maxPollBackoff() time.Duration {
+	return min(64*c.PollInterval, 2*time.Second)
 }
 
 // Node connects a local antibody store to a set of peers. It subscribes to
@@ -108,7 +100,7 @@ func NewNode(store *antibody.Store, rec *metrics.FederationRecorder, cfg Config)
 // AddPeer connects to the HTTP peer at addr ("host:port" or a full URL),
 // carrying the node's auth token if one is configured.
 func (n *Node) AddPeer(addr string) error {
-	return n.AddTransport(NewPeer(addr, n.cfg.RequestTimeout).WithAuthToken(n.cfg.AuthToken))
+	return n.AddTransport(NewPeer(addr, requestTimeout).WithAuthToken(n.cfg.AuthToken))
 }
 
 // AddTransport connects to a peer over any Transport (an HTTP Peer or an
@@ -323,7 +315,7 @@ func (n *Node) fanoutWindow() []Transport {
 
 // pollLoop periodically pulls the peer's store from the given cursor onward.
 // A healthy peer is polled every PollInterval; consecutive failures double
-// the delay up to MaxPollBackoff with ±25% jitter (so a whole community does
+// the delay up to maxPollBackoff with ±25% jitter (so a whole community does
 // not retry a recovering peer in lockstep), and the up/down transitions are
 // counted as PeerDown/PeerRecovered. down says whether the peer was already
 // unreachable when the loop started (the AddTransportLazy path).
@@ -344,10 +336,7 @@ func (n *Node) pollLoop(p Transport, cursor int, down bool) {
 				down = true
 				n.rec.Update(func(s *metrics.FederationStats) { s.PeerDown++ })
 			}
-			delay *= 2
-			if delay > n.cfg.MaxPollBackoff {
-				delay = n.cfg.MaxPollBackoff
-			}
+			delay = min(2*delay, n.cfg.maxPollBackoff())
 		} else {
 			if down {
 				down = false

@@ -10,43 +10,30 @@ import (
 	"sweeper/internal/vm"
 )
 
-// RandomizeOptions controls address-space randomisation.
-type RandomizeOptions struct {
-	// Entropy is the number of random bits applied to each segment base
-	// (in page-sized steps). The paper's Section 6 uses a success probability
-	// of 2^-12 for typical randomisations; 12 bits of page-granular entropy
-	// matches it.
-	Entropy uint
-	// Seed drives the layout choice; a zero seed picks an arbitrary one.
-	Seed int64
-}
-
-// DefaultEntropy corresponds to the 2^-12 bypass probability used in the
-// paper's community-defence model.
+// DefaultEntropy is the number of random bits applied to each segment base
+// (in page-sized steps). It corresponds to the 2^-12 bypass probability the
+// paper's Section 6 uses for typical randomisations.
 const DefaultEntropy = 12
 
 // RandomizedLayout returns an address-space layout whose code, data, heap and
-// stack bases are displaced by independent random page-aligned offsets.
-// Exploits carrying absolute addresses computed against vm.DefaultLayout()
-// then hit unmapped memory or non-code addresses with probability about
-// 1 - 2^-Entropy, turning infection attempts into detectable faults.
+// stack bases are displaced by independent random page-aligned offsets drawn
+// from a stream seeded with seed; a zero seed draws from the fixed stream
+// 0x5eed5eed. Exploits carrying absolute addresses computed against
+// vm.DefaultLayout() then hit unmapped memory or non-code addresses with
+// probability about 1 - 2^-DefaultEntropy, turning infection attempts into
+// detectable faults.
 //
-// The displacements span 16 MB at the default entropy while the default bases
-// sit 1-2 MB apart, so an independent draw can drop one segment inside
-// another (the data segment inside the heap region makes every heap-bounds
-// check of a data store a false alarm). Such a draw is discarded and the next
-// taken from the same stream, so a seed whose first draw is already disjoint
-// keeps that layout.
-func RandomizedLayout(opts RandomizeOptions) vm.Layout {
-	if opts.Entropy == 0 {
-		opts.Entropy = DefaultEntropy
-	}
-	seed := opts.Seed
+// The displacements span 16 MB while the default bases sit 1-2 MB apart, so
+// an independent draw can drop one segment inside another (the data segment
+// inside the heap region makes every heap-bounds check of a data store a
+// false alarm). Such a draw is discarded and the next taken from the same
+// stream, so a seed whose first draw is already disjoint keeps that layout.
+func RandomizedLayout(seed int64) vm.Layout {
 	if seed == 0 {
 		seed = 0x5eed5eed
 	}
 	rng := rand.New(rand.NewSource(seed))
-	slots := int64(1) << opts.Entropy
+	slots := int64(1) << DefaultEntropy
 
 	shift := func() uint32 {
 		// Never return 0 so a randomised layout is always distinct from the

@@ -16,7 +16,7 @@ func TestRandomizedLayoutIsValidAndDistinct(t *testing.T) {
 	def := vm.DefaultLayout()
 	seen := map[uint32]bool{}
 	for seed := int64(1); seed <= 20; seed++ {
-		l := monitor.RandomizedLayout(monitor.RandomizeOptions{Seed: seed})
+		l := monitor.RandomizedLayout(seed)
 		if err := l.Validate(); err != nil {
 			t.Fatalf("seed %d produced an invalid layout: %v", seed, err)
 		}
@@ -49,7 +49,7 @@ func TestRandomizedLayoutRedrawsOverlaps(t *testing.T) {
 	}
 	redrawn := 0
 	for seed := int64(1); seed <= 1200; seed++ {
-		l := monitor.RandomizedLayout(monitor.RandomizeOptions{Seed: seed})
+		l := monitor.RandomizedLayout(seed)
 		if err := l.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -77,14 +77,35 @@ func TestRandomizedLayoutRedrawsOverlaps(t *testing.T) {
 }
 
 func TestRandomizedLayoutDeterministicPerSeed(t *testing.T) {
-	a := monitor.RandomizedLayout(monitor.RandomizeOptions{Seed: 5})
-	b := monitor.RandomizedLayout(monitor.RandomizeOptions{Seed: 5})
+	a := monitor.RandomizedLayout(5)
+	b := monitor.RandomizedLayout(5)
 	if a != b {
 		t.Error("same seed must produce the same layout")
 	}
-	c := monitor.RandomizedLayout(monitor.RandomizeOptions{Seed: 6})
+	c := monitor.RandomizedLayout(6)
 	if a == c {
 		t.Error("different seeds should produce different layouts")
+	}
+}
+
+// TestRandomizedLayoutPinned pins the four bases for three seeds: the fixed
+// stream a zero seed draws from, core.DefaultConfig's 0x5eed, and 1058, whose
+// first draw overlaps and is re-drawn. A change to the draw moves every ASLR
+// layout, and with it every virtual-clock figure measured at one.
+func TestRandomizedLayoutPinned(t *testing.T) {
+	for _, tc := range []struct {
+		seed                         int64
+		code, data, heap, stackStart uint32
+	}{
+		{0, 0x8f44000, 0x8f9b000, 0x8af1000, 0xbf5c1000},
+		{0x5eed, 0x84cf000, 0x88f1000, 0x82b7000, 0xbfdf7000},
+		{1058, 0x8ff4000, 0x8c98000, 0x8e6a000, 0xbfddf000},
+	} {
+		l := monitor.RandomizedLayout(tc.seed)
+		if l.CodeBase != tc.code || l.DataBase != tc.data || l.HeapBase != tc.heap || l.StackBase != tc.stackStart {
+			t.Errorf("seed %#x: bases code %#x data %#x heap %#x stack %#x, want %#x %#x %#x %#x", tc.seed,
+				l.CodeBase, l.DataBase, l.HeapBase, l.StackBase, tc.code, tc.data, tc.heap, tc.stackStart)
+		}
 	}
 }
 

@@ -60,20 +60,18 @@ type LogMessage struct {
 
 // Options configure process creation.
 type Options struct {
-	// HeapSize overrides the layout's heap size if non-zero.
-	HeapSize uint32
 	// MmapThreshold overrides the allocator's large-object threshold if
 	// non-zero (see the heap package).
 	MmapThreshold uint32
-	// RandSeed seeds the guest-visible pseudo random number generator.
-	RandSeed uint32
-	// SyscallCycles is the extra virtual cost charged per syscall beyond the
-	// machine's base cost; it models kernel entry/exit and I/O. Zero uses a
-	// default.
-	SyscallCycles uint64
 }
 
-const defaultSyscallCycles = 400
+const (
+	// syscallCycles is the extra virtual cost charged per syscall beyond the
+	// machine's base cost; it models kernel entry/exit and I/O.
+	syscallCycles = 400
+	// rngSeed seeds the guest-visible pseudo random number generator.
+	rngSeed = 0x9E3779B9
+)
 
 // Process is a guest program under the control of the Sweeper runtime module.
 type Process struct {
@@ -106,8 +104,7 @@ type Process struct {
 	currentReqID int
 	servedCount  int
 
-	rng           uint32
-	syscallCycles uint64
+	rng uint32
 
 	diverged   bool
 	divergence string
@@ -129,23 +126,13 @@ type Process struct {
 // New loads prog at the given layout and returns a ready-to-run process whose
 // requests are drawn from proxy.
 func New(name string, prog *vm.Program, layout vm.Layout, proxy *netproxy.Proxy, opts Options) (*Process, error) {
-	if opts.HeapSize != 0 {
-		layout.HeapSize = opts.HeapSize
-	}
 	p := &Process{
-		Name:          name,
-		Log:           replay.NewLog(),
-		proxy:         proxy,
-		skip:          make(map[int]bool),
-		excised:       make(map[int]bool),
-		rng:           opts.RandSeed,
-		syscallCycles: opts.SyscallCycles,
-	}
-	if p.rng == 0 {
-		p.rng = 0x9E3779B9
-	}
-	if p.syscallCycles == 0 {
-		p.syscallCycles = defaultSyscallCycles
+		Name:    name,
+		Log:     replay.NewLog(),
+		proxy:   proxy,
+		skip:    make(map[int]bool),
+		excised: make(map[int]bool),
+		rng:     rngSeed,
 	}
 	m, err := vm.NewMachine(prog, layout, p)
 	if err != nil {
@@ -273,7 +260,7 @@ func (p *Process) SharedBasePages() (shared, total int) {
 
 // Syscall services one guest syscall. It implements vm.SyscallHandler.
 func (p *Process) Syscall(m *vm.Machine, num uint32) (vm.SyscallResult, *vm.Fault) {
-	m.AddCycles(p.syscallCycles)
+	m.AddCycles(syscallCycles)
 	switch num {
 	case SysRecv:
 		return p.sysRecv(m)
@@ -561,16 +548,15 @@ func (p *Process) Clone(s *Snapshot) (*Process, error) {
 		return nil, err
 	}
 	clone := &Process{
-		Name:          p.Name,
-		Log:           log,
-		proxy:         netproxy.New(),
-		mode:          ModeReplay,
-		skip:          make(map[int]bool, len(p.skip)),
-		excised:       make(map[int]bool, len(p.excised)),
-		currentReqID:  s.CurrentReqID,
-		servedCount:   s.ServedCount,
-		rng:           s.Rng,
-		syscallCycles: p.syscallCycles,
+		Name:         p.Name,
+		Log:          log,
+		proxy:        netproxy.New(),
+		mode:         ModeReplay,
+		skip:         make(map[int]bool, len(p.skip)),
+		excised:      make(map[int]bool, len(p.excised)),
+		currentReqID: s.CurrentReqID,
+		servedCount:  s.ServedCount,
+		rng:          s.Rng,
 	}
 	for id := range p.skip {
 		clone.skip[id] = true

@@ -382,7 +382,7 @@ func TestBlockDescriptorsMatchBruteForce(t *testing.T) {
 		t.Errorf("spin loop: %v", err)
 	}
 	for _, spec := range apps.All() {
-		for _, layout := range []vm.Layout{vm.DefaultLayout(), monitor.RandomizedLayout(monitor.RandomizeOptions{Seed: 27})} {
+		for _, layout := range []vm.Layout{vm.DefaultLayout(), monitor.RandomizedLayout(27)} {
 			m, err := vm.NewMachine(spec.Image, layout, nil)
 			if err != nil {
 				t.Fatal(err)

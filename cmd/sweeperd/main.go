@@ -313,17 +313,13 @@ func main() {
 	fleet.Stop()
 
 	fmt.Printf("\n=== fleet metrics ===\n")
-	for _, st := range fleet.Metrics().All() {
+	for _, g := range fleet.Guests() {
+		st := g.Stats()
 		fmt.Printf("%-12s served=%-4d attacks=%d recovered=%d generated=%d adopted=%d verified=%d provisional=%d rejected=%d filtered=%d halted=%v\n",
 			st.Guest, st.RequestsServed, st.AttacksHandled, st.Recovered,
 			st.AntibodiesGenerated, st.AntibodiesAdopted, st.AntibodiesVerified,
 			st.ProvisionalInstalls, st.AntibodiesRejected, st.FilteredInputs, st.Halted)
 	}
-	totals := fleet.Metrics().Totals()
-	fmt.Printf("%-12s served=%-4d attacks=%d recovered=%d generated=%d adopted=%d verified=%d provisional=%d rejected=%d filtered=%d\n",
-		"TOTAL", totals.RequestsServed, totals.AttacksHandled, totals.Recovered,
-		totals.AntibodiesGenerated, totals.AntibodiesAdopted, totals.AntibodiesVerified,
-		totals.ProvisionalInstalls, totals.AntibodiesRejected, totals.FilteredInputs)
 	fmt.Printf("shared store: %d antibodies\n", fleet.Store().Len())
 	if *dataDir != "" {
 		d := fleet.Durability()

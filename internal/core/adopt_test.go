@@ -9,7 +9,6 @@ import (
 	"sweeper/internal/antibody"
 	"sweeper/internal/apps"
 	"sweeper/internal/exploit"
-	"sweeper/internal/metrics"
 )
 
 // The tests here cover the window a verifying consumer spends between the
@@ -62,7 +61,7 @@ func blockDeferredWorker(t *testing.T, g *Guest, extra int) (release func()) {
 func waitProvisional(t *testing.T, f *Fleet, want int) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(200 * time.Microsecond) {
-		if st, _ := f.Metrics().Guest(consumerName); st.ProvisionalInstalls >= want {
+		if st := statsOf(f, consumerName); st.ProvisionalInstalls >= want {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -83,10 +82,7 @@ func installedID(t *testing.T, f *Fleet, a *antibody.Antibody) string {
 	return ap.Antibody().ID
 }
 
-func consumerStats(f *Fleet) metrics.GuestStats {
-	st, _ := f.Metrics().Guest(consumerName)
-	return st
-}
+func consumerStats(f *Fleet) GuestStats { return statsOf(f, consumerName) }
 
 func consumerFilters(f *Fleet) []string {
 	g, _ := f.Guest(consumerName)

@@ -13,18 +13,19 @@ import (
 // exact and repeat from run to run, so they gate where wall-clock cannot.
 const (
 	// maxServeBytesPerRequest bounds Submit + ServeAll on a listener-less
-	// guest. Measured 394 (1384 before the log, the output stream and the
-	// completion times were bounded and flatten reused its pages): the proxy's
-	// Request and its copy of the payload 133, the log's two events 171 (80
-	// of events, the rest the array doubling), the reply read out of guest
-	// memory 47, the stop record of each Run 24, a checkpoint every ~50
-	// requests ~20.
-	maxServeBytesPerRequest = 450
+	// guest. Measured 382 (394 while every request boundary also logged its
+	// completion time, 1384 before the log and the output stream were bounded
+	// and flatten reused its pages): the proxy's Request and its copy of the
+	// payload 133, the log's two events 170 (80 of events, the rest the array
+	// doubling), the reply read out of guest memory 47, the stop record of
+	// each Run 24, a checkpoint every ~50 requests ~20.
+	maxServeBytesPerRequest = 438
 	// maxFrontBytesPerRequest bounds one request through the TCP front end,
-	// client side included. Measured 450 (1752 before), 474 under the race
-	// detector: the above plus the reply frame netproxy.Client.Do reads 47
-	// and its length prefix 8; the listener itself adds nothing per request.
-	maxFrontBytesPerRequest = 520
+	// client side included. Measured 437 (450 with the completion times, 1752
+	// before), 462 under the race detector: the above plus the reply frame
+	// netproxy.Client.Do reads 47 and its length prefix 8; the listener
+	// itself adds nothing per request.
+	maxFrontBytesPerRequest = 507
 )
 
 // smallMix is the benchmark's small benign mix, prebuilt so that measuring

@@ -229,18 +229,6 @@ func (r *AttackReport) recordAnalyzer(ar *analyzerRun) {
 	r.addStep(ar.stepName, ar.dur)
 }
 
-// BestVSEF returns the most refined VSEF available (refined if the memory-bug
-// step produced one, otherwise the initial one).
-func (r *AttackReport) BestVSEF() *antibody.VSEF {
-	if r.RefinedAntibody != nil && len(r.RefinedAntibody.VSEFs) > 0 {
-		return r.RefinedAntibody.VSEFs[len(r.RefinedAntibody.VSEFs)-1]
-	}
-	if r.InitialAntibody != nil && len(r.InitialAntibody.VSEFs) > 0 {
-		return r.InitialAntibody.VSEFs[0]
-	}
-	return nil
-}
-
 func (s *Sweeper) newAntibodyID(stage antibody.Stage) string {
 	owner := s.name
 	if s.cfg.InstanceID != "" {

@@ -7,7 +7,6 @@ import (
 
 	"sweeper/internal/antibody"
 	"sweeper/internal/checkpoint"
-	"sweeper/internal/metrics"
 )
 
 // FleetOptions configures a fleet's durability layer.
@@ -46,14 +45,10 @@ type DurabilityStats struct {
 // equivalent with a counted warning rather than failing — a daemon that lost
 // its disk still defends its guests.
 func NewFleetWithOptions(opts FleetOptions) *Fleet {
-	f := &Fleet{
-		rec:    metrics.NewFleetRecorder(),
-		guests: make(map[string]*Guest),
-	}
+	f := &Fleet{guests: make(map[string]*Guest)}
 	if opts.DataDir == "" {
 		f.store = antibody.NewStore()
 	} else {
-		f.dataDir = opts.DataDir
 		st, err := antibody.OpenDurable(filepath.Join(opts.DataDir, "antibodies"), antibody.DurableOptions{})
 		if err != nil {
 			f.durability.Warnings++
@@ -70,9 +65,6 @@ func NewFleetWithOptions(opts FleetOptions) *Fleet {
 	f.store.Subscribe(f.distribute)
 	return f
 }
-
-// DataDir returns the fleet's persistent-state root ("" when in-memory).
-func (f *Fleet) DataDir() string { return f.dataDir }
 
 // Durability returns the fleet's durability counters.
 func (f *Fleet) Durability() DurabilityStats {
@@ -120,7 +112,7 @@ func (f *Fleet) tryWarmRestore(g *Guest) {
 	f.mu.Lock()
 	f.durability.WarmRestarts++
 	f.mu.Unlock()
-	f.rec.Update(g.name, func(st *metrics.GuestStats) { st.WarmRestarted = true })
+	g.count(func(st *GuestStats) { st.WarmRestarted = true })
 }
 
 // WarmRestore reinstates the persisted checkpoint as the process's current
@@ -152,22 +144,6 @@ func (g *Guest) maybePersist() {
 		return
 	}
 	g.lastPersistSeq = snap.SeqNo
-}
-
-// Sync flushes and fsyncs the durability layer: the antibody WAL and every
-// checkpoint file written since the last sync. Stop calls it; exposed for
-// callers that want durability at a quiescent point without stopping.
-func (f *Fleet) Sync() error {
-	var firstErr error
-	if err := f.store.Sync(); err != nil {
-		firstErr = err
-	}
-	if f.ckptStore != nil {
-		if err := f.ckptStore.Sync(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }
 
 // Kill hard-stops the fleet with crash semantics — the in-process

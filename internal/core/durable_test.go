@@ -61,7 +61,7 @@ func TestDurableFleetWarmRestartFiltersBeforeServing(t *testing.T) {
 	if stored == 0 {
 		t.Fatal("no antibodies reached the shared store")
 	}
-	served1, _ := f1.Metrics().Guest("cvs-1")
+	served1 := statsOf(f1, "cvs-1")
 	f1.Stop()
 
 	f2, _ := newDurableFleetWith(t, dir, "cvs", guests)
@@ -82,7 +82,7 @@ func TestDurableFleetWarmRestartFiltersBeforeServing(t *testing.T) {
 		if g.Sweeper().Process().Machine.Cycles() == 0 {
 			t.Errorf("guest %s restarted with a cold clock; warm restore did not take", name)
 		}
-		st, _ := f2.Metrics().Guest(name)
+		st := statsOf(f2, name)
 		if !st.WarmRestarted {
 			t.Errorf("guest %s not counted as warm-restarted", name)
 		}
@@ -105,7 +105,7 @@ func TestDurableFleetWarmRestartFiltersBeforeServing(t *testing.T) {
 		}
 	}
 	// The restored guest remembers its pre-restart service history.
-	st1, _ := f2.Metrics().Guest("cvs-1")
+	st1 := statsOf(f2, "cvs-1")
 	if got := st1.RequestsServed; got != 0 {
 		t.Logf("cvs-1 served %d requests after restart (pre-restart %d)", got, served1.RequestsServed)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"sweeper/internal/antibody"
 	"sweeper/internal/checkpoint"
-	"sweeper/internal/metrics"
 	"sweeper/internal/netproxy"
 	"sweeper/internal/proc"
 	"sweeper/internal/vm"
@@ -20,11 +19,9 @@ import (
 // daemon.
 type Fleet struct {
 	store *antibody.Store
-	rec   *metrics.FleetRecorder
 
-	// dataDir and ckptStore are the durability layer (see durable.go); both
-	// are set once at construction. ckptStore is nil for in-memory fleets.
-	dataDir   string
+	// ckptStore is the durability layer's checkpoint half (see durable.go),
+	// set once at construction; nil for in-memory fleets.
 	ckptStore *checkpoint.DiskStore
 
 	mu         sync.Mutex
@@ -36,8 +33,8 @@ type Fleet struct {
 }
 
 // Guest is one protected process inside a Fleet. Its Sweeper is owned by the
-// guest's serving goroutine while the fleet runs; use the accessors only
-// after Drain or Stop.
+// guest's serving goroutine while the fleet runs; use the accessors other
+// than Stats only after Drain or Stop.
 type Guest struct {
 	name    string
 	program string
@@ -54,6 +51,10 @@ type Guest struct {
 	// serving goroutine, but the TCP front end's submit path (connection
 	// goroutines) must see the halt to answer StatusUnavailable.
 	halted bool
+	// counts holds what only the guest counts (see Stats), under mu: the
+	// adoption and generation counters, WarmRestarted, and RequestsServed,
+	// mirrored at the end of each serving pass like halted.
+	counts GuestStats
 
 	// applied maps an antibody family (owner-attackN) to the currently
 	// installed refinement stage, so a refined antibody replaces the initial
@@ -93,9 +94,6 @@ type Guest struct {
 // Store returns the shared antibody store.
 func (f *Fleet) Store() *antibody.Store { return f.store }
 
-// Metrics returns the per-guest counters.
-func (f *Fleet) Metrics() *metrics.FleetRecorder { return f.rec }
-
 // AddGuest creates a Sweeper-protected guest named guestName running the
 // given program and registers it with the fleet. Antibodies already in the
 // shared store for the same program are queued for application, so a
@@ -112,6 +110,7 @@ func (f *Fleet) AddGuest(guestName, program string, image *vm.Program, opts proc
 		program:       program,
 		fleet:         f,
 		s:             s,
+		counts:        GuestStats{Guest: guestName, Program: program},
 		applied:       make(map[string]*antibody.AppliedAntibody),
 		appliedRank:   make(map[string]int),
 		adopted:       make(map[string]bool),
@@ -132,7 +131,6 @@ func (f *Fleet) AddGuest(guestName, program string, image *vm.Program, opts proc
 	started := f.started
 	f.mu.Unlock()
 
-	f.rec.Register(guestName, program)
 	// Warm restart: hand the guest its persisted checkpoint before any
 	// serving goroutine can exist. The store replay below then queues every
 	// known antibody for the program, and the serving loop applies its inbox
@@ -205,14 +203,10 @@ func (f *Fleet) Submit(guest string, payload []byte, src string, malicious bool)
 
 // submit offers a request to the guest's filtering proxy, for Fleet.Submit
 // and the TCP front end alike. A filtered request never wakes the serving
-// loop, so its count is published here; an accepted one wakes the loop,
-// whose updateMetrics publishes the rest.
+// loop.
 func (g *Guest) submit(payload []byte, src string, malicious bool) (reqID int, accepted bool) {
 	reqID, accepted = g.s.SubmitTracked(payload, src, malicious)
 	if !accepted {
-		g.fleet.rec.Update(g.name, func(st *metrics.GuestStats) {
-			st.FilteredInputs = g.s.Proxy().Stats().Filtered
-		})
 		return reqID, false
 	}
 	g.mu.Lock()
@@ -296,7 +290,7 @@ func (f *Fleet) publishFrom(origin *Guest, a *antibody.Antibody) {
 	if !f.store.Publish(a) {
 		return
 	}
-	f.rec.Update(origin.name, func(st *metrics.GuestStats) { st.AntibodiesGenerated++ })
+	origin.count(func(st *GuestStats) { st.AntibodiesGenerated++ })
 }
 
 // distribute is the store-subscription callback: it queues a newly stored
@@ -429,7 +423,7 @@ func (g *Guest) adopt(a *antibody.Antibody, mayDefer bool) {
 		g.enqueueAntibody(a)
 		return
 	}
-	g.fleet.rec.Update(g.name, func(st *metrics.GuestStats) {
+	g.count(func(st *GuestStats) {
 		if dec.Reproduced {
 			st.AntibodiesVerified++
 		}
@@ -453,7 +447,7 @@ func (g *Guest) adopt(a *antibody.Antibody, mayDefer bool) {
 		prov.VSEFs = nil
 		g.install(family, rank, prov)
 	}
-	g.fleet.rec.Update(g.name, func(st *metrics.GuestStats) { st.ProvisionalInstalls++ })
+	g.count(func(st *GuestStats) { st.ProvisionalInstalls++ })
 	r := &regeneration{received: a, dec: dec, provisional: g.applied[family]}
 	if mayDefer && g.s.enqueueDeferred(func() {
 		r.dec.Regenerated = rep.regenerate(deferredYieldInstrs)
@@ -494,9 +488,7 @@ type regeneration struct {
 // VSEF. Runs on the guest's goroutine — RegenerateAntibody reads the live
 // clock.
 func (g *Guest) finishAdoption(r *regeneration) {
-	g.fleet.rec.Update(g.name, func(st *metrics.GuestStats) {
-		st.FindingsRegenerated += len(r.dec.Regenerated)
-	})
+	g.count(func(st *GuestStats) { st.FindingsRegenerated += len(r.dec.Regenerated) })
 	family := antibodyFamily(r.received.ID)
 	if g.applied[family] != r.provisional {
 		return
@@ -504,7 +496,7 @@ func (g *Guest) finishAdoption(r *regeneration) {
 	rank := stageRank(r.received.Stage)
 	if regen := g.s.RegenerateAntibody(r.received, r.dec); regen != nil {
 		if g.installAdopted(family, rank, regen) {
-			g.fleet.rec.Update(g.name, func(st *metrics.GuestStats) { st.AntibodiesRegenerated++ })
+			g.count(func(st *GuestStats) { st.AntibodiesRegenerated++ })
 		}
 		return
 	}
@@ -533,7 +525,7 @@ func (g *Guest) installAdopted(family string, rank int, a *antibody.Antibody) bo
 	if !g.install(family, rank, a) {
 		return false
 	}
-	g.fleet.rec.Update(g.name, func(st *metrics.GuestStats) { st.AntibodiesAdopted++ })
+	g.count(func(st *GuestStats) { st.AntibodiesAdopted++ })
 	return true
 }
 
@@ -541,7 +533,7 @@ func (g *Guest) installAdopted(family string, rank int, a *antibody.Antibody) bo
 // adoptions whose regeneration came back, the antibody inbox, and requests
 // pending at the proxy — and takes them in that order: finish adoptions,
 // apply queued antibodies, serve queued requests (handling any attacks
-// inline), publish metrics, repeat.
+// inline), repeat.
 func (g *Guest) loop() {
 	defer g.fleet.wg.Done()
 	for {
@@ -586,33 +578,85 @@ func (g *Guest) loop() {
 			g.listener.ResolveAll(netproxy.StatusUnavailable)
 		}
 		g.maybePersist()
-		g.updateMetrics()
 
 		g.mu.Lock()
 		g.halted = halted
+		g.counts.RequestsServed = g.s.Process().ServedRequests()
 		g.busy = false
 		g.cond.Broadcast()
 		g.mu.Unlock()
 	}
 }
 
-// updateMetrics publishes the guest's absolute counters to the recorder.
-// Runs on the guest's serving goroutine.
-func (g *Guest) updateMetrics() {
-	attacks := g.s.Attacks()
-	recovered := 0
-	for _, r := range attacks {
+// GuestStats are a guest's counters: how much traffic it served, what it
+// survived, and how the shared antibody store protected it.
+type GuestStats struct {
+	Guest   string
+	Program string
+
+	// RequestsServed counts requests that completed service, as of the end
+	// of the guest's last serving pass.
+	RequestsServed int
+	// AttacksHandled counts attacks detected and analysed on this guest.
+	AttacksHandled int
+	// Recovered counts attacks from which the guest recovered in place.
+	Recovered int
+	// AntibodiesGenerated counts antibodies this guest produced itself.
+	AntibodiesGenerated int
+	// AntibodiesAdopted counts antibodies received from the shared store
+	// (generated by other guests) and applied to this guest.
+	AntibodiesAdopted int
+	// AntibodiesVerified counts received antibodies whose attached exploit
+	// input was replayed in a sandbox and reproduced a violation
+	// (verify-before-adopt successes).
+	AntibodiesVerified int
+	// AntibodiesRejected counts received antibodies refused by
+	// verify-before-adopt: the exploit replay did not reproduce a violation,
+	// or the antibody carried input signatures it could not justify.
+	AntibodiesRejected int
+	// FindingsRegenerated counts the analysis findings the guest re-derived
+	// locally while verifying received antibodies (the fast tier re-run
+	// against the reproduced exploit in the verification sandbox).
+	FindingsRegenerated int
+	// AntibodiesRegenerated counts adoptions that installed a locally
+	// regenerated antibody — VSEFs and signatures synthesised from the
+	// guest's own verification findings — instead of the sender's contents.
+	AntibodiesRegenerated int
+	// ProvisionalInstalls counts adoptions that made the guest immune the
+	// moment the exploit reproduced in its sandbox, with a provisional
+	// antibody of the guest's own making, before regeneration finished.
+	ProvisionalInstalls int
+	// FilteredInputs counts requests dropped by input-signature filters at
+	// this guest's proxy.
+	FilteredInputs int
+	// Halted records that the guest's server exited.
+	Halted bool
+	// WarmRestarted records that the guest's state was restored from a
+	// persisted checkpoint at construction instead of the cold program image.
+	WarmRestarted bool
+}
+
+// Stats returns the guest's counters, each read from what owns it: the
+// attack reports from the Sweeper, the filtered count from the proxy, the
+// rest from the guest. Safe to call at any time, from any goroutine.
+func (g *Guest) Stats() GuestStats {
+	g.mu.Lock()
+	st := g.counts
+	st.Halted = g.halted
+	g.mu.Unlock()
+	for _, r := range g.s.Attacks() {
+		st.AttacksHandled++
 		if r.Recovered {
-			recovered++
+			st.Recovered++
 		}
 	}
-	g.fleet.rec.Update(g.name, func(st *metrics.GuestStats) {
-		st.RequestsServed = g.s.Process().ServedRequests()
-		st.AttacksHandled = len(attacks)
-		st.Recovered = recovered
-		st.FilteredInputs = g.s.Proxy().Stats().Filtered
-		st.DeferredBacklog = g.s.DeferredBacklog()
-		st.DeferredDropped = g.s.DeferredDropped()
-		st.Halted = g.s.Halted()
-	})
+	st.FilteredInputs = g.s.Proxy().Stats().Filtered
+	return st
+}
+
+// count applies fn to the guest's own counters under mu.
+func (g *Guest) count(fn func(*GuestStats)) {
+	g.mu.Lock()
+	fn(&g.counts)
+	g.mu.Unlock()
 }

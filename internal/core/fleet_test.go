@@ -29,6 +29,12 @@ func newFleetWith(t *testing.T, appName string, guests int) (*Fleet, *apps.Spec)
 	return f, spec
 }
 
+// statsOf returns the named guest's counters.
+func statsOf(f *Fleet, name string) GuestStats {
+	g, _ := f.Guest(name)
+	return g.Stats()
+}
+
 // TestFleetSharedAntibodyInoculatesOtherGuests is the headline community
 // flow: one guest is attacked, and every other guest — never attacked —
 // filters the identical exploit afterwards because the antibody reached it
@@ -78,7 +84,7 @@ func TestFleetSharedAntibodyInoculatesOtherGuests(t *testing.T) {
 		if got := len(g.Sweeper().Attacks()); got != 0 {
 			t.Errorf("guest cvs-%d handled %d attacks, want 0 (inoculated)", i, got)
 		}
-		st, _ := f.Metrics().Guest(fmt.Sprintf("cvs-%d", i))
+		st := statsOf(f, fmt.Sprintf("cvs-%d", i))
 		if st.AntibodiesAdopted == 0 {
 			t.Errorf("guest cvs-%d adopted no antibodies", i)
 		}
@@ -86,7 +92,7 @@ func TestFleetSharedAntibodyInoculatesOtherGuests(t *testing.T) {
 			t.Errorf("guest cvs-%d filtered nothing", i)
 		}
 	}
-	st0, _ := f.Metrics().Guest("cvs-0")
+	st0 := statsOf(f, "cvs-0")
 	if st0.AntibodiesGenerated == 0 {
 		t.Error("guest cvs-0 generated no antibodies")
 	}
@@ -115,7 +121,7 @@ func TestFleetLateJoinerIsInoculatedFromStore(t *testing.T) {
 		t.Error("late-joining guest accepted the exploit despite store replay")
 	}
 	f.Stop()
-	st, _ := f.Metrics().Guest("squid-late")
+	st := statsOf(f, "squid-late")
 	if st.AntibodiesAdopted == 0 {
 		t.Error("late joiner adopted no antibodies")
 	}
@@ -166,12 +172,87 @@ func TestFleetGuestHaltEndsDrain(t *testing.T) {
 	if !g.Sweeper().Halted() {
 		t.Fatal("guest did not halt; the scenario needs the ASLR-less hijack to succeed")
 	}
-	st, _ := f.Metrics().Guest(g.Name())
+	st := g.Stats()
 	if !st.Halted {
 		t.Errorf("halt not surfaced in the guest's stats: %+v", st)
 	}
 	if st.RequestsServed >= 2*benign {
 		t.Errorf("the halted guest served %d requests, every benign one submitted", st.RequestsServed)
+	}
+}
+
+// TestGuestStatsReadsTheOwners: a guest's counters are read from what owns
+// them. A request the guest's filter drops shows in Stats at once, before any
+// serving pass ran, and another goroutine may poll Stats while guests serve,
+// handle an attack and adopt its antibodies (run it under -race).
+func TestGuestStatsReadsTheOwners(t *testing.T) {
+	spec, err := apps.ByName("squid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := exploit.Exploit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	idle := NewFleetWithOptions(FleetOptions{})
+	idle.Store().Publish(&antibody.Antibody{
+		ID:      "other-attack1-final",
+		Program: spec.Name,
+		Stage:   antibody.StageFinal,
+		Sigs:    []*antibody.Signature{antibody.ExactSignature("other-sig", payload)},
+	})
+	g, err := idle.AddGuest("squid-idle", spec.Name, spec.Image, spec.Options, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idle.Submit(g.Name(), payload, "worm", true) {
+		t.Fatal("the stored signature did not filter the exploit")
+	}
+	if st := g.Stats(); st.FilteredInputs != 1 || st.AntibodiesAdopted != 1 || st.RequestsServed != 0 {
+		t.Errorf("never-started guest: filtered=%d adopted=%d served=%d, want 1/1/0",
+			st.FilteredInputs, st.AntibodiesAdopted, st.RequestsServed)
+	}
+	idle.Stop()
+
+	f, _ := newFleetWith(t, "squid", 2)
+	stop, polls := make(chan struct{}), make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				polls <- n
+				return
+			default:
+			}
+			for _, g := range f.Guests() {
+				g.Stats()
+			}
+			n++
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+	f.Start()
+	for i := 0; i < 8; i++ {
+		f.Submit("squid-0", exploit.Benign("squid", i), "client", false)
+		f.Submit("squid-1", exploit.Benign("squid", i), "client", false)
+		if i == 4 {
+			f.Submit("squid-0", payload, "worm", true)
+		}
+	}
+	f.Drain()
+	close(stop)
+	if n := <-polls; n == 0 {
+		t.Error("Stats was never polled while the fleet ran")
+	}
+	f.Stop()
+	attacked, peer := statsOf(f, "squid-0"), statsOf(f, "squid-1")
+	if attacked.AttacksHandled != 1 || attacked.Recovered != 1 || attacked.AntibodiesGenerated == 0 || attacked.RequestsServed < 8 {
+		t.Errorf("attacked guest: %+v", attacked)
+	}
+	if peer.AttacksHandled != 0 || peer.AntibodiesAdopted != attacked.AntibodiesGenerated || peer.RequestsServed != 8 {
+		t.Errorf("peer: %+v, want %d adopted", peer, attacked.AntibodiesGenerated)
 	}
 }
 
@@ -205,7 +286,7 @@ func TestFleetAttackAfterAdoptionRecovers(t *testing.T) {
 			// Guest 0 is attacked and generates antibodies; guest 1 adopts.
 			f.Submit(names[0], first, "worm", true)
 			f.Drain()
-			st, _ := f.Metrics().Guest(names[1])
+			st := statsOf(f, names[1])
 			if st.AntibodiesAdopted == 0 {
 				t.Fatal("guest 1 adopted nothing; scenario not established")
 			}
@@ -225,7 +306,7 @@ func TestFleetAttackAfterAdoptionRecovers(t *testing.T) {
 			if g1.Sweeper().Halted() {
 				t.Fatal("guest 1 halted")
 			}
-			st, _ = f.Metrics().Guest(names[1])
+			st = statsOf(f, names[1])
 			if st.AttacksHandled != 1 || st.Recovered != 1 {
 				t.Errorf("guest 1 attacks=%d recovered=%d, want 1/1", st.AttacksHandled, st.Recovered)
 			}
@@ -300,7 +381,7 @@ func TestFleetConcurrentAttacksRaceStress(t *testing.T) {
 			if s.Halted() {
 				t.Errorf("guest %s halted", name)
 			}
-			st, _ := f.Metrics().Guest(name)
+			st := statsOf(f, name)
 			// The exploit raced against its peers' antibodies: each guest
 			// either handled the attack itself (and recovered) or filtered
 			// it thanks to a faster peer.

@@ -144,8 +144,6 @@ type Sweeper struct {
 	attacksMu sync.Mutex
 	attacks   []*AttackReport
 
-	completions *metrics.CompletionRecorder
-
 	// OnAntibody, when set, is called every time an antibody (initial,
 	// refined or final) becomes available; community-defence experiments use
 	// it to model distribution to other hosts.
@@ -184,20 +182,19 @@ func New(name string, prog *vm.Program, procOpts proc.Options, cfg Config) (*Swe
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	s := &Sweeper{
-		cfg:         cfg,
-		name:        name,
-		prog:        prog,
-		procOpts:    procOpts,
-		layout:      layout,
-		proxy:       proxy,
-		proc:        p,
-		ckpt:        checkpoint.NewManager(checkpoint.Policy{IntervalMs: cfg.CheckpointIntervalMs, MaxKept: checkpoint.DefaultPolicy().MaxKept}),
-		analyzers:   analyzers,
-		pool:        proc.NewClonePool(p),
-		latency:     metrics.NewAnalysisRecorder(),
-		completions: metrics.NewCompletionRecorder(),
+		cfg:       cfg,
+		name:      name,
+		prog:      prog,
+		procOpts:  procOpts,
+		layout:    layout,
+		proxy:     proxy,
+		proc:      p,
+		ckpt:      checkpoint.NewManager(checkpoint.Policy{IntervalMs: cfg.CheckpointIntervalMs, MaxKept: checkpoint.DefaultPolicy().MaxKept}),
+		analyzers: analyzers,
+		pool:      proc.NewClonePool(p),
+		latency:   metrics.NewAnalysisRecorder(),
 	}
-	p.OnRequestBoundary = s.onRequestBoundary
+	p.OnRequestBoundary = func() { s.ckpt.MaybeCheckpoint(p) }
 	if cfg.ShadowStack {
 		p.Machine.AttachTool(monitor.NewShadowStack())
 	}
@@ -254,9 +251,6 @@ func (s *Sweeper) AnalyzerLatencies() []metrics.AnalyzerLatency {
 // ClonePoolStats reports how many analysis sandboxes were freshly built
 // (pool misses) and how many were served by resetting a pooled shell.
 func (s *Sweeper) ClonePoolStats() (created, reused int) { return s.pool.Stats() }
-
-// Completions returns the request-completion recorder (throughput series).
-func (s *Sweeper) Completions() *metrics.CompletionRecorder { return s.completions }
 
 // Halted reports whether the protected server exited (e.g. a successful
 // hijack called exit, or the guest program terminated).
@@ -349,11 +343,6 @@ func (s *Sweeper) Submit(payload []byte, src string, malicious bool) bool {
 func (s *Sweeper) SubmitTracked(payload []byte, src string, malicious bool) (reqID int, accepted bool) {
 	req, accepted := s.proxy.Submit(payload, src, malicious)
 	return req.ID, accepted
-}
-
-func (s *Sweeper) onRequestBoundary() {
-	s.completions.Record(s.proc.Machine.NowMillis())
-	s.ckpt.MaybeCheckpoint(s.proc)
 }
 
 // ServeResult summarises one ServeAll invocation.

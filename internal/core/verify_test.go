@@ -76,7 +76,7 @@ func TestVerifyBeforeAdoptAcceptsGenuineAntibody(t *testing.T) {
 	}
 	f.Drain()
 
-	st, _ := f.Metrics().Guest("squid-consumer")
+	st := statsOf(f, "squid-consumer")
 	if st.AntibodiesVerified != 1 {
 		t.Errorf("AntibodiesVerified = %d, want 1", st.AntibodiesVerified)
 	}
@@ -179,7 +179,7 @@ func TestVerifyBeforeAdoptNegativePaths(t *testing.T) {
 			}
 			f.Drain()
 			rejected++
-			st, _ := f.Metrics().Guest("squid-consumer")
+			st := statsOf(f, "squid-consumer")
 			if st.AntibodiesRejected != rejected {
 				t.Errorf("AntibodiesRejected = %d, want %d", st.AntibodiesRejected, rejected)
 			}
@@ -195,7 +195,7 @@ func TestVerifyBeforeAdoptNegativePaths(t *testing.T) {
 		})
 	}
 
-	st, _ := f.Metrics().Guest("squid-consumer")
+	st := statsOf(f, "squid-consumer")
 	if st.AntibodiesVerified != 0 {
 		t.Errorf("AntibodiesVerified = %d, want 0 (no crafted antibody verifies)", st.AntibodiesVerified)
 	}
@@ -261,7 +261,7 @@ func TestAdoptInstallsRegeneratedAntibody(t *testing.T) {
 	}
 	f.Drain()
 
-	st, _ := f.Metrics().Guest("squid-consumer")
+	st := statsOf(f, "squid-consumer")
 	if st.AntibodiesAdopted != 1 {
 		t.Fatalf("AntibodiesAdopted = %d, want 1", st.AntibodiesAdopted)
 	}
@@ -310,7 +310,7 @@ func TestAdoptInstallsRegeneratedAntibody(t *testing.T) {
 		t.Fatal("store rejected the genuine antibody")
 	}
 	f2.Drain()
-	st2, _ := f2.Metrics().Guest("plain-consumer")
+	st2 := statsOf(f2, "plain-consumer")
 	if st2.AntibodiesAdopted != 1 || st2.AntibodiesRegenerated != 0 {
 		t.Errorf("adopted=%d regenerated=%d, want 1/0 with no fast-tier analyzer",
 			st2.AntibodiesAdopted, st2.AntibodiesRegenerated)
@@ -367,7 +367,7 @@ func TestVerifyReproducesViaConfiguredMonitors(t *testing.T) {
 		t.Fatal("store rejected the genuine antibody")
 	}
 	f.Drain()
-	st, _ := f.Metrics().Guest("apache1-consumer")
+	st := statsOf(f, "apache1-consumer")
 	if st.AntibodiesVerified != 1 {
 		t.Errorf("AntibodiesVerified = %d, want 1 (monitor-detected exploit must reproduce in the sandbox)", st.AntibodiesVerified)
 	}
@@ -447,7 +447,7 @@ func TestMaliciousVSEFOnlyAntibodyCannotTakeDownGuest(t *testing.T) {
 	if !removed {
 		t.Error("rogue probe never fired or was not removed; DoS scenario not exercised")
 	}
-	st, _ := f.Metrics().Guest("squid-victim")
+	st := statsOf(f, "squid-victim")
 	if st.RequestsServed < 7 {
 		t.Errorf("guest served %d requests, want all of them despite the rogue probe", st.RequestsServed)
 	}

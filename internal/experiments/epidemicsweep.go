@@ -174,7 +174,7 @@ func RunEpidemicPoint(cfg EpidemicPointConfig) (*EpidemicPointResult, error) {
 	// every live guest.
 	sharedPages, totalPages := 0, 0
 	for _, m := range c.members {
-		tot := m.fleet.Metrics().Totals()
+		tot := m.guest.Stats()
 		res.Adopted += tot.AntibodiesAdopted
 		res.Verified += tot.AntibodiesVerified
 		res.Rejected += tot.AntibodiesRejected

@@ -340,6 +340,7 @@ func benignThroughput(appName string, requests int, mutate func(*core.Config), p
 			return 0, err
 		}
 	}
+	times := recordCompletions(s)
 	const batch = 100
 	for i := 0; i < requests; i += batch {
 		n := batch
@@ -353,7 +354,21 @@ func benignThroughput(appName string, requests int, mutate func(*core.Config), p
 			return 0, err
 		}
 	}
-	return s.Completions().Throughput(), nil
+	return metrics.Throughput(*times), nil
+}
+
+// recordCompletions notes the virtual time of every live request boundary of
+// s's process, in order. The time is taken before the Sweeper's own boundary
+// hook runs, since that hook may checkpoint and so advance the clock.
+func recordCompletions(s *core.Sweeper) *[]uint64 {
+	times := new([]uint64)
+	p := s.Process()
+	hook := p.OnRequestBoundary
+	p.OnRequestBoundary = func() {
+		*times = append(*times, p.Machine.NowMillis())
+		hook()
+	}
+	return times
 }
 
 // Figure4 sweeps the checkpoint interval and reports throughput overhead
@@ -601,6 +616,7 @@ func Figure5(totalRequests, attackAt int, bucketMs uint64) (Figure5Result, error
 	if err != nil {
 		return res, err
 	}
+	times := recordCompletions(s)
 	payload, err := exploit.Exploit(spec)
 	if err != nil {
 		return res, err
@@ -625,7 +641,7 @@ func Figure5(totalRequests, attackAt int, bucketMs uint64) (Figure5Result, error
 		}
 	}
 	served = s.Process().ServedRequests()
-	res.Sweeper = s.Completions().ThroughputSeries(bucketMs)
+	res.Sweeper = metrics.ThroughputSeries(*times, bucketMs)
 	res.SweeperServed = served
 	if len(s.Attacks()) > 0 {
 		res.RecoveryGapMs = s.Attacks()[0].RecoveryVirtualMs
@@ -668,7 +684,7 @@ func restartBaseline(totalRequests, attackAt int, bucketMs uint64) (metrics.Seri
 		return nil, 0, 0, err
 	}
 
-	rec := metrics.NewCompletionRecorder()
+	var times []uint64
 	clockBase := uint64(0)
 	restartGap := uint64(0)
 
@@ -695,9 +711,9 @@ func restartBaseline(totalRequests, attackAt int, bucketMs uint64) (metrics.Seri
 			}
 			continue
 		}
-		rec.Record(clockBase + p.Machine.NowMillis())
+		times = append(times, clockBase+p.Machine.NowMillis())
 	}
-	return rec.ThroughputSeries(bucketMs), rec.Count(), restartGap, nil
+	return metrics.ThroughputSeries(times, bucketMs), len(times), restartGap, nil
 }
 
 // serveOne runs the process until it blocks for more input; it reports false

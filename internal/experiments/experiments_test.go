@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"sweeper/internal/metrics"
 )
 
 func TestTable1Inventory(t *testing.T) {
@@ -208,6 +211,50 @@ func TestFigure5RecoveryVsRestart(t *testing.T) {
 	}
 	if out := FormatFigure5(res); !strings.Contains(out, "restart") {
 		t.Error("FormatFigure5 output incomplete")
+	}
+}
+
+// TestFigures4And5Repeat pins what the completion times of Figures 4 and 5
+// add up to, value for value: the virtual clock makes both exact.
+func TestFigures4And5Repeat(t *testing.T) {
+	q := QuickSizes()
+	res, err := Figure5(q.Figure5Requests, q.Figure5AttackAt, q.Figure5BucketMs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := func(s metrics.Series) []float64 {
+		out := make([]float64, len(s))
+		for i, p := range s {
+			if p.TimeMs != uint64(i)*q.Figure5BucketMs {
+				t.Errorf("sample %d at %d ms, want %d", i, p.TimeMs, uint64(i)*q.Figure5BucketMs)
+			}
+			out[i] = p.Value
+		}
+		return out
+	}
+	wantSweeper := []float64{264, 264, 264, 264, 264, 264, 264, 268, 260, 264, 192, 0, 72, 244, 244, 240, 248, 244, 244, 244, 248, 240, 244, 244, 244, 232}
+	wantRestart := []float64{232, 232, 232, 232, 232, 236, 232, 232, 232, 232, 236, 232, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		0, 0, 0, 0, 0, 0, 0, 0, 228, 228, 232, 236, 232, 232, 232, 232, 236, 232, 232, 232, 232, 184}
+	if got := values(res.Sweeper); !slices.Equal(got, wantSweeper) {
+		t.Errorf("Sweeper series\n got %v\nwant %v", got, wantSweeper)
+	}
+	if got := values(res.Restart); !slices.Equal(got, wantRestart) {
+		t.Errorf("restart series\n got %v\nwant %v", got, wantRestart)
+	}
+	if res.SweeperServed != 1500 || res.RestartServed != 1500 || res.AttackAtMs != 2674 || res.RecoveryGapMs != 2 {
+		t.Errorf("served %d / %d, attack at %d ms, recovery gap %d ms; want 1500 / 1500, 2674, 2",
+			res.SweeperServed, res.RestartServed, res.AttackAtMs, res.RecoveryGapMs)
+	}
+
+	points, err := Figure4ForApp("squid", []uint64{20, 100, 200}, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{263.7075718015666, 264.16739319965126, 264.16739319965126}
+	for i, p := range points {
+		if p.Throughput != want[i] {
+			t.Errorf("Figure 4 at %d ms: %v requests/s, want %v", p.IntervalMs, p.Throughput, want[i])
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"sweeper/internal/antibody"
+	"sweeper/internal/core"
 	"sweeper/internal/exploit"
 	"sweeper/internal/metrics"
 )
@@ -28,7 +29,7 @@ type FederatedDaemonResult struct {
 	Addr     string
 	Producer bool
 	StoreLen int
-	Guests   []metrics.GuestStats
+	Guests   []core.GuestStats
 	Fed      metrics.FederationStats
 	// ExploitFiltered says the worm's exploit was dropped at the daemon's
 	// proxy during the final sweep.
@@ -107,7 +108,7 @@ func RunFederatedEpidemic(cfg FederatedEpidemicConfig) (*FederatedEpidemicResult
 	// rejection.
 	rejected := func() (n int) {
 		for _, m := range c.members {
-			n += m.fleet.Metrics().Totals().AntibodiesRejected
+			n += m.guest.Stats().AntibodiesRejected
 		}
 		return n
 	}
@@ -139,7 +140,7 @@ func RunFederatedEpidemic(cfg FederatedEpidemicConfig) (*FederatedEpidemicResult
 			Addr:            m.addr,
 			Producer:        m.producer,
 			StoreLen:        m.fleet.Store().Len(),
-			Guests:          m.fleet.Metrics().All(),
+			Guests:          []core.GuestStats{m.guest.Stats()},
 			Fed:             m.rec.Snapshot(),
 			ExploitFiltered: filtered,
 		})

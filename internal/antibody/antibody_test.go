@@ -2,8 +2,8 @@ package antibody_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
-	"testing/quick"
 
 	"sweeper/internal/antibody"
 	"sweeper/internal/apps"
@@ -34,61 +34,18 @@ func TestExactSignature(t *testing.T) {
 	}
 }
 
-func TestTokenSignatureFromMultipleSamples(t *testing.T) {
-	samples := [][]byte{
-		[]byte("GET /aaaaAAAA\x01\x02\x03 HTTP/1.0"),
-		[]byte("GET /bbbbAAAA\x01\x02\x03zz HTTP/1.0"),
-		[]byte("GET /ccAAAA\x01\x02\x03qqqq HTTP/1.0"),
+// TestSignatureWithoutExactBytesMatchesNothing: exact bytes are the only
+// shape a signature has. One decoded without them — whatever other fields the
+// sender put beside its name — matches no payload, the empty one included.
+func TestSignatureWithoutExactBytesMatchesNothing(t *testing.T) {
+	var sig antibody.Signature
+	if err := json.Unmarshal([]byte(`{"name":"broad","tokens":["ZnRwOi8v"]}`), &sig); err != nil {
+		t.Fatal(err)
 	}
-	sig := antibody.TokenSignature("poly", samples, 4)
-	if len(sig.Tokens) == 0 {
-		t.Fatal("no tokens extracted")
-	}
-	for _, s := range samples {
-		if !sig.Match(s) {
-			t.Errorf("signature does not match its own sample %q", s)
+	for _, payload := range [][]byte{nil, {}, []byte("ftp://"), []byte("GET ftp://host/ HTTP/1.0")} {
+		if sig.Match(payload) {
+			t.Errorf("signature without exact bytes matched %q", payload)
 		}
-	}
-	// A fourth variant sharing the invariant parts also matches...
-	if !sig.Match([]byte("GET /ddddddAAAA\x01\x02\x03!! HTTP/1.0")) {
-		t.Error("signature should match a new variant with the invariant content")
-	}
-	// ...but ordinary traffic does not.
-	if sig.Match([]byte("GET /index.html HTTP/1.0")) {
-		t.Error("signature matches benign traffic")
-	}
-	if sig.String() == "" {
-		t.Error("String() empty")
-	}
-}
-
-func TestTokenSignatureDegenerateCases(t *testing.T) {
-	if sig := antibody.TokenSignature("empty", nil, 4); sig.Match([]byte("anything")) {
-		t.Error("empty signature must not match")
-	}
-	sig := antibody.TokenSignature("one", [][]byte{[]byte("ABCDEFGH")}, 4)
-	if !sig.Match([]byte("xxABCDEFGHyy")) {
-		t.Error("single-sample token signature should match supersets")
-	}
-}
-
-// TestQuickTokenSignatureAlwaysMatchesSamples: for any pair of samples with a
-// common middle, the generated signature matches both samples.
-func TestQuickTokenSignatureAlwaysMatchesSamples(t *testing.T) {
-	prop := func(prefixA, prefixB, common, suffixA, suffixB []byte) bool {
-		if len(common) < 8 {
-			return true
-		}
-		a := append(append(append([]byte{}, prefixA...), common...), suffixA...)
-		b := append(append(append([]byte{}, prefixB...), common...), suffixB...)
-		sig := antibody.TokenSignature("q", [][]byte{a, b}, 4)
-		if len(sig.Tokens) == 0 {
-			return true // nothing in common long enough — acceptable
-		}
-		return sig.Match(a) && sig.Match(b)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
 

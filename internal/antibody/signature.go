@@ -5,137 +5,31 @@ import (
 	"fmt"
 )
 
-// Signature is an input-signature filter: either an exact payload match or an
-// ordered-token match (all tokens must appear, in order), the latter covering
-// simple polymorphic variants in the style of Polygraph.
+// Signature is an input-signature filter: an exact match of the exploit's
+// payload. Exact signatures have no false positives and are impervious to
+// malicious training, which is why Sweeper uses them (the VSEF provides the
+// safety net against variants). A signature that matches its antibody's
+// exploit input therefore matches nothing else.
 type Signature struct {
-	SigName string   `json:"name"`
-	Exact   []byte   `json:"exact,omitempty"`
-	Tokens  [][]byte `json:"tokens,omitempty"`
+	SigName string `json:"name"`
+	Exact   []byte `json:"exact,omitempty"`
 }
 
 // Name implements the netproxy.Filter interface.
 func (s *Signature) Name() string { return s.SigName }
 
-// Match implements the netproxy.Filter interface.
+// Match implements the netproxy.Filter interface. A signature without exact
+// bytes matches nothing.
 func (s *Signature) Match(payload []byte) bool {
-	if len(s.Exact) > 0 {
-		return bytes.Equal(payload, s.Exact)
-	}
-	if len(s.Tokens) == 0 {
-		return false
-	}
-	rest := payload
-	for _, tok := range s.Tokens {
-		i := bytes.Index(rest, tok)
-		if i < 0 {
-			return false
-		}
-		rest = rest[i+len(tok):]
-	}
-	return true
+	return len(s.Exact) > 0 && bytes.Equal(payload, s.Exact)
 }
 
 // String summarises the signature.
 func (s *Signature) String() string {
-	if len(s.Exact) > 0 {
-		return fmt.Sprintf("%s: exact match, %d bytes", s.SigName, len(s.Exact))
-	}
-	return fmt.Sprintf("%s: %d ordered tokens", s.SigName, len(s.Tokens))
+	return fmt.Sprintf("%s: exact match, %d bytes", s.SigName, len(s.Exact))
 }
 
 // ExactSignature builds an exact-match signature from the exploit payload.
-// Exact signatures have no false positives and are impervious to malicious
-// training, which is why Sweeper starts with them (the VSEF provides the
-// safety net against variants).
 func ExactSignature(name string, payload []byte) *Signature {
 	return &Signature{SigName: name, Exact: append([]byte(nil), payload...)}
-}
-
-// TokenSignature builds an ordered-token signature from one or more exploit
-// samples of the same vulnerability: the tokens are the maximal substrings
-// (at least minToken bytes long) common to all samples, in order. With a
-// single sample it degrades to one token covering the whole payload.
-func TokenSignature(name string, samples [][]byte, minToken int) *Signature {
-	if minToken <= 0 {
-		minToken = 4
-	}
-	if len(samples) == 0 {
-		return &Signature{SigName: name}
-	}
-	tokens := commonTokens(samples, minToken)
-	return &Signature{SigName: name, Tokens: tokens}
-}
-
-// commonTokens finds ordered common substrings by recursively taking the
-// longest common substring of all samples and splitting around it.
-func commonTokens(samples [][]byte, minToken int) [][]byte {
-	for _, s := range samples {
-		if len(s) < minToken {
-			return nil
-		}
-	}
-	tok := longestCommonSubstring(samples)
-	if len(tok) < minToken {
-		return nil
-	}
-	var lefts, rights [][]byte
-	for _, s := range samples {
-		i := bytes.Index(s, tok)
-		lefts = append(lefts, s[:i])
-		rights = append(rights, s[i+len(tok):])
-	}
-	var out [][]byte
-	out = append(out, commonTokens(lefts, minToken)...)
-	out = append(out, tok)
-	out = append(out, commonTokens(rights, minToken)...)
-	return out
-}
-
-// longestCommonSubstring returns the longest substring of samples[0] present
-// in every sample (empty when there is none).
-func longestCommonSubstring(samples [][]byte) []byte {
-	if len(samples) == 0 {
-		return nil
-	}
-	if len(samples) == 1 {
-		return samples[0]
-	}
-	ref := samples[0]
-	// Binary search on the length; check each candidate substring of that
-	// length against all other samples.
-	lo, hi := 0, len(ref)
-	var best []byte
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		if mid == 0 {
-			lo = 1
-			continue
-		}
-		found := findCommonOfLen(ref, samples[1:], mid)
-		if found != nil {
-			best = found
-			lo = mid + 1
-		} else {
-			hi = mid - 1
-		}
-	}
-	return best
-}
-
-func findCommonOfLen(ref []byte, others [][]byte, n int) []byte {
-	if n > len(ref) {
-		return nil
-	}
-outer:
-	for i := 0; i+n <= len(ref); i++ {
-		cand := ref[i : i+n]
-		for _, o := range others {
-			if !bytes.Contains(o, cand) {
-				continue outer
-			}
-		}
-		return cand
-	}
-	return nil
 }

@@ -6,9 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -17,30 +17,28 @@ import (
 	"sweeper/internal/vm"
 )
 
-// DiskStore persists guest checkpoints as content-addressed pages plus
-// small per-guest manifest records, so a restarted daemon can hand each
-// guest its last consistent checkpoint instead of a cold image.
+// DiskStore persists guest checkpoints as content-addressed pages plus one
+// small manifest per guest, so a restarted daemon can hand each guest its
+// last consistent checkpoint instead of a cold image.
 //
 // Layout under the store directory:
 //
-//	pages/<hex sha256>          — one immutable 4 KiB page content; written
-//	                              once, referenced by every manifest (and
-//	                              every guest) whose checkpoint contains a
-//	                              page with that content.
-//	guests/<guest>/full.json    — full manifest: register/allocator/RNG
-//	                              state, layout, and the page-number → hash
-//	                              table of the whole address space.
-//	guests/<guest>/delta.N.json — incremental record N (1-based): only the
-//	                              pages changed or unmapped since record
-//	                              N-1, chained onto full.json. The chain is
-//	                              folded back into a new full.json every
-//	                              maxDeltaChain records.
+//	pages/<hex sha256>       — one immutable 4 KiB page content; written
+//	                           once, referenced by every manifest (and every
+//	                           guest) whose checkpoint contains a page with
+//	                           that content.
+//	guests/<guest>/full.json — the guest's manifest: register/allocator/RNG
+//	                           state, layout, and the page-number → hash table
+//	                           of the whole address space. Replaced whole by
+//	                           tmp + rename, so a crash leaves either the
+//	                           previous checkpoint or the new one, never a mix.
+//	                           Nothing else in the guest's directory is read.
 //
-// Page files are the CXL-style shape the ISSUE calls for: many consumers
-// referencing one content-addressed immutable page image. Within a daemon
-// the same sharing happens in memory through vm.BaseStore — Load interns
-// every page it reads, so N restored guests (or N restarted daemons in one
-// process) pay for one copy of each distinct page.
+// Page files are the CXL-style shape of content-addressed immutable pages
+// shared by many consumers. Within a daemon the same sharing happens in
+// memory through vm.BaseStore — Load interns every page it reads, so N
+// restored guests (or N restarted daemons in one process) pay for one copy
+// of each distinct page.
 //
 // Save diffs by frozen-page identity (vm.PageRef.Same), so a steady-state
 // persist hashes and writes only the pages dirtied since the previous one.
@@ -58,15 +56,14 @@ type DiskStore struct {
 	pagesShared  int // page references that hit an existing file
 }
 
+// guestPersist is what the guest's manifest on disk holds, by page identity.
 type guestPersist struct {
 	refs   map[uint32]vm.PageRef // page table at last persist, by identity
 	hashes map[uint32]string     // hex hashes matching refs
-	chain  int                   // delta records since last full manifest
 }
 
-// maxDeltaChain bounds how many delta records a loader must fold before it
-// has a full manifest; past it, Save rewrites full.json and restarts.
-const maxDeltaChain = 16
+// manifestName is the one manifest file in a guest's directory.
+const manifestName = "full.json"
 
 type persistMeta struct {
 	Seq       int            `json:"seq"`
@@ -77,15 +74,9 @@ type persistMeta struct {
 	Layout    vm.Layout      `json:"layout"`
 }
 
-type persistFull struct {
+type persistManifest struct {
 	Meta  persistMeta       `json:"meta"`
 	Pages map[string]string `json:"pages"` // decimal page number -> hex hash
-}
-
-type persistDelta struct {
-	Meta    persistMeta       `json:"meta"`
-	Changed map[string]string `json:"changed,omitempty"`
-	Deleted []string          `json:"deleted,omitempty"`
 }
 
 // PersistedCheckpoint is a checkpoint loaded back from disk, with the
@@ -119,9 +110,6 @@ func OpenDiskStore(dir string) (*DiskStore, error) {
 	return ds, nil
 }
 
-// Dir returns the store's root directory.
-func (ds *DiskStore) Dir() string { return ds.dir }
-
 // PageStats returns how many page files Save created versus how many page
 // references deduplicated onto an existing file.
 func (ds *DiskStore) PageStats() (written, shared int) {
@@ -137,8 +125,10 @@ func guestDir(root, guest string) string {
 
 // Save persists the snapshot as guest's latest checkpoint. Only pages
 // changed since the guest's previous Save are hashed and written; the
-// manifest record is installed atomically (tmp + rename), so a crash
-// mid-save leaves the previous checkpoint loadable.
+// manifest is then rewritten whole and installed atomically (tmp + rename),
+// so a crash mid-save leaves the previous checkpoint loadable. A save in
+// which no page changed writes nothing: the manifest already on disk
+// restores the same memory image.
 func (ds *DiskStore) Save(guest string, s *proc.Snapshot, layout vm.Layout) error {
 	cur := make(map[uint32]vm.PageRef)
 	s.Mem.VisitPages(func(pn uint32, ref vm.PageRef) { cur[pn] = ref })
@@ -146,28 +136,16 @@ func (ds *DiskStore) Save(guest string, s *proc.Snapshot, layout vm.Layout) erro
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	gp := ds.guests[guest]
-	meta := persistMeta{
-		Seq:       s.SeqNo,
-		TakenAtMs: s.TakenAtMs,
-		Regs:      s.Regs,
-		Alloc:     s.Alloc,
-		Rng:       s.Rng,
-		Layout:    layout,
-	}
-
-	gdir := guestDir(ds.dir, guest)
-	writeFull := gp == nil || gp.chain >= maxDeltaChain
 	if gp == nil {
 		gp = &guestPersist{}
 		ds.guests[guest] = gp
 	}
 
-	// Hash and write the pages not present (by identity) last time.
+	// Hash and write the pages not present (by identity) last time. The
+	// image changed if any page's content did or the page count differs
+	// (with every current page unchanged, an equal count means no page went).
 	newHashes := make(map[uint32]string, len(cur))
-	var changed map[string]string
-	if !writeFull {
-		changed = make(map[string]string)
-	}
+	changed := gp.refs == nil || len(cur) != len(gp.refs)
 	for pn, ref := range cur {
 		if old, ok := gp.refs[pn]; ok && ref.Same(old) {
 			newHashes[pn] = gp.hashes[pn]
@@ -181,56 +159,32 @@ func (ds *DiskStore) Save(guest string, s *proc.Snapshot, layout vm.Layout) erro
 			// snapshot chain): the file exists and the manifest entry stands.
 			continue
 		}
+		changed = true
 		if err := ds.ensurePageFile(hexh, ref.Data()[:]); err != nil {
 			return err
 		}
-		if changed != nil {
-			changed[strconv.FormatUint(uint64(pn), 10)] = hexh
-		}
 	}
 
-	if err := os.MkdirAll(gdir, 0o755); err != nil {
-		return fmt.Errorf("checkpoint: disk store: %w", err)
-	}
-	if writeFull {
-		full := persistFull{Meta: meta, Pages: make(map[string]string, len(newHashes))}
+	if changed {
+		m := persistManifest{
+			Meta: persistMeta{
+				Seq:       s.SeqNo,
+				TakenAtMs: s.TakenAtMs,
+				Regs:      s.Regs,
+				Alloc:     s.Alloc,
+				Rng:       s.Rng,
+				Layout:    layout,
+			},
+			Pages: make(map[string]string, len(newHashes)),
+		}
 		for pn, h := range newHashes {
-			full.Pages[strconv.FormatUint(uint64(pn), 10)] = h
+			m.Pages[strconv.FormatUint(uint64(pn), 10)] = h
 		}
-		if err := ds.writeJSON(filepath.Join(gdir, "full.json"), &full); err != nil {
-			return err
+		gdir := guestDir(ds.dir, guest)
+		if err := os.MkdirAll(gdir, 0o755); err != nil {
+			return fmt.Errorf("checkpoint: disk store: %w", err)
 		}
-		// Stale delta records from the previous chain must not be folded on
-		// top of the new full manifest.
-		for i := 1; ; i++ {
-			p := filepath.Join(gdir, deltaName(i))
-			if err := os.Remove(p); err != nil {
-				break
-			}
-			delete(ds.dirty, p)
-		}
-		gp.chain = 0
-	} else {
-		var deleted []string
-		for pn := range gp.refs {
-			if _, ok := cur[pn]; !ok {
-				deleted = append(deleted, strconv.FormatUint(uint64(pn), 10))
-			}
-		}
-		if len(changed) == 0 && len(deleted) == 0 {
-			// The memory image is exactly what the last record already
-			// describes. Persisting a meta-only delta would grow the chain on
-			// every idle stop/start cycle; the slightly stale Seq/clock in the
-			// existing record restores the same state.
-			gp.refs = cur
-			gp.hashes = newHashes
-			return nil
-		}
-		sort.Strings(deleted)
-		d := persistDelta{Meta: meta, Changed: changed, Deleted: deleted}
-		gp.chain++
-		if err := ds.writeJSON(filepath.Join(gdir, deltaName(gp.chain)), &d); err != nil {
-			gp.chain--
+		if err := ds.writeJSON(filepath.Join(gdir, manifestName), &m); err != nil {
 			return err
 		}
 	}
@@ -238,8 +192,6 @@ func (ds *DiskStore) Save(guest string, s *proc.Snapshot, layout vm.Layout) erro
 	gp.hashes = newHashes
 	return nil
 }
-
-func deltaName(i int) string { return fmt.Sprintf("delta.%d.json", i) }
 
 // ensurePageFile writes the content-addressed page file if it does not
 // already exist. Caller holds ds.mu.
@@ -262,7 +214,7 @@ func (ds *DiskStore) ensurePageFile(hexh string, data []byte) error {
 	return nil
 }
 
-// writeJSON atomically installs a manifest record. Caller holds ds.mu.
+// writeJSON atomically installs a manifest. Caller holds ds.mu.
 func (ds *DiskStore) writeJSON(path string, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
@@ -280,72 +232,41 @@ func (ds *DiskStore) writeJSON(path string, v any) error {
 	return nil
 }
 
-// Load reads guest's latest persisted checkpoint: the full manifest plus
-// every intact delta record folded on top (a torn or missing record ends
-// the chain at the last consistent state). Every page is verified against
-// its content hash and interned through the process-wide vm.BaseStore.
-// Any error means the caller should fall back to a cold start.
+// Load reads guest's latest persisted checkpoint from its manifest. The
+// manifest is untrusted: every entry must name a page by its 64-character
+// lowercase hex hash before any page file is opened, and every page is read
+// to at most one byte past vm.PageSize, verified against its hash and
+// interned through the process-wide vm.BaseStore. An error wrapping
+// os.ErrNotExist means the guest has no manifest; any error means the
+// caller should fall back to a cold start.
 func (ds *DiskStore) Load(guest string) (*PersistedCheckpoint, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	gdir := guestDir(ds.dir, guest)
-	data, err := os.ReadFile(filepath.Join(gdir, "full.json"))
+	data, err := os.ReadFile(filepath.Join(guestDir(ds.dir, guest), manifestName))
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: disk store: %w", err)
 	}
-	var full persistFull
-	if err := json.Unmarshal(data, &full); err != nil {
-		return nil, fmt.Errorf("checkpoint: disk store: corrupt full.json for %s: %w", guest, err)
+	var m persistManifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		return nil, fmt.Errorf("checkpoint: disk store: corrupt manifest for %s: %w", guest, err)
 	}
-	meta := full.Meta
-	table := make(map[uint32]string, len(full.Pages))
-	for k, h := range full.Pages {
+	table := make(map[uint32]string, len(m.Pages))
+	for k, hexh := range m.Pages {
 		pn, err := strconv.ParseUint(k, 10, 32)
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint: disk store: bad page number %q: %w", k, err)
 		}
-		table[uint32(pn)] = h
-	}
-	chain := 0
-	for i := 1; ; i++ {
-		data, err := os.ReadFile(filepath.Join(gdir, deltaName(i)))
-		if err != nil {
-			break
+		if !isPageHash(hexh) {
+			return nil, fmt.Errorf("checkpoint: disk store: page %d names %q, not a page hash", pn, hexh)
 		}
-		var d persistDelta
-		if err := json.Unmarshal(data, &d); err != nil {
-			break // torn record: the chain ends at the last consistent state
-		}
-		for k, h := range d.Changed {
-			pn, err := strconv.ParseUint(k, 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("checkpoint: disk store: bad page number %q: %w", k, err)
-			}
-			table[uint32(pn)] = h
-		}
-		for _, k := range d.Deleted {
-			pn, err := strconv.ParseUint(k, 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("checkpoint: disk store: bad page number %q: %w", k, err)
-			}
-			delete(table, uint32(pn))
-		}
-		meta = d.Meta
-		chain = i
+		table[uint32(pn)] = hexh
 	}
 
 	pages := make(map[uint32][]byte, len(table))
 	for pn, hexh := range table {
-		data, err := os.ReadFile(filepath.Join(ds.pagesDir, hexh))
+		data, err := ds.readPage(hexh)
 		if err != nil {
-			return nil, fmt.Errorf("checkpoint: disk store: missing page %s: %w", hexh, err)
-		}
-		if len(data) != vm.PageSize {
-			return nil, fmt.Errorf("checkpoint: disk store: page %s has %d bytes", hexh, len(data))
-		}
-		sum := sha256.Sum256(data)
-		if hex.EncodeToString(sum[:]) != hexh {
-			return nil, fmt.Errorf("checkpoint: disk store: page %s content does not match its hash", hexh)
+			return nil, err
 		}
 		pages[pn] = data
 	}
@@ -355,49 +276,61 @@ func (ds *DiskStore) Load(guest string) (*PersistedCheckpoint, error) {
 	// post-restore Save persists only what the guest dirties afterwards.
 	gp := &guestPersist{
 		refs:   make(map[uint32]vm.PageRef, len(pages)),
-		hashes: make(map[uint32]string, len(pages)),
-		chain:  chain,
+		hashes: table,
 	}
-	mem.VisitPages(func(pn uint32, ref vm.PageRef) {
-		gp.refs[pn] = ref
-		gp.hashes[pn] = table[pn]
-	})
+	mem.VisitPages(func(pn uint32, ref vm.PageRef) { gp.refs[pn] = ref })
 	ds.guests[guest] = gp
 
 	return &PersistedCheckpoint{
-		Seq:       meta.Seq,
-		TakenAtMs: meta.TakenAtMs,
-		Regs:      meta.Regs,
-		Alloc:     meta.Alloc,
-		Rng:       meta.Rng,
-		Layout:    meta.Layout,
+		Seq:       m.Meta.Seq,
+		TakenAtMs: m.Meta.TakenAtMs,
+		Regs:      m.Meta.Regs,
+		Alloc:     m.Meta.Alloc,
+		Rng:       m.Meta.Rng,
+		Layout:    m.Meta.Layout,
 		Mem:       mem,
 		Pages:     len(pages),
 	}, nil
 }
 
-// Guests lists the guests with a persisted checkpoint on disk.
-func (ds *DiskStore) Guests() ([]string, error) {
-	entries, err := os.ReadDir(filepath.Join(ds.dir, "guests"))
+// isPageHash reports whether s is a page file name: a SHA-256 in lowercase
+// hex, exactly as Save writes it.
+func isPageHash(s string) bool {
+	if len(s) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+// readPage reads one page file, bounded to a byte past vm.PageSize, and
+// checks it against its hash. A missing page is a broken checkpoint, not an
+// absent one, so the error does not wrap os.ErrNotExist. Caller holds ds.mu.
+func (ds *DiskStore) readPage(hexh string) ([]byte, error) {
+	f, err := os.Open(filepath.Join(ds.pagesDir, hexh))
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil
-		}
-		return nil, err
+		return nil, fmt.Errorf("checkpoint: disk store: missing page %s: %v", hexh, err)
 	}
-	var out []string
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		name, err := hex.DecodeString(e.Name())
-		if err != nil {
-			continue
-		}
-		out = append(out, string(name))
+	defer f.Close()
+	// Room for one byte past a page, so that a longer file shows as one.
+	// ReadFull reports a file of a page or less as an (unexpected) EOF.
+	buf := make([]byte, vm.PageSize+1)
+	n, err := io.ReadFull(f, buf)
+	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+		return nil, fmt.Errorf("checkpoint: disk store: reading page %s: %v", hexh, err)
 	}
-	sort.Strings(out)
-	return out, nil
+	if n != vm.PageSize {
+		return nil, fmt.Errorf("checkpoint: disk store: page %s is not %d bytes", hexh, vm.PageSize)
+	}
+	data := buf[:n]
+	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != hexh {
+		return nil, fmt.Errorf("checkpoint: disk store: page %s content does not match its hash", hexh)
+	}
+	return data, nil
 }
 
 // Sync fsyncs every file written since the last Sync, so a clean shutdown

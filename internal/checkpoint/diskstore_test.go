@@ -1,6 +1,12 @@
 package checkpoint_test
 
 import (
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"sweeper/internal/checkpoint"
@@ -63,17 +69,27 @@ func TestDiskStoreSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// guestPath is guest's directory in the store rooted at dir.
+func guestPath(dir, guest string) string {
+	return filepath.Join(dir, "guests", hex.EncodeToString([]byte(guest)))
+}
+
+// TestDiskStoreDeltaChainAndSharing: saves after the first write only the
+// page delta each serving interval dirtied, the guest keeps one manifest
+// however many saves it makes, and guests with identical content share
+// page files.
 func TestDiskStoreDeltaChainAndSharing(t *testing.T) {
 	p := newCVSProcess(t, 12)
 	m := checkpoint.NewManager(checkpoint.Policy{IntervalMs: 1, MaxKept: 50})
-	ds, err := checkpoint.OpenDiskStore(t.TempDir())
+	dir := t.TempDir()
+	ds, err := checkpoint.OpenDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	layout := p.Machine.Layout()
 
-	// First save is a full manifest; subsequent saves should write only the
-	// pages each serving interval dirtied.
+	// The first save writes every page; subsequent saves should write only
+	// the pages each serving interval dirtied.
 	if err := ds.Save("g", m.Checkpoint(p), layout); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +97,7 @@ func TestDiskStoreDeltaChainAndSharing(t *testing.T) {
 	var lastSnap *proc.Snapshot
 	for i := 0; i < 4; i++ {
 		// Fresh traffic each interval, so every save has real dirtied pages
-		// (Save skips writing a record when nothing changed).
+		// (Save writes nothing when no page changed).
 		p.Proxy().Submit(exploit.CVSBenign(100+i), "client", false)
 		if stop := p.Run(0); stop.Reason != vm.StopWaitInput && stop.Reason != vm.StopInstrBudget {
 			t.Fatalf("run stopped: %v", stop.Reason)
@@ -98,7 +114,9 @@ func TestDiskStoreDeltaChainAndSharing(t *testing.T) {
 		t.Errorf("incremental saves wrote %d page files for a %d-page image; expected only dirtied pages", delta, lastSnap.Mem.Pages())
 	}
 
-	// Load folds the delta chain to the latest state.
+	if files, err := os.ReadDir(guestPath(dir, "g")); err != nil || len(files) != 1 || files[0].Name() != "full.json" {
+		t.Errorf("guest directory holds %v (%v) after five saves, want only its manifest full.json", files, err)
+	}
 	loaded, err := ds.Load("g")
 	if err != nil {
 		t.Fatal(err)
@@ -122,5 +140,156 @@ func TestDiskStoreDeltaChainAndSharing(t *testing.T) {
 	}
 	if shared == 0 {
 		t.Error("no page references were deduplicated onto existing files")
+	}
+}
+
+// TestDiskStoreLoadReadsOnlyTheManifest: whatever else lies in a guest's
+// directory, Load returns exactly the last save. A stale delta record folded
+// onto a newer manifest restores its registers over a mix of old and new
+// pages, every one hash-valid.
+func TestDiskStoreLoadReadsOnlyTheManifest(t *testing.T) {
+	p := newCVSProcess(t, 12)
+	m := checkpoint.NewManager(checkpoint.Policy{IntervalMs: 1, MaxKept: 50})
+	dir := t.TempDir()
+	ds, err := checkpoint.OpenDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := p.Machine.Layout()
+	gdir := guestPath(dir, "g")
+	stray := filepath.Join(gdir, "delta.1.json")
+
+	// Eighteen saves: with a chain folded every 16 records, the last one
+	// installs a new full manifest and then unlinks the chain. The stray file
+	// is the chain's first record as it stood before that save, put back as
+	// a crash before the unlink leaves it; where no record was written, the
+	// second save's manifest stands in for it.
+	const saves = 18
+	var record, second []byte
+	var last *proc.Snapshot
+	for i := 0; i < saves; i++ {
+		p.Proxy().Submit(exploit.CVSBenign(100+i), "client", false)
+		if stop := p.Run(0); stop.Reason != vm.StopWaitInput && stop.Reason != vm.StopInstrBudget {
+			t.Fatalf("run stopped: %v", stop.Reason)
+		}
+		last = m.Checkpoint(p)
+		if i == saves-1 {
+			record, _ = os.ReadFile(stray)
+		}
+		if err := ds.Save("g", last, layout); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			if second, err = os.ReadFile(filepath.Join(gdir, "full.json")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if record == nil {
+		record = second
+	}
+	if err := os.WriteFile(stray, record, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh, err := checkpoint.OpenDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := fresh.Load("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Seq != last.SeqNo || loaded.Regs != last.Regs || loaded.Pages != last.Mem.Pages() {
+		t.Fatalf("loaded seq %d (%d pages, regs equal %v), want the last save's seq %d (%d pages)",
+			loaded.Seq, loaded.Pages, loaded.Regs == last.Regs, last.SeqNo, last.Mem.Pages())
+	}
+}
+
+// TestDiskStoreRejectsManifestEntriesThatAreNotPages: the manifest is
+// untrusted after a crash or tamper. An entry that is not a lowercase hex
+// SHA-256 is refused before any file is opened, and a page file longer than
+// a page is refused without reading it whole. Each is a broken checkpoint,
+// not a missing one: the error must not read as os.ErrNotExist, which the
+// fleet takes for "nothing persisted" and would not count as a fallback.
+func TestDiskStoreRejectsManifestEntriesThatAreNotPages(t *testing.T) {
+	cases := []struct {
+		name   string
+		tamper func(t *testing.T, dir, hash string) string // returns the new manifest entry
+	}{
+		{"parent traversal", func(t *testing.T, dir, hash string) string {
+			outside := filepath.Join(filepath.Dir(dir), "outside")
+			if err := os.WriteFile(outside, make([]byte, vm.PageSize), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return "../../outside"
+		}},
+		{"upper-case hash", func(t *testing.T, dir, hash string) string {
+			return strings.ToUpper(hash)
+		}},
+		{"page file too long", func(t *testing.T, dir, hash string) string {
+			path := filepath.Join(dir, "pages", hash)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, append(data, make([]byte, 4*vm.PageSize)...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return hash
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newCVSProcess(t, 2)
+			if stop := p.Run(0); stop.Reason != vm.StopWaitInput {
+				t.Fatalf("serving failed: %v", stop.Reason)
+			}
+			dir := filepath.Join(t.TempDir(), "store")
+			ds, err := checkpoint.OpenDiskStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ds.Save("g", checkpoint.NewManager(checkpoint.DefaultPolicy()).Checkpoint(p), p.Machine.Layout()); err != nil {
+				t.Fatal(err)
+			}
+			manifest := filepath.Join(guestPath(dir, "g"), "full.json")
+			data, err := os.ReadFile(manifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m struct {
+				Meta  json.RawMessage   `json:"meta"`
+				Pages map[string]string `json:"pages"`
+			}
+			if err := json.Unmarshal(data, &m); err != nil {
+				t.Fatal(err)
+			}
+			var pn string
+			for k := range m.Pages {
+				if pn == "" || k < pn {
+					pn = k
+				}
+			}
+			m.Pages[pn] = tc.tamper(t, dir, m.Pages[pn])
+			if data, err = json.Marshal(&m); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(manifest, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			fresh, err := checkpoint.OpenDiskStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = fresh.Load("g")
+			if err == nil {
+				t.Fatal("Load accepted the tampered manifest")
+			}
+			if errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("Load reported a tampered manifest as a missing one: %v", err)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"sync"
 	"testing"
 	"time"
@@ -113,21 +114,20 @@ func wantRegeneratedEndState(t *testing.T, f *Fleet, final *antibody.Antibody) {
 }
 
 // TestProvisionalWindowTrustsNoSenderSignature: a sender's final antibody
-// carries, beside its exact signature, one that matches the exploit and
-// benign FTP traffic alike — it passes the every-signature-matches check, and
-// installing it would censor. While regeneration is held open the consumer's
-// proxy holds exactly the one exact filter the consumer built itself: the
-// exploit is rejected, the benign request is served. Afterwards the end state
-// is the regenerated antibody, as it always was.
+// carries, beside its own exact signature, a second one — a copy of the
+// exploit under another name. While regeneration is held open the consumer's
+// proxy holds exactly the one exact filter the consumer built itself, none of
+// the sender's: the exploit is rejected, the benign request is served.
+// Afterwards the end state is the regenerated antibody, as it always was.
 func TestProvisionalWindowTrustsNoSenderSignature(t *testing.T) {
 	final := genuineFinalAntibody(t, "squid")
 	benign := exploit.Benign("squid", 1)
-	broad := &antibody.Signature{SigName: "rogue-broad-sig", Tokens: [][]byte{[]byte("ftp://")}}
-	if !broad.Match(final.ExploitInput) || !broad.Match(benign) {
-		t.Fatal("the over-broad signature must match both the exploit and the benign request")
+	extra := antibody.ExactSignature("sender-extra-sig", final.ExploitInput)
+	if !extra.Match(final.ExploitInput) || extra.Match(benign) {
+		t.Fatal("the extra signature must match the exploit and only the exploit")
 	}
 	tampered := *final
-	tampered.Sigs = append(append([]*antibody.Signature(nil), final.Sigs...), broad)
+	tampered.Sigs = append(append([]*antibody.Signature(nil), final.Sigs...), extra)
 
 	hold := newHoldAnalyzer()
 	reg := DefaultRegistry()
@@ -170,6 +170,56 @@ func TestProvisionalWindowTrustsNoSenderSignature(t *testing.T) {
 	if runs[latencyVerifyGate] != 1 || runs[latencyVerifyRegenerate] != 1 {
 		t.Errorf("verify-gate/verify-regenerate observed %d/%d times, want 1/1 (have %v)",
 			runs[latencyVerifyGate], runs[latencyVerifyRegenerate], runs)
+	}
+	f.Stop()
+}
+
+// TestSenderSignatureMatchingMoreThanTheExploitIsRejected: a wire signature
+// that is not the exploit's exact bytes — here an ordered token list that
+// would match every FTP request — rides beside a genuine final antibody. On a
+// consumer with no fast-tier analyzer the verified sender antibody is the end
+// state, so the gate alone stands between that signature and the proxy. It
+// matches nothing, so it does not match the exploit, and the antibody is
+// rejected: nothing is installed and benign FTP traffic is served.
+func TestSenderSignatureMatchingMoreThanTheExploitIsRejected(t *testing.T) {
+	final := genuineFinalAntibody(t, "squid")
+	wire, err := final.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(wire, &fields); err != nil {
+		t.Fatal(err)
+	}
+	var sigs []json.RawMessage
+	if err := json.Unmarshal(fields["signatures"], &sigs); err != nil {
+		t.Fatal(err)
+	}
+	sigs = append(sigs, json.RawMessage(`{"name":"rogue-broad-sig","tokens":["ZnRwOi8v"]}`))
+	if fields["signatures"], err = json.Marshal(sigs); err != nil {
+		t.Fatal(err)
+	}
+	if wire, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	rogue, err := antibody.Unmarshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	f := newVerifyingConsumer(t, "squid", consumerName, 161803, func(c *Config) { c.Analyses = []string{"slicing"} })
+	if !f.Store().Publish(rogue) {
+		t.Fatal("store rejected the antibody")
+	}
+	f.Drain()
+	if got := consumerFilters(f); len(got) != 0 {
+		t.Errorf("filters = %v, want none", got)
+	}
+	if !f.Submit(consumerName, exploit.Benign("squid", 1), "client", false) {
+		t.Error("benign FTP request filtered: a sender signature broader than the exploit was installed")
+	}
+	if st := consumerStats(f); st.AntibodiesRejected != 1 || st.AntibodiesAdopted != 0 {
+		t.Errorf("rejected=%d adopted=%d, want 1/0", st.AntibodiesRejected, st.AntibodiesAdopted)
 	}
 	f.Stop()
 }

@@ -39,11 +39,12 @@ type DurabilityStats struct {
 // store — from a guest's analysis pipeline or published by an external actor
 // such as the federation layer — is fanned out to every guest running that
 // program. With opts.DataDir set, the store and the guest checkpoints persist
-// under it. Opening is crash-tolerant (torn WAL tails are truncated, manifest
-// chains fold to their last consistent record) and failure-tolerant: if
-// either store cannot be opened the fleet degrades to the in-memory
-// equivalent with a counted warning rather than failing — a daemon that lost
-// its disk still defends its guests.
+// under it. Opening is crash-tolerant (torn WAL tails are truncated, and a
+// guest's one manifest is replaced whole, so it is the previous checkpoint or
+// the new one, never a mix) and failure-tolerant: if either store cannot be
+// opened the fleet degrades to the in-memory equivalent with a counted
+// warning rather than failing — a daemon that lost its disk still defends its
+// guests.
 func NewFleetWithOptions(opts FleetOptions) *Fleet {
 	f := &Fleet{guests: make(map[string]*Guest)}
 	if opts.DataDir == "" {

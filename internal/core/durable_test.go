@@ -169,7 +169,7 @@ func hashTree(t *testing.T, root string) map[string][32]byte {
 // TestDurableStoreSurvivesStopStartByteIdentical: once a generation has
 // stopped cleanly, an idle stop/start cycle (open, serve nothing new, stop)
 // must leave every byte of the data directory exactly as it found it — no
-// chain growth, no rewritten pages, no drifting manifests.
+// rewritten manifests, no new or rewritten pages.
 func TestDurableStoreSurvivesStopStartByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 

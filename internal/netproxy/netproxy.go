@@ -43,18 +43,6 @@ type Filter interface {
 	Match(payload []byte) bool
 }
 
-// FilterDecision records a request dropped by a filter.
-type FilterDecision struct {
-	Request *Request
-	Filter  string
-}
-
-// filteredLogSize is how many of the most recent filter decisions the proxy
-// keeps (with their payloads) for inspection. A worm hammering an inoculated
-// host is dropped at line rate, so the log must not grow with the drops; the
-// total is kept as a counter.
-const filteredLogSize = 64
-
 // Stats summarises the proxy's activity.
 type Stats struct {
 	Submitted int
@@ -63,15 +51,14 @@ type Stats struct {
 	Pending   int
 }
 
-// Proxy is a logging, filtering request queue. It is safe for concurrent use:
-// clients submit requests from their own goroutines while the protected
-// process consumes them.
+// Proxy is a filtering request queue: a dropped request is counted, not
+// kept. It is safe for concurrent use: clients submit requests from their own
+// goroutines while the protected process consumes them.
 type Proxy struct {
-	mu       sync.Mutex
-	nextID   int
-	queue    []*Request
-	filters  []Filter
-	filtered [filteredLogSize]FilterDecision // ring; slot of drop n is n % filteredLogSize
+	mu      sync.Mutex
+	nextID  int
+	queue   []*Request
+	filters []Filter
 
 	submitted int
 	dropped   int
@@ -122,19 +109,13 @@ func (p *Proxy) Submit(payload []byte, src string, malicious bool) (req *Request
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.submitted++
-	var matched Filter
-	for _, f := range p.filters {
-		if f.Match(payload) {
-			matched = f
-			break
-		}
-	}
 	req = &Request{ID: p.nextID, Payload: append([]byte(nil), payload...), Src: src, Malicious: malicious}
 	p.nextID++
-	if matched != nil {
-		p.filtered[p.dropped%filteredLogSize] = FilterDecision{Request: req, Filter: matched.Name()}
-		p.dropped++
-		return req, false
+	for _, f := range p.filters {
+		if f.Match(payload) {
+			p.dropped++
+			return req, false
+		}
 	}
 	p.queue = append(p.queue, req)
 	return req, true
@@ -159,19 +140,6 @@ func (p *Proxy) Pending() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.queue)
-}
-
-// FilteredRequests returns the most recent requests dropped by filters,
-// oldest first: at most filteredLogSize of them (Stats().Filtered counts all).
-func (p *Proxy) FilteredRequests() []FilterDecision {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := min(p.dropped, filteredLogSize)
-	out := make([]FilterDecision, 0, n)
-	for i := p.dropped - n; i < p.dropped; i++ {
-		out = append(out, p.filtered[i%filteredLogSize])
-	}
-	return out
 }
 
 // Stats returns a snapshot of the proxy's counters.

@@ -54,13 +54,13 @@ func TestSubmitCopiesPayload(t *testing.T) {
 	}
 }
 
-// TestFilteredLogIsBounded: a worm repeating a filtered exploit must not grow
-// the proxy. The log keeps the newest filteredLogSize decisions in order with
-// their own payload copies, and Stats().Filtered still counts every drop.
-func TestFilteredLogIsBounded(t *testing.T) {
+// TestFilteredRequestsAreCountedNotKept: a worm repeating a filtered exploit
+// must not grow the proxy. Every drop is counted and gets its own ID, and
+// none of them is queued.
+func TestFilteredRequestsAreCountedNotKept(t *testing.T) {
 	p := New()
 	p.AddFilter(&substringFilter{name: "worm-sig", sub: []byte("EVIL")})
-	const drops = 3*filteredLogSize + 5
+	const drops = 197
 	buf := []byte("EVIL 000")
 	for i := 0; i < drops; i++ {
 		buf[5] = byte('0' + i%10) // the caller reuses its buffer
@@ -70,16 +70,6 @@ func TestFilteredLogIsBounded(t *testing.T) {
 	}
 	if st := p.Stats(); st.Filtered != drops || st.Submitted != drops || st.Pending != 0 {
 		t.Errorf("stats = %+v, want %d filtered of %d", st, drops, drops)
-	}
-	log := p.FilteredRequests()
-	if len(log) != filteredLogSize {
-		t.Fatalf("log holds %d decisions, want %d", len(log), filteredLogSize)
-	}
-	for i, d := range log {
-		wantID := drops - filteredLogSize + i + 1
-		if d.Request.ID != wantID || d.Filter != "worm-sig" || d.Request.Payload[5] != byte('0'+(wantID-1)%10) {
-			t.Errorf("log[%d] = req %d %q by %s, want req %d", i, d.Request.ID, d.Request.Payload, d.Filter, wantID)
-		}
 	}
 }
 
@@ -95,12 +85,8 @@ func TestFiltering(t *testing.T) {
 	if got := p.Filters(); len(got) != 1 || got[0] != "worm-sig" {
 		t.Errorf("Filters() = %v", got)
 	}
-	dropped := p.FilteredRequests()
-	if len(dropped) != 1 || dropped[0].Filter != "worm-sig" {
-		t.Errorf("FilteredRequests = %+v", dropped)
-	}
-	if p.Stats().Filtered != 1 {
-		t.Error("filtered counter wrong")
+	if st := p.Stats(); st.Filtered != 1 || st.Submitted != 2 || st.Pending != 1 {
+		t.Errorf("stats = %+v, want 1 filtered and 1 pending of 2", st)
 	}
 	if !p.RemoveFilter("worm-sig") || p.RemoveFilter("worm-sig") {
 		t.Error("RemoveFilter bookkeeping wrong")
@@ -169,6 +155,7 @@ func TestAddFilterDuringSubmitStorm(t *testing.T) {
 	p := New()
 	const workers, each = 8, 200
 	var wg sync.WaitGroup
+	filtered := make([][]int, workers) // IDs of each worker's dropped requests
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -178,7 +165,9 @@ func TestAddFilterDuringSubmitStorm(t *testing.T) {
 				if i%3 == 0 {
 					payload += " ATTACK"
 				}
-				p.Submit([]byte(payload), "c", false)
+				if req, ok := p.Submit([]byte(payload), "c", false); !ok {
+					filtered[w] = append(filtered[w], req.ID)
+				}
 			}
 		}(w)
 	}
@@ -250,10 +239,17 @@ func TestAddFilterDuringSubmitStorm(t *testing.T) {
 		t.Errorf("consumer saw %d unique requests, proxy counted %d deliveries", len(delivered), st.Delivered)
 	}
 	// No filtered request may also have been delivered.
-	for _, d := range p.FilteredRequests() {
-		if delivered[d.Request.ID] {
-			t.Errorf("request %d both filtered (by %s) and delivered", d.Request.ID, d.Filter)
+	dropped := 0
+	for _, ids := range filtered {
+		dropped += len(ids)
+		for _, id := range ids {
+			if delivered[id] {
+				t.Errorf("request %d both filtered and delivered", id)
+			}
 		}
+	}
+	if dropped != st.Filtered {
+		t.Errorf("submitters saw %d requests filtered, proxy counted %d", dropped, st.Filtered)
 	}
 }
 

@@ -2,6 +2,7 @@ package antibody
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"sweeper/internal/netproxy"
@@ -41,6 +42,30 @@ type Antibody struct {
 func (a *Antibody) String() string {
 	return fmt.Sprintf("antibody %s for %s (%s): %d VSEFs, %d signatures",
 		a.ID, a.Program, a.Stage, len(a.VSEFs), len(a.Sigs))
+}
+
+// Validate reports whether the antibody is whole enough to store, gossip and
+// apply: it names itself and its program and holds no nil VSEF or signature.
+// Every antibody this package builds is; one decoded from a peer or from disk
+// need not be, and applying it would dereference the nil.
+func (a *Antibody) Validate() error {
+	switch {
+	case a == nil:
+		return errors.New("antibody: missing")
+	case a.ID == "" || a.Program == "":
+		return errors.New("antibody: without id or program")
+	}
+	for _, v := range a.VSEFs {
+		if v == nil {
+			return fmt.Errorf("antibody %s: nil VSEF", a.ID)
+		}
+	}
+	for _, s := range a.Sigs {
+		if s == nil {
+			return fmt.Errorf("antibody %s: nil signature", a.ID)
+		}
+	}
+	return nil
 }
 
 // Marshal encodes the antibody for distribution to other hosts.

@@ -10,14 +10,14 @@ import "sync"
 // daemon.
 //
 // One mutex guards everything but the WAL: the store's traffic is one
-// program and three publishes per attack. An antibody's publication sequence
-// number is its index in recs, which is the federation path's Since cursor.
-// Publish inserts and copies the subscriber list under the lock; Subscribe
-// appends itself and snapshots the store under the same lock. That
-// serialisation is what gives each subscriber every antibody exactly once.
+// program and three publishes per attack. An antibody's index in recs is its
+// publication index, which is the federation path's Since cursor. Publish
+// inserts and copies the subscriber list under the lock; Subscribe appends
+// itself and snapshots the store under the same lock. That serialisation is
+// what gives each subscriber every antibody exactly once.
 //
-// Lock order: mu, then walMu — and never both: mu is released before a WAL
-// append or a compaction takes walMu.
+// mu and walMu are never held together: mu is released before a WAL append
+// takes walMu.
 type Store struct {
 	mu   sync.Mutex
 	recs []*Antibody // publication order
@@ -28,7 +28,7 @@ type Store struct {
 	byProgram map[string][]*Antibody
 	subs      []func(*Antibody)
 
-	// walMu serialises WAL appends and compaction.
+	// walMu serialises WAL appends.
 	walMu sync.Mutex
 	wal   *wal
 }
@@ -50,7 +50,7 @@ func (st *Store) Publish(a *Antibody) bool {
 		st.mu.Unlock()
 		return false
 	}
-	seq := len(st.recs)
+	index := len(st.recs)
 	st.byID[a.ID] = a
 	st.recs = append(st.recs, a)
 	st.byProgram[a.Program] = append(st.byProgram[a.Program], a)
@@ -59,7 +59,7 @@ func (st *Store) Publish(a *Antibody) bool {
 	// read after the unlock.
 	subs := st.subs
 	st.mu.Unlock()
-	st.walAppend(uint64(seq), a)
+	st.walAppend(index, a)
 	// Notify outside the lock so subscribers may publish or query freely.
 	for _, fn := range subs {
 		fn(a)

@@ -1,12 +1,16 @@
 package antibody
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -20,17 +24,44 @@ func mkAb(id, program string) *Antibody {
 	}
 }
 
-func walFrame(t *testing.T, seq uint64, a *Antibody) []byte {
+func walFrame(t testing.TB, seq uint64, a *Antibody) []byte {
 	t.Helper()
 	payload, err := json.Marshal(walRecord{Seq: seq, Antibody: a})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rawFrame(payload)
+}
+
+// rawFrame frames an arbitrary payload the way walAppend does, CRC included.
+func rawFrame(payload []byte) []byte {
 	frame := make([]byte, 8+len(payload))
 	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 	copy(frame[8:], payload)
 	return frame
+}
+
+// openLog writes data as a store directory's wal.log and opens it.
+func openLog(t testing.TB, data []byte) (*Store, string) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, walFileName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenDurable(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, dir
+}
+
+func ids(abs []*Antibody) []string {
+	out := make([]string, len(abs))
+	for i, a := range abs {
+		out[i] = a.ID
+	}
+	return out
 }
 
 func TestDurableStoreSurvivesCloseAndReopen(t *testing.T) {
@@ -70,14 +101,14 @@ func TestDurableStoreSurvivesCloseAndReopen(t *testing.T) {
 
 func TestWALTornFinalRecordTruncated(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenDurable(dir, DurableOptions{CompactEvery: 1 << 20})
+	st, err := OpenDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
 		st.Publish(mkAb(fmt.Sprintf("ab-%d", i), "prog"))
 	}
-	st.DetachWAL() // crash-style: no compaction, records live only in wal.log
+	st.DetachWAL() // crash-style: nothing synced or flushed
 
 	// Simulate a crash mid-append: a good frame's header plus half its payload.
 	walPath := filepath.Join(dir, walFileName)
@@ -106,7 +137,7 @@ func TestWALTornFinalRecordTruncated(t *testing.T) {
 
 func TestWALCorruptCRCTruncated(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenDurable(dir, DurableOptions{CompactEvery: 1 << 20})
+	st, err := OpenDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,38 +164,18 @@ func TestWALCorruptCRCTruncated(t *testing.T) {
 	}
 }
 
-func TestWALDuplicateIDsAcrossSnapshotAndLog(t *testing.T) {
-	// A crash between compaction's snapshot rename and its log truncation
-	// leaves the same antibody in both files; the reload must dedup.
-	dir := t.TempDir()
-	snap := walSnapshot{Antibodies: []*Antibody{mkAb("ab-0", "prog"), mkAb("ab-1", "prog")}}
-	data, err := json.Marshal(&snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, snapshotFileName), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+func TestWALDuplicateIDsInOneLog(t *testing.T) {
+	// Publish never logs an ID twice, but a log is untrusted input: a
+	// repeated ID replays once, in the position of its first key.
 	var log []byte
-	log = append(log, walFrame(t, 1, mkAb("ab-1", "prog"))...) // dup of snapshot
-	log = append(log, walFrame(t, 2, mkAb("ab-2", "prog"))...) // fresh
-	if err := os.WriteFile(filepath.Join(dir, walFileName), log, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := OpenDurable(dir, DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	log = append(log, walFrame(t, 0, mkAb("ab-0", "prog"))...)
+	log = append(log, walFrame(t, 1, mkAb("ab-1", "prog"))...)
+	log = append(log, walFrame(t, 2, mkAb("ab-0", "prog"))...) // dup
+	log = append(log, walFrame(t, 3, mkAb("ab-2", "prog"))...)
+	st, _ := openLog(t, log)
 	defer st.Close()
-	if st.Len() != 3 {
-		t.Fatalf("got %d antibodies, want 3 (snapshot∪log with dedup)", st.Len())
-	}
-	all := st.All()
-	for i, want := range []string{"ab-0", "ab-1", "ab-2"} {
-		if all[i].ID != want {
-			t.Fatalf("order[%d] = %s, want %s", i, all[i].ID, want)
-		}
+	if got := fmt.Sprint(ids(st.All())); got != "[ab-0 ab-1 ab-2]" {
+		t.Fatalf("replayed %s, want [ab-0 ab-1 ab-2]", got)
 	}
 }
 
@@ -204,9 +215,9 @@ func TestSinceCursorStableAcrossRestart(t *testing.T) {
 	}
 }
 
-func TestConcurrentPublishDuringCompaction(t *testing.T) {
+func TestConcurrentPublishStormReplaysInOrder(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenDurable(dir, DurableOptions{CompactEvery: 4})
+	st, err := OpenDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,31 +235,239 @@ func TestConcurrentPublishDuringCompaction(t *testing.T) {
 			}
 		}(w)
 	}
-	// Extra compactions racing the publish storm.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 20; i++ {
-			if err := st.Compact(); err != nil {
-				t.Errorf("compact: %v", err)
-				return
-			}
-		}
-	}()
 	wg.Wait()
 	if st.Len() != workers*each {
 		t.Fatalf("in-memory store has %d, want %d", st.Len(), workers*each)
 	}
+	want := ids(st.All())
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
+	// Appends race each other to the file; the keys put them back in
+	// publication order.
 	st2, err := OpenDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if st2.Len() != workers*each {
-		t.Fatalf("reloaded store has %d, want %d (lost or duplicated publishes)", st2.Len(), workers*each)
+	got := ids(st2.All())
+	if len(got) != len(want) {
+		t.Fatalf("reloaded store has %d, want %d (lost or duplicated publishes)", len(got), len(want))
 	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("order changed at %d: replayed %s, published %s", i, got[i], want[i])
+		}
+	}
+}
+
+// TestWALGapKeysPlaceNewPublishesLast: a crash can tear an append that lost
+// the race to the file, leaving a gap in the keys. Publishes after the reopen
+// must still replay after every record that survived.
+func TestWALGapKeysPlaceNewPublishesLast(t *testing.T) {
+	var log []byte
+	for _, k := range []uint64{0, 1, 3} {
+		log = append(log, walFrame(t, k, mkAb(fmt.Sprintf("ab-%d", k), "prog"))...)
+	}
+	st, dir := openLog(t, log)
+	st.Publish(mkAb("ab-new", "prog"))
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := OpenDurable(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if got := fmt.Sprint(ids(st2.All())); got != "[ab-0 ab-1 ab-3 ab-new]" {
+		t.Fatalf("replayed %s, want [ab-0 ab-1 ab-3 ab-new]", got)
+	}
+}
+
+// TestWALIsOneFileNeverRewritten: the log is the store. Publishes only ever
+// append one frame to the same file, and opening a clean log writes nothing.
+func TestWALIsOneFileNeverRewritten(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenDurable(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, walFileName)
+	first, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for i := 0; i < 600; i++ {
+		a := mkAb(fmt.Sprintf("ab-%03d", i), "prog")
+		st.Publish(a)
+		want = append(want, walFrame(t, uint64(i), a)...)
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !os.SameFile(first, fi) || fi.Size() != int64(len(want)) {
+			t.Fatalf("after publish %d: same file %v, size %d, want the same file at %d bytes", i, os.SameFile(first, fi), fi.Size(), len(want))
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := OpenDurable(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2.DetachWAL()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != walFileName {
+		t.Fatalf("store directory holds %d entries, want only %s", len(entries), walFileName)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("log is %d bytes and not the %d bytes of its frames", len(got), len(want))
+	}
+}
+
+// TestWALFailedAppendDetachesLog: once an append fails, nothing more is
+// written behind a frame that may be partial; the store keeps serving from
+// memory and reports itself no longer durable.
+func TestWALFailedAppendDetachesLog(t *testing.T) {
+	st, dir := openLog(t, nil)
+	st.Publish(mkAb("ab-0", "prog"))
+	st.wal.f.Close() // the next write fails
+	if !st.Publish(mkAb("ab-1", "prog")) || st.Len() != 2 {
+		t.Fatal("a failed append refused the publish")
+	}
+	if st.Durable() {
+		t.Fatal("store still reports a log after an append failed")
+	}
+	st2, err := OpenDurable(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if got := fmt.Sprint(ids(st2.All())); got != "[ab-0]" {
+		t.Fatalf("replayed %s, want [ab-0]", got)
+	}
+}
+
+// TestOpenDurableRefusesSnapshotDirectory: a store written by the older
+// snapshot + log format is refused with an error naming the file, not read
+// in part.
+func TestOpenDurableRefusesSnapshotDirectory(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), []byte(`{"antibodies":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenDurable(dir, DurableOptions{})
+	if err == nil {
+		st.Close()
+		t.Fatal("a directory holding snapshot.json was opened")
+	}
+	if !strings.Contains(err.Error(), "snapshot.json") {
+		t.Fatalf("error %q does not name snapshot.json", err)
+	}
+}
+
+// TestWALRecordWithNilVSEFNotReplayed: a record whose CRC holds but whose
+// antibody fails Validate is a torn tail, not an antibody to install.
+func TestWALRecordWithNilVSEFNotReplayed(t *testing.T) {
+	log := walFrame(t, 0, mkAb("ab-good", "prog"))
+	log = append(log, rawFrame([]byte(`{"seq":1,"antibody":{"id":"ab-bad","program":"prog","vsefs":[null]}}`))...)
+	st, _ := openLog(t, log)
+	defer st.Close()
+	if got := fmt.Sprint(ids(st.All())); got != "[ab-good]" {
+		t.Fatalf("replayed %s, want [ab-good]", got)
+	}
+}
+
+// TestWALHugeHeaderAllocatesNothing: a frame header is read before its
+// payload, so a header claiming more bytes than the file holds must be a
+// torn tail before anything is allocated for it.
+func TestWALHugeHeaderAllocatesNothing(t *testing.T) {
+	var hdr [8]byte
+	binary.BigEndian.PutUint32(hdr[0:4], 16<<20)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, walFileName), hdr[:], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err := OpenDurable(dir, DurableOptions{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.Len() != 0 {
+		t.Fatalf("replayed %d antibodies from a bare header", st.Len())
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("opening an 8-byte log allocated %d bytes", grew)
+	}
+}
+
+// FuzzWALReplay opens arbitrary bytes as a store's log. Whatever the file
+// holds, opening it never fails or panics, replays only valid antibodies,
+// at most truncates the file, and is idempotent: a second open replays the
+// same IDs in the same order and leaves the file byte-identical.
+func FuzzWALReplay(f *testing.F) {
+	frames := func(fs ...[]byte) []byte { return bytes.Join(fs, nil) }
+	clean := frames(walFrame(f, 0, mkAb("ab-0", "p")), walFrame(f, 1, mkAb("ab-1", "p")), walFrame(f, 2, mkAb("ab-2", "q")))
+	badCRC := walFrame(f, 1, mkAb("ab-1", "p"))
+	badCRC[5] ^= 0xff
+	var huge [8]byte
+	binary.BigEndian.PutUint32(huge[0:4], 16<<20)
+	f.Add(clean)
+	f.Add(clean[:len(clean)-5])
+	f.Add(frames(walFrame(f, 0, mkAb("ab-0", "p")), badCRC))
+	f.Add(huge[:])
+	f.Add(frames(walFrame(f, 2, mkAb("ab-2", "p")), walFrame(f, 0, mkAb("ab-0", "p")), walFrame(f, 1, mkAb("ab-1", "p"))))
+	f.Add(frames(walFrame(f, 0, mkAb("ab-0", "p")), walFrame(f, 1, mkAb("ab-0", "p"))))
+	f.Add(rawFrame([]byte(`{"seq":0,"antibody":{"id":"ab-0","program":"p","vsefs":[null]}}`)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, dir := openLog(t, data)
+		first := ids(st.All())
+		for _, a := range st.All() {
+			if err := a.Validate(); err != nil {
+				t.Fatalf("replayed an invalid antibody: %v", err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, walFileName)
+		kept, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, kept) {
+			t.Fatalf("open rewrote the log instead of truncating it (%d -> %d bytes)", len(data), len(kept))
+		}
+		st2, err := OpenDurable(dir, DurableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		second := ids(st2.All())
+		if err := st2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(first, second) {
+			t.Fatalf("second open replayed %v, first %v", second, first)
+		}
+		again, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(kept, again) {
+			t.Fatal("second open changed the log")
+		}
+	})
 }

@@ -13,7 +13,7 @@ import (
 type FleetOptions struct {
 	// DataDir is the root of the daemon's persistent state:
 	//
-	//	<DataDir>/antibodies/  — antibody WAL + snapshot (antibody.OpenDurable)
+	//	<DataDir>/antibodies/  — the antibody log, wal.log (antibody.OpenDurable)
 	//	<DataDir>/checkpoints/ — content-addressed checkpoint store
 	//
 	// Empty means fully in-memory.

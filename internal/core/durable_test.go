@@ -169,7 +169,8 @@ func hashTree(t *testing.T, root string) map[string][32]byte {
 // TestDurableStoreSurvivesStopStartByteIdentical: once a generation has
 // stopped cleanly, an idle stop/start cycle (open, serve nothing new, stop)
 // must leave every byte of the data directory exactly as it found it — no
-// rewritten manifests, no new or rewritten pages.
+// rewritten manifests, no new or rewritten pages, an antibody log that is
+// only read — from the first restart on.
 func TestDurableStoreSurvivesStopStartByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 
@@ -204,19 +205,44 @@ func TestDurableStoreSurvivesStopStartByteIdentical(t *testing.T) {
 		return hashTree(t, dir)
 	}
 
-	first := cycle()
-	second := cycle()
-	if len(first) != len(second) {
-		t.Fatalf("file count changed across idle cycles: %d -> %d", len(first), len(second))
+	stopped := hashTree(t, dir)
+	for c := 1; c <= 2; c++ {
+		after := cycle()
+		if len(after) != len(stopped) {
+			t.Fatalf("idle cycle %d: file count %d -> %d", c, len(stopped), len(after))
+		}
+		for rel, h := range stopped {
+			h2, ok := after[rel]
+			if !ok {
+				t.Errorf("idle cycle %d: file %s vanished", c, rel)
+			} else if h != h2 {
+				t.Errorf("idle cycle %d: file %s changed", c, rel)
+			}
+		}
 	}
-	for rel, h := range first {
-		h2, ok := second[rel]
-		if !ok {
-			t.Errorf("file %s vanished across an idle stop/start cycle", rel)
-			continue
-		}
-		if h != h2 {
-			t.Errorf("file %s changed across an idle stop/start cycle", rel)
-		}
+	if _, ok := stopped[filepath.Join("antibodies", "wal.log")]; !ok {
+		t.Error("the antibody store is not one wal.log")
+	}
+}
+
+// TestDurableFleetRefusesOlderAntibodyStore: an antibody directory in the
+// older snapshot + log format is not read; the fleet counts one durability
+// warning and defends with an in-memory store.
+func TestDurableFleetRefusesOlderAntibodyStore(t *testing.T) {
+	dir := t.TempDir()
+	abDir := filepath.Join(dir, "antibodies")
+	if err := os.MkdirAll(abDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(abDir, "snapshot.json"), []byte(`{"antibodies":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f := NewFleetWithOptions(FleetOptions{DataDir: dir})
+	defer f.Stop()
+	if got := f.Durability().Warnings; got != 1 {
+		t.Errorf("Warnings = %d, want 1", got)
+	}
+	if f.Store().Durable() {
+		t.Error("the fleet opened an older-format antibody store as durable")
 	}
 }

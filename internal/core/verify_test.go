@@ -2,12 +2,15 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"sweeper/internal/analysis/membug"
 	"sweeper/internal/analysis/taint"
 	"sweeper/internal/antibody"
 	"sweeper/internal/apps"
 	"sweeper/internal/exploit"
+	"sweeper/internal/federate"
+	"sweeper/internal/metrics"
 )
 
 // genuineFinalAntibody runs the full defence for an app on a standalone
@@ -452,4 +455,61 @@ func TestMaliciousVSEFOnlyAntibodyCannotTakeDownGuest(t *testing.T) {
 		t.Errorf("guest served %d requests, want all of them despite the rogue probe", st.RequestsServed)
 	}
 	f.Stop()
+}
+
+// TestMalformedPeerAntibodyCannotCrashVerifyingConsumer: a peer serving
+// antibodies with a nil VSEF or a nil signature must not reach a verifying
+// guest, whose adoption would dereference the nil on its serving goroutine
+// and take the whole daemon down. The federation boundary refuses the batch
+// and the guest keeps serving.
+func TestMalformedPeerAntibodyCannotCrashVerifyingConsumer(t *testing.T) {
+	f := newVerifyingConsumer(t, "squid", "squid-consumer", 424242)
+	defer f.Stop()
+
+	rogue := antibody.NewStore()
+	for _, raw := range []string{
+		`{"id":"p-attack1-initial","program":"squid","vsefs":[null]}`,
+		`{"id":"p-attack1-final","program":"squid","signatures":[null],"exploit_input":"QUFBQQ=="}`,
+	} {
+		a, err := antibody.Unmarshal([]byte(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rogue.Publish(a) // a store takes what it is given; the boundary checks
+	}
+	hub := federate.NewHub()
+	defer hub.Close()
+	if _, err := hub.Register("rogue", rogue, metrics.NewFederationRecorder(), ""); err != nil {
+		t.Fatal(err)
+	}
+	rec := metrics.NewFederationRecorder()
+	node := federate.NewNode(f.Store(), rec, federate.Config{Name: "consumer", PollInterval: time.Millisecond})
+	defer node.Close()
+	tr, err := hub.Dial("rogue", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := node.AddTransport(tr); err != nil {
+		t.Fatal(err)
+	}
+	f.Drain()
+	if n := f.Store().Len(); n != 0 {
+		t.Fatalf("consumer store took %d malformed antibodies", n)
+	}
+	if rec.Snapshot().Rejected == 0 {
+		t.Error("the malformed batch was not counted Rejected")
+	}
+
+	served := statsOf(f, "squid-consumer").RequestsServed
+	if !f.Submit("squid-consumer", exploit.Benign("squid", 3), "client", false) {
+		t.Fatal("benign request filtered")
+	}
+	f.Drain()
+	g, _ := f.Guest("squid-consumer")
+	if err := g.ServeError(); err != nil {
+		t.Fatalf("guest stopped serving: %v", err)
+	}
+	if got := statsOf(f, "squid-consumer").RequestsServed; got != served+1 {
+		t.Fatalf("guest served %d requests, want %d", got, served+1)
+	}
 }

@@ -13,7 +13,6 @@
 package federate
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -199,18 +198,19 @@ func authorized(rec *metrics.FederationRecorder, want, got string) bool {
 
 // accept is the one way antibodies from a peer enter a store, whether pushed
 // to the HTTP server or a hub endpoint or pulled by a node. A batch holding
-// an antibody without an ID or a program is refused whole and counted
-// Rejected; otherwise every antibody is published, counted Received when the
-// store had not seen it (accepted counts these) and Duplicates when it had —
-// the dedup that terminates gossip loops. Nothing is verified here: that
-// happens on the adopting guests, not at the network boundary. tag, when
-// non-nil, is told of each antibody before it is published and again when
-// the store refuses it as a duplicate.
+// an antibody that fails Validate (no ID, no program, a nil VSEF or
+// signature) is refused whole and counted Rejected; otherwise every antibody
+// is published, counted Received when the store had not seen it (accepted
+// counts these) and Duplicates when it had — the dedup that terminates
+// gossip loops. Nothing is verified here beyond that shape: whether the
+// antibody is right is decided on the adopting guests, not at the network
+// boundary. tag, when non-nil, is told of each antibody before it is
+// published and again when the store refuses it as a duplicate.
 func accept(store *antibody.Store, rec *metrics.FederationRecorder, abs []*antibody.Antibody, tag func(id string, arriving bool)) (accepted int, err error) {
 	for _, a := range abs {
-		if a == nil || a.ID == "" || a.Program == "" {
+		if err := a.Validate(); err != nil {
 			rec.Update(func(st *metrics.FederationStats) { st.Rejected++ })
-			return 0, errors.New("antibody without id or program")
+			return 0, err
 		}
 	}
 	for _, a := range abs {

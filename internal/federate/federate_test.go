@@ -200,6 +200,51 @@ func TestServerRejectsMalformedTraffic(t *testing.T) {
 	}
 }
 
+// TestMalformedAntibodyBatchRefused: an antibody carrying a nil VSEF or a
+// nil signature would panic whichever guest applied or verified it, so a
+// batch holding one is refused whole and counted over both transports, and
+// nothing of it reaches the store.
+func TestMalformedAntibodyBatchRefused(t *testing.T) {
+	var batch []*antibody.Antibody
+	for _, raw := range []string{
+		`{"id":"p-attack1-initial","program":"squid","vsefs":[null]}`,
+		`{"id":"p-attack1-final","program":"squid","signatures":[null],"exploit_input":"QUFBQQ=="}`,
+	} {
+		a, err := antibody.Unmarshal([]byte(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch = append(batch, a)
+	}
+
+	d := newDaemon(t, "srv")
+	hub := NewHub()
+	defer hub.Close()
+	e := newInprocDaemon(t, hub, "hub", "")
+	transports := []struct {
+		name  string
+		tr    Transport
+		store *antibody.Store
+		rec   *metrics.FederationRecorder
+	}{
+		{"http", NewPeer(d.srv.URL, time.Second), d.store, d.rec},
+		{"hub", dialInproc(t, hub, "hub", ""), e.store, e.rec},
+	}
+	for _, x := range transports {
+		for _, a := range batch {
+			if _, err := x.tr.Push("rogue", []*antibody.Antibody{ab("fine", "squid"), a}); err == nil {
+				t.Errorf("%s: push of %s was accepted", x.name, a.ID)
+			}
+		}
+		if x.store.Len() != 0 {
+			t.Errorf("%s: store holds %d antibodies from refused batches", x.name, x.store.Len())
+		}
+		if got := x.rec.Snapshot().Rejected; got != len(batch) {
+			t.Errorf("%s: Rejected = %d, want %d", x.name, got, len(batch))
+		}
+	}
+}
+
 // TestPeerPullPaginatesWithCursor: cursor pulls see exactly the antibodies
 // published after the cursor was handed out.
 func TestPeerPullPaginatesWithCursor(t *testing.T) {

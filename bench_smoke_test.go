@@ -22,12 +22,6 @@ var benchOnce = map[string]func(tb testing.TB){
 	"BenchmarkTable2DefenseSquid":      func(tb testing.TB) { defenseOnce(tb, "squid") },
 	"BenchmarkTable3AnalysisApache1":   func(tb testing.TB) { analysisTimesOnce(tb, "apache1") },
 	"BenchmarkTable3AnalysisSquid":     func(tb testing.TB) { analysisTimesOnce(tb, "squid") },
-	"BenchmarkTable3ParallelVsSequential": func(tb testing.TB) {
-		seq, par := engineComparisonOnce(tb)
-		if seq.antibodySec <= 0 || par.antibodySec <= 0 || seq.totalSec <= 0 || par.totalSec <= 0 {
-			tb.Fatalf("implausible analysis times: sequential %+v, parallel %+v", seq, par)
-		}
-	},
 	"BenchmarkTable3PooledVsFreshClone": func(tb testing.TB) {
 		freshNs, pooledNs := pooledVsFreshOnce(tb)
 		if freshNs <= 0 || pooledNs <= 0 {

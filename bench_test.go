@@ -98,65 +98,6 @@ func benchmarkAnalysisTimes(b *testing.B, app string) {
 func BenchmarkTable3AnalysisApache1(b *testing.B) { benchmarkAnalysisTimes(b, "apache1") }
 func BenchmarkTable3AnalysisSquid(b *testing.B)   { benchmarkAnalysisTimes(b, "squid") }
 
-// engineTiming is one engine's Table 3 headline numbers: the wall-clock
-// until the final antibody shipped (what internet-scale response time is
-// about — it excludes the slicing cross-check, which the antibody does not
-// depend on) and the total including slicing.
-type engineTiming struct {
-	antibodySec float64
-	totalSec    float64
-}
-
-// engineComparisonOnce runs the heaviest evaluation app through the full
-// defence pipeline under both analysis engines: the parallel engine
-// re-executes membug, taint and slicing concurrently on independent COW
-// clones of the rollback checkpoint, the sequential engine one after
-// another. Each engine is timed best-of-3 with a GC in between, so the
-// comparison reflects the engines rather than collector noise (the slicing
-// replay dominates the totals and allocates heavily).
-func engineComparisonOnce(tb testing.TB) (sequential, parallel engineTiming) {
-	bestOf := func(wantParallel bool) engineTiming {
-		best := engineTiming{antibodySec: -1, totalSec: -1}
-		for i := 0; i < 3; i++ {
-			runtime.GC()
-			run, err := experiments.RunDefense("squid", 8, 8, func(c *core.Config) { c.ParallelAnalysis = wantParallel })
-			if err != nil {
-				tb.Fatal(err)
-			}
-			if run.Report.Parallel != wantParallel {
-				tb.Fatal("engine configuration was not honoured")
-			}
-			if v := run.Report.TimeToFinalAntibody.Seconds(); best.antibodySec < 0 || v < best.antibodySec {
-				best.antibodySec = v
-			}
-			if v := run.Report.TotalAnalysisTime.Seconds(); best.totalSec < 0 || v < best.totalSec {
-				best.totalSec = v
-			}
-		}
-		return best
-	}
-	return bestOf(false), bestOf(true)
-}
-
-func BenchmarkTable3ParallelVsSequential(b *testing.B) {
-	var seqAb, parAb, seqTot, parTot float64
-	for i := 0; i < b.N; i++ {
-		seq, par := engineComparisonOnce(b)
-		seqAb += seq.antibodySec
-		parAb += par.antibodySec
-		seqTot += seq.totalSec
-		parTot += par.totalSec
-	}
-	n := float64(b.N)
-	b.ReportMetric(seqAb/n*1e3, "ms-to-antibody-sequential")
-	b.ReportMetric(parAb/n*1e3, "ms-to-antibody-parallel")
-	b.ReportMetric(seqTot/n*1e3, "ms-total-sequential")
-	b.ReportMetric(parTot/n*1e3, "ms-total-parallel")
-	if parAb > 0 {
-		b.ReportMetric(seqAb/parAb, "antibody-speedup-x")
-	}
-}
-
 // --- Table 3 variant: pooled vs fresh clone sandboxes ---
 
 // pooledVsFreshOnce measures per-attack analysis-sandbox setup cost on the

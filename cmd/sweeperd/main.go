@@ -19,7 +19,6 @@
 //	sweeperd -app squid -guests 4
 //	sweeperd -app apache1,cvs -benign 50 -variants 2
 //	sweeperd -app cvs -no-aslr -shadow-stack
-//	sweeperd -app squid -sequential
 //
 //	# a federated pair: a producer that gets attacked and a consumer that
 //	# only ever sees the antibody arrive over the wire
@@ -82,7 +81,6 @@ func main() {
 		interval     = flag.Uint64("checkpoint-ms", 200, "checkpoint interval in virtual milliseconds")
 		noASLR       = flag.Bool("no-aslr", false, "disable address-space randomisation")
 		shadowStack  = flag.Bool("shadow-stack", false, "enable the shadow-stack lightweight monitor")
-		sequential   = flag.Bool("sequential", false, "run the heavyweight analyses sequentially instead of in parallel")
 		analyses     = flag.String("analyses", "membug,taint,slicing", "comma-separated analyses to run after detection (registered: membug, taint, slicing)")
 		showAntibody = flag.Bool("show-antibody", false, "print each final antibody as JSON")
 		listen       = flag.String("listen", "", "serve the antibody store to federation peers on this address (e.g. 127.0.0.1:7070)")
@@ -93,7 +91,7 @@ func main() {
 		linger       = flag.Duration("linger", 0, "keep the daemon alive this long after the scripted workload, serving peers and absorbing gossip")
 		tcpListen    = flag.String("tcp-listen", "", "serve framed TCP requests to the guests from this base address (e.g. 127.0.0.1:7400; guest i takes the base port plus i, or an ephemeral port when it is 0); the daemon then runs until interrupted")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060) for profiling the live daemon")
-		dataDir      = flag.String("data-dir", "", "persist the antibody store (write-ahead log + snapshot) and guest checkpoints under this directory; a restarted daemon replays the WAL and warm-restores its guests from it")
+		dataDir      = flag.String("data-dir", "", "persist the antibody store (one append-only log, wal.log) and guest checkpoints under this directory; a restarted daemon replays the WAL and warm-restores its guests from it")
 	)
 	flag.Parse()
 	if *guests < 1 {
@@ -151,7 +149,6 @@ func main() {
 			// Every guest gets its own randomised layout, like distinct hosts.
 			cfg.ASLRSeed = 0x5eed + int64(i)*7919
 			cfg.ShadowStack = *shadowStack
-			cfg.ParallelAnalysis = !*sequential
 			cfg.Analyses = selected
 			cfg.VerifyAdoption = verify
 			guestName := fmt.Sprintf("%s-%d", spec.Name, i)
@@ -161,12 +158,8 @@ func main() {
 			fmt.Printf("sweeperd: protecting %s (%s, %s)\n", guestName, spec.CVE, spec.BugType)
 		}
 	}
-	engine := "parallel"
-	if *sequential {
-		engine = "sequential"
-	}
-	fmt.Printf("  analysis engine: %s; analyses: %s; checkpoints every %d ms; verify-before-adopt: %v\n",
-		engine, strings.Join(selected, ","), *interval, verify)
+	fmt.Printf("  analyses: %s; checkpoints every %d ms; verify-before-adopt: %v\n",
+		strings.Join(selected, ","), *interval, verify)
 
 	// Federation: serve our store to peers and gossip with theirs.
 	fedRec := metrics.NewFederationRecorder()
@@ -346,17 +339,12 @@ func main() {
 	}
 	for _, g := range fleet.Guests() {
 		s := g.Sweeper()
-		lats := s.AnalyzerLatencies()
-		if len(lats) == 0 {
+		created, reused := s.ClonePoolStats()
+		if created+reused == 0 {
 			continue
 		}
-		created, reused := s.ClonePoolStats()
-		fmt.Printf("%-12s analyzer latency:", g.Name())
-		for _, l := range lats {
-			fmt.Printf(" %s mean=%v max=%v (%d runs)", l.Name, l.Mean().Round(10_000), l.Max.Round(10_000), l.Runs)
-		}
-		fmt.Printf("; sandboxes built=%d pooled=%d; deferred backlog=%d dropped=%d\n",
-			created, reused, s.DeferredBacklog(), s.DeferredDropped())
+		fmt.Printf("%-12s sandboxes built=%d pooled=%d; deferred backlog=%d dropped=%d\n",
+			g.Name(), created, reused, s.DeferredBacklog(), s.DeferredDropped())
 	}
 	if federated {
 		fs := fedRec.Snapshot()
@@ -370,8 +358,7 @@ func main() {
 			// Deferred analyses (the slicing cross-check) complete after a
 			// guest resumes service; join before printing their results.
 			r.Wait()
-			fmt.Printf("\n=== attack %d on %s (virtual t=%d ms, %s engine) ===\n",
-				r.Seq, g.Name(), r.DetectedAtMs, map[bool]string{true: "parallel", false: "sequential"}[r.Parallel])
+			fmt.Printf("\n=== attack %d on %s (virtual t=%d ms) ===\n", r.Seq, g.Name(), r.DetectedAtMs)
 			fmt.Printf("detected : %s\n", r.Detection.Reason)
 			fmt.Printf("#1 memory state  (%v): %s\n", r.Steps[0].Duration.Round(10_000), r.CoreDump.Summary())
 			if r.InitialAntibody != nil && len(r.InitialAntibody.VSEFs) > 0 {

@@ -43,8 +43,6 @@ type AttackReport struct {
 	Seq          int
 	DetectedAtMs uint64
 	Detection    monitor.Detection
-	// Parallel records which analysis engine handled the attack.
-	Parallel bool
 
 	// Analysis results.
 	CoreDump         *coredump.Report
@@ -108,6 +106,12 @@ type AttackReport struct {
 	// recovery uninstalls it and retries rather than letting it take the
 	// service down.
 	BadProbesRemoved []string
+
+	// inFlightRequestID is the request being served when the monitor tripped
+	// (0 if none). Recovery re-executes it in replay mode, where its sends
+	// never reach the client, so unless it is the excised culprit nothing
+	// else answers it (see Guest.respondAttack).
+	inFlightRequestID int
 
 	// mu seals the deferred-tier fields (and Steps, which both tiers append
 	// to) until done closes. parts counts the writers that must finish before
@@ -316,6 +320,7 @@ func (s *Sweeper) HandleAttack(stop *vm.StopInfo, det monitor.Detection) *Attack
 	s.attackSeq++
 	t0 := time.Now()
 	report := newAttackReport(s.attackSeq, s.proc.Machine.NowMillis(), det)
+	report.inFlightRequestID = s.proc.CurrentRequestID()
 
 	// --- Step 1: memory-state (core dump) analysis, no rollback needed. ---
 	t := time.Now()
@@ -361,13 +366,12 @@ func (s *Sweeper) HandleAttack(stop *vm.StopInfo, det monitor.Detection) *Attack
 
 	// --- Steps 2-4: the heavyweight rollback-and-replay analyses, scheduled
 	// by the pipeline. Each analyzer runs on its own (pooled) copy-on-write
-	// clone of the checkpoint — concurrently when cfg.ParallelAnalysis is set;
-	// the live process is never rolled back for analysis, only for recovery
-	// below. Each fast-tier analyzer is joined exactly when its result is
-	// needed, so every antibody stage ships as early as its inputs allow.
+	// clone of the checkpoint, the fast tier concurrently; the live process
+	// is never rolled back for analysis, only for recovery below. Each
+	// fast-tier analyzer is joined exactly when its result is needed, so
+	// every antibody stage ships as early as its inputs allow.
 	run := s.startAnalyses(snap)
 	run.ctx.Implicate("coredump", cd.FaultPC)
-	report.Parallel = run.parallel
 
 	// --- Step 2 results: memory-bug detection and the refined antibody. ---
 	var membugPrimary *membug.Finding

@@ -12,10 +12,12 @@ import (
 // isolateInput identifies the exploit request by replaying the requests
 // received since the checkpoint one at a time — each on its own (pooled)
 // clone — and seeing which one reproduces the failure (the fallback the paper
-// also uses when taint analysis alone cannot name the input). In parallel
-// mode a bounded worker pool (one per CPU) replays candidates concurrently
-// and stops handing out work past the earliest reproducer found; the first
-// reproducing candidate in arrival order is returned either way.
+// also uses when taint analysis alone cannot name the input). A bounded
+// worker pool (one per usable processor) replays candidates concurrently and
+// stops handing out work past the earliest reproducer found; the first
+// reproducing candidate in arrival order is returned. With one processor the
+// pool is one worker trying the candidates in order, stopping at the first
+// reproducer.
 func (s *Sweeper) isolateInput(snap *proc.Snapshot) int {
 	candidates := s.proc.Log.RequestsSince(snap.LogLen)
 	if len(candidates) == 0 {
@@ -41,18 +43,7 @@ func (s *Sweeper) isolateInput(snap *proc.Snapshot) int {
 		stop := sb.Run()
 		return stop.Reason == vm.StopFault || stop.Reason == vm.StopViolation
 	}
-	if !s.cfg.ParallelAnalysis {
-		for i := range candidates {
-			if tryCandidate(i) {
-				return candidates[i]
-			}
-		}
-		return -1
-	}
-	workers := runtime.NumCPU()
-	if workers > len(candidates) {
-		workers = len(candidates)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(candidates))
 	var (
 		mu   sync.Mutex
 		next int

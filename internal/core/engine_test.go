@@ -2,7 +2,7 @@ package core
 
 import (
 	"bytes"
-	"fmt"
+	"runtime"
 	"testing"
 
 	"sweeper/internal/analysis"
@@ -12,10 +12,10 @@ import (
 )
 
 // runFullCycle drives the complete detect → analyze → inoculate → recover
-// cycle for one app under the given engine and returns the Sweeper.
-func runFullCycle(t *testing.T, appName string, parallel bool) *Sweeper {
+// cycle for one app and returns the Sweeper.
+func runFullCycle(t *testing.T, appName string) *Sweeper {
 	t.Helper()
-	s, spec := newSweeperFor(t, appName, func(c *Config) { c.ParallelAnalysis = parallel })
+	s, spec := newSweeperFor(t, appName, nil)
 	payload, err := exploit.Exploit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -51,56 +51,57 @@ func marshalAll(t *testing.T, abs []*antibody.Antibody) []string {
 	return out
 }
 
-// TestParallelAndSequentialEnginesProduceIdenticalAntibodies is the
-// cross-check the sequential engine is kept for: both engines replay the
-// same attack window from the same checkpoint, so every antibody (initial,
-// refined, final — VSEFs, signatures, exploit input and all) must be
-// byte-identical, for every evaluation application.
-func TestParallelAndSequentialEnginesProduceIdenticalAntibodies(t *testing.T) {
+// TestAntibodiesIndependentOfSchedule: the fast-tier analyzers and the
+// isolation workers run on goroutines, so the order in which their replays
+// interleave is the runtime's choice. Antibodies must not depend on it. Each
+// evaluation application's full cycle runs at GOMAXPROCS 1 — where the
+// analyzer goroutines run one after another, the paper's sequential order —
+// and again at GOMAXPROCS 4; every antibody (initial, refined, final — VSEFs,
+// signatures, exploit input and all) must be byte-identical, and the analyses
+// must have reached the same conclusions. It changes a process-wide setting,
+// so it must not run in parallel with other tests.
+func TestAntibodiesIndependentOfSchedule(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, appName := range []string{"apache1", "apache2", "cvs", "squid"} {
 		t.Run(appName, func(t *testing.T) {
-			seq := runFullCycle(t, appName, false)
-			par := runFullCycle(t, appName, true)
+			runtime.GOMAXPROCS(1)
+			one := runFullCycle(t, appName)
+			runtime.GOMAXPROCS(4)
+			four := runFullCycle(t, appName)
 
-			if seq.Attacks()[0].Parallel {
-				t.Fatal("sequential run reported the parallel engine")
+			oneAbs := marshalAll(t, one.Antibodies())
+			fourAbs := marshalAll(t, four.Antibodies())
+			if len(oneAbs) != len(fourAbs) {
+				t.Fatalf("antibody count differs: GOMAXPROCS=1 %d, GOMAXPROCS=4 %d", len(oneAbs), len(fourAbs))
 			}
-			if !par.Attacks()[0].Parallel {
-				t.Fatal("parallel run reported the sequential engine")
-			}
-
-			seqAbs := marshalAll(t, seq.Antibodies())
-			parAbs := marshalAll(t, par.Antibodies())
-			if len(seqAbs) != len(parAbs) {
-				t.Fatalf("antibody count differs: sequential %d, parallel %d", len(seqAbs), len(parAbs))
-			}
-			for i := range seqAbs {
-				if seqAbs[i] != parAbs[i] {
-					t.Errorf("antibody %d differs:\nsequential: %s\nparallel:   %s", i, seqAbs[i], parAbs[i])
+			for i := range oneAbs {
+				if oneAbs[i] != fourAbs[i] {
+					t.Errorf("antibody %d differs:\nGOMAXPROCS=1: %s\nGOMAXPROCS=4: %s", i, oneAbs[i], fourAbs[i])
 				}
 			}
 
-			// The analyses must have reached the same conclusions, not just
-			// the same artifacts.
-			sr, pr := seq.Attacks()[0], par.Attacks()[0]
-			if sr.CulpritRequestID != pr.CulpritRequestID {
-				t.Errorf("culprit differs: sequential %d, parallel %d", sr.CulpritRequestID, pr.CulpritRequestID)
+			r1, r4 := one.Attacks()[0], four.Attacks()[0]
+			if r1.CulpritRequestID != r4.CulpritRequestID {
+				t.Errorf("culprit differs: %d at GOMAXPROCS=1, %d at 4", r1.CulpritRequestID, r4.CulpritRequestID)
 			}
-			if !bytes.Equal(sr.CulpritPayload, pr.CulpritPayload) {
-				t.Error("culprit payload differs between engines")
+			if !bytes.Equal(r1.CulpritPayload, r4.CulpritPayload) {
+				t.Error("culprit payload differs between schedules")
 			}
-			if len(sr.MemBugFindings) != len(pr.MemBugFindings) {
-				t.Errorf("membug findings differ: sequential %d, parallel %d", len(sr.MemBugFindings), len(pr.MemBugFindings))
+			if r1.IsolationUsed != r4.IsolationUsed {
+				t.Errorf("isolation used: %v at GOMAXPROCS=1, %v at 4", r1.IsolationUsed, r4.IsolationUsed)
 			}
-			if sr.TaintDetected != pr.TaintDetected {
-				t.Error("taint detection differs between engines")
+			if len(r1.MemBugFindings) != len(r4.MemBugFindings) {
+				t.Errorf("membug findings differ: %d at GOMAXPROCS=1, %d at 4", len(r1.MemBugFindings), len(r4.MemBugFindings))
 			}
-			if sr.SliceNodes != pr.SliceNodes || sr.SliceInstrs != pr.SliceInstrs {
-				t.Errorf("slice differs: sequential %d/%d, parallel %d/%d",
-					sr.SliceNodes, sr.SliceInstrs, pr.SliceNodes, pr.SliceInstrs)
+			if r1.TaintDetected != r4.TaintDetected {
+				t.Error("taint verdict differs between schedules")
 			}
-			if sr.SliceConsistent != pr.SliceConsistent {
-				t.Error("slice consistency differs between engines")
+			if r1.SliceNodes != r4.SliceNodes || r1.SliceInstrs != r4.SliceInstrs {
+				t.Errorf("slice differs: %d/%d at GOMAXPROCS=1, %d/%d at 4",
+					r1.SliceNodes, r1.SliceInstrs, r4.SliceNodes, r4.SliceInstrs)
+			}
+			if r1.SliceConsistent != r4.SliceConsistent {
+				t.Error("slice consistency differs between schedules")
 			}
 		})
 	}
@@ -209,14 +210,14 @@ func TestDeferredTierCompletesAfterServiceResumes(t *testing.T) {
 	close(gate.release)
 	<-readerDone
 
-	// The per-analyzer latency recorder saw every analyzer, custom included.
-	names := make(map[string]bool)
-	for _, l := range s.AnalyzerLatencies() {
-		names[l.Name] = true
+	// The report timed every analyzer, custom included.
+	steps := make(map[string]bool)
+	for _, st := range report.StepDurations() {
+		steps[st.Name] = true
 	}
-	for _, want := range []string{"membug", "taint", "slicing", "test.gate"} {
-		if !names[want] {
-			t.Errorf("no latency recorded for analyzer %q (have %v)", want, names)
+	for _, want := range []string{"memory-bug", "input-taint", "slicing", "test.gate"} {
+		if !steps[want] {
+			t.Errorf("no Steps entry for analyzer %q (have %v)", want, steps)
 		}
 	}
 }
@@ -289,7 +290,7 @@ func (fastStub) Run(ctx *analysis.Context, sb *analysis.Sandbox) (analysis.Findi
 }
 
 // TestCustomFastAnalyzerRecordedInReport: a registered custom fast-tier
-// analyzer contributes a finding, a Steps entry and a latency sample.
+// analyzer contributes a finding and a Steps entry.
 func TestCustomFastAnalyzerRecordedInReport(t *testing.T) {
 	reg := DefaultRegistry()
 	if err := reg.Register(fastStub{}); err != nil {
@@ -319,51 +320,38 @@ func TestCustomFastAnalyzerRecordedInReport(t *testing.T) {
 	if !found {
 		t.Error("custom fast analyzer has no Steps entry")
 	}
-	names := make(map[string]bool)
-	for _, l := range s.AnalyzerLatencies() {
-		names[l.Name] = true
-	}
-	if !names["test.faststub"] {
-		t.Error("custom fast analyzer has no latency sample")
-	}
 }
 
-// TestFullCycleBothEngines runs the complete defence cycle under each engine
-// and asserts the pipeline outcome (detection, analysis, inoculation and
-// recovery) end to end for all four apps.
-func TestFullCycleBothEngines(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		for _, appName := range []string{"apache1", "apache2", "cvs", "squid"} {
-			name := fmt.Sprintf("%s/sequential", appName)
-			if parallel {
-				name = fmt.Sprintf("%s/parallel", appName)
+// TestFullCycle runs the complete defence cycle and asserts the pipeline
+// outcome (detection, analysis, inoculation and recovery) end to end for all
+// four apps.
+func TestFullCycle(t *testing.T) {
+	for _, appName := range []string{"apache1", "apache2", "cvs", "squid"} {
+		t.Run(appName, func(t *testing.T) {
+			s := runFullCycle(t, appName)
+			r := s.Attacks()[0]
+			if !r.Recovered {
+				t.Error("recovery did not complete")
 			}
-			t.Run(name, func(t *testing.T) {
-				s := runFullCycle(t, appName, parallel)
-				r := s.Attacks()[0]
-				if !r.Recovered {
-					t.Error("recovery did not complete")
-				}
-				if s.Halted() {
-					t.Error("protected server halted")
-				}
-				if r.CulpritRequestID < 0 {
-					t.Error("exploit input was not identified")
-				}
-				if r.FinalAntibody == nil || len(r.FinalAntibody.VSEFs) == 0 {
-					t.Fatal("no final antibody / VSEFs generated")
-				}
-				if len(r.FinalAntibody.Sigs) == 0 {
-					t.Error("no input signature generated")
-				}
-				if !r.SliceConsistent {
-					t.Errorf("backward slice missing implicated instructions: %v", r.MissingFromSlice)
-				}
-				// Inoculation: the identical exploit must now be filtered.
-				if s.Submit(r.CulpritPayload, "worm", true) {
-					t.Error("identical exploit not filtered after recovery")
-				}
-			})
-		}
+			if s.Halted() {
+				t.Error("protected server halted")
+			}
+			if r.CulpritRequestID < 0 {
+				t.Error("exploit input was not identified")
+			}
+			if r.FinalAntibody == nil || len(r.FinalAntibody.VSEFs) == 0 {
+				t.Fatal("no final antibody / VSEFs generated")
+			}
+			if len(r.FinalAntibody.Sigs) == 0 {
+				t.Error("no input signature generated")
+			}
+			if !r.SliceConsistent {
+				t.Errorf("backward slice missing implicated instructions: %v", r.MissingFromSlice)
+			}
+			// Inoculation: the identical exploit must now be filtered.
+			if s.Submit(r.CulpritPayload, "worm", true) {
+				t.Error("identical exploit not filtered after recovery")
+			}
+		})
 	}
 }

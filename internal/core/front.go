@@ -12,9 +12,10 @@ import (
 // filtering proxy, and writing each request's response (the concatenated
 // guest sends) back on the submitting connection when the request completes.
 // A request excised as an attack input during recovery is answered with
-// StatusAbsorbed; if the guest halts, outstanding and future requests are
-// answered with StatusUnavailable (daemon shutdown answers with
-// StatusError).
+// StatusAbsorbed; a request that tripped detection without being excised
+// (a wrong VSEF firing on benign input) with StatusUnavailable; if the guest
+// halts, outstanding and future requests are answered with StatusUnavailable
+// (daemon shutdown answers with StatusError).
 //
 // Attach before Fleet.Start (or any Submit traffic): the completion hooks it
 // installs run on the serving goroutine and must not race its launch. The
@@ -110,12 +111,19 @@ func (g *Guest) respondServed(reqID int) {
 // recorded, before queued benign requests resume service. A failed recovery
 // means the guest is going down: every in-flight waiter is failed with
 // StatusUnavailable here, at the point the halt is discovered, not left for
-// the serve-loop sweep.
+// the serve-loop sweep. After a successful recovery, the request that was
+// being served at detection — when it is not the culprit, e.g. a benign
+// request that tripped a wrong VSEF — was re-executed in replay mode, which
+// answers no one; it gets StatusUnavailable.
 func (g *Guest) respondAttack(report *AttackReport) {
 	if report.CulpritRequestID >= 0 {
 		g.listener.Resolve(report.CulpritRequestID, netproxy.StatusAbsorbed, nil)
 	}
 	if !report.Recovered {
 		g.listener.ResolveAll(netproxy.StatusUnavailable)
+		return
+	}
+	if id := report.inFlightRequestID; id != 0 && id != report.CulpritRequestID {
+		g.listener.Resolve(id, netproxy.StatusUnavailable, nil)
 	}
 }

@@ -223,6 +223,68 @@ func TestFrontEndConcurrentClientsDuringAttack(t *testing.T) {
 	}
 }
 
+// TestFrontEndAnswersRequestThatTrippedAWrongVSEF: a wrong VSEF (the rogue
+// double-free guard, adopted from the shared store) fires on a benign request
+// that came in over the socket. Recovery uninstalls the probe and re-executes
+// that request in replay mode, where its reply never reaches the connection;
+// the request is not the excised culprit, so it must be answered
+// StatusUnavailable rather than left hanging, and the next benign request
+// must be served.
+func TestFrontEndAnswersRequestThatTrippedAWrongVSEF(t *testing.T) {
+	if testing.Short() {
+		t.Skip("socket test: run without -short")
+	}
+	f, _ := newFleetWith(t, "squid", 1)
+	g, _ := f.Guest("squid-0")
+	if err := g.AttachListener("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	defer f.Stop()
+	c, err := netproxy.Dial(g.ListenAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetTimeout(3 * time.Second)
+	// A request served before the rogue antibody arrives puts a second
+	// candidate in the replay window, so request isolation replays both and
+	// blames neither: the culprit is -1, as for any wrong VSEF.
+	if status, _, err := c.Do(exploit.Benign("squid", 0)); err != nil || status != netproxy.StatusOK {
+		t.Fatalf("benign request before the rogue antibody: status %s, err %v", netproxy.StatusName(status), err)
+	}
+	if !f.Store().Publish(rogueDoubleFreeAntibody(t)) {
+		t.Fatal("store rejected the rogue antibody")
+	}
+	f.Drain()
+
+	status, _, err := c.Do(exploit.Benign("squid", 1))
+	if err != nil {
+		t.Fatalf("request that tripped the wrong VSEF: %v", err)
+	}
+	if status != netproxy.StatusUnavailable {
+		t.Errorf("request that tripped the wrong VSEF: status %s, want unavailable", netproxy.StatusName(status))
+	}
+	status, resp, err := c.Do(exploit.Benign("squid", 2))
+	if err != nil {
+		t.Fatalf("next benign request: %v", err)
+	}
+	if status != netproxy.StatusOK || len(resp) == 0 {
+		t.Errorf("next benign request: status %s, %d payload bytes, want ok", netproxy.StatusName(status), len(resp))
+	}
+
+	f.Drain()
+	attacks := g.Sweeper().Attacks()
+	if len(attacks) != 1 {
+		t.Fatalf("attacks handled = %d, want 1", len(attacks))
+	}
+	if r := attacks[0]; !r.Recovered || r.CulpritRequestID >= 0 ||
+		len(r.BadProbesRemoved) != 1 || r.BadProbesRemoved[0] != "rogue-dos-vsef" {
+		t.Errorf("report: recovered=%v culprit=%d bad probes removed=%v, want true/-1/[rogue-dos-vsef]",
+			r.Recovered, r.CulpritRequestID, r.BadProbesRemoved)
+	}
+}
+
 // TestFrontEndStopFlushesWithClientConnected: a daemon told to stop while a
 // client still holds its connection open must hang up on the client, not wait
 // for it — the final checkpoint persist and the WAL fsync sit behind the

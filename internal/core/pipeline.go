@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"sweeper/internal/analysis"
@@ -79,44 +78,40 @@ func buildAnalyzers(cfg Config) ([]analysis.Analyzer, error) {
 // of vm.Machine.Run is noise.
 const deferredYieldInstrs = 50_000
 
-// analyzerRun is one analyzer's execution within a pipeline run. exec runs at
-// most once (goroutine in the parallel engine, lazily on join in the
-// sequential one) and closes done when the finding is in place.
+// analyzerRun is one analyzer's execution within a pipeline run. exec runs
+// once — on its own goroutine for the fast tier, on the deferred worker for
+// the deferred tier — and closes done when the finding is in place.
 type analyzerRun struct {
 	a        analysis.Analyzer
 	stepName string
 	sb       *analysis.Sandbox
 	sbErr    error
 
-	once    sync.Once
 	done    chan struct{}
 	finding analysis.Finding
 	err     error
 	dur     time.Duration
 }
 
-func (ar *analyzerRun) exec(ctx *analysis.Context, s *Sweeper) {
-	ar.once.Do(func() {
-		defer close(ar.done)
-		start := time.Now()
-		if ar.sbErr != nil {
-			ar.err = ar.sbErr
-		} else {
-			ar.finding, ar.err = ar.a.Run(ctx, ar.sb)
-			if ar.err == nil && ar.finding == nil && ar.sb.Exhausted() {
-				// A starved analyzer must be distinguishable from one that
-				// ran its window and found nothing; one that found something
-				// before running out keeps its finding as the outcome.
-				ar.err = fmt.Errorf("replay budget (%d instructions) exhausted", ar.sb.Budget)
-			}
-			ar.sb.Release()
+func (ar *analyzerRun) exec(ctx *analysis.Context) {
+	defer close(ar.done)
+	start := time.Now()
+	if ar.sbErr != nil {
+		ar.err = ar.sbErr
+	} else {
+		ar.finding, ar.err = ar.a.Run(ctx, ar.sb)
+		if ar.err == nil && ar.finding == nil && ar.sb.Exhausted() {
+			// A starved analyzer must be distinguishable from one that
+			// ran its window and found nothing; one that found something
+			// before running out keeps its finding as the outcome.
+			ar.err = fmt.Errorf("replay budget (%d instructions) exhausted", ar.sb.Budget)
 		}
-		ar.dur = time.Since(start)
-		if ar.finding != nil {
-			ctx.AddFinding(ar.a.Name(), ar.finding)
-		}
-		s.latency.Observe(ar.a.Name(), ar.dur)
-	})
+		ar.sb.Release()
+	}
+	ar.dur = time.Since(start)
+	if ar.finding != nil {
+		ctx.AddFinding(ar.a.Name(), ar.finding)
+	}
 }
 
 // pipelineRun is one attack's pass through the analysis pipeline. The fast
@@ -127,7 +122,6 @@ func (ar *analyzerRun) exec(ctx *analysis.Context, s *Sweeper) {
 type pipelineRun struct {
 	s        *Sweeper
 	ctx      *analysis.Context
-	parallel bool
 	byName   map[string]*analyzerRun
 	fast     []*analyzerRun
 	deferred []*analyzerRun
@@ -135,17 +129,14 @@ type pipelineRun struct {
 
 // startAnalyses builds a sandbox per configured analyzer (all on the calling
 // goroutine — the guest is stopped at the detection point, so the source
-// process is quiescent) and launches the fast tier. With
-// cfg.ParallelAnalysis the fast analyzers run concurrently, each replaying
-// the attack window on its own clone; otherwise each runs inside its join
-// call, preserving the paper's one-after-another order. The deferred tier
-// never starts here.
+// process is quiescent) and launches the fast tier: each fast analyzer runs
+// on its own goroutine, replaying the attack window on its own clone. The
+// deferred tier never starts here.
 func (s *Sweeper) startAnalyses(snap *proc.Snapshot) *pipelineRun {
 	run := &pipelineRun{
-		s:        s,
-		ctx:      analysis.NewContext(),
-		parallel: s.cfg.ParallelAnalysis,
-		byName:   make(map[string]*analyzerRun, len(s.analyzers)),
+		s:      s,
+		ctx:    analysis.NewContext(),
+		byName: make(map[string]*analyzerRun, len(s.analyzers)),
 	}
 	for _, a := range s.analyzers {
 		ar := &analyzerRun{
@@ -166,24 +157,18 @@ func (s *Sweeper) startAnalyses(snap *proc.Snapshot) *pipelineRun {
 			run.fast = append(run.fast, ar)
 		}
 	}
-	if run.parallel {
-		for _, ar := range run.fast {
-			go ar.exec(run.ctx, s)
-		}
+	for _, ar := range run.fast {
+		go ar.exec(run.ctx)
 	}
 	return run
 }
 
-// wait joins the named analyzer: in the sequential engine it runs the
-// analyzer now, in the parallel engine it blocks until the goroutine
-// finishes. It returns nil when the analyzer is not configured.
+// wait joins the named analyzer, blocking until its goroutine finishes. It
+// returns nil when the analyzer is not configured.
 func (r *pipelineRun) wait(name string) *analyzerRun {
 	ar := r.byName[name]
 	if ar == nil {
 		return nil
-	}
-	if !r.parallel {
-		ar.exec(r.ctx, r.s)
 	}
 	<-ar.done
 	return ar
@@ -193,9 +178,6 @@ func (r *pipelineRun) wait(name string) *analyzerRun {
 // so the final antibody never ships before the tier that gates it completes.
 func (r *pipelineRun) waitFast() {
 	for _, ar := range r.fast {
-		if !r.parallel {
-			ar.exec(r.ctx, r.s)
-		}
 		<-ar.done
 	}
 }
@@ -226,7 +208,7 @@ func (r *pipelineRun) finishDeferredAsync(report *AttackReport, t0 time.Time) {
 	report.addPart()
 	enqueued := r.s.enqueueDeferred(func() {
 		for _, ar := range r.deferred {
-			ar.exec(r.ctx, r.s)
+			ar.exec(r.ctx)
 			report.recordAnalyzer(ar)
 		}
 		seal()

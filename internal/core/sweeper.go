@@ -16,7 +16,6 @@ import (
 	"sweeper/internal/analysis"
 	"sweeper/internal/antibody"
 	"sweeper/internal/checkpoint"
-	"sweeper/internal/metrics"
 	"sweeper/internal/monitor"
 	"sweeper/internal/netproxy"
 	"sweeper/internal/proc"
@@ -47,13 +46,6 @@ type Config struct {
 	// attack is detected. Nil means every registered analyzer; an empty
 	// non-nil slice disables the heavyweight analyses entirely.
 	Analyses []string
-
-	// ParallelAnalysis runs the fast-tier analyzers concurrently, each
-	// replaying the attack window on its own copy-on-write clone of the
-	// rollback checkpoint, instead of one after another. The sequential path
-	// is kept as a cross-check; both engines produce byte-identical
-	// antibodies.
-	ParallelAnalysis bool
 
 	// VerifyAdoption makes the guest re-verify every antibody it did not
 	// generate itself before adopting it: the antibody's attached exploit
@@ -88,14 +80,12 @@ type Config struct {
 }
 
 // DefaultConfig returns the configuration used in the paper's experiments:
-// 200 ms checkpoints, ASLR on, all analyses enabled and run in parallel,
-// antibodies produced.
+// 200 ms checkpoints, ASLR on, all analyses enabled, antibodies produced.
 func DefaultConfig() Config {
 	return Config{
 		CheckpointIntervalMs: 200,
 		ASLR:                 true,
 		ASLRSeed:             0x5eed,
-		ParallelAnalysis:     true,
 		ProduceAntibodies:    true,
 		ReplayBudget:         200_000_000,
 	}
@@ -123,7 +113,6 @@ type Sweeper struct {
 
 	analyzers []analysis.Analyzer
 	pool      *proc.ClonePool
-	latency   *metrics.AnalysisRecorder
 
 	// The deferred analysis tier of every attack runs on one worker
 	// goroutine fed by a bounded queue (deferredQueueDepth). The worker
@@ -192,7 +181,6 @@ func New(name string, prog *vm.Program, procOpts proc.Options, cfg Config) (*Swe
 		ckpt:      checkpoint.NewManager(checkpoint.Policy{IntervalMs: cfg.CheckpointIntervalMs, MaxKept: checkpoint.DefaultPolicy().MaxKept}),
 		analyzers: analyzers,
 		pool:      proc.NewClonePool(p),
-		latency:   metrics.NewAnalysisRecorder(),
 	}
 	p.OnRequestBoundary = func() { s.ckpt.MaybeCheckpoint(p) }
 	if cfg.ShadowStack {
@@ -241,11 +229,6 @@ func (s *Sweeper) WaitAnalyses() {
 	for _, r := range s.Attacks() {
 		r.Wait()
 	}
-}
-
-// AnalyzerLatencies returns the per-analyzer replay latencies observed so far.
-func (s *Sweeper) AnalyzerLatencies() []metrics.AnalyzerLatency {
-	return s.latency.Snapshot()
 }
 
 // ClonePoolStats reports how many analysis sandboxes were freshly built

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"sweeper/internal/analysis"
 	"sweeper/internal/analysis/membug"
@@ -79,13 +78,6 @@ func (s *Sweeper) runToQuiescence(clone *proc.Process) *vm.StopInfo {
 	return stop
 }
 
-// Names the two halves of a verification are observed under in the Sweeper's
-// analyzer-latency recorder, beside the analyzers themselves.
-const (
-	latencyVerifyGate       = "verify-gate"
-	latencyVerifyRegenerate = "verify-regenerate"
-)
-
 // reproduction is an exploit replay that passed the gate and has not been
 // regenerated from yet: the sandbox the exploit stopped, and the quiescent
 // snapshot taken just before the exploit went in, which the regeneration
@@ -122,8 +114,6 @@ func (s *Sweeper) verifyGate(a *antibody.Antibody, installed []*antibody.Antibod
 			return VerifyDecision{Reason: fmt.Sprintf("signature %s does not match the attached exploit input", sig.Name())}, nil
 		}
 	}
-	start := time.Now()
-	defer func() { s.latency.Observe(latencyVerifyGate, time.Since(start)) }()
 	snap := s.ckpt.Latest()
 	if snap == nil {
 		return VerifyDecision{Transient: true, Reason: "no checkpoint to build a verification sandbox from"}, nil
@@ -284,8 +274,6 @@ func (s *Sweeper) hasFastAnalyzers() bool {
 // Failures are tolerated: regeneration is corroborating evidence, not a gate.
 func (r *reproduction) regenerate(yieldEvery uint64) map[string]analysis.Finding {
 	s := r.s
-	start := time.Now()
-	defer func() { s.latency.Observe(latencyVerifyRegenerate, time.Since(start)) }()
 	defer r.sb.Release()
 	out := make(map[string]analysis.Finding)
 	ctx := analysis.NewContext()

@@ -383,16 +383,12 @@ func TestVerifyReproducesViaConfiguredMonitors(t *testing.T) {
 	f.Stop()
 }
 
-// TestMaliciousVSEFOnlyAntibodyCannotTakeDownGuest closes the remaining DoS
-// window: a VSEF-only antibody carries nothing verifiable, so it is adopted
-// on the paper's "VSEFs cannot be harmful" premise — but a malicious probe
-// CAN be harmful by raising false violations on benign traffic. The defence
-// is in recovery: the replayed history is known benign, so a probe firing
-// during recovery replay is faulty by definition and gets uninstalled
-// instead of halting the guest. Here a rogue peer plants a double-free guard
-// on the Ret of libc's free wrapper, where R1 still holds the just-freed
-// pointer — it would fire on every request that frees memory.
-func TestMaliciousVSEFOnlyAntibodyCannotTakeDownGuest(t *testing.T) {
+// rogueDoubleFreeAntibody is a rogue peer's VSEF-only squid antibody: a
+// double-free guard named rogue-dos-vsef on the Ret of libc's free wrapper,
+// where R1 still holds the just-freed pointer — it fires on every request
+// that frees memory.
+func rogueDoubleFreeAntibody(t *testing.T) *antibody.Antibody {
+	t.Helper()
 	spec, err := apps.ByName("squid")
 	if err != nil {
 		t.Fatal(err)
@@ -401,8 +397,7 @@ func TestMaliciousVSEFOnlyAntibodyCannotTakeDownGuest(t *testing.T) {
 	if !ok {
 		t.Fatal("squid image has no free symbol")
 	}
-	f := newVerifyingConsumer(t, "squid", "squid-victim", 112233)
-	rogue := &antibody.Antibody{
+	return &antibody.Antibody{
 		ID:      "rogue-dos-initial",
 		Program: "squid",
 		Stage:   antibody.StageInitial,
@@ -415,7 +410,19 @@ func TestMaliciousVSEFOnlyAntibodyCannotTakeDownGuest(t *testing.T) {
 			CallerIdx: -1,
 		}},
 	}
-	if !f.Store().Publish(rogue) {
+}
+
+// TestMaliciousVSEFOnlyAntibodyCannotTakeDownGuest closes the remaining DoS
+// window: a VSEF-only antibody carries nothing verifiable, so it is adopted
+// on the paper's "VSEFs cannot be harmful" premise — but a malicious probe
+// CAN be harmful by raising false violations on benign traffic. The defence
+// is in recovery: the replayed history is known benign, so a probe firing
+// during recovery replay is faulty by definition and gets uninstalled
+// instead of halting the guest. Here a rogue peer plants a double-free guard
+// that fires on every request that frees memory (rogueDoubleFreeAntibody).
+func TestMaliciousVSEFOnlyAntibodyCannotTakeDownGuest(t *testing.T) {
+	f := newVerifyingConsumer(t, "squid", "squid-victim", 112233)
+	if !f.Store().Publish(rogueDoubleFreeAntibody(t)) {
 		t.Fatal("store rejected the rogue antibody outright")
 	}
 	f.Drain()

@@ -96,9 +96,6 @@ type DefenseRun struct {
 	App     *apps.Spec
 	Sweeper *core.Sweeper
 	Report  *core.AttackReport
-	// AnalyzerLatencies holds the per-analyzer replay latencies the pipeline
-	// observed (Table 3's component diagnosis times, keyed by analyzer).
-	AnalyzerLatencies []metrics.AnalyzerLatency
 }
 
 // RunDefense protects the named application with Sweeper, drives a benign
@@ -137,12 +134,7 @@ func RunDefense(appName string, benignBefore, benignAfter int, mutate func(*core
 	// Reports complete asynchronously (the slicing cross-check finishes after
 	// recovery); the experiment tables read the deferred fields, so join here.
 	s.WaitAnalyses()
-	return &DefenseRun{
-		App:               spec,
-		Sweeper:           s,
-		Report:            s.Attacks()[0],
-		AnalyzerLatencies: s.AnalyzerLatencies(),
-	}, nil
+	return &DefenseRun{App: spec, Sweeper: s, Report: s.Attacks()[0]}, nil
 }
 
 // --- Table 2 ---

@@ -92,23 +92,23 @@ func TestTable3Timings(t *testing.T) {
 	}
 }
 
-// TestDefenseRunRecordsAnalyzerLatencies: every pipeline analyzer's replay
-// latency is captured per run, keyed by analyzer name.
-func TestDefenseRunRecordsAnalyzerLatencies(t *testing.T) {
+// TestDefenseRunRecordsOneStepPerAnalyzer: every configured analyzer's
+// replay is timed once per attack, as one Steps entry under its Table 3 name.
+func TestDefenseRunRecordsOneStepPerAnalyzer(t *testing.T) {
 	run, err := RunDefense("apache1", 4, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := make(map[string]int)
-	for _, l := range run.AnalyzerLatencies {
-		byName[l.Name] = l.Runs
-		if l.Total <= 0 || l.Max <= 0 || l.Mean() <= 0 {
-			t.Errorf("analyzer %s has implausible latency stats: %+v", l.Name, l)
+	entries := make(map[string]int)
+	for _, st := range run.Report.StepDurations() {
+		entries[st.Name]++
+		if st.Duration <= 0 {
+			t.Errorf("step %s has implausible duration %v", st.Name, st.Duration)
 		}
 	}
-	for _, want := range []string{"membug", "taint", "slicing"} {
-		if byName[want] != 1 {
-			t.Errorf("analyzer %s recorded %d runs, want 1 (have %v)", want, byName[want], byName)
+	for _, want := range []string{"memory-bug", "input-taint", "slicing"} {
+		if entries[want] != 1 {
+			t.Errorf("analyzer step %s recorded %d times, want 1 (have %v)", want, entries[want], entries)
 		}
 	}
 }

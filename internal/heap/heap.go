@@ -145,9 +145,6 @@ func (a *Allocator) Brk() uint32 { return a.main.brk }
 // MmapBase returns the base of the large-object zone.
 func (a *Allocator) MmapBase() uint32 { return a.mmap.base }
 
-// MmapBrk returns the current top of the large-object zone.
-func (a *Allocator) MmapBrk() uint32 { return a.mmap.brk }
-
 // Stats returns the number of malloc and free calls serviced.
 func (a *Allocator) Stats() (mallocs, frees uint64) { return a.mallocs, a.frees }
 

@@ -1,8 +1,7 @@
 // Package metrics provides the small measurement helpers used by the
 // evaluation harnesses and the daemons: throughput, its series over time and
 // overhead computed from completion times (Figures 4 and 5, the VSEF-overhead
-// experiment), analyzer latencies, federation counters and latency
-// histograms.
+// experiment), federation counters and latency histograms.
 package metrics
 
 // Sample is one (time, value) point of a series.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestThroughput(t *testing.T) {
@@ -69,29 +68,5 @@ func TestQuickThroughputSeriesConservation(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAnalysisRecorder(t *testing.T) {
-	r := NewAnalysisRecorder()
-	if got := r.Snapshot(); len(got) != 0 {
-		t.Fatalf("empty recorder snapshot = %v", got)
-	}
-	r.Observe("taint", 30*time.Millisecond)
-	r.Observe("membug", 10*time.Millisecond)
-	r.Observe("membug", 20*time.Millisecond)
-	got := r.Snapshot()
-	if len(got) != 2 || got[0].Name != "membug" || got[1].Name != "taint" {
-		t.Fatalf("snapshot not sorted by name: %v", got)
-	}
-	mb := got[0]
-	if mb.Runs != 2 || mb.Total != 30*time.Millisecond || mb.Max != 20*time.Millisecond {
-		t.Errorf("membug stats = %+v", mb)
-	}
-	if mb.Mean() != 15*time.Millisecond {
-		t.Errorf("membug mean = %v, want 15ms", mb.Mean())
-	}
-	if (AnalyzerLatency{}).Mean() != 0 {
-		t.Error("zero-run latency mean not 0")
 	}
 }

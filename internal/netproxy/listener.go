@@ -31,9 +31,12 @@ const (
 	// connection-level failure).
 	StatusError = 0x03
 	// StatusUnavailable: the guest cannot take the request right now — it
-	// halted, or the submission failed before reaching the queue. Distinct
-	// from StatusError so clients can tell "this daemon is going away" from
-	// "this guest is down, the daemon may restart it warm".
+	// halted, or the submission failed before reaching the queue — or the
+	// guest recovered from a detection this request tripped without being
+	// the attack input (a wrong VSEF firing on it), and its reply was lost
+	// to the recovery replay; the request may be retried. Distinct from
+	// StatusError so clients can tell "this daemon is going away" from "this
+	// guest is down, the daemon may restart it warm".
 	StatusUnavailable = 0x04
 
 	// MaxFrameBytes bounds a request or response frame; larger length

@@ -276,13 +276,6 @@ func (m *Machine) Cycles() uint64 { return m.cycles }
 // checkpoint manager to account for their own work).
 func (m *Machine) AddCycles(n uint64) { m.cycles += n }
 
-// SetCycles overrides the virtual clock. The Sweeper core uses it to account
-// analysis replays as out-of-band work (the analysis module re-executes
-// shadow state; the protected service's client-visible clock only advances by
-// detection, rollback and recovery re-execution). Callers must keep the clock
-// monotonic with respect to any timestamps they have already recorded.
-func (m *Machine) SetCycles(c uint64) { m.cycles = c }
-
 // NowMillis returns the virtual time in milliseconds.
 func (m *Machine) NowMillis() uint64 { return m.cycles / (CyclesPerMicrosecond * 1000) }
 

@@ -1,9 +1,13 @@
-// Command sweeperd runs a fleet of evaluation servers under Sweeper
-// protection — one goroutine per guest around a shared antibody store —
-// drives a benign workload around a live exploit aimed at one guest, and
-// prints the complete defence timeline: detection, each analysis step and its
-// result, the antibodies generated (and when), recovery, and how the shared
-// antibodies inoculate the rest of the fleet against the same worm.
+// Command sweeperd is the Sweeper daemon: it protects a fleet of evaluation
+// servers — one goroutine per guest around a shared antibody store — and
+// serves until SIGINT or SIGTERM. The worm comes from outside. With
+// -tcp-listen every guest gets a TCP front end speaking the framed request
+// protocol (see internal/netproxy): guest i listens on the base port plus i,
+// or on an ephemeral port each when the base port is 0. wormsim -connect
+// attacks those sockets. At shutdown the daemon prints its fleet counters,
+// durability, client-observed latency, checkpoints, sandboxes, federation,
+// and the defence timeline of every attack: detection, each analysis step
+// and its result, the antibodies generated (and when), and recovery.
 //
 // With -listen and -peers, several sweeperd daemons federate their antibody
 // stores over HTTP+JSON: each daemon pushes what it publishes, polls what
@@ -12,30 +16,24 @@
 // replaying its attached exploit input in a clone sandbox before adoption
 // (disable with -verify-adopt=false to see why that would be a bad idea).
 // -auth-token sets a community shared secret: served pushes and polls without
-// it are rejected, and every outgoing request carries it.
+// it are rejected, and every outgoing request carries it. GET /v1/antibodies
+// on the -listen address serves the store's antibodies as JSON.
+//
+// A daemon with none of -tcp-listen, -listen and -peers has nothing to serve
+// and exits at once.
 //
 // Examples:
 //
-//	sweeperd -app squid -guests 4
-//	sweeperd -app apache1,cvs -benign 50 -variants 2
-//	sweeperd -app cvs -no-aslr -shadow-stack
+//	# terminal 1: three squid guests on 7431-7433
+//	sweeperd -app squid -guests 3 -tcp-listen 127.0.0.1:7431
+//	# terminal 2: the worm, at guest 0 first, then at its peers
+//	wormsim -connect 127.0.0.1:7431,127.0.0.1:7432,127.0.0.1:7433 -app squid
+//	# then SIGTERM (or ctrl-c) the daemon for its summary
 //
 //	# a federated pair: a producer that gets attacked and a consumer that
 //	# only ever sees the antibody arrive over the wire
-//	sweeperd -app squid -listen 127.0.0.1:7070 -linger 3s
-//	sweeperd -app squid -listen 127.0.0.1:7071 -peers 127.0.0.1:7070 -variants 0 -linger 3s
-//
-// With -tcp-listen, every guest gets a real TCP front end serving the framed
-// request protocol (see internal/netproxy): connections are accepted, each
-// length-prefixed request flows through the guest's filtering proxy, and the
-// response (the guest's output, or the absorbed/filtered verdict) is written
-// back on the same connection. Guest i listens on the base port plus i (on an
-// ephemeral port each when the base port is 0); client-observed latency
-// percentiles are printed at shutdown. The daemon keeps serving until
-// interrupted. Drive it with wormsim -connect:
-//
-//	sweeperd -app squid -guests 2 -benign 0 -variants 0 -tcp-listen 127.0.0.1:7400
-//	wormsim -connect 127.0.0.1:7400 -app squid -requests 50 -attack
+//	sweeperd -app squid -listen 127.0.0.1:7070 -tcp-listen 127.0.0.1:7431
+//	sweeperd -app squid -listen 127.0.0.1:7071 -peers 127.0.0.1:7070 -tcp-listen 127.0.0.1:7441
 package main
 
 import (
@@ -54,7 +52,6 @@ import (
 
 	"sweeper/internal/apps"
 	"sweeper/internal/core"
-	"sweeper/internal/exploit"
 	"sweeper/internal/federate"
 	"sweeper/internal/metrics"
 )
@@ -74,26 +71,25 @@ func flagWasSet(name string) bool {
 func main() {
 	log.SetFlags(0)
 	var (
-		appNames     = flag.String("app", "squid", "comma-separated applications to protect: apache1, apache2, cvs, squid")
-		guests       = flag.Int("guests", 3, "number of protected guests per application")
-		benign       = flag.Int("benign", 20, "benign requests per guest before and after the attack")
-		variants     = flag.Int("variants", 1, "number of polymorphic exploit variants to launch at guest 0")
-		interval     = flag.Uint64("checkpoint-ms", 200, "checkpoint interval in virtual milliseconds")
-		noASLR       = flag.Bool("no-aslr", false, "disable address-space randomisation")
-		shadowStack  = flag.Bool("shadow-stack", false, "enable the shadow-stack lightweight monitor")
-		analyses     = flag.String("analyses", "membug,taint,slicing", "comma-separated analyses to run after detection (registered: membug, taint, slicing)")
-		showAntibody = flag.Bool("show-antibody", false, "print each final antibody as JSON")
-		listen       = flag.String("listen", "", "serve the antibody store to federation peers on this address (e.g. 127.0.0.1:7070)")
-		peers        = flag.String("peers", "", "comma-separated federation peers to gossip antibodies with (host:port)")
-		verifyAdopt  = flag.Bool("verify-adopt", false, "replay each received antibody's exploit in a sandbox before adoption (default on when -listen or -peers is set)")
-		pollMs       = flag.Int("poll-ms", 25, "federation poll interval in milliseconds")
-		authToken    = flag.String("auth-token", "", "federation shared-secret: require it on every served push/poll and attach it to every outgoing request (empty = open federation)")
-		linger       = flag.Duration("linger", 0, "keep the daemon alive this long after the scripted workload, serving peers and absorbing gossip")
-		tcpListen    = flag.String("tcp-listen", "", "serve framed TCP requests to the guests from this base address (e.g. 127.0.0.1:7400; guest i takes the base port plus i, or an ephemeral port when it is 0); the daemon then runs until interrupted")
-		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060) for profiling the live daemon")
-		dataDir      = flag.String("data-dir", "", "persist the antibody store (one append-only log, wal.log) and guest checkpoints under this directory; a restarted daemon replays the WAL and warm-restores its guests from it")
+		appNames    = flag.String("app", "squid", "comma-separated applications to protect: apache1, apache2, cvs, squid")
+		guests      = flag.Int("guests", 3, "number of protected guests per application")
+		interval    = flag.Uint64("checkpoint-ms", 200, "checkpoint interval in virtual milliseconds")
+		noASLR      = flag.Bool("no-aslr", false, "disable address-space randomisation")
+		shadowStack = flag.Bool("shadow-stack", false, "enable the shadow-stack lightweight monitor")
+		analyses    = flag.String("analyses", "membug,taint,slicing", "comma-separated analyses to run after detection (registered: membug, taint, slicing)")
+		listen      = flag.String("listen", "", "serve the antibody store to federation peers on this address (e.g. 127.0.0.1:7070)")
+		peers       = flag.String("peers", "", "comma-separated federation peers to gossip antibodies with (host:port)")
+		verifyAdopt = flag.Bool("verify-adopt", false, "replay each received antibody's exploit in a sandbox before adoption (default on when -listen or -peers is set)")
+		pollMs      = flag.Int("poll-ms", 25, "federation poll interval in milliseconds")
+		authToken   = flag.String("auth-token", "", "federation shared-secret: require it on every served push/poll and attach it to every outgoing request (empty = open federation)")
+		tcpListen   = flag.String("tcp-listen", "", "serve framed TCP requests to the guests from this base address (e.g. 127.0.0.1:7400; guest i takes the base port plus i, or an ephemeral port when it is 0)")
+		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060) for profiling the live daemon")
+		dataDir     = flag.String("data-dir", "", "persist the antibody store (one append-only log, wal.log) and guest checkpoints under this directory; a restarted daemon replays the WAL and warm-restores its guests from it")
 	)
 	flag.Parse()
+	if *tcpListen == "" && *listen == "" && *peers == "" {
+		log.Fatalf("sweeperd: nothing to serve: set -tcp-listen, -listen or -peers")
+	}
 	if *guests < 1 {
 		log.Fatalf("sweeperd: -guests must be at least 1")
 	}
@@ -132,7 +128,6 @@ func main() {
 			fmt.Printf("sweeperd: durable state in %s (%d antibodies replayed from disk)\n", *dataDir, fleet.Store().Len())
 		}
 	}
-	var specs []*apps.Spec
 	for _, name := range strings.Split(*appNames, ",") {
 		if strings.TrimSpace(name) == "" {
 			continue
@@ -141,7 +136,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("sweeperd: %v", err)
 		}
-		specs = append(specs, spec)
 		for i := 0; i < *guests; i++ {
 			cfg := core.DefaultConfig()
 			cfg.CheckpointIntervalMs = *interval
@@ -198,14 +192,6 @@ func main() {
 			fmt.Printf("  federation: peered with %s\n", addr)
 		}
 	}
-	exploits := make(map[string][]byte)
-	for _, spec := range specs {
-		payload0, err := exploit.ExploitVariant(spec, 0)
-		if err != nil {
-			log.Fatalf("sweeperd: building exploit: %v", err)
-		}
-		exploits[spec.Name] = payload0
-	}
 	// TCP front ends: one listener per guest, attached before the serving
 	// goroutines launch.
 	if *tcpListen != "" {
@@ -231,78 +217,11 @@ func main() {
 	fmt.Println()
 	fleet.Start()
 
-	// Benign traffic to every guest, the worm's exploit variants at guest 0
-	// of each application, then more benign traffic.
-	for _, spec := range specs {
-		payload0 := exploits[spec.Name]
-		for i := 0; i < *guests; i++ {
-			guestName := fmt.Sprintf("%s-%d", spec.Name, i)
-			for r := 0; r < *benign; r++ {
-				fleet.Submit(guestName, exploit.Benign(spec.Name, r), "client", false)
-			}
-		}
-		for v := 0; v < *variants; v++ {
-			payload := payload0
-			if v > 0 {
-				var err error
-				payload, err = exploit.ExploitVariant(spec, v)
-				if err != nil {
-					log.Fatalf("sweeperd: building exploit: %v", err)
-				}
-			}
-			accepted := fleet.Submit(spec.Name+"-0", payload, "worm", true)
-			fmt.Printf("worm: exploit variant %d submitted to %s-0 (%d bytes), accepted by proxy: %v\n",
-				v, spec.Name, len(payload), accepted)
-		}
-		for i := 0; i < *guests; i++ {
-			guestName := fmt.Sprintf("%s-%d", spec.Name, i)
-			for r := 0; r < *benign; r++ {
-				fleet.Submit(guestName, exploit.Benign(spec.Name, 1000+r), "client", false)
-			}
-		}
-	}
-	fleet.Drain()
-
-	// Linger: keep serving federation peers and absorbing their gossip (a
-	// consumer daemon receives, verifies and adopts antibodies during this
-	// window; a producer keeps answering pulls).
-	if *linger > 0 {
-		fmt.Printf("\nlingering %v for federation traffic...\n", *linger)
-		lingerUntil := time.Now().Add(*linger)
-		for time.Now().Before(lingerUntil) {
-			time.Sleep(50 * time.Millisecond)
-			fleet.Drain() // let guests verify/adopt whatever just arrived
-		}
-	}
-
-	// With TCP front ends attached, the daemon's real work happens now: keep
-	// serving socket traffic until interrupted.
-	if *tcpListen != "" {
-		fmt.Println("\nserving TCP requests until interrupted (ctrl-c to stop)...")
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		fmt.Println("sweeperd: shutting down")
-	}
-
-	// The worm now tries every guest in the fleet: the antibodies generated
-	// at guest 0 — or, with -variants 0 in a federated consumer, received
-	// from peers and verified — have been distributed through the shared
-	// store, so the exact-match input signature drops the exploit at every
-	// proxy.
-	fmt.Println()
-	for _, spec := range specs {
-		if *variants <= 0 && !federated {
-			continue // no exploit was ever launched and none could arrive
-		}
-		payload := exploits[spec.Name]
-		for i := 0; i < *guests; i++ {
-			guestName := fmt.Sprintf("%s-%d", spec.Name, i)
-			accepted := fleet.Submit(guestName, payload, "worm", true)
-			fmt.Printf("worm: replayed exploit against %s: accepted=%v (inoculated=%v)\n",
-				guestName, accepted, !accepted)
-		}
-	}
+	fmt.Println("serving until interrupted (SIGINT or SIGTERM to stop)...")
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	<-sig
+	fmt.Println("sweeperd: shutting down")
 	fleet.Stop()
 
 	fmt.Printf("\n=== fleet metrics ===\n")
@@ -397,11 +316,6 @@ func main() {
 				r.InitialAnalysisTime.Round(10_000), r.TotalAnalysisTime.Round(10_000))
 			fmt.Printf("recovery         : ok=%v in %v wall / %d ms virtual (diverged=%v)\n",
 				r.Recovered, r.RecoveryTime.Round(10_000), r.RecoveryVirtualMs, r.RecoveryDiverged)
-			if *showAntibody && r.FinalAntibody != nil {
-				if data, err := r.FinalAntibody.Marshal(); err == nil {
-					fmt.Printf("final antibody   : %s\n", data)
-				}
-			}
 		}
 	}
 }

@@ -17,14 +17,13 @@ import (
 // stops handing out work past the earliest reproducer found; the first
 // reproducing candidate in arrival order is returned. With one processor the
 // pool is one worker trying the candidates in order, stopping at the first
-// reproducer.
+// reproducer. A lone candidate is replayed too: a failure that only an
+// installed probe raised (a wrong VSEF) does not reproduce on a bare clone,
+// and no candidate is blamed.
 func (s *Sweeper) isolateInput(snap *proc.Snapshot) int {
 	candidates := s.proc.Log.RequestsSince(snap.LogLen)
 	if len(candidates) == 0 {
 		return -1
-	}
-	if len(candidates) == 1 {
-		return candidates[0]
 	}
 	sort.Ints(candidates)
 	tryCandidate := func(i int) bool {

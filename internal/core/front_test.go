@@ -229,59 +229,75 @@ func TestFrontEndConcurrentClientsDuringAttack(t *testing.T) {
 // that request in replay mode, where its reply never reaches the connection;
 // the request is not the excised culprit, so it must be answered
 // StatusUnavailable rather than left hanging, and the next benign request
-// must be served.
+// must be served. Request isolation replays every candidate in the window,
+// the tripping request alone included, and none reproduces a probe-only
+// violation: the culprit is -1 and nothing with a signature is published.
 func TestFrontEndAnswersRequestThatTrippedAWrongVSEF(t *testing.T) {
 	if testing.Short() {
 		t.Skip("socket test: run without -short")
 	}
-	f, _ := newFleetWith(t, "squid", 1)
-	g, _ := f.Guest("squid-0")
-	if err := g.AttachListener("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	f.Start()
-	defer f.Stop()
-	c, err := netproxy.Dial(g.ListenAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.SetTimeout(3 * time.Second)
-	// A request served before the rogue antibody arrives puts a second
-	// candidate in the replay window, so request isolation replays both and
-	// blames neither: the culprit is -1, as for any wrong VSEF.
-	if status, _, err := c.Do(exploit.Benign("squid", 0)); err != nil || status != netproxy.StatusOK {
-		t.Fatalf("benign request before the rogue antibody: status %s, err %v", netproxy.StatusName(status), err)
-	}
-	if !f.Store().Publish(rogueDoubleFreeAntibody(t)) {
-		t.Fatal("store rejected the rogue antibody")
-	}
-	f.Drain()
+	for _, tc := range []struct {
+		name          string
+		servedEarlier bool // serve a benign request before the rogue antibody
+	}{
+		{"after a served request", true},
+		{"first request of its epoch", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, _ := newFleetWith(t, "squid", 1)
+			g, _ := f.Guest("squid-0")
+			if err := g.AttachListener("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			f.Start()
+			defer f.Stop()
+			c, err := netproxy.Dial(g.ListenAddr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			c.SetTimeout(3 * time.Second)
+			if tc.servedEarlier {
+				if status, _, err := c.Do(exploit.Benign("squid", 0)); err != nil || status != netproxy.StatusOK {
+					t.Fatalf("benign request before the rogue antibody: status %s, err %v", netproxy.StatusName(status), err)
+				}
+			}
+			if !f.Store().Publish(rogueDoubleFreeAntibody(t)) {
+				t.Fatal("store rejected the rogue antibody")
+			}
+			f.Drain()
 
-	status, _, err := c.Do(exploit.Benign("squid", 1))
-	if err != nil {
-		t.Fatalf("request that tripped the wrong VSEF: %v", err)
-	}
-	if status != netproxy.StatusUnavailable {
-		t.Errorf("request that tripped the wrong VSEF: status %s, want unavailable", netproxy.StatusName(status))
-	}
-	status, resp, err := c.Do(exploit.Benign("squid", 2))
-	if err != nil {
-		t.Fatalf("next benign request: %v", err)
-	}
-	if status != netproxy.StatusOK || len(resp) == 0 {
-		t.Errorf("next benign request: status %s, %d payload bytes, want ok", netproxy.StatusName(status), len(resp))
-	}
+			status, _, err := c.Do(exploit.Benign("squid", 1))
+			if err != nil {
+				t.Fatalf("request that tripped the wrong VSEF: %v", err)
+			}
+			if status != netproxy.StatusUnavailable {
+				t.Errorf("request that tripped the wrong VSEF: status %s, want unavailable", netproxy.StatusName(status))
+			}
+			status, resp, err := c.Do(exploit.Benign("squid", 2))
+			if err != nil {
+				t.Fatalf("next benign request: %v", err)
+			}
+			if status != netproxy.StatusOK || len(resp) == 0 {
+				t.Errorf("next benign request: status %s, %d payload bytes, want ok", netproxy.StatusName(status), len(resp))
+			}
 
-	f.Drain()
-	attacks := g.Sweeper().Attacks()
-	if len(attacks) != 1 {
-		t.Fatalf("attacks handled = %d, want 1", len(attacks))
-	}
-	if r := attacks[0]; !r.Recovered || r.CulpritRequestID >= 0 ||
-		len(r.BadProbesRemoved) != 1 || r.BadProbesRemoved[0] != "rogue-dos-vsef" {
-		t.Errorf("report: recovered=%v culprit=%d bad probes removed=%v, want true/-1/[rogue-dos-vsef]",
-			r.Recovered, r.CulpritRequestID, r.BadProbesRemoved)
+			f.Drain()
+			for _, ab := range f.Store().All() {
+				if len(ab.Sigs) > 0 {
+					t.Errorf("antibody %s carries a signature (%s): a benign request would be filtered", ab.ID, ab.Sigs[0])
+				}
+			}
+			attacks := g.Sweeper().Attacks()
+			if len(attacks) != 1 {
+				t.Fatalf("attacks handled = %d, want 1", len(attacks))
+			}
+			if r := attacks[0]; !r.Recovered || r.CulpritRequestID >= 0 ||
+				len(r.BadProbesRemoved) != 1 || r.BadProbesRemoved[0] != "rogue-dos-vsef" {
+				t.Errorf("report: recovered=%v culprit=%d bad probes removed=%v, want true/-1/[rogue-dos-vsef]",
+					r.Recovered, r.CulpritRequestID, r.BadProbesRemoved)
+			}
+		})
 	}
 }
 

@@ -23,15 +23,6 @@ func (m *modelLog) clone(cursor int) *modelLog {
 	return c
 }
 
-func (m *modelLog) truncateAt(n int) {
-	if n > len(m.events) {
-		return
-	}
-	n = m.clamp(n)
-	m.events = m.events[:n]
-	m.cursor = min(m.cursor, n)
-}
-
 func (m *modelLog) discardBefore(n int) {
 	m.base = m.clamp(n)
 	m.cursor = max(m.cursor, m.base)
@@ -75,10 +66,10 @@ func sameAt(t *testing.T, step int, what string, l *Log, m *modelLog) {
 		}
 		lr, mr := l.CloneForReplay(i), m.clone(i)
 		for _, kind := range allKinds {
-			got, ok := lr.Peek(kind)
+			got, ok := l.CloneForReplay(i).Next(kind)
 			want, wok := mr.clone(i).next(kind)
 			if ok != wok || !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d, %s: Peek(%v) at %d = %+v %v, model %+v %v", step, what, kind, i, got, ok, want, wok)
+				t.Fatalf("step %d, %s: Next(%v) on a clone at %d = %+v %v, model %+v %v", step, what, kind, i, got, ok, want, wok)
 			}
 		}
 		got, ok := lr.PeekRequest(dropOdd)
@@ -95,7 +86,8 @@ func sameAt(t *testing.T, step int, what string, l *Log, m *modelLog) {
 		}
 	}
 	if m.base < len(m.events) {
-		// FindRequest and OutputsFor against a scan of the retained window.
+		// FindRequest, and the request's outputs read through EventsSince,
+		// against a scan of the retained window.
 		id := m.events[m.base+(step%(len(m.events)-m.base))].RequestID
 		wantAt, wantOut := -1, []byte(nil)
 		for i := len(m.events) - 1; i >= m.base && wantAt < 0; i-- {
@@ -112,17 +104,23 @@ func sameAt(t *testing.T, step int, what string, l *Log, m *modelLog) {
 		if ok != (wantAt >= 0) || (ok && (at != wantAt || string(payload) != string(m.events[at].Data))) {
 			t.Fatalf("step %d, %s: FindRequest(%d) = %d %q %v, model index %d", step, what, id, at, payload, ok, wantAt)
 		}
-		if got := l.OutputsFor(id); string(got) != string(wantOut) {
-			t.Fatalf("step %d, %s: OutputsFor(%d) = %q, model %q", step, what, id, got, wantOut)
+		var gotOut []byte // a request not in the window has no outputs
+		for _, e := range l.EventsSince(at) {
+			if ok && e.Kind == EventOutput && e.RequestID == id {
+				gotOut = append(gotOut, e.Data...)
+			}
+		}
+		if string(gotOut) != string(wantOut) {
+			t.Fatalf("step %d, %s: outputs of request %d = %q, model %q", step, what, id, gotOut, wantOut)
 		}
 	}
 }
 
 // TestLogAgainstModel drives a Log and a model that never discards through
-// the same random appends, discards, truncations, cursor moves and clones,
-// and requires every reader — of the log and of every clone taken on the way,
-// each of which must keep the window it was cloned with — to see the same
-// events at every index from Base on.
+// the same random appends, discards, cursor moves and clones, and requires
+// every reader — of the log and of every clone taken on the way, each of
+// which must keep the window it was cloned with — to see the same events at
+// every index from Base on.
 func TestLogAgainstModel(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -161,14 +159,6 @@ func TestLogAgainstModel(t *testing.T) {
 				n := anyIndex(target)
 				target.l.DiscardBefore(n)
 				target.m.discardBefore(n)
-			case op < 14:
-				// Mostly near the end: a log that keeps losing its tail tests little.
-				n := len(target.m.events) - rng.Intn(4)
-				if rng.Intn(8) == 0 {
-					n = anyIndex(target)
-				}
-				target.l.TruncateAt(n)
-				target.m.truncateAt(n)
 			case op < 16:
 				c := anyIndex(target)
 				target.l.SetCursor(c)
@@ -232,8 +222,8 @@ func TestClonesReadWhileTheLogMovesOn(t *testing.T) {
 						t.Errorf("clone of [%d,%d): request %d %v where %d was logged", from, until, e.RequestID, e.Data, want)
 						return
 					}
-					if out := clone.OutputsFor(want); len(out) != 2 || out[0] != byte(want) {
-						t.Errorf("clone of [%d,%d): outputs of request %d = %v", from, until, want, out)
+					if out, ok := clone.Next(EventOutput); !ok || out.RequestID != want || len(out.Data) != 2 || out.Data[0] != byte(want) {
+						t.Errorf("clone of [%d,%d): output of request %d = %+v %v", from, until, want, out, ok)
 						return
 					}
 				}

@@ -108,19 +108,6 @@ func (l *Log) CloneForReplay(cursor int) *Log {
 	return nl
 }
 
-// TruncateAt discards every event at or after index n. Recovery uses it after
-// the replayed execution diverges permanently from the logged one (the
-// remaining log entries no longer describe the new execution).
-func (l *Log) TruncateAt(n int) {
-	if n > l.Len() {
-		return
-	}
-	n = l.clamp(n)
-	// The capacity goes with the tail: clones may still be reading it.
-	l.events = l.events[: n-l.base : n-l.base]
-	l.cursor = min(l.cursor, n)
-}
-
 // Next consumes and returns the next event of the given kind during replay,
 // skipping events of other kinds. It returns ok=false when the log is
 // exhausted (the replayed execution has caught up with live execution).
@@ -128,16 +115,6 @@ func (l *Log) Next(kind EventKind) (Event, bool) {
 	for l.cursor < l.Len() {
 		e := l.events[l.cursor-l.base]
 		l.cursor++
-		if e.Kind == kind {
-			return e, true
-		}
-	}
-	return Event{}, false
-}
-
-// Peek returns the next event of the given kind without consuming anything.
-func (l *Log) Peek(kind EventKind) (Event, bool) {
-	for _, e := range l.events[l.cursor-l.base:] {
 		if e.Kind == kind {
 			return e, true
 		}
@@ -193,21 +170,4 @@ func (l *Log) FindRequest(id int) (index int, payload []byte, ok bool) {
 		}
 	}
 	return 0, nil, false
-}
-
-// OutputsFor returns the logged output bytes produced while serving the given
-// request, concatenated in order. The output-commit check compares replayed
-// outputs against these.
-func (l *Log) OutputsFor(requestID int) []byte {
-	at, _, ok := l.FindRequest(requestID)
-	if !ok {
-		return nil
-	}
-	var out []byte
-	for _, e := range l.events[at-l.base:] {
-		if e.Kind == EventOutput && e.RequestID == requestID {
-			out = append(out, e.Data...)
-		}
-	}
-	return out
 }

@@ -1,9 +1,6 @@
 package replay
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 func sampleLog() *Log {
 	l := NewLog()
@@ -56,16 +53,6 @@ func TestNextConsumesInterleaved(t *testing.T) {
 	}
 }
 
-func TestPeekDoesNotConsume(t *testing.T) {
-	l := sampleLog()
-	if e, ok := l.Peek(EventRand); !ok || e.Value != 42 {
-		t.Errorf("peek = %+v", e)
-	}
-	if l.Cursor() != 0 {
-		t.Error("peek must not move the cursor")
-	}
-}
-
 func TestSetCursorClamps(t *testing.T) {
 	l := sampleLog()
 	l.SetCursor(-5)
@@ -95,36 +82,6 @@ func TestEventsSinceAndRequestsSince(t *testing.T) {
 	}
 	if got := l.EventsSince(-3); len(got) != l.Len() {
 		t.Error("EventsSince with negative index should return everything")
-	}
-}
-
-func TestOutputsFor(t *testing.T) {
-	l := sampleLog()
-	if got := l.OutputsFor(2); !bytes.Equal(got, []byte("out2aout2b")) {
-		t.Errorf("OutputsFor(2) = %q", got)
-	}
-	if got := l.OutputsFor(9); got != nil {
-		t.Errorf("OutputsFor(9) = %q", got)
-	}
-}
-
-func TestTruncateAt(t *testing.T) {
-	l := sampleLog()
-	l.SetCursor(5)
-	l.TruncateAt(3)
-	if l.Len() != 3 {
-		t.Errorf("len after truncate = %d", l.Len())
-	}
-	if l.Cursor() != 3 {
-		t.Errorf("cursor after truncate = %d", l.Cursor())
-	}
-	l.TruncateAt(100) // no-op
-	if l.Len() != 3 {
-		t.Error("truncate beyond length should be a no-op")
-	}
-	l.TruncateAt(-1)
-	if l.Len() != 0 {
-		t.Error("negative truncate clears the log")
 	}
 }
 

@@ -563,7 +563,8 @@ func (m *Machine) Run(budget uint64) *StopInfo {
 func (m *Machine) Halted() bool { return m.stopped }
 
 // ClearStop clears a previous fault/halt condition so that execution can be
-// resumed after state has been externally repaired (used by rollback).
+// resumed after state has been externally repaired. Rollback does not need
+// it: RestoreRegs clears the stop itself.
 func (m *Machine) ClearStop() { m.stopped = false; m.pendingViolation = nil }
 
 // RegSnapshot captures registers, PC, flags and clock for checkpointing.

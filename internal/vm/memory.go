@@ -463,8 +463,7 @@ func (m *Memory) MappedPages() int { return len(m.pages) }
 func (m *Memory) DirtyPages() int { return len(m.dirty) }
 
 // MappedPageBases returns the base addresses of all mapped pages in ascending
-// order. It is used by analysis tools that walk memory (heap walkers, core
-// dump analysis).
+// order, for tests that compare two memories page by page.
 func (m *Memory) MappedPageBases() []uint32 {
 	out := make([]uint32, 0, len(m.pages))
 	for pn := range m.pages {

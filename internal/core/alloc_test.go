@@ -13,7 +13,8 @@ import (
 // exact and repeat from run to run, so they gate where wall-clock cannot.
 const (
 	// maxServeBytesPerRequest bounds Submit + ServeAll on a listener-less
-	// guest. Measured 382 (394 while every request boundary also logged its
+	// guest. Measured 381 (382 while each send was also kept in an output
+	// array beside its log event, 394 while every request boundary logged its
 	// completion time, 1384 before the log and the output stream were bounded
 	// and flatten reused its pages): the proxy's Request and its copy of the
 	// payload 133, the log's two events 170 (80 of events, the rest the array

@@ -77,8 +77,8 @@ type Guest struct {
 	regenerated  []*regeneration
 
 	// listener is the guest's optional TCP front end (see front.go);
-	// outCursor tracks how far into the process's append-only output stream
-	// responses have been written back. Both are touched only on the serving
+	// outCursor is the position in the process's append-only event log up to
+	// which responses have been written back. Both are touched only on the serving
 	// goroutine once the fleet has started.
 	listener  *netproxy.Listener
 	outCursor int

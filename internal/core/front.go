@@ -5,6 +5,7 @@ import (
 
 	"sweeper/internal/metrics"
 	"sweeper/internal/netproxy"
+	"sweeper/internal/replay"
 )
 
 // AttachListener puts a real TCP front end in front of the guest: a
@@ -78,18 +79,19 @@ func (g *Guest) FrontLatency() *metrics.LatencyRecorder {
 	return g.listener.Latency()
 }
 
-// respondServed routes a completed request's output back to its connection.
-// The process's output stream is append-only (rollback keeps already-sent
-// outputs, replayed sends never re-append), so a cursor over it yields each
-// live request's outputs exactly once; stale partial outputs of an excised
-// attack request are skipped by the request-ID match. Runs on the serving
-// goroutine at the request's live-mode boundary — before the checkpoint that
-// boundary may take, so the cursor is never behind what the process retains.
+// respondServed routes a completed request's output back to its connection:
+// the request's EventOutput events in the process's log. The log is
+// append-only (rollback keeps already-sent outputs, replayed sends never
+// re-append), so a cursor over it yields each live request's outputs exactly
+// once; stale partial outputs of an excised attack request are skipped by the
+// request-ID match. Runs on the serving goroutine at the request's live-mode
+// boundary — before the checkpoint that boundary may take, so the cursor is
+// never behind what the process retains.
 func (g *Guest) respondServed(reqID int) {
-	p := g.s.Process()
+	log := g.s.Process().Log
 	var resp []byte
-	for _, o := range p.OutputsSince(g.outCursor) {
-		if o.RequestID != reqID {
+	for _, o := range log.View(g.outCursor) {
+		if o.Kind != replay.EventOutput || o.RequestID != reqID {
 			continue
 		}
 		// A request answered by one send — the usual case — is answered with
@@ -101,7 +103,7 @@ func (g *Guest) respondServed(reqID int) {
 			resp = append(resp[:len(resp):len(resp)], o.Data...)
 		}
 	}
-	g.outCursor = p.OutputCount()
+	g.outCursor = log.Len()
 	g.listener.Resolve(reqID, netproxy.StatusOK, resp)
 }
 

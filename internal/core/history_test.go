@@ -16,6 +16,7 @@ import (
 	"sweeper/internal/exploit"
 	"sweeper/internal/netproxy"
 	"sweeper/internal/proc"
+	"sweeper/internal/replay"
 	"sweeper/internal/vm"
 )
 
@@ -68,7 +69,7 @@ func memoryDigest(t *testing.T, m *vm.Machine) [sha256.Size]byte {
 }
 
 // retainedWindowIsTheRing fails unless the process holds exactly the events
-// and outputs logged since its oldest retained checkpoint.
+// (its outputs among them) logged since its oldest retained checkpoint.
 func retainedWindowIsTheRing(t *testing.T, s *Sweeper, served int) {
 	t.Helper()
 	p, oldest := s.Process(), s.Checkpoints().Oldest()
@@ -78,13 +79,10 @@ func retainedWindowIsTheRing(t *testing.T, s *Sweeper, served int) {
 	if got := p.Log.Len() - p.Log.Base(); got != len(p.Log.Events()) {
 		t.Fatalf("after %d requests Len-Base = %d, but %d events are retained", served, got, len(p.Log.Events()))
 	}
-	if got := p.OutputCount() - len(p.Outputs()); got != oldest.OutputCount {
-		t.Fatalf("after %d requests the outputs start at %d, the oldest checkpoint at %d", served, got, oldest.OutputCount)
-	}
 }
 
 // TestHistoryIsBounded: what a guest holds is flat in the requests it has
-// served. Its log and output stream reach back to its oldest checkpoint and
+// served. Its log, outputs included, reaches back to its oldest checkpoint and
 // no further, and its live heap after five times the traffic is what it was.
 func TestHistoryIsBounded(t *testing.T) {
 	first, total := 20_000, 100_000
@@ -133,7 +131,7 @@ func TestEveryRetainedCheckpointReplays(t *testing.T) {
 	}
 
 	want := memoryDigest(t, p.Machine)
-	outputs := append([]proc.OutputRecord(nil), p.Outputs()...)
+	outputs := p.Outputs()
 	served := p.ServedRequests()
 	for _, snap := range snaps {
 		p.Rollback(snap, proc.ModeReplay, false)
@@ -310,14 +308,16 @@ func TestFrontEndAttackAfterLongUptime(t *testing.T) {
 	ref, _ := newSweeperFor(t, "squid", nil)
 	want := make(map[string][]byte, len(mix))
 	for _, payload := range mix {
-		before := ref.Process().OutputCount()
+		before := ref.Process().Log.Len()
 		ref.Submit(payload, "client", false)
 		if _, err := ref.ServeAll(); err != nil {
 			t.Fatal(err)
 		}
 		var reply []byte
-		for _, o := range ref.Process().OutputsSince(before) {
-			reply = append(reply, o.Data...)
+		for _, e := range ref.Process().Log.View(before) {
+			if e.Kind == replay.EventOutput {
+				reply = append(reply, e.Data...)
+			}
 		}
 		want[string(payload)] = reply
 	}

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"net"
-	"net/http"
 	"path/filepath"
 	"time"
 
@@ -32,9 +30,6 @@ type communitySpec struct {
 	members, producers int
 	// root, when set, makes every member durable under root/<name>.
 	root string
-	// http serves each member on a loopback HTTP port instead of the
-	// in-process hub.
-	http bool
 	// warmup is the number of benign requests each guest serves before
 	// anything else: live traffic, and the checkpoints verification sandboxes
 	// replay from.
@@ -44,13 +39,14 @@ type communitySpec struct {
 }
 
 // community is the Section 6 community stood up live: members daemons, each
-// a single-guest fleet behind a federation endpoint with a node gossiping its
-// store. It is the one place a fleet meets a node; the scenarios decide who
-// is linked to whom, where the worm lands and who crashes.
+// a single-guest fleet behind an endpoint of one in-process federation hub,
+// with a node gossiping its store. It is the one place a fleet meets a node;
+// the scenarios decide who is linked to whom, where the worm lands and who
+// crashes. Over HTTP the same exchange is sweeperd's -listen and -peers.
 type community struct {
 	spec    communitySpec
 	app     *apps.Spec
-	hub     *federate.Hub // nil when spec.http
+	hub     *federate.Hub
 	members []*member
 }
 
@@ -66,11 +62,6 @@ type member struct {
 	guest *core.Guest
 	rec   *metrics.FederationRecorder
 	node  *federate.Node // nil until join, and while killed
-
-	// The endpoint: what takes it down, and — over HTTP — where it listens
-	// (on the hub a member is reached by name).
-	hangUp func()
-	addr   string
 }
 
 // newCommunity boots and joins every member, then drains the warm-up load.
@@ -80,10 +71,7 @@ func newCommunity(spec communitySpec) (*community, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &community{spec: spec, app: app}
-	if !spec.http {
-		c.hub = federate.NewHub()
-	}
+	c := &community{spec: spec, app: app, hub: federate.NewHub()}
 	for i := 0; i < spec.members; i++ {
 		m := &member{
 			c:        c,
@@ -138,25 +126,12 @@ func (m *member) boot(warmup int) error {
 	return nil
 }
 
-// join serves the member's store at its endpoint and starts its node. This is
-// the only place the two transports differ, with community.transport.
+// join registers the member's store on the hub under its name and starts its
+// node.
 func (m *member) join() error {
 	store := m.fleet.Store()
-	if hub := m.c.hub; hub != nil {
-		if _, err := hub.Register(m.name, store, m.rec, communityToken); err != nil {
-			return err
-		}
-		m.hangUp = func() { hub.Unregister(m.name) }
-	} else {
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return fmt.Errorf("experiments: loopback listener: %w", err)
-		}
-		handler := federate.NewServer(store, m.rec)
-		handler.SetAuthToken(communityToken)
-		srv := &http.Server{Handler: handler}
-		go srv.Serve(lis)
-		m.addr, m.hangUp = lis.Addr().String(), func() { srv.Close() }
+	if _, err := m.c.hub.Register(m.name, store, m.rec, communityToken); err != nil {
+		return err
 	}
 	m.node = federate.NewNode(store, m.rec, federate.Config{
 		Name:          m.name,
@@ -168,13 +143,10 @@ func (m *member) join() error {
 }
 
 // transport returns a way to reach the member's endpoint, carrying the
-// community token. It binds to the name or address, not the instance, so it
-// may be made while the member is down and outlives a restart.
+// community token. It binds to the name, not the instance, so it may be made
+// while the member is down and outlives a restart.
 func (c *community) transport(to *member) federate.Transport {
-	if c.hub != nil {
-		return c.hub.Transport(to.name, communityToken)
-	}
-	return federate.NewPeer(to.addr, 5*time.Second).WithAuthToken(communityToken)
+	return c.hub.Transport(to.name, communityToken)
 }
 
 // link makes m gossip with each peer (itself skipped). A strict link fails
@@ -200,7 +172,7 @@ func (m *member) link(lazy bool, peers ...*member) error {
 func (m *member) unplug() {
 	if m.node != nil {
 		m.node.Close()
-		m.hangUp()
+		m.c.hub.Unregister(m.name)
 		m.node = nil
 	}
 }
@@ -290,7 +262,5 @@ func (c *community) close() {
 		m.fleet.Stop()
 		m.fleet = nil
 	}
-	if c.hub != nil {
-		c.hub.Close()
-	}
+	c.hub.Close()
 }

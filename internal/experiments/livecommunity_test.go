@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 
+	"sweeper/internal/antibody"
+	"sweeper/internal/exploit"
 	"sweeper/internal/vm"
 )
 
@@ -39,5 +41,50 @@ func TestCommunityMembersRunDistinctLayouts(t *testing.T) {
 	}
 	if dur := m.fleet.Durability(); dur.WarmRestarts != 1 || dur.ColdFallbacks != 0 {
 		t.Errorf("%s after restart: warm restarts %d, cold fallbacks %d, want 1 and 0", m.name, dur.WarmRestarts, dur.ColdFallbacks)
+	}
+}
+
+// TestRogueAntibodySpreadsAndEveryGuestRejectsIt is the community's answer to
+// a peer that holds the token but lies: a rogue publisher pushes, into one
+// member of a verifying community, a well-formed final antibody whose exploit
+// input reproduces nothing. Transit does not judge, so it reaches every store;
+// every guest, the producer's included, replays it in a sandbox and rejects it.
+func TestRogueAntibodySpreadsAndEveryGuestRejectsIt(t *testing.T) {
+	c, err := newCommunity(communitySpec{members: 3, producers: 1, warmup: epidemicWarmup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.close()
+	for _, m := range c.members {
+		if err := m.link(false, c.members...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload, err := exploit.Exploit(c.app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rogue := &antibody.Antibody{
+		ID:           "rogue-final",
+		Program:      c.app.Name,
+		Stage:        antibody.StageFinal,
+		ExploitInput: append([]byte(nil), payload[:len(payload)/4]...),
+	}
+	rogue.Sigs = []*antibody.Signature{antibody.ExactSignature("rogue-sig", rogue.ExploitInput)}
+	if _, err := c.transport(c.members[1]).Push("rogue", []*antibody.Antibody{rogue}); err != nil {
+		t.Fatal(err)
+	}
+	if !awaitStores(c.members, 1) {
+		t.Fatal("the rogue antibody did not reach every store")
+	}
+	c.drain()
+	for _, m := range c.members {
+		if _, ok := m.fleet.Store().Get(rogue.ID); !ok {
+			t.Errorf("%s: store does not hold the rogue antibody", m.name)
+		}
+		if st := m.guest.Stats(); st.AntibodiesRejected != 1 || st.AntibodiesAdopted != 0 || st.AntibodiesVerified != 0 {
+			t.Errorf("%s: rejected=%d adopted=%d verified=%d, want 1, 0, 0",
+				m.name, st.AntibodiesRejected, st.AntibodiesAdopted, st.AntibodiesVerified)
+		}
 	}
 }

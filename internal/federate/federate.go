@@ -3,7 +3,7 @@
 // untrusting hosts (Section 6). Each daemon runs a Server that exposes its
 // store to peers and a Node that gossips with them: freshly published
 // antibodies are pushed to every peer, a poll loop pulls what pushes missed,
-// and a joining node's first pull replays the peer's full store. Stores
+// and a joining node first replays the peer's full store, page by page. Stores
 // deduplicate by antibody ID, so gossip loops terminate after one bounce.
 //
 // Federation moves antibodies between daemons but deliberately does not vouch
@@ -103,10 +103,10 @@ func (n *Node) AddPeer(addr string) error {
 }
 
 // AddTransport connects to a peer over any Transport (an HTTP Peer or an
-// in-process hub endpoint). The first pull — the full-store replay a joining
-// daemon performs — happens synchronously so the caller learns immediately
-// whether the peer is reachable: when it is not, the error is returned and
-// the peer is not registered. The poll loop then keeps the stores converged.
+// in-process hub endpoint). The full-store replay a joining daemon performs
+// happens synchronously, so the caller learns immediately whether the peer
+// is reachable: when it is not, the error is returned and the peer is not
+// registered. The poll loop then keeps the stores converged.
 func (n *Node) AddTransport(t Transport) error {
 	if err := n.join(t, false); err != nil {
 		return fmt.Errorf("federate: joining peer %s: %w", t.URL(), err)
@@ -118,20 +118,31 @@ func (n *Node) AddTransport(t Transport) error {
 // daemon that crashed and has not restarted, or one that simply boots later.
 // Unlike AddTransport it never fails — an unreachable peer is recorded as
 // down (FederationStats.PeerDown) and its poll loop keeps retrying with
-// capped exponential backoff from cursor 0, so the full-store replay happens
+// capped exponential backoff from cursor 0, so the full-store replay starts
 // at the first successful poll after the peer appears.
 func (n *Node) AddTransportLazy(t Transport) { n.join(t, true) }
 
-// join is the one way a peer is added: first pull, import, register, poll. A
-// failed first pull is returned unless lazy, in which case the peer is
-// registered down and polled from cursor 0.
+// join is the one way a peer is added: replay, register, poll. The replay
+// pulls page after page from cursor 0 until one brings nothing (or does not
+// move the cursor on), so the node holds the peer's whole store however many
+// pages it takes. A failed pull is returned unless lazy, in which case the
+// peer is registered down and polled from where the replay got to.
 func (n *Node) join(t Transport, lazy bool) error {
 	cursor := 0
-	page, err := t.Pull(0)
-	if err == nil {
+	var err error
+	for {
+		var page *antibody.PullPage
+		if page, err = t.Pull(cursor); err != nil {
+			break
+		}
 		n.importFrom(t, page.Antibodies)
+		last := len(page.Antibodies) == 0 || page.Next <= cursor
 		cursor = page.Next
-	} else if !lazy {
+		if last {
+			break
+		}
+	}
+	if err != nil && !lazy {
 		return err
 	}
 	down := err != nil

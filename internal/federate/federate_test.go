@@ -8,6 +8,9 @@ import (
 	"time"
 
 	"sweeper/internal/antibody"
+	"sweeper/internal/apps"
+	"sweeper/internal/core"
+	"sweeper/internal/exploit"
 	"sweeper/internal/metrics"
 )
 
@@ -81,6 +84,63 @@ func TestJoinReplaysFullStore(t *testing.T) {
 	}
 	if got := joiner.rec.Snapshot().Received; got != 5 {
 		t.Errorf("joiner Received = %d, want 5", got)
+	}
+}
+
+// squidFinalAntibody is the final antibody a squid guest publishes after
+// absorbing the exploit: its VSEFs, its exact-bytes signature and the
+// exploit itself.
+func squidFinalAntibody(t *testing.T) *antibody.Antibody {
+	t.Helper()
+	spec := apps.Squid()
+	s, err := core.New(spec.Name, spec.Image, spec.Options, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		s.Submit(exploit.Benign(spec.Name, i), "client", false)
+	}
+	s.Submit(exploit.SquidExploit(), "worm", true)
+	if _, err := s.ServeAll(); err != nil {
+		t.Fatal(err)
+	}
+	s.WaitAnalyses()
+	if len(s.Attacks()) != 1 || s.Attacks()[0].FinalAntibody == nil {
+		t.Fatal("squid published no final antibody")
+	}
+	return s.Attacks()[0].FinalAntibody
+}
+
+// TestJoinStoreLargerThanOneReply: a store whose encoding is larger than
+// what a peer reads of one reply (3 000 antibodies the size of squid's final
+// one) still replays whole to a joiner over HTTP. When the server answered a
+// pull with the whole store, the joiner read a truncated page, failed to
+// decode it and held nothing.
+func TestJoinStoreLargerThanOneReply(t *testing.T) {
+	const n = 3000
+	final := squidFinalAntibody(t)
+	enc, err := final.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n*len(enc) <= maxBodyBytes {
+		t.Fatalf("%d antibodies of %d bytes fit in one %d-byte reply: the test no longer tests paging", n, len(enc), maxBodyBytes)
+	}
+	seeded := newDaemon(t, "seeded")
+	for i := 0; i < n; i++ {
+		a := *final
+		a.ID = fmt.Sprintf("%s-%d", final.ID, i)
+		seeded.store.Publish(&a)
+	}
+	joiner := newDaemon(t, "joiner")
+	if err := joiner.node.AddPeer(seeded.srv.URL); err != nil {
+		t.Fatal(err)
+	}
+	if got := joiner.store.Len(); got != n {
+		t.Fatalf("joiner holds %d antibodies after join, want %d", got, n)
+	}
+	if got := joiner.rec.Snapshot().Received; got != n {
+		t.Errorf("joiner received %d antibodies, want %d", got, n)
 	}
 }
 

@@ -166,8 +166,8 @@ func (p *inprocPeer) Push(from string, abs []*antibody.Antibody) (int, error) {
 	return accepted, ep.closedErr()
 }
 
-// Pull fetches the endpoint's store from the cursor onward; Pull(0) replays
-// the full store.
+// Pull fetches the endpoint's store from the cursor onward, all of it in one
+// page.
 func (p *inprocPeer) Pull(cursor int) (*antibody.PullPage, error) {
 	ep, err := p.dial()
 	if err != nil {

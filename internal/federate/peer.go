@@ -91,8 +91,8 @@ func (p *Peer) Push(from string, abs []*antibody.Antibody) (accepted int, err er
 	return res.Accepted, nil
 }
 
-// Pull fetches the peer's store from the given publication cursor onward.
-// Pull(0) is the full-store replay performed on join.
+// Pull fetches one page of the peer's store from the given publication cursor
+// onward; the server bounds the page and its Next says where it stopped.
 func (p *Peer) Pull(cursor int) (*antibody.PullPage, error) {
 	resp, err := p.do(http.MethodGet, fmt.Sprintf("%s/v1/antibodies?since=%d", p.base, cursor), nil)
 	if err != nil {

@@ -54,8 +54,16 @@ func (s *Server) handleAntibodies(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handlePull serves the store from the requested publication cursor onward
-// (cursor 0, the default, replays the full store to a joining peer).
+// maxPageBytes bounds the antibodies of one pull page, well inside the
+// maxBodyBytes a Peer reads of a reply.
+const maxPageBytes = maxBodyBytes / 2
+
+// handlePull serves one page of the store from the requested publication
+// cursor onward (cursor 0, the default, starts a joining peer's full-store
+// replay). The page ends before its antibodies' encoding would pass
+// maxPageBytes, but always holds the first one there is; its Next is where it
+// stopped, so a peer that follows Next until a page comes back empty has read
+// the whole store, however large.
 func (s *Server) handlePull(w http.ResponseWriter, r *http.Request) {
 	cursor := 0
 	if raw := r.URL.Query().Get("since"); raw != "" {
@@ -67,7 +75,25 @@ func (s *Server) handlePull(w http.ResponseWriter, r *http.Request) {
 		cursor = n
 	}
 	abs, next := s.store.Since(cursor)
-	writeJSON(w, &antibody.PullPage{Next: next, Antibodies: abs})
+	// The wire shape of antibody.PullPage, each antibody encoded once.
+	page := struct {
+		Next       int               `json:"next"`
+		Antibodies []json.RawMessage `json:"antibodies"`
+	}{Next: next, Antibodies: make([]json.RawMessage, 0, len(abs))}
+	size := 0
+	for i, a := range abs {
+		enc, err := a.Marshal()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		if size += len(enc); i > 0 && size > maxPageBytes {
+			page.Next -= len(abs) - i
+			break
+		}
+		page.Antibodies = append(page.Antibodies, enc)
+	}
+	writeJSON(w, &page)
 }
 
 // handlePush absorbs a peer's publish push into the store, dropping
@@ -95,9 +121,14 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"ok": true, "antibodies": s.store.Len()})
 }
 
+// writeJSON encodes v whole before writing any of it, so an encoding error
+// is answered with an error status, never appended to a started body.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	body, err := json.Marshal(v)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(append(body, '\n'))
 }

@@ -67,7 +67,7 @@ func (cp *ClonePool) Get(s *Snapshot) (*Process, error) {
 // Put returns a clone to the pool. Only clones of this pool's source process
 // may be returned. An idle shell is kept for its Machine alone: what its last
 // user left on it — analysis tools and their recordings, probes, the view of
-// the log, outputs — is dropped here, not held until some later Get.
+// the log — is dropped here, not held until some later Get.
 func (cp *ClonePool) Put(c *Process) {
 	if c == nil {
 		return
@@ -95,7 +95,6 @@ func (c *Process) scrub() {
 	c.Machine.DetachAllTools()
 	c.Machine.ClearProbes()
 	c.Log = nil
-	c.outputs, c.outBase = nil, 0
 	c.logMessages = nil
 }
 

@@ -46,12 +46,6 @@ func (m Mode) String() string {
 	return "replay"
 }
 
-// OutputRecord is one send() performed by the guest while serving a request.
-type OutputRecord struct {
-	RequestID int
-	Data      []byte
-}
-
 // LogMessage is a debug message emitted by the guest via SysLog.
 type LogMessage struct {
 	RequestID int
@@ -83,7 +77,8 @@ type Process struct {
 	proxy *netproxy.Proxy
 	mode  Mode
 	// replayThenLive makes the process fall through to live inputs once the
-	// event log is exhausted during replay; recovery uses it, analysis does not.
+	// event log is exhausted during replay. Recovery does not use it: it
+	// replays in pure replay mode and then switches to live with SetMode.
 	replayThenLive bool
 	skip           map[int]bool // request IDs temporarily dropped during one replay
 	excised        map[int]bool // request IDs permanently removed from history (attack inputs)
@@ -95,10 +90,6 @@ type Process struct {
 	// history prefix while the analyses still deliberate over the suspect.
 	stopBeforeReq int
 
-	// outputs is the retained suffix of the output stream: outputs[i] is the
-	// (outBase+i)-th send the process ever made (see DiscardHistoryBefore).
-	outputs     []OutputRecord
-	outBase     int
 	logMessages []LogMessage
 
 	currentReqID int
@@ -205,37 +196,25 @@ func (p *Process) CurrentRequestID() int { return p.currentReqID }
 // the next blocking recv).
 func (p *Process) ServedRequests() int { return p.servedCount }
 
-// Outputs returns the retained client-visible outputs, oldest first: every
-// send since the oldest checkpoint the process's history still reaches back
-// to. The slice is the process's own, valid until the process next runs.
-func (p *Process) Outputs() []OutputRecord { return p.outputs }
-
-// OutputCount returns how many sends the process has made so far, discarded
-// ones included: the position in the output stream a Snapshot records.
-func (p *Process) OutputCount() int { return p.outBase + len(p.outputs) }
-
-// OutputsSince returns the retained outputs at or after position n of the
-// output stream, under the same terms as Outputs.
-func (p *Process) OutputsSince(n int) []OutputRecord {
-	return p.outputs[min(max(n-p.outBase, 0), len(p.outputs)):]
-}
-
-// DiscardHistoryBefore drops the events and outputs that precede the given
-// snapshot of this process: once it is the oldest checkpoint anything can
-// roll back to, nothing can replay or re-read them. Positions recorded
-// earlier (Snapshot.LogLen, Snapshot.OutputCount, log cursors) keep meaning
-// the events they meant; clones made before keep their own view of the log.
-func (p *Process) DiscardHistoryBefore(s *Snapshot) {
-	p.Log.DiscardBefore(s.LogLen)
-	if n := s.OutputCount - p.outBase; n > 0 {
-		// Unlike the log, the output array is nobody else's: move it down in
-		// place, so that a steady ring allocates nothing here.
-		kept := copy(p.outputs, p.outputs[n:])
-		clear(p.outputs[kept:])
-		p.outputs = p.outputs[:kept]
-		p.outBase = s.OutputCount
+// Outputs returns the sends the retained log holds, oldest first: its
+// EventOutput events, each a live send (a sandboxed replay logs none). For
+// inspection and tests; the respond path reads the log itself.
+func (p *Process) Outputs() []replay.Event {
+	var outs []replay.Event
+	for _, e := range p.Log.View(0) {
+		if e.Kind == replay.EventOutput {
+			outs = append(outs, e)
+		}
 	}
+	return outs
 }
+
+// DiscardHistoryBefore drops the events that precede the given snapshot of
+// this process: once it is the oldest checkpoint anything can roll back to,
+// nothing can replay or re-read them. Positions recorded earlier
+// (Snapshot.LogLen, log cursors) keep meaning the events they meant; clones
+// made before keep their own view of the log.
+func (p *Process) DiscardHistoryBefore(s *Snapshot) { p.Log.DiscardBefore(s.LogLen) }
 
 // LogMessages returns guest debug messages.
 func (p *Process) LogMessages() []LogMessage { return p.logMessages }
@@ -370,7 +349,6 @@ func (p *Process) sysSend(m *vm.Machine) (vm.SyscallResult, *vm.Fault) {
 	}
 	m.AddCycles(uint64(length))
 	if p.mode == ModeLive {
-		p.outputs = append(p.outputs, OutputRecord{RequestID: p.currentReqID, Data: data})
 		p.Log.Append(replay.Event{Kind: replay.EventOutput, RequestID: p.currentReqID, Data: data})
 	} else {
 		// Sandboxed replay: never reaches the client. Check the output-commit
@@ -478,7 +456,6 @@ type Snapshot struct {
 	DirtyPages    int
 	CapturedBytes int
 	LogLen        int
-	OutputCount   int
 	ServedCount   int
 	CurrentReqID  int
 }
@@ -520,7 +497,6 @@ func (p *Process) Snapshot(seq int) *Snapshot {
 		DirtyPages:    dirty,
 		CapturedBytes: captured,
 		LogLen:        p.Log.Len(),
-		OutputCount:   p.OutputCount(),
 		ServedCount:   p.servedCount,
 		CurrentReqID:  p.currentReqID,
 	}

@@ -164,7 +164,7 @@ func TestSnapshotRollbackReplayDeterminism(t *testing.T) {
 	if stop.Reason != vm.StopWaitInput {
 		t.Fatalf("stop = %v", stop.Reason)
 	}
-	liveOut := append([]proc.OutputRecord(nil), p.Outputs()...)
+	liveOut := p.Outputs()
 	if len(liveOut) != 3 {
 		t.Fatalf("outputs = %d", len(liveOut))
 	}

@@ -144,8 +144,13 @@ func (l *Log) PeekRequest(drop func(id int) bool) (Event, bool) {
 func (l *Log) Events() []Event { return l.EventsSince(l.base) }
 
 // EventsSince returns a copy of the retained events logged at or after index n.
-func (l *Log) EventsSince(n int) []Event {
-	return append([]Event{}, l.events[l.clamp(n)-l.base:]...)
+func (l *Log) EventsSince(n int) []Event { return append([]Event{}, l.View(n)...) }
+
+// View returns the retained events logged at or after index n without
+// copying them: the slice is the log's own, to read and never to write. Its
+// capacity is clamped, so appending to it cannot overwrite the log.
+func (l *Log) View(n int) []Event {
+	return l.events[l.clamp(n)-l.base : len(l.events) : len(l.events)]
 }
 
 // RequestsSince returns the IDs of the retained requests delivered at or after

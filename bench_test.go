@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"sweeper/internal/analysis/slicing"
+	"sweeper/internal/antibody"
 	"sweeper/internal/apps"
 	"sweeper/internal/core"
 	"sweeper/internal/experiments"
@@ -210,12 +211,12 @@ func BenchmarkSliceFallbackPrune(b *testing.B) {
 
 // --- slicing: what recording the dependence graph costs per node ---
 
-// squidWithBenignQueued returns a fresh squid Sweeper at ASLR seed 1009 with
+// squidWithBenignQueued returns a fresh squid Sweeper at ASLR seed seed with
 // 20 benign requests submitted and not yet served.
-func squidWithBenignQueued(tb testing.TB) *core.Sweeper {
+func squidWithBenignQueued(tb testing.TB, seed int64) *core.Sweeper {
 	spec := apps.Squid()
 	cfg := core.DefaultConfig()
-	cfg.ASLRSeed = 1009
+	cfg.ASLRSeed = seed
 	s, err := core.New(spec.Name, spec.Image, spec.Options, cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -230,7 +231,7 @@ func squidWithBenignQueued(tb testing.TB) *core.Sweeper {
 // the exploit to the fault, and returns it with the rollback checkpoint the
 // analyses replay from and the exploit's request ID.
 func squidAtDetection(tb testing.TB) (p *proc.Process, snap *proc.Snapshot, culprit int) {
-	s := squidWithBenignQueued(tb)
+	s := squidWithBenignQueued(tb, 1009)
 	if res, err := s.ServeAll(); err != nil || res.AttacksHandled != 0 {
 		tb.Fatalf("serving the benign requests: %+v, %v", res, err)
 	}
@@ -438,8 +439,19 @@ func BenchmarkVSEFOverhead(b *testing.B) {
 // two bare squid processes at its layout — one untouched, one carrying the
 // real final antibody's probes — each with the proxy that feeds it.
 func vsefWallClockGuests(tb testing.TB) (plain, probed *proc.Process, plainIn, probedIn *netproxy.Proxy) {
-	spec := apps.Squid()
-	s := squidWithBenignQueued(tb)
+	s, final := squidFinalAntibody(tb, 1009)
+	plain, plainIn = bareSquid(tb, s)
+	probed, probedIn = bareSquid(tb, s)
+	if _, err := final.Apply(probed, nil); err != nil {
+		tb.Fatal(err)
+	}
+	return plain, probed, plainIn, probedIn
+}
+
+// squidFinalAntibody absorbs the squid exploit on a full Sweeper at ASLR seed
+// seed and returns the Sweeper with the final antibody it produced.
+func squidFinalAntibody(tb testing.TB, seed int64) (*core.Sweeper, *antibody.Antibody) {
+	s := squidWithBenignQueued(tb, seed)
 	s.Submit(exploit.SquidExploit(), "worm", true)
 	res, err := s.ServeAll()
 	s.WaitAnalyses()
@@ -450,20 +462,50 @@ func vsefWallClockGuests(tb testing.TB) (plain, probed *proc.Process, plainIn, p
 	if final == nil || len(final.VSEFs) == 0 {
 		tb.Fatal("no final antibody with VSEFs")
 	}
-	bare := func() (*proc.Process, *netproxy.Proxy) {
-		in := netproxy.New()
-		p, err := proc.New(spec.Name, spec.Image, s.Layout(), in, spec.Options)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return p, in
-	}
-	plain, plainIn = bare()
-	probed, probedIn = bare()
-	if _, err := final.Apply(probed, nil); err != nil {
+	return s, final
+}
+
+// bareSquid returns a fresh squid process at s's layout, with no Sweeper
+// around it, and the proxy that feeds it.
+func bareSquid(tb testing.TB, s *core.Sweeper) (*proc.Process, *netproxy.Proxy) {
+	spec := apps.Squid()
+	in := netproxy.New()
+	p, err := proc.New(spec.Name, spec.Image, s.Layout(), in, spec.Options)
+	if err != nil {
 		tb.Fatal(err)
 	}
-	return plain, probed, plainIn, probedIn
+	return p, in
+}
+
+// TestProbeFiresPerRequest pins what each VSEF of the squid final antibody
+// costs a benign request in probe deliveries: each is applied alone to a bare
+// process at the producer's layout and serves the same 970 benign requests.
+// The virtual clock charges CyclesPerProbe per delivery, so these counts are
+// the whole of an installed antibody's virtual overhead, and what shrinking a
+// VSEF (the taint guard's instruction list) has to move.
+func TestProbeFiresPerRequest(t *testing.T) {
+	s, final := squidFinalAntibody(t, 5151)
+	const requests = 970
+	want := map[antibody.VSEFKind]uint64{ // fires over the 970 requests
+		antibody.VSEFHeapBounds: 13440, antibody.VSEFTaint: 118190,
+	}
+	for _, v := range final.VSEFs {
+		p, in := bareSquid(t, s)
+		if _, err := v.Apply(p); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < requests; i++ {
+			in.Submit(exploit.Benign("squid", i%97), "bench", false)
+			if stop := p.Run(0); stop.Reason != vm.StopWaitInput {
+				t.Fatalf("%s: request %d stopped the guest with %v", v, i, stop.Reason)
+			}
+		}
+		fires := p.Machine.ProbeFires()
+		t.Logf("%-60s %6d fires, %.1f per request", v, fires, float64(fires)/requests)
+		if w := want[v.Kind]; fires != w {
+			t.Errorf("%s: %d probe fires over %d benign requests, want %d", v, fires, requests, w)
+		}
+	}
 }
 
 // vsefWallClockPayloads returns the two benign request shapes of the

@@ -353,8 +353,7 @@ func (p *heapBoundsProbe) OnProbe(m *vm.Machine, idx int, in *vm.Instr) {
 	if !p.alloc.InHeapRegion(addr) {
 		return
 	}
-	c, found := p.alloc.ChunkContaining(addr)
-	if found && c.Allocated && addr+uint32(size) <= c.End() {
+	if end, allocated, found := p.alloc.ChunkEndAt(probeMoment(m), addr); found && allocated && addr+uint32(size) <= end {
 		return
 	}
 	if p.vsef.CallerIdx >= 0 {
@@ -373,6 +372,15 @@ func (p *heapBoundsProbe) OnProbe(m *vm.Machine, idx int, in *vm.Instr) {
 		Addr:   addr,
 		Detail: fmt.Sprintf("store at @%d (%s) outside heap chunk bounds", idx, p.vsef.InstrSym),
 	})
+}
+
+// probeMoment names the instruction whose probes m is delivering, for
+// lookups its probes share: the retired count does not move while they run,
+// and neither does the clock net of the CyclesPerProbe each delivery charges.
+// The next instruction's probes see a larger count, and a rollback, which
+// could repeat one, restores the allocator too.
+func probeMoment(m *vm.Machine) heap.Moment {
+	return heap.Moment{A: m.InstrCount(), B: m.Cycles() - vm.CyclesPerProbe*m.ProbeFires()}
 }
 
 type stackStoreProbe struct {

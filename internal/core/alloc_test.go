@@ -21,6 +21,11 @@ const (
 	// doubling), the reply read out of guest memory 47, the stop record of
 	// each Run 24, a checkpoint every ~50 requests ~20.
 	maxServeBytesPerRequest = 438
+	// maxProbedServeBytesPerRequest is the same bound on a guest that absorbed
+	// the squid exploit, whose requests run under its final antibody's probes
+	// (about 150 deliveries a request, none of which may allocate). Measured
+	// 410, bounded with the unprobed bound's margin of 57.
+	maxProbedServeBytesPerRequest = 467
 	// maxFrontBytesPerRequest bounds one request through the TCP front end,
 	// client side included. Measured 437 (450 with the completion times, 1752
 	// before), 462 under the race detector: the above plus the reply frame
@@ -55,6 +60,42 @@ func bytesPerCall(n int, fn func(i int)) float64 {
 // more than the stated bytes, on the in-process path.
 func TestServeAllocationBudget(t *testing.T) {
 	s, _ := newSweeperFor(t, "squid", nil)
+	got := serveBytesPerRequest(t, s)
+	t.Logf("Submit+ServeAll: %.0f B/request (bound %d)", got, maxServeBytesPerRequest)
+	if got > maxServeBytesPerRequest {
+		t.Errorf("serving a small request allocates %.0f B, want <= %d", got, maxServeBytesPerRequest)
+	}
+	if n := len(s.Attacks()); n != 0 {
+		t.Fatalf("%d attacks handled on benign traffic", n)
+	}
+}
+
+// TestProbedServeAllocationBudget is the same gate on a guest that absorbed
+// the squid exploit and carries its final antibody: the probed engine must
+// deliver probes without allocating.
+func TestProbedServeAllocationBudget(t *testing.T) {
+	s, _ := newSweeperFor(t, "squid", nil)
+	s.Submit(exploit.SquidExploit(), "worm", true)
+	if _, err := s.ServeAll(); err != nil {
+		t.Fatal(err)
+	}
+	s.WaitAnalyses()
+	if len(s.Attacks()) != 1 || s.Attacks()[0].FinalAntibody == nil || s.Process().Machine.ProbeCount() == 0 {
+		t.Fatal("the exploit left no final antibody's probes on the guest")
+	}
+	got := serveBytesPerRequest(t, s)
+	t.Logf("Submit+ServeAll, probed: %.0f B/request (bound %d)", got, maxProbedServeBytesPerRequest)
+	if got > maxProbedServeBytesPerRequest {
+		t.Errorf("serving a small request under probes allocates %.0f B, want <= %d", got, maxProbedServeBytesPerRequest)
+	}
+	if n := len(s.Attacks()); n != 1 {
+		t.Fatalf("%d attacks handled, want the exploit's one", n)
+	}
+}
+
+// serveBytesPerRequest serves the small mix on s one request per ServeAll and
+// returns the heap bytes per request, steady state.
+func serveBytesPerRequest(t *testing.T, s *Sweeper) float64 {
 	mix := smallMix(512)
 	serve := func(i int) {
 		s.Submit(mix[i%len(mix)], "client", false)
@@ -66,14 +107,7 @@ func TestServeAllocationBudget(t *testing.T) {
 	for i := 0; i < warm; i++ {
 		serve(i)
 	}
-	got := bytesPerCall(measured, serve)
-	t.Logf("Submit+ServeAll: %.0f B/request (bound %d)", got, maxServeBytesPerRequest)
-	if got > maxServeBytesPerRequest {
-		t.Errorf("serving a small request allocates %.0f B, want <= %d", got, maxServeBytesPerRequest)
-	}
-	if n := len(s.Attacks()); n != 0 {
-		t.Fatalf("%d attacks handled on benign traffic", n)
-	}
+	return bytesPerCall(measured, serve)
 }
 
 // TestFrontEndAllocationBudget is the same gate through the guest's TCP front

@@ -105,6 +105,20 @@ type Allocator struct {
 
 	mallocs uint64
 	frees   uint64
+
+	// memo is ChunkEndAt's last lookup.
+	memo chunkMemo
+}
+
+// Moment is a caller's name for a point in the guest's execution during
+// which no heap header can change (see ChunkEndAt).
+type Moment struct{ A, B uint64 }
+
+// chunkMemo is one ChunkEndAt result and the moment it was made at.
+type chunkMemo struct {
+	moment                  Moment
+	addr, end               uint32
+	valid, found, allocated bool
 }
 
 // New creates an allocator for the given guest memory region. No pages are
@@ -160,6 +174,7 @@ func (a *Allocator) Save() State {
 
 // Restore reinstates host-side allocator state saved by Save.
 func (a *Allocator) Restore(s State) {
+	a.memo.valid = false
 	a.main.brk = s.Main.Brk
 	a.main.mapped = s.Main.Mapped
 	a.mmap.brk = s.Mmap.Brk
@@ -248,6 +263,7 @@ func (a *Allocator) allocFrom(ar *arena, need uint32) (uint32, error) {
 // allocator exhibits after a heap overflow has smashed a header).
 func (a *Allocator) Malloc(size uint32) (uint32, error) {
 	a.mallocs++
+	a.memo.valid = false
 	if size == 0 {
 		size = 1
 	}
@@ -273,6 +289,7 @@ func (a *Allocator) arenaFor(addr uint32) *arena {
 // the crash-inside-free that the paper's CVS double-free exploit produces.
 func (a *Allocator) Free(addr uint32) error {
 	a.frees++
+	a.memo.valid = false
 	if addr == 0 {
 		// free(NULL) is a no-op, as in C.
 		return nil
@@ -301,27 +318,34 @@ func (a *Allocator) Free(addr uint32) error {
 }
 
 // chunkAt decodes the chunk whose header sits at hdr in ar and returns the
-// address of the next header. It is the one scanner behind every heap walk
-// and allocates nothing on an intact heap. A corrupt chunk (header unmapped,
-// bad magic, size past the break) ends its arena's scan: next is ar.brk.
+// address of the next header. A corrupt chunk (header unmapped, bad magic,
+// size past the break) ends its arena's scan: next is ar.brk.
 func (a *Allocator) chunkAt(ar *arena, hdr uint32) (c Chunk, next uint32) {
+	size, allocated, next, reason := a.headerAt(ar, hdr)
+	return Chunk{HeaderAddr: hdr, Addr: hdr + HeaderSize, Size: size, Allocated: allocated, Corrupt: reason != "", Reason: reason}, next
+}
+
+// headerAt is the one scanner behind every heap walk: chunkAt's fields as
+// scalars, which the bounds check on every guarded store reads without
+// building a Chunk. It returns the payload size, whether the magic says
+// allocated, the next header, and why the chunk is corrupt ("" when it is
+// intact). It allocates nothing on an intact heap.
+func (a *Allocator) headerAt(ar *arena, hdr uint32) (size uint32, allocated bool, next uint32, corrupt string) {
 	size, magic, ok := a.readHeader(hdr)
-	c = Chunk{HeaderAddr: hdr, Addr: hdr + HeaderSize, Size: size}
 	next = hdr + HeaderSize + align4(size)
 	switch {
 	case !ok:
-		c.Reason = "header unmapped"
+		corrupt = "header unmapped"
 	case magic != MagicAlloc && magic != MagicFree:
-		c.Reason = fmt.Sprintf("bad magic %#x", magic)
+		corrupt = fmt.Sprintf("bad magic %#x", magic)
 	default:
-		c.Allocated = magic == MagicAlloc
+		allocated = magic == MagicAlloc
 		if next <= ar.brk && next >= hdr {
-			return c, next
+			return size, allocated, next, ""
 		}
-		c.Reason = "size extends past break"
+		corrupt = "size extends past break"
 	}
-	c.Corrupt = true
-	return c, ar.brk
+	return size, allocated, ar.brk, corrupt
 }
 
 // arenas lists both arenas in scan order.
@@ -357,22 +381,49 @@ func (a *Allocator) CheckConsistency() (ok bool, detail string, corruptChunk Chu
 	return true, "", Chunk{}
 }
 
-// ChunkContaining returns the chunk whose payload contains addr. The
-// heap-bounds VSEF calls it on every guarded store, so it scans only addr's
-// own arena (an intact chunk never reaches past its arena's break) and stops
-// at the first header above addr.
+// ChunkContaining returns the chunk whose payload contains addr.
 func (a *Allocator) ChunkContaining(addr uint32) (Chunk, bool) {
-	ar := a.arenaFor(addr)
-	if ar == nil {
+	hdr, size, allocated, found := a.containing(addr)
+	if !found {
 		return Chunk{}, false
 	}
-	for hdr := ar.base; hdr < ar.brk && hdr < addr; {
-		var c Chunk
-		if c, hdr = a.chunkAt(ar, hdr); !c.Corrupt && c.Contains(addr) {
-			return c, true
-		}
+	return Chunk{HeaderAddr: hdr, Addr: hdr + HeaderSize, Size: size, Allocated: allocated}, true
+}
+
+// containing finds the intact chunk whose payload contains addr. The
+// heap-bounds VSEF asks on every guarded store, so it scans only addr's own
+// arena (an intact chunk never reaches past its arena's break) and stops at
+// the first header above addr.
+func (a *Allocator) containing(addr uint32) (hdr, size uint32, allocated, found bool) {
+	ar := a.arenaFor(addr)
+	if ar == nil {
+		return 0, 0, false, false
 	}
-	return Chunk{}, false
+	for hdr = ar.base; hdr < ar.brk && hdr < addr; {
+		size, allocated, next, corrupt := a.headerAt(ar, hdr)
+		if payload := hdr + HeaderSize; corrupt == "" && addr >= payload && addr < payload+size {
+			return hdr, size, allocated, true
+		}
+		hdr = next
+	}
+	return 0, 0, false, false
+}
+
+// ChunkEndAt is ChunkContaining for callers that ask about one address more
+// than once at one moment — the heap-bounds VSEFs guarding one store, all
+// delivered before it executes, while no guest instruction can touch a header
+// — reduced to what a bounds check reads: the payload's end and whether the
+// chunk is allocated. moment is the caller's name for that moment. The last
+// lookup is reused for the same address at the same moment only; Malloc, Free
+// and Restore forget it.
+func (a *Allocator) ChunkEndAt(moment Moment, addr uint32) (end uint32, allocated, found bool) {
+	m := &a.memo
+	if !m.valid || m.moment != moment || m.addr != addr {
+		hdr, size, allocated, found := a.containing(addr)
+		m.moment, m.addr, m.valid = moment, addr, true
+		m.end, m.allocated, m.found = hdr+HeaderSize+size, allocated, found
+	}
+	return m.end, m.allocated, m.found
 }
 
 // LiveChunks returns only the currently allocated chunks.

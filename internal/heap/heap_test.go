@@ -171,6 +171,42 @@ func TestChunkContaining(t *testing.T) {
 	}
 }
 
+// TestChunkEndAtSharesOneMoment: a lookup is reused only for the same address
+// at the same moment, so a header smashed between two moments is seen, and
+// Malloc, Free and Restore forget the lookup.
+func TestChunkEndAtSharesOneMoment(t *testing.T) {
+	a, mem := newAlloc()
+	p, _ := a.Malloc(40)
+	q, _ := a.Malloc(40)
+	now := Moment{7, 100}
+	if end, allocated, ok := a.ChunkEndAt(now, q+4); !ok || !allocated || end != q+40 {
+		t.Fatalf("lookup: end %#x allocated=%v ok=%v, want %#x true true", end, allocated, ok, q+40)
+	}
+	saved := a.Save()
+	mem.WriteWord(p-HeaderSize+4, 0xbad) // p's magic: the walk to q now stops at p
+	if _, _, ok := a.ChunkEndAt(now, q+4); !ok {
+		t.Error("a second lookup at the same moment was not shared")
+	}
+	if _, _, ok := a.ChunkEndAt(Moment{8, 100}, q+4); ok {
+		t.Error("a lookup at the next moment reused the last one")
+	}
+	mem.WriteWord(p-HeaderSize+4, MagicAlloc)
+	for i, step := range []struct {
+		name   string
+		forget func()
+	}{{"Restore", func() { a.Restore(saved) }}, {"Free", func() { a.Free(p) }}, {"Malloc", func() { a.Malloc(8) }}} {
+		now := Moment{uint64(10 + i), 100}
+		magic, _ := mem.ReadWord(p - HeaderSize + 4)
+		mem.WriteWord(p-HeaderSize+4, 0xbad)
+		a.ChunkEndAt(now, q+4) // not found: remembered
+		mem.WriteWord(p-HeaderSize+4, magic)
+		step.forget()
+		if end, _, ok := a.ChunkEndAt(now, q+4); !ok || end != q+40 {
+			t.Errorf("after %s: end %#x ok=%v, want q's chunk", step.name, end, ok)
+		}
+	}
+}
+
 func TestMmapThresholdSeparatesLargeAllocations(t *testing.T) {
 	a, _ := newAlloc()
 	a.SetMmapThreshold(4096)

@@ -140,7 +140,7 @@ func TestScannerMatchesReferenceWalk(t *testing.T) {
 	}
 }
 
-// TestHeapChecksDoNotAllocate: the heap-bounds VSEF runs ChunkContaining on
+// TestHeapChecksDoNotAllocate: the heap-bounds VSEF runs ChunkEndAt on
 // every guarded store and the free guard runs CheckConsistency on every
 // guarded call; on an intact heap neither may allocate.
 func TestHeapChecksDoNotAllocate(t *testing.T) {
@@ -155,6 +155,7 @@ func TestHeapChecksDoNotAllocate(t *testing.T) {
 		"ChunkContaining (main arena, last chunk)": func() { a.ChunkContaining(last + 4) },
 		"ChunkContaining (mmap zone)":              func() { a.ChunkContaining(big + 100) },
 		"ChunkContaining (miss)":                   func() { a.ChunkContaining(a.Brk() + 64) },
+		"ChunkEndAt":                               func() { a.ChunkEndAt(Moment{}, last+4) },
 		"CheckConsistency":                         func() { a.CheckConsistency() },
 	} {
 		if n := testing.AllocsPerRun(100, f); n != 0 {

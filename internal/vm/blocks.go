@@ -22,16 +22,22 @@ import "encoding/binary"
 // There is no invalidation: code is immutable once loaded.
 //
 // Attached instr/mem tools disable the fused loop wholesale (fastDispatch).
-// Registered probes do not: a block body is clamped to end just before the
-// next probed index (probeGap), and the loop delivers that index's probes
-// itself before executing it as the first instruction of the next body. What
-// the loop cannot express goes, one instruction at a time, through the
-// hook-calling engine (runHooked, blocks_tooled.go): syscalls, halts, illegal
-// opcodes, call/ret under call hooks, and the first half of a fused pair that
-// a probe or the budget splits. Faults and budget exhaustion inside a run
-// flush partial accounting so that every observable quantity — Cycles(),
-// InstrCount(), PC, StopInfo, probe firing order — is bit-identical to that
-// engine's, and to the tests' reference interpreter's, at every stop point.
+// Registered probes do not, and they cut no block short: a machine with
+// probes runs a copy of the micro-ops (the probe overlay, rebuilt lazily when
+// its probe set changes) in which every probed index carries the synthetic
+// opProbe. The loop enters and chains blocks exactly as on an unprobed
+// machine; reaching opProbe, in a body or as a terminator, it commits its
+// batched state, fires that index's probes in place and executes the
+// original micro-op. A probe only observes (see Probe), so the pass then
+// simply continues (fireInPlace). What the loop cannot express goes, one instruction at a
+// time, through the hook-calling engine (runHooked, blocks_tooled.go):
+// syscalls, halts, illegal opcodes, call/ret under call hooks, and the first
+// half of a fused pair that the budget splits; runHooked fires those
+// instructions' probes itself. Faults and budget exhaustion inside a run flush
+// partial accounting so that every observable quantity — Cycles(),
+// InstrCount(), ProbeFires(), PC, StopInfo, probe firing order — is
+// bit-identical to that engine's, and to the tests' reference interpreter's,
+// at every stop point.
 
 // Block descriptors. desc[i] describes the block a jump to index i enters
 // (every index is a legal entry, since indirect jumps can land anywhere):
@@ -50,19 +56,22 @@ import "encoding/binary"
 // SegmentSpan/InstrSize = 65 536 instructions, so neither field can overflow.
 const (
 	descSelfLoop = 1 << 32
-	// descClamped marks a descriptor runFused made for a body a probe or the
-	// budget cut short: its terminator is not to be executed. The table
-	// never carries it.
+	// descClamped marks a descriptor runFused made for a body the budget cut
+	// short: its terminator is not to be executed. The table never carries
+	// it.
 	descClamped  = 1 << 33
 	descCycShift = 34
 )
 
 // Packed micro-op layout: op in bits 0-7, Rd in 8-15, Rs in 16-23, the
-// (relocated) immediate in bits 32-63.
+// (relocated) immediate in bits 32-63. Bits 24-31 are free: an opProbe
+// micro-op keeps there the opcode of the micro-op it stands for, whose other
+// fields it carries unchanged.
 const (
-	uopOpMask  = 0xff
-	uopRdShift = 8
-	uopRsShift = 16
+	uopOpMask     = 0xff
+	uopRdShift    = 8
+	uopRsShift    = 16
+	uopProbedFrom = 24
 )
 
 func packUop(in Instr) uint64 {
@@ -83,10 +92,10 @@ func packUop(in Instr) uint64 {
 // operand fields and the entire second slot keep their original encoding, and
 // the executor reads the second half's operands from uops[pc+1]. That keeps
 // every instruction index a valid entry point: a jump landing on the second
-// half executes the untouched original micro-op, and a budget or probe clamp
-// that splits a pair (end == pc+1) makes the executor retire only the first
-// half. Synthetic opcodes live only in Machine.uops — Program.Code, the
-// hook-calling engine and the block map never see them.
+// half executes the untouched original micro-op, and a budget clamp that
+// would split a pair ends the body before it. Synthetic opcodes live only in
+// the micro-ops runFused runs — Program.Code, the hook-calling engine and the
+// block map never see them.
 // The synthetic opcodes sit directly after the real ones so the dispatch
 // switch still compiles to one compact jump table. Where the first half
 // leaves operand fields unused, fusion bakes the second half's destination
@@ -99,7 +108,20 @@ const (
 	fuseAddIAddI                      // addi ; addi        (second half from uops[pc+1])
 	fuseLoadBCmpI                     // loadb ; cmpi       (second half from uops[pc+1])
 	fuseStoreBAddI                    // storeb ; addi      (second half from uops[pc+1])
+	// opProbe marks a probed index in a probe overlay (rebuildProbeTables):
+	// fire its probes, then execute the micro-op it stands for (see
+	// uopProbedFrom), which may be the first half of a fused pair.
+	opProbe
 )
+
+// probedUop is u marked as probed; unprobedUop inverts it.
+func probedUop(u uint64) uint64 {
+	return u&^uopOpMask | (u&uopOpMask)<<uopProbedFrom | uint64(opProbe)
+}
+
+func unprobedUop(u uint64) uint64 {
+	return u&^(uopOpMask|uopOpMask<<uopProbedFrom) | u>>uopProbedFrom&uopOpMask
+}
 
 // fusePair returns the synthetic opcode and selection weight for an adjacent
 // opcode pair, or weight 0 if the pair is not in the fusion table. push+pop
@@ -219,33 +241,91 @@ func buildBlocks(code []Instr) []uint64 {
 	return desc
 }
 
-// rebuildProbeGap recomputes probeGap: probeGap[i] is the number of
-// consecutive probe-free instructions starting at i, zero at a probed index
-// and at the one-past-the-end sentinel. The fused loop clamps a block body to
-// it, so registering a VSEF probe keeps block dispatch for every unprobed
-// stretch — probes stay "lightweight" even on the fast path.
-func (m *Machine) rebuildProbeGap() {
-	n := len(m.code)
-	if m.probeGap == nil {
-		m.probeGap = make([]int32, n+1)
+// rebuildProbeTables points m.uops and m.desc at the tables runFused is to
+// run for the current probe set: the image's own when there are no probes,
+// otherwise the probe overlay. Its micro-ops are the image's with every
+// probed index marked opProbe and no fused pair straddling one: a pair whose
+// second half is probed runs as its two plain halves, since that half's
+// probes fire between them. (A pair whose first half is probed stays fused:
+// its probes fire before the pair, as before the first half.) Its descriptors
+// are the image's, except that a self-loop whose jmp is probed is no
+// self-loop: the loop must reach that terminator to fire it (this copy is
+// made only when such a jmp exists). The buffers are the machine's and are
+// reused, so installing or removing a whole antibody's probes costs one
+// O(code) copy on the next entry, and a loop whose body holds a probed store
+// keeps its block, its self-loop and its chaining.
+func (m *Machine) rebuildProbeTables() {
+	m.probesDirty = false
+	m.uops, m.desc = m.imageUops, m.imageDesc
+	if m.probeCount == 0 {
+		return
 	}
-	for i := n - 1; i >= 0; i-- {
-		if len(m.probes[i]) > 0 {
-			m.probeGap[i] = 0
-		} else {
-			m.probeGap[i] = m.probeGap[i+1] + 1
+	n := len(m.code)
+	if len(m.probeUops) != n {
+		m.probeUops = make([]uint64, n)
+	}
+	u := m.probeUops
+	copy(u, m.imageUops)
+	for i := 1; i < n; i++ {
+		if len(m.probes[i]) > 0 && Op(u[i-1]&uopOpMask) >= numOps {
+			u[i-1] = m.uopsPlain[i-1] // the pair (i-1, i)
 		}
 	}
+	ownDesc := false
+	for i, list := range m.probes {
+		if len(list) == 0 {
+			continue
+		}
+		u[i] = probedUop(u[i])
+		if t := int(m.code[i].Imm); m.code[i].Op == OpJmp && t >= 0 && t <= i &&
+			m.imageDesc[t]&descSelfLoop != 0 && t+int(uint32(m.imageDesc[t])) == i {
+			if !ownDesc {
+				if len(m.probeDesc) != n+1 {
+					m.probeDesc = make([]uint64, n+1)
+				}
+				copy(m.probeDesc, m.imageDesc)
+				m.desc, ownDesc = m.probeDesc, true
+			}
+			m.desc[t] &^= descSelfLoop
+		}
+	}
+	m.uops = u
 }
 
 // fireProbes delivers instruction idx's probes in registration order, each
-// charged CyclesPerProbe, and reports whether one raised a violation.
+// charged CyclesPerProbe and counted in ProbeFires, and reports whether one
+// raised a violation.
 func (m *Machine) fireProbes(idx int) bool {
+	in := &m.code[idx]
 	for _, p := range m.probes[idx] {
 		m.cycles += CyclesPerProbe
-		p.OnProbe(m, idx, &m.code[idx])
+		m.probeFires++
+		p.OnProbe(m, idx, in)
 	}
 	return m.pendingViolation != nil
+}
+
+// fireInPlace is runFused's one probe delivery: it commits the loop's
+// registers, flags and batched accounting up to the probed instruction at, so
+// that the probes read exactly what they read under Step, and fires them. A
+// probe only observes, so nothing needs reloading afterwards: unless one
+// raised a violation (the stop then stands on the committed state), the
+// batched counts are taken back and the loop carries on with its own. The
+// loop could instead restart its batch at the probe, but its counters would
+// then change inside the body loop, and that costs every dispatch of every
+// machine a spill. Out of line, like fusedFault, to keep its set-up out of
+// the dispatch loop.
+//
+//go:noinline
+func (m *Machine) fireInPlace(regs *[NumRegs]uint32, flags, at int, done, cyc uint64) bool {
+	m.Regs, m.Flags = *regs, flags
+	m.commitFused(at, done, cyc)
+	if m.fireProbes(at) {
+		return true
+	}
+	m.instrCount -= done
+	m.cycles -= cyc
+	return false
 }
 
 // commitFused flushes a fused run's batched accounting back to the machine:
@@ -278,8 +358,8 @@ func tlbLocals(mem *Memory) (rp *page, rpn uint32, wp *page, wpn uint32) {
 // an instruction only runHooked can execute (syscall, halt, illegal opcode,
 // call/ret with call hooks attached, a split fused pair); in the last case it
 // returns a nil stop and Run gives runHooked that one instruction, probes
-// included. executed reports how many instructions were retired, for Run's
-// budget bookkeeping.
+// included. What it retired is what InstrCount() grew by, for Run's budget
+// bookkeeping.
 //
 // The loop mirrors runHooked's observable semantics exactly (where its
 // comments say Step, read: runHooked with a limit of one): the same cycle
@@ -287,13 +367,15 @@ func tlbLocals(mem *Memory) (rp *page, rpn uint32, wp *page, wpn uint32) {
 // that includes the faulting instruction, and the PC left on the faulting
 // instruction for fault attribution. Registers, flags and the TLB mirrors
 // live in locals; every exit path flushes them before touching m.
-func (m *Machine) runFused(limit uint64) (stop *StopInfo, executed uint64) {
-	// done and cyc batch the call's accounting across passes. A pass ends
-	// where it delivers probes and names the index in m.probesFiredAt for the
-	// next (a field, not a local, to stay out of the block loop's registers).
+func (m *Machine) runFused(limit uint64) *StopInfo {
+	// done and cyc batch the call's accounting; every exit commits them.
 	var done, cyc uint64
-	m.probesFiredAt = -1
-pass:
+	// Probes change only between entries (hooks and syscalls run under Step,
+	// and a probe never adds or removes one), so the overlay is loop-invariant
+	// here. It is rebuilt lazily: probe mutations just mark it dirty.
+	if m.probesDirty {
+		m.rebuildProbeTables()
+	}
 	var (
 		uops  = m.uops
 		desc  = m.desc
@@ -302,96 +384,36 @@ pass:
 		regs  = m.Regs
 		flags = m.Flags
 	)
-	// Probes and tools can only change between passes (hooks and syscalls run
-	// under Step, probes between passes), so the probe state is loop-invariant
-	// here. The gap table is rebuilt lazily: probe mutations just mark it dirty,
-	// so installing or removing a whole antibody's probe set costs one
-	// O(code) rebuild on next entry instead of one per mutation.
-	var probeGap []int32
-	if m.probeCount > 0 {
-		if m.probeGapDirty {
-			m.rebuildProbeGap()
-			m.probeGapDirty = false
-		}
-		probeGap = m.probeGap
-	}
 	rp, rpn, wp, wpn := tlbLocals(mem)
 
 	for {
 		if uint(pc) >= uint(len(uops)) {
 			m.Regs, m.Flags = regs, flags
 			m.commitFused(pc, done, cyc)
-			return m.badPCFault(), done
+			return m.badPCFault()
 		}
 		// d is the block's descriptor, the only block state the body loop
-		// carries. An unprobed block whose body and terminator fit the budget
-		// runs on it as built (and is usually entered straight from the branch
-		// that reached it, below); otherwise the clamped path makes one for the
+		// carries. A block whose body and terminator fit the budget runs on it
+		// as built (and is usually entered straight from the branch that
+		// reached it, below); otherwise the budget clamp makes one for the
 		// stretch the loop may execute.
 		d := desc[pc]
-		if probeGap != nil || limit-done <= uint64(uint32(d)) {
-			body := int(uint32(d))
-			clamped := false
-			if probeGap != nil {
-				g := int(probeGap[pc])
-				if g == 0 {
-					// pc is probed: its body is clamped at the next probed index.
-					g = 1 + int(probeGap[pc+1])
-					if pc != m.probesFiredAt {
-						// Deliver pc's probes, but only if the loop then executes
-						// pc: Step fires probes itself, so what is left to it (no
-						// budget, a fused pair's first half split off by the next
-						// probe or the budget, a terminator only Step can run) is
-						// left whole. Probes see committed state as under Step; the
-						// commit is then taken back so batching resumes, and a new
-						// pass reloads what a probe may touch: registers, TLBs, probes.
-						t, rem := Op(uops[pc]&uopOpMask), limit-done
-						m.Regs, m.Flags = regs, flags
-						m.commitFused(pc, done, cyc)
-						if rem == 0 || t >= numOps && (g == 1 || rem == 1) ||
-							body == 0 && (t > OpRet || t >= OpCall && m.callDispatch) {
-							return nil, done
-						}
-						if m.fireProbes(pc) {
-							return m.violationStop(), done
-						}
-						m.instrCount -= done
-						m.cycles -= cyc
-						m.PC, m.probesFiredAt = pc, pc // as under Step, a probe cannot move the PC
-						goto pass
-					}
-					m.probesFiredAt = -1
-				}
-				if g <= body {
-					body = g
-					clamped = true
-				}
+		if rem := limit - done; rem <= uint64(uint32(d)) {
+			// The clamp may land between the halves of a fused pair. Rather
+			// than split the pair in the body loop, shorten the body by one
+			// and let Run's Step fallback execute the pair's first half from
+			// the original (unfused) code — the fused cases below can then
+			// assume every pair they dispatch is whole. Observables are
+			// unchanged: the stop still lands on exactly the same
+			// instruction. A single decrement suffices, because the
+			// instruction before a pair's first half is never itself a pair's
+			// first half. (A probed index there is left to Step as well, which
+			// fires its probes.)
+			body := int(rem)
+			if body > 0 && Op(uops[pc+body-1]&uopOpMask) >= numOps {
+				body--
 			}
-			if rem := limit - done; rem <= uint64(body) {
-				body = int(rem)
-				clamped = true
-			}
-			if clamped {
-				// A probe or budget clamp may land between the halves of a
-				// fused pair. Rather than split the pair in the body loop,
-				// shorten the body by one and let Run's Step fallback execute
-				// the pair's first half from the original (unfused) code — the
-				// fused cases below can then assume every pair they dispatch is
-				// whole. Observables are unchanged: the stop still lands on
-				// exactly the same instruction. A single decrement suffices,
-				// because the instruction before a pair's first half is never
-				// itself a pair's first half.
-				if body > 0 && Op(uops[pc+body-1]&uopOpMask) >= numOps {
-					body--
-				}
-				d = uint64(body) | descClamped | (d>>descCycShift-desc[pc+body]>>descCycShift)<<descCycShift
-			} else if probeGap[pc] == 0 {
-				// Unclamped, the block came here for its probes. It is
-				// probe-free from base+1 through its terminator, but a probed
-				// base must come back through here every iteration: it is no
-				// self-loop.
-				d &^= descSelfLoop
-			}
+			d = uint64(body) | descClamped | (d>>descCycShift-desc[pc+body]>>descCycShift)<<descCycShift
 		}
 		base, end := pc, pc+int(uint32(d))
 
@@ -419,15 +441,26 @@ pass:
 				pc++
 				continue
 			}
+			if op >= numOps && op == opProbe {
+				// pc's probes fire in place, before it counts or costs
+				// anything, as under Step; then its own micro-op runs: a
+				// fused pair just below, anything else in the switch after.
+				// (Tested inside op >= numOps so that real opcodes pay
+				// nothing for it.)
+				if m.fireInPlace(&regs, flags, pc, done+uint64(pc-base), cyc+desc[base]>>descCycShift-desc[pc]>>descCycShift) {
+					return m.violationStop()
+				}
+				u = unprobedUop(u)
+				op = Op(u & uopOpMask)
+			}
 			if op >= numOps {
 				switch op {
 				// Fused pairs. Each executes its first half exactly like the plain
-				// case above, then — only if the pair is not split by a budget or
-				// probe clamp (pc+1 < end) — the second half, whose operands come
-				// from the untouched uops[pc+1]; the extra pc++ here plus the
-				// shared one below advances past both halves. Second-half faults
-				// report index pc+1 and charge both instructions, exactly as two
-				// plain dispatches would.
+				// case above, then the second half, whose operands come from the
+				// untouched uops[pc+1]; the extra pc++ here plus the shared one
+				// below advances past both halves. Second-half faults report
+				// index pc+1 and charge both instructions, exactly as two plain
+				// dispatches would.
 				case fusePushPop:
 					val := regs[uint8(u>>uopRdShift)]
 					sp := regs[SP] - 4
@@ -702,14 +735,11 @@ pass:
 			continue // remaining budget < one iteration: let the prologue clamp
 		}
 		if d&descClamped != 0 {
-			if probeGap != nil && done < limit && probeGap[pc] == 0 {
-				continue // a probed index with budget left: deliver it above
-			}
 			// Budget boundary or a split pair: hand the next instruction (if
 			// any) back to the slow path.
 			m.Regs, m.Flags = regs, flags
 			m.commitFused(pc, done, cyc)
-			return nil, done
+			return nil
 		}
 
 		if pc >= len(uops) {
@@ -722,10 +752,11 @@ pass:
 		// Terminator. Jumps and conditional branches, the way out of nearly
 		// every block, resolve ahead of the switch without an indirect jump:
 		// one range compare, then the taken bit for the sign of flags (read as
-		// RefRun reads it, any int included). The next block, when unprobed
-		// and within budget, is entered right here on its descriptor alone.
+		// RefRun reads it, any int included). The next block, when within
+		// budget, is entered right here on its descriptor alone.
 		u := uops[pc]
 		op := Op(u & uopOpMask)
+	terminator:
 		if op-OpJmp <= OpJge-OpJmp {
 			cyc += cyclesBranch
 			done++
@@ -741,7 +772,7 @@ pass:
 			} else {
 				pc++
 			}
-			if uint(pc) < uint(len(uops)) && probeGap == nil {
+			if uint(pc) < uint(len(uops)) {
 				if d = desc[pc]; limit-done > uint64(uint32(d)) {
 					base, end = pc, pc+int(uint32(d))
 					goto iterate
@@ -766,7 +797,7 @@ pass:
 				// return-address push; Step dispatches them.
 				m.Regs, m.Flags = regs, flags
 				m.commitFused(pc, done, cyc)
-				return nil, done
+				return nil
 			}
 			cyc += cyclesBranch + cyclesMem
 			done++
@@ -797,7 +828,7 @@ pass:
 			if m.callDispatch || m.memDispatch {
 				m.Regs, m.Flags = regs, flags
 				m.commitFused(pc, done, cyc)
-				return nil, done
+				return nil
 			}
 			cyc += cyclesBranch + cyclesMem
 			done++
@@ -819,10 +850,23 @@ pass:
 			pc = tIdx
 
 		default:
+			if op == opProbe {
+				// A probed terminator: its probes fire here unless Step is to
+				// execute it, and fire them itself. The budget holds it: an
+				// unclamped body leaves room for its terminator.
+				u = unprobedUop(u)
+				op = Op(u & uopOpMask)
+				if op <= OpRet && (op < OpCall || !m.callDispatch && !m.memDispatch) {
+					if m.fireInPlace(&regs, flags, pc, done, cyc) {
+						return m.violationStop()
+					}
+					goto terminator
+				}
+			}
 			// Syscall, halt, illegal opcode: only Step knows how.
 			m.Regs, m.Flags = regs, flags
 			m.commitFused(pc, done, cyc)
-			return nil, done
+			return nil
 		}
 	}
 }
@@ -840,10 +884,10 @@ const branchTaken = 0b111 | 0b010<<3 | 0b101<<6 | 0b001<<9 | 0b011<<12 | 0b100<<
 //
 //go:noinline
 func (m *Machine) fusedFault(regs *[NumRegs]uint32, flags, base, at int, done, cyc uint64,
-	kind FaultKind, addr uint32, isWrite bool, detail string) (*StopInfo, uint64) {
+	kind FaultKind, addr uint32, isWrite bool, detail string) *StopInfo {
 	done += uint64(at + 1 - base)
 	cyc += m.desc[base]>>descCycShift - m.desc[at+1]>>descCycShift
 	m.Regs, m.Flags = *regs, flags
 	m.commitFused(at, done, cyc)
-	return m.fault(kind, addr, isWrite, detail), done
+	return m.fault(kind, addr, isWrite, detail)
 }

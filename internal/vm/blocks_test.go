@@ -43,7 +43,8 @@ func loadMachinePair(t testing.TB, prog *vm.Program, sys func() vm.SyscallHandle
 }
 
 // diffStop compares every observable of two stopped machines: stop reason,
-// fault identity, architectural state and accounting. The engines' contract is
+// fault identity, architectural state and accounting (probe deliveries
+// included). The engines' contract is
 // that all of these are bit-identical to the reference interpreter's.
 func diffStop(t *testing.T, label string, fast, slow *vm.Machine, fs, ss *vm.StopInfo) {
 	t.Helper()
@@ -74,6 +75,9 @@ func diffStop(t *testing.T, label string, fast, slow *vm.Machine, fs, ss *vm.Sto
 	}
 	if fast.InstrCount() != slow.InstrCount() {
 		t.Errorf("%s: instrs fast=%d slow=%d", label, fast.InstrCount(), slow.InstrCount())
+	}
+	if fast.ProbeFires() != slow.ProbeFires() {
+		t.Errorf("%s: probe fires fast=%d slow=%d", label, fast.ProbeFires(), slow.ProbeFires())
 	}
 }
 
@@ -317,8 +321,8 @@ func TestProbeParityFastPath(t *testing.T) {
 	rec := func(sink *[]sight) vm.Probe {
 		return recordingProbe{hits: sink}
 	}
-	// Probe the middle of the loop body: the fused run must clamp short of
-	// it every iteration and deliver it.
+	// Probe the middle of the loop body: the fused loop must deliver it in
+	// place every iteration.
 	if err := fast.AddProbe(3, rec(&fastHits)); err != nil {
 		t.Fatal(err)
 	}

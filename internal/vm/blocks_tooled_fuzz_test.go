@@ -274,44 +274,58 @@ func (pp *probedPair) runChunked(t *testing.T, label string, chunk, total uint64
 // TestInLoopProbesDifferential runs the fuzz corpus under random probe sets
 // on the fused engine, which delivers probes inside its block loop, and on
 // the reference, in Run calls of random length, and requires identical
-// probe logs, Cycles(), InstrCount(), PC and StopInfo at every stop. Probes
-// come and go between Run calls, and some raise violations.
+// probe logs, Cycles(), InstrCount(), ProbeFires(), PC and StopInfo at every
+// stop. Probes come and go between Run calls, and some raise violations.
 func TestInLoopProbesDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x1009))
 	for trial := 0; trial < 72; trial++ {
 		seed := rng.Int63()
-		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
-			r := rand.New(rand.NewSource(seed))
-			pp := newProbedPair(t, vmtest.RandomGuest(r, 80))
-			n := len(pp.fast.Code())
-			addProbes := func(k int) {
-				for ; k > 0; k-- {
-					raiseOn := 0
-					if r.Intn(6) == 0 {
-						raiseOn = 1 + r.Intn(20)
-					}
-					// Names repeat, so RemoveProbes below takes out several;
-					// indexes repeat, so some carry two probes.
-					pp.probe(t, fmt.Sprintf("p%d", r.Intn(4)), r.Intn(n), raiseOn)
-				}
+		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) { probedTrial(t, seed) })
+	}
+}
+
+// FuzzProbedDispatch is TestInLoopProbesDifferential's trial as a fuzz
+// target: the seed picks the guest, the probe set and the Run lengths.
+func FuzzProbedDispatch(f *testing.F) {
+	for _, seed := range []int64{0, 1, 0x1009, 0x5eed, -7} {
+		f.Add(seed)
+	}
+	f.Fuzz(probedTrial)
+}
+
+// probedTrial runs a random guest under a random probe set on Run and on the
+// reference, comparing at every stop, for 40 Run calls of random length with
+// probes added and removed between them.
+func probedTrial(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	pp := newProbedPair(t, vmtest.RandomGuest(r, 80))
+	n := len(pp.fast.Code())
+	addProbes := func(k int) {
+		for ; k > 0; k-- {
+			raiseOn := 0
+			if r.Intn(6) == 0 {
+				raiseOn = 1 + r.Intn(20)
 			}
-			addProbes(1 + r.Intn(10))
-			for call := 0; call < 40 && !t.Failed(); call++ {
-				label := fmt.Sprintf("seed=%#x call=%d", seed, call)
-				if !pp.resumable(pp.run(t, label, uint64(1+r.Intn(400)))) {
-					return
-				}
-				switch r.Intn(5) {
-				case 0:
-					name := fmt.Sprintf("p%d", r.Intn(4))
-					if f, s := pp.fast.RemoveProbes(name), pp.slow.RemoveProbes(name); f != s {
-						t.Fatalf("%s: RemoveProbes(%s) fast=%d slow=%d", label, name, f, s)
-					}
-				case 1:
-					addProbes(1 + r.Intn(3))
-				}
+			// Names repeat, so RemoveProbes below takes out several;
+			// indexes repeat, so some carry two probes.
+			pp.probe(t, fmt.Sprintf("p%d", r.Intn(4)), r.Intn(n), raiseOn)
+		}
+	}
+	addProbes(1 + r.Intn(10))
+	for call := 0; call < 40 && !t.Failed(); call++ {
+		label := fmt.Sprintf("seed=%#x call=%d", seed, call)
+		if !pp.resumable(pp.run(t, label, uint64(1+r.Intn(400)))) {
+			return
+		}
+		switch r.Intn(5) {
+		case 0:
+			name := fmt.Sprintf("p%d", r.Intn(4))
+			if f, s := pp.fast.RemoveProbes(name), pp.slow.RemoveProbes(name); f != s {
+				t.Fatalf("%s: RemoveProbes(%s) fast=%d slow=%d", label, name, f, s)
 			}
-		})
+		case 1:
+			addProbes(1 + r.Intn(3))
+		}
 	}
 }
 

@@ -58,6 +58,14 @@ type SyscallHandler interface {
 // "lightweight" in the paper's sense.
 // As with InstrHook, in points into the shared loaded code image: valid only
 // during the call, read-only.
+//
+// The contract: a probe observes. It fires before its instruction counts or
+// costs anything and reads the committed registers, flags, PC, clock and
+// guest memory; its one allowed effect on the machine is RaiseViolation. It
+// never writes guest state (registers, flags, PC, memory, clock) and never
+// adds or removes probes or tools. Its own state (a side stack, shadow
+// taint) is its business. That is what lets the fused loop deliver probes in
+// the middle of a block and carry on without reloading anything.
 type Probe interface {
 	Name() string
 	OnProbe(m *Machine, idx int, in *Instr)
@@ -125,30 +133,28 @@ type Machine struct {
 	callDispatch  bool // a CallHook is attached
 	probeCount    int
 
-	// Engine state (see blocks.go and blocks_tooled.go). probeGap clamps
-	// fused runs short of probed indexes and is rebuilt lazily
-	// (probeGapDirty) so that installing a fleet-wide antibody's probes costs
-	// O(probes), not O(code) per machine. fastDispatch caches Run's engine
-	// choice: no instr or mem tool is attached, so the fused loop runs;
-	// otherwise the hook-calling engine does.
-	desc          []uint64 // block descriptors, shared via relocImage
-	uops          []uint64 // packed fused micro-ops, likewise
-	uopsPlain     []uint64 // packed unfused micro-ops, likewise, for runHooked
-	probeGap      []int32
-	fastDispatch  bool
-	probeGapDirty bool
+	// Engine state (see blocks.go and blocks_tooled.go). desc and uops are
+	// the tables runFused runs: the relocated image's own (imageDesc,
+	// imageUops, shared via relocImage) on an unprobed machine, the probe
+	// overlay (the machine's probeDesc and probeUops buffers) on a probed
+	// one. The overlay is rebuilt lazily (probesDirty) so that installing a
+	// fleet-wide antibody's probes costs O(probes), not O(code), per
+	// mutation. fastDispatch caches Run's engine choice: no instr or mem tool
+	// is attached, so the fused loop runs; otherwise the hook-calling engine
+	// does.
+	desc, uops           []uint64
+	imageDesc, imageUops []uint64 // block descriptors and packed fused micro-ops
+	uopsPlain            []uint64 // packed unfused micro-ops, shared likewise, for runHooked
+	probeDesc, probeUops []uint64
+	fastDispatch         bool
+	probesDirty          bool
 
 	sys SyscallHandler
 
-	cycles     uint64
-	instrCount uint64
+	cycles, instrCount, probeFires uint64
 
 	stopped          bool
 	pendingViolation *Violation
-
-	// probesFiredAt is runFused's note to its next pass: the index whose
-	// probes the pass before delivered (-1: none).
-	probesFiredAt int
 }
 
 // NewMachine loads prog at the given layout and returns a machine ready to
@@ -179,8 +185,8 @@ func NewMachine(prog *Program, layout Layout, sys SyscallHandler) (*Machine, err
 	}
 	m.code = img.code
 	m.probes = make([][]Probe, len(m.code))
-	m.desc = img.desc
-	m.uops = img.uops
+	m.desc, m.imageDesc = img.desc, img.desc
+	m.uops, m.imageUops = img.uops, img.uops
 	m.uopsPlain = img.plain
 	m.refreshDispatch()
 
@@ -282,13 +288,18 @@ func (m *Machine) NowMillis() uint64 { return m.cycles / (CyclesPerMicrosecond *
 // InstrCount returns the number of retired instructions.
 func (m *Machine) InstrCount() uint64 { return m.instrCount }
 
+// ProbeFires returns the number of probe deliveries: one per probe each time
+// its instruction is about to execute, whichever engine executes it. Unlike
+// the clock and InstrCount, RestoreRegs does not roll it back.
+func (m *Machine) ProbeFires() uint64 { return m.probeFires }
+
 // refreshDispatch recomputes the cached hot-path dispatch flags. Everything
 // that changes instrumentation (AttachTool, DetachTool, AddProbe,
 // RemoveProbes, ClearProbes) funnels through here, which is what keeps the
 // fused loop honest: attaching an instr or mem tool drops fastDispatch, moving
 // Run to the hook-calling engine — never to silent hook skipping. Probe
-// changes mark the probe-gap table dirty; the fused loop rebuilds it on next
-// entry (see rebuildProbeGap).
+// changes mark the probe overlay dirty; the fused loop rebuilds it on next
+// entry (see rebuildProbeTables).
 func (m *Machine) refreshDispatch() {
 	m.instrDispatch = len(m.tools.instr) > 0 || m.probeCount > 0
 	m.memDispatch = len(m.tools.mem) > 0
@@ -335,7 +346,7 @@ func (m *Machine) AddProbe(idx int, p Probe) error {
 	}
 	m.probes[idx] = append(m.probes[idx], p)
 	m.probeCount++
-	m.probeGapDirty = true
+	m.probesDirty = true
 	m.refreshDispatch()
 	return nil
 }
@@ -359,7 +370,7 @@ func (m *Machine) RemoveProbes(name string) int {
 		m.probes[i] = kept
 	}
 	m.probeCount -= removed
-	m.probeGapDirty = true
+	m.probesDirty = true
 	m.refreshDispatch()
 	return removed
 }
@@ -376,7 +387,7 @@ func (m *Machine) RemoveProbe(idx int, p Probe) bool {
 		if q == p {
 			m.probes[idx] = append(list[:i], list[i+1:]...)
 			m.probeCount--
-			m.probeGapDirty = true
+			m.probesDirty = true
 			m.refreshDispatch()
 			return true
 		}
@@ -391,7 +402,7 @@ func (m *Machine) ClearProbes() {
 		m.probes[i] = nil
 	}
 	m.probeCount = 0
-	m.probeGapDirty = true
+	m.probesDirty = true
 	m.refreshDispatch()
 }
 
@@ -524,8 +535,8 @@ func (m *Machine) stopAtEntry() *StopInfo {
 // There are two engines, selected by what is attached. With no instr or mem
 // tool the fused basic-block engine runs (runFused, see blocks.go), and the
 // instructions it cannot express — syscalls, halts, illegal opcodes, call/ret
-// under call hooks, the first half of a fused pair that a probe or the budget
-// splits — go one at a time through the hook-calling engine (runHooked, see
+// under call hooks, the first half of a fused pair that the budget splits —
+// go one at a time through the hook-calling engine (runHooked, see
 // blocks_tooled.go), which otherwise runs the whole slice. The choice is made
 // again after every hook-calling entry, since a syscall handler may attach
 // tools. Both engines retire the same instructions with the same accounting,
@@ -541,11 +552,11 @@ func (m *Machine) Run(budget uint64) *StopInfo {
 	for remaining > 0 {
 		limit := remaining
 		if m.fastDispatch {
-			stop, executed := m.runFused(remaining)
-			if stop != nil {
+			retired := m.instrCount
+			if stop := m.runFused(remaining); stop != nil {
 				return stop
 			}
-			if remaining -= executed; remaining == 0 {
+			if remaining -= m.instrCount - retired; remaining == 0 {
 				break
 			}
 			limit = 1

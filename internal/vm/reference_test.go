@@ -123,6 +123,7 @@ func refStep(m *Machine) *StopInfo {
 	}
 	for _, p := range m.probes[idx] {
 		m.cycles += CyclesPerProbe
+		m.probeFires++
 		p.OnProbe(m, idx, &m.code[idx])
 	}
 	if m.pendingViolation != nil {

@@ -267,23 +267,71 @@ func (t *Tracker) BeforeInstr(m *vm.Machine, idx int, in *vm.Instr) {
 	t.Propagate(m, idx, in)
 }
 
+// ObservedOps implements vm.OpObserver: the opcodes Propagate has a rule
+// for. At the rest (compares, immediate arithmetic, direct branches, nop,
+// halt) an instruction neither moves data between a register and memory nor
+// reaches a sink, so the tracker is not called there.
+func (t *Tracker) ObservedOps() vm.OpSet { return observedOps }
+
+// rule is what Propagate does at an opcode.
+type rule uint8
+
+const (
+	ruleNone     rule = iota
+	ruleConstReg      // movi: the destination register is clean
+	ruleConstMem      // pushi: the pushed slot is clean
+	ruleCopy          // mov, lea: the destination takes the source's taint
+	ruleLoad          // loadb, loadw: the register takes the bytes' taint
+	ruleStore         // storeb, storew: the bytes take the register's taint
+	ruleALU           // reg-reg arithmetic: a clean destination takes the source's taint
+	rulePush          // push: the slot takes the register's taint
+	rulePop           // pop: the register takes the slot's taint
+	ruleCall          // call: the pushed return address is clean
+	ruleIndirect      // callr, jmpr: sink, the target register
+	ruleRet           // ret: sink, the return address
+	ruleSyscall       // syscall: sink, the argument of free
+)
+
+// rules is the one definition of which opcodes the tracker acts on:
+// Propagate switches on it and ObservedOps is its domain, so the two cannot
+// drift apart.
+var rules = [256]rule{
+	vm.OpMovI: ruleConstReg, vm.OpPushI: ruleConstMem,
+	vm.OpMov: ruleCopy, vm.OpLea: ruleCopy,
+	vm.OpLoadB: ruleLoad, vm.OpLoadW: ruleLoad,
+	vm.OpStoreB: ruleStore, vm.OpStoreW: ruleStore,
+	vm.OpAdd: ruleALU, vm.OpSub: ruleALU, vm.OpMul: ruleALU, vm.OpDiv: ruleALU, vm.OpMod: ruleALU,
+	vm.OpAnd: ruleALU, vm.OpOr: ruleALU, vm.OpXor: ruleALU, vm.OpShl: ruleALU, vm.OpShr: ruleALU,
+	vm.OpPush: rulePush, vm.OpPop: rulePop,
+	vm.OpCall: ruleCall, vm.OpCallReg: ruleIndirect, vm.OpJmpReg: ruleIndirect,
+	vm.OpRet: ruleRet, vm.OpSyscall: ruleSyscall,
+}
+
+var observedOps = func() vm.OpSet {
+	var s vm.OpSet
+	for op, r := range rules {
+		if r != ruleNone {
+			s |= 1 << op
+		}
+	}
+	return s
+}()
+
 // Propagate performs taint propagation and sink checking for one instruction.
 // It is exported so that taint-VSEF probes can reuse the exact semantics of
 // the full tool at selected instructions.
 func (t *Tracker) Propagate(m *vm.Machine, idx int, in *vm.Instr) {
-	switch in.Op {
-	case vm.OpMovI, vm.OpPushI:
-		if in.Op == vm.OpMovI {
-			t.setReg(in.Rd, regTaint{})
-		}
-		if in.Op == vm.OpPushI {
-			t.clearMem(m.Regs[vm.SP]-4, 4)
-		}
+	switch rules[in.Op] {
+	case ruleConstReg:
+		t.setReg(in.Rd, regTaint{})
 
-	case vm.OpMov, vm.OpLea:
+	case ruleConstMem:
+		t.clearMem(m.Regs[vm.SP]-4, 4)
+
+	case ruleCopy:
 		t.copyRegTaint(idx, in.Rd, in.Rs)
 
-	case vm.OpLoadB, vm.OpLoadW:
+	case ruleLoad:
 		size := 4
 		if in.Op == vm.OpLoadB {
 			size = 1
@@ -296,7 +344,7 @@ func (t *Tracker) Propagate(m *vm.Machine, idx int, in *vm.Instr) {
 			t.setReg(in.Rd, regTaint{})
 		}
 
-	case vm.OpStoreB, vm.OpStoreW:
+	case ruleStore:
 		size := 4
 		if in.Op == vm.OpStoreB {
 			size = 1
@@ -309,7 +357,7 @@ func (t *Tracker) Propagate(m *vm.Machine, idx int, in *vm.Instr) {
 			t.clearMem(addr, size)
 		}
 
-	case vm.OpAdd, vm.OpSub, vm.OpMul, vm.OpDiv, vm.OpMod, vm.OpAnd, vm.OpOr, vm.OpXor, vm.OpShl, vm.OpShr:
+	case ruleALU:
 		if t.regs[in.Rd].tainted {
 			// keep destination taint
 		} else if rt := t.regs[in.Rs]; rt.tainted {
@@ -317,7 +365,7 @@ func (t *Tracker) Propagate(m *vm.Machine, idx int, in *vm.Instr) {
 			t.markPropagator(idx)
 		}
 
-	case vm.OpPush:
+	case rulePush:
 		addr := m.Regs[vm.SP] - 4
 		if rt := t.regs[in.Rd]; rt.tainted {
 			t.taintMem(addr, 4, rt.label)
@@ -326,7 +374,7 @@ func (t *Tracker) Propagate(m *vm.Machine, idx int, in *vm.Instr) {
 			t.clearMem(addr, 4)
 		}
 
-	case vm.OpPop:
+	case rulePop:
 		addr := m.Regs[vm.SP]
 		if lbl, ok := t.memTaint(addr, 4); ok {
 			t.setReg(in.Rd, regTaint{tainted: true, label: lbl})
@@ -335,11 +383,11 @@ func (t *Tracker) Propagate(m *vm.Machine, idx int, in *vm.Instr) {
 			t.setReg(in.Rd, regTaint{})
 		}
 
-	case vm.OpCall:
+	case ruleCall:
 		// The pushed return address is a constant: untainted.
 		t.clearMem(m.Regs[vm.SP]-4, 4)
 
-	case vm.OpCallReg, vm.OpJmpReg:
+	case ruleIndirect:
 		t.clearMem(m.Regs[vm.SP]-4, 4)
 		if rt := t.regs[in.Rd]; rt.tainted {
 			t.record(m, Finding{
@@ -351,7 +399,7 @@ func (t *Tracker) Propagate(m *vm.Machine, idx int, in *vm.Instr) {
 			})
 		}
 
-	case vm.OpRet:
+	case ruleRet:
 		addr := m.Regs[vm.SP]
 		if lbl, ok := t.memTaint(addr, 4); ok {
 			t.record(m, Finding{
@@ -363,7 +411,7 @@ func (t *Tracker) Propagate(m *vm.Machine, idx int, in *vm.Instr) {
 			})
 		}
 
-	case vm.OpSyscall:
+	case ruleSyscall:
 		if m.Regs[vm.R0] == proc.SysFree {
 			if rt := t.regs[vm.R1]; rt.tainted {
 				t.record(m, Finding{

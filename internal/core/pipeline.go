@@ -71,9 +71,10 @@ func buildAnalyzers(cfg Config) ([]analysis.Analyzer, error) {
 // deferredYieldInstrs is the replay chunk size for sandboxes that run on the
 // deferred worker, behind live service: the deferred analysis tier's and the
 // regeneration half of an adoption (see Guest.adopt). A replay yields to the
-// serving goroutine once per chunk; as measured on the benchmark host over
-// the 300 k-instruction squid exploit, a chunk takes 1.1–2.3 ms under the
-// slicer, 0.5–0.6 ms under taint and ~0.3 ms under membug — a fraction of the
+// serving goroutine once per chunk; as measured on a 2-vCPU x86-64 host over
+// the ~300 k-instruction squid exploit, a chunk takes 1.1–2.3 ms under the
+// slicer, 0.3–0.35 ms under taint (0.45–0.5 ms before the tracker declared
+// the opcodes it observes) and 0.2–0.25 ms under membug — a fraction of the
 // runtime's 10 ms preemption quantum, and large enough that the re-entry cost
 // of vm.Machine.Run is noise.
 const deferredYieldInstrs = 50_000

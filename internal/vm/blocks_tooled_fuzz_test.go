@@ -33,6 +33,32 @@ func (t seqInstrTool) BeforeInstr(m *vm.Machine, idx int, in *vm.Instr) {
 	*t.seq = append(*t.seq, see(m, idx))
 }
 
+// watchTool is seqInstrTool declaring the opcodes it observes: it records
+// only before those. On the machine under test (t set) it fails the test when
+// it is called before any other; the reference interpreter calls every
+// instruction hook before every instruction, so its twin (t nil) ignores the
+// rest.
+type watchTool struct {
+	seqInstrTool
+	ops vm.OpSet
+	t   *testing.T
+}
+
+func (w watchTool) ObservedOps() vm.OpSet { return w.ops }
+func (w watchTool) BeforeInstr(m *vm.Machine, idx int, in *vm.Instr) {
+	if w.ops.Has(in.Op) {
+		w.seqInstrTool.BeforeInstr(m, idx, in)
+	} else if w.t != nil {
+		w.t.Errorf("%s called before %v at @%d, which it does not observe", w.name, in.Op, idx)
+	}
+}
+
+// watchPair attaches a watchTool observing ops to fast (strict) and to slow.
+func watchPair(t *testing.T, fast, slow *vm.Machine, ops vm.OpSet, fastSeq, slowSeq *[]sight) {
+	fast.AttachTool(watchTool{seqInstrTool{"t.watch", fastSeq}, ops, t})
+	slow.AttachTool(watchTool{seqInstrTool{"t.watch", slowSeq}, ops, nil})
+}
+
 // memEvent is one memory-hook callback with everything it observed.
 type memEvent struct {
 	sight
@@ -89,14 +115,18 @@ func diffGuestMemory(t *testing.T, label string, fast, slow *vm.Machine) {
 // TestTooledDispatchDifferential runs the random-guest fuzzer with
 // instrumentation attached: under every tool mix — one instruction hook
 // ("light"), two, memory hooks with and without instruction hooks, random
-// VSEF-style probes, and the real taint tracker — Run and the reference
-// interpreter must agree bit for bit in architectural state AND in what the
-// hooks observed: firing order, counts, callback arguments and the PC, clock
-// and instruction count each callback could read.
+// VSEF-style probes, the real taint tracker, and an instruction hook that
+// declares a random set of opcodes, alone, beside a plain one and beside
+// probes — Run and the reference interpreter must agree bit for bit in
+// architectural state AND in what the hooks observed: firing order, counts,
+// callback arguments and the PC, clock and instruction count each callback
+// could read. A declaring hook must not be called by Run before an opcode it
+// does not observe.
 func TestTooledDispatchDifferential(t *testing.T) {
-	configs := []string{"light", "two-instr", "instr+mem", "mem-only", "probed", "taint"}
+	configs := []string{"light", "two-instr", "instr+mem", "mem-only", "probed", "taint",
+		"declared", "declared+plain", "declared+probes"}
 	rng := rand.New(rand.NewSource(0x7001ed))
-	const perConfig = 12 // 6 configs x 12 = 72 tooled programs
+	const perConfig = 12 // 9 configs x 12 = 108 tooled programs
 	for _, cfg := range configs {
 		cfg := cfg
 		for k := 0; k < perConfig; k++ {
@@ -108,6 +138,18 @@ func TestTooledDispatchDifferential(t *testing.T) {
 				var fastInstr, slowInstr, fastInstr2, slowInstr2 []sight
 				var fastMem, slowMem []memEvent
 				var fastProbe, slowProbe []sight
+				addProbes := func() {
+					// VSEF-style probes at random PCs, including duplicates.
+					for p := 0; p < 3; p++ {
+						idx := 1 + r.Intn(40)
+						if err := fast.AddProbe(idx, recordingProbe{hits: &fastProbe}); err != nil {
+							t.Fatal(err)
+						}
+						if err := slow.AddProbe(idx, recordingProbe{hits: &slowProbe}); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
 				switch cfg {
 				case "light":
 					fast.AttachTool(seqInstrTool{"t.instr", &fastInstr})
@@ -126,21 +168,21 @@ func TestTooledDispatchDifferential(t *testing.T) {
 					fast.AttachTool(seqMemTool{"t.mem", &fastMem})
 					slow.AttachTool(seqMemTool{"t.mem", &slowMem})
 				case "probed":
-					// VSEF-style probes at random PCs, including duplicates.
-					for p := 0; p < 3; p++ {
-						idx := 1 + r.Intn(40)
-						if err := fast.AddProbe(idx, recordingProbe{hits: &fastProbe}); err != nil {
-							t.Fatal(err)
-						}
-						if err := slow.AddProbe(idx, recordingProbe{hits: &slowProbe}); err != nil {
-							t.Fatal(err)
-						}
-					}
+					addProbes()
 				case "taint":
 					// The real always-on taint tracker — no input ever arrives, so
 					// it must observe identical no-taint propagation on both sides.
 					fast.AttachTool(taint.New(true))
 					slow.AttachTool(taint.New(true))
+				case "declared":
+					watchPair(t, fast, slow, vm.OpSet(r.Uint64()), &fastInstr, &slowInstr)
+				case "declared+plain":
+					watchPair(t, fast, slow, vm.OpSet(r.Uint64()), &fastInstr, &slowInstr)
+					fast.AttachTool(seqInstrTool{"t.instr2", &fastInstr2})
+					slow.AttachTool(seqInstrTool{"t.instr2", &slowInstr2})
+				case "declared+probes":
+					watchPair(t, fast, slow, vm.OpSet(r.Uint64()), &fastInstr, &slowInstr)
+					addProbes()
 				}
 
 				budget := uint64(200 + r.Intn(5000))
@@ -327,6 +369,117 @@ func probedTrial(t *testing.T, seed int64) {
 			addProbes(1 + r.Intn(3))
 		}
 	}
+}
+
+// FuzzHookedDispatch runs a random guest under an instruction hook that
+// declares a random set of opcodes — alone, beside a plain instruction hook
+// logging into the same sequence, or beside random probes, some raising — on
+// Run and on the reference, in Run calls of random length, comparing at every
+// stop. Run must never call the hook before an opcode outside its set.
+func FuzzHookedDispatch(f *testing.F) {
+	for _, seed := range []int64{0, 1, 0x7001ed, 0x5eed, -7} {
+		f.Add(seed)
+	}
+	f.Fuzz(hookedTrial)
+}
+
+func hookedTrial(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	pp := newProbedPair(t, vmtest.RandomGuest(r, 80))
+	watchPair(t, pp.fast, pp.slow, vm.OpSet(r.Uint64()), &pp.fastSeq, &pp.slowSeq)
+	switch r.Intn(3) {
+	case 1:
+		pp.fast.AttachTool(seqInstrTool{"t.instr", &pp.fastSeq})
+		pp.slow.AttachTool(seqInstrTool{"t.instr", &pp.slowSeq})
+	case 2:
+		for k := 1 + r.Intn(6); k > 0; k-- {
+			raiseOn := 0
+			if r.Intn(4) == 0 {
+				raiseOn = 1 + r.Intn(20)
+			}
+			pp.probe(t, fmt.Sprintf("p%d", k), r.Intn(len(pp.fast.Code())), raiseOn)
+		}
+	}
+	for call := 0; call < 20 && !t.Failed(); call++ {
+		if !pp.resumable(pp.run(t, fmt.Sprintf("seed=%#x call=%d", seed, call), uint64(1+r.Intn(600)))) {
+			return
+		}
+	}
+}
+
+// TestHookSetFollowsToolChanges changes the tools between Run calls of one
+// loop iteration each — a declaring hook, then a plain one beside it, then
+// the declaring one detached, then the plain one too with probes in its place
+// — and checks at which instructions each hook is called after every step.
+// The last step runs on the fused engine, which hands the syscall to the
+// hook-calling engine with a limit of one: what it runs before the syscall
+// must be the probes, not a hook left over from an earlier step.
+func TestHookSetFollowsToolChanges(t *testing.T) {
+	// 0 movi | 1 movi r0 2 syscall 3 addi 4 push 5 pop 6 cmpi 7 jlt->1 | 8 halt
+	b := asm.New("hookset")
+	b.Func("main")
+	b.MovI(vm.R1, 0)
+	b.Label("main.loop")
+	b.MovI(vm.R0, 9)
+	b.Syscall()
+	b.AddI(vm.R1, 1)
+	b.Push(vm.R1)
+	b.Pop(vm.R2)
+	b.CmpI(vm.R1, 20)
+	b.Jlt("main.loop")
+	b.Halt()
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast, slow := loadMachinePair(t, prog, func() vm.SyscallHandler { return &stubSys{} })
+	var fastWatch, slowWatch, fastPlain, slowPlain, fastProbe, slowProbe []sight
+	step := func(label string, watchAt, plainAt, probeAt []int) {
+		t.Helper()
+		marks := [3]int{len(fastWatch), len(fastPlain), len(fastProbe)}
+		fs, ss := fast.Run(7), vm.RefRun(slow, 7)
+		diffStop(t, label, fast, slow, fs, ss)
+		diffSeq(t, label+" watch", fastWatch, slowWatch)
+		diffSeq(t, label+" plain", fastPlain, slowPlain)
+		diffSeq(t, label+" probe", fastProbe, slowProbe)
+		for i, c := range []struct {
+			name string
+			log  []sight
+			want []int
+		}{{"declaring hook", fastWatch, watchAt}, {"plain hook", fastPlain, plainAt}, {"probes", fastProbe, probeAt}} {
+			var at []int
+			for _, s := range c.log[marks[i]:] {
+				at = append(at, s.idx)
+			}
+			if fmt.Sprint(at) != fmt.Sprint(c.want) {
+				t.Errorf("%s: %s called at %v, want %v", label, c.name, at, c.want)
+			}
+		}
+	}
+	fast.Run(1)
+	vm.RefRun(slow, 1)
+	watchPair(t, fast, slow, vm.OpSet(1<<vm.OpSyscall|1<<vm.OpPush), &fastWatch, &slowWatch)
+	step("declaring hook", []int{2, 4}, nil, nil)
+	fast.AttachTool(seqInstrTool{"t.plain", &fastPlain})
+	slow.AttachTool(seqInstrTool{"t.plain", &slowPlain})
+	step("declaring and plain hooks", []int{2, 4}, []int{1, 2, 3, 4, 5, 6, 7}, nil)
+	fast.DetachTool("t.watch")
+	slow.DetachTool("t.watch")
+	step("plain hook left", nil, []int{1, 2, 3, 4, 5, 6, 7}, nil)
+	fast.DetachTool("t.plain")
+	slow.DetachTool("t.plain")
+	for _, idx := range []int{2, 4} {
+		if err := fast.AddProbe(idx, recordingProbe{hits: &fastProbe}); err != nil {
+			t.Fatal(err)
+		}
+		if err := slow.AddProbe(idx, recordingProbe{hits: &slowProbe}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !fast.FusedEngine() {
+		t.Fatal("with probes alone the fused engine should run")
+	}
+	step("probes only", nil, nil, []int{2, 4})
 }
 
 // TestInLoopProbesDirected places probes where in-loop delivery has a

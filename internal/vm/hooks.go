@@ -19,6 +19,48 @@ type InstrHook interface {
 	BeforeInstr(m *Machine, idx int, in *Instr)
 }
 
+// OpSet is a set of opcodes: bit op is set when Op op is in it. Every opcode
+// is below 64.
+type OpSet uint64
+
+// allOps is the set of an instruction hook that declares none: every opcode,
+// illegal ones included (runHooked looks an opcode of 63 or more up at bit
+// 63).
+const allOps = ^OpSet(0)
+
+// Opcodes fit an OpSet, with bit 63 left for the illegal ones.
+const _ = 63 - numOps
+
+// OpObserver is implemented by an instruction hook that observes only some
+// opcodes. The hook-calling engine then calls its BeforeInstr only before
+// instructions whose opcode is in ObservedOps, and never at an illegal
+// opcode. The machine reads the set whenever its tools change; it must not
+// change while the hook is attached.
+//
+// A declaring hook must do nothing at the opcodes it leaves out: skipping it
+// there is meant to change nothing but host time. CyclesPerHook is charged
+// for it before every instruction, called or not, so Cycles, InstrCount,
+// stops and guest memory are those of a machine that calls it everywhere.
+// A hook without the interface is called before every instruction.
+type OpObserver interface {
+	ObservedOps() OpSet
+}
+
+// Has reports whether op is in s.
+func (s OpSet) Has(op Op) bool { return s>>op&1 != 0 }
+
+// calls reports whether a hook observing s is called before op: op's bit, or
+// bit 63 for the opcodes that have none.
+func (s OpSet) calls(op Op) bool { return s>>min(op, 63)&1 != 0 }
+
+// observedOps is the set of opcodes before which h is called.
+func observedOps(h InstrHook) OpSet {
+	if o, ok := h.(OpObserver); ok {
+		return o.ObservedOps() & (1<<numOps - 1)
+	}
+	return allOps
+}
+
 // MemHook receives callbacks for every data memory access (loads, stores,
 // pushes and pops). idx is the index of the instruction performing the access.
 type MemHook interface {
@@ -72,6 +114,7 @@ type FaultHook interface {
 type toolSet struct {
 	all     []Tool
 	instr   []InstrHook
+	ops     []OpSet // ops[i]: the opcodes instr[i] observes
 	mem     []MemHook
 	call    []CallHook
 	alloc   []AllocHook
@@ -82,6 +125,7 @@ type toolSet struct {
 
 func (ts *toolSet) rebuild() {
 	ts.instr = ts.instr[:0]
+	ts.ops = ts.ops[:0]
 	ts.mem = ts.mem[:0]
 	ts.call = ts.call[:0]
 	ts.alloc = ts.alloc[:0]
@@ -91,6 +135,7 @@ func (ts *toolSet) rebuild() {
 	for _, t := range ts.all {
 		if h, ok := t.(InstrHook); ok {
 			ts.instr = append(ts.instr, h)
+			ts.ops = append(ts.ops, observedOps(h))
 		}
 		if h, ok := t.(MemHook); ok {
 			ts.mem = append(ts.mem, h)

@@ -125,13 +125,17 @@ type Machine struct {
 	tools  toolSet
 	probes [][]Probe
 
-	// Cached dispatch flags, recomputed whenever tools or probes change, so
+	// Cached dispatch state, recomputed whenever tools or probes change, so
 	// an untooled live guest pays no hook iteration on the per-instruction
-	// and per-memory-access hot paths.
-	instrDispatch bool // an InstrHook is attached or any probe is registered
-	memDispatch   bool // a MemHook is attached
-	callDispatch  bool // a CallHook is attached
-	probeCount    int
+	// and per-memory-access hot paths. before is what runHooked calls before
+	// an instruction whose opcode is in beforeOps, after charging beforeCyc
+	// (see refreshDispatch).
+	before       InstrHook
+	beforeOps    OpSet
+	beforeCyc    uint64
+	memDispatch  bool // a MemHook is attached
+	callDispatch bool // a CallHook is attached
+	probeCount   int
 
 	// Engine state (see blocks.go and blocks_tooled.go). desc and uops are
 	// the tables runFused runs: the relocated image's own (imageDesc,
@@ -297,11 +301,23 @@ func (m *Machine) ProbeFires() uint64 { return m.probeFires }
 // that changes instrumentation (AttachTool, DetachTool, AddProbe,
 // RemoveProbes, ClearProbes) funnels through here, which is what keeps the
 // fused loop honest: attaching an instr or mem tool drops fastDispatch, moving
-// Run to the hook-calling engine — never to silent hook skipping. Probe
+// Run to the hook-calling engine — never to silent hook skipping (a hook is
+// skipped only at the opcodes it declares it does not observe). Probe
 // changes mark the probe overlay dirty; the fused loop rebuilds it on next
 // entry (see rebuildProbeTables).
+//
+// What runs before an instruction is nothing, the one instruction hook
+// itself, called only at the opcodes it observes, or an adapter that fans out
+// to every hook and probe (instrFanout), called before every instruction.
 func (m *Machine) refreshDispatch() {
-	m.instrDispatch = len(m.tools.instr) > 0 || m.probeCount > 0
+	switch {
+	case len(m.tools.instr) == 1 && m.probeCount == 0:
+		m.before, m.beforeOps, m.beforeCyc = m.tools.instr[0], m.tools.ops[0], CyclesPerHook
+	case len(m.tools.instr) > 0 || m.probeCount > 0:
+		m.before, m.beforeOps, m.beforeCyc = instrFanout{}, allOps, 0
+	default:
+		m.before, m.beforeOps, m.beforeCyc = nil, 0, 0
+	}
 	m.memDispatch = len(m.tools.mem) > 0
 	m.callDispatch = len(m.tools.call) > 0
 	m.fastDispatch = len(m.tools.instr) == 0 && len(m.tools.mem) == 0

@@ -106,18 +106,21 @@ func (a Analyzer) Run(ctx *analysis.Context, sb *analysis.Sandbox) (analysis.Fin
 
 	// Restrict the replay to the culprit request only when both fast-tier
 	// analyses implicated instructions: with a single corroborating analysis
-	// the full window is kept, trading time for the stronger check.
+	// the full window is kept, trading time for the stronger check. A window
+	// that holds the culprit alone is restricted already, with nothing to
+	// drop.
 	res := &Result{}
 	if haveCulprit && ctx.HasImplication("membug") && ctx.HasImplication("taint") {
 		var others []int
 		for _, id := range sb.Proc.Log.RequestsSince(sb.Proc.Log.Cursor()) {
-			if id != culprit {
+			if id == culprit {
+				res.Restricted = true
+			} else {
 				others = append(others, id)
 			}
 		}
-		if len(others) > 0 {
+		if res.Restricted && len(others) > 0 {
 			sb.Proc.DropRequests(others...)
-			res.Restricted = true
 		}
 	}
 

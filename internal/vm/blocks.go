@@ -38,6 +38,21 @@ import "encoding/binary"
 // InstrCount(), ProbeFires(), PC, StopInfo, probe firing order — is
 // bit-identical to that engine's, and to the tests' reference interpreter's,
 // at every stop point.
+//
+// Loop kernels (loops.go): the head of each recognised byte loop — a NUL or
+// K scan, a character scan, a copy until NUL — carries the synthetic opLoop,
+// and the body loop hands it to runLoop, which runs the loop's continuing
+// iterations natively, as many as the data, the mapped pages and the budget
+// allow, and commits them; runFused then returns, and Run steps the head and
+// enters it again after it. That makes runLoop a third spelling of what
+// loadb, storeb, cmp, cmpi, addi and jz do, beside this loop and runHooked's
+// and the reference's. It is accepted because it is narrow —
+// one operand shape per loop, continuing iterations only; the leaving
+// iteration, a fault and a budget split stay this loop's — and it is guarded
+// the same way: the VM differentials compare it with the reference at every
+// stop, and FuzzLoopKernels aims at its edges (pages, copy-on-write,
+// overlapping copies, probes, budgets). A loop with a probe at any index runs
+// without its kernel.
 
 // Block descriptors. desc[i] describes the block a jump to index i enters
 // (every index is a legal entry, since indirect jumps can land anywhere):
@@ -64,14 +79,14 @@ const (
 )
 
 // Packed micro-op layout: op in bits 0-7, Rd in 8-15, Rs in 16-23, the
-// (relocated) immediate in bits 32-63. Bits 24-31 are free: an opProbe
-// micro-op keeps there the opcode of the micro-op it stands for, whose other
-// fields it carries unchanged.
+// (relocated) immediate in bits 32-63. Bits 24-31 are free: an opProbe or
+// opLoop micro-op keeps there the opcode of the micro-op it stands for, whose
+// other fields it carries unchanged (opLoop's immediate aside, see loopUop).
 const (
-	uopOpMask     = 0xff
-	uopRdShift    = 8
-	uopRsShift    = 16
-	uopProbedFrom = 24
+	uopOpMask    = 0xff
+	uopRdShift   = 8
+	uopRsShift   = 16
+	uopOrigShift = 24
 )
 
 func packUop(in Instr) uint64 {
@@ -110,17 +125,21 @@ const (
 	fuseStoreBAddI                    // storeb ; addi      (second half from uops[pc+1])
 	// opProbe marks a probed index in a probe overlay (rebuildProbeTables):
 	// fire its probes, then execute the micro-op it stands for (see
-	// uopProbedFrom), which may be the first half of a fused pair.
+	// uopOrigShift), which may be the first half of a fused pair.
 	opProbe
+	// opLoop marks the head of a recognised byte loop (loops.go): run its
+	// iterations in one step, then, if it ran none, the micro-op it stands
+	// for. A probe overlay never carries it on a loop with a probe.
+	opLoop
 )
 
 // probedUop is u marked as probed; unprobedUop inverts it.
 func probedUop(u uint64) uint64 {
-	return u&^uopOpMask | (u&uopOpMask)<<uopProbedFrom | uint64(opProbe)
+	return u&^uopOpMask | (u&uopOpMask)<<uopOrigShift | uint64(opProbe)
 }
 
 func unprobedUop(u uint64) uint64 {
-	return u&^(uopOpMask|uopOpMask<<uopProbedFrom) | u>>uopProbedFrom&uopOpMask
+	return u&^(uopOpMask|uopOpMask<<uopOrigShift) | u>>uopOrigShift&uopOpMask
 }
 
 // fusePair returns the synthetic opcode and selection weight for an adjacent
@@ -244,8 +263,10 @@ func buildBlocks(code []Instr) []uint64 {
 // rebuildProbeTables points m.uops and m.desc at the tables runFused is to
 // run for the current probe set: the image's own when there are no probes,
 // otherwise the probe overlay. Its micro-ops are the image's with every
-// probed index marked opProbe and no fused pair straddling one: a pair whose
-// second half is probed runs as its two plain halves, since that half's
+// probed index marked opProbe, no loop kernel on a loop with a probed index
+// (its head gets its own micro-op back: a kernel would retire the probed
+// instruction without firing it), and no fused pair straddling one: a pair
+// whose second half is probed runs as its two plain halves, since that half's
 // probes fire between them. (A pair whose first half is probed stays fused:
 // its probes fire before the pair, as before the first half.) Its descriptors
 // are the image's, except that a self-loop whose jmp is probed is no
@@ -266,6 +287,14 @@ func (m *Machine) rebuildProbeTables() {
 	}
 	u := m.probeUops
 	copy(u, m.imageUops)
+	for _, lp := range m.loops {
+		for _, list := range m.probes[lp.head : lp.head+lp.n] {
+			if len(list) > 0 {
+				u[lp.head] = unloopUop(u[lp.head])
+				break
+			}
+		}
+	}
 	for i := 1; i < n; i++ {
 		if len(m.probes[i]) > 0 && Op(u[i-1]&uopOpMask) >= numOps {
 			u[i-1] = m.uopsPlain[i-1] // the pair (i-1, i)
@@ -354,12 +383,13 @@ func tlbLocals(mem *Memory) (rp *page, rpn uint32, wp *page, wpn uint32) {
 
 // runFused is the engine Machine.Run selects when no instr or mem tool is
 // attached. It executes decoded basic blocks, delivering probes at probed
-// indexes, until it retires limit instructions, the guest stops, or it reaches
-// an instruction only runHooked can execute (syscall, halt, illegal opcode,
-// call/ret with call hooks attached, a split fused pair); in the last case it
-// returns a nil stop and Run gives runHooked that one instruction, probes
-// included. What it retired is what InstrCount() grew by, for Run's budget
-// bookkeeping.
+// indexes and running loop kernels at loop heads, until it retires limit
+// instructions, the guest stops, or it reaches an instruction only runHooked
+// can execute (syscall, halt, illegal opcode, call/ret with call hooks
+// attached, a split fused pair) or a loop head whose kernel has just run; in
+// the last two cases it returns a nil stop and Run gives runHooked that one
+// instruction, probes included. What it retired is what InstrCount() grew
+// by, for Run's budget bookkeeping.
 //
 // The loop mirrors runHooked's observable semantics exactly (where its
 // comments say Step, read: runHooked with a limit of one): the same cycle
@@ -441,16 +471,28 @@ func (m *Machine) runFused(limit uint64) *StopInfo {
 				pc++
 				continue
 			}
-			if op >= numOps && op == opProbe {
-				// pc's probes fire in place, before it counts or costs
-				// anything, as under Step; then its own micro-op runs: a
-				// fused pair just below, anything else in the switch after.
-				// (Tested inside op >= numOps so that real opcodes pay
-				// nothing for it.)
-				if m.fireInPlace(&regs, flags, pc, done+uint64(pc-base), cyc+desc[base]>>descCycShift-desc[pc]>>descCycShift) {
-					return m.violationStop()
+			if op >= opProbe {
+				// (The two synthetic opcodes after the fused pairs: one
+				// compare for every other micro-op.)
+				if op == opLoop {
+					// A loop head: if its kernel ran iterations it has
+					// committed everything up to the head, and Run steps
+					// the head's own micro-op and enters again after it.
+					// Otherwise that micro-op runs here, as below.
+					if m.runLoop(&regs, u, base, pc, done, cyc, limit) {
+						return nil
+					}
+					u = unloopUop(u)
+				} else {
+					// pc's probes fire in place, before it counts or costs
+					// anything, as under Step; then its own micro-op runs: a
+					// fused pair just below, anything else in the switch
+					// after.
+					if m.fireInPlace(&regs, flags, pc, done+uint64(pc-base), cyc+desc[base]>>descCycShift-desc[pc]>>descCycShift) {
+						return m.violationStop()
+					}
+					u = unprobedUop(u)
 				}
-				u = unprobedUop(u)
 				op = Op(u & uopOpMask)
 			}
 			if op >= numOps {

@@ -1,0 +1,23 @@
+package vm
+
+// LoopRetired returns how many instructions loop kernels have retired on m.
+func (m *Machine) LoopRetired() uint64 { return m.loopRetired }
+
+// LoopKernels reports, for each loop of m's image, the index of its head,
+// whether the next Run would run its kernel (its head carries opLoop in the
+// tables runFused runs), and whether any index of its span carries a probe.
+func (m *Machine) LoopKernels() (heads []int, armed, probed []bool) {
+	if m.probesDirty {
+		m.rebuildProbeTables()
+	}
+	for _, lp := range m.loops {
+		heads = append(heads, lp.head)
+		armed = append(armed, Op(m.uops[lp.head]&uopOpMask) == opLoop)
+		has := false
+		for _, list := range m.probes[lp.head : lp.head+lp.n] {
+			has = has || len(list) > 0
+		}
+		probed = append(probed, has)
+	}
+	return heads, armed, probed
+}

@@ -1,0 +1,337 @@
+package vm_test
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"sweeper/internal/apps"
+	"sweeper/internal/asm"
+	"sweeper/internal/core"
+	"sweeper/internal/exploit"
+	"sweeper/internal/netproxy"
+	"sweeper/internal/proc"
+	"sweeper/internal/vm"
+)
+
+// loopRegion is where loopTrial maps its strings: the default layout's heap,
+// which nothing maps on a bare machine.
+const (
+	loopRegion = 0x08200000
+	loopPages  = 6
+)
+
+// loopTrial builds a guest of random byte loops — NUL and K scans, character
+// scans and copies, now and then one instruction off the recognised shape —
+// over a random string image with unmapped holes, frozen (copy-on-write)
+// pages and pointers near page ends, and runs it on Run and on the reference
+// in Run calls of random length, with probes on random loop indexes coming
+// and going. Every stop compares StopInfo, registers, flags, PC, InstrCount,
+// Cycles, ProbeFires, the probe log and every mapped byte; some stops take a
+// snapshot on both sides and compare what it captured. It returns the
+// instructions the fast side's kernels retired.
+func loopTrial(t *testing.T, seed int64) uint64 {
+	r := rand.New(rand.NewSource(seed))
+	regs := []vm.Reg{vm.R0, vm.R1, vm.R2, vm.R3, vm.R4, vm.R5, vm.R6, vm.R7}
+	mapped := make([]bool, loopPages)
+	for i := range mapped {
+		mapped[i] = r.Intn(7) > 0
+	}
+	addr := func() int32 {
+		off := r.Intn(vm.PageSize)
+		if r.Intn(2) == 0 {
+			off = vm.PageSize - 1 - r.Intn(24)
+		}
+		return int32(loopRegion + r.Intn(loopPages)*vm.PageSize + off)
+	}
+	stopByte := func() int32 {
+		switch r.Intn(10) {
+		case 0:
+			return int32(r.Intn(256))
+		case 1:
+			return []int32{-1, 256, 0x161}[r.Intn(3)] // no byte equals it
+		}
+		return 0
+	}
+	var spans [][2]int
+	build := func(b *asm.Builder) {
+		b.Func("main")
+		for l := 0; l < 1+r.Intn(4); l++ {
+			perm := r.Perm(len(regs))
+			x, p, q, c := regs[perm[0]], regs[perm[1]], regs[perm[2]], regs[perm[3]]
+			// off bends one instruction out of shape (a register, an
+			// offset, a step): the loop is then not recognised and runs as
+			// before.
+			off := func(i int) int32 {
+				if r.Intn(40) == 0 {
+					return int32(i)
+				}
+				return 0
+			}
+			src := addr()
+			b.MovI(p, src)
+			b.MovI(x, int32(r.Uint32()))
+			k := stopByte()
+			head, exit := fmt.Sprintf("l%d", l), fmt.Sprintf("l%d.exit", l)
+			kind := r.Intn(4)
+			switch kind {
+			case 1:
+				b.MovI(c, []int32{int32(r.Intn(256)), '/', 0x1ff}[r.Intn(3)])
+			case 2:
+				dst := addr()
+				switch r.Intn(4) {
+				case 0: // overlapping, either way
+					dst = src + int32(r.Intn(13)) - 6
+				case 1: // no page at all: the code segment
+					dst = int32(vm.DefaultLayout().CodeBase)
+				}
+				b.MovI(q, dst)
+			default:
+				b.MovI(q, int32(r.Intn(100)))
+			}
+			from := b.Len()
+			b.Label(head)
+			b.LoadB(x, p, off(1))
+			switch kind {
+			case 1:
+				b.Cmp(x, c)
+				b.Jz(exit)
+				b.CmpI(x, k)
+				b.Jz(exit)
+				b.AddI(p, 1+off(1))
+			case 2:
+				b.StoreB(q, off(2), x)
+				b.CmpI(x, k)
+				b.Jz(exit)
+				if r.Intn(2) == 0 {
+					b.AddI(p, 1)
+					b.AddI(q, 1+off(1))
+				} else {
+					b.AddI(q, 1)
+					b.AddI(p, 1+off(1))
+				}
+			default:
+				b.CmpI(x, k)
+				b.Jz(exit)
+				b.AddI(p, 1+off(1))
+				if kind == 3 {
+					b.AddI(q, 1)
+				}
+			}
+			b.Jmp(head)
+			spans = append(spans, [2]int{from, b.Len()})
+			b.Label(exit)
+		}
+		b.Halt()
+	}
+	pp := newProbedPair(t, build)
+	// The strings: runs of letters ended by NULs at a trial-wide mean
+	// length, and now and then any byte at all (a K or a c).
+	mean := []int{6, 90, 2500}[r.Intn(3)]
+	image := make([]byte, loopPages*vm.PageSize)
+	for i := range image {
+		switch {
+		case r.Intn(mean) == 0:
+			image[i] = 0
+		case r.Intn(150) == 0:
+			image[i] = byte(r.Intn(256))
+		default:
+			image[i] = byte('a' + r.Intn(26))
+		}
+	}
+	for _, m := range []*vm.Machine{pp.fast, pp.slow} {
+		for i, ok := range mapped {
+			if ok {
+				base := uint32(loopRegion + i*vm.PageSize)
+				m.Mem.MapRegion(base, vm.PageSize)
+				m.Mem.WriteBytes(base, image[i*vm.PageSize:(i+1)*vm.PageSize])
+			}
+		}
+		m.Mem.Snapshot() // every page frozen: the first store to each copies it
+	}
+	probe := func() {
+		s := spans[r.Intn(len(spans))]
+		pp.probe(t, fmt.Sprintf("p%d", r.Intn(3)), s[0]+r.Intn(s[1]-s[0]), 0)
+	}
+	if r.Intn(3) == 0 {
+		probe()
+	}
+	for call := 0; call < 60 && !t.Failed(); call++ {
+		label := fmt.Sprintf("seed=%#x call=%d", seed, call)
+		budget := uint64(1 + r.Intn(3000))
+		if r.Intn(8) == 0 {
+			budget = 100000
+		}
+		stop := pp.run(t, label, budget)
+		diffMappedMemory(t, label, pp.fast, pp.slow)
+		if r.Intn(4) == 0 {
+			if f, s := pp.fast.Mem.DirtyPages(), pp.slow.Mem.DirtyPages(); f != s {
+				t.Errorf("%s: dirty pages fast=%d slow=%d", label, f, s)
+			}
+			fs, ss := pp.fast.Mem.Snapshot(), pp.slow.Mem.Snapshot()
+			if fs.CapturedBytes() != ss.CapturedBytes() || fs.DeltaPages() != ss.DeltaPages() || fs.Pages() != ss.Pages() {
+				t.Errorf("%s: snapshot captured %d bytes of %d delta pages fast, %d of %d slow",
+					label, fs.CapturedBytes(), fs.DeltaPages(), ss.CapturedBytes(), ss.DeltaPages())
+			}
+		}
+		if !pp.resumable(stop) || stop.Reason == vm.StopWaitInput {
+			break
+		}
+		switch r.Intn(6) {
+		case 0:
+			probe()
+		case 1:
+			name := fmt.Sprintf("p%d", r.Intn(3))
+			if f, s := pp.fast.RemoveProbes(name), pp.slow.RemoveProbes(name); f != s {
+				t.Fatalf("%s: RemoveProbes(%s) fast=%d slow=%d", label, name, f, s)
+			}
+		}
+	}
+	return pp.fast.LoopRetired()
+}
+
+// TestLoopKernelsDifferential runs loopTrial over a fixed set of seeds, and
+// requires the kernels to have run in it.
+func TestLoopKernelsDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x100b))
+	var retired uint64
+	for trial := 0; trial < 120; trial++ {
+		seed := rng.Int63()
+		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) { retired += loopTrial(t, seed) })
+	}
+	if retired == 0 {
+		t.Error("no loop kernel ran")
+	}
+	t.Logf("kernels retired %d instructions", retired)
+}
+
+// FuzzLoopKernels is TestLoopKernelsDifferential's trial as a fuzz target:
+// the seed picks the loops, the strings, the pages, the probes and the Run
+// lengths.
+func FuzzLoopKernels(f *testing.F) {
+	for _, seed := range []int64{0, 1, 0x100b, 0x5eed, -7} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) { loopTrial(t, seed) })
+}
+
+// squidRequests are the request shapes whose kernel coverage the tests pin:
+// the benign mix's plain HTTP and short FTP requests, and an FTP URL with a
+// 1 500-byte user part (the benchmark's heavy shape).
+func squidRequests() (http, ftp, heavy []byte) {
+	user := make([]byte, 1500)
+	for i := range user {
+		user[i] = byte('a' + i%26)
+	}
+	return exploit.Benign("squid", 3), exploit.Benign("squid", 1),
+		[]byte("ftp://" + string(user) + "@ftp.example.org/pub/file.tar.gz")
+}
+
+// serveCounting serves one request on a squid process and returns the
+// instructions it retired and how many of them loop kernels retired.
+func serveCounting(t *testing.T, p *proc.Process, in *netproxy.Proxy, payload []byte) (instrs, byKernels uint64) {
+	t.Helper()
+	i0, k0 := p.Machine.InstrCount(), p.Machine.LoopRetired()
+	in.Submit(payload, "client", false)
+	if stop := p.Run(0); stop.Reason != vm.StopWaitInput {
+		t.Fatalf("request stopped the guest with %v", stop.Reason)
+	}
+	return p.Machine.InstrCount() - i0, p.Machine.LoopRetired() - k0
+}
+
+// TestLoopKernelCoverage pins the share of a squid request's instructions
+// that the loop kernels retire: strlen, strcat (both loops), strchr and
+// strcpy are two thirds of a heavy request and most of a small one. A shape
+// that stops being recognised shows here, not only as a slower benchmark.
+func TestLoopKernelCoverage(t *testing.T) {
+	spec := apps.Squid()
+	in := netproxy.New()
+	p, err := proc.New(spec.Name, spec.Image, vm.DefaultLayout(), in, spec.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	http, ftp, heavy := squidRequests()
+	serveCounting(t, p, in, http) // the first request also sets up the heap
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		share   float64 // percent, as measured on the squid image
+	}{{"http", http, 90.5}, {"ftp", ftp, 61.3}, {"heavy", heavy, 66.0}} {
+		instrs, byKernels := serveCounting(t, p, in, c.payload)
+		share := 100 * float64(byKernels) / float64(instrs)
+		t.Logf("%s: %d instructions, %d by kernels (%.1f%%)", c.name, instrs, byKernels, share)
+		if share < c.share-1 || share > c.share+1 {
+			t.Errorf("%s: kernels retired %.1f%% of the request, want %.1f%% ± 1", c.name, share, c.share)
+		}
+	}
+}
+
+// TestLoopKernelsStayOffProbedLoops puts the real squid final antibody — made
+// from the exploit after four benign requests, as a serving guest meets it —
+// on a guest: every loop with a probe at any of its indexes (strlen, both
+// strcat loops and strchr) must have its kernel off, the other (strcpy) on.
+// Served beside a plain twin, the HTTP request, whose only loop is strlen,
+// retires nothing by kernels inoculated, and the FTP and heavy requests only
+// what strcpy's kernel retires, less than on the plain guest.
+func TestLoopKernelsStayOffProbedLoops(t *testing.T) {
+	spec := apps.Squid()
+	cfg := core.DefaultConfig()
+	cfg.ASLRSeed = 5151
+	s, err := core.New(spec.Name, spec.Image, spec.Options, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		s.Submit(exploit.Benign(spec.Name, i), "client", false)
+	}
+	s.Submit(exploit.SquidExploit(), "worm", true)
+	if _, err := s.ServeAll(); err != nil {
+		t.Fatal(err)
+	}
+	s.WaitAnalyses()
+	if len(s.Attacks()) != 1 || s.Attacks()[0].FinalAntibody == nil {
+		t.Fatal("the producer made no final antibody")
+	}
+	var guests [2]*proc.Process
+	var ins [2]*netproxy.Proxy
+	for i := range guests {
+		ins[i] = netproxy.New()
+		if guests[i], err = proc.New(spec.Name, spec.Image, s.Layout(), ins[i], spec.Options); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Attacks()[0].FinalAntibody.Apply(guests[1], nil); err != nil {
+		t.Fatal(err)
+	}
+	heads, armed, probed := guests[1].Machine.LoopKernels()
+	var nProbed int
+	for i, head := range heads {
+		t.Logf("loop at %d (%s): probed=%v kernel=%v", head, guests[1].Machine.SymbolAt(head), probed[i], armed[i])
+		if armed[i] == probed[i] {
+			t.Errorf("loop at %d: probed=%v but kernel=%v", head, probed[i], armed[i])
+		}
+		if probed[i] {
+			nProbed++
+		}
+	}
+	if nProbed != 4 || len(heads) != 5 {
+		t.Errorf("%d of %d loops probed, want 4 of 5", nProbed, len(heads))
+	}
+	http, ftp, heavy := squidRequests()
+	for _, c := range []struct {
+		name    string
+		payload []byte
+	}{{"http", http}, {"ftp", ftp}, {"heavy", heavy}} {
+		_, plain := serveCounting(t, guests[0], ins[0], c.payload)
+		_, inoculated := serveCounting(t, guests[1], ins[1], c.payload)
+		t.Logf("%s: kernels retired %d instructions plain, %d inoculated", c.name, plain, inoculated)
+		switch {
+		case plain == 0:
+			t.Errorf("%s: no kernel ran on the plain guest", c.name)
+		case c.name == "http" && inoculated != 0:
+			t.Errorf("%s: kernels retired %d instructions in probed loops", c.name, inoculated)
+		case c.name != "http" && (inoculated == 0 || inoculated >= plain):
+			t.Errorf("%s: kernels retired %d instructions inoculated, want some (strcpy) and fewer than plain's %d", c.name, inoculated, plain)
+		}
+	}
+}

@@ -150,12 +150,16 @@ type Machine struct {
 	imageDesc, imageUops []uint64 // block descriptors and packed fused micro-ops
 	uopsPlain            []uint64 // packed unfused micro-ops, shared likewise, for runHooked
 	probeDesc, probeUops []uint64
+	loops                []byteLoop // the image's loop kernels (loops.go)
 	fastDispatch         bool
 	probesDirty          bool
 
 	sys SyscallHandler
 
 	cycles, instrCount, probeFires uint64
+	// loopRetired counts the instructions loop kernels retired, for the
+	// tests that pin their coverage.
+	loopRetired uint64
 
 	stopped          bool
 	pendingViolation *Violation
@@ -192,6 +196,7 @@ func NewMachine(prog *Program, layout Layout, sys SyscallHandler) (*Machine, err
 	m.desc, m.imageDesc = img.desc, img.desc
 	m.uops, m.imageUops = img.uops, img.uops
 	m.uopsPlain = img.plain
+	m.loops = img.loops
 	m.refreshDispatch()
 
 	// Map segments by restoring the program's shared base image: data and

@@ -14,14 +14,18 @@ import "encoding/binary"
 // retired-instruction count once per run from a precomputed block descriptor.
 // The scan also re-encodes each instruction into a packed 8-byte micro-op, so
 // the fused loop fetches one machine word per instruction instead of a
-// 24-byte Instr with its symbol pointer.
+// 24-byte Instr with its symbol pointer, and fuses the three adjacent pairs
+// the guests run most into one micro-op each (see fusePair). Every block is
+// left through its terminator: a jmp back to the block's own start resolves
+// like any other branch.
 //
 // Descriptors and micro-ops are a pure function of the relocated code, built
 // once per relocated image (Program.relocImage) and shared by every Machine
 // loaded at the same code and data bases: clones and pooled shells included.
 // There is no invalidation: code is immutable once loaded.
 //
-// Attached instr/mem tools disable the fused loop wholesale (fastDispatch).
+// Attached instr/mem tools disable the fused loop wholesale (fastDispatch), so
+// it never serves a mem hook.
 // Registered probes do not, and they cut no block short: a machine with
 // probes runs a copy of the micro-ops (the probe overlay, rebuilt lazily when
 // its probe set changes) in which every probed index carries the synthetic
@@ -61,8 +65,7 @@ import "encoding/binary"
 //     instructions starting at i (zero if code[i] itself is a terminator or
 //     otherwise non-fusible) — the straight-line run the fused loop may
 //     execute before it must look at code[i+len] as a terminator;
-//   - bit 32 (descSelfLoop): that terminator is a jmp back to i;
-//   - bits 34-63: the body's static virtual-cycle cost.
+//   - bits 33-63: the body's static virtual-cycle cost.
 //
 // A run's suffixes share its end, so the cost of any stretch [a, b) of one
 // body is the cost field of desc[a] less that of desc[b]; the table carries a
@@ -70,12 +73,11 @@ import "encoding/binary"
 // path and the fault exits charge partial bodies that way. Code is at most
 // SegmentSpan/InstrSize = 65 536 instructions, so neither field can overflow.
 const (
-	descSelfLoop = 1 << 32
-	// descClamped marks a descriptor runFused made for a body the budget cut
-	// short: its terminator is not to be executed. The table never carries
-	// it.
-	descClamped  = 1 << 33
-	descCycShift = 34
+	// descClamped (bit 32) marks a descriptor runFused made for a body the
+	// budget cut short: its terminator is not to be executed. The table
+	// never carries it.
+	descClamped  = 1 << 32
+	descCycShift = 33
 )
 
 // Packed micro-op layout: op in bits 0-7, Rd in 8-15, Rs in 16-23, the
@@ -97,11 +99,11 @@ func packUop(in Instr) uint64 {
 }
 
 // Macro-op fusion: the dispatch cost of the fused body loop is one indirect
-// jump per micro-op, so frequently adjacent instruction pairs are re-encoded
-// as a single synthetic micro-op executing both halves under one dispatch.
-// The pattern table below is the set of highest-static-frequency fusible
-// pairs across the four app images plus the push/pop stack-move idiom (whose
-// fusion also forwards the pushed value, eliminating the stack re-read).
+// jump per micro-op, so the adjacent instruction pairs the guests run most are
+// re-encoded as a single synthetic micro-op executing both halves under one
+// dispatch. The table holds three pairs, each real work in the app images'
+// hot loops (rfc1738_escape_part's loadb;cmpi and addi;addi among them);
+// TestGuestPairCensus fails if a guest stops running one of them.
 //
 // A fused micro-op replaces only the opcode byte of the FIRST slot; its own
 // operand fields and the entire second slot keep their original encoding, and
@@ -112,17 +114,11 @@ func packUop(in Instr) uint64 {
 // the micro-ops runFused runs — Program.Code, the hook-calling engine and the
 // block map never see them.
 // The synthetic opcodes sit directly after the real ones so the dispatch
-// switch still compiles to one compact jump table. Where the first half
-// leaves operand fields unused, fusion bakes the second half's destination
-// register into them (push/pop and addi/push use the free Rs byte, mov/pop
-// the unused immediate), so executing the pair never re-reads uops[pc+1].
+// switch still compiles to one compact jump table.
 const (
-	fusePushPop    Op = numOps + iota // push rA ; pop rB   (rB in Rs byte; value forwarded)
-	fuseAddIPush                      // addi ; push rB     (rB in Rs byte)
-	fuseMovPop                        // mov ; pop rB       (rB in imm bits 32-39)
-	fuseAddIAddI                      // addi ; addi        (second half from uops[pc+1])
-	fuseLoadBCmpI                     // loadb ; cmpi       (second half from uops[pc+1])
-	fuseStoreBAddI                    // storeb ; addi      (second half from uops[pc+1])
+	fuseAddIAddI   Op = numOps + iota // addi ; addi
+	fuseLoadBCmpI                     // loadb ; cmpi
+	fuseStoreBAddI                    // storeb ; addi
 	// opProbe marks a probed index in a probe overlay (rebuildProbeTables):
 	// fire its probes, then execute the micro-op it stands for (see
 	// uopOrigShift), which may be the first half of a fused pair.
@@ -142,81 +138,43 @@ func unprobedUop(u uint64) uint64 {
 	return u&^(uopOpMask|uopOpMask<<uopOrigShift) | u>>uopOrigShift&uopOpMask
 }
 
-// fusePair returns the synthetic opcode and selection weight for an adjacent
-// opcode pair, or weight 0 if the pair is not in the fusion table. push+pop
-// weighs more because fusing it also removes a guest memory read.
-func fusePair(a, b Op) (Op, int32) {
+// fusePair returns the synthetic opcode for an adjacent opcode pair, and
+// whether the pair is in the fusion table.
+func fusePair(a, b Op) (Op, bool) {
 	switch {
-	case a == OpPush && b == OpPop:
-		return fusePushPop, 3
 	case a == OpAddI && b == OpAddI:
-		return fuseAddIAddI, 2
+		return fuseAddIAddI, true
 	case a == OpLoadB && b == OpCmpI:
-		return fuseLoadBCmpI, 2
-	case a == OpMov && b == OpPop:
-		return fuseMovPop, 2
+		return fuseLoadBCmpI, true
 	case a == OpStoreB && b == OpAddI:
-		return fuseStoreBAddI, 2
-	case a == OpAddI && b == OpPush:
-		return fuseAddIPush, 2
+		return fuseStoreBAddI, true
 	}
-	return 0, 0
+	return 0, false
 }
 
 // packUops encodes relocated code into packed micro-ops, plain and with
-// macro-op fusion applied (the same slice when nothing fuses). Candidate pairs
-// must lie inside one straight-line run (a body length of at least 2 in
-// desc[i] guarantees i and i+1 are both fusible body ops); among overlapping
-// candidates, a maximum-weight matching is picked by the classic linear DP
-// over each run, so e.g. addi;push;pop fuses as addi + [push;pop] (weight 3)
-// rather than [addi;push] + pop (weight 2).
+// macro-op fusion applied (the same slice when nothing fuses). A pair must lie
+// inside one straight-line run (a body length of at least 2 in desc[i]
+// guarantees i and i+1 are both fusible body ops). Every pair weighs the same,
+// so one right-to-left scan picks a largest set of non-overlapping pairs:
+// (i, i+1) fuses unless i+1 already starts a pair. addi;addi;addi thus fuses
+// its last two.
 func packUops(code []Instr, desc []uint64) (uops, plain []uint64) {
 	n := len(code)
 	plain = make([]uint64, n)
 	for i, in := range code {
 		plain[i] = packUop(in)
 	}
-	pairOp := make([]Op, n)
-	weight := make([]int32, n)
-	any := false
-	for i := 0; i+1 < n; i++ {
-		if uint32(desc[i]) < 2 {
+	uops = plain
+	for i := n - 2; i >= 0; i-- {
+		f, ok := fusePair(code[i].Op, code[i+1].Op)
+		if !ok || uint32(desc[i]) < 2 || Op(uops[i+1]&uopOpMask) >= numOps {
 			continue
 		}
-		if f, w := fusePair(code[i].Op, code[i+1].Op); w > 0 {
-			pairOp[i], weight[i] = f, w
-			any = true
+		if &uops[0] == &plain[0] {
+			uops = append([]uint64(nil), plain...)
 		}
-	}
-	if !any {
-		return plain, plain
-	}
-	uops = append([]uint64(nil), plain...)
-	// best[i] = max total weight over the suffix starting at i; take[i]
-	// records whether fusing (i, i+1) is part of that optimum.
-	best := make([]int32, n+2)
-	take := make([]bool, n)
-	for i := n - 1; i >= 0; i-- {
-		best[i] = best[i+1]
-		if weight[i] > 0 && weight[i]+best[i+2] > best[i] {
-			best[i] = weight[i] + best[i+2]
-			take[i] = true
-		}
-	}
-	for i := 0; i < n; {
-		if !take[i] {
-			i++
-			continue
-		}
-		u := uops[i]&^uint64(uopOpMask) | uint64(pairOp[i])
-		switch pairOp[i] {
-		case fusePushPop, fuseAddIPush:
-			u = u&^(uint64(0xff)<<uopRsShift) | uint64(code[i+1].Rd)<<uopRsShift
-		case fuseMovPop:
-			u = u&(1<<32-1) | uint64(code[i+1].Rd)<<32
-		}
-		uops[i] = u
-		i += 2
+		uops[i] = uops[i]&^uopOpMask | uint64(f)
 	}
 	return uops, plain
 }
@@ -242,7 +200,7 @@ func fusible(op Op) bool {
 
 // buildBlocks decodes relocated code into its block descriptors: a single
 // right-to-left pass, since the body starting at i is instruction i followed
-// by the body starting at i+1, then a pass marking self-loops.
+// by the body starting at i+1.
 func buildBlocks(code []Instr) []uint64 {
 	n := len(code)
 	desc := make([]uint64, n+1)
@@ -252,32 +210,24 @@ func buildBlocks(code []Instr) []uint64 {
 			desc[i] = (uint64(uint32(next)) + 1) | (next>>descCycShift+uint64(opCycles[op]))<<descCycShift
 		}
 	}
-	for i := 0; i < n; i++ {
-		if end := i + int(uint32(desc[i])); end < n && code[end].Op == OpJmp && int(code[end].Imm) == i {
-			desc[i] |= descSelfLoop
-		}
-	}
 	return desc
 }
 
-// rebuildProbeTables points m.uops and m.desc at the tables runFused is to
-// run for the current probe set: the image's own when there are no probes,
-// otherwise the probe overlay. Its micro-ops are the image's with every
-// probed index marked opProbe, no loop kernel on a loop with a probed index
-// (its head gets its own micro-op back: a kernel would retire the probed
-// instruction without firing it), and no fused pair straddling one: a pair
-// whose second half is probed runs as its two plain halves, since that half's
-// probes fire between them. (A pair whose first half is probed stays fused:
-// its probes fire before the pair, as before the first half.) Its descriptors
-// are the image's, except that a self-loop whose jmp is probed is no
-// self-loop: the loop must reach that terminator to fire it (this copy is
-// made only when such a jmp exists). The buffers are the machine's and are
-// reused, so installing or removing a whole antibody's probes costs one
-// O(code) copy on the next entry, and a loop whose body holds a probed store
-// keeps its block, its self-loop and its chaining.
+// rebuildProbeTables points m.uops at the micro-ops runFused is to run for
+// the current probe set: the image's own when there are no probes, otherwise
+// the probe overlay. Its micro-ops are the image's with every probed index
+// marked opProbe, no loop kernel on a loop with a probed index (its head gets
+// its own micro-op back: a kernel would retire the probed instruction without
+// firing it), and no fused pair straddling one: a pair whose second half is
+// probed runs as its two plain halves, since that half's probes fire between
+// them. (A pair whose first half is probed stays fused: its probes fire
+// before the pair, as before the first half.) The descriptors are the
+// image's: a probe cuts no block. The buffer is the machine's and is reused,
+// so installing or removing a whole antibody's probes costs one O(code) copy
+// on the next entry.
 func (m *Machine) rebuildProbeTables() {
 	m.probesDirty = false
-	m.uops, m.desc = m.imageUops, m.imageDesc
+	m.uops = m.imageUops
 	if m.probeCount == 0 {
 		return
 	}
@@ -300,22 +250,9 @@ func (m *Machine) rebuildProbeTables() {
 			u[i-1] = m.uopsPlain[i-1] // the pair (i-1, i)
 		}
 	}
-	ownDesc := false
 	for i, list := range m.probes {
-		if len(list) == 0 {
-			continue
-		}
-		u[i] = probedUop(u[i])
-		if t := int(m.code[i].Imm); m.code[i].Op == OpJmp && t >= 0 && t <= i &&
-			m.imageDesc[t]&descSelfLoop != 0 && t+int(uint32(m.imageDesc[t])) == i {
-			if !ownDesc {
-				if len(m.probeDesc) != n+1 {
-					m.probeDesc = make([]uint64, n+1)
-				}
-				copy(m.probeDesc, m.imageDesc)
-				m.desc, ownDesc = m.probeDesc, true
-			}
-			m.desc[t] &^= descSelfLoop
+		if len(list) > 0 {
+			u[i] = probedUop(u[i])
 		}
 	}
 	m.uops = u
@@ -503,26 +440,6 @@ func (m *Machine) runFused(limit uint64) *StopInfo {
 				// below advances past both halves. Second-half faults report
 				// index pc+1 and charge both instructions, exactly as two plain
 				// dispatches would.
-				case fusePushPop:
-					val := regs[uint8(u>>uopRdShift)]
-					sp := regs[SP] - 4
-					if sp>>PageShift == wpn && sp&(PageSize-1) <= PageSize-4 {
-						off := sp & (PageSize - 1)
-						wp.markRun(uint16(off), uint16(off)+4)
-						binary.LittleEndian.PutUint32(wp.data[off:], val)
-					} else if mem.WriteWord(sp, val) {
-						rp, rpn, wp, wpn = tlbLocals(mem)
-					} else {
-						return m.fusedFault(&regs, flags, base, pc, done, cyc, FaultPage, sp, true, "stack push to unmapped memory")
-					}
-					// The pop re-reads the slot the push just wrote: forward
-					// the value and restore SP (write-then-read of a mapped page
-					// cannot fault). Assigning SP last matches Step's store
-					// order when the pop target is SP itself.
-					regs[uint8(u>>uopRsShift)] = val
-					regs[SP] = sp + 4
-					pc++
-
 				case fuseAddIAddI:
 					regs[uint8(u>>uopRdShift)] += uint32(u >> 32)
 					u2 := uops[pc+1]
@@ -543,22 +460,6 @@ func (m *Machine) runFused(limit uint64) *StopInfo {
 					flags = cmp32(int32(regs[uint8(u2>>uopRdShift)]), int32(uint32(u2>>32)))
 					pc++
 
-				case fuseMovPop:
-					regs[uint8(u>>uopRdShift)] = regs[uint8(u>>uopRsShift)]
-					{
-						slot := regs[SP]
-						if slot>>PageShift == rpn && slot&(PageSize-1) <= PageSize-4 {
-							regs[uint8(u>>32)] = binary.LittleEndian.Uint32(rp.data[slot&(PageSize-1):])
-						} else if v, ok := mem.ReadWord(slot); ok {
-							regs[uint8(u>>32)] = v
-							rp, rpn, wp, wpn = tlbLocals(mem)
-						} else {
-							return m.fusedFault(&regs, flags, base, pc+1, done, cyc, FaultPage, slot, false, "stack pop from unmapped memory")
-						}
-						regs[SP] = slot + 4
-						pc++
-					}
-
 				case fuseStoreBAddI:
 					addr := regs[uint8(u>>uopRdShift)] + uint32(u>>32)
 					val := regs[uint8(u>>uopRsShift)]
@@ -574,24 +475,6 @@ func (m *Machine) runFused(limit uint64) *StopInfo {
 					u2 := uops[pc+1]
 					regs[uint8(u2>>uopRdShift)] += uint32(u2 >> 32)
 					pc++
-
-				case fuseAddIPush:
-					regs[uint8(u>>uopRdShift)] += uint32(u >> 32)
-					{
-						val := regs[uint8(u>>uopRsShift)]
-						sp := regs[SP] - 4
-						if sp>>PageShift == wpn && sp&(PageSize-1) <= PageSize-4 {
-							off := sp & (PageSize - 1)
-							wp.markRun(uint16(off), uint16(off)+4)
-							binary.LittleEndian.PutUint32(wp.data[off:], val)
-						} else if mem.WriteWord(sp, val) {
-							rp, rpn, wp, wpn = tlbLocals(mem)
-						} else {
-							return m.fusedFault(&regs, flags, base, pc+1, done, cyc, FaultPage, sp, true, "stack push to unmapped memory")
-						}
-						regs[SP] = sp
-						pc++
-					}
 				}
 				pc++
 				continue
@@ -762,20 +645,6 @@ func (m *Machine) runFused(limit uint64) *StopInfo {
 		}
 		done += uint64(end - base)
 		cyc += d >> descCycShift
-		if d&descSelfLoop != 0 {
-			// Tight self-loop: an unclamped block whose terminator jumps back
-			// to its own base (spin waits, copy loops, counting loops) runs its
-			// body again without re-entering, while a whole further iteration
-			// still fits the budget. The jmp terminator is folded into the
-			// per-iteration accounting.
-			done++
-			cyc += cyclesBranch
-			pc = base
-			if limit-done > uint64(end-base) {
-				goto iterate
-			}
-			continue // remaining budget < one iteration: let the prologue clamp
-		}
 		if d&descClamped != 0 {
 			// Budget boundary or a split pair: hand the next instruction (if
 			// any) back to the slow path.
@@ -834,9 +703,9 @@ func (m *Machine) runFused(limit uint64) *StopInfo {
 			pc = tIdx
 
 		case OpCall, OpCallReg:
-			if m.callDispatch || m.memDispatch {
-				// Call hooks (shadow stacks) and memory tools observe the
-				// return-address push; Step dispatches them.
+			if m.callDispatch {
+				// Call hooks (shadow stacks) observe the return-address push;
+				// Step dispatches them.
 				m.Regs, m.Flags = regs, flags
 				m.commitFused(pc, done, cyc)
 				return nil
@@ -867,7 +736,7 @@ func (m *Machine) runFused(limit uint64) *StopInfo {
 			pc = targetIdx
 
 		case OpRet:
-			if m.callDispatch || m.memDispatch {
+			if m.callDispatch {
 				m.Regs, m.Flags = regs, flags
 				m.commitFused(pc, done, cyc)
 				return nil
@@ -898,7 +767,7 @@ func (m *Machine) runFused(limit uint64) *StopInfo {
 				// unclamped body leaves room for its terminator.
 				u = unprobedUop(u)
 				op = Op(u & uopOpMask)
-				if op <= OpRet && (op < OpCall || !m.callDispatch && !m.memDispatch) {
+				if op <= OpRet && (op < OpCall || !m.callDispatch) {
 					if m.fireInPlace(&regs, flags, pc, done, cyc) {
 						return m.violationStop()
 					}

@@ -7,8 +7,8 @@ import (
 
 // TestBuildBlocksRunLen pins the block decoder: the body length counts the
 // fusible straight-line suffix from each index and is zero on terminators,
-// the cost field sums the body's cycles, and only an entry whose terminator
-// jumps back to it is a self-loop.
+// and the cost field sums the body's cycles. A jmp back to its block's own
+// start (index 3 here) is a terminator like any other.
 func TestBuildBlocksRunLen(t *testing.T) {
 	code := []Instr{
 		{Op: OpMovI, Rd: R1},          // 0
@@ -28,88 +28,123 @@ func TestBuildBlocksRunLen(t *testing.T) {
 	// (they are charged by the terminator dispatch).
 	wantCyc := []uint64{2*cyclesALU + cyclesMem, cyclesALU + cyclesMem, cyclesMem, 0, cyclesALU, 0, cyclesALU}
 	for i := range wantRun {
-		if got := uint32(desc[i]); got != wantRun[i] {
-			t.Errorf("body length at %d = %d, want %d", i, got, wantRun[i])
-		}
-		if got := desc[i] >> descCycShift; got != wantCyc[i] {
-			t.Errorf("body cycles at %d = %d, want %d", i, got, wantCyc[i])
-		}
-		if got, want := desc[i]&descSelfLoop != 0, i == 1; got != want {
-			t.Errorf("self-loop at %d = %v, want %v", i, got, want)
+		if got := desc[i]; got != uint64(wantRun[i])|wantCyc[i]<<descCycShift {
+			t.Errorf("desc[%d] = length %d, cycles %d, flags %#x; want length %d, cycles %d, no flags",
+				i, uint32(got), got>>descCycShift, got&^(1<<32-1)&(1<<descCycShift-1), wantRun[i], wantCyc[i])
 		}
 	}
 }
 
-// TestPackUopsFusionSelection pins the maximum-weight pair matching: in
-// addi;push;pop the DP must prefer the weight-3 push/pop fusion over the
-// weight-2 addi/push one, and terminators must never be fused over.
+// TestPackUopsFusionSelection pins the right-to-left pair scan: where pairs
+// overlap the rightmost wins, no pair forms across a terminator or outside
+// the table, a loop head keeps its pair under its opLoop, and a pair's second
+// half keeps its own micro-op, so a jump into the middle of a pair runs it.
 func TestPackUopsFusionSelection(t *testing.T) {
-	code := []Instr{
-		{Op: OpMovI, Rd: R1}, // 0
-		{Op: OpAddI, Rd: R1}, // 1
-		{Op: OpPush, Rd: R1}, // 2
-		{Op: OpPop, Rd: R2},  // 3
-		{Op: OpJmp, Imm: 1},  // 4
-		{Op: OpAddI, Rd: R3}, // 5  last pair candidate halves split by...
-		{Op: OpHalt},         // 6  ...a terminator: runLen[5] == 1, no fusion
-		{Op: OpPush, Rd: R4}, // 7  trailing pair at end of code
-		{Op: OpPop, Rd: R5},  // 8
+	addi := func(r Reg) Instr { return Instr{Op: OpAddI, Rd: r, Imm: 1} }
+	cases := []struct {
+		name  string
+		code  []Instr
+		want  []Op // each index's op, a loop head's as its opLoop stands for
+		heads []int
+	}{
+		{"addi;addi;addi fuses the last two",
+			[]Instr{addi(R1), addi(R2), addi(R3), {Op: OpHalt}},
+			[]Op{OpAddI, fuseAddIAddI, OpAddI, OpHalt}, nil},
+		{"storeb;addi;addi fuses the addi pair",
+			[]Instr{{Op: OpStoreB, Rd: R1, Rs: R2}, addi(R1), addi(R3), {Op: OpHalt}},
+			[]Op{OpStoreB, fuseAddIAddI, OpAddI, OpHalt}, nil},
+		{"loadb;cmpi at a loop head fuses under its opLoop",
+			[]Instr{
+				{Op: OpLoadB, Rd: R2, Rs: R1}, // 0 head
+				{Op: OpCmpI, Rd: R2},          // 1
+				{Op: OpJz, Imm: 5},            // 2
+				addi(R1),                      // 3
+				{Op: OpJmp, Imm: 0},           // 4
+				{Op: OpHalt},                  // 5
+			},
+			[]Op{fuseLoadBCmpI, OpCmpI, OpJz, OpAddI, OpJmp, OpHalt}, []int{0}},
+		{"no pair across a terminator",
+			[]Instr{{Op: OpLoadB, Rd: R2, Rs: R1}, {Op: OpJz, Imm: 3}, {Op: OpCmpI, Rd: R2}, addi(R1), {Op: OpHalt}, addi(R2)},
+			[]Op{OpLoadB, OpJz, OpCmpI, OpAddI, OpHalt, OpAddI}, nil},
+		{"a trailing pair at the end of the code fuses",
+			[]Instr{{Op: OpMovI, Rd: R1}, {Op: OpStoreB, Rd: R1, Rs: R2}, addi(R1)},
+			[]Op{OpMovI, fuseStoreBAddI, OpAddI}, nil},
+		{"mov;pop and addi;push;pop stay unfused",
+			[]Instr{{Op: OpMov, Rd: R1, Rs: R2}, {Op: OpPop, Rd: R3}, addi(R1), {Op: OpPush, Rd: R1}, {Op: OpPop, Rd: R2}, {Op: OpHalt}},
+			[]Op{OpMov, OpPop, OpAddI, OpPush, OpPop, OpHalt}, nil},
 	}
-	uops, _ := packUops(code, buildBlocks(code))
-	if got := Op(uops[1] & uopOpMask); got != OpAddI {
-		t.Errorf("uops[1] op = %d, want plain OpAddI (DP must skip the weaker addi/push pair)", got)
-	}
-	if got := Op(uops[2] & uopOpMask); got != fusePushPop {
-		t.Errorf("uops[2] op = %d, want fusePushPop", got)
-	}
-	// The fused slot bakes the pop's destination into the spare Rs byte and
-	// leaves the second half untouched for mid-pair entry.
-	if got := Reg(uops[2] >> uopRsShift & 0xff); got != R2 {
-		t.Errorf("fused pair Rs byte = %v, want pop destination R2", got)
-	}
-	if got := Op(uops[3] & uopOpMask); got != OpPop {
-		t.Errorf("uops[3] op = %d, want original OpPop preserved", got)
-	}
-	if got := Op(uops[5] & uopOpMask); got != OpAddI {
-		t.Errorf("uops[5] op = %d, want plain OpAddI (no pair across a terminator)", got)
-	}
-	if got := Op(uops[7] & uopOpMask); got != fusePushPop {
-		t.Errorf("uops[7] op = %d, want fusePushPop for trailing pair", got)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			uops, plain := packUops(tc.code, buildBlocks(tc.code))
+			uops, loops := markLoops(tc.code, uops, plain)
+			var heads []int
+			for _, lp := range loops {
+				heads = append(heads, lp.head)
+			}
+			if fmt.Sprint(heads) != fmt.Sprint(tc.heads) {
+				t.Errorf("loop heads %v, want %v", heads, tc.heads)
+			}
+			for i, u := range uops {
+				if Op(u&uopOpMask) == opLoop {
+					u = unloopUop(u)
+					if u&^uopOpMask != plain[i]&^uopOpMask&(1<<uopOrigShift-1) {
+						t.Errorf("%d: opLoop stands for %#x, want %#x's operands", i, u, plain[i])
+					}
+				} else if u&^uopOpMask != plain[i]&^uopOpMask {
+					t.Errorf("%d: operands %#x, want the plain encoding's %#x", i, u, plain[i])
+				}
+				if got := Op(u & uopOpMask); got != tc.want[i] {
+					t.Errorf("%d: op %d, want %d", i, got, tc.want[i])
+				}
+				// The second half of a pair is the plain micro-op, so an entry
+				// there runs it alone.
+				if Op(u&uopOpMask) >= numOps && uops[i+1] != plain[i+1] {
+					t.Errorf("%d: second half %#x, want its own micro-op %#x", i+1, uops[i+1], plain[i+1])
+				}
+			}
+		})
 	}
 }
 
-// TestSyntheticOpcodesDisjoint guards the synthetic opcode range: fused
-// opcodes must sit strictly above the real ISA so the fused loop's range
-// pre-dispatch (op >= numOps) is unambiguous.
+// TestSyntheticOpcodesDisjoint guards the synthetic opcode range and the
+// fusion table. Every synthetic opcode — the three pairs, opProbe and opLoop —
+// must sit above the real ISA, so the fused loop's range pre-dispatch
+// (op >= numOps) is unambiguous, and inside the micro-op's opcode byte. Every
+// pair must join two fusible body ops: fusible is what buildBlocks bounds runs
+// by, and packUops relies on a body length >= 2 implying both halves are body
+// ops. And no pair may end in a loadb: loop heads are loadbs, and markLoops
+// relies on no pair's first half reading its operands from a head.
 func TestSyntheticOpcodesDisjoint(t *testing.T) {
-	for _, op := range []Op{fusePushPop, fuseAddIPush, fuseMovPop, fuseAddIAddI, fuseLoadBCmpI, fuseStoreBAddI} {
-		if op < numOps {
-			t.Errorf("synthetic opcode %d collides with real ISA (numOps=%d)", op, numOps)
-		}
+	want := map[[2]Op]Op{
+		{OpAddI, OpAddI}:   fuseAddIAddI,
+		{OpLoadB, OpCmpI}:  fuseLoadBCmpI,
+		{OpStoreB, OpAddI}: fuseStoreBAddI,
 	}
-	// Every pattern in the fusion table must pair two fusible body ops —
-	// fusible is what buildBlocks uses to bound runs, and packUops relies
-	// on a body length >= 2 implying both halves are body ops.
-	pairs := [][2]Op{
-		{OpPush, OpPop}, {OpAddI, OpAddI}, {OpLoadB, OpCmpI},
-		{OpMov, OpPop}, {OpStoreB, OpAddI}, {OpAddI, OpPush},
+	pairs := FusionPairs()
+	if len(pairs) != len(want) {
+		t.Errorf("fusion table %v, want the %d pairs of %v", pairs, len(want), want)
 	}
 	for _, p := range pairs {
-		if f, w := fusePair(p[0], p[1]); w > 0 {
-			if !fusible(p[0]) {
-				t.Errorf("fusion %d pairs non-fusible first half %v", f, p[0])
-			}
-			if !fusible(p[1]) {
-				t.Errorf("fusion %d pairs non-fusible second half %v", f, p[1])
-			}
+		if f, _ := fusePair(p[0], p[1]); f != want[p] {
+			t.Errorf("pair %v;%v fuses as %d, want %d", p[0], p[1], f, want[p])
+		}
+		if !fusible(p[0]) || !fusible(p[1]) {
+			t.Errorf("pair %v;%v joins a non-fusible op", p[0], p[1])
+		}
+		if p[1] == OpLoadB {
+			t.Errorf("pair %v;%v ends in a loadb, which may be a loop head", p[0], p[1])
+		}
+	}
+	for _, op := range []Op{fuseAddIAddI, fuseLoadBCmpI, fuseStoreBAddI, opProbe, opLoop} {
+		if op < numOps || op > uopOpMask {
+			t.Errorf("synthetic opcode %d outside (numOps=%d, %d]", op, numOps, uopOpMask)
 		}
 	}
 }
 
 // CheckBlockDescriptors recomputes m's block descriptors by brute force from
 // its relocated code — each body walked instruction by instruction, costed by
-// the reference interpreter's refCost, a self-loop wherever the instruction
-// ending it is a jmp back to the entry — and reports the first entry of the
+// the reference interpreter's refCost — and reports the first entry of the
 // shared table that disagrees.
 func CheckBlockDescriptors(m *Machine) error {
 	code, desc := m.code, m.desc
@@ -127,9 +162,6 @@ func CheckBlockDescriptors(m *Machine) error {
 			cost += refCost(op)
 		}
 		want := uint64(end-i) | cost<<descCycShift
-		if end < len(code) && code[end].Op == OpJmp && int(code[end].Imm) == i {
-			want |= descSelfLoop
-		}
 		if desc[i] != want {
 			return fmt.Errorf("descriptor %d = %#x (length %d, cycles %d), want %#x (length %d, cycles %d, ended by %v)",
 				i, desc[i], uint32(desc[i]), desc[i]>>descCycShift, want, end-i, cost, m.InstrAt(end))

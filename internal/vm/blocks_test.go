@@ -182,12 +182,12 @@ func TestAddrIndexRoundTrip(t *testing.T) {
 
 // TestRunBudgetBlockBoundaries sweeps Run budgets across a program with a
 // known block structure — exhausting the budget exactly at a block boundary,
-// one instruction before it, and midway through a block (including between
-// the halves of a fused push/pop pair) — and asserts Run and the reference
-// stop with identical observables everywhere.
+// one instruction before it, and midway through a block — and asserts Run and
+// the reference stop with identical observables everywhere. The "pair sweep"
+// does the same on a loop whose fused pair a budget can split.
 func TestRunBudgetBlockBoundaries(t *testing.T) {
-	// Block layout: [movi addi push pop addi] jmp -> 6-instruction loop with
-	// a fused pair inside, so budgets land on every interesting boundary.
+	// Block layout: [movi addi push pop addi] jmp -> 6-instruction loop, so
+	// budgets land on every interesting boundary.
 	build := func(b *asm.Builder) {
 		b.Func("main")
 		b.MovI(vm.R2, 7)
@@ -200,7 +200,7 @@ func TestRunBudgetBlockBoundaries(t *testing.T) {
 	}
 	// Named boundary cases on top of the exhaustive sweep below: the first
 	// block body ends at instruction 5 (the jmp terminator retires as the
-	// 6th), the fused push/pop pair occupies instructions 2-3.
+	// 6th), the push/pop occupies instructions 2-3.
 	named := map[string]uint64{
 		"one before block boundary": 4,
 		"exactly at block boundary": 5,
@@ -223,6 +223,25 @@ func TestRunBudgetBlockBoundaries(t *testing.T) {
 	t.Run("sweep", func(t *testing.T) {
 		for budget := uint64(1); budget <= 40; budget++ {
 			fast, slow := buildMachinePair(t, build)
+			fs, ss := fast.Run(budget), vm.RefRun(slow, budget)
+			diffStop(t, fmt.Sprintf("budget=%d", budget), fast, slow, fs, ss)
+		}
+	})
+	t.Run("pair sweep", func(t *testing.T) {
+		// [movi add addi addi xor] jmp: the addi;addi pair at 2-3 fuses, so
+		// budget 2 (and every sixth after it) ends between its halves.
+		pair := func(b *asm.Builder) {
+			b.Func("main")
+			b.MovI(vm.R2, 7)
+			b.Label("main.loop")
+			b.Add(vm.R1, vm.R2)
+			b.AddI(vm.R3, 1)
+			b.AddI(vm.R1, 2)
+			b.Xor(vm.R3, vm.R1)
+			b.Jmp("main.loop")
+		}
+		for budget := uint64(1); budget <= 40; budget++ {
+			fast, slow := buildMachinePair(t, pair)
 			fs, ss := fast.Run(budget), vm.RefRun(slow, budget)
 			diffStop(t, fmt.Sprintf("budget=%d", budget), fast, slow, fs, ss)
 		}
@@ -268,8 +287,9 @@ func TestFusedPairJumpIntoSecondHalf(t *testing.T) {
 	}
 }
 
-// TestFusedPairSPEdgeCases pins the push/pop fusion against the reference's
-// register write ordering when SP itself is an operand.
+// TestFusedPairSPEdgeCases pins SP as an operand against the reference's
+// register write ordering: in push and pop, which run as two plain micro-ops,
+// and in each fused pair.
 func TestFusedPairSPEdgeCases(t *testing.T) {
 	cases := map[string]func(b *asm.Builder){
 		"pop into SP": func(b *asm.Builder) {
@@ -289,6 +309,27 @@ func TestFusedPairSPEdgeCases(t *testing.T) {
 			b.Func("main")
 			b.Push(vm.SP)
 			b.Pop(vm.R4)
+			b.Halt()
+		},
+		"addi SP pair": func(b *asm.Builder) {
+			b.Func("main")
+			b.AddI(vm.SP, -8)
+			b.AddI(vm.SP, 4)
+			b.Push(vm.SP)
+			b.Halt()
+		},
+		"loadb through SP, cmpi SP": func(b *asm.Builder) {
+			b.Func("main")
+			b.PushI(0x7f)
+			b.LoadB(vm.SP, vm.SP, 0)
+			b.CmpI(vm.SP, 0x7f)
+			b.Halt()
+		},
+		"storeb SP through SP, addi SP": func(b *asm.Builder) {
+			b.Func("main")
+			b.PushI(0)
+			b.StoreB(vm.SP, 1, vm.SP)
+			b.AddI(vm.SP, 4)
 			b.Halt()
 		},
 	}

@@ -46,21 +46,20 @@ func tlbTryWriteWord(mem *Memory, addr uint32, val uint32) bool {
 // runFused (blocks.go) serves guests with no instruction or memory tool
 // attached. runHooked is the other engine, and the complete one: it executes
 // every opcode — syscalls, halts and illegal opcodes included — one
-// architectural instruction at a time, and dispatches instr/mem/call/syscall
-// hooks and probes inline. Run uses it for a whole slice when an instr or mem
+// architectural instruction at a time, and dispatches instr/mem/call hooks
+// and probes inline. Run uses it for a whole slice when an instr or mem
 // tool is attached, and for the single instruction at a time the fused loop
 // cannot express; Step is this engine with a limit of one.
 //
 // It runs the PLAIN (unfused) micro-op encoding: hooks must observe every
 // architectural instruction they watch, and a fused pair would hide its
-// second half from BeforeInstr and collapse the push/pop memory traffic mem
-// hooks watch.
+// second half from BeforeInstr.
 //
 // Nothing is batched or mirrored in locals. Registers, flags, memory, PC, the
 // virtual clock and the retired-instruction count are operated on in place, so
 // every hook and probe sees them committed — BeforeInstr and probes before the
-// instruction counts or is charged, mem/call/syscall hooks after — and may
-// change any of them.
+// instruction counts or is charged, mem/call hooks after — and may change any
+// of them.
 //
 // An entry ends when a syscall retires: the handler runs the request boundary
 // (checkpoint, antibody install) and may change tools and probes, and with
@@ -359,13 +358,6 @@ func (m *Machine) runHooked(limit uint64) (stop *StopInfo, executed uint64) {
 
 		case OpSyscall:
 			num := m.Regs[R0]
-			for _, h := range m.tools.syscall {
-				m.cycles += CyclesPerHook
-				h.BeforeSyscall(m, pc, num)
-			}
-			if m.pendingViolation != nil {
-				return m.violationStop(), executed
-			}
 			if m.sys == nil {
 				return m.fault(FaultBadSyscall, num, false, "no syscall handler installed"), executed
 			}

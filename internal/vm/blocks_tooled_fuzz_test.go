@@ -490,7 +490,7 @@ func TestInLoopProbesDirected(t *testing.T) {
 		idx, raiseOn int
 	}
 	// loop: 0 movi | 1 addi 2 push 3 pop 4 storeb 5 addi 6 cmpi 7 jlt->1 | 8 halt
-	// with push/pop (2,3) and storeb/addi (4,5) fused.
+	// with storeb/addi (4,5) fused; push and pop run as plain micro-ops.
 	loop := func(b *asm.Builder) {
 		b.DataSpace("scratch", 256)
 		b.Func("main")
@@ -521,7 +521,8 @@ func TestInLoopProbesDirected(t *testing.T) {
 		b.Pop(vm.R4)
 		b.Ret()
 	}
-	// spin: 0 movi | 1 addi 2 addi 3 xor 4 jmp->1: a self-loop block.
+	// spin: 0 movi | 1 addi 2 addi 3 xor 4 jmp->1: a block whose jmp comes
+	// back to its own start, with addi/addi (1,2) fused.
 	spin := func(b *asm.Builder) {
 		b.Func("main")
 		b.MovI(vm.R1, 0)

@@ -21,3 +21,18 @@ func (m *Machine) LoopKernels() (heads []int, armed, probed []bool) {
 	}
 	return heads, armed, probed
 }
+
+// FusionPairs returns the fusion table's opcode pairs, in opcode order.
+func FusionPairs() (pairs [][2]Op) {
+	for a := Op(0); a < numOps; a++ {
+		for b := Op(0); b < numOps; b++ {
+			if _, ok := fusePair(a, b); ok {
+				pairs = append(pairs, [2]Op{a, b})
+			}
+		}
+	}
+	return pairs
+}
+
+// Fusible reports whether op can sit in a block's body (see fusible).
+func Fusible(op Op) bool { return fusible(op) }

@@ -88,11 +88,6 @@ type InputHook interface {
 	OnInput(m *Machine, addr uint32, data []byte, requestID int)
 }
 
-// SyscallHook receives a callback before every syscall.
-type SyscallHook interface {
-	BeforeSyscall(m *Machine, idx int, num uint32)
-}
-
 // RollbackHook is implemented by tools and probes whose internal state
 // shadows the guest's execution (saved return addresses, shadow stacks,
 // taint labels). The machine invokes it when the process is rolled back to a
@@ -112,15 +107,14 @@ type FaultHook interface {
 // toolSet caches tools by the hook interfaces they implement so the hot
 // interpreter loop does not perform interface type assertions per instruction.
 type toolSet struct {
-	all     []Tool
-	instr   []InstrHook
-	ops     []OpSet // ops[i]: the opcodes instr[i] observes
-	mem     []MemHook
-	call    []CallHook
-	alloc   []AllocHook
-	input   []InputHook
-	syscall []SyscallHook
-	fault   []FaultHook
+	all   []Tool
+	instr []InstrHook
+	ops   []OpSet // ops[i]: the opcodes instr[i] observes
+	mem   []MemHook
+	call  []CallHook
+	alloc []AllocHook
+	input []InputHook
+	fault []FaultHook
 }
 
 func (ts *toolSet) rebuild() {
@@ -130,7 +124,6 @@ func (ts *toolSet) rebuild() {
 	ts.call = ts.call[:0]
 	ts.alloc = ts.alloc[:0]
 	ts.input = ts.input[:0]
-	ts.syscall = ts.syscall[:0]
 	ts.fault = ts.fault[:0]
 	for _, t := range ts.all {
 		if h, ok := t.(InstrHook); ok {
@@ -148,9 +141,6 @@ func (ts *toolSet) rebuild() {
 		}
 		if h, ok := t.(InputHook); ok {
 			ts.input = append(ts.input, h)
-		}
-		if h, ok := t.(SyscallHook); ok {
-			ts.syscall = append(ts.syscall, h)
 		}
 		if h, ok := t.(FaultHook); ok {
 			ts.fault = append(ts.fault, h)

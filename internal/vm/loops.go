@@ -74,8 +74,8 @@ func unloopUop(u uint64) uint64 {
 
 // markLoops finds the image's loops and marks their heads in uops, which it
 // copies first if it is the plain encoding as well (runHooked must never see
-// opLoop). A head must not be a fused pair's second half: the pair's first
-// half reads its operands from it.
+// opLoop). A head is a loadb, which no fused pair has as its second half, so
+// no pair's first half reads its operands from a head.
 func markLoops(code []Instr, uops, plain []uint64) ([]uint64, []byteLoop) {
 	var loops []byteLoop
 	for j, in := range code {
@@ -84,7 +84,7 @@ func markLoops(code []Instr, uops, plain []uint64) ([]uint64, []byteLoop) {
 			continue
 		}
 		lp, ok := matchLoop(code[h : j+1])
-		if !ok || h > 0 && Op(uops[h-1]&uopOpMask) >= numOps {
+		if !ok {
 			continue
 		}
 		if len(loops) == 0 && len(uops) > 0 && &uops[0] == &plain[0] {

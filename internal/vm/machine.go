@@ -137,22 +137,22 @@ type Machine struct {
 	callDispatch bool // a CallHook is attached
 	probeCount   int
 
-	// Engine state (see blocks.go and blocks_tooled.go). desc and uops are
-	// the tables runFused runs: the relocated image's own (imageDesc,
-	// imageUops, shared via relocImage) on an unprobed machine, the probe
-	// overlay (the machine's probeDesc and probeUops buffers) on a probed
-	// one. The overlay is rebuilt lazily (probesDirty) so that installing a
-	// fleet-wide antibody's probes costs O(probes), not O(code), per
-	// mutation. fastDispatch caches Run's engine choice: no instr or mem tool
-	// is attached, so the fused loop runs; otherwise the hook-calling engine
-	// does.
-	desc, uops           []uint64
-	imageDesc, imageUops []uint64 // block descriptors and packed fused micro-ops
-	uopsPlain            []uint64 // packed unfused micro-ops, shared likewise, for runHooked
-	probeDesc, probeUops []uint64
-	loops                []byteLoop // the image's loop kernels (loops.go)
-	fastDispatch         bool
-	probesDirty          bool
+	// Engine state (see blocks.go and blocks_tooled.go). desc is the
+	// relocated image's block descriptor table and imageUops its fused
+	// micro-ops, both shared via relocImage; uops is what runFused runs: the
+	// image's micro-ops on an unprobed machine, the probe overlay (the
+	// machine's probeUops buffer) on a probed one. The overlay is rebuilt
+	// lazily (probesDirty) so that installing a fleet-wide antibody's probes
+	// costs O(probes), not O(code), per mutation. fastDispatch caches Run's
+	// engine choice: no instr or mem tool is attached, so the fused loop
+	// runs; otherwise the hook-calling engine does.
+	desc            []uint64
+	uops, imageUops []uint64
+	uopsPlain       []uint64 // packed unfused micro-ops, shared likewise, for runHooked
+	probeUops       []uint64
+	loops           []byteLoop // the image's loop kernels (loops.go)
+	fastDispatch    bool
+	probesDirty     bool
 
 	sys SyscallHandler
 
@@ -193,7 +193,7 @@ func NewMachine(prog *Program, layout Layout, sys SyscallHandler) (*Machine, err
 	}
 	m.code = img.code
 	m.probes = make([][]Probe, len(m.code))
-	m.desc, m.imageDesc = img.desc, img.desc
+	m.desc = img.desc
 	m.uops, m.imageUops = img.uops, img.uops
 	m.uopsPlain = img.plain
 	m.loops = img.loops

@@ -258,13 +258,6 @@ func refStep(m *Machine) *StopInfo {
 
 	case op == OpSyscall:
 		num := m.Regs[R0]
-		for _, h := range m.tools.syscall {
-			m.cycles += CyclesPerHook
-			h.BeforeSyscall(m, idx, num)
-		}
-		if m.pendingViolation != nil {
-			return m.violationStop()
-		}
 		if m.sys == nil {
 			return m.fault(FaultBadSyscall, num, false, "no syscall handler installed")
 		}

@@ -41,26 +41,17 @@ func (h *stubSys) Syscall(m *vm.Machine, num uint32) (vm.SyscallResult, *vm.Faul
 	return h.script(h, m)
 }
 
-// sysWatch records every BeforeSyscall and OnFault callback (a fault as the
-// negated index, less one) and raises a violation from its raiseOn-th
-// BeforeSyscall (0: never).
+// sysWatch records every OnFault callback, as the faulting index negated, less
+// one.
 type sysWatch struct {
-	seq     *[]sight
-	seen    *int
-	raiseOn int
+	seq *[]sight
 }
 
-func (w sysWatch) Name() string { return "test.syswatch" }
-func (w sysWatch) BeforeSyscall(m *vm.Machine, idx int, num uint32) {
-	*w.seq = append(*w.seq, see(m, idx))
-	if *w.seen++; *w.seen == w.raiseOn {
-		m.RaiseViolation(&vm.Violation{Kind: vm.ViolationPolicy, Tool: w.Name(), Detail: "syscall refused"})
-	}
-}
+func (w sysWatch) Name() string                       { return "test.syswatch" }
 func (w sysWatch) OnFault(m *vm.Machine, f *vm.Fault) { *w.seq = append(*w.seq, see(m, -f.PC-1)) }
 
-// syscallLoop: 0 movi | 1 movi r0 2 syscall 3 addi 4 push 5 pop 6 cmpi 7 jlt->1 | 8 halt.
-// Five syscalls at index 2, each followed by a fused push/pop pair.
+// syscallLoop: 0 movi | 1 movi r0 2 syscall 3 addi 4 addi 5 addi 6 cmpi 7 jlt->1 | 8 halt.
+// Five syscalls at index 2, each followed by a fused addi pair at 4-5.
 func syscallLoop(b *asm.Builder) {
 	b.Func("main")
 	b.MovI(vm.R1, 0)
@@ -68,8 +59,8 @@ func syscallLoop(b *asm.Builder) {
 	b.MovI(vm.R0, 9)
 	b.Syscall()
 	b.AddI(vm.R1, 1)
-	b.Push(vm.R1)
-	b.Pop(vm.R2)
+	b.AddI(vm.R2, 3)
+	b.AddI(vm.R3, 5)
 	b.CmpI(vm.R1, 5)
 	b.Jlt("main.loop")
 	b.Halt()
@@ -96,25 +87,12 @@ func TestSingleInstructionEntries(t *testing.T) {
 		patch     func(p *vm.Program)
 		noHandler bool
 		script    func(h *stubSys, m *vm.Machine) (vm.SyscallResult, *vm.Fault)
-		raiseOn   int
 		check     func(t *testing.T, o outcome)
 	}{
 		{name: "syscalls retire", build: syscallLoop,
 			check: func(t *testing.T, o outcome) {
 				if len(o.stops) != 1 || o.stops[0].Reason != vm.StopHalt || o.pp.fast.PC != 8 || o.sys.calls != 5 {
 					t.Errorf("stops %v, PC %d, %d syscalls; want one halt at 8 after 5", o.stops, o.pp.fast.PC, o.sys.calls)
-				}
-			}},
-		{name: "BeforeSyscall hook raises a violation", build: syscallLoop, raiseOn: 2,
-			check: func(t *testing.T, o outcome) {
-				v := o.stops[0].Violation
-				if o.stops[0].Reason != vm.StopViolation || v == nil || v.PC != sysIdx || v.Tool != "test.syswatch" {
-					t.Fatalf("first stop %+v, want the hook's violation at %d", o.stops[0], sysIdx)
-				}
-				// The refused syscall never reached the handler; cleared, it is
-				// retried from the same PC and the guest completes.
-				if o.sys.calls != 5 || o.stops[len(o.stops)-1].Reason != vm.StopHalt {
-					t.Errorf("%d handler calls, last stop %v; want 5 and halt", o.sys.calls, o.stops[len(o.stops)-1].Reason)
 				}
 			}},
 		{name: "handler fault", build: syscallLoop,
@@ -257,8 +235,8 @@ func TestSingleInstructionEntries(t *testing.T) {
 						handlers = append(handlers, h)
 						return h
 					})
-					pp.fast.AttachTool(sysWatch{&pp.fastSeq, new(int), tc.raiseOn})
-					pp.slow.AttachTool(sysWatch{&pp.slowSeq, new(int), tc.raiseOn})
+					pp.fast.AttachTool(sysWatch{&pp.fastSeq})
+					pp.slow.AttachTool(sysWatch{&pp.slowSeq})
 					if tooled {
 						pp.fast.AttachTool(seqInstrTool{"t.instr", &pp.fastSeq})
 						pp.slow.AttachTool(seqInstrTool{"t.instr", &pp.slowSeq})

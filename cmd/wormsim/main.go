@@ -5,8 +5,8 @@
 // traffic, fires the application's exploit at each target and reports what
 // the defence answered (absorbed, filtered, or — if the daemon were
 // unprotected — a dead connection). It exits non-zero with a clear
-// diagnostic when a target daemon is unreachable or closes a connection
-// mid-attack.
+// diagnostic when a target daemon is unreachable, closes a connection
+// mid-attack, or leaves a request unanswered for 10 s.
 //
 // Without -connect, it runs the Section 6 community-defence models: the
 // Susceptible-Infected differential-equation model (equations 1-4) and, with
@@ -145,12 +145,19 @@ func runSocketWorm(targets, appName string, requests, variants int, attack bool)
 	return nil
 }
 
+// roundTripTimeout bounds each request's round trip: a guest that never
+// answers fails the target with the client's "did not answer within" error
+// instead of hanging the worm. It is far above what a healthy guest takes,
+// an absorbed exploit's analyses and recovery included.
+const roundTripTimeout = 10 * time.Second
+
 func attackTarget(addr string, spec *apps.Spec, requests, variants int, attack bool) error {
 	c, err := netproxy.Dial(addr)
 	if err != nil {
 		return err // already says "daemon unreachable at ..."
 	}
 	defer c.Close()
+	c.SetTimeout(roundTripTimeout)
 	lat := metrics.NewLatencyRecorder()
 
 	benign := func(tag string, seqBase int) error {

@@ -76,7 +76,8 @@ type Analyzer interface {
 // shells); analyzers just attach tools and call Run.
 type Sandbox struct {
 	// Proc is the replay clone. Analyzers attach tools to Proc.Machine and
-	// may restrict the replayed requests via Proc.DropRequests.
+	// may restrict the replayed requests via Proc.ExciseRequests, which
+	// touches this clone alone.
 	Proc *proc.Process
 	// Budget bounds the replay, in instructions. The pipeline sets it to the
 	// instance-wide replay budget; an analyzer that wants less lowers it in

@@ -120,7 +120,7 @@ func (a Analyzer) Run(ctx *analysis.Context, sb *analysis.Sandbox) (analysis.Fin
 			}
 		}
 		if res.Restricted && len(others) > 0 {
-			sb.Proc.DropRequests(others...)
+			sb.Proc.ExciseRequests(others...)
 		}
 	}
 

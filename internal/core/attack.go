@@ -270,7 +270,7 @@ type prefixResult struct {
 // startPrefixReplay forks a recovery clone from the checkpoint and sets it
 // replaying the history up to (but not including) the request being served at
 // detection time. The fork happens synchronously — the clone must capture the
-// skip/excise state of the moment of detection, before recovery mutates it —
+// excised set of the moment of detection, before recovery adds the culprit —
 // but the replay itself runs on its own goroutine, overlapped with the
 // analyses. Returns nil when no request was in flight (nothing to pin the
 // prefix against).
@@ -283,9 +283,6 @@ func (s *Sweeper) startPrefixReplay(snap *proc.Snapshot) *prefixReplay {
 	if err != nil {
 		return nil
 	}
-	// The serial recovery path replays with the temporary drops cleared
-	// (ClearDropped below); the prefix must see the same history.
-	clone.ClearDropped()
 	clone.SetReplayStopBefore(suspect)
 	pr := &prefixReplay{suspect: suspect, ch: make(chan prefixResult, 1)}
 	go func() {
@@ -483,7 +480,6 @@ func (s *Sweeper) HandleAttack(stop *vm.StopInfo, det monitor.Detection) *Attack
 	// Figure 5 measures as the recovery gap).
 	t = time.Now()
 	recoveryStartMs := s.proc.Machine.NowMillis()
-	s.proc.ClearDropped()
 	if report.CulpritRequestID >= 0 {
 		s.proc.ExciseRequests(report.CulpritRequestID)
 	}

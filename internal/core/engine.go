@@ -38,7 +38,7 @@ func (s *Sweeper) isolateInput(snap *proc.Snapshot) int {
 				others = append(others, id)
 			}
 		}
-		sb.Proc.DropRequests(others...)
+		sb.Proc.ExciseRequests(others...)
 		stop := sb.Run()
 		return stop.Reason == vm.StopFault || stop.Reason == vm.StopViolation
 	}

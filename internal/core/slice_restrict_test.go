@@ -5,6 +5,7 @@ import (
 
 	"sweeper/internal/analysis/slicing"
 	"sweeper/internal/exploit"
+	"sweeper/internal/vm"
 )
 
 // TestSliceRestrictedWhenCulpritIsAlone sends the squid exploit as the only
@@ -37,5 +38,49 @@ func TestSliceRestrictedWhenCulpritIsAlone(t *testing.T) {
 	}
 	if !r.SliceConsistent {
 		t.Errorf("slice inconsistent, missing %v", r.MissingFromSlice)
+	}
+}
+
+// TestSliceRecordsFewerNodesForTheCulpritAlone replays the squid attack
+// window behind 20 served benign requests on clones under a slicer that
+// records control dependences. With every request but the exploit excised,
+// as the restricted path replays, it must record fewer nodes than over the
+// whole window.
+func TestSliceRecordsFewerNodesForTheCulpritAlone(t *testing.T) {
+	s, _ := newSweeperFor(t, "squid", func(c *Config) { c.ASLRSeed = 1009 })
+	submitBenign(s, "squid", 0, 20)
+	if res, err := s.ServeAll(); err != nil || res.AttacksHandled != 0 {
+		t.Fatalf("serving the benign requests: %+v, %v", res, err)
+	}
+	culprit, _ := s.SubmitTracked(exploit.SquidExploit(), "worm", true)
+	if stop := s.Process().Run(0); stop.Reason != vm.StopFault {
+		t.Fatalf("the exploit stopped the guest with %v, want a fault", stop.Reason)
+	}
+	record := func(alone bool) int {
+		clone, err := s.Process().Clone(s.Checkpoints().Latest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alone {
+			for _, id := range clone.Log.RequestsSince(clone.Log.Cursor()) {
+				if id != culprit {
+					clone.ExciseRequests(id)
+				}
+			}
+		}
+		sl := slicing.New(slicing.Options{IncludeControlDeps: true})
+		clone.Machine.AttachTool(sl)
+		if stop := clone.Run(0); stop.Reason != vm.StopFault {
+			t.Fatalf("culprit alone=%v: the replay stopped with %v, want the fault", alone, stop.Reason)
+		}
+		if sl.Truncated() || sl.NodeCount() == 0 {
+			t.Fatalf("culprit alone=%v: recorded %d nodes, truncated=%v", alone, sl.NodeCount(), sl.Truncated())
+		}
+		return sl.NodeCount()
+	}
+	alone, full := record(true), record(false)
+	t.Logf("%d nodes recorded for the culprit alone, %d for the whole window", alone, full)
+	if alone >= full {
+		t.Errorf("the exploit's request alone recorded %d nodes, the whole window %d", alone, full)
 	}
 }

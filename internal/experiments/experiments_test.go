@@ -33,31 +33,34 @@ func TestTable1Inventory(t *testing.T) {
 }
 
 func TestTable2Functionality(t *testing.T) {
-	rows, runs, err := Table2([]string{"apache2", "cvs"})
+	rows, runs, err := Table2([]string{"apache1", "apache2", "cvs", "squid"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 || len(runs) != 2 {
+	if len(rows) != 4 || len(runs) != 4 {
 		t.Fatalf("got %d rows", len(rows))
 	}
-	for _, r := range rows {
+	for i, r := range rows {
 		if r.MemoryState == "" || r.InputTaint == "" || r.Slicing == "" {
 			t.Errorf("row %s incomplete: %+v", r.App, r)
 		}
 		if strings.Contains(r.Slicing, "INCONSISTENT") {
 			t.Errorf("%s: slicing disagrees with the other steps", r.App)
 		}
+		if !runs[i].Report.Recovered {
+			t.Errorf("%s: recovery failed", r.App)
+		}
 	}
 	// apache2: no memory bug, NULL-pointer VSEF from the memory state step.
-	if !strings.Contains(rows[0].MemoryBug, "No memory bug") {
-		t.Errorf("apache2 memory bug column: %q", rows[0].MemoryBug)
+	if !strings.Contains(rows[1].MemoryBug, "No memory bug") {
+		t.Errorf("apache2 memory bug column: %q", rows[1].MemoryBug)
 	}
-	if !strings.Contains(strings.ToLower(rows[0].MemoryStateVSEF), "null") {
-		t.Errorf("apache2 initial VSEF: %q", rows[0].MemoryStateVSEF)
+	if !strings.Contains(strings.ToLower(rows[1].MemoryStateVSEF), "null") {
+		t.Errorf("apache2 initial VSEF: %q", rows[1].MemoryStateVSEF)
 	}
 	// cvs: double free found with a refined VSEF.
-	if !strings.Contains(rows[1].MemoryBug, "double free") {
-		t.Errorf("cvs memory bug column: %q", rows[1].MemoryBug)
+	if !strings.Contains(rows[2].MemoryBug, "double free") {
+		t.Errorf("cvs memory bug column: %q", rows[2].MemoryBug)
 	}
 	if out := FormatTable2(rows); !strings.Contains(out, "== cvs ==") {
 		t.Error("FormatTable2 output incomplete")
@@ -139,6 +142,48 @@ func TestFigure4OverheadShape(t *testing.T) {
 	}
 	if out := FormatFigure4(points); !strings.Contains(out, "Interval") {
 		t.Error("FormatFigure4 output incomplete")
+	}
+
+	// The sweep benchtables records, on every app: never negative beyond
+	// rounding, and no cheaper at the shortest interval than at the default.
+	intervals := []uint64{20, 100, 200}
+	for _, app := range []string{"apache1", "apache2", "cvs", "squid"} {
+		points, err := Figure4ForApp(app, intervals, QuickSizes().Figure4Requests)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(points) != len(intervals) {
+			t.Fatalf("%s: %d points, want %d", app, len(points), len(intervals))
+		}
+		for _, pt := range points {
+			if pt.Overhead < -1e-9 || pt.Overhead > 1 {
+				t.Errorf("%s @%dms: implausible overhead %v", app, pt.IntervalMs, pt.Overhead)
+			}
+		}
+		if first, last := points[0].Overhead, points[len(points)-1].Overhead; first < last-1e-9 {
+			t.Errorf("%s: overhead at 20ms (%v) below overhead at 200ms (%v)", app, first, last)
+		}
+	}
+}
+
+// TestSliceFallbackPrune: on the full-slice fallback (only slicing
+// configured, so nothing is implicated) the production default prunes
+// control dependences and still slices consistently, exploring at least 2x
+// fewer nodes than the control-dependence slice on squid.
+func TestSliceFallbackPrune(t *testing.T) {
+	pruned, forced, err := SliceFallbackComparison()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pruned.ControlPruned || forced.ControlPruned {
+		t.Fatalf("prune flags wrong: pruned=%+v forced=%+v", pruned, forced)
+	}
+	if !pruned.Consistent {
+		t.Errorf("data-only fallback slice inconsistent: missing %v", pruned.Missing)
+	}
+	if pruned.Nodes <= 0 || pruned.Nodes*2 > forced.Nodes {
+		t.Errorf("fallback slice with prune explores %d nodes, control-dep slice %d; want at least a 2x cut",
+			pruned.Nodes, forced.Nodes)
 	}
 }
 
@@ -241,9 +286,10 @@ func TestFigures4And5Repeat(t *testing.T) {
 	if got := values(res.Restart); !slices.Equal(got, wantRestart) {
 		t.Errorf("restart series\n got %v\nwant %v", got, wantRestart)
 	}
-	if res.SweeperServed != 1500 || res.RestartServed != 1500 || res.AttackAtMs != 2674 || res.RecoveryGapMs != 2 {
-		t.Errorf("served %d / %d, attack at %d ms, recovery gap %d ms; want 1500 / 1500, 2674, 2",
-			res.SweeperServed, res.RestartServed, res.AttackAtMs, res.RecoveryGapMs)
+	if res.SweeperServed != 1500 || res.RestartServed != 1500 || res.AttackAtMs != 2674 ||
+		res.RecoveryGapMs != 2 || res.RestartGapMs != 5000 {
+		t.Errorf("served %d / %d, attack at %d ms, gaps %d / %d ms; want 1500 / 1500, 2674, 2 / 5000",
+			res.SweeperServed, res.RestartServed, res.AttackAtMs, res.RecoveryGapMs, res.RestartGapMs)
 	}
 
 	points, err := Figure4ForApp("squid", []uint64{20, 100, 200}, 300)
@@ -301,10 +347,15 @@ func TestAblationsAndCrossCheck(t *testing.T) {
 	if len(rows) == 0 {
 		t.Fatal("no ablation rows")
 	}
+	reduced := false // at alpha 0.001, gamma 10 it must strictly help
 	for _, r := range rows {
 		if r.WithProactive > r.WithoutProactive+1e-9 {
 			t.Errorf("proactive protection made things worse: %+v", r)
 		}
+		reduced = reduced || r.Alpha == 0.001 && r.Gamma == 10 && r.WithProactive < r.WithoutProactive
+	}
+	if !reduced {
+		t.Errorf("proactive protection did not reduce infection at alpha 0.001, gamma 10: %+v", rows)
 	}
 	if out := FormatProactiveAblation(rows); !strings.Contains(out, "proactive") {
 		t.Error("ablation formatting incomplete")

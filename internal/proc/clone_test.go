@@ -96,14 +96,14 @@ func TestCloneIsIsolatedFromParent(t *testing.T) {
 	// not notice any of it.
 	clone.Machine.Mem.WriteBytes(p.Machine.Layout().DataBase, []byte{1, 2, 3, 4})
 	clone.Machine.Regs[vm.R1] = 0xdeadbeef
-	clone.DropRequests(1)
+	clone.ExciseRequests(1)
 	clone.Run(0)
 
 	if p.Log.Len() != logLen {
 		t.Errorf("parent log grew from %d to %d during clone replay", logLen, p.Log.Len())
 	}
-	if len(p.skip) != 0 {
-		t.Errorf("parent skip set polluted by clone: %v", p.skip)
+	if len(p.excised) != 0 {
+		t.Errorf("parent excised set polluted by clone: %v", p.excised)
 	}
 	// Parent continues serving live traffic unperturbed.
 	proxy.Submit([]byte("bbbb"), "client", false)

@@ -114,10 +114,6 @@ func (c *Process) resetForReuse(src *Process, s *Snapshot) error {
 	c.proxy = netproxy.New()
 	c.mode = ModeReplay
 	c.replayThenLive = false
-	c.skip = make(map[int]bool, len(src.skip))
-	for id := range src.skip {
-		c.skip[id] = true
-	}
 	c.excised = make(map[int]bool, len(src.excised))
 	for id := range src.excised {
 		c.excised[id] = true

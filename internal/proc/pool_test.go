@@ -92,7 +92,7 @@ func TestClonePoolResetIsolation(t *testing.T) {
 	if err := dirty.Machine.AddProbe(0, probeStub{name: "leftover.probe"}); err != nil {
 		t.Fatal(err)
 	}
-	dirty.DropRequests(1, 2, 3)
+	dirty.ExciseRequests(1, 2, 3)
 	dirty.Run(2000) // partial replay: mid-request machine state
 	dirty.Machine.Mem.WriteBytes(p.Machine.Layout().DataBase, []byte{0xde, 0xad, 0xbe, 0xef})
 	dirty.Machine.Regs[vm.R3] = 0xdeadbeef
@@ -111,8 +111,8 @@ func TestClonePoolResetIsolation(t *testing.T) {
 	if n := clean.Machine.ProbeCount(); n != 0 {
 		t.Errorf("reset shell still carries %d probes", n)
 	}
-	if len(clean.skip) != 0 {
-		t.Errorf("reset shell still skips requests: %v", clean.skip)
+	if len(clean.excised) != 0 {
+		t.Errorf("reset shell still skips requests: %v", clean.excised)
 	}
 
 	fresh, err := p.Clone(snap)

@@ -80,8 +80,7 @@ type Process struct {
 	// event log is exhausted during replay. Recovery does not use it: it
 	// replays in pure replay mode and then switches to live with SetMode.
 	replayThenLive bool
-	skip           map[int]bool // request IDs temporarily dropped during one replay
-	excised        map[int]bool // request IDs permanently removed from history (attack inputs)
+	excised        map[int]bool // request IDs no replay delivers (attack inputs; on a sandbox, what its analysis left out)
 	// stopBeforeReq, when non-zero, suspends a replay at the recv boundary
 	// immediately before this request would be delivered: the recv returns
 	// SysWaitInput without consuming the request, leaving the log cursor
@@ -121,7 +120,6 @@ func New(name string, prog *vm.Program, layout vm.Layout, proxy *netproxy.Proxy,
 		Name:    name,
 		Log:     replay.NewLog(),
 		proxy:   proxy,
-		skip:    make(map[int]bool),
 		excised: make(map[int]bool),
 		rng:     rngSeed,
 	}
@@ -157,22 +155,11 @@ func (p *Process) SetMode(mode Mode, replayThenLive bool) {
 // request ID. Zero clears the stop point.
 func (p *Process) SetReplayStopBefore(id int) { p.stopBeforeReq = id }
 
-// DropRequests marks request IDs to be skipped when the event log is replayed.
-// The analysis module uses it to replay selected subsets of the logged
-// requests (e.g. one suspect at a time); ClearDropped resets it.
-func (p *Process) DropRequests(ids ...int) {
-	for _, id := range ids {
-		p.skip[id] = true
-	}
-}
-
-// ClearDropped forgets all temporarily dropped request IDs (it does not
-// affect excised requests).
-func (p *Process) ClearDropped() { p.skip = make(map[int]bool) }
-
 // ExciseRequests permanently removes request IDs from the replayed history.
 // Recovery uses it for identified attack inputs: once excised, a request is
-// never re-executed by any later replay.
+// never re-executed by any later replay. An analysis calls it on its own
+// sandbox clone to replay a subset of the window (one suspect at a time);
+// a clone starts with a copy of its parent's set and never writes back.
 func (p *Process) ExciseRequests(ids ...int) {
 	for _, id := range ids {
 		p.excised[id] = true
@@ -268,7 +255,7 @@ func (p *Process) nextReplayRequest() (*replay.Event, bool) {
 		if !ok {
 			return nil, false
 		}
-		if p.skip[e.RequestID] || p.excised[e.RequestID] {
+		if p.excised[e.RequestID] {
 			continue
 		}
 		return &e, true
@@ -297,7 +284,7 @@ func (p *Process) sysRecv(m *vm.Machine) (vm.SyscallResult, *vm.Fault) {
 
 	if p.mode == ModeReplay {
 		if p.stopBeforeReq != 0 {
-			next, ok := p.Log.PeekRequest(func(id int) bool { return p.skip[id] || p.excised[id] })
+			next, ok := p.Log.PeekRequest(func(id int) bool { return p.excised[id] })
 			if ok && next.RequestID == p.stopBeforeReq {
 				return vm.SysWaitInput, nil
 			}
@@ -528,14 +515,10 @@ func (p *Process) Clone(s *Snapshot) (*Process, error) {
 		Log:          log,
 		proxy:        netproxy.New(),
 		mode:         ModeReplay,
-		skip:         make(map[int]bool, len(p.skip)),
 		excised:      make(map[int]bool, len(p.excised)),
 		currentReqID: s.CurrentReqID,
 		servedCount:  s.ServedCount,
 		rng:          s.Rng,
-	}
-	for id := range p.skip {
-		clone.skip[id] = true
 	}
 	for id := range p.excised {
 		clone.excised[id] = true
@@ -657,7 +640,7 @@ func (p *Process) AdoptReplayState(c *Process, mode Mode, replayThenLive bool) {
 	p.rng = c.rng
 	// The clone consumed a private cursor over the shared event backing;
 	// continuing from its position resumes replay at the exact boundary where
-	// the clone suspended. skip/excised stay the live process's own: the
+	// the clone suspended. the excised set stays the live process's own: the
 	// excision decision was taken after the clone forked and must win.
 	p.Log.SetCursor(c.Log.Cursor())
 	// Monitors and probes attached here shadow the abandoned execution; their

@@ -217,21 +217,31 @@ func TestDropAndExciseRequests(t *testing.T) {
 	snap := p.Snapshot(1)
 	p.Run(0)
 
-	// Temporarily drop request 2 during one replay.
-	p.Rollback(snap, proc.ModeReplay, false)
-	p.DropRequests(2)
-	p.Run(0)
-	if p.ServedRequests() != 2 {
-		t.Errorf("served with drop = %d, want 2", p.ServedRequests())
+	// A sandbox drops request 2 from its replay by excising it on its own
+	// clone; the parent's history keeps it.
+	clone, err := p.Clone(snap)
+	if err != nil {
+		t.Fatal(err)
 	}
-	p.ClearDropped()
+	clone.ExciseRequests(2)
+	clone.Run(0)
+	if clone.ServedRequests() != 2 {
+		t.Errorf("clone served %d with request 2 dropped, want 2", clone.ServedRequests())
+	}
+	p.Rollback(snap, proc.ModeReplay, false)
+	p.Run(0)
+	if p.ServedRequests() != 3 {
+		t.Errorf("parent replay after the clone's drop served %d, want 3", p.ServedRequests())
+	}
 
 	// Excision persists across later replays without re-arming.
 	p.ExciseRequests(2)
-	p.Rollback(snap, proc.ModeReplay, false)
-	p.Run(0)
-	if p.ServedRequests() != 2 {
-		t.Errorf("served with excision = %d, want 2", p.ServedRequests())
+	for replay := 1; replay <= 2; replay++ {
+		p.Rollback(snap, proc.ModeReplay, false)
+		p.Run(0)
+		if p.ServedRequests() != 2 {
+			t.Errorf("replay %d served %d with request 2 excised, want 2", replay, p.ServedRequests())
+		}
 	}
 	if got := p.ExcisedRequests(); len(got) != 1 || got[0] != 2 {
 		t.Errorf("ExcisedRequests = %v", got)

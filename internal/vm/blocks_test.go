@@ -27,6 +27,18 @@ func buildMachinePair(t testing.TB, build func(b *asm.Builder)) (fast, slow *vm.
 	return loadMachinePair(t, prog, func() vm.SyscallHandler { return nil })
 }
 
+// requireSecondHalfOfPair fails t unless code's instruction idx and the one
+// before it form a pair of the fusion table.
+func requireSecondHalfOfPair(t *testing.T, code []vm.Instr, idx int) {
+	t.Helper()
+	for _, pair := range vm.FusionPairs() {
+		if idx > 0 && pair == [2]vm.Op{code[idx-1].Op, code[idx].Op} {
+			return
+		}
+	}
+	t.Fatalf("instruction %d (%v) is not the second half of a fusion-table pair", idx, code[idx])
+}
+
 // loadMachinePair loads prog twice, each machine with its own syscall handler
 // from sys.
 func loadMachinePair(t testing.TB, prog *vm.Program, sys func() vm.SyscallHandler) (fast, slow *vm.Machine) {
@@ -186,21 +198,22 @@ func TestAddrIndexRoundTrip(t *testing.T) {
 // the reference stop with identical observables everywhere. The "pair sweep"
 // does the same on a loop whose fused pair a budget can split.
 func TestRunBudgetBlockBoundaries(t *testing.T) {
-	// Block layout: [movi addi push pop addi] jmp -> 6-instruction loop, so
-	// budgets land on every interesting boundary.
+	// Block layout: 0 movi | 1 addi 2 addi 3 push 4 pop 5 jmp->1, with the
+	// addi;addi pair (1,2) fused, so budgets land on every interesting
+	// boundary.
 	build := func(b *asm.Builder) {
 		b.Func("main")
 		b.MovI(vm.R2, 7)
 		b.Label("main.loop")
 		b.AddI(vm.R1, 3)
+		b.AddI(vm.R3, 1)
 		b.Push(vm.R1)
 		b.Pop(vm.R3)
-		b.AddI(vm.R3, 1)
 		b.Jmp("main.loop")
 	}
-	// Named boundary cases on top of the exhaustive sweep below: the first
-	// block body ends at instruction 5 (the jmp terminator retires as the
-	// 6th), the push/pop occupies instructions 2-3.
+	// Named boundary cases on top of the exhaustive sweep below: a budget of
+	// n stops before instruction n, so 5 stops at the jmp terminator and 2
+	// between the fused pair's halves.
 	named := map[string]uint64{
 		"one before block boundary": 4,
 		"exactly at block boundary": 5,
@@ -210,6 +223,9 @@ func TestRunBudgetBlockBoundaries(t *testing.T) {
 	for name, budget := range named {
 		t.Run(name, func(t *testing.T) {
 			fast, slow := buildMachinePair(t, build)
+			if name == "between fused pair halves" {
+				requireSecondHalfOfPair(t, fast.Program().Code, int(budget))
+			}
 			fs, ss := fast.Run(budget), vm.RefRun(slow, budget)
 			if fs.Reason != vm.StopInstrBudget {
 				t.Errorf("budget %d: reason = %v, want StopInstrBudget", budget, fs.Reason)

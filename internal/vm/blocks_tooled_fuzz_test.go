@@ -3,6 +3,7 @@ package vm_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sweeper/internal/analysis/taint"
@@ -489,16 +490,17 @@ func TestInLoopProbesDirected(t *testing.T) {
 	type site struct {
 		idx, raiseOn int
 	}
-	// loop: 0 movi | 1 addi 2 push 3 pop 4 storeb 5 addi 6 cmpi 7 jlt->1 | 8 halt
-	// with storeb/addi (4,5) fused; push and pop run as plain micro-ops.
+	// loop: 0 movi | 1 addi 2 addi 3 addi 4 storeb 5 addi 6 cmpi 7 jlt->1 | 8 halt
+	// with addi/addi (2,3) and storeb/addi (4,5) fused; 1 runs as a plain
+	// micro-op.
 	loop := func(b *asm.Builder) {
 		b.DataSpace("scratch", 256)
 		b.Func("main")
 		b.LoadDataAddr(vm.R6, "scratch")
 		b.Label("main.loop")
 		b.AddI(vm.R1, 1)
-		b.Push(vm.R1)
-		b.Pop(vm.R2)
+		b.AddI(vm.R2, 5)
+		b.AddI(vm.R2, -4)
 		b.StoreB(vm.R6, 3, vm.R2)
 		b.AddI(vm.R6, 1)
 		b.CmpI(vm.R1, 12)
@@ -555,6 +557,10 @@ func TestInLoopProbesDirected(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			// A case named for a pair's second half probes one.
+			if strings.Contains(tc.name, "second half") {
+				requireSecondHalfOfPair(t, newProbedPair(t, tc.build).fast.Program().Code, tc.sites[0].idx)
+			}
 			for chunk := uint64(1); chunk <= 24 && !t.Failed(); chunk++ {
 				pp := newProbedPair(t, tc.build)
 				if tc.callHooks {

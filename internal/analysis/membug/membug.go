@@ -201,6 +201,55 @@ func (d *Detector) OnMemRead(m *vm.Machine, idx int, addr uint32, size int, val 
 	d.checkHeapAccess(m, idx, addr, size, false)
 }
 
+// LoopBound implements vm.LoopHook, by ranges: a loop's reads from Src, and
+// a copy's writes to Dst, may run to the end of the live chunk that holds
+// them, or, outside the heap region, up to the region when they start below
+// it and to the end of the address space when they start above it (the data
+// segment sits either side of the heap under a randomised layout); writes
+// also stop before the next tracked return slot. Anywhere else in the heap
+// the detector declines, and the engine steps the iteration under OnMemRead
+// and OnMemWrite.
+func (d *Detector) LoopBound(m *vm.Machine, l *vm.ByteLoop, most uint64) uint64 {
+	most = min(most, d.room(l.Src))
+	if !l.Copy || most == 0 {
+		return most
+	}
+	most = min(most, d.room(l.Dst))
+	for _, fr := range d.frames {
+		switch {
+		case l.Dst >= fr.retSlot+4: // a slot below the run
+		case l.Dst >= fr.retSlot:
+			return 0
+		default:
+			most = min(most, uint64(fr.retSlot-l.Dst))
+		}
+	}
+	return most
+}
+
+// room is how many bytes from addr on a byte loop may access without the
+// heap check recording anything: to the end of the live chunk holding addr,
+// or, outside the heap region, up to the region or the end of the address
+// space; 0 anywhere else.
+func (d *Detector) room(addr uint32) uint64 {
+	switch {
+	case addr < d.alloc.Base():
+		return uint64(d.alloc.Base() - addr)
+	case addr >= d.alloc.End():
+		return 1<<32 - uint64(addr)
+	}
+	for _, c := range d.live {
+		if addr >= c.addr && addr-c.addr < c.size {
+			return uint64(c.size - (addr - c.addr))
+		}
+	}
+	return 0
+}
+
+// LoopRan implements vm.LoopHook: a run the detector bounded records
+// nothing, and it keeps no other shadow of memory.
+func (d *Detector) LoopRan(m *vm.Machine, l *vm.ByteLoop, k uint64) {}
+
 // victimFor names the function whose return address lives in the frame: the
 // slot was pushed by the call *into* that function.
 func (d *Detector) victimFor(m *vm.Machine, fr frame) string { return fr.funcSym }

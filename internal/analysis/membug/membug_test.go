@@ -170,3 +170,66 @@ func TestKindStrings(t *testing.T) {
 		t.Error("unknown kind should be marked")
 	}
 }
+
+// TestLoopBoundByRanges checks the detector's bound on a run of a byte
+// loop's iterations at the edges it is worked out from: a live chunk's end,
+// the heap region's ends, a freed chunk and a header (where it declines), a
+// tracked return slot, and the engine's own most.
+func TestLoopBoundByRanges(t *testing.T) {
+	spec := apps.Squid()
+	p, err := proc.New(spec.Name, spec.Image, vm.DefaultLayout(), netproxy.New(), spec.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := p.Alloc.Malloc(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freed, err := p.Alloc.Malloc(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Alloc.Free(freed); err != nil {
+		t.Fatal(err)
+	}
+	c, ok := p.Alloc.ChunkContaining(live)
+	if !ok {
+		t.Fatal("no chunk holds the live allocation")
+	}
+	liveEnd := c.Addr + c.Size
+	d := membug.New(p, true)
+	slot := vm.DefaultLayout().StackTop() - 64
+	d.OnCall(p.Machine, 0, 0, 0, slot)
+	base, end := p.Alloc.Base(), p.Alloc.End()
+	const all = uint64(1) << 40
+	for _, c := range []struct {
+		name       string
+		l          vm.ByteLoop
+		most, want uint64
+	}{
+		{"read in a live chunk", vm.ByteLoop{Src: live + 10}, all, uint64(liveEnd - live - 10)},
+		{"read at a live chunk's last byte", vm.ByteLoop{Src: liveEnd - 1}, all, 1},
+		{"read in a freed chunk", vm.ByteLoop{Src: freed + 2}, all, 0},
+		{"read of a header", vm.ByteLoop{Src: live - 4}, all, 0},
+		{"read below the heap", vm.ByteLoop{Src: base - 100}, all, 100},
+		{"read above the heap", vm.ByteLoop{Src: end + 5}, all, 1<<32 - uint64(end+5)},
+		{"read in the heap's last bytes", vm.ByteLoop{Src: end - 10}, all, 0},
+		{"read below the heap, most smaller", vm.ByteLoop{Src: base - 100}, 7, 7},
+		{"copy bounded by its source", vm.ByteLoop{Copy: true, Src: liveEnd - 3, Dst: base - 100}, all, 3},
+		{"copy into a live chunk", vm.ByteLoop{Copy: true, Src: base - 1000, Dst: live + 1}, all, uint64(liveEnd - live - 1)},
+		{"copy into a freed chunk", vm.ByteLoop{Copy: true, Src: base - 1000, Dst: freed}, all, 0},
+		{"copy up to a return slot", vm.ByteLoop{Copy: true, Src: base - 100, Dst: slot - 7}, all, 7},
+		{"copy at a return slot's first byte", vm.ByteLoop{Copy: true, Src: base - 100, Dst: slot}, all, 0},
+		{"copy at a return slot's second byte", vm.ByteLoop{Copy: true, Src: base - 100, Dst: slot + 1}, all, 0},
+		{"copy at a return slot's last byte", vm.ByteLoop{Copy: true, Src: base - 100, Dst: slot + 3}, all, 0},
+		{"copy just past a return slot", vm.ByteLoop{Copy: true, Src: base - 100, Dst: slot + 4}, all, 100},
+		{"scan over a return slot", vm.ByteLoop{Src: slot - 7}, all, 1<<32 - uint64(slot-7)},
+	} {
+		if got := d.LoopBound(p.Machine, &c.l, c.most); got != c.want {
+			t.Errorf("%s: bound %d, want %d", c.name, got, c.want)
+		}
+	}
+	if len(d.Findings()) != 0 {
+		t.Errorf("bounding recorded %v", d.Findings())
+	}
+}

@@ -2,6 +2,7 @@ package taint
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"sweeper/internal/asm"
@@ -88,6 +89,80 @@ func TestObservedOpsAreWhatPropagateActsOn(t *testing.T) {
 		}
 		if set.Has(in.Op) && !acts {
 			t.Errorf("%v is in ObservedOps but Propagate does nothing at it", in.Op)
+		}
+	}
+}
+
+// TestLoopRanIsTheLoopsPropagation compares LoopRan with Propagate run at a
+// loop's loadb (and a copy's storeb) once per iteration, over random scans
+// and copies — overlapping ones included — across three pages shadowed by
+// random input runs, some of them cleared again, so that a run meets clean
+// pages, tainted ones and a clean source over a tainted destination. The
+// shadow bytes, the register taint, TaintedBytes and Propagators must match.
+func TestLoopRanIsTheLoopsPropagation(t *testing.T) {
+	b := asm.New("loopran")
+	b.Func("main")
+	b.Halt()
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := vm.NewMachine(prog, vm.DefaultLayout(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const base, span = 0x08200000, 3 * vm.PageSize
+	r := rand.New(rand.NewSource(0x100b))
+	for trial := 0; trial < 1000; trial++ {
+		bulk, ref := New(false), New(false)
+		var runs []uint32
+		for i := r.Intn(5); i > 0; i-- {
+			addr, n, clear := uint32(base+r.Intn(span)), 1+r.Intn(600), r.Intn(4) == 0
+			runs = append(runs, addr)
+			for _, tr := range []*Tracker{bulk, ref} {
+				if clear {
+					tr.clearMem(addr, n)
+				} else {
+					tr.OnInput(m, addr, make([]byte, n), i)
+				}
+			}
+		}
+		l := vm.ByteLoop{Copy: r.Intn(2) == 0, Load: 10, X: vm.R1, Src: uint32(base + r.Intn(span))}
+		l.Dst = uint32(base + r.Intn(span))
+		if r.Intn(3) == 0 {
+			l.Dst = l.Src + uint32(r.Intn(17)) - 8
+		}
+		k := uint64(1 + r.Intn(2*vm.PageSize))
+		if r.Intn(2) == 0 {
+			k = uint64(1 + r.Intn(80))
+		}
+		if len(runs) > 0 && r.Intn(4) == 0 {
+			// The last byte read is the first of an input run.
+			l.Src = runs[0] + 1 - uint32(k)
+		}
+		bulk.regs[vm.R1] = regTaint{tainted: true, label: Label{RequestID: 9}}
+		ref.regs[vm.R1] = bulk.regs[vm.R1]
+		bulk.LoopRan(m, &l, k)
+		load := &vm.Instr{Op: vm.OpLoadB, Rd: vm.R1, Rs: vm.R2}
+		store := &vm.Instr{Op: vm.OpStoreB, Rd: vm.R3, Rs: vm.R1}
+		for i := uint32(0); uint64(i) < k; i++ {
+			m.Regs[vm.R2], m.Regs[vm.R3] = l.Src+i, l.Dst+i
+			ref.Propagate(m, l.Load, load)
+			if l.Copy {
+				ref.Propagate(m, l.Load+1, store)
+			}
+		}
+		label := fmt.Sprintf("trial %d: %+v k=%d", trial, l, k)
+		if bulk.regs != ref.regs || bulk.TaintedBytes() != ref.TaintedBytes() || fmt.Sprint(bulk.Propagators()) != fmt.Sprint(ref.Propagators()) {
+			t.Fatalf("%s: LoopRan left %v, %d tainted bytes, propagators %v; Propagate %v, %d, %v", label,
+				bulk.regs, bulk.TaintedBytes(), bulk.Propagators(), ref.regs, ref.TaintedBytes(), ref.Propagators())
+		}
+		for a := uint32(base - vm.PageSize); a < base+span+vm.PageSize; a++ {
+			bl, bok := bulk.memTaint(a, 1)
+			rl, rok := ref.memTaint(a, 1)
+			if bl != rl || bok != rok {
+				t.Fatalf("%s: byte %#x is %v,%v after LoopRan, %v,%v after Propagate", label, a, bl, bok, rl, rok)
+			}
 		}
 	}
 }

@@ -69,6 +69,20 @@ func (tp *taintPage) get(off uint32) (Label, bool) {
 	return tp.lines[off/64][off%64], true
 }
 
+// anySet reports whether any byte of [off, off+n) is tainted, a bitmap word
+// at a time.
+func (tp *taintPage) anySet(off, n uint32) bool {
+	for end := off + n; off < end; {
+		b := off % 64
+		span := min(64-b, end-off)
+		if tp.set[off/64]&(^uint64(0)>>(64-span)<<b) != 0 {
+			return true
+		}
+		off += span
+	}
+	return false
+}
+
 func (tp *taintPage) put(off uint32, lbl Label) {
 	li := off / 64
 	if tp.lines[li] == nil {
@@ -422,6 +436,80 @@ func (t *Tracker) Propagate(m *vm.Machine, idx int, in *vm.Instr) {
 					Detail:   fmt.Sprintf("free() argument derived from %s", rt.label),
 				})
 			}
+		}
+	}
+}
+
+// LoopBound implements vm.LoopHook. A byte loop's iterations reach no sink,
+// so the full tracker never bounds a run; a restricted one declines, since
+// it propagates at its listed instructions alone.
+func (t *Tracker) LoopBound(m *vm.Machine, l *vm.ByteLoop, most uint64) uint64 {
+	if t.restrict != nil {
+		return 0
+	}
+	return most
+}
+
+// LoopRan implements vm.LoopHook: what the loop's loadb, and a copy's
+// storeb, would have propagated over k iterations. A copy copies or clears
+// labels forwards one byte at a time, so an overlapping copy reads labels
+// it has just written, as it reads the bytes; x takes the taint of the last
+// byte read; the loadb (and the storeb) become propagators if any byte read
+// was tainted. It goes a run of pages at a time, and a run whose pages hold
+// no taint costs a lookup: nothing is read tainted and nothing needs
+// clearing.
+func (t *Tracker) LoopRan(m *vm.Machine, l *vm.ByteLoop, k uint64) {
+	var last regTaint
+	moved := false
+	for src, dst := l.Src, l.Dst; k > 0; {
+		so, do := src&(vm.PageSize-1), dst&(vm.PageSize-1)
+		run := min(k, uint64(vm.PageSize-so))
+		sp, dp := t.page(src>>vm.PageShift), (*taintPage)(nil)
+		if l.Copy {
+			run = min(run, uint64(vm.PageSize-do))
+			dp = t.page(dst >> vm.PageShift)
+		}
+		n := uint32(run)
+		switch {
+		case (sp == nil || sp.n == 0) && (dp == nil || dp.n == 0):
+			last = regTaint{}
+		case !l.Copy:
+			moved = moved || sp.anySet(so, n)
+			lbl, ok := sp.get(so + n - 1)
+			last = regTaint{tainted: ok, label: lbl}
+		default:
+			// A tainted byte needs a destination page; when the two pages
+			// are one, t.page gave both the same one.
+			for i := uint32(0); i < n; i++ {
+				var lbl Label
+				ok := false
+				if sp != nil {
+					lbl, ok = sp.get(so + i)
+				}
+				last = regTaint{tainted: ok, label: lbl}
+				switch {
+				case ok:
+					moved = true
+					if dp == nil {
+						dp = t.shadowPage(dst >> vm.PageShift)
+					}
+					before := dp.n
+					dp.put(do+i, lbl)
+					t.tainted += dp.n - before
+				case dp != nil:
+					before := dp.n
+					dp.clear(do + i)
+					t.tainted += dp.n - before
+				}
+			}
+		}
+		src, dst, k = src+n, dst+n, k-run
+	}
+	t.setReg(l.X, last)
+	if moved {
+		t.markPropagator(l.Load)
+		if l.Copy {
+			t.markPropagator(l.Load + 1)
 		}
 	}
 }

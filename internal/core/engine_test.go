@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"testing"
 
 	"sweeper/internal/analysis"
+	"sweeper/internal/analysis/taint"
 	"sweeper/internal/antibody"
 	"sweeper/internal/apps"
 	"sweeper/internal/exploit"
@@ -353,5 +355,68 @@ func TestFullCycle(t *testing.T) {
 				t.Error("identical exploit not filtered after recovery")
 			}
 		})
+	}
+}
+
+// panicAnalyzer is a fast-tier analyzer whose Run panics, as an analysis
+// bug that an attacker's input trips would.
+type panicAnalyzer struct{}
+
+func (panicAnalyzer) Name() string        { return "test.panic" }
+func (panicAnalyzer) Cost() analysis.Tier { return analysis.TierFast }
+func (panicAnalyzer) Run(*analysis.Context, *analysis.Sandbox) (analysis.Finding, error) {
+	panic("analysis bug")
+}
+
+// TestPanickingAnalyzerIsContained registers a fast analyzer that panics: it
+// must cost its own finding and nothing else. The squid exploit is absorbed
+// with a final antibody from the other analyzers, the report gives the panic
+// as that analyzer's error, the guest serves on and filters the exploit, and
+// a host verifying the antibody under the same registry regenerates the
+// other analyzers' findings.
+func TestPanickingAnalyzerIsContained(t *testing.T) {
+	reg := DefaultRegistry()
+	if err := reg.Register(panicAnalyzer{}); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := newSweeperFor(t, "squid", func(c *Config) { c.Registry = reg })
+	submitBenign(s, "squid", 0, 4)
+	s.Submit(exploit.SquidExploit(), "worm", true)
+	if res, err := s.ServeAll(); err != nil || res.AttacksHandled != 1 {
+		t.Fatalf("serving the exploit: %+v, %v", res, err)
+	}
+	s.WaitAnalyses()
+	r := s.Attacks()[0]
+	r.Wait()
+	if msg := r.ErrorFor("test.panic"); !strings.Contains(msg, "panic") {
+		t.Errorf("the panicking analyzer's error is %q", msg)
+	}
+	if !r.Recovered || r.FinalAntibody == nil {
+		t.Fatalf("recovered=%v final antibody=%v", r.Recovered, r.FinalAntibody != nil)
+	}
+	if got := submitBenign(s, "squid", 10, 4); got != 4 {
+		t.Fatalf("%d of 4 benign requests accepted after the attack", got)
+	}
+	if res, err := s.ServeAll(); err != nil || res.RequestsServed != 4 || res.AttacksHandled != 0 {
+		t.Fatalf("serving after the attack: %+v, %v", res, err)
+	}
+	if s.Submit(exploit.SquidExploit(), "worm", true) {
+		t.Error("the exploit was not filtered after the attack")
+	}
+
+	c, _ := newSweeperFor(t, "squid", func(c *Config) { c.Registry = reg; c.ASLRSeed = 987654 })
+	submitBenign(c, "squid", 0, 3)
+	if _, err := c.ServeAll(); err != nil {
+		t.Fatal(err)
+	}
+	dec := c.VerifyAntibody(r.FinalAntibody)
+	if !dec.Adoptable || !dec.Reproduced {
+		t.Fatalf("the antibody is not adoptable: %s", dec.Reason)
+	}
+	if _, ok := dec.Regenerated["test.panic"]; ok {
+		t.Error("the panicking analyzer regenerated a finding")
+	}
+	if _, ok := dec.Regenerated[taint.AnalyzerName]; !ok {
+		t.Errorf("taint findings not regenerated beside the panic: %v", dec.Regenerated)
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"log"
+	"runtime/debug"
 	"time"
 
 	"sweeper/internal/analysis"
@@ -100,7 +102,7 @@ func (ar *analyzerRun) exec(ctx *analysis.Context) {
 	if ar.sbErr != nil {
 		ar.err = ar.sbErr
 	} else {
-		ar.finding, ar.err = ar.a.Run(ctx, ar.sb)
+		ar.finding, ar.err = runAnalyzer(ar.a, ctx, ar.sb)
 		if ar.err == nil && ar.finding == nil && ar.sb.Exhausted() {
 			// A starved analyzer must be distinguishable from one that
 			// ran its window and found nothing; one that found something
@@ -113,6 +115,21 @@ func (ar *analyzerRun) exec(ctx *analysis.Context) {
 	if ar.finding != nil {
 		ctx.AddFinding(ar.a.Name(), ar.finding)
 	}
+}
+
+// runAnalyzer runs a on sb and turns a panic into a's error ("panic: ..."),
+// with the stack in the log. An analyzer replays an execution the attacker
+// chose, on a clone: a bug that input trips costs that analyzer's finding,
+// not the guest, whose recovery and service go on without it. (A panic on
+// the serving path is not caught: it stays a crash.)
+func runAnalyzer(a analysis.Analyzer, ctx *analysis.Context, sb *analysis.Sandbox) (f analysis.Finding, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			log.Printf("core: analyzer %s panicked: %v\n%s", a.Name(), r, debug.Stack())
+			f, err = nil, fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return a.Run(ctx, sb)
 }
 
 // pipelineRun is one attack's pass through the analysis pipeline. The fast

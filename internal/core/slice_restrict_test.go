@@ -3,7 +3,10 @@ package core
 import (
 	"testing"
 
+	"sweeper/internal/analysis"
+	"sweeper/internal/analysis/membug"
 	"sweeper/internal/analysis/slicing"
+	"sweeper/internal/analysis/taint"
 	"sweeper/internal/exploit"
 	"sweeper/internal/vm"
 )
@@ -43,9 +46,12 @@ func TestSliceRestrictedWhenCulpritIsAlone(t *testing.T) {
 
 // TestSliceRecordsFewerNodesForTheCulpritAlone replays the squid attack
 // window behind 20 served benign requests on clones under a slicer that
-// records control dependences. With every request but the exploit excised,
-// as the restricted path replays, it must record fewer nodes than over the
-// whole window.
+// records control dependences. With every request but the exploit excised
+// by hand, it must record fewer nodes than over the whole window. And the
+// slicing analyzer itself, given a context that names the culprit and
+// carries both fast-tier implications, must take the restricted path and
+// record exactly the culprit-alone count: its own excision is what makes
+// the restricted replay the culprit's alone.
 func TestSliceRecordsFewerNodesForTheCulpritAlone(t *testing.T) {
 	s, _ := newSweeperFor(t, "squid", func(c *Config) { c.ASLRSeed = 1009 })
 	submitBenign(s, "squid", 0, 20)
@@ -53,7 +59,8 @@ func TestSliceRecordsFewerNodesForTheCulpritAlone(t *testing.T) {
 		t.Fatalf("serving the benign requests: %+v, %v", res, err)
 	}
 	culprit, _ := s.SubmitTracked(exploit.SquidExploit(), "worm", true)
-	if stop := s.Process().Run(0); stop.Reason != vm.StopFault {
+	stop := s.Process().Run(0)
+	if stop.Reason != vm.StopFault {
 		t.Fatalf("the exploit stopped the guest with %v, want a fault", stop.Reason)
 	}
 	record := func(alone bool) int {
@@ -82,5 +89,23 @@ func TestSliceRecordsFewerNodesForTheCulpritAlone(t *testing.T) {
 	t.Logf("%d nodes recorded for the culprit alone, %d for the whole window", alone, full)
 	if alone >= full {
 		t.Errorf("the exploit's request alone recorded %d nodes, the whole window %d", alone, full)
+	}
+
+	clone, err := s.Process().Clone(s.Checkpoints().Latest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := analysis.NewContext()
+	ctx.SetCulprit(culprit)
+	ctx.Implicate(membug.AnalyzerName, stop.Fault.PC)
+	ctx.Implicate(taint.AnalyzerName, stop.Fault.PC)
+	f, err := slicing.Analyzer{}.Run(ctx, analysis.NewSandbox(clone, s.cfg.ReplayBudget, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := f.(*slicing.Result)
+	t.Logf("the analyzer: %s; %d nodes recorded", res.Summary(), res.Recorded)
+	if !res.Restricted || res.Recorded != alone {
+		t.Errorf("the analyzer recorded %d nodes, restricted=%v; want the culprit alone's %d, restricted", res.Recorded, res.Restricted, alone)
 	}
 }

@@ -287,7 +287,7 @@ func (r *reproduction) regenerate(yieldEvery uint64) map[string]analysis.Finding
 		}
 		sb := analysis.NewSandbox(sub, s.cfg.ReplayBudget, nil)
 		sb.SetYieldEvery(yieldEvery)
-		f, err := a.Run(ctx, sb)
+		f, err := runAnalyzer(a, ctx, sb)
 		if err != nil || f == nil {
 			continue
 		}

@@ -153,6 +153,9 @@ func (a *Allocator) MmapThreshold() uint32 { return a.threshold }
 // Base returns the lowest heap address.
 func (a *Allocator) Base() uint32 { return a.main.base }
 
+// End returns the first address past the heap region (see InHeapRegion).
+func (a *Allocator) End() uint32 { return a.mmap.base + a.mmap.limit }
+
 // Brk returns the current top of the main arena (first unused address).
 func (a *Allocator) Brk() uint32 { return a.main.brk }
 
@@ -446,5 +449,5 @@ func (a *Allocator) InHeap(addr uint32) bool {
 // InHeapRegion reports whether addr lies anywhere inside the heap region,
 // used or not.
 func (a *Allocator) InHeapRegion(addr uint32) bool {
-	return addr >= a.main.base && addr < a.mmap.base+a.mmap.limit
+	return addr >= a.main.base && addr < a.End()
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sweeper/internal/analysis/membug"
+	"sweeper/internal/analysis/slicing"
 	"sweeper/internal/analysis/taint"
 	"sweeper/internal/apps"
 	"sweeper/internal/exploit"
@@ -88,6 +89,153 @@ func TestRealAnalyzersDifferential(t *testing.T) {
 				}
 				t.Logf("%d instructions replayed, stop %v, %d propagators, %d findings", fast.InstrCount()-start, stop.Reason, len(f.Propagators()), len(f.Findings()))
 			})
+		}
+	}
+}
+
+// noLoopTaint and noLoopMembug are the real analysis tools with vm.LoopHook
+// hidden (a field shadows each promoted method): Run calls their hooks at
+// every instruction of a byte loop, as it did before kernels ran under
+// tools.
+type noLoopTaint struct {
+	*taint.Tracker
+	LoopBound, LoopRan struct{}
+}
+
+type noLoopMembug struct {
+	*membug.Detector
+	LoopBound, LoopRan struct{}
+}
+
+// analyzerPair is one analysis tool attached to two machines: to fast as
+// itself, so the hook-calling engine runs the byte loops as kernels, and to
+// slow with its LoopHook hidden. done compares what the two tools concluded.
+type analyzerPair struct {
+	fast, slow *vm.Machine
+	done       func(t *testing.T, label string)
+}
+
+// attachAnalyzer attaches tool ("taint" or "membug") to ps[0] as itself and
+// to ps[1] with LoopHook hidden.
+func attachAnalyzer(t *testing.T, tool string, ps [2]*proc.Process) analyzerPair {
+	t.Helper()
+	pair := analyzerPair{fast: ps[0].Machine, slow: ps[1].Machine}
+	var fast, slow vm.Tool
+	switch tool {
+	case "taint":
+		f, s := taint.New(true), taint.New(true)
+		fast, slow = f, noLoopTaint{Tracker: s}
+		pair.done = func(t *testing.T, label string) {
+			diffSeq(t, label+" findings", f.Findings(), s.Findings())
+			diffSeq(t, label+" propagators", f.Propagators(), s.Propagators())
+			if f.TaintedBytes() != s.TaintedBytes() {
+				t.Errorf("%s: tainted bytes fast=%d slow=%d", label, f.TaintedBytes(), s.TaintedBytes())
+			}
+		}
+	case "membug":
+		f, s := membug.New(ps[0], true), membug.New(ps[1], true)
+		fast, slow = f, noLoopMembug{Detector: s}
+		pair.done = func(t *testing.T, label string) {
+			diffSeq(t, label+" findings", f.Findings(), s.Findings())
+		}
+	default:
+		t.Fatalf("no analyzer %q", tool)
+	}
+	if _, ok := slow.(vm.LoopHook); ok {
+		t.Fatalf("%s: the hidden twin still implements vm.LoopHook", tool)
+	}
+	pair.fast.AttachTool(fast)
+	pair.slow.AttachTool(slow)
+	return pair
+}
+
+// run drives both machines to a stop other than the budget in Run calls of
+// random length, comparing at every stop; it returns the final stop.
+func (pair analyzerPair) run(t *testing.T, r *rand.Rand, label string, most int) *vm.StopInfo {
+	t.Helper()
+	for call := 0; ; call++ {
+		l := fmt.Sprintf("%s call %d", label, call)
+		budget := uint64(1 + r.Intn(most))
+		fs, ss := pair.fast.Run(budget), pair.slow.Run(budget)
+		diffStop(t, l, pair.fast, pair.slow, fs, ss)
+		switch {
+		case (fs.Violation == nil) != (ss.Violation == nil):
+			t.Errorf("%s: violation presence fast=%v slow=%v", l, fs.Violation, ss.Violation)
+		case fs.Violation != nil && *fs.Violation != *ss.Violation:
+			t.Errorf("%s: violation fast=%+v slow=%+v", l, *fs.Violation, *ss.Violation)
+		}
+		diffMappedMemory(t, l, pair.fast, pair.slow)
+		if fs.Reason != vm.StopInstrBudget || t.Failed() {
+			pair.done(t, label)
+			return fs
+		}
+	}
+}
+
+// TestLoopHookDifferential replays each app's attack window, at the default
+// layout and at randomised ones, under each fast-tier analysis tool, once as
+// the tool is (the loops run as kernels) and once with its vm.LoopHook
+// hidden (every hook at every instruction), on Machine.Run both, in Run
+// calls of random length. Every stop must match — StopInfo, PC, registers,
+// flags, InstrCount, Cycles and every mapped guest byte — and so must the
+// findings, and for taint the propagators and the tainted byte count. The
+// kernels must have run on one side and not on the other.
+func TestLoopHookDifferential(t *testing.T) {
+	layouts := 60
+	if testing.Short() {
+		layouts = 6
+	}
+	for ai, spec := range apps.All() {
+		for _, tool := range []string{"taint", "membug"} {
+			t.Run(spec.Name+"/"+tool, func(t *testing.T) {
+				var retired uint64
+				for i := 0; i < layouts && !t.Failed(); i++ {
+					layout := vm.DefaultLayout()
+					if i > 0 {
+						layout = monitor.RandomizedLayout(int64(1000*ai + i))
+					}
+					pair := attachAnalyzer(t, tool, [2]*proc.Process{attackWindow(t, spec, layout), attackWindow(t, spec, layout)})
+					f0, s0 := pair.fast.LoopRetired(), pair.slow.LoopRetired()
+					r := rand.New(rand.NewSource(int64(i)))
+					pair.run(t, r, fmt.Sprintf("layout %d", i), 80_000)
+					if n := pair.slow.LoopRetired() - s0; n != 0 {
+						t.Errorf("layout %d: kernels retired %d instructions with the interface hidden", i, n)
+					}
+					retired += pair.fast.LoopRetired() - f0
+				}
+				if retired == 0 {
+					t.Error("no kernel ran under the tool")
+				}
+			})
+		}
+	}
+}
+
+// TestLoopKernelCoverageUnderTools pins how many of the squid exploit
+// window's instructions the loop kernels retire when the window is replayed
+// under each analysis tool, as the fast and deferred tiers replay it: under
+// the taint tracker every loop runs as a kernel; under the memory-bug
+// detector every loop does until the overflow stops the replay; under the
+// slicer, which has no vm.LoopHook, none does.
+func TestLoopKernelCoverageUnderTools(t *testing.T) {
+	spec := apps.Squid()
+	for _, c := range []struct {
+		name              string
+		tool              func(p *proc.Process) vm.Tool
+		instrs, byKernels uint64
+	}{
+		{"taint", func(*proc.Process) vm.Tool { return taint.New(true) }, 304060, 134719},
+		{"membug", func(p *proc.Process) vm.Tool { return membug.New(p, true) }, 276060, 106719},
+		{"slicer", func(*proc.Process) vm.Tool { return slicing.New(slicing.Options{IncludeControlDeps: true}) }, 304060, 0},
+	} {
+		p := attackWindow(t, spec, vm.DefaultLayout())
+		p.Machine.AttachTool(c.tool(p))
+		i0, k0 := p.Machine.InstrCount(), p.Machine.LoopRetired()
+		stop := p.Run(0)
+		instrs, byKernels := p.Machine.InstrCount()-i0, p.Machine.LoopRetired()-k0
+		t.Logf("%s: stop %v after %d instructions, %d by kernels (%.1f%%)", c.name, stop.Reason, instrs, byKernels, 100*float64(byKernels)/float64(instrs))
+		if instrs != c.instrs || byKernels != c.byKernels {
+			t.Errorf("%s: %d instructions, %d by kernels; want %d, %d", c.name, instrs, byKernels, c.instrs, c.byKernels)
 		}
 	}
 }

@@ -55,7 +55,8 @@ import "encoding/binary"
 // iteration, a fault and a budget split stay this loop's — and it is guarded
 // the same way: the VM differentials compare it with the reference at every
 // stop, and FuzzLoopKernels aims at its edges (pages, copy-on-write,
-// overlapping copies, probes, budgets). A loop with a probe at any index runs
+// overlapping copies, probes, budgets, and tools, under which runHooked runs
+// the kernels: runLoopHooked). A loop with a probe at any index runs
 // without its kernel.
 
 // Block descriptors. desc[i] describes the block a jump to index i enters
@@ -110,9 +111,10 @@ func packUop(in Instr) uint64 {
 // the executor reads the second half's operands from uops[pc+1]. That keeps
 // every instruction index a valid entry point: a jump landing on the second
 // half executes the untouched original micro-op, and a budget clamp that
-// would split a pair ends the body before it. Synthetic opcodes live only in
-// the micro-ops runFused runs — Program.Code, the hook-calling engine and the
-// block map never see them.
+// would split a pair ends the body before it. Fused pairs and opProbe live
+// only in the micro-ops runFused runs — Program.Code, the hook-calling engine
+// and the block map never see them; opLoop marks the plain encoding's loop
+// heads too (loops.go).
 // The synthetic opcodes sit directly after the real ones so the dispatch
 // switch still compiles to one compact jump table.
 const (
@@ -237,17 +239,17 @@ func (m *Machine) rebuildProbeTables() {
 	}
 	u := m.probeUops
 	copy(u, m.imageUops)
+	for i := 1; i < n; i++ {
+		if len(m.probes[i]) > 0 && Op(u[i-1]&uopOpMask) >= numOps {
+			u[i-1] = m.uopsPlain[i-1] // the pair (i-1, i), a loop head still
+		}
+	}
 	for _, lp := range m.loops {
 		for _, list := range m.probes[lp.head : lp.head+lp.n] {
 			if len(list) > 0 {
 				u[lp.head] = unloopUop(u[lp.head])
 				break
 			}
-		}
-	}
-	for i := 1; i < n; i++ {
-		if len(m.probes[i]) > 0 && Op(u[i-1]&uopOpMask) >= numOps {
-			u[i-1] = m.uopsPlain[i-1] // the pair (i-1, i)
 		}
 	}
 	for i, list := range m.probes {

@@ -75,14 +75,26 @@ func TestPackUopsFusionSelection(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			uops, plain := packUops(tc.code, buildBlocks(tc.code))
-			uops, loops := markLoops(tc.code, uops, plain)
+			uops, marked := packUops(tc.code, buildBlocks(tc.code))
+			plain := append([]uint64(nil), marked...)
+			loops := markLoops(tc.code, uops, marked)
 			var heads []int
 			for _, lp := range loops {
 				heads = append(heads, lp.head)
 			}
 			if fmt.Sprint(heads) != fmt.Sprint(tc.heads) {
 				t.Errorf("loop heads %v, want %v", heads, tc.heads)
+			}
+			// The plain encoding carries the loop marks too, at the heads
+			// alone, each standing for its own plain micro-op.
+			for i, u := range marked {
+				if Op(u&uopOpMask) == opLoop {
+					if unloopUop(u) != plain[i] {
+						t.Errorf("%d: plain opLoop stands for %#x, want %#x", i, unloopUop(u), plain[i])
+					}
+				} else if u != plain[i] {
+					t.Errorf("%d: plain %#x, want %#x", i, u, plain[i])
+				}
 			}
 			for i, u := range uops {
 				if Op(u&uopOpMask) == opLoop {

@@ -53,7 +53,13 @@ func tlbTryWriteWord(mem *Memory, addr uint32, val uint32) bool {
 //
 // It runs the PLAIN (unfused) micro-op encoding: hooks must observe every
 // architectural instruction they watch, and a fused pair would hide its
-// second half from BeforeInstr.
+// second half from BeforeInstr. The one exception is the loop kernels
+// (loops.go), whose heads the plain encoding marks too: when every attached
+// instruction and memory tool can account for a run of a byte loop's
+// iterations in one call (LoopHook), at most one is an instruction hook and
+// there is no probe (loopsHooked), a head runs its continuing iterations
+// natively (runLoopHooked) before the head itself runs here; otherwise only
+// the head's own micro-op runs.
 //
 // Nothing is batched or mirrored in locals. Registers, flags, memory, PC, the
 // virtual clock and the retired-instruction count are operated on in place, so
@@ -93,6 +99,18 @@ func (m *Machine) runHooked(limit uint64) (stop *StopInfo, executed uint64) {
 		}
 		u := uops[pc]
 		op := Op(u & uopOpMask)
+		if op == opLoop {
+			// A loop head: under tools that take a kernel's iterations in
+			// one call the kernel first, then the head as any other
+			// instruction, unless the kernel spent the limit.
+			if m.loopsHooked {
+				if executed += m.runLoopHooked(u, limit-executed); executed == limit {
+					return nil, executed
+				}
+			}
+			u = unloopUop(u)
+			op = Op(u & uopOpMask)
+		}
 		if before != nil {
 			m.cycles += beforeCyc
 			if watch.calls(op) {

@@ -61,6 +61,42 @@ func observedOps(h InstrHook) OpSet {
 	return allOps
 }
 
+// ByteLoop is a run of a recognised byte loop's continuing iterations (see
+// loops.go) as the hook-calling engine hands it to a LoopHook. Iteration i,
+// from 0, reads the byte at Src+i with the loadb at index Load (the loop's
+// head) into register X; in a copy it then writes that byte to Dst+i with
+// the storeb at Load+1. No other instruction of an iteration touches memory
+// or calls anything a tool hooks: compares, a conditional jump not taken,
+// immediate adds to the pointers and the jump back to the head.
+type ByteLoop struct {
+	Copy     bool
+	Load     int
+	X        Reg
+	Src, Dst uint32
+}
+
+// LoopHook is implemented by an instruction or memory tool that can account
+// for a run of a byte loop's iterations in one call. runHooked runs such a
+// run natively, as the fused engine's kernels do, only when every attached
+// instruction and memory tool implements it, at most one of them is an
+// instruction hook and the machine has no probe; otherwise it calls every
+// hook at every instruction of the loop as before.
+//
+// Before the run, LoopBound reports how many of the next most iterations of
+// l the tool would record nothing in that LoopRan cannot apply: no finding,
+// no violation. 0 declines, and the engine executes the next iteration one
+// instruction at a time, with its hooks. A bound is worked out from ranges,
+// never byte by byte: most may be the whole of an unlimited budget. After
+// the run, LoopRan applies the effects of the k iterations that ran (k is
+// at most every tool's bound). The machine is then already past them: the
+// registers, flags, memory, clock (with every hook charge those iterations
+// would have cost) and InstrCount are those of the per-instruction path,
+// and PC is the head again.
+type LoopHook interface {
+	LoopBound(m *Machine, l *ByteLoop, most uint64) uint64
+	LoopRan(m *Machine, l *ByteLoop, k uint64)
+}
+
 // MemHook receives callbacks for every data memory access (loads, stores,
 // pushes and pops). idx is the index of the instruction performing the access.
 type MemHook interface {
@@ -115,6 +151,10 @@ type toolSet struct {
 	alloc []AllocHook
 	input []InputHook
 	fault []FaultHook
+	// loop holds the instruction and memory tools that implement
+	// LoopHook; loopAll is whether every such tool does.
+	loop    []LoopHook
+	loopAll bool
 }
 
 func (ts *toolSet) rebuild() {
@@ -125,7 +165,16 @@ func (ts *toolSet) rebuild() {
 	ts.alloc = ts.alloc[:0]
 	ts.input = ts.input[:0]
 	ts.fault = ts.fault[:0]
+	ts.loop = ts.loop[:0]
+	ts.loopAll = true
 	for _, t := range ts.all {
+		_, instr := t.(InstrHook)
+		_, mem := t.(MemHook)
+		if h, ok := t.(LoopHook); ok && (instr || mem) {
+			ts.loop = append(ts.loop, h)
+		} else if instr || mem {
+			ts.loopAll = false
+		}
 		if h, ok := t.(InstrHook); ok {
 			ts.instr = append(ts.instr, h)
 			ts.ops = append(ts.ops, observedOps(h))

@@ -32,9 +32,16 @@ import "bytes"
 // Why a third spelling of these opcodes is accepted, and what guards it:
 // blocks.go's header.
 //
-// Kernels never run under an instr or mem tool (runFused does not run then)
-// nor on a loop with a probe at any of its indexes: the probe overlay restores
-// such a head's micro-op (rebuildProbeTables).
+// Under instruction and memory tools the hook-calling engine runs the same
+// kernels (runLoopHooked), whose heads the plain micro-ops carry too, when
+// every such tool can account for a run of iterations in one call (LoopHook,
+// hooks.go), at most one of them is an instruction hook and the machine has
+// no probe (refreshDispatch sets loopsHooked); otherwise it runs a head's
+// own micro-op. The tools bound the run before it and apply its effects
+// after it; the clock is charged every hook call the iterations would have
+// made. A kernel never runs on a loop with a probe at any of its indexes:
+// the probe overlay restores such a head's micro-op (rebuildProbeTables),
+// and runHooked takes no kernel on a probed machine.
 
 // loopKind is which of the three shapes a loop has.
 type loopKind uint8
@@ -72,11 +79,11 @@ func unloopUop(u uint64) uint64 {
 	return u&(1<<uopOrigShift-1)&^uopOpMask | u>>uopOrigShift&uopOpMask
 }
 
-// markLoops finds the image's loops and marks their heads in uops, which it
-// copies first if it is the plain encoding as well (runHooked must never see
-// opLoop). A head is a loadb, which no fused pair has as its second half, so
-// no pair's first half reads its operands from a head.
-func markLoops(code []Instr, uops, plain []uint64) ([]uint64, []byteLoop) {
+// markLoops finds the image's loops and marks their heads in uops and in
+// plain, in place (once when they are one slice). A head is a loadb, which
+// no fused pair has as its second half, so no pair's first half reads its
+// operands from a head.
+func markLoops(code []Instr, uops, plain []uint64) []byteLoop {
 	var loops []byteLoop
 	for j, in := range code {
 		h := int(in.Imm)
@@ -87,17 +94,17 @@ func markLoops(code []Instr, uops, plain []uint64) ([]uint64, []byteLoop) {
 		if !ok {
 			continue
 		}
-		if len(loops) == 0 && len(uops) > 0 && &uops[0] == &plain[0] {
-			uops = append([]uint64(nil), uops...)
-		}
 		lp.head = h
 		for _, in := range code[h : j+1] {
 			lp.cyc += uint64(opCycles[in.Op])
 		}
 		uops[h] = loopUop(uops[h], len(loops))
+		if &plain[h] != &uops[h] {
+			plain[h] = loopUop(plain[h], len(loops))
+		}
 		loops = append(loops, lp)
 	}
-	return uops, loops
+	return loops
 }
 
 // matchLoop reports whether span (head through the jmp back to it) is one of
@@ -158,34 +165,83 @@ func (m *Machine) runLoop(regs *[NumRegs]uint32, u uint64, base, head int, done,
 	if most == 0 {
 		return false
 	}
+	k, flags := lp.run(m.Mem, regs, most)
+	if k == 0 {
+		return false
+	}
+	m.Regs, m.Flags = *regs, flags
+	m.commitFused(head, pre+k*uint64(lp.n), cyc+m.desc[base]>>descCycShift-m.desc[head]>>descCycShift+k*lp.cyc)
+	m.loopRetired += k * uint64(lp.n)
+	return true
+}
+
+// runLoopHooked is runHooked's opLoop case under loopsHooked: it runs the continuing
+// iterations of the loop whose head micro-op is u that the data, the pages,
+// room (the instructions runHooked may still retire) and every LoopHook's
+// bound allow, commits them with what the hooks would have charged — the
+// instruction hook before each instruction, each memory hook at each access
+// — lets the hooks apply their effects, and returns the instructions it
+// retired. If it runs none it changes nothing.
+func (m *Machine) runLoopHooked(u, room uint64) uint64 {
+	lp := &m.loops[uint32(u>>32)]
+	most := room / uint64(lp.n)
+	if most == 0 {
+		return 0
+	}
+	l := ByteLoop{Copy: lp.kind == loopCopy, Load: lp.head, X: Reg(lp.x), Src: m.Regs[lp.p]}
+	accesses := uint64(1)
+	if l.Copy {
+		l.Dst, accesses = m.Regs[lp.q], 2
+	}
+	for _, h := range m.tools.loop {
+		if most = min(most, h.LoopBound(m, &l, most)); most == 0 {
+			return 0
+		}
+	}
+	k, flags := lp.run(m.Mem, &m.Regs, most)
+	if k == 0 {
+		return 0
+	}
+	n := k * uint64(lp.n)
+	m.Flags = flags
+	m.instrCount += n
+	m.cycles += k*lp.cyc + n*m.beforeCyc + k*accesses*uint64(len(m.tools.mem))*CyclesPerHook
+	m.loopRetired += n
+	for _, h := range m.tools.loop {
+		h.LoopRan(m, &l, k)
+	}
+	return n
+}
+
+// run runs up to most continuing iterations of lp from regs over mem, as
+// many as the data and the mapped pages allow, and returns how many ran and
+// the flags the last one's cmpi left. If any ran, regs hold x, p and q as
+// they left them; otherwise nothing changed.
+func (lp *byteLoop) run(mem *Memory, regs *[NumRegs]uint32, most uint64) (k uint64, flags int) {
 	stop := func(v uint32) int { // the byte value v stops the loop at, or -1
 		if v > 0xff {
 			return -1
 		}
 		return int(v)
 	}
-	var k uint64
 	var last byte
 	switch lp.kind {
 	case loopCopy:
-		k, last = copyRun(m.Mem, regs[lp.p], regs[lp.q], stop(uint32(lp.k)), most)
+		k, last = copyRun(mem, regs[lp.p], regs[lp.q], stop(uint32(lp.k)), most)
 	case loopCharScan:
-		k, last = scanRun(m.Mem, regs[lp.p], stop(uint32(lp.k)), stop(regs[lp.c]), most)
+		k, last = scanRun(mem, regs[lp.p], stop(uint32(lp.k)), stop(regs[lp.c]), most)
 	default:
-		k, last = scanRun(m.Mem, regs[lp.p], stop(uint32(lp.k)), -1, most)
+		k, last = scanRun(mem, regs[lp.p], stop(uint32(lp.k)), -1, most)
 	}
 	if k == 0 {
-		return false
+		return 0, 0
 	}
 	regs[lp.x] = uint32(last)
 	regs[lp.p] += uint32(k)
 	if lp.q != noReg {
 		regs[lp.q] += uint32(k)
 	}
-	m.Regs, m.Flags = *regs, cmp32(int32(last), lp.k)
-	m.commitFused(head, pre+k*uint64(lp.n), cyc+m.desc[base]>>descCycShift-m.desc[head]>>descCycShift+k*lp.cyc)
-	m.loopRetired += k * uint64(lp.n)
-	return true
+	return k, cmp32(int32(last), lp.k)
 }
 
 // scanRun counts the bytes from addr on, up to most, that are neither a nor b

@@ -2,13 +2,18 @@ package vm_test
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"sweeper/internal/analysis/membug"
+	"sweeper/internal/analysis/taint"
 	"sweeper/internal/apps"
 	"sweeper/internal/asm"
 	"sweeper/internal/core"
 	"sweeper/internal/exploit"
+	"sweeper/internal/heap"
 	"sweeper/internal/netproxy"
 	"sweeper/internal/proc"
 	"sweeper/internal/vm"
@@ -21,16 +26,238 @@ const (
 	loopPages  = 6
 )
 
+// loopShadow is the test tool of loopTrial's tooled trials: a memory hook
+// counting the reads and writes of each address, and the accesses that touch
+// one of its fences (what the tool "records"). As a vm.LoopHook it bounds a
+// run before the first fence either pointer would reach, by binary search,
+// and applies a run's counts in one call.
+type loopShadow struct {
+	fences        []uint32 // sorted
+	reads, writes map[uint32]int
+	hits          int
+}
+
+func newLoopShadow(fences []uint32) *loopShadow {
+	return &loopShadow{fences: fences, reads: map[uint32]int{}, writes: map[uint32]int{}}
+}
+
+func (s *loopShadow) Name() string { return "t.shadow" }
+func (s *loopShadow) OnMemRead(m *vm.Machine, idx int, addr uint32, size int, val uint32) {
+	s.saw(s.reads, addr, size)
+}
+func (s *loopShadow) OnMemWrite(m *vm.Machine, idx int, addr uint32, size int, val uint32) {
+	s.saw(s.writes, addr, size)
+}
+
+func (s *loopShadow) saw(counts map[uint32]int, addr uint32, size int) {
+	for a := addr; a != addr+uint32(size); a++ {
+		counts[a]++
+		if _, fenced := slices.BinarySearch(s.fences, a); fenced {
+			s.hits++
+		}
+	}
+}
+
+// room is how many bytes from addr on lie before the next fence.
+func (s *loopShadow) room(addr uint32) uint64 {
+	if i, _ := slices.BinarySearch(s.fences, addr); i < len(s.fences) {
+		return uint64(s.fences[i] - addr)
+	}
+	return 1<<32 - uint64(addr)
+}
+
+func (s *loopShadow) LoopBound(m *vm.Machine, l *vm.ByteLoop, most uint64) uint64 {
+	if most = min(most, s.room(l.Src)); l.Copy {
+		most = min(most, s.room(l.Dst))
+	}
+	return most
+}
+
+func (s *loopShadow) LoopRan(m *vm.Machine, l *vm.ByteLoop, k uint64) {
+	for i := uint32(0); uint64(i) < k; i++ {
+		s.reads[l.Src+i]++
+		if l.Copy {
+			s.writes[l.Dst+i]++
+		}
+	}
+}
+
+// loopShadowInstr is loopShadow with an instruction hook too, observing
+// loadb and storeb (the reference calls it everywhere; it counts those
+// alone), that counts its calls per index.
+type loopShadowInstr struct {
+	*loopShadow
+	calls map[int]int
+}
+
+func (s loopShadowInstr) ObservedOps() vm.OpSet { return 1<<vm.OpLoadB | 1<<vm.OpStoreB }
+func (s loopShadowInstr) BeforeInstr(m *vm.Machine, idx int, in *vm.Instr) {
+	if s.ObservedOps().Has(in.Op) {
+		s.calls[idx]++
+	}
+}
+
+func (s loopShadowInstr) LoopRan(m *vm.Machine, l *vm.ByteLoop, k uint64) {
+	s.loopShadow.LoopRan(m, l, k)
+	s.calls[l.Load] += int(k)
+	if l.Copy {
+		s.calls[l.Load+1] += int(k)
+	}
+}
+
+// The per-instruction twins: vm.LoopHook hidden by fields that shadow it.
+type noLoopShadow struct {
+	*loopShadow
+	LoopBound, LoopRan struct{}
+}
+
+type noLoopShadowInstr struct {
+	loopShadowInstr
+	LoopBound, LoopRan struct{}
+}
+
+// loopTools attaches one of loopTrial's tool sets to fast as is and to slow
+// (run on the reference) as per-instruction twins, and returns what compares
+// the two sides' tools at a stop. Kinds: the shadow as a memory hook, the
+// shadow with an instruction hook, the taint tracker over random input
+// runs, the memory-bug detector over a heap (its chunks made on a scratch
+// memory, so the guest's bytes stay the string image) with return slots
+// inside it, and the tracker beside a tool without the interface, where no
+// kernel may run.
+//
+// Fences, input runs and return slots go anywhere in the loop region, or
+// near one of ptrs, the addresses the loops start from. alloc is the
+// memory-bug detector's heap (loopHeap).
+func loopTools(t *testing.T, r *rand.Rand, kind string, ptrs []uint32, alloc *heap.Allocator, fast, slow *vm.Machine) func(label string) {
+	t.Helper()
+	region := func() uint32 {
+		switch r.Intn(4) {
+		case 0:
+			return ptrs[r.Intn(len(ptrs))] + uint32(r.Intn(8)) - 4
+		case 1:
+			return ptrs[r.Intn(len(ptrs))] + uint32(r.Intn(40)) - 4
+		}
+		return uint32(loopRegion + r.Intn(loopPages*vm.PageSize))
+	}
+	var fences []uint32
+	for i := r.Intn(10); i > 0; i-- {
+		fences = append(fences, region())
+	}
+	slices.Sort(fences)
+	diffShadow := func(label string, f, s *loopShadow) {
+		if !maps.Equal(f.reads, s.reads) || !maps.Equal(f.writes, s.writes) || f.hits != s.hits {
+			t.Errorf("%s: shadow fast %d read, %d written, %d hits; slow %d, %d, %d",
+				label, len(f.reads), len(f.writes), f.hits, len(s.reads), len(s.writes), s.hits)
+		}
+	}
+	switch kind {
+	case "shadow":
+		f, s := newLoopShadow(fences), newLoopShadow(fences)
+		fast.AttachTool(f)
+		slow.AttachTool(noLoopShadow{loopShadow: s})
+		return func(label string) { diffShadow(label, f, s) }
+	case "shadow+instr":
+		f := loopShadowInstr{newLoopShadow(fences), map[int]int{}}
+		s := loopShadowInstr{newLoopShadow(fences), map[int]int{}}
+		fast.AttachTool(f)
+		slow.AttachTool(noLoopShadowInstr{loopShadowInstr: s})
+		return func(label string) {
+			diffShadow(label, f.loopShadow, s.loopShadow)
+			if !maps.Equal(f.calls, s.calls) {
+				t.Errorf("%s: instruction hook calls fast=%v slow=%v", label, f.calls, s.calls)
+			}
+		}
+	case "taint", "taint+plain":
+		f, s := taint.New(false), taint.New(false)
+		for i := r.Intn(6); i > 0; i-- {
+			addr, data, id := region(), make([]byte, 1+r.Intn(400)), r.Intn(4)
+			f.OnInput(fast, addr, data, id)
+			s.OnInput(slow, addr, data, id)
+		}
+		fast.AttachTool(f)
+		slow.AttachTool(noLoopTaint{Tracker: s})
+		if kind == "taint+plain" {
+			fast.AttachTool(noLoopShadow{loopShadow: newLoopShadow(nil)})
+			slow.AttachTool(noLoopShadow{loopShadow: newLoopShadow(nil)})
+		}
+		k0 := fast.LoopRetired()
+		return func(label string) {
+			diffSeq(t, label+" findings", f.Findings(), s.Findings())
+			diffSeq(t, label+" propagators", f.Propagators(), s.Propagators())
+			if f.TaintedBytes() != s.TaintedBytes() {
+				t.Errorf("%s: tainted bytes fast=%d slow=%d", label, f.TaintedBytes(), s.TaintedBytes())
+			}
+			if n := fast.LoopRetired() - k0; kind == "taint+plain" && n != 0 {
+				t.Errorf("%s: kernels retired %d instructions beside a tool without vm.LoopHook", label, n)
+			}
+		}
+	case "membug":
+		p := &proc.Process{Alloc: alloc}
+		f, s := membug.New(p, true), membug.New(p, true)
+		for i := r.Intn(6); i > 0; i-- {
+			slot := region()
+			f.OnCall(fast, 0, 0, 0, slot)
+			s.OnCall(slow, 0, 0, 0, slot)
+		}
+		fast.AttachTool(f)
+		slow.AttachTool(noLoopMembug{Detector: s})
+		return func(label string) { diffSeq(t, label+" findings", f.Findings(), s.Findings()) }
+	}
+	return func(string) {}
+}
+
+// loopToolKinds are loopTools' kinds.
+var loopToolKinds = []string{"shadow", "shadow+instr", "taint", "taint+plain", "membug"}
+
+// loopHeap is the memory-bug detector's heap in a loop trial: pages 1-4 of
+// the loop region (page 0 lies below it, page 5 above), its chunks made on a
+// scratch memory so that the guest's bytes stay the string image, a third of
+// them freed. It returns the allocator and a function giving the places a
+// loop pointer is worth starting just below: the region's ends and each
+// chunk's payload end, as often as each other.
+func loopHeap(t *testing.T, r *rand.Rand) (*heap.Allocator, func() uint32) {
+	alloc := heap.New(vm.NewMemory(), loopRegion+vm.PageSize, 4*vm.PageSize)
+	for i := 0; i < 24; i++ {
+		c, err := alloc.Malloc(uint32(1 + r.Intn(700)))
+		if err != nil {
+			break
+		}
+		if r.Intn(3) == 0 {
+			if err := alloc.Free(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	chunks := alloc.Walk()
+	return alloc, func() uint32 {
+		if r.Intn(2) == 0 {
+			return []uint32{alloc.Base(), alloc.End()}[r.Intn(2)]
+		}
+		c := chunks[r.Intn(len(chunks))]
+		return c.Addr + c.Size
+	}
+}
+
 // loopTrial builds a guest of random byte loops — NUL and K scans, character
 // scans and copies, now and then one instruction off the recognised shape —
 // over a random string image with unmapped holes, frozen (copy-on-write)
 // pages and pointers near page ends, and runs it on Run and on the reference
 // in Run calls of random length, with probes on random loop indexes coming
-// and going. Every stop compares StopInfo, registers, flags, PC, InstrCount,
-// Cycles, ProbeFires, the probe log and every mapped byte; some stops take a
-// snapshot on both sides and compare what it captured. It returns the
-// instructions the fast side's kernels retired.
-func loopTrial(t *testing.T, seed int64) uint64 {
+// and going. With tools set it attaches that tool set (loopTools): Run takes
+// the loops as kernels under it, and the reference calls its per-instruction
+// twin. Every stop compares StopInfo, registers, flags, PC, InstrCount,
+// Cycles, ProbeFires, the probe log, the tools' shadows and every mapped
+// byte; some stops take a snapshot on both sides and compare what it
+// captured. It returns the instructions the fast side's kernels retired.
+func loopTrial(t *testing.T, seed int64, tools string) uint64 {
+	// A second generator for the tools, so that a trial without them is
+	// the one its seed made before there were any.
+	tr := rand.New(rand.NewSource(seed ^ 0x7001))
+	var alloc *heap.Allocator
+	var edge func() uint32
+	if tools == "membug" {
+		alloc, edge = loopHeap(t, tr)
+	}
 	r := rand.New(rand.NewSource(seed))
 	regs := []vm.Reg{vm.R0, vm.R1, vm.R2, vm.R3, vm.R4, vm.R5, vm.R6, vm.R7}
 	mapped := make([]bool, loopPages)
@@ -38,6 +265,9 @@ func loopTrial(t *testing.T, seed int64) uint64 {
 		mapped[i] = r.Intn(7) > 0
 	}
 	addr := func() int32 {
+		if edge != nil && tr.Intn(2) == 0 {
+			return int32(edge() - uint32(tr.Intn(24)))
+		}
 		off := r.Intn(vm.PageSize)
 		if r.Intn(2) == 0 {
 			off = vm.PageSize - 1 - r.Intn(24)
@@ -54,6 +284,7 @@ func loopTrial(t *testing.T, seed int64) uint64 {
 		return 0
 	}
 	var spans [][2]int
+	var ptrs []uint32
 	build := func(b *asm.Builder) {
 		b.Func("main")
 		for l := 0; l < 1+r.Intn(4); l++ {
@@ -70,6 +301,7 @@ func loopTrial(t *testing.T, seed int64) uint64 {
 			}
 			src := addr()
 			b.MovI(p, src)
+			ptrs = append(ptrs, uint32(src))
 			b.MovI(x, int32(r.Uint32()))
 			k := stopByte()
 			head, exit := fmt.Sprintf("l%d", l), fmt.Sprintf("l%d.exit", l)
@@ -86,6 +318,7 @@ func loopTrial(t *testing.T, seed int64) uint64 {
 					dst = int32(vm.DefaultLayout().CodeBase)
 				}
 				b.MovI(q, dst)
+				ptrs = append(ptrs, uint32(dst))
 			default:
 				b.MovI(q, int32(r.Intn(100)))
 			}
@@ -149,6 +382,7 @@ func loopTrial(t *testing.T, seed int64) uint64 {
 		}
 		m.Mem.Snapshot() // every page frozen: the first store to each copies it
 	}
+	diffTools := loopTools(t, tr, tools, ptrs, alloc, pp.fast, pp.slow)
 	probe := func() {
 		s := spans[r.Intn(len(spans))]
 		pp.probe(t, fmt.Sprintf("p%d", r.Intn(3)), s[0]+r.Intn(s[1]-s[0]), 0)
@@ -164,6 +398,7 @@ func loopTrial(t *testing.T, seed int64) uint64 {
 		}
 		stop := pp.run(t, label, budget)
 		diffMappedMemory(t, label, pp.fast, pp.slow)
+		diffTools(label)
 		if r.Intn(4) == 0 {
 			if f, s := pp.fast.Mem.DirtyPages(), pp.slow.Mem.DirtyPages(); f != s {
 				t.Errorf("%s: dirty pages fast=%d slow=%d", label, f, s)
@@ -190,29 +425,47 @@ func loopTrial(t *testing.T, seed int64) uint64 {
 	return pp.fast.LoopRetired()
 }
 
-// TestLoopKernelsDifferential runs loopTrial over a fixed set of seeds, and
-// requires the kernels to have run in it.
+// TestLoopKernelsDifferential runs loopTrial over a fixed set of seeds,
+// without tools and under each tool set, and requires the kernels to have
+// run in each but the one beside a tool without vm.LoopHook.
 func TestLoopKernelsDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x100b))
 	var retired uint64
 	for trial := 0; trial < 120; trial++ {
 		seed := rng.Int63()
-		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) { retired += loopTrial(t, seed) })
+		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) { retired += loopTrial(t, seed, "") })
 	}
 	if retired == 0 {
 		t.Error("no loop kernel ran")
 	}
 	t.Logf("kernels retired %d instructions", retired)
+	for _, tools := range loopToolKinds {
+		retired = 0
+		for trial := 0; trial < 60; trial++ {
+			seed := rng.Int63()
+			t.Run(fmt.Sprintf("tools=%s/trial=%d", tools, trial), func(t *testing.T) { retired += loopTrial(t, seed, tools) })
+		}
+		t.Logf("under %s: kernels retired %d instructions", tools, retired)
+		if (retired == 0) != (tools == "taint+plain") {
+			t.Errorf("under %s: kernels retired %d instructions", tools, retired)
+		}
+	}
 }
 
 // FuzzLoopKernels is TestLoopKernelsDifferential's trial as a fuzz target:
-// the seed picks the loops, the strings, the pages, the probes and the Run
-// lengths.
+// the seed picks the loops, the strings, the pages, the probes, the Run
+// lengths and the tool set, if any.
 func FuzzLoopKernels(f *testing.F) {
 	for _, seed := range []int64{0, 1, 0x100b, 0x5eed, -7} {
 		f.Add(seed)
 	}
-	f.Fuzz(func(t *testing.T, seed int64) { loopTrial(t, seed) })
+	f.Fuzz(func(t *testing.T, seed int64) {
+		tools := ""
+		if i := int(uint64(seed) % uint64(2*len(loopToolKinds))); i < len(loopToolKinds) {
+			tools = loopToolKinds[i]
+		}
+		loopTrial(t, seed, tools)
+	})
 }
 
 // squidRequests are the request shapes whose kernel coverage the tests pin:

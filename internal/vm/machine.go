@@ -153,6 +153,9 @@ type Machine struct {
 	loops           []byteLoop // the image's loop kernels (loops.go)
 	fastDispatch    bool
 	probesDirty     bool
+	// loopsHooked is whether runHooked runs a loop head's kernel: the tools
+	// all take its iterations in one call (refreshDispatch).
+	loopsHooked bool
 
 	sys SyscallHandler
 
@@ -314,6 +317,10 @@ func (m *Machine) ProbeFires() uint64 { return m.probeFires }
 // What runs before an instruction is nothing, the one instruction hook
 // itself, called only at the opcodes it observes, or an adapter that fans out
 // to every hook and probe (instrFanout), called before every instruction.
+// runHooked runs the loop kernels only under tools that all take a kernel's
+// iterations in one call (LoopHook), at most one instruction hook among them
+// and no probe; under anything else, and on the fused engine's
+// one-instruction calls, a loop head runs its own micro-op.
 func (m *Machine) refreshDispatch() {
 	switch {
 	case len(m.tools.instr) == 1 && m.probeCount == 0:
@@ -326,6 +333,7 @@ func (m *Machine) refreshDispatch() {
 	m.memDispatch = len(m.tools.mem) > 0
 	m.callDispatch = len(m.tools.call) > 0
 	m.fastDispatch = len(m.tools.instr) == 0 && len(m.tools.mem) == 0
+	m.loopsHooked = !m.fastDispatch && m.tools.loopAll && len(m.tools.instr) <= 1 && m.probeCount == 0
 }
 
 // AttachTool attaches an instrumentation tool; it takes effect from the next

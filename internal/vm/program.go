@@ -73,7 +73,7 @@ type relocImage struct {
 	desc  []uint64
 	uops  []uint64
 	plain []uint64
-	loops []byteLoop // the loops whose heads uops marks opLoop (loops.go)
+	loops []byteLoop // the loops whose heads uops and plain mark opLoop (loops.go)
 }
 
 // relocImage returns the program's shared relocated image for the given
@@ -108,7 +108,7 @@ func (p *Program) relocImage(layout Layout) (*relocImage, error) {
 	}
 	img := &relocImage{code: code, desc: buildBlocks(code)}
 	img.uops, img.plain = packUops(code, img.desc)
-	img.uops, img.loops = markLoops(code, img.uops, img.plain)
+	img.loops = markLoops(code, img.uops, img.plain)
 	if p.relocImages == nil {
 		p.relocImages = make(map[relocKey]*relocImage)
 	}

@@ -2,6 +2,7 @@ package taint
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -157,12 +158,49 @@ func TestLoopRanIsTheLoopsPropagation(t *testing.T) {
 			t.Fatalf("%s: LoopRan left %v, %d tainted bytes, propagators %v; Propagate %v, %d, %v", label,
 				bulk.regs, bulk.TaintedBytes(), bulk.Propagators(), ref.regs, ref.TaintedBytes(), ref.Propagators())
 		}
+		shadow := ref.Shadow()
 		for a := uint32(base - vm.PageSize); a < base+span+vm.PageSize; a++ {
 			bl, bok := bulk.memTaint(a, 1)
 			rl, rok := ref.memTaint(a, 1)
 			if bl != rl || bok != rok {
 				t.Fatalf("%s: byte %#x is %v,%v after LoopRan, %v,%v after Propagate", label, a, bl, bok, rl, rok)
 			}
+			if sl, sok := shadow[a]; sl != rl || sok != rok {
+				t.Fatalf("%s: Shadow has byte %#x as %v,%v, memTaint as %v,%v", label, a, sl, sok, rl, rok)
+			}
 		}
+		if len(shadow) != ref.TaintedBytes() || !maps.Equal(shadow, bulk.Shadow()) {
+			t.Fatalf("%s: Shadow holds %d bytes of %d tainted, or differs after LoopRan", label, len(shadow), ref.TaintedBytes())
+		}
+	}
+}
+
+// TestRestrictedLoopBound pins which runs a restricted tracker (a taint
+// guard) takes in one call: a scan when its set holds the loadb, a copy when
+// it holds the loadb and the storeb, nothing else; a full tracker takes
+// every run.
+func TestRestrictedLoopBound(t *testing.T) {
+	const load, most = 20, 1000
+	for _, c := range []struct {
+		set        []int
+		scan, copy uint64
+	}{
+		{nil, 0, 0},
+		{[]int{load}, most, 0},
+		{[]int{load + 1}, 0, 0},
+		{[]int{load, load + 1}, most, most},
+		{[]int{load - 1, load + 2}, 0, 0},
+	} {
+		tr := NewRestricted("guard", c.set, true)
+		scan, cp := vm.ByteLoop{Load: load}, vm.ByteLoop{Copy: true, Load: load}
+		if got := tr.LoopBound(nil, &scan, most); got != c.scan {
+			t.Errorf("set %v: scan bound %d, want %d", c.set, got, c.scan)
+		}
+		if got := tr.LoopBound(nil, &cp, most); got != c.copy {
+			t.Errorf("set %v: copy bound %d, want %d", c.set, got, c.copy)
+		}
+	}
+	if got := New(false).LoopBound(nil, &vm.ByteLoop{Copy: true, Load: load}, most); got != most {
+		t.Errorf("full tracker: copy bound %d, want %d", got, most)
 	}
 }

@@ -219,6 +219,29 @@ func (t *Tracker) Propagators() []int {
 // TaintedBytes returns how many guest memory bytes are currently tainted.
 func (t *Tracker) TaintedBytes() int { return t.tainted }
 
+// Shadow returns the label of every tainted guest byte, by address.
+func (t *Tracker) Shadow() map[uint32]Label {
+	out := make(map[uint32]Label, t.tainted)
+	for d, leaf := range t.mem {
+		if leaf == nil {
+			continue
+		}
+		for l, tp := range leaf {
+			if tp == nil || tp.n == 0 {
+				continue
+			}
+			base := uint32(d<<pageLeafBits|l) << vm.PageShift
+			for w, word := range tp.set {
+				for ; word != 0; word &= word - 1 {
+					off := uint32(w*64 + bits.TrailingZeros64(word))
+					out[base+off] = tp.lines[w][off%64]
+				}
+			}
+		}
+	}
+	return out
+}
+
 // ResetShadow drops all shadow taint (memory labels and register taint)
 // while keeping recorded findings and propagators. The instrumented process
 // calls it when it rolls back to a checkpoint: everything currently tainted
@@ -441,23 +464,26 @@ func (t *Tracker) Propagate(m *vm.Machine, idx int, in *vm.Instr) {
 }
 
 // LoopBound implements vm.LoopHook. A byte loop's iterations reach no sink,
-// so the full tracker never bounds a run; a restricted one declines, since
-// it propagates at its listed instructions alone.
+// so the full tracker never bounds a run. A restricted one (a taint guard's
+// probe) bounds it only when its set holds the loop's loadb and, in a copy,
+// its storeb too, and otherwise returns 0: LoopRan applies both, and a
+// storeb propagates only what its iteration's loadb read, so FromTaint never
+// lists one without the other.
 func (t *Tracker) LoopBound(m *vm.Machine, l *vm.ByteLoop, most uint64) uint64 {
-	if t.restrict != nil {
+	if t.restrict != nil && (!t.restrict[l.Load] || l.Copy && !t.restrict[l.Load+1]) {
 		return 0
 	}
 	return most
 }
 
-// LoopRan implements vm.LoopHook: what the loop's loadb, and a copy's
-// storeb, would have propagated over k iterations. A copy copies or clears
-// labels forwards one byte at a time, so an overlapping copy reads labels
-// it has just written, as it reads the bytes; x takes the taint of the last
-// byte read; the loadb (and the storeb) become propagators if any byte read
-// was tainted. It goes a run of pages at a time, and a run whose pages hold
-// no taint costs a lookup: nothing is read tainted and nothing needs
-// clearing.
+// LoopRan implements vm.LoopHook, for a full tracker and a restricted one
+// alike: what the loop's loadb, and a copy's storeb, would have propagated
+// over k iterations. A copy copies or clears labels forwards one byte at a
+// time, so an overlapping copy reads labels it has just written, as it reads
+// the bytes; x takes the taint of the last byte read; the loadb (and the
+// storeb) become propagators if any byte read was tainted. It goes a run of
+// pages at a time, and a run whose pages hold no taint costs a lookup:
+// nothing is read tainted and nothing needs clearing.
 func (t *Tracker) LoopRan(m *vm.Machine, l *vm.ByteLoop, k uint64) {
 	var last regTaint
 	moved := false

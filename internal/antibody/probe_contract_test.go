@@ -196,3 +196,84 @@ func stepAt(t *testing.T, m *vm.Machine, idx int) {
 		t.Fatalf("stepping through @%d: %+v", idx, stop)
 	}
 }
+
+// TestHeapBoundsLoopBound pins the heap-bounds guard's vm.LoopHook bound at
+// its edges — inside a live chunk to its end, outside the heap region to the
+// region or the end of the address space, 0 in a freed chunk, on a header
+// and in the region's unused end — for a guard on a scan's load, on a copy's
+// store and on a copy's load (which holds the copy's stores to the same
+// ranges), and checks each bound against OnProbe: the access at the bound's
+// last byte passes, and the one after a chunk's end raises.
+func TestHeapBoundsLoopBound(t *testing.T) {
+	prog, at := contractProgram(t)
+	p, err := proc.New("contract", prog, vm.DefaultLayout(), netproxy.New(), proc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chunks [3]uint32
+	for i := range chunks {
+		if chunks[i], err = p.Alloc.Malloc(40); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live, freed := chunks[0], chunks[1]
+	if err := p.Alloc.Free(freed); err != nil {
+		t.Fatal(err)
+	}
+	c, _ := p.Alloc.ChunkContaining(live)
+	liveEnd := c.Addr + c.Size
+	base, end := p.Alloc.Base(), p.Alloc.End()
+	m := p.Machine
+	load, store := at.store+1, at.store // loadb R4,[R2+0]; storeb [R2+0],R3
+	// raises reports whether the guard on site raises at an access to addr.
+	raises := func(probe *heapBoundsProbe, site int, addr uint32) bool {
+		m.Regs[vm.R2] = addr
+		probe.OnProbe(m, site, &m.Code()[site])
+		m.PC = at.call + 1 // the halt: Step reports the pending violation, or halts
+		stop := m.Step()
+		m.ClearStop()
+		return stop.Reason == vm.StopViolation
+	}
+	const all = uint64(1) << 40
+	for _, c := range []struct {
+		name       string
+		site       int // the guarded instruction
+		l          vm.ByteLoop
+		most, want uint64
+	}{
+		{"scan in a live chunk", load, vm.ByteLoop{Load: load, Src: live + 10}, all, uint64(liveEnd - live - 10)},
+		{"scan at a live chunk's last byte", load, vm.ByteLoop{Load: load, Src: liveEnd - 1}, all, 1},
+		{"scan in a freed chunk", load, vm.ByteLoop{Load: load, Src: freed + 2}, all, 0},
+		{"scan of a header", load, vm.ByteLoop{Load: load, Src: live - 4}, all, 0},
+		{"scan below the heap", load, vm.ByteLoop{Load: load, Src: base - 100}, all, 100},
+		{"scan above the heap", load, vm.ByteLoop{Load: load, Src: end + 5}, all, 1<<32 - uint64(end+5)},
+		{"scan in the heap's unused end", load, vm.ByteLoop{Load: load, Src: end - 10}, all, 0},
+		{"scan below the heap, most smaller", load, vm.ByteLoop{Load: load, Src: base - 100}, 7, 7},
+		{"copy into a live chunk", store, vm.ByteLoop{Copy: true, Load: store - 1, Src: freed, Dst: live + 1}, all, uint64(liveEnd - live - 1)},
+		{"copy into a freed chunk", store, vm.ByteLoop{Copy: true, Load: store - 1, Src: live, Dst: freed}, all, 0},
+		{"copy below the heap", store, vm.ByteLoop{Copy: true, Load: store - 1, Src: freed, Dst: base - 100}, all, 100},
+		{"copy from a live chunk to below the heap", load, vm.ByteLoop{Copy: true, Load: load, Src: live + 10, Dst: base - 5}, all, 5},
+		{"copy from a live chunk to above the heap", load, vm.ByteLoop{Copy: true, Load: load, Src: live + 10, Dst: end}, all, uint64(liveEnd - live - 10)},
+		{"copy from a live chunk into a freed one", load, vm.ByteLoop{Copy: true, Load: load, Src: live + 10, Dst: freed}, all, 0},
+		{"guard on no access of the loop", store, vm.ByteLoop{Load: store - 3, Src: freed}, all, all},
+	} {
+		for _, caller := range []int{-1, at.call} {
+			probe := &heapBoundsProbe{name: "hb", vsef: &VSEF{InstrIdx: c.site, CallerIdx: caller}, alloc: p.Alloc}
+			got := probe.LoopBound(m, &c.l, c.most)
+			if got != c.want {
+				t.Errorf("%s (caller %d): bound %d, want %d", c.name, caller, got, c.want)
+				continue
+			}
+			addr := c.l.Src
+			if c.site == store {
+				addr = c.l.Dst
+			}
+			if got > 0 && got < all && raises(probe, c.site, addr+uint32(got-1)) {
+				t.Errorf("%s (caller %d): the access at the bound's last byte raises", c.name, caller)
+			}
+			if caller < 0 && got > 0 && got < c.most && addr+uint32(got) == liveEnd && !raises(probe, c.site, liveEnd) {
+				t.Errorf("%s: the access past the chunk's end passes", c.name)
+			}
+		}
+	}
+}

@@ -246,7 +246,7 @@ func (v *VSEF) Apply(p *proc.Process) (*Applied, error) {
 		applied.probe = &nullCheckProbe{name: v.Name, vsef: v}
 	case VSEFTaint:
 		tracker := taint.NewRestricted(v.Name+".tracker", v.TaintInstrs, true)
-		applied.probe = &taintProbe{name: v.Name, tracker: tracker}
+		applied.probe = &taintProbe{name: v.Name, Tracker: tracker}
 		sites = v.TaintInstrs
 		src := &taintSource{name: v.Name + ".source", tracker: tracker}
 		m.AttachTool(src)
@@ -374,6 +374,46 @@ func (p *heapBoundsProbe) OnProbe(m *vm.Machine, idx int, in *vm.Instr) {
 	})
 }
 
+// LoopBound implements vm.LoopHook, by ranges and never byte by byte: a run
+// may go on while the guarded access stays inside the allocated chunk it
+// starts in (to the chunk's end, looked up once) or outside the heap region
+// (up to the region, or to the end of the address space), where OnProbe
+// passes whatever the calling context; anywhere else it bounds to 0, and the
+// access is checked one iteration at a time, the CallerIdx test included. A
+// guard on a copy's load holds the copy's stores to the same ranges, since a
+// store elsewhere in the heap could rewrite a header the chunk lookup walks.
+// A guard on another instruction of the loop (no load or store) never
+// bounds a run.
+func (p *heapBoundsProbe) LoopBound(m *vm.Machine, l *vm.ByteLoop, most uint64) uint64 {
+	switch {
+	case p.vsef.InstrIdx == l.Load:
+		if most = p.room(m, l.Src, most); l.Copy {
+			most = p.room(m, l.Dst, most)
+		}
+	case l.Copy && p.vsef.InstrIdx == l.Load+1:
+		most = p.room(m, l.Dst, most)
+	}
+	return most
+}
+
+// LoopRan implements vm.LoopHook: a bounded run left nothing to record.
+func (p *heapBoundsProbe) LoopRan(m *vm.Machine, l *vm.ByteLoop, k uint64) {}
+
+// room is how many of up to most one-byte accesses from addr on OnProbe
+// passes without a look at the calling context (see LoopBound).
+func (p *heapBoundsProbe) room(m *vm.Machine, addr uint32, most uint64) uint64 {
+	switch base, end := p.alloc.Base(), p.alloc.End(); {
+	case addr < base:
+		return min(most, uint64(base-addr))
+	case addr >= end:
+		return min(most, 1<<32-uint64(addr))
+	}
+	if end, allocated, found := p.alloc.ChunkEndAt(probeMoment(m), addr); found && allocated && addr < end {
+		return min(most, uint64(end-addr))
+	}
+	return 0
+}
+
 // probeMoment names the instruction whose probes m is delivering, for
 // lookups its probes share: the retired count does not move while they run,
 // and neither does the clock net of the CyclesPerProbe each delivery charges.
@@ -479,21 +519,22 @@ func (p *nullCheckProbe) OnProbe(m *vm.Machine, idx int, in *vm.Instr) {
 	}
 }
 
+// taintProbe is a taint guard: a tracker restricted to the guard's
+// instructions, which it propagates at. The rest is the tracker's: it takes
+// a byte loop's run in one call (vm.LoopHook), and on a rollback it clears
+// its shadow taint (vm.RollbackHook), since labels introduced by the
+// abandoned execution (often the excised attack request itself) must not
+// survive into the replay.
 type taintProbe struct {
-	name    string
-	tracker *taint.Tracker
+	name string
+	*taint.Tracker
 }
 
 func (p *taintProbe) Name() string { return p.name }
 
 func (p *taintProbe) OnProbe(m *vm.Machine, idx int, in *vm.Instr) {
-	p.tracker.Propagate(m, idx, in)
+	p.Propagate(m, idx, in)
 }
-
-// OnRollback clears the tracker's shadow taint: labels introduced by the
-// abandoned execution (often the excised attack request itself) must not
-// survive into the replay.
-func (p *taintProbe) OnRollback(m *vm.Machine) { p.tracker.ResetShadow() }
 
 // taintSource feeds request bytes into a restricted tracker; it implements
 // only the input hook, so it adds no per-instruction cost.

@@ -55,8 +55,9 @@ func (s *Server) handleAntibodies(w http.ResponseWriter, r *http.Request) {
 }
 
 // maxPageBytes bounds the antibodies of one pull page, well inside the
-// maxBodyBytes a Peer reads of a reply.
-const maxPageBytes = maxBodyBytes / 2
+// maxBodyBytes a Peer reads of a reply, and small enough that one page is
+// served and read far inside a peer's requestTimeout on a loaded host.
+const maxPageBytes = maxBodyBytes / 16
 
 // handlePull serves one page of the store from the requested publication
 // cursor onward (cursor 0, the default, starts a joining peer's full-store

@@ -2,9 +2,11 @@ package vm_test
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 
+	"sweeper/internal/analysis/taint"
 	"sweeper/internal/apps"
 	"sweeper/internal/core"
 	"sweeper/internal/exploit"
@@ -20,8 +22,9 @@ import (
 // through Machine.Run on one and the reference interpreter on the other, in
 // Run calls of random length. Every stop must match: StopInfo (violation
 // identity included), PC, registers, InstrCount, Cycles, ProbeFires and every
-// mapped guest byte. The attack must end in a VSEF's violation, so the probes
-// that raise are exercised as well as the ones that pass.
+// mapped guest byte, and each taint guard's shadow (its tainted-byte count
+// and every byte's label). The attack must end in a VSEF's violation, so the
+// probes that raise are exercised as well as the ones that pass.
 func TestRealAntibodiesDifferential(t *testing.T) {
 	for ai, spec := range apps.All() {
 		t.Run(spec.Name, func(t *testing.T) {
@@ -65,6 +68,10 @@ func TestRealAntibodiesDifferential(t *testing.T) {
 						}
 					}
 					fast, slow := m[0].Machine, m[1].Machine
+					fastGuards, slowGuards := taintGuards(fast), taintGuards(slow)
+					if len(fastGuards) != len(slowGuards) {
+						t.Fatalf("%d taint guards fast, %d slow", len(fastGuards), len(slowGuards))
+					}
 					r := rand.New(rand.NewSource(int64(len(attack.payload))))
 					for i := 0; i <= 12; i++ {
 						payload, malicious := exploit.Benign(spec.Name, i), false
@@ -85,6 +92,12 @@ func TestRealAntibodiesDifferential(t *testing.T) {
 								t.Errorf("%s: violation fast=%+v slow=%+v", label, *fs.Violation, *ss.Violation)
 							}
 							diffMappedMemory(t, label, fast, slow)
+							for g, f := range fastGuards {
+								if s := slowGuards[g]; f.TaintedBytes() != s.TaintedBytes() || !maps.Equal(f.Shadow(), s.Shadow()) {
+									t.Errorf("%s: taint guard %d: %d tainted bytes fast, %d slow, or their labels differ",
+										label, g, f.TaintedBytes(), s.TaintedBytes())
+								}
+							}
 							if t.Failed() {
 								return
 							}
@@ -100,7 +113,7 @@ func TestRealAntibodiesDifferential(t *testing.T) {
 							break
 						}
 					}
-					t.Logf("%d instructions, %d probe fires", fast.InstrCount(), fast.ProbeFires())
+					t.Logf("%d instructions, %d probe fires, %d taint guards", fast.InstrCount(), fast.ProbeFires(), len(fastGuards))
 					if fast.ProbeFires() == 0 {
 						t.Error("no probe fired")
 					}
@@ -108,6 +121,29 @@ func TestRealAntibodiesDifferential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// taintGuard is what the differential reads of a taint guard's probe: its
+// tracker's shadow.
+type taintGuard interface {
+	TaintedBytes() int
+	Shadow() map[uint32]taint.Label
+}
+
+// taintGuards returns the distinct taint guards among m's probes, in the
+// order of the first instruction each is on.
+func taintGuards(m *vm.Machine) []taintGuard {
+	var out []taintGuard
+	seen := map[vm.Probe]bool{}
+	for idx := range m.Code() {
+		for _, p := range m.ProbesAt(idx) {
+			if g, ok := p.(taintGuard); ok && !seen[p] {
+				seen[p] = true
+				out = append(out, g)
+			}
+		}
+	}
+	return out
 }
 
 // diffMappedMemory compares every mapped page of two machines byte for byte.

@@ -56,8 +56,10 @@ import "encoding/binary"
 // the same way: the VM differentials compare it with the reference at every
 // stop, and FuzzLoopKernels aims at its edges (pages, copy-on-write,
 // overlapping copies, probes, budgets, and tools, under which runHooked runs
-// the kernels: runLoopHooked). A loop with a probe at any index runs
-// without its kernel.
+// the kernels: runLoopHooked). A loop whose probes all take a run in one
+// call (LoopHook) keeps its kernel, which commits the batch up to the head
+// before the probes bound the run and always hands the head back, so that
+// Step fires its probes; a loop with any other probe runs without it.
 
 // Block descriptors. desc[i] describes the block a jump to index i enters
 // (every index is a legal entry, since indirect jumps can land anywhere):
@@ -127,7 +129,8 @@ const (
 	opProbe
 	// opLoop marks the head of a recognised byte loop (loops.go): run its
 	// iterations in one step, then, if it ran none, the micro-op it stands
-	// for. A probe overlay never carries it on a loop with a probe.
+	// for. A probe overlay carries it on a probed loop only when every
+	// probe there takes a run in one call (LoopHook).
 	opLoop
 )
 
@@ -218,18 +221,27 @@ func buildBlocks(code []Instr) []uint64 {
 // rebuildProbeTables points m.uops at the micro-ops runFused is to run for
 // the current probe set: the image's own when there are no probes, otherwise
 // the probe overlay. Its micro-ops are the image's with every probed index
-// marked opProbe, no loop kernel on a loop with a probed index (its head gets
-// its own micro-op back: a kernel would retire the probed instruction without
-// firing it), and no fused pair straddling one: a pair whose second half is
-// probed runs as its two plain halves, since that half's probes fire between
-// them. (A pair whose first half is probed stays fused: its probes fire
-// before the pair, as before the first half.) The descriptors are the
-// image's: a probe cuts no block. The buffer is the machine's and is reused,
-// so installing or removing a whole antibody's probes costs one O(code) copy
-// on the next entry.
+// marked opProbe, save the head of a loop whose probes all take a run of
+// iterations in one call (LoopHook): that head keeps opLoop, and
+// m.loopProbes records the loop's probes for runLoop, which bounds the run by
+// them, charges their deliveries and hands the head, whose probes fire under
+// Step, back to Run. A loop with any other probe on its span runs without
+// its kernel (its head gets its own micro-op back: a kernel would retire the
+// probed instruction without firing it). No fused pair straddles a probed
+// index: a pair whose second half is probed runs as its two plain halves,
+// since that half's probes fire between them. (A pair whose first half is
+// probed stays fused: its probes fire before the pair, as before the first
+// half.) The descriptors are the image's: a probe cuts no block. The buffers
+// are the machine's and are reused, so installing or removing a whole
+// antibody's probes costs one O(code) copy on the next entry.
 func (m *Machine) rebuildProbeTables() {
 	m.probesDirty = false
 	m.uops = m.imageUops
+	for i := range m.loopProbes {
+		clear(m.loopProbes[i].hooks)
+		m.loopProbes[i] = loopProbes{hooks: m.loopProbes[i].hooks[:0]}
+	}
+	m.loopProbes = m.loopProbes[:0]
 	if m.probeCount == 0 {
 		return
 	}
@@ -244,16 +256,17 @@ func (m *Machine) rebuildProbeTables() {
 			u[i-1] = m.uopsPlain[i-1] // the pair (i-1, i), a loop head still
 		}
 	}
-	for _, lp := range m.loops {
-		for _, list := range m.probes[lp.head : lp.head+lp.n] {
-			if len(list) > 0 {
-				u[lp.head] = unloopUop(u[lp.head])
-				break
-			}
+	if cap(m.loopProbes) < len(m.loops) {
+		m.loopProbes = make([]loopProbes, len(m.loops))
+	}
+	m.loopProbes = m.loopProbes[:len(m.loops)]
+	for id := range m.loops {
+		if lp := &m.loops[id]; !m.probesOn(lp, &m.loopProbes[id]) {
+			u[lp.head] = unloopUop(u[lp.head])
 		}
 	}
 	for i, list := range m.probes {
-		if len(list) > 0 {
+		if len(list) > 0 && Op(u[i]&uopOpMask) != opLoop {
 			u[i] = probedUop(u[i])
 		}
 	}
@@ -325,10 +338,10 @@ func tlbLocals(mem *Memory) (rp *page, rpn uint32, wp *page, wpn uint32) {
 // indexes and running loop kernels at loop heads, until it retires limit
 // instructions, the guest stops, or it reaches an instruction only runHooked
 // can execute (syscall, halt, illegal opcode, call/ret with call hooks
-// attached, a split fused pair) or a loop head whose kernel has just run; in
-// the last two cases it returns a nil stop and Run gives runHooked that one
-// instruction, probes included. What it retired is what InstrCount() grew
-// by, for Run's budget bookkeeping.
+// attached, a split fused pair) or a loop head whose kernel has just run or
+// whose probes are Run's to fire; in the last two cases it returns a nil
+// stop and Run gives runHooked that one instruction, probes included. What
+// it retired is what InstrCount() grew by, for Run's budget bookkeeping.
 //
 // The loop mirrors runHooked's observable semantics exactly (where its
 // comments say Step, read: runHooked with a limit of one): the same cycle
@@ -414,11 +427,12 @@ func (m *Machine) runFused(limit uint64) *StopInfo {
 				// (The two synthetic opcodes after the fused pairs: one
 				// compare for every other micro-op.)
 				if op == opLoop {
-					// A loop head: if its kernel ran iterations it has
-					// committed everything up to the head, and Run steps
-					// the head's own micro-op and enters again after it.
-					// Otherwise that micro-op runs here, as below.
-					if m.runLoop(&regs, u, base, pc, done, cyc, limit) {
+					// A loop head: if its kernel ran iterations, or the
+					// loop is probed, it has committed everything up to
+					// the head, and Run steps the head (firing its probes)
+					// and enters again after it. Otherwise the head's own
+					// micro-op runs here, as below.
+					if m.runLoop(&regs, flags, base, pc, done, cyc, limit) {
 						return nil
 					}
 					u = unloopUop(u)

@@ -22,6 +22,9 @@ func (m *Machine) LoopKernels() (heads []int, armed, probed []bool) {
 	return heads, armed, probed
 }
 
+// ProbesAt returns the probes registered on instruction idx.
+func (m *Machine) ProbesAt(idx int) []Probe { return m.probes[idx] }
+
 // FusionPairs returns the fusion table's opcode pairs, in opcode order.
 func FusionPairs() (pairs [][2]Op) {
 	for a := Op(0); a < numOps; a++ {

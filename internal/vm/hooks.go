@@ -62,12 +62,13 @@ func observedOps(h InstrHook) OpSet {
 }
 
 // ByteLoop is a run of a recognised byte loop's continuing iterations (see
-// loops.go) as the hook-calling engine hands it to a LoopHook. Iteration i,
-// from 0, reads the byte at Src+i with the loadb at index Load (the loop's
-// head) into register X; in a copy it then writes that byte to Dst+i with
-// the storeb at Load+1. No other instruction of an iteration touches memory
-// or calls anything a tool hooks: compares, a conditional jump not taken,
-// immediate adds to the pointers and the jump back to the head.
+// loops.go) as an engine hands it to a LoopHook. Iteration i, from 0, reads
+// the byte at Src+i with the loadb at index Load (the loop's head) into
+// register X; in a copy it then writes that byte to Dst+i with the storeb at
+// Load+1. No other instruction of an iteration touches memory or calls
+// anything a tool hooks: compares, a conditional jump not taken, immediate
+// adds to the pointers and the jump back to the head. It is the machine's:
+// valid only for the call, and read-only.
 type ByteLoop struct {
 	Copy     bool
 	Load     int
@@ -75,23 +76,26 @@ type ByteLoop struct {
 	Src, Dst uint32
 }
 
-// LoopHook is implemented by an instruction or memory tool that can account
-// for a run of a byte loop's iterations in one call. runHooked runs such a
-// run natively, as the fused engine's kernels do, only when every attached
-// instruction and memory tool implements it, at most one of them is an
-// instruction hook and the machine has no probe; otherwise it calls every
-// hook at every instruction of the loop as before.
+// LoopHook is implemented by a tool or a probe that can account for a run of
+// a byte loop's iterations in one call. runHooked runs such a run natively,
+// as the fused engine's kernels do, only when every attached instruction and
+// memory tool implements it, at most one of them is an instruction hook and
+// the machine has no probe; otherwise it calls every hook at every
+// instruction of the loop as before. runFused runs a loop's kernel under its
+// probes when every probe on any index of the loop implements it (see
+// Probe); a loop with any other probe runs one instruction at a time.
 //
 // Before the run, LoopBound reports how many of the next most iterations of
-// l the tool would record nothing in that LoopRan cannot apply: no finding,
-// no violation. 0 declines, and the engine executes the next iteration one
-// instruction at a time, with its hooks. A bound is worked out from ranges,
-// never byte by byte: most may be the whole of an unlimited budget. After
-// the run, LoopRan applies the effects of the k iterations that ran (k is
-// at most every tool's bound). The machine is then already past them: the
-// registers, flags, memory, clock (with every hook charge those iterations
-// would have cost) and InstrCount are those of the per-instruction path,
-// and PC is the head again.
+// l the tool or probe would record nothing in that LoopRan cannot apply: no
+// finding, no violation. 0 declines, and the engine executes the next
+// iteration one instruction at a time, with its hooks. A bound is worked out
+// from ranges, never byte by byte: most may be the whole of an unlimited
+// budget. After the run, LoopRan applies the effects of the k iterations
+// that ran (k is at most every bound). The machine is then already past
+// them: the registers, flags, memory, clock (with every hook or probe charge
+// those iterations would have cost), InstrCount and ProbeFires are those of
+// the per-instruction path, and PC is the head again. A tool or probe is
+// called once per run, however many of the loop's indexes it is on.
 type LoopHook interface {
 	LoopBound(m *Machine, l *ByteLoop, most uint64) uint64
 	LoopRan(m *Machine, l *ByteLoop, k uint64)

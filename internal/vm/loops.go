@@ -1,6 +1,9 @@
 package vm
 
-import "bytes"
+import (
+	"bytes"
+	"slices"
+)
 
 // Loop kernels: the fused engine's one step per recognised byte loop.
 //
@@ -39,9 +42,17 @@ import "bytes"
 // no probe (refreshDispatch sets loopsHooked); otherwise it runs a head's
 // own micro-op. The tools bound the run before it and apply its effects
 // after it; the clock is charged every hook call the iterations would have
-// made. A kernel never runs on a loop with a probe at any of its indexes:
-// the probe overlay restores such a head's micro-op (rebuildProbeTables),
-// and runHooked takes no kernel on a probed machine.
+// made.
+//
+// Probes take a run the same way. When every probe on any index of a loop
+// implements LoopHook, the probe overlay keeps the loop's opLoop
+// (rebuildProbeTables) and runLoop commits runFused's batch up to the head,
+// bounds the run by each probe, runs it, charges CyclesPerProbe and counts
+// ProbeFires for every delivery the iterations would have made, lets each
+// probe apply the run once, and always hands the head back to Run, even
+// after no iteration: runHooked steps the head and fires its probes. A loop
+// with any other probe runs without its kernel (the overlay restores its
+// head's micro-op), and runHooked takes no kernel on a probed machine.
 
 // loopKind is which of the three shapes a loop has.
 type loopKind uint8
@@ -148,19 +159,32 @@ func matchLoop(span []Instr) (byteLoop, bool) {
 	return lp, false
 }
 
-// runLoop is runFused's opLoop case: it runs the continuing iterations of
-// the loop whose head micro-op is u, at head, that the data, the pages and
-// the budget allow. runFused's batch (done, cyc) and the body it is in (base)
-// are as fireInPlace gets them. If it runs none it changes nothing and
-// reports false. Otherwise it commits registers, flags, PC (the head) and
-// every instruction retired since runFused's entry, and reports true:
-// runFused returns, and Run steps the head and enters it again. Out of line,
-// so that the block loop's register allocation does not see it.
+// runLoop is runFused's opLoop case: it runs as many continuing iterations
+// of the loop whose head runFused has reached, at head, as the data, the
+// pages and the budget allow. runFused's batch (flags, done, cyc) and the
+// body it is in (base) are as fireInPlace gets them. If it runs none it
+// changes nothing and reports false. Otherwise it commits registers, flags,
+// PC (the head) and every instruction retired since runFused's entry, and
+// reports true: runFused returns, and Run steps the head and enters it again.
+// On a loop whose probes all take a run in one call (loopProbes) it first
+// commits the batch up to the head, so that the probes bound the run on what
+// they would read under Step, and always reports true, since the head's own
+// probes are Run's to fire. Out of line, so that the block loop's register
+// allocation does not see it.
 //
 //go:noinline
-func (m *Machine) runLoop(regs *[NumRegs]uint32, u uint64, base, head int, done, cyc, limit uint64) bool {
-	lp := &m.loops[uint32(u>>32)]
+func (m *Machine) runLoop(regs *[NumRegs]uint32, flags int, base, head int, done, cyc, limit uint64) bool {
+	id := uint32(m.uops[head] >> 32)
+	lp := &m.loops[id]
 	pre := done + uint64(head-base)
+	cyc += m.desc[base]>>descCycShift - m.desc[head]>>descCycShift
+	if int(id) < len(m.loopProbes) && m.loopProbes[id].per != 0 {
+		rec := &m.loopProbes[id]
+		m.Regs, m.Flags = *regs, flags
+		m.commitFused(head, pre, cyc)
+		m.runLoopUnder(lp, rec.hooks, (limit-pre)/uint64(lp.n), rec.per*CyclesPerProbe, rec.per)
+		return true
+	}
 	most := (limit - pre) / uint64(lp.n)
 	if most == 0 {
 		return false
@@ -170,31 +194,76 @@ func (m *Machine) runLoop(regs *[NumRegs]uint32, u uint64, base, head int, done,
 		return false
 	}
 	m.Regs, m.Flags = *regs, flags
-	m.commitFused(head, pre+k*uint64(lp.n), cyc+m.desc[base]>>descCycShift-m.desc[head]>>descCycShift+k*lp.cyc)
+	m.commitFused(head, pre+k*uint64(lp.n), cyc+k*lp.cyc)
 	m.loopRetired += k * uint64(lp.n)
 	return true
 }
 
-// runLoopHooked is runHooked's opLoop case under loopsHooked: it runs the continuing
-// iterations of the loop whose head micro-op is u that the data, the pages,
-// room (the instructions runHooked may still retire) and every LoopHook's
-// bound allow, commits them with what the hooks would have charged — the
-// instruction hook before each instruction, each memory hook at each access
-// — lets the hooks apply their effects, and returns the instructions it
-// retired. If it runs none it changes nothing.
+// loopProbes is a probe overlay's record of a loop whose probes all
+// implement LoopHook (rebuildProbeTables): the distinct probes, each of which
+// bounds a run and applies it once, and how many deliveries one iteration
+// makes (every registration on every index of the span). per is 0 on a loop
+// without probes.
+type loopProbes struct {
+	hooks []LoopHook
+	per   uint64
+}
+
+// probesOn records in rec, which is empty, the probes on lp's span and
+// reports whether every one implements LoopHook; if one does not, rec is
+// left empty.
+func (m *Machine) probesOn(lp *byteLoop, rec *loopProbes) bool {
+	for _, list := range m.probes[lp.head : lp.head+lp.n] {
+		for _, p := range list {
+			h, ok := p.(LoopHook)
+			if !ok {
+				clear(rec.hooks)
+				rec.hooks, rec.per = rec.hooks[:0], 0
+				return false
+			}
+			if rec.per++; !slices.Contains(rec.hooks, h) {
+				rec.hooks = append(rec.hooks, h)
+			}
+		}
+	}
+	return true
+}
+
+// runLoopHooked is runHooked's opLoop case under loopsHooked: it runs the
+// continuing iterations of the loop whose head micro-op is u that the data,
+// the pages, room (the instructions runHooked may still retire) and every
+// LoopHook's bound allow, commits them with what the hooks would have
+// charged — the instruction hook before each instruction, each memory hook
+// at each access — lets the hooks apply their effects, and returns the
+// instructions it retired. If it runs none it changes nothing.
 func (m *Machine) runLoopHooked(u, room uint64) uint64 {
 	lp := &m.loops[uint32(u>>32)]
-	most := room / uint64(lp.n)
+	accesses := uint64(1)
+	if lp.kind == loopCopy {
+		accesses = 2
+	}
+	hookCyc := uint64(lp.n)*m.beforeCyc + accesses*uint64(len(m.tools.mem))*CyclesPerHook
+	return m.runLoopUnder(lp, m.tools.loop, room/uint64(lp.n), hookCyc, 0) * uint64(lp.n)
+}
+
+// runLoopUnder runs, from the machine's committed state, up to most
+// continuing iterations of lp that the data, the pages and every hook's
+// bound allow, commits them — each iteration charged hookCyc on top of its
+// static cost and counted fires times in ProbeFires — lets the hooks apply
+// their effects, and returns how many ran. If it runs none it changes
+// nothing. The ByteLoop the hooks get is the machine's, so that handing it
+// to them allocates nothing.
+func (m *Machine) runLoopUnder(lp *byteLoop, hooks []LoopHook, most, hookCyc, fires uint64) uint64 {
 	if most == 0 {
 		return 0
 	}
-	l := ByteLoop{Copy: lp.kind == loopCopy, Load: lp.head, X: Reg(lp.x), Src: m.Regs[lp.p]}
-	accesses := uint64(1)
+	l := &m.loopArg
+	*l = ByteLoop{Copy: lp.kind == loopCopy, Load: lp.head, X: Reg(lp.x), Src: m.Regs[lp.p]}
 	if l.Copy {
-		l.Dst, accesses = m.Regs[lp.q], 2
+		l.Dst = m.Regs[lp.q]
 	}
-	for _, h := range m.tools.loop {
-		if most = min(most, h.LoopBound(m, &l, most)); most == 0 {
+	for _, h := range hooks {
+		if most = min(most, h.LoopBound(m, l, most)); most == 0 {
 			return 0
 		}
 	}
@@ -205,12 +274,13 @@ func (m *Machine) runLoopHooked(u, room uint64) uint64 {
 	n := k * uint64(lp.n)
 	m.Flags = flags
 	m.instrCount += n
-	m.cycles += k*lp.cyc + n*m.beforeCyc + k*accesses*uint64(len(m.tools.mem))*CyclesPerHook
+	m.cycles += k * (lp.cyc + hookCyc)
+	m.probeFires += k * fires
 	m.loopRetired += n
-	for _, h := range m.tools.loop {
-		h.LoopRan(m, &l, k)
+	for _, h := range hooks {
+		h.LoopRan(m, l, k)
 	}
-	return n
+	return k
 }
 
 // run runs up to most continuing iterations of lp from regs over mem, as

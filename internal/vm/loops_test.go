@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"sweeper/internal/analysis/membug"
@@ -116,6 +117,78 @@ type noLoopShadowInstr struct {
 	LoopBound, LoopRan struct{}
 }
 
+// loopProbe is the test probe of loopTrial's probed trials. Registered on
+// indexes of the trial's loops (spans), it counts its fires per index and,
+// in a loopShadow, the bytes read and written at those of its indexes that
+// are a loadb or a storeb, and raises a violation at its raiseOn-th access to
+// a fence (0: never). As a vm.LoopHook it bounds a run before the first fence
+// one of its accesses would reach — and, with cut set, now and then shorter
+// or to 0 — and applies a run's counts in one call. The reference runs it
+// per instruction, which never asks for a bound.
+type loopProbe struct {
+	*loopShadow
+	spans   [][2]int
+	idxs    map[int]bool
+	fires   map[int]int
+	raiseOn int
+	cut     *rand.Rand
+}
+
+func (p *loopProbe) Name() string { return "t.loop" }
+
+func (p *loopProbe) OnProbe(m *vm.Machine, idx int, in *vm.Instr) {
+	p.fires[idx]++
+	addr, counts := m.Regs[in.Rs]+uint32(in.Imm), p.reads
+	switch in.Op {
+	case vm.OpLoadB:
+	case vm.OpStoreB:
+		addr, counts = m.Regs[in.Rd]+uint32(in.Imm), p.writes
+	default:
+		return
+	}
+	hits := p.hits
+	if p.saw(counts, addr, 1); p.hits > hits && p.hits == p.raiseOn {
+		m.RaiseViolation(&vm.Violation{Kind: vm.ViolationPolicy, Tool: p.Name(), Addr: addr, Detail: "fence"})
+	}
+}
+
+func (p *loopProbe) LoopBound(m *vm.Machine, l *vm.ByteLoop, most uint64) uint64 {
+	if p.idxs[l.Load] {
+		most = min(most, p.room(l.Src))
+	}
+	if l.Copy && p.idxs[l.Load+1] {
+		most = min(most, p.room(l.Dst))
+	}
+	switch p.cut.Intn(5) {
+	case 0:
+		return 0
+	case 1:
+		return min(most, uint64(1+p.cut.Intn(4)))
+	}
+	return most
+}
+
+func (p *loopProbe) LoopRan(m *vm.Machine, l *vm.ByteLoop, k uint64) {
+	for _, s := range p.spans {
+		if s[0] != l.Load {
+			continue
+		}
+		for idx := s[0]; idx < s[1]; idx++ {
+			if p.idxs[idx] {
+				p.fires[idx] += int(k)
+			}
+		}
+	}
+	for i := uint32(0); uint64(i) < k; i++ {
+		if p.idxs[l.Load] {
+			p.reads[l.Src+i]++
+		}
+		if l.Copy && p.idxs[l.Load+1] {
+			p.writes[l.Dst+i]++
+		}
+	}
+}
+
 // loopTools attaches one of loopTrial's tool sets to fast as is and to slow
 // (run on the reference) as per-instruction twins, and returns what compares
 // the two sides' tools at a stop. Kinds: the shadow as a memory hook, the
@@ -123,12 +196,14 @@ type noLoopShadowInstr struct {
 // runs, the memory-bug detector over a heap (its chunks made on a scratch
 // memory, so the guest's bytes stay the string image) with return slots
 // inside it, and the tracker beside a tool without the interface, where no
-// kernel may run.
+// kernel may run. Two more are probe sets: a loopProbe on random indexes of
+// some of the loops (spans), and a loopProbe on every loop beside a probe
+// without the interface, where again no kernel may run.
 //
 // Fences, input runs and return slots go anywhere in the loop region, or
 // near one of ptrs, the addresses the loops start from. alloc is the
 // memory-bug detector's heap (loopHeap).
-func loopTools(t *testing.T, r *rand.Rand, kind string, ptrs []uint32, alloc *heap.Allocator, fast, slow *vm.Machine) func(label string) {
+func loopTools(t *testing.T, r *rand.Rand, kind string, ptrs []uint32, spans [][2]int, alloc *heap.Allocator, fast, slow *vm.Machine) func(label string) {
 	t.Helper()
 	region := func() uint32 {
 		switch r.Intn(4) {
@@ -191,6 +266,55 @@ func loopTools(t *testing.T, r *rand.Rand, kind string, ptrs []uint32, alloc *he
 				t.Errorf("%s: kernels retired %d instructions beside a tool without vm.LoopHook", label, n)
 			}
 		}
+	case "probe", "probe+plain":
+		idxs := map[int]bool{}
+		var plain []int
+		for _, sp := range spans {
+			if kind == "probe" && r.Intn(3) == 0 {
+				continue
+			}
+			idxs[sp[0]+r.Intn(sp[1]-sp[0])] = true
+			idxs[sp[0]] = idxs[sp[0]] || r.Intn(2) == 0
+			idxs[sp[0]+1] = idxs[sp[0]+1] || r.Intn(2) == 0
+			plain = append(plain, sp[0]+r.Intn(sp[1]-sp[0]))
+		}
+		raiseOn := r.Intn(4)
+		newProbe := func(cut *rand.Rand) *loopProbe {
+			return &loopProbe{newLoopShadow(fences), spans, idxs, map[int]int{}, raiseOn, cut}
+		}
+		f, s := newProbe(rand.New(rand.NewSource(r.Int63()))), newProbe(nil)
+		var fastLog, slowLog []probeHit
+		for _, side := range []struct {
+			m   *vm.Machine
+			p   *loopProbe
+			log *[]probeHit
+		}{{fast, f, &fastLog}, {slow, s, &slowLog}} {
+			for idx, on := range idxs {
+				if on {
+					if err := side.m.AddProbe(idx, side.p); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if kind == "probe+plain" {
+				for _, idx := range plain {
+					if err := side.m.AddProbe(idx, stateProbe{"t.plain", side.log, new(int), 0}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		k0 := fast.LoopRetired()
+		return func(label string) {
+			diffShadow(label, f.loopShadow, s.loopShadow)
+			if !maps.Equal(f.fires, s.fires) {
+				t.Errorf("%s: loop probe fires fast=%v slow=%v", label, f.fires, s.fires)
+			}
+			diffSeq(t, label+" plain probe", fastLog, slowLog)
+			if n := fast.LoopRetired() - k0; kind == "probe+plain" && n != 0 {
+				t.Errorf("%s: kernels retired %d instructions beside a probe without vm.LoopHook", label, n)
+			}
+		}
 	case "membug":
 		p := &proc.Process{Alloc: alloc}
 		f, s := membug.New(p, true), membug.New(p, true)
@@ -207,7 +331,7 @@ func loopTools(t *testing.T, r *rand.Rand, kind string, ptrs []uint32, alloc *he
 }
 
 // loopToolKinds are loopTools' kinds.
-var loopToolKinds = []string{"shadow", "shadow+instr", "taint", "taint+plain", "membug"}
+var loopToolKinds = []string{"shadow", "shadow+instr", "taint", "taint+plain", "membug", "probe", "probe+plain"}
 
 // loopHeap is the memory-bug detector's heap in a loop trial: pages 1-4 of
 // the loop region (page 0 lies below it, page 5 above), its chunks made on a
@@ -382,7 +506,7 @@ func loopTrial(t *testing.T, seed int64, tools string) uint64 {
 		}
 		m.Mem.Snapshot() // every page frozen: the first store to each copies it
 	}
-	diffTools := loopTools(t, tr, tools, ptrs, alloc, pp.fast, pp.slow)
+	diffTools := loopTools(t, tr, tools, ptrs, spans, alloc, pp.fast, pp.slow)
 	probe := func() {
 		s := spans[r.Intn(len(spans))]
 		pp.probe(t, fmt.Sprintf("p%d", r.Intn(3)), s[0]+r.Intn(s[1]-s[0]), 0)
@@ -446,7 +570,7 @@ func TestLoopKernelsDifferential(t *testing.T) {
 			t.Run(fmt.Sprintf("tools=%s/trial=%d", tools, trial), func(t *testing.T) { retired += loopTrial(t, seed, tools) })
 		}
 		t.Logf("under %s: kernels retired %d instructions", tools, retired)
-		if (retired == 0) != (tools == "taint+plain") {
+		if (retired == 0) != strings.HasSuffix(tools, "+plain") {
 			t.Errorf("under %s: kernels retired %d instructions", tools, retired)
 		}
 	}
@@ -519,14 +643,16 @@ func TestLoopKernelCoverage(t *testing.T) {
 	}
 }
 
-// TestLoopKernelsStayOffProbedLoops puts the real squid final antibody — made
+// TestLoopKernelsRunUnderProbes puts the real squid final antibody — made
 // from the exploit after four benign requests, as a serving guest meets it —
-// on a guest: every loop with a probe at any of its indexes (strlen, both
-// strcat loops and strchr) must have its kernel off, the other (strcpy) on.
-// Served beside a plain twin, the HTTP request, whose only loop is strlen,
-// retires nothing by kernels inoculated, and the FTP and heavy requests only
-// what strcpy's kernel retires, less than on the plain guest.
-func TestLoopKernelsStayOffProbedLoops(t *testing.T) {
+// on a guest. Its heap-bounds and taint-guard probes sit in four of the five
+// loops (strlen, both strcat loops and strchr) and take a run in one call
+// (vm.LoopHook), so every kernel stays armed, and served beside a plain twin
+// the HTTP, FTP and heavy requests retire exactly as many instructions, and
+// as many by kernels, inoculated as plain. A probe without the interface
+// beside them on strlen, the HTTP request's only loop, turns that kernel off:
+// the request then retires nothing by kernels.
+func TestLoopKernelsRunUnderProbes(t *testing.T) {
 	spec := apps.Squid()
 	cfg := core.DefaultConfig()
 	cfg.ASLRSeed = 5151
@@ -556,35 +682,50 @@ func TestLoopKernelsStayOffProbedLoops(t *testing.T) {
 	if _, err := s.Attacks()[0].FinalAntibody.Apply(guests[1], nil); err != nil {
 		t.Fatal(err)
 	}
-	heads, armed, probed := guests[1].Machine.LoopKernels()
-	var nProbed int
+	m := guests[1].Machine
+	heads, armed, probed := m.LoopKernels()
+	strlen, nProbed := -1, 0
 	for i, head := range heads {
-		t.Logf("loop at %d (%s): probed=%v kernel=%v", head, guests[1].Machine.SymbolAt(head), probed[i], armed[i])
-		if armed[i] == probed[i] {
-			t.Errorf("loop at %d: probed=%v but kernel=%v", head, probed[i], armed[i])
+		t.Logf("loop at %d (%s): probed=%v kernel=%v", head, m.SymbolAt(head), probed[i], armed[i])
+		if !armed[i] {
+			t.Errorf("loop at %d: kernel off", head)
 		}
 		if probed[i] {
 			nProbed++
 		}
+		if m.SymbolAt(head) == "strlen" {
+			strlen = i
+		}
 	}
-	if nProbed != 4 || len(heads) != 5 {
-		t.Errorf("%d of %d loops probed, want 4 of 5", nProbed, len(heads))
+	if nProbed != 4 || len(heads) != 5 || strlen < 0 || !probed[strlen] {
+		t.Fatalf("%d of %d loops probed, want 4 of 5, strlen among them", nProbed, len(heads))
 	}
 	http, ftp, heavy := squidRequests()
+	serve := func(name string, payload []byte) (plain, inoculated uint64) {
+		instrs, plain := serveCounting(t, guests[0], ins[0], payload)
+		probedInstrs, inoculated := serveCounting(t, guests[1], ins[1], payload)
+		t.Logf("%s: %d instructions, kernels retired %d plain, %d inoculated", name, instrs, plain, inoculated)
+		if probedInstrs != instrs {
+			t.Errorf("%s: %d instructions inoculated, %d plain", name, probedInstrs, instrs)
+		}
+		return plain, inoculated
+	}
 	for _, c := range []struct {
 		name    string
 		payload []byte
 	}{{"http", http}, {"ftp", ftp}, {"heavy", heavy}} {
-		_, plain := serveCounting(t, guests[0], ins[0], c.payload)
-		_, inoculated := serveCounting(t, guests[1], ins[1], c.payload)
-		t.Logf("%s: kernels retired %d instructions plain, %d inoculated", c.name, plain, inoculated)
-		switch {
-		case plain == 0:
-			t.Errorf("%s: no kernel ran on the plain guest", c.name)
-		case c.name == "http" && inoculated != 0:
-			t.Errorf("%s: kernels retired %d instructions in probed loops", c.name, inoculated)
-		case c.name != "http" && (inoculated == 0 || inoculated >= plain):
-			t.Errorf("%s: kernels retired %d instructions inoculated, want some (strcpy) and fewer than plain's %d", c.name, inoculated, plain)
+		if plain, inoculated := serve(c.name, c.payload); plain == 0 || inoculated != plain {
+			t.Errorf("%s: kernels retired %d instructions inoculated, want the plain guest's %d (> 0)", c.name, inoculated, plain)
 		}
+	}
+	var log []probeHit
+	if err := m.AddProbe(heads[strlen]+2, stateProbe{"t.plain", &log, new(int), 0}); err != nil {
+		t.Fatal(err)
+	}
+	if _, armed, _ := m.LoopKernels(); armed[strlen] {
+		t.Error("strlen's kernel armed beside a probe without vm.LoopHook")
+	}
+	if _, inoculated := serve("http beside a plain probe", http); inoculated != 0 || len(log) == 0 {
+		t.Errorf("kernels retired %d instructions beside a probe without vm.LoopHook (%d plain fires)", inoculated, len(log))
 	}
 }

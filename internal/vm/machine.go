@@ -66,6 +66,16 @@ type SyscallHandler interface {
 // adds or removes probes or tools. Its own state (a side stack, shadow
 // taint) is its business. That is what lets the fused loop deliver probes in
 // the middle of a block and carry on without reloading anything.
+//
+// A probe may also implement LoopHook. When every probe on a recognised byte
+// loop does, the fused engine runs the loop's kernel under them: it commits
+// its state up to the loop's head, bounds the run by each probe, charges
+// CyclesPerProbe and counts ProbeFires for every delivery the iterations
+// would have made, calls each probe's LoopRan once, and then executes the
+// head one instruction at a time, firing its probes. Implementing it is a
+// promise that OnProbe, at any of the probe's indexes in the loop during the
+// iterations LoopBound allowed, would have raised nothing and changed
+// nothing of the probe's own state that LoopRan does not change alike.
 type Probe interface {
 	Name() string
 	OnProbe(m *Machine, idx int, in *Instr)
@@ -156,6 +166,11 @@ type Machine struct {
 	// loopsHooked is whether runHooked runs a loop head's kernel: the tools
 	// all take its iterations in one call (refreshDispatch).
 	loopsHooked bool
+	// loopProbes, on a probed machine, holds per loop of loops the probes
+	// runLoop runs it under (rebuildProbeTables); loopArg is the ByteLoop
+	// handed to LoopHooks.
+	loopProbes []loopProbes
+	loopArg    ByteLoop
 
 	sys SyscallHandler
 

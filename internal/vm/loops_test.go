@@ -643,16 +643,14 @@ func TestLoopKernelCoverage(t *testing.T) {
 	}
 }
 
-// TestLoopKernelsRunUnderProbes puts the real squid final antibody — made
-// from the exploit after four benign requests, as a serving guest meets it —
-// on a guest. Its heap-bounds and taint-guard probes sit in four of the five
-// loops (strlen, both strcat loops and strchr) and take a run in one call
-// (vm.LoopHook), so every kernel stays armed, and served beside a plain twin
-// the HTTP, FTP and heavy requests retire exactly as many instructions, and
-// as many by kernels, inoculated as plain. A probe without the interface
-// beside them on strlen, the HTTP request's only loop, turns that kernel off:
-// the request then retires nothing by kernels.
-func TestLoopKernelsRunUnderProbes(t *testing.T) {
+// inoculatedSquid returns two squid guests on one layout, each with its
+// proxy: guests[0] plain and guests[1] under the real squid final antibody,
+// made from the exploit after four benign requests as a serving guest meets
+// it. Its heap-bounds and taint-guard probes sit in four of the five loops
+// (strlen, both strcat loops and strchr) and take a run in one call
+// (vm.LoopHook).
+func inoculatedSquid(t *testing.T) (guests [2]*proc.Process, ins [2]*netproxy.Proxy) {
+	t.Helper()
 	spec := apps.Squid()
 	cfg := core.DefaultConfig()
 	cfg.ASLRSeed = 5151
@@ -671,8 +669,6 @@ func TestLoopKernelsRunUnderProbes(t *testing.T) {
 	if len(s.Attacks()) != 1 || s.Attacks()[0].FinalAntibody == nil {
 		t.Fatal("the producer made no final antibody")
 	}
-	var guests [2]*proc.Process
-	var ins [2]*netproxy.Proxy
 	for i := range guests {
 		ins[i] = netproxy.New()
 		if guests[i], err = proc.New(spec.Name, spec.Image, s.Layout(), ins[i], spec.Options); err != nil {
@@ -682,9 +678,32 @@ func TestLoopKernelsRunUnderProbes(t *testing.T) {
 	if _, err := s.Attacks()[0].FinalAntibody.Apply(guests[1], nil); err != nil {
 		t.Fatal(err)
 	}
+	return guests, ins
+}
+
+// serveTwins serves one request on both of inoculatedSquid's guests, fails
+// the test unless they retire as many instructions, and returns how many the
+// kernels retired on each.
+func serveTwins(t *testing.T, guests [2]*proc.Process, ins [2]*netproxy.Proxy, name string, payload []byte) (plain, inoculated uint64) {
+	t.Helper()
+	instrs, plain := serveCounting(t, guests[0], ins[0], payload)
+	probedInstrs, inoculated := serveCounting(t, guests[1], ins[1], payload)
+	t.Logf("%s: %d instructions, kernels retired %d plain, %d inoculated", name, instrs, plain, inoculated)
+	if probedInstrs != instrs {
+		t.Errorf("%s: %d instructions inoculated, %d plain", name, probedInstrs, instrs)
+	}
+	return plain, inoculated
+}
+
+// TestLoopKernelsRunUnderProbes serves the HTTP, FTP and heavy requests on
+// inoculatedSquid's guests. The antibody's probes all take a run in one call,
+// so every kernel stays armed, and each request retires exactly as many
+// instructions, and as many by kernels, inoculated as plain.
+func TestLoopKernelsRunUnderProbes(t *testing.T) {
+	guests, ins := inoculatedSquid(t)
 	m := guests[1].Machine
 	heads, armed, probed := m.LoopKernels()
-	strlen, nProbed := -1, 0
+	nProbed := 0
 	for i, head := range heads {
 		t.Logf("loop at %d (%s): probed=%v kernel=%v", head, m.SymbolAt(head), probed[i], armed[i])
 		if !armed[i] {
@@ -693,39 +712,70 @@ func TestLoopKernelsRunUnderProbes(t *testing.T) {
 		if probed[i] {
 			nProbed++
 		}
-		if m.SymbolAt(head) == "strlen" {
-			strlen = i
-		}
 	}
-	if nProbed != 4 || len(heads) != 5 || strlen < 0 || !probed[strlen] {
-		t.Fatalf("%d of %d loops probed, want 4 of 5, strlen among them", nProbed, len(heads))
+	if nProbed != 4 || len(heads) != 5 {
+		t.Fatalf("%d of %d loops probed, want 4 of 5", nProbed, len(heads))
 	}
 	http, ftp, heavy := squidRequests()
-	serve := func(name string, payload []byte) (plain, inoculated uint64) {
-		instrs, plain := serveCounting(t, guests[0], ins[0], payload)
-		probedInstrs, inoculated := serveCounting(t, guests[1], ins[1], payload)
-		t.Logf("%s: %d instructions, kernels retired %d plain, %d inoculated", name, instrs, plain, inoculated)
-		if probedInstrs != instrs {
-			t.Errorf("%s: %d instructions inoculated, %d plain", name, probedInstrs, instrs)
-		}
-		return plain, inoculated
-	}
 	for _, c := range []struct {
 		name    string
 		payload []byte
 	}{{"http", http}, {"ftp", ftp}, {"heavy", heavy}} {
-		if plain, inoculated := serve(c.name, c.payload); plain == 0 || inoculated != plain {
+		if plain, inoculated := serveTwins(t, guests, ins, c.name, c.payload); plain == 0 || inoculated != plain {
 			t.Errorf("%s: kernels retired %d instructions inoculated, want the plain guest's %d (> 0)", c.name, inoculated, plain)
 		}
 	}
+}
+
+// TestLoopKernelsStayOffProbedLoops adds, on the inoculated guest of
+// inoculatedSquid, a probe without vm.LoopHook beside the antibody's in each
+// of the four probed loops. Those four kernels turn off and only strcpy's
+// stays armed: the HTTP request, whose only loop is strlen, then retires
+// nothing by kernels, and the FTP and heavy requests retire some (strcpy)
+// but fewer than the plain guest — each with exactly the plain guest's
+// instructions, and the added probes firing.
+func TestLoopKernelsStayOffProbedLoops(t *testing.T) {
+	guests, ins := inoculatedSquid(t)
+	m := guests[1].Machine
 	var log []probeHit
-	if err := m.AddProbe(heads[strlen]+2, stateProbe{"t.plain", &log, new(int), 0}); err != nil {
-		t.Fatal(err)
+	heads, _, probed := m.LoopKernels()
+	for i, head := range heads {
+		if probed[i] {
+			if err := m.AddProbe(head+2, stateProbe{"t.plain", &log, new(int), 0}); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if _, armed, _ := m.LoopKernels(); armed[strlen] {
-		t.Error("strlen's kernel armed beside a probe without vm.LoopHook")
+	heads, armed, probed := m.LoopKernels()
+	nProbed := 0
+	for i, head := range heads {
+		t.Logf("loop at %d (%s): probed=%v kernel=%v", head, m.SymbolAt(head), probed[i], armed[i])
+		if armed[i] == probed[i] {
+			t.Errorf("loop at %d: probed=%v but kernel=%v", head, probed[i], armed[i])
+		}
+		if probed[i] {
+			nProbed++
+		}
 	}
-	if _, inoculated := serve("http beside a plain probe", http); inoculated != 0 || len(log) == 0 {
-		t.Errorf("kernels retired %d instructions beside a probe without vm.LoopHook (%d plain fires)", inoculated, len(log))
+	if nProbed != 4 || len(heads) != 5 {
+		t.Errorf("%d of %d loops probed, want 4 of 5", nProbed, len(heads))
+	}
+	http, ftp, heavy := squidRequests()
+	for _, c := range []struct {
+		name    string
+		payload []byte
+	}{{"http", http}, {"ftp", ftp}, {"heavy", heavy}} {
+		fires := len(log)
+		plain, inoculated := serveTwins(t, guests, ins, c.name, c.payload)
+		switch {
+		case plain == 0:
+			t.Errorf("%s: no kernel ran on the plain guest", c.name)
+		case len(log) == fires:
+			t.Errorf("%s: the probes without vm.LoopHook never fired", c.name)
+		case c.name == "http" && inoculated != 0:
+			t.Errorf("%s: kernels retired %d instructions in probed loops", c.name, inoculated)
+		case c.name != "http" && (inoculated == 0 || inoculated >= plain):
+			t.Errorf("%s: kernels retired %d instructions inoculated, want some (strcpy) and fewer than plain's %d", c.name, inoculated, plain)
+		}
 	}
 }

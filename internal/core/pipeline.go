@@ -230,6 +230,7 @@ func (r *pipelineRun) finishDeferredAsync(report *AttackReport, t0 time.Time) {
 			report.recordAnalyzer(ar)
 		}
 		seal()
+		r.s.leaveDeferred()
 		report.finishPart()
 	})
 	if !enqueued {

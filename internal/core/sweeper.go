@@ -115,12 +115,12 @@ type Sweeper struct {
 	pool      *proc.ClonePool
 
 	// The deferred analysis tier of every attack runs on one worker
-	// goroutine fed by a bounded queue (deferredQueueDepth). The worker
-	// is started on demand and exits once the queue drains, so an idle
-	// Sweeper holds no goroutine.
+	// goroutine fed by a bounded queue (deferredQueueDepth), started on
+	// demand and gone once the queue drains: an idle Sweeper holds none.
 	deferredMu      sync.Mutex
 	deferredCh      chan func()
 	deferredWorking bool
+	deferredLeft    bool // the running job left deferredDepth (leaveDeferred)
 	deferredDepth   atomic.Int32
 	deferredDropped atomic.Int64
 
@@ -257,51 +257,50 @@ func (s *Sweeper) sandbox(snap *proc.Snapshot) (*analysis.Sandbox, error) {
 // backpressure case); what that costs is the caller's to decide and count.
 func (s *Sweeper) enqueueDeferred(job func()) bool {
 	s.deferredMu.Lock()
+	defer s.deferredMu.Unlock()
 	if s.deferredCh == nil {
 		s.deferredCh = make(chan func(), deferredQueueDepth)
 	}
-	// Raise the gauge before the job becomes visible so a worker finishing
-	// it can never drive the backlog reading negative.
-	s.deferredDepth.Add(1)
 	select {
 	case s.deferredCh <- job:
-		if !s.deferredWorking {
-			s.deferredWorking = true
-			go s.deferredWorker()
+	default:
+		return false
+	}
+	s.deferredDepth.Add(1)
+	if !s.deferredWorking {
+		s.deferredWorking = true
+		go s.deferredWorker()
+	}
+	return true
+}
+
+// deferredWorker drains the deferred queue and exits when it is empty. It
+// takes each job under deferredMu, so a racing enqueue either sees a working
+// worker or finds the queue already drained, and a job is on the backlog
+// gauge before the worker can take it; it leaves when it returns.
+func (s *Sweeper) deferredWorker() {
+	for {
+		var j func()
+		s.deferredMu.Lock()
+		select {
+		case j = <-s.deferredCh:
+		default:
+			s.deferredWorking = false
 		}
 		s.deferredMu.Unlock()
-		return true
-	default:
-		s.deferredDepth.Add(-1)
-		s.deferredMu.Unlock()
-		return false
+		if j == nil {
+			return
+		}
+		s.deferredLeft = false
+		if j(); !s.deferredLeft {
+			s.deferredDepth.Add(-1)
+		}
 	}
 }
 
-// deferredWorker drains the deferred queue and exits when it is empty; the
-// exit decision is re-checked under deferredMu so a racing enqueue either
-// sees a working worker or finds the queue already drained.
-func (s *Sweeper) deferredWorker() {
-	for {
-		select {
-		case j := <-s.deferredCh:
-			j()
-			s.deferredDepth.Add(-1)
-		default:
-			s.deferredMu.Lock()
-			select {
-			case j := <-s.deferredCh:
-				s.deferredMu.Unlock()
-				j()
-				s.deferredDepth.Add(-1)
-			default:
-				s.deferredWorking = false
-				s.deferredMu.Unlock()
-				return
-			}
-		}
-	}
-}
+// leaveDeferred takes the running job off the backlog gauge early: a job
+// calls it before it signals its end, so the gauge reads 0 once all are done.
+func (s *Sweeper) leaveDeferred() { s.deferredDepth.Add(-1); s.deferredLeft = true }
 
 // DeferredBacklog returns how many jobs — attacks' deferred analysis runs and
 // adoptions' regenerations — are queued or in flight on the deferred worker.

@@ -1,6 +1,9 @@
 package vm
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"slices"
+)
 
 // Decoded basic-block dispatch.
 //
@@ -27,39 +30,23 @@ import "encoding/binary"
 // Attached instr/mem tools disable the fused loop wholesale (fastDispatch), so
 // it never serves a mem hook.
 // Registered probes do not, and they cut no block short: a machine with
-// probes runs a copy of the micro-ops (the probe overlay, rebuilt lazily when
-// its probe set changes) in which every probed index carries the synthetic
-// opProbe. The loop enters and chains blocks exactly as on an unprobed
-// machine; reaching opProbe, in a body or as a terminator, it commits its
-// batched state, fires that index's probes in place and executes the
-// original micro-op. A probe only observes (see Probe), so the pass then
-// simply continues (fireInPlace). What the loop cannot express goes, one instruction at a
-// time, through the hook-calling engine (runHooked, blocks_tooled.go):
+// probes runs an overlay of the micro-ops (rebuildOverlay) in which every
+// probed index carries the synthetic opProbe. The loop enters and chains
+// blocks exactly as on an unprobed machine; reaching opProbe, in a body or
+// as a terminator, it commits its batched state, fires that index's probes in
+// place and executes the original micro-op. A probe only observes (see
+// Probe), so the pass then simply continues (fireInPlace). What the loop
+// cannot express goes, one instruction at a time, through the hook-calling
+// engine (runHooked, blocks_tooled.go), which runs the same micro-ops:
 // syscalls, halts, illegal opcodes, call/ret under call hooks, and the first
-// half of a fused pair that the budget splits; runHooked fires those
-// instructions' probes itself. Faults and budget exhaustion inside a run flush
-// partial accounting so that every observable quantity — Cycles(),
-// InstrCount(), ProbeFires(), PC, StopInfo, probe firing order — is
+// half of a fused pair that the budget splits. Faults and budget exhaustion
+// inside a run flush partial accounting so that every observable quantity —
+// Cycles(), InstrCount(), ProbeFires(), PC, StopInfo, probe firing order — is
 // bit-identical to that engine's, and to the tests' reference interpreter's,
 // at every stop point.
 //
-// Loop kernels (loops.go): the head of each recognised byte loop — a NUL or
-// K scan, a character scan, a copy until NUL — carries the synthetic opLoop,
-// and the body loop hands it to runLoop, which runs the loop's continuing
-// iterations natively, as many as the data, the mapped pages and the budget
-// allow, and commits them; runFused then returns, and Run steps the head and
-// enters it again after it. That makes runLoop a third spelling of what
-// loadb, storeb, cmp, cmpi, addi and jz do, beside this loop and runHooked's
-// and the reference's. It is accepted because it is narrow —
-// one operand shape per loop, continuing iterations only; the leaving
-// iteration, a fault and a budget split stay this loop's — and it is guarded
-// the same way: the VM differentials compare it with the reference at every
-// stop, and FuzzLoopKernels aims at its edges (pages, copy-on-write,
-// overlapping copies, probes, budgets, and tools, under which runHooked runs
-// the kernels: runLoopHooked). A loop whose probes all take a run in one
-// call (LoopHook) keeps its kernel, which commits the batch up to the head
-// before the probes bound the run and always hands the head back, so that
-// Step fires its probes; a loop with any other probe runs without it.
+// Loop heads carry the synthetic opLoop; when and under what a head's kernel
+// runs, and what it charges: loops.go's header.
 
 // Block descriptors. desc[i] describes the block a jump to index i enters
 // (every index is a legal entry, since indirect jumps can land anywhere):
@@ -87,15 +74,22 @@ const (
 // (relocated) immediate in bits 32-63. Bits 24-31 are free: an opProbe or
 // opLoop micro-op keeps there the opcode of the micro-op it stands for, whose
 // other fields it carries unchanged (opLoop's immediate aside, see loopUop).
+// Every illegal opcode packs as opIllegal, so that none reads as a synthetic
+// one.
 const (
 	uopOpMask    = 0xff
 	uopRdShift   = 8
 	uopRsShift   = 16
 	uopOrigShift = 24
+	opIllegal    = Op(uopOpMask)
 )
 
 func packUop(in Instr) uint64 {
-	return uint64(in.Op) |
+	op := in.Op
+	if op >= numOps {
+		op = opIllegal
+	}
+	return uint64(op) |
 		uint64(in.Rd)<<uopRdShift |
 		uint64(in.Rs)<<uopRsShift |
 		uint64(uint32(in.Imm))<<32
@@ -113,24 +107,22 @@ func packUop(in Instr) uint64 {
 // the executor reads the second half's operands from uops[pc+1]. That keeps
 // every instruction index a valid entry point: a jump landing on the second
 // half executes the untouched original micro-op, and a budget clamp that
-// would split a pair ends the body before it. Fused pairs and opProbe live
-// only in the micro-ops runFused runs — Program.Code, the hook-calling engine
-// and the block map never see them; opLoop marks the plain encoding's loop
-// heads too (loops.go).
+// would split a pair ends the body before it. The hook-calling engine runs
+// every marked micro-op — a fused pair, opProbe, opLoop, opIllegal — as the
+// instruction Program.Code names at its index, on the micro-op's own
+// operands: a pair's first half alone.
 // The synthetic opcodes sit directly after the real ones so the dispatch
 // switch still compiles to one compact jump table.
 const (
 	fuseAddIAddI   Op = numOps + iota // addi ; addi
 	fuseLoadBCmpI                     // loadb ; cmpi
 	fuseStoreBAddI                    // storeb ; addi
-	// opProbe marks a probed index in a probe overlay (rebuildProbeTables):
+	// opProbe marks a probed index in a probe overlay (rebuildOverlay):
 	// fire its probes, then execute the micro-op it stands for (see
 	// uopOrigShift), which may be the first half of a fused pair.
 	opProbe
 	// opLoop marks the head of a recognised byte loop (loops.go): run its
-	// iterations in one step, then, if it ran none, the micro-op it stands
-	// for. A probe overlay carries it on a probed loop only when every
-	// probe there takes a run in one call (LoopHook).
+	// kernel, then the micro-op it stands for.
 	opLoop
 )
 
@@ -157,31 +149,23 @@ func fusePair(a, b Op) (Op, bool) {
 	return 0, false
 }
 
-// packUops encodes relocated code into packed micro-ops, plain and with
-// macro-op fusion applied (the same slice when nothing fuses). A pair must lie
-// inside one straight-line run (a body length of at least 2 in desc[i]
-// guarantees i and i+1 are both fusible body ops). Every pair weighs the same,
-// so one right-to-left scan picks a largest set of non-overlapping pairs:
-// (i, i+1) fuses unless i+1 already starts a pair. addi;addi;addi thus fuses
-// its last two.
-func packUops(code []Instr, desc []uint64) (uops, plain []uint64) {
-	n := len(code)
-	plain = make([]uint64, n)
+// packUops encodes relocated code into packed micro-ops with macro-op fusion
+// applied. A pair must lie inside one straight-line run (a body length of at
+// least 2 in desc[i] guarantees i and i+1 are both fusible body ops). Every
+// pair weighs the same, so one right-to-left scan picks a largest set of
+// non-overlapping pairs: (i, i+1) fuses unless i+1 already starts a pair.
+// addi;addi;addi thus fuses its last two.
+func packUops(code []Instr, desc []uint64) []uint64 {
+	uops := make([]uint64, len(code))
 	for i, in := range code {
-		plain[i] = packUop(in)
+		uops[i] = packUop(in)
 	}
-	uops = plain
-	for i := n - 2; i >= 0; i-- {
-		f, ok := fusePair(code[i].Op, code[i+1].Op)
-		if !ok || uint32(desc[i]) < 2 || Op(uops[i+1]&uopOpMask) >= numOps {
-			continue
+	for i := len(code) - 2; i >= 0; i-- {
+		if f, ok := fusePair(code[i].Op, code[i+1].Op); ok && uint32(desc[i]) >= 2 && Op(uops[i+1]&uopOpMask) < numOps {
+			uops[i] = uops[i]&^uopOpMask | uint64(f)
 		}
-		if &uops[0] == &plain[0] {
-			uops = append([]uint64(nil), plain...)
-		}
-		uops[i] = uops[i]&^uopOpMask | uint64(f)
 	}
-	return uops, plain
+	return uops
 }
 
 // invalidPN is the page-number sentinel for an empty local TLB mirror. Guest
@@ -218,51 +202,49 @@ func buildBlocks(code []Instr) []uint64 {
 	return desc
 }
 
-// rebuildProbeTables points m.uops at the micro-ops runFused is to run for
-// the current probe set: the image's own when there are no probes, otherwise
-// the probe overlay. Its micro-ops are the image's with every probed index
-// marked opProbe, save the head of a loop whose probes all take a run of
-// iterations in one call (LoopHook): that head keeps opLoop, and
-// m.loopProbes records the loop's probes for runLoop, which bounds the run by
-// them, charges their deliveries and hands the head, whose probes fire under
-// Step, back to Run. A loop with any other probe on its span runs without
-// its kernel (its head gets its own micro-op back: a kernel would retire the
-// probed instruction without firing it). No fused pair straddles a probed
-// index: a pair whose second half is probed runs as its two plain halves,
-// since that half's probes fire between them. (A pair whose first half is
-// probed stays fused: its probes fire before the pair, as before the first
-// half.) The descriptors are the image's: a probe cuts no block. The buffers
-// are the machine's and are reused, so installing or removing a whole
-// antibody's probes costs one O(code) copy on the next entry.
-func (m *Machine) rebuildProbeTables() {
-	m.probesDirty = false
-	m.uops = m.imageUops
-	for i := range m.loopProbes {
-		clear(m.loopProbes[i].hooks)
-		m.loopProbes[i] = loopProbes{hooks: m.loopProbes[i].hooks[:0]}
+// rebuildOverlay points m.uops at the micro-ops both engines are to run
+// under the current tools and probes, and records what watches each loop's
+// kernel (watch). They are the image's own unless a probe is registered or a
+// kernel is off; then they are the overlay, the image's copied into the
+// machine's buffer with three changes. A loop whose kernel is off gets its
+// head's own micro-op back. A pair whose second half is probed runs as its
+// two halves, since that half's probes fire between them (a pair whose first
+// half is probed stays fused: its probes fire before the pair, as before the
+// first half). And every probed index carries opProbe, save a head that
+// keeps opLoop, whose probes fire when the head runs after its kernel. The
+// descriptors are the image's: a probe cuts no block. The buffer is reused,
+// so installing or removing a whole antibody's probes costs one O(code)
+// copy on the next entry.
+func (m *Machine) rebuildOverlay() {
+	m.overlayDirty = false
+	m.watches = slices.Grow(m.watches[:0], len(m.loops))[:len(m.loops)]
+	overlay := m.probeCount > 0
+	for id := range m.loops {
+		m.watch(id)
+		overlay = overlay || !m.watches[id].armed
 	}
-	m.loopProbes = m.loopProbes[:0]
-	if m.probeCount == 0 {
+	m.uops = m.imageUops
+	if !overlay {
 		return
 	}
 	n := len(m.code)
-	if len(m.probeUops) != n {
-		m.probeUops = make([]uint64, n)
+	if len(m.overlay) != n {
+		m.overlay = make([]uint64, n)
 	}
-	u := m.probeUops
+	u := m.overlay
 	copy(u, m.imageUops)
-	for i := 1; i < n; i++ {
-		if len(m.probes[i]) > 0 && Op(u[i-1]&uopOpMask) >= numOps {
-			u[i-1] = m.uopsPlain[i-1] // the pair (i-1, i), a loop head still
+	for id, w := range m.watches {
+		if h := m.loops[id].head; !w.armed {
+			u[h] = unloopUop(u[h])
 		}
 	}
-	if cap(m.loopProbes) < len(m.loops) {
-		m.loopProbes = make([]loopProbes, len(m.loops))
-	}
-	m.loopProbes = m.loopProbes[:len(m.loops)]
-	for id := range m.loops {
-		if lp := &m.loops[id]; !m.probesOn(lp, &m.loopProbes[id]) {
-			u[lp.head] = unloopUop(u[lp.head])
+	for i := 1; i < n; i++ {
+		if op := m.code[i-1].Op; len(m.probes[i]) > 0 && op < numOps {
+			s := 0 // the byte u[i-1] keeps the opcode it runs in
+			if Op(u[i-1]&uopOpMask) == opLoop {
+				s = uopOrigShift
+			}
+			u[i-1] = u[i-1]&^(uopOpMask<<s) | uint64(op)<<s
 		}
 	}
 	for i, list := range m.probes {
@@ -339,9 +321,9 @@ func tlbLocals(mem *Memory) (rp *page, rpn uint32, wp *page, wpn uint32) {
 // instructions, the guest stops, or it reaches an instruction only runHooked
 // can execute (syscall, halt, illegal opcode, call/ret with call hooks
 // attached, a split fused pair) or a loop head whose kernel has just run or
-// whose probes are Run's to fire; in the last two cases it returns a nil
-// stop and Run gives runHooked that one instruction, probes included. What
-// it retired is what InstrCount() grew by, for Run's budget bookkeeping.
+// whose probes are Run's to fire; then it returns a nil stop and Run gives
+// runHooked that one instruction, probes included. What it retired is what
+// InstrCount() grew by, for Run's budget bookkeeping.
 //
 // The loop mirrors runHooked's observable semantics exactly (where its
 // comments say Step, read: runHooked with a limit of one): the same cycle
@@ -354,9 +336,9 @@ func (m *Machine) runFused(limit uint64) *StopInfo {
 	var done, cyc uint64
 	// Probes change only between entries (hooks and syscalls run under Step,
 	// and a probe never adds or removes one), so the overlay is loop-invariant
-	// here. It is rebuilt lazily: probe mutations just mark it dirty.
-	if m.probesDirty {
-		m.rebuildProbeTables()
+	// here. It is rebuilt lazily: tool and probe changes just mark it dirty.
+	if m.overlayDirty {
+		m.rebuildOverlay()
 	}
 	var (
 		uops  = m.uops
@@ -383,11 +365,10 @@ func (m *Machine) runFused(limit uint64) *StopInfo {
 		if rem := limit - done; rem <= uint64(uint32(d)) {
 			// The clamp may land between the halves of a fused pair. Rather
 			// than split the pair in the body loop, shorten the body by one
-			// and let Run's Step fallback execute the pair's first half from
-			// the original (unfused) code — the fused cases below can then
-			// assume every pair they dispatch is whole. Observables are
-			// unchanged: the stop still lands on exactly the same
-			// instruction. A single decrement suffices, because the
+			// and let Run's Step fallback execute the pair's first half
+			// alone — the fused cases below can then assume every pair
+			// they dispatch is whole. Observables are unchanged: the stop
+			// still lands on exactly the same instruction. A single decrement suffices, because the
 			// instruction before a pair's first half is never itself a pair's
 			// first half. (A probed index there is left to Step as well, which
 			// fires its probes.)
@@ -428,10 +409,10 @@ func (m *Machine) runFused(limit uint64) *StopInfo {
 				// compare for every other micro-op.)
 				if op == opLoop {
 					// A loop head: if its kernel ran iterations, or the
-					// loop is probed, it has committed everything up to
-					// the head, and Run steps the head (firing its probes)
-					// and enters again after it. Otherwise the head's own
-					// micro-op runs here, as below.
+					// head is probed, runLoop has committed everything up
+					// to the head, and Run steps the head (firing its
+					// probes) and enters again after it. Otherwise the
+					// head's own micro-op runs here, as below.
 					if m.runLoop(&regs, flags, base, pc, done, cyc, limit) {
 						return nil
 					}
@@ -450,12 +431,12 @@ func (m *Machine) runFused(limit uint64) *StopInfo {
 			}
 			if op >= numOps {
 				switch op {
-				// Fused pairs. Each executes its first half exactly like the plain
-				// case above, then the second half, whose operands come from the
-				// untouched uops[pc+1]; the extra pc++ here plus the shared one
-				// below advances past both halves. Second-half faults report
-				// index pc+1 and charge both instructions, exactly as two plain
-				// dispatches would.
+				// Fused pairs. Each executes its first half exactly like its
+				// own case below, then the second half, whose operands come
+				// from the untouched uops[pc+1]; the extra pc++ here plus the
+				// shared one below advances past both halves. Second-half
+				// faults report index pc+1 and charge both instructions,
+				// exactly as two single dispatches would.
 				case fuseAddIAddI:
 					regs[uint8(u>>uopRdShift)] += uint32(u >> 32)
 					u2 := uops[pc+1]

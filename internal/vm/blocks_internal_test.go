@@ -75,9 +75,8 @@ func TestPackUopsFusionSelection(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			uops, marked := packUops(tc.code, buildBlocks(tc.code))
-			plain := append([]uint64(nil), marked...)
-			loops := markLoops(tc.code, uops, marked)
+			uops := packUops(tc.code, buildBlocks(tc.code))
+			loops := markLoops(tc.code, uops)
 			var heads []int
 			for _, lp := range loops {
 				heads = append(heads, lp.head)
@@ -85,33 +84,23 @@ func TestPackUopsFusionSelection(t *testing.T) {
 			if fmt.Sprint(heads) != fmt.Sprint(tc.heads) {
 				t.Errorf("loop heads %v, want %v", heads, tc.heads)
 			}
-			// The plain encoding carries the loop marks too, at the heads
-			// alone, each standing for its own plain micro-op.
-			for i, u := range marked {
-				if Op(u&uopOpMask) == opLoop {
-					if unloopUop(u) != plain[i] {
-						t.Errorf("%d: plain opLoop stands for %#x, want %#x", i, unloopUop(u), plain[i])
-					}
-				} else if u != plain[i] {
-					t.Errorf("%d: plain %#x, want %#x", i, u, plain[i])
-				}
-			}
 			for i, u := range uops {
+				plain := packUop(tc.code[i])
 				if Op(u&uopOpMask) == opLoop {
 					u = unloopUop(u)
-					if u&^uopOpMask != plain[i]&^uopOpMask&(1<<uopOrigShift-1) {
-						t.Errorf("%d: opLoop stands for %#x, want %#x's operands", i, u, plain[i])
+					if u&^uopOpMask != plain&^uopOpMask&(1<<uopOrigShift-1) {
+						t.Errorf("%d: opLoop stands for %#x, want %#x's operands", i, u, plain)
 					}
-				} else if u&^uopOpMask != plain[i]&^uopOpMask {
-					t.Errorf("%d: operands %#x, want the plain encoding's %#x", i, u, plain[i])
+				} else if u&^uopOpMask != plain&^uopOpMask {
+					t.Errorf("%d: operands %#x, want the plain encoding's %#x", i, u, plain)
 				}
 				if got := Op(u & uopOpMask); got != tc.want[i] {
 					t.Errorf("%d: op %d, want %d", i, got, tc.want[i])
 				}
 				// The second half of a pair is the plain micro-op, so an entry
 				// there runs it alone.
-				if Op(u&uopOpMask) >= numOps && uops[i+1] != plain[i+1] {
-					t.Errorf("%d: second half %#x, want its own micro-op %#x", i+1, uops[i+1], plain[i+1])
+				if Op(u&uopOpMask) >= numOps && uops[i+1] != packUop(tc.code[i+1]) {
+					t.Errorf("%d: second half %#x, want its own micro-op %#x", i+1, uops[i+1], packUop(tc.code[i+1]))
 				}
 			}
 		})
@@ -119,7 +108,8 @@ func TestPackUopsFusionSelection(t *testing.T) {
 }
 
 // TestSyntheticOpcodesDisjoint guards the synthetic opcode range and the
-// fusion table. Every synthetic opcode — the three pairs, opProbe and opLoop —
+// fusion table. Every synthetic opcode — the three pairs, opProbe, opLoop and
+// opIllegal —
 // must sit above the real ISA, so the fused loop's range pre-dispatch
 // (op >= numOps) is unambiguous, and inside the micro-op's opcode byte. Every
 // pair must join two fusible body ops: fusible is what buildBlocks bounds runs
@@ -147,7 +137,7 @@ func TestSyntheticOpcodesDisjoint(t *testing.T) {
 			t.Errorf("pair %v;%v ends in a loadb, which may be a loop head", p[0], p[1])
 		}
 	}
-	for _, op := range []Op{fuseAddIAddI, fuseLoadBCmpI, fuseStoreBAddI, opProbe, opLoop} {
+	for _, op := range []Op{fuseAddIAddI, fuseLoadBCmpI, fuseStoreBAddI, opProbe, opLoop, opIllegal} {
 		if op < numOps || op > uopOpMask {
 			t.Errorf("synthetic opcode %d outside (numOps=%d, %d]", op, numOps, uopOpMask)
 		}

@@ -51,15 +51,11 @@ func tlbTryWriteWord(mem *Memory, addr uint32, val uint32) bool {
 // tool is attached, and for the single instruction at a time the fused loop
 // cannot express; Step is this engine with a limit of one.
 //
-// It runs the PLAIN (unfused) micro-op encoding: hooks must observe every
-// architectural instruction they watch, and a fused pair would hide its
-// second half from BeforeInstr. The one exception is the loop kernels
-// (loops.go), whose heads the plain encoding marks too: when every attached
-// instruction and memory tool can account for a run of a byte loop's
-// iterations in one call (LoopHook), at most one is an instruction hook and
-// there is no probe (loopsHooked), a head runs its continuing iterations
-// natively (runLoopHooked) before the head itself runs here; otherwise only
-// the head's own micro-op runs.
+// It runs the micro-ops runFused runs (rebuildOverlay), and a marked one as
+// the instruction its index holds: a fused pair as its first half alone,
+// since hooks must observe every architectural instruction they watch; an
+// opProbe after the instruction hooks, then its probes; an opLoop after its
+// kernel (loops.go's header says when one runs and what it charges).
 //
 // Nothing is batched or mirrored in locals. Registers, flags, memory, PC, the
 // virtual clock and the retired-instruction count are operated on in place, so
@@ -69,14 +65,18 @@ func tlbTryWriteWord(mem *Memory, addr uint32, val uint32) bool {
 //
 // An entry ends when a syscall retires: the handler runs the request boundary
 // (checkpoint, antibody install) and may change tools and probes, and with
-// them which engine Run must select and what this one calls before an
-// instruction. That callee, the opcodes it is called at and its charge are
-// the things hoisted (see below), so a tool or probe that a hook, rather than
-// a syscall handler, attaches or removes takes effect from the next entry.
+// them which engine Run must select and what this one runs. What it calls
+// before an instruction, the opcodes it is called at, its charge and the
+// micro-ops are the things hoisted (see below), so a tool or probe that a
+// hook, rather than a syscall handler, attaches or removes takes effect from
+// the next entry.
 func (m *Machine) runHooked(limit uint64) (stop *StopInfo, executed uint64) {
-	uops, code := m.uopsPlain, m.code
-	// Length equality the prove pass uses to elide bounds checks: plain uops
-	// mirror code one-to-one.
+	if m.overlayDirty {
+		m.rebuildOverlay()
+	}
+	uops, code := m.uops, m.code
+	// Length equality the prove pass uses to elide bounds checks: the
+	// micro-ops mirror code one-to-one.
 	if len(code) != len(uops) {
 		panic("vm: micro-ops do not mirror the code array")
 	}
@@ -99,28 +99,35 @@ func (m *Machine) runHooked(limit uint64) (stop *StopInfo, executed uint64) {
 		}
 		u := uops[pc]
 		op := Op(u & uopOpMask)
-		if op == opLoop {
-			// A loop head: under tools that take a kernel's iterations in
-			// one call the kernel first, then the head as any other
-			// instruction, unless the kernel spent the limit.
-			if m.loopsHooked {
-				if executed += m.runLoopHooked(u, limit-executed); executed == limit {
+		probed := false
+		if op >= numOps {
+			// A marked micro-op runs as the instruction code[pc] names, on
+			// its own operands; a loop head after its kernel, unless the
+			// kernel spent the limit.
+			switch op {
+			case opProbe:
+				probed = true
+			case opLoop:
+				if executed += m.runKernel(uint32(u>>32), limit-executed); executed == limit {
 					return nil, executed
 				}
+				u, probed = unloopUop(u), len(m.probes[pc]) > 0
 			}
-			u = unloopUop(u)
-			op = Op(u & uopOpMask)
+			op = code[pc].Op
 		}
+		// Instruction hooks, then probes, as RefRun orders them. A violation
+		// either raises stops the instruction before it runs or counts.
 		if before != nil {
 			m.cycles += beforeCyc
 			if watch.calls(op) {
 				before.BeforeInstr(m, pc, &code[pc])
-				if m.pendingViolation != nil {
-					// Raised before execution: the instruction neither runs
-					// nor counts.
+				if !probed && m.pendingViolation != nil {
 					return m.violationStop(), executed
 				}
 			}
+		}
+		if probed && m.fireProbes(pc) {
+			return m.violationStop(), executed
 		}
 		executed++
 		m.instrCount++
@@ -418,19 +425,16 @@ func (m *Machine) runHooked(limit uint64) (stop *StopInfo, executed uint64) {
 	return nil, executed
 }
 
-// instrFanout is the InstrHook runHooked calls when there is more than one
-// thing to call before an instruction: every instruction hook that observes
-// its opcode, then the instruction's probes. Every hook is charged in turn,
-// called or not.
+// instrFanout is the InstrHook runHooked calls when more than one
+// instruction hook is attached: every one that observes the opcode, each
+// charged in turn, called or not.
 type instrFanout struct{}
 
 func (instrFanout) BeforeInstr(m *Machine, idx int, in *Instr) {
-	hooks, ops := m.tools.instr, m.tools.ops
-	for i, h := range hooks {
+	for i, h := range m.tools.instr {
 		m.cycles += CyclesPerHook
-		if ops[i].calls(in.Op) {
+		if m.tools.ops[i].calls(in.Op) {
 			h.BeforeInstr(m, idx, in)
 		}
 	}
-	m.fireProbes(idx)
 }

@@ -5,10 +5,10 @@ func (m *Machine) LoopRetired() uint64 { return m.loopRetired }
 
 // LoopKernels reports, for each loop of m's image, the index of its head,
 // whether the next Run would run its kernel (its head carries opLoop in the
-// tables runFused runs), and whether any index of its span carries a probe.
+// micro-ops the engines run), and whether any index of its span carries a probe.
 func (m *Machine) LoopKernels() (heads []int, armed, probed []bool) {
-	if m.probesDirty {
-		m.rebuildProbeTables()
+	if m.overlayDirty {
+		m.rebuildOverlay()
 	}
 	for _, lp := range m.loops {
 		heads = append(heads, lp.head)

@@ -77,13 +77,9 @@ type ByteLoop struct {
 }
 
 // LoopHook is implemented by a tool or a probe that can account for a run of
-// a byte loop's iterations in one call. runHooked runs such a run natively,
-// as the fused engine's kernels do, only when every attached instruction and
-// memory tool implements it, at most one of them is an instruction hook and
-// the machine has no probe; otherwise it calls every hook at every
-// instruction of the loop as before. runFused runs a loop's kernel under its
-// probes when every probe on any index of the loop implements it (see
-// Probe); a loop with any other probe runs one instruction at a time.
+// a byte loop's iterations in one call. A loop's kernel runs only when
+// everything that watches the loop implements it (loops.go's header);
+// otherwise the loop runs one instruction at a time, with every hook.
 //
 // Before the run, LoopBound reports how many of the next most iterations of
 // l the tool or probe would record nothing in that LoopRan cannot apply: no
@@ -155,10 +151,9 @@ type toolSet struct {
 	alloc []AllocHook
 	input []InputHook
 	fault []FaultHook
-	// loop holds the instruction and memory tools that implement
-	// LoopHook; loopAll is whether every such tool does.
-	loop    []LoopHook
-	loopAll bool
+	// loop holds, per instruction or memory tool, its LoopHook: nil for a
+	// tool without one.
+	loop []LoopHook
 }
 
 func (ts *toolSet) rebuild() {
@@ -170,14 +165,11 @@ func (ts *toolSet) rebuild() {
 	ts.input = ts.input[:0]
 	ts.fault = ts.fault[:0]
 	ts.loop = ts.loop[:0]
-	ts.loopAll = true
 	for _, t := range ts.all {
 		_, instr := t.(InstrHook)
 		_, mem := t.(MemHook)
-		if h, ok := t.(LoopHook); ok && (instr || mem) {
+		if h, _ := t.(LoopHook); instr || mem {
 			ts.loop = append(ts.loop, h)
-		} else if instr || mem {
-			ts.loopAll = false
 		}
 		if h, ok := t.(InstrHook); ok {
 			ts.instr = append(ts.instr, h)

@@ -5,18 +5,18 @@ import (
 	"slices"
 )
 
-// Loop kernels: the fused engine's one step per recognised byte loop.
+// Loop kernels: one step per recognised byte loop, in either engine.
 //
 // Two thirds of a long squid request's instructions are three libc byte
 // loops — a NUL scan (strlen, strcat's find-end), a character scan (strchr)
-// and a copy-until-NUL (strcpy, strcat's copy) — and the block loop pays a
+// and a copy-until-NUL (strcpy, strcat's copy) — and an engine pays a
 // dispatch per instruction of each iteration. Recognised once per relocated
 // image by their micro-op shape (never by symbol), such a loop's head carries
-// the synthetic opLoop, and runFused hands it to runLoop, which runs as many
-// whole iterations as the data, the mapped pages and the budget allow in
-// native code and commits them as if they had been executed one instruction
-// at a time. The shapes, generic over registers (x, p, q, c) and the compare
-// immediate K, with every jz's target free:
+// the synthetic opLoop, and both engines hand it to runKernel, which runs as
+// many whole iterations as the data, the mapped pages, the budget and what
+// watches the loop allow in native code and commits them as if they had been
+// executed one instruction at a time. The shapes, generic over registers (x,
+// p, q, c) and the compare immediate K, with every jz's target free:
 //
 //	scan:      loadb x,[p+0]; cmpi x,K; jz; addi p,1; [addi q,1;] jmp head
 //	char scan: loadb x,[p+0]; cmp x,c; jz; cmpi x,K; jz; addi p,1; jmp head
@@ -28,31 +28,34 @@ import (
 // leaves x holding the byte it read, flags the cmpi's result, and p (and q)
 // advanced by one. The iteration that leaves, a byte the page table does not
 // map (or a store it does not), and the iterations the budget cannot hold
-// whole are the engines': after the kernel Run steps the head's own micro-op
-// and the block loop carries on from there, so every stop, fault and budget
-// split is reported by the code that reports it without kernels.
+// whole are the engines': after the kernel the head's own micro-op runs, so
+// every stop, fault and budget split is reported by the code that reports it
+// without kernels.
 //
-// Why a third spelling of these opcodes is accepted, and what guards it:
-// blocks.go's header.
+// Under hooks. What watches a loop is every attached instruction and memory
+// tool and every probe on the loop's span (loopWatch, built with the probe
+// overlay in rebuildOverlay whenever tools or probes change). The kernel runs
+// only if each of them takes a run in one call (LoopHook); otherwise the
+// overlay gives the head its own micro-op back and the loop runs one
+// instruction at a time. Before a run each LoopHook bounds it, after it each
+// applies it once, and every iteration is charged what the per-instruction
+// path would have charged:
 //
-// Under instruction and memory tools the hook-calling engine runs the same
-// kernels (runLoopHooked), whose heads the plain micro-ops carry too, when
-// every such tool can account for a run of iterations in one call (LoopHook,
-// hooks.go), at most one of them is an instruction hook and the machine has
-// no probe (refreshDispatch sets loopsHooked); otherwise it runs a head's
-// own micro-op. The tools bound the run before it and apply its effects
-// after it; the clock is charged every hook call the iterations would have
-// made.
+//	n·len(instr)·CyclesPerHook + accesses·len(mem)·CyclesPerHook + per·CyclesPerProbe
 //
-// Probes take a run the same way. When every probe on any index of a loop
-// implements LoopHook, the probe overlay keeps the loop's opLoop
-// (rebuildProbeTables) and runLoop commits runFused's batch up to the head,
-// bounds the run by each probe, runs it, charges CyclesPerProbe and counts
-// ProbeFires for every delivery the iterations would have made, lets each
-// probe apply the run once, and always hands the head back to Run, even
-// after no iteration: runHooked steps the head and fires its probes. A loop
-// with any other probe runs without its kernel (the overlay restores its
-// head's micro-op), and runHooked takes no kernel on a probed machine.
+// on top of its static cost, for a span of n instructions, one access (a
+// scan) or two (a copy), and per probe deliveries, which also count in
+// ProbeFires. The head's own probes fire when the head then runs: runHooked
+// fires them after the kernel, and runFused, whose kernel run at a probed
+// head always hands the head back, leaves them to Run's step.
+//
+// The kernels spell what loadb, storeb, cmp, cmpi, addi and jz do a third
+// time, beside the two engines' dispatch switches (and the reference's).
+// That is accepted because it is narrow — one operand shape per loop,
+// continuing iterations only; the leaving iteration, a fault and a budget
+// split stay the engines' — and guarded: the VM differentials compare it
+// with the reference at every stop, and FuzzLoopKernels aims at its edges
+// (pages, copy-on-write, overlapping copies, probes, budgets and tool sets).
 
 // loopKind is which of the three shapes a loop has.
 type loopKind uint8
@@ -90,11 +93,10 @@ func unloopUop(u uint64) uint64 {
 	return u&(1<<uopOrigShift-1)&^uopOpMask | u>>uopOrigShift&uopOpMask
 }
 
-// markLoops finds the image's loops and marks their heads in uops and in
-// plain, in place (once when they are one slice). A head is a loadb, which
-// no fused pair has as its second half, so no pair's first half reads its
-// operands from a head.
-func markLoops(code []Instr, uops, plain []uint64) []byteLoop {
+// markLoops finds the image's loops and marks their heads in uops, in place.
+// A head is a loadb, which no fused pair has as its second half, so no
+// pair's first half reads its operands from a head.
+func markLoops(code []Instr, uops []uint64) []byteLoop {
 	var loops []byteLoop
 	for j, in := range code {
 		h := int(in.Imm)
@@ -110,9 +112,6 @@ func markLoops(code []Instr, uops, plain []uint64) []byteLoop {
 			lp.cyc += uint64(opCycles[in.Op])
 		}
 		uops[h] = loopUop(uops[h], len(loops))
-		if &plain[h] != &uops[h] {
-			plain[h] = loopUop(plain[h], len(loops))
-		}
 		loops = append(loops, lp)
 	}
 	return loops
@@ -159,102 +158,58 @@ func matchLoop(span []Instr) (byteLoop, bool) {
 	return lp, false
 }
 
-// runLoop is runFused's opLoop case: it runs as many continuing iterations
-// of the loop whose head runFused has reached, at head, as the data, the
-// pages and the budget allow. runFused's batch (flags, done, cyc) and the
-// body it is in (base) are as fireInPlace gets them. If it runs none it
-// changes nothing and reports false. Otherwise it commits registers, flags,
-// PC (the head) and every instruction retired since runFused's entry, and
-// reports true: runFused returns, and Run steps the head and enters it again.
-// On a loop whose probes all take a run in one call (loopProbes) it first
-// commits the batch up to the head, so that the probes bound the run on what
-// they would read under Step, and always reports true, since the head's own
-// probes are Run's to fire. Out of line, so that the block loop's register
-// allocation does not see it.
-//
-//go:noinline
-func (m *Machine) runLoop(regs *[NumRegs]uint32, flags int, base, head int, done, cyc, limit uint64) bool {
-	id := uint32(m.uops[head] >> 32)
-	lp := &m.loops[id]
-	pre := done + uint64(head-base)
-	cyc += m.desc[base]>>descCycShift - m.desc[head]>>descCycShift
-	if int(id) < len(m.loopProbes) && m.loopProbes[id].per != 0 {
-		rec := &m.loopProbes[id]
-		m.Regs, m.Flags = *regs, flags
-		m.commitFused(head, pre, cyc)
-		m.runLoopUnder(lp, rec.hooks, (limit-pre)/uint64(lp.n), rec.per*CyclesPerProbe, rec.per)
-		return true
-	}
-	most := (limit - pre) / uint64(lp.n)
-	if most == 0 {
-		return false
-	}
-	k, flags := lp.run(m.Mem, regs, most)
-	if k == 0 {
-		return false
-	}
-	m.Regs, m.Flags = *regs, flags
-	m.commitFused(head, pre+k*uint64(lp.n), cyc+k*lp.cyc)
-	m.loopRetired += k * uint64(lp.n)
-	return true
-}
-
-// loopProbes is a probe overlay's record of a loop whose probes all
-// implement LoopHook (rebuildProbeTables): the distinct probes, each of which
-// bounds a run and applies it once, and how many deliveries one iteration
-// makes (every registration on every index of the span). per is 0 on a loop
-// without probes.
-type loopProbes struct {
+// loopWatch is what watches one loop's kernel on a machine (see the header):
+// the LoopHooks that bound and apply a run — the instruction and memory
+// tools', then the distinct probes on the span —, what one iteration costs
+// with their charges, and how many probe deliveries it makes. armed is
+// whether all of them take a run in one call.
+type loopWatch struct {
 	hooks []LoopHook
-	per   uint64
+	cyc   uint64
+	fires uint64
+	armed bool
 }
 
-// probesOn records in rec, which is empty, the probes on lp's span and
-// reports whether every one implements LoopHook; if one does not, rec is
-// left empty.
-func (m *Machine) probesOn(lp *byteLoop, rec *loopProbes) bool {
-	for _, list := range m.probes[lp.head : lp.head+lp.n] {
-		for _, p := range list {
-			h, ok := p.(LoopHook)
-			if !ok {
-				clear(rec.hooks)
-				rec.hooks, rec.per = rec.hooks[:0], 0
-				return false
-			}
-			if rec.per++; !slices.Contains(rec.hooks, h) {
-				rec.hooks = append(rec.hooks, h)
-			}
-		}
-	}
-	return true
-}
-
-// runLoopHooked is runHooked's opLoop case under loopsHooked: it runs the
-// continuing iterations of the loop whose head micro-op is u that the data,
-// the pages, room (the instructions runHooked may still retire) and every
-// LoopHook's bound allow, commits them with what the hooks would have
-// charged — the instruction hook before each instruction, each memory hook
-// at each access — lets the hooks apply their effects, and returns the
-// instructions it retired. If it runs none it changes nothing.
-func (m *Machine) runLoopHooked(u, room uint64) uint64 {
-	lp := &m.loops[uint32(u>>32)]
+// watch records in m.watches[id] what watches loop id under the machine's
+// current tools and probes.
+func (m *Machine) watch(id int) {
+	lp, w := &m.loops[id], &m.watches[id]
 	accesses := uint64(1)
 	if lp.kind == loopCopy {
 		accesses = 2
 	}
-	hookCyc := uint64(lp.n)*m.beforeCyc + accesses*uint64(len(m.tools.mem))*CyclesPerHook
-	return m.runLoopUnder(lp, m.tools.loop, room/uint64(lp.n), hookCyc, 0) * uint64(lp.n)
+	clear(w.hooks)
+	*w = loopWatch{
+		hooks: append(w.hooks[:0], m.tools.loop...),
+		cyc:   lp.cyc + (uint64(lp.n)*uint64(len(m.tools.instr))+accesses*uint64(len(m.tools.mem)))*CyclesPerHook,
+		armed: !slices.Contains(m.tools.loop, nil),
+	}
+	tools := len(w.hooks)
+	for _, list := range m.probes[lp.head : lp.head+lp.n] {
+		for _, p := range list {
+			h, ok := p.(LoopHook)
+			w.armed = w.armed && ok
+			w.cyc += CyclesPerProbe
+			if w.fires++; ok && !slices.Contains(w.hooks[tools:], h) {
+				w.hooks = append(w.hooks, h)
+			}
+		}
+	}
 }
 
-// runLoopUnder runs, from the machine's committed state, up to most
-// continuing iterations of lp that the data, the pages and every hook's
-// bound allow, commits them — each iteration charged hookCyc on top of its
-// static cost and counted fires times in ProbeFires — lets the hooks apply
-// their effects, and returns how many ran. If it runs none it changes
-// nothing. The ByteLoop the hooks get is the machine's, so that handing it
-// to them allocates nothing.
-func (m *Machine) runLoopUnder(lp *byteLoop, hooks []LoopHook, most, hookCyc, fires uint64) uint64 {
-	if most == 0 {
+// runKernel is every kernel run, in either engine: from the machine's
+// committed state, PC on the head of loop id, it runs the continuing
+// iterations that the data, the pages, room (the instructions the engine may
+// still retire) and every LoopHook's bound allow, commits them with the
+// charges of the header, lets each hook apply them, and returns the
+// instructions it retired. If it runs none it changes nothing; it runs none
+// on a record that a tool or probe change made stale in the middle of an
+// entry. The ByteLoop the hooks get is the machine's, so that handing it to
+// them allocates nothing.
+func (m *Machine) runKernel(id uint32, room uint64) uint64 {
+	lp, w := &m.loops[id], &m.watches[id]
+	most := room / uint64(lp.n)
+	if most == 0 || m.overlayDirty {
 		return 0
 	}
 	l := &m.loopArg
@@ -262,56 +217,78 @@ func (m *Machine) runLoopUnder(lp *byteLoop, hooks []LoopHook, most, hookCyc, fi
 	if l.Copy {
 		l.Dst = m.Regs[lp.q]
 	}
-	for _, h := range hooks {
+	for _, h := range w.hooks {
 		if most = min(most, h.LoopBound(m, l, most)); most == 0 {
 			return 0
 		}
 	}
-	k, flags := lp.run(m.Mem, &m.Regs, most)
+	k := lp.run(m, most)
 	if k == 0 {
 		return 0
 	}
 	n := k * uint64(lp.n)
-	m.Flags = flags
 	m.instrCount += n
-	m.cycles += k * (lp.cyc + hookCyc)
-	m.probeFires += k * fires
+	m.cycles += k * w.cyc
+	m.probeFires += k * w.fires
 	m.loopRetired += n
-	for _, h := range hooks {
+	for _, h := range w.hooks {
 		h.LoopRan(m, l, k)
 	}
-	return k
+	return n
 }
 
-// run runs up to most continuing iterations of lp from regs over mem, as
-// many as the data and the mapped pages allow, and returns how many ran and
-// the flags the last one's cmpi left. If any ran, regs hold x, p and q as
-// they left them; otherwise nothing changed.
-func (lp *byteLoop) run(mem *Memory, regs *[NumRegs]uint32, most uint64) (k uint64, flags int) {
+// runLoop is runFused's opLoop case: it commits the loop's registers, flags
+// and batch up to the head, as fireInPlace does, and runs the kernel there.
+// If the kernel ran iterations, or the head carries probes, it reports true:
+// runFused returns, and Run steps the head (firing its probes) and enters
+// again after it. Otherwise it takes the batch back and reports false, and
+// the head's own micro-op runs in the block loop. Out of line, so that the
+// block loop's register allocation does not see it.
+//
+//go:noinline
+func (m *Machine) runLoop(regs *[NumRegs]uint32, flags int, base, head int, done, cyc, limit uint64) bool {
+	done += uint64(head - base)
+	cyc += m.desc[base]>>descCycShift - m.desc[head]>>descCycShift
+	m.Regs, m.Flags = *regs, flags
+	m.commitFused(head, done, cyc)
+	if m.runKernel(uint32(m.uops[head]>>32), limit-done) > 0 || len(m.probes[head]) > 0 {
+		return true
+	}
+	m.instrCount -= done
+	m.cycles -= cyc
+	return false
+}
+
+// run runs up to most continuing iterations of lp on m, as many as the data
+// and the mapped pages allow, and returns how many ran. If any ran, x, p, q
+// and Flags are as the last one left them; otherwise nothing changed.
+func (lp *byteLoop) run(m *Machine, most uint64) (k uint64) {
 	stop := func(v uint32) int { // the byte value v stops the loop at, or -1
 		if v > 0xff {
 			return -1
 		}
 		return int(v)
 	}
+	regs := &m.Regs
 	var last byte
 	switch lp.kind {
 	case loopCopy:
-		k, last = copyRun(mem, regs[lp.p], regs[lp.q], stop(uint32(lp.k)), most)
+		k, last = copyRun(m.Mem, regs[lp.p], regs[lp.q], stop(uint32(lp.k)), most)
 	case loopCharScan:
-		k, last = scanRun(mem, regs[lp.p], stop(uint32(lp.k)), stop(regs[lp.c]), most)
+		k, last = scanRun(m.Mem, regs[lp.p], stop(uint32(lp.k)), stop(regs[lp.c]), most)
 	default:
-		k, last = scanRun(mem, regs[lp.p], stop(uint32(lp.k)), -1, most)
+		k, last = scanRun(m.Mem, regs[lp.p], stop(uint32(lp.k)), -1, most)
 	}
 	if k == 0 {
-		return 0, 0
+		return 0
 	}
 	regs[lp.x] = uint32(last)
 	regs[lp.p] += uint32(k)
 	if lp.q != noReg {
 		regs[lp.q] += uint32(k)
 	}
-	return k, cmp32(int32(last), lp.k)
+	m.Flags = cmp32(int32(last), lp.k)
+	return k
 }
 
 // scanRun counts the bytes from addr on, up to most, that are neither a nor b

@@ -225,13 +225,7 @@ func loopTools(t *testing.T, r *rand.Rand, kind string, ptrs []uint32, spans [][
 				label, len(f.reads), len(f.writes), f.hits, len(s.reads), len(s.writes), s.hits)
 		}
 	}
-	switch kind {
-	case "shadow":
-		f, s := newLoopShadow(fences), newLoopShadow(fences)
-		fast.AttachTool(f)
-		slow.AttachTool(noLoopShadow{loopShadow: s})
-		return func(label string) { diffShadow(label, f, s) }
-	case "shadow+instr":
+	shadowInstr := func() func(label string) {
 		f := loopShadowInstr{newLoopShadow(fences), map[int]int{}}
 		s := loopShadowInstr{newLoopShadow(fences), map[int]int{}}
 		fast.AttachTool(f)
@@ -242,7 +236,8 @@ func loopTools(t *testing.T, r *rand.Rand, kind string, ptrs []uint32, spans [][
 				t.Errorf("%s: instruction hook calls fast=%v slow=%v", label, f.calls, s.calls)
 			}
 		}
-	case "taint", "taint+plain":
+	}
+	tracker := func() func(label string) {
 		f, s := taint.New(false), taint.New(false)
 		for i := r.Intn(6); i > 0; i-- {
 			addr, data, id := region(), make([]byte, 1+r.Intn(400)), r.Intn(4)
@@ -251,26 +246,19 @@ func loopTools(t *testing.T, r *rand.Rand, kind string, ptrs []uint32, spans [][
 		}
 		fast.AttachTool(f)
 		slow.AttachTool(noLoopTaint{Tracker: s})
-		if kind == "taint+plain" {
-			fast.AttachTool(noLoopShadow{loopShadow: newLoopShadow(nil)})
-			slow.AttachTool(noLoopShadow{loopShadow: newLoopShadow(nil)})
-		}
-		k0 := fast.LoopRetired()
 		return func(label string) {
 			diffSeq(t, label+" findings", f.Findings(), s.Findings())
 			diffSeq(t, label+" propagators", f.Propagators(), s.Propagators())
 			if f.TaintedBytes() != s.TaintedBytes() {
 				t.Errorf("%s: tainted bytes fast=%d slow=%d", label, f.TaintedBytes(), s.TaintedBytes())
 			}
-			if n := fast.LoopRetired() - k0; kind == "taint+plain" && n != 0 {
-				t.Errorf("%s: kernels retired %d instructions beside a tool without vm.LoopHook", label, n)
-			}
 		}
-	case "probe", "probe+plain":
+	}
+	probes := func(withPlain bool) func(label string) {
 		idxs := map[int]bool{}
 		var plain []int
 		for _, sp := range spans {
-			if kind == "probe" && r.Intn(3) == 0 {
+			if !withPlain && r.Intn(3) == 0 {
 				continue
 			}
 			idxs[sp[0]+r.Intn(sp[1]-sp[0])] = true
@@ -296,7 +284,7 @@ func loopTools(t *testing.T, r *rand.Rand, kind string, ptrs []uint32, spans [][
 					}
 				}
 			}
-			if kind == "probe+plain" {
+			if withPlain {
 				for _, idx := range plain {
 					if err := side.m.AddProbe(idx, stateProbe{"t.plain", side.log, new(int), 0}); err != nil {
 						t.Fatal(err)
@@ -304,17 +292,49 @@ func loopTools(t *testing.T, r *rand.Rand, kind string, ptrs []uint32, spans [][
 				}
 			}
 		}
-		k0 := fast.LoopRetired()
 		return func(label string) {
 			diffShadow(label, f.loopShadow, s.loopShadow)
 			if !maps.Equal(f.fires, s.fires) {
 				t.Errorf("%s: loop probe fires fast=%v slow=%v", label, f.fires, s.fires)
 			}
 			diffSeq(t, label+" plain probe", fastLog, slowLog)
-			if n := fast.LoopRetired() - k0; kind == "probe+plain" && n != 0 {
-				t.Errorf("%s: kernels retired %d instructions beside a probe without vm.LoopHook", label, n)
+		}
+	}
+	// noKernel fails a stop at which kernels have retired anything since
+	// the tools were attached beside one without vm.LoopHook.
+	noKernel := func(diff func(string), beside string) func(label string) {
+		k0 := fast.LoopRetired()
+		return func(label string) {
+			diff(label)
+			if n := fast.LoopRetired() - k0; n != 0 {
+				t.Errorf("%s: kernels retired %d instructions beside a %s without vm.LoopHook", label, n, beside)
 			}
 		}
+	}
+	both := func(a, b func(string)) func(label string) { return func(label string) { a(label); b(label) } }
+	switch kind {
+	case "shadow":
+		f, s := newLoopShadow(fences), newLoopShadow(fences)
+		fast.AttachTool(f)
+		slow.AttachTool(noLoopShadow{loopShadow: s})
+		return func(label string) { diffShadow(label, f, s) }
+	case "shadow+instr":
+		return shadowInstr()
+	case "shadow+instr+taint":
+		return both(shadowInstr(), tracker())
+	case "taint":
+		return tracker()
+	case "taint+plain":
+		diff := tracker()
+		fast.AttachTool(noLoopShadow{loopShadow: newLoopShadow(nil)})
+		slow.AttachTool(noLoopShadow{loopShadow: newLoopShadow(nil)})
+		return noKernel(diff, "tool")
+	case "taint+probe":
+		return both(tracker(), probes(false))
+	case "probe":
+		return probes(false)
+	case "probe+plain":
+		return noKernel(probes(true), "probe")
 	case "membug":
 		p := &proc.Process{Alloc: alloc}
 		f, s := membug.New(p, true), membug.New(p, true)
@@ -331,7 +351,8 @@ func loopTools(t *testing.T, r *rand.Rand, kind string, ptrs []uint32, spans [][
 }
 
 // loopToolKinds are loopTools' kinds.
-var loopToolKinds = []string{"shadow", "shadow+instr", "taint", "taint+plain", "membug", "probe", "probe+plain"}
+var loopToolKinds = []string{"shadow", "shadow+instr", "taint", "taint+plain", "membug", "probe", "probe+plain",
+	"taint+probe", "shadow+instr+taint"}
 
 // loopHeap is the memory-bug detector's heap in a loop trial: pages 1-4 of
 // the loop region (page 0 lies below it, page 5 above), its chunks made on a
@@ -572,6 +593,94 @@ func TestLoopKernelsDifferential(t *testing.T) {
 		t.Logf("under %s: kernels retired %d instructions", tools, retired)
 		if (retired == 0) != strings.HasSuffix(tools, "+plain") {
 			t.Errorf("under %s: kernels retired %d instructions", tools, retired)
+		}
+	}
+}
+
+// TestProbesUnderInstructionTools runs a guest with probes on a fused pair's
+// first half, a loop head and a syscall under an instruction tool: a plain
+// one, under which the loop runs one instruction at a time, and one taking a
+// run in one call (vm.LoopHook), under which the kernel runs and the head's
+// probe fires after it. Run calls of every length from 1 to 12, and one
+// unbounded, are compared with the reference at every stop: the probe log
+// and the loop probe's fires per index, ProbeFires, Cycles and the tool's
+// calls.
+func TestProbesUnderInstructionTools(t *testing.T) {
+	var pair, head, sys, exit int
+	build := func(b *asm.Builder) {
+		b.Func("main")
+		b.MovI(vm.R6, 0)
+		b.Label("main.outer")
+		pair = b.Len()
+		b.AddI(vm.R2, 1)
+		b.AddI(vm.R3, 2)
+		b.MovI(vm.R4, loopRegion+7)
+		head = b.Len()
+		b.Label("main.head")
+		b.LoadB(vm.R5, vm.R4, 0)
+		b.CmpI(vm.R5, 0)
+		b.Jz("main.exit")
+		b.AddI(vm.R4, 1)
+		b.Jmp("main.head")
+		exit = b.Len()
+		b.Label("main.exit")
+		b.MovI(vm.R0, 9)
+		sys = b.Len()
+		b.Syscall()
+		b.AddI(vm.R6, 1)
+		b.CmpI(vm.R6, 3)
+		b.Jlt("main.outer")
+		b.Halt()
+	}
+	for _, tool := range []string{"plain", "loop"} {
+		for chunk := uint64(1); chunk <= 13 && !t.Failed(); chunk++ {
+			if chunk == 13 {
+				chunk = 1 << 20
+			}
+			b := asm.New("probed")
+			build(b)
+			pp := &probedPair{}
+			pp.fast, pp.slow = loadMachinePair(t, b.MustBuild(), func() vm.SyscallHandler { return &stubSys{} })
+			requireSecondHalfOfPair(t, pp.fast.Code(), pair+1)
+			spans := [][2]int{{head, exit}}
+			idxs := map[int]bool{head: true}
+			f := &loopProbe{newLoopShadow(nil), spans, idxs, map[int]int{}, 0, rand.New(rand.NewSource(int64(chunk)))}
+			s := &loopProbe{newLoopShadow(nil), spans, idxs, map[int]int{}, 0, nil}
+			fTool := loopShadowInstr{newLoopShadow(nil), map[int]int{}}
+			sTool := loopShadowInstr{newLoopShadow(nil), map[int]int{}}
+			for _, m := range []*vm.Machine{pp.fast, pp.slow} {
+				m.Mem.MapRegion(loopRegion, vm.PageSize)
+				m.Mem.WriteBytes(loopRegion+7, []byte("GET /index.html\x00"))
+			}
+			if tool == "plain" {
+				pp.fast.AttachTool(seqInstrTool{"t.instr", &pp.fastSeq})
+				pp.slow.AttachTool(seqInstrTool{"t.instr", &pp.slowSeq})
+			} else {
+				pp.fast.AttachTool(fTool)
+				pp.slow.AttachTool(noLoopShadowInstr{loopShadowInstr: sTool})
+			}
+			pp.probe(t, "t.pair", pair, 0)
+			pp.probe(t, "t.sys", sys, 0)
+			if err := pp.fast.AddProbe(head, f); err != nil {
+				t.Fatal(err)
+			}
+			if err := pp.slow.AddProbe(head, s); err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("tool=%s chunk=%d", tool, chunk)
+			pp.runChunked(t, label, chunk, 1000)
+			if !pp.fast.Halted() {
+				t.Errorf("%s: the guest did not run to its halt", label)
+			}
+			if !maps.Equal(f.fires, s.fires) || f.fires[head] == 0 {
+				t.Errorf("%s: head probe fires fast=%v slow=%v", label, f.fires, s.fires)
+			}
+			if !maps.Equal(fTool.calls, sTool.calls) {
+				t.Errorf("%s: tool calls fast=%v slow=%v", label, fTool.calls, sTool.calls)
+			}
+			if n := pp.fast.LoopRetired(); chunk > 12 && (n == 0) != (tool == "plain") {
+				t.Errorf("%s: kernels retired %d instructions", label, n)
+			}
 		}
 	}
 }

@@ -60,22 +60,19 @@ type SyscallHandler interface {
 // during the call, read-only.
 //
 // The contract: a probe observes. It fires before its instruction counts or
-// costs anything and reads the committed registers, flags, PC, clock and
-// guest memory; its one allowed effect on the machine is RaiseViolation. It
-// never writes guest state (registers, flags, PC, memory, clock) and never
-// adds or removes probes or tools. Its own state (a side stack, shadow
-// taint) is its business. That is what lets the fused loop deliver probes in
-// the middle of a block and carry on without reloading anything.
+// costs anything, after the instruction hooks, and reads the committed
+// registers, flags, PC, clock and guest memory; its one allowed effect on the
+// machine is RaiseViolation. It never writes guest state (registers, flags,
+// PC, memory, clock) and never adds or removes probes or tools. Its own state
+// (a side stack, shadow taint) is its business. That is what lets the fused
+// loop deliver probes in the middle of a block and carry on without
+// reloading anything.
 //
-// A probe may also implement LoopHook. When every probe on a recognised byte
-// loop does, the fused engine runs the loop's kernel under them: it commits
-// its state up to the loop's head, bounds the run by each probe, charges
-// CyclesPerProbe and counts ProbeFires for every delivery the iterations
-// would have made, calls each probe's LoopRan once, and then executes the
-// head one instruction at a time, firing its probes. Implementing it is a
-// promise that OnProbe, at any of the probe's indexes in the loop during the
-// iterations LoopBound allowed, would have raised nothing and changed
-// nothing of the probe's own state that LoopRan does not change alike.
+// A probe may also implement LoopHook, and so keep the kernel of a byte loop
+// it is on (loops.go's header): a promise that OnProbe, at any of the
+// probe's indexes in the loop during the iterations LoopBound allowed, would
+// have raised nothing and changed nothing of the probe's own state that
+// LoopRan does not change alike.
 type Probe interface {
 	Name() string
 	OnProbe(m *Machine, idx int, in *Instr)
@@ -135,7 +132,7 @@ type Machine struct {
 	tools  toolSet
 	probes [][]Probe
 
-	// Cached dispatch state, recomputed whenever tools or probes change, so
+	// Cached dispatch state, recomputed whenever tools change, so
 	// an untooled live guest pays no hook iteration on the per-instruction
 	// and per-memory-access hot paths. before is what runHooked calls before
 	// an instruction whose opcode is in beforeOps, after charging beforeCyc
@@ -148,29 +145,22 @@ type Machine struct {
 	probeCount   int
 
 	// Engine state (see blocks.go and blocks_tooled.go). desc is the
-	// relocated image's block descriptor table and imageUops its fused
-	// micro-ops, both shared via relocImage; uops is what runFused runs: the
-	// image's micro-ops on an unprobed machine, the probe overlay (the
-	// machine's probeUops buffer) on a probed one. The overlay is rebuilt
-	// lazily (probesDirty) so that installing a fleet-wide antibody's probes
-	// costs O(probes), not O(code), per mutation. fastDispatch caches Run's
-	// engine choice: no instr or mem tool is attached, so the fused loop
-	// runs; otherwise the hook-calling engine does.
-	desc            []uint64
-	uops, imageUops []uint64
-	uopsPlain       []uint64 // packed unfused micro-ops, shared likewise, for runHooked
-	probeUops       []uint64
-	loops           []byteLoop // the image's loop kernels (loops.go)
-	fastDispatch    bool
-	probesDirty     bool
-	// loopsHooked is whether runHooked runs a loop head's kernel: the tools
-	// all take its iterations in one call (refreshDispatch).
-	loopsHooked bool
-	// loopProbes, on a probed machine, holds per loop of loops the probes
-	// runLoop runs it under (rebuildProbeTables); loopArg is the ByteLoop
-	// handed to LoopHooks.
-	loopProbes []loopProbes
-	loopArg    ByteLoop
+	// relocated image's block descriptor table and imageUops its micro-ops,
+	// both shared via relocImage; uops is what both engines run: the image's
+	// micro-ops, or the machine's overlay of them when a probe is registered
+	// or a loop kernel is off. The overlay and watches, what watches each of
+	// the image's loops (loops.go), are rebuilt lazily (overlayDirty) so that
+	// installing a fleet-wide antibody's probes costs O(probes), not O(code),
+	// per mutation; loopArg is the ByteLoop handed to LoopHooks. fastDispatch
+	// caches Run's engine choice: no instr or mem tool is attached, so the
+	// fused loop runs; otherwise the hook-calling engine does.
+	desc                     []uint64
+	uops, imageUops, overlay []uint64
+	loops                    []byteLoop
+	watches                  []loopWatch
+	loopArg                  ByteLoop
+	fastDispatch             bool
+	overlayDirty             bool
 
 	sys SyscallHandler
 
@@ -213,7 +203,6 @@ func NewMachine(prog *Program, layout Layout, sys SyscallHandler) (*Machine, err
 	m.probes = make([][]Probe, len(m.code))
 	m.desc = img.desc
 	m.uops, m.imageUops = img.uops, img.uops
-	m.uopsPlain = img.plain
 	m.loops = img.loops
 	m.refreshDispatch()
 
@@ -320,35 +309,31 @@ func (m *Machine) InstrCount() uint64 { return m.instrCount }
 // the clock and InstrCount, RestoreRegs does not roll it back.
 func (m *Machine) ProbeFires() uint64 { return m.probeFires }
 
-// refreshDispatch recomputes the cached hot-path dispatch flags. Everything
-// that changes instrumentation (AttachTool, DetachTool, AddProbe,
-// RemoveProbes, ClearProbes) funnels through here, which is what keeps the
-// fused loop honest: attaching an instr or mem tool drops fastDispatch, moving
-// Run to the hook-calling engine — never to silent hook skipping (a hook is
-// skipped only at the opcodes it declares it does not observe). Probe
-// changes mark the probe overlay dirty; the fused loop rebuilds it on next
-// entry (see rebuildProbeTables).
+// refreshDispatch recomputes the cached hot-path dispatch flags. Every tool
+// change (AttachTool, DetachTool, DetachAllTools) funnels through here, which
+// is what keeps the fused loop honest: attaching an instr or mem tool drops
+// fastDispatch, moving Run to the hook-calling engine — never to silent hook
+// skipping (a hook is skipped only at the opcodes it declares it does not
+// observe). Tool and probe changes mark the overlay dirty; the next entry
+// rebuilds it (rebuildOverlay), and with it whether and under what each loop
+// kernel runs (loops.go's header).
 //
 // What runs before an instruction is nothing, the one instruction hook
 // itself, called only at the opcodes it observes, or an adapter that fans out
-// to every hook and probe (instrFanout), called before every instruction.
-// runHooked runs the loop kernels only under tools that all take a kernel's
-// iterations in one call (LoopHook), at most one instruction hook among them
-// and no probe; under anything else, and on the fused engine's
-// one-instruction calls, a loop head runs its own micro-op.
+// to every hook (instrFanout), called before every instruction.
 func (m *Machine) refreshDispatch() {
-	switch {
-	case len(m.tools.instr) == 1 && m.probeCount == 0:
-		m.before, m.beforeOps, m.beforeCyc = m.tools.instr[0], m.tools.ops[0], CyclesPerHook
-	case len(m.tools.instr) > 0 || m.probeCount > 0:
-		m.before, m.beforeOps, m.beforeCyc = instrFanout{}, allOps, 0
-	default:
+	switch len(m.tools.instr) {
+	case 0:
 		m.before, m.beforeOps, m.beforeCyc = nil, 0, 0
+	case 1:
+		m.before, m.beforeOps, m.beforeCyc = m.tools.instr[0], m.tools.ops[0], CyclesPerHook
+	default:
+		m.before, m.beforeOps, m.beforeCyc = instrFanout{}, allOps, 0
 	}
 	m.memDispatch = len(m.tools.mem) > 0
 	m.callDispatch = len(m.tools.call) > 0
 	m.fastDispatch = len(m.tools.instr) == 0 && len(m.tools.mem) == 0
-	m.loopsHooked = !m.fastDispatch && m.tools.loopAll && len(m.tools.instr) <= 1 && m.probeCount == 0
+	m.overlayDirty = true
 }
 
 // AttachTool attaches an instrumentation tool; it takes effect from the next
@@ -368,6 +353,7 @@ func (m *Machine) DetachTool(name string) bool {
 // DetachAllTools removes every attached tool.
 func (m *Machine) DetachAllTools() {
 	m.tools.detachAll()
+	clear(m.watches) // nor may the loop watches keep the tools reachable
 	m.refreshDispatch()
 }
 
@@ -390,8 +376,7 @@ func (m *Machine) AddProbe(idx int, p Probe) error {
 	}
 	m.probes[idx] = append(m.probes[idx], p)
 	m.probeCount++
-	m.probesDirty = true
-	m.refreshDispatch()
+	m.overlayDirty = true
 	return nil
 }
 
@@ -414,8 +399,7 @@ func (m *Machine) RemoveProbes(name string) int {
 		m.probes[i] = kept
 	}
 	m.probeCount -= removed
-	m.probesDirty = true
-	m.refreshDispatch()
+	m.overlayDirty = true
 	return removed
 }
 
@@ -431,8 +415,7 @@ func (m *Machine) RemoveProbe(idx int, p Probe) bool {
 		if q == p {
 			m.probes[idx] = append(list[:i], list[i+1:]...)
 			m.probeCount--
-			m.probesDirty = true
-			m.refreshDispatch()
+			m.overlayDirty = true
 			return true
 		}
 	}
@@ -445,9 +428,9 @@ func (m *Machine) ClearProbes() {
 	for i := range m.probes {
 		m.probes[i] = nil
 	}
+	clear(m.watches)
 	m.probeCount = 0
-	m.probesDirty = true
-	m.refreshDispatch()
+	m.overlayDirty = true
 }
 
 // ProbeCount returns the total number of registered probes.

@@ -63,17 +63,15 @@ type relocKey struct {
 }
 
 // relocImage is a relocated view of the program for one pair of code/data
-// bases: the patched instruction stream plus the block descriptors and the
-// packed, macro-op-fused micro-ops the fused dispatcher executes. All fields
-// are immutable once published; plain is the unfused micro-op encoding
-// (hook-calling execution must observe every architectural instruction, so it
-// cannot dispatch fused pairs — see blocks_tooled.go).
+// bases: the patched instruction stream, the block descriptors, and the
+// packed, macro-op-fused micro-ops both engines run, with the heads of the
+// recognised byte loops marked opLoop (loops.go). All fields are immutable
+// once published.
 type relocImage struct {
 	code  []Instr
 	desc  []uint64
 	uops  []uint64
-	plain []uint64
-	loops []byteLoop // the loops whose heads uops and plain mark opLoop (loops.go)
+	loops []byteLoop
 }
 
 // relocImage returns the program's shared relocated image for the given
@@ -107,8 +105,8 @@ func (p *Program) relocImage(layout Layout) (*relocImage, error) {
 		return nil, err
 	}
 	img := &relocImage{code: code, desc: buildBlocks(code)}
-	img.uops, img.plain = packUops(code, img.desc)
-	img.loops = markLoops(code, img.uops, img.plain)
+	img.uops = packUops(code, img.desc)
+	img.loops = markLoops(code, img.uops)
 	if p.relocImages == nil {
 		p.relocImages = make(map[relocKey]*relocImage)
 	}

@@ -21,6 +21,42 @@ import (
 // by Machine.Step alone (chunk 0), against the reference interpreter and
 // against the outcome written down here.
 
+// TestIllegalOpcodesFault runs threeInstrs with every opcode byte past the
+// ISA in the middle — those numbered like a fused pair, opProbe or opLoop
+// included — untooled, under an instruction tool, under a vm.LoopHook tool
+// and with a probe on it, by Run and by Step, against the reference: each
+// must fault "illegal opcode N" at index 1 after two instructions, with the
+// same clock and probe deliveries.
+func TestIllegalOpcodesFault(t *testing.T) {
+	for op := int(vm.OpHalt) + 1; op <= 255; op++ {
+		for _, under := range []string{"untooled", "instr tool", "loop tool", "probe"} {
+			for _, step := range []bool{false, true} {
+				label := fmt.Sprintf("op=%d %s step=%v", op, under, step)
+				b := asm.New("illegal")
+				threeInstrs(b)
+				prog := b.MustBuild()
+				prog.Code[1].Op = vm.Op(op)
+				pp := &probedPair{step: step}
+				pp.fast, pp.slow = loadMachinePair(t, prog, func() vm.SyscallHandler { return nil })
+				switch under {
+				case "instr tool":
+					pp.fast.AttachTool(seqInstrTool{"t.instr", &pp.fastSeq})
+					pp.slow.AttachTool(seqInstrTool{"t.instr", &pp.slowSeq})
+				case "loop tool":
+					pp.fast.AttachTool(newLoopShadow(nil))
+					pp.slow.AttachTool(noLoopShadow{loopShadow: newLoopShadow(nil)})
+				case "probe":
+					pp.probe(t, "t.probe", 1, 0)
+				}
+				stop := pp.run(t, label, 10)
+				if f := stop.Fault; f == nil || f.PC != 1 || f.Detail != fmt.Sprintf("illegal opcode %d", op) || pp.fast.InstrCount() != 2 {
+					t.Fatalf("%s: stop %+v after %d instructions, want illegal opcode %d at 1 after 2", label, stop, pp.fast.InstrCount(), op)
+				}
+			}
+		}
+	}
+}
+
 // stubSys is a scripted syscall handler. Like proc's, it charges cycles and
 // returns a value in R0 before deciding the outcome of call number calls.
 type stubSys struct {

@@ -5,10 +5,18 @@
 // set of instructions that influenced it; the paper uses it as a sanity check
 // on the other analysis tools (anything they blame must be in the slice) and
 // as the most thorough, most expensive analysis step.
+//
+// Most instructions are stored one node each, in CSR form. The libc byte
+// loops, which the VM runs as kernels (vm.LoopHook), are stored one record
+// per run: the dependences an iteration's instructions have on each other,
+// on the loop's entry state and on the previous iteration are the same in
+// every iteration, so a run keeps only what varies — the last writer of each
+// byte its loadb read — and every reader expands its nodes on demand.
 package slicing
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -41,21 +49,39 @@ const (
 // is re-allocated ~30 times on the way to a few hundred thousand entries and
 // moves about four times its final size through fresh large spans — garbage
 // the collector then chases on the processors the recovered service needs.
+// Its tail may be handed back by lowering n; a chunk it held is kept for the
+// next pushes.
 type slab struct {
 	chunks []*[chunkLen]int32
 	n      int32
 }
 
 func (b *slab) push(v int32) {
-	off := b.n & chunkMask
-	if off == 0 {
+	c := int(b.n >> chunkBits)
+	if c == len(b.chunks) {
 		b.chunks = append(b.chunks, new([chunkLen]int32))
 	}
-	b.chunks[len(b.chunks)-1][off] = v
+	b.chunks[c][b.n&chunkMask] = v
 	b.n++
 }
 
 func (b *slab) at(i int32) int32 { return b.chunks[i>>chunkBits][i&chunkMask] }
+
+// span returns entries [from, to): in place when they share a chunk, else
+// copied into buf.
+func (b *slab) span(from, to int32, buf []int32) []int32 {
+	if from == to {
+		return buf
+	}
+	if from>>chunkBits == (to-1)>>chunkBits {
+		c := b.chunks[from>>chunkBits]
+		return c[from&chunkMask : from&chunkMask+(to-from)]
+	}
+	for i := from; i < to; i++ {
+		buf = append(buf, b.at(i))
+	}
+	return buf
+}
 
 // shadowPage holds, for each byte of one guest page, seq+1 of the dynamic
 // instruction that last wrote it; 0 means never written.
@@ -68,31 +94,51 @@ const (
 	shadowDirBits  = 32 - vm.PageShift - shadowLeafBits
 )
 
+// The locations with a last writer besides memory: the registers, then the
+// condition flags and the most recently executed branch.
+const (
+	locFlags  = int(vm.NumRegs)
+	locBranch = locFlags + 1
+	numLocs   = locBranch + 1
+)
+
 // Slicer is the dynamic-slicing tool; attach it with vm.Machine.AttachTool
 // before replaying from a checkpoint.
 //
-// The dependence graph is stored in CSR form — node seq i covers static
-// instruction instrIdx[i] and depends on deps[depStart[i]:depStart[i+1]] —
-// in three pointer-free chunked slabs, so recording a replay of millions of
-// nodes allocates one 64 KiB chunk per 16 Ki entries, copies nothing it has
-// already recorded and leaves the collector a few dozen objects with nothing
-// inside them to scan (this tool runs in the deferred tier, behind live
-// traffic). The last writer of every guest byte lives in a two-level table of
-// lazily allocated shadow pages, the shape of the taint tracker's shadow: an
-// access is two indexed loads and no address is ever hashed. Everything is
-// dropped with the Slicer; nothing is pooled between attacks.
+// Every dynamic instruction has a sequence number, and a node is either
+// stored or part of a loop run. Stored nodes are kept in CSR form — the k-th
+// stored node covers static instruction instrIdx[k] and depends on
+// deps[depStart[k]:depStart[k+1]] — in pointer-free chunked slabs, so
+// recording a replay of millions of nodes allocates one 64 KiB chunk per
+// 16 Ki entries, copies nothing it has already recorded and leaves the
+// collector a few dozen objects with nothing inside them to scan (this tool
+// runs in the deferred tier, behind live traffic). A byte loop the VM runs
+// as a kernel is one run record (see run and template): its k iterations
+// cost one entry each in loads instead of about four per node. The last
+// writer of every guest byte lives in a two-level table of lazily allocated
+// shadow pages, the shape of the taint tracker's shadow: an access is two
+// indexed loads and no address is ever hashed. Everything is dropped with
+// the Slicer; nothing is pooled between attacks.
+//
+// A Slicer records one machine's execution: its loop templates are keyed by
+// their heads' indexes in that machine's code.
 type Slicer struct {
-	opts Options
+	opts  Options
+	nodes int32 // dynamic instructions recorded, stored and in runs
 
-	instrIdx slab // static instruction per node, indexed by seq
+	instrIdx slab // static instruction per stored node
 	depStart slab // CSR row offsets into deps; n == instrIdx.n+1
 	deps     slab // flattened dependence lists (sequence numbers)
 
-	lastRegWriter   [vm.NumRegs]int32
-	lastFlagsWriter int32
-	lastBranch      int32
+	runs  []run      // loop runs, in sequence order
+	loads slab       // per run iteration: its loadb's memory dependence, or -1
+	tmpls []template // per loop head the VM has run as a kernel
+
+	last [numLocs]int32 // the last writer of each location, or -1
 
 	shadow [1 << shadowDirBits]*[1 << shadowLeafBits]*shadowPage
+
+	sym symbolic // a template derivation in progress
 
 	truncated bool
 }
@@ -102,14 +148,10 @@ func New(opts Options) *Slicer {
 	if opts.MaxNodes == 0 {
 		opts.MaxNodes = DefaultMaxNodes
 	}
-	s := &Slicer{
-		opts:            opts,
-		lastFlagsWriter: -1,
-		lastBranch:      -1,
-	}
+	s := &Slicer{opts: opts}
 	s.depStart.push(0)
-	for i := range s.lastRegWriter {
-		s.lastRegWriter[i] = -1
+	for i := range s.last {
+		s.last[i] = -1
 	}
 	return s
 }
@@ -118,15 +160,10 @@ func New(opts Options) *Slicer {
 func (s *Slicer) Name() string { return "analysis.slicing" }
 
 // NodeCount returns the number of dynamic instructions recorded.
-func (s *Slicer) NodeCount() int { return int(s.instrIdx.n) }
+func (s *Slicer) NodeCount() int { return int(s.nodes) }
 
 // Truncated reports whether recording stopped because MaxNodes was reached.
 func (s *Slicer) Truncated() bool { return s.truncated }
-
-// row returns the bounds of node i's dependence row in deps.
-func (s *Slicer) row(i int32) (from, to int32) {
-	return s.depStart.at(i), s.depStart.at(i + 1)
-}
 
 func (s *Slicer) addDep(d int32) {
 	if d >= 0 {
@@ -136,13 +173,13 @@ func (s *Slicer) addDep(d int32) {
 
 func (s *Slicer) depReg(r vm.Reg) {
 	if r < vm.NumRegs {
-		s.addDep(s.lastRegWriter[r])
+		s.addDep(s.last[r])
 	}
 }
 
 func (s *Slicer) writeReg(r vm.Reg, seq int32) {
 	if r < vm.NumRegs {
-		s.lastRegWriter[r] = seq
+		s.last[r] = seq
 	}
 }
 
@@ -171,6 +208,11 @@ func (s *Slicer) page(pn uint32, create bool) *shadowPage {
 // depMem adds a dependence on the last writer of each of the size bytes at
 // addr, in address order.
 func (s *Slicer) depMem(addr, size uint32) {
+	if s.sym.on {
+		s.sym.access(&s.sym.reads, size)
+		s.addDep(s.sym.mem)
+		return
+	}
 	off := addr & (vm.PageSize - 1)
 	if off+size > vm.PageSize {
 		// Straddles a page, or wraps the address space: byte by byte.
@@ -188,6 +230,10 @@ func (s *Slicer) depMem(addr, size uint32) {
 
 // writeMem makes seq the last writer of the size bytes at addr.
 func (s *Slicer) writeMem(addr, size uint32, seq int32) {
+	if s.sym.on {
+		s.sym.access(&s.sym.writes, size)
+		return
+	}
 	off := addr & (vm.PageSize - 1)
 	if off+size > vm.PageSize {
 		for i := uint32(0); i < size; i++ {
@@ -205,14 +251,22 @@ func (s *Slicer) writeMem(addr, size uint32, seq int32) {
 // its dependences. Effective addresses are computed from the pre-execution
 // register state.
 func (s *Slicer) BeforeInstr(m *vm.Machine, idx int, in *vm.Instr) {
-	if int(s.instrIdx.n) >= s.opts.MaxNodes {
+	if int(s.nodes) >= s.opts.MaxNodes {
 		s.truncated = true
 		return
 	}
-	seq := s.instrIdx.n
+	s.record(&m.Regs, in, s.nodes)
+	s.instrIdx.push(int32(idx))
+	s.depStart.push(s.deps.n)
+	s.nodes++
+}
 
+// record is the recording rules: it pushes the dependences of instruction in,
+// executed as node seq from registers regs, onto deps and makes seq the last
+// writer of what it writes.
+func (s *Slicer) record(regs *[vm.NumRegs]uint32, in *vm.Instr, seq int32) {
 	if s.opts.IncludeControlDeps {
-		s.addDep(s.lastBranch)
+		s.addDep(s.last[locBranch])
 	}
 
 	switch in.Op {
@@ -230,7 +284,7 @@ func (s *Slicer) BeforeInstr(m *vm.Machine, idx int, in *vm.Instr) {
 			size = 1
 		}
 		s.depReg(in.Rs)
-		s.depMem(m.Regs[in.Rs]+uint32(in.Imm), size)
+		s.depMem(regs[in.Rs]+uint32(in.Imm), size)
 		s.writeReg(in.Rd, seq)
 
 	case vm.OpStoreB, vm.OpStoreW:
@@ -240,7 +294,7 @@ func (s *Slicer) BeforeInstr(m *vm.Machine, idx int, in *vm.Instr) {
 		}
 		s.depReg(in.Rd)
 		s.depReg(in.Rs)
-		s.writeMem(m.Regs[in.Rd]+uint32(in.Imm), size, seq)
+		s.writeMem(regs[in.Rd]+uint32(in.Imm), size, seq)
 
 	case vm.OpAdd, vm.OpSub, vm.OpMul, vm.OpDiv, vm.OpMod, vm.OpAnd, vm.OpOr, vm.OpXor, vm.OpShl, vm.OpShr:
 		s.depReg(in.Rd)
@@ -253,47 +307,47 @@ func (s *Slicer) BeforeInstr(m *vm.Machine, idx int, in *vm.Instr) {
 	case vm.OpCmp:
 		s.depReg(in.Rd)
 		s.depReg(in.Rs)
-		s.lastFlagsWriter = seq
+		s.last[locFlags] = seq
 	case vm.OpCmpI:
 		s.depReg(in.Rd)
-		s.lastFlagsWriter = seq
+		s.last[locFlags] = seq
 
 	case vm.OpJmp:
-		s.lastBranch = seq
+		s.last[locBranch] = seq
 	case vm.OpJz, vm.OpJnz, vm.OpJlt, vm.OpJle, vm.OpJgt, vm.OpJge:
-		s.addDep(s.lastFlagsWriter)
-		s.lastBranch = seq
+		s.addDep(s.last[locFlags])
+		s.last[locBranch] = seq
 	case vm.OpJmpReg:
 		s.depReg(in.Rd)
-		s.lastBranch = seq
+		s.last[locBranch] = seq
 
 	case vm.OpCall:
-		s.writeMem(m.Regs[vm.SP]-4, 4, seq)
+		s.writeMem(regs[vm.SP]-4, 4, seq)
 		s.writeReg(vm.SP, seq)
-		s.lastBranch = seq
+		s.last[locBranch] = seq
 	case vm.OpCallReg:
 		s.depReg(in.Rd)
-		s.writeMem(m.Regs[vm.SP]-4, 4, seq)
+		s.writeMem(regs[vm.SP]-4, 4, seq)
 		s.writeReg(vm.SP, seq)
-		s.lastBranch = seq
+		s.last[locBranch] = seq
 	case vm.OpRet:
 		s.depReg(vm.SP)
-		s.depMem(m.Regs[vm.SP], 4)
+		s.depMem(regs[vm.SP], 4)
 		s.writeReg(vm.SP, seq)
-		s.lastBranch = seq
+		s.last[locBranch] = seq
 
 	case vm.OpPush:
 		s.depReg(in.Rd)
 		s.depReg(vm.SP)
-		s.writeMem(m.Regs[vm.SP]-4, 4, seq)
+		s.writeMem(regs[vm.SP]-4, 4, seq)
 		s.writeReg(vm.SP, seq)
 	case vm.OpPushI:
 		s.depReg(vm.SP)
-		s.writeMem(m.Regs[vm.SP]-4, 4, seq)
+		s.writeMem(regs[vm.SP]-4, 4, seq)
 		s.writeReg(vm.SP, seq)
 	case vm.OpPop:
 		s.depReg(vm.SP)
-		s.depMem(m.Regs[vm.SP], 4)
+		s.depMem(regs[vm.SP], 4)
 		s.writeReg(in.Rd, seq)
 		s.writeReg(vm.SP, seq)
 
@@ -307,9 +361,323 @@ func (s *Slicer) BeforeInstr(m *vm.Machine, idx int, in *vm.Instr) {
 		s.depReg(vm.R3)
 		s.writeReg(vm.R0, seq)
 	}
+}
 
-	s.instrIdx.push(int32(idx))
-	s.depStart.push(s.deps.n)
+// A template is what the recording rules make of one iteration of a byte
+// loop's span of n instructions, in terms of the run it is part of. Node j of
+// iteration i of a run is sequence number first+i·n+j, covers static
+// instruction head+j, and has the dependences of row j (iteration 0) or
+// n+j (every later one): codes[rows[r]:rows[r+1]], each of which is
+//
+//	c >= 0:      node first+(i-1)·n+c — the same iteration or the previous one
+//	codeLoad:    the last writer of the byte the loadb read, the run's loads[i]
+//	-2-e:        the writer of location entries[e] when the run began
+//
+// where a negative writer is skipped, as addDep skips it. After the run,
+// each location of exit[·].loc was last written by node exit[·].node of the
+// last iteration, and a copy's storeb (node storeNode) is the last writer of
+// the bytes it wrote. A template is derived once per Slicer and loop, by the
+// same rules BeforeInstr records with (derive), under the slicer's own
+// IncludeControlDeps.
+type template struct {
+	head, n int32
+	inv     uint64 // ceil(2^64/n): a node's iteration is the high word of its offset times inv
+	ok      bool   // derived; a loop whose span the rules do not fit runs per instruction
+	entries []int
+	codes   []int32
+	rows    []int32
+	exit    []struct{ loc, node int32 }
+}
+
+const codeLoad = -1
+
+// storeNode is a copy's storeb in its span, after the head's loadb, as
+// vm.ByteLoop describes it.
+const storeNode = 1
+
+// maxEntries bounds the entry writers a run keeps; a recognised loop reads
+// at most three locations before it writes them (its source pointer, its
+// second counter, destination or character, and the last branch).
+const maxEntries = 4
+
+// maxSpan bounds the search for a loop's closing jmp; the longest recognised
+// span is seven instructions.
+const maxSpan = 8
+
+// run is one kernel run of a byte loop: nodes [first, end) of template tmpl,
+// the writers of its template's entry locations when it began, and where its
+// iterations' memory dependences start in loads. skipped counts the nodes
+// of every run up to this one, so a stored node after it and before the next
+// run is stored node seq-skipped.
+type run struct {
+	first, end int32
+	skipped    int32
+	tmpl       int32
+	loads      int32
+	entry      [maxEntries]int32
+}
+
+// symbolic is a template derivation's view of memory: the recording rules
+// then add mem for a read instead of a last writer, and change no shadow.
+// reads and writes count the bytes accessed by the node being derived; bad
+// is set by an access of more than one byte.
+type symbolic struct {
+	on            bool
+	mem           int32
+	reads, writes int
+	bad           bool
+}
+
+func (y *symbolic) access(count *int, size uint32) {
+	*count++
+	y.bad = y.bad || size != 1
+}
+
+// LoopBound implements vm.LoopHook. A run records nothing LoopRan cannot
+// apply, so the bound is the iterations that fit in what MaxNodes leaves:
+// none when not even one does, and the loop then runs one instruction at a
+// time, so a recording is cut short at the same node as without kernels. It
+// is also 0 for a loop whose span the recording rules do not fit (a template
+// that cannot be derived).
+func (s *Slicer) LoopBound(m *vm.Machine, l *vm.ByteLoop, most uint64) uint64 {
+	t := s.template(m, l)
+	room := int64(s.opts.MaxNodes) - int64(s.nodes)
+	if t < 0 || room <= 0 {
+		return 0
+	}
+	return min(most, uint64(room)/uint64(s.tmpls[t].n))
+}
+
+// LoopRan implements vm.LoopHook: it records the k iterations as one run.
+// Iteration by iteration it keeps the last writer of the byte its loadb
+// read and, in a copy, makes the iteration's storeb the last writer of the
+// byte it wrote, so that an overlapping copy reads the run's own stores. It
+// then leaves the last writers as the last iteration left them.
+func (s *Slicer) LoopRan(m *vm.Machine, l *vm.ByteLoop, k uint64) {
+	ti := s.template(m, l)
+	t := &s.tmpls[ti]
+	kn := int32(k) * t.n
+	r := run{first: s.nodes, end: s.nodes + kn, skipped: kn, tmpl: int32(ti), loads: s.loads.n}
+	if len(s.runs) > 0 {
+		r.skipped += s.runs[len(s.runs)-1].skipped
+	}
+	for e, loc := range t.entries {
+		r.entry[e] = s.last[loc]
+	}
+	store := r.first + storeNode + 1 // seq+1 of the next storeb, as the shadow holds it
+	for src, dst := l.Src, l.Dst; k > 0; {
+		so, do := src&(vm.PageSize-1), dst&(vm.PageSize-1)
+		n := uint32(min(k, uint64(vm.PageSize-so)))
+		var dp *shadowPage
+		if l.Copy {
+			n = min(n, vm.PageSize-do)
+			dp = s.page(dst>>vm.PageShift, true)
+		}
+		sp := s.page(src>>vm.PageShift, false) // dp itself when they are one page
+		for i := uint32(0); i < n; i++ {
+			w := int32(0)
+			if sp != nil {
+				w = sp[so+i]
+			}
+			s.loads.push(w - 1)
+			if dp != nil {
+				dp[do+i] = store
+				store += t.n
+			}
+		}
+		src, dst, k = src+n, dst+n, k-uint64(n)
+	}
+	for _, x := range t.exit {
+		s.last[x.loc] = r.end - t.n + x.node
+	}
+	s.runs = append(s.runs, r)
+	s.nodes = r.end
+}
+
+// template returns the index in tmpls of l's loop's template, deriving it on
+// the loop's first run, or -1 if the loop runs one instruction at a time.
+func (s *Slicer) template(m *vm.Machine, l *vm.ByteLoop) int {
+	i := 0
+	for i < len(s.tmpls) && s.tmpls[i].head != int32(l.Load) {
+		i++
+	}
+	if i == len(s.tmpls) {
+		s.tmpls = append(s.tmpls, s.derive(m, l))
+	}
+	if !s.tmpls[i].ok {
+		return -1
+	}
+	return i
+}
+
+// derive works out l's loop's template by running the recording rules
+// (record) over two iterations of its span — from l.Load through the jmp
+// back to it — with symbolic writers: node u of the two iterations is
+// sequence number u, the entry writer of location loc is 2n+loc, and a
+// memory read adds 2n+numLocs. Iteration 1's rows and last writers are then
+// every later iteration's, shifted. The rows are pushed on the dependence
+// slab's tail and handed back, and the real last writers are restored, so
+// deriving allocates no graph storage. The span must read one byte with its
+// head (the loadb), write one with the next instruction in a copy (the
+// storeb) and access memory nowhere else, as vm.ByteLoop describes.
+func (s *Slicer) derive(m *vm.Machine, l *vm.ByteLoop) template {
+	t := template{head: int32(l.Load)}
+	code := m.Code()
+	for j := l.Load; j < len(code) && j < l.Load+maxSpan; j++ {
+		if code[j].Op == vm.OpJmp && int(code[j].Imm) == l.Load {
+			t.n = int32(j - l.Load + 1)
+			break
+		}
+	}
+	if t.n == 0 {
+		return t
+	}
+	n2 := 2 * t.n
+	saved, base := s.last, s.deps.n
+	defer func() { s.last, s.deps.n, s.sym = saved, base, symbolic{} }()
+	for loc := range s.last {
+		s.last[loc] = n2 + int32(loc)
+	}
+	s.sym = symbolic{on: true, mem: n2 + int32(numLocs)}
+	t.rows = append(make([]int32, 0, n2+1), 0)
+	for u := int32(0); u < n2; u++ {
+		j := u % t.n
+		from := s.deps.n
+		s.sym.reads, s.sym.writes = 0, 0
+		s.record(&m.Regs, &code[l.Load+int(j)], u)
+		if s.sym.bad || s.sym.reads != b2i(j == 0) || s.sym.writes != b2i(l.Copy && j == storeNode) {
+			return t
+		}
+		for p := from; p < s.deps.n; p++ {
+			c := s.deps.at(p)
+			switch {
+			case c == s.sym.mem:
+				c = codeLoad
+			case c >= n2:
+				e := 0
+				for e < len(t.entries) && t.entries[e] != int(c-n2) {
+					e++
+				}
+				if e == len(t.entries) {
+					t.entries = append(t.entries, int(c-n2))
+				}
+				c = -2 - int32(e)
+			case u < t.n:
+				c += t.n // iteration 0's rows are read relative to iteration -1
+			}
+			t.codes = append(t.codes, c)
+		}
+		t.rows = append(t.rows, int32(len(t.codes)))
+	}
+	if len(t.entries) > maxEntries {
+		return t
+	}
+	for loc, w := range s.last {
+		switch {
+		case w >= n2: // never written in the loop
+		case w < t.n:
+			return t // written in the first iteration only
+		default:
+			t.exit = append(t.exit, struct{ loc, node int32 }{int32(loc), w - t.n})
+		}
+	}
+	t.inv, t.ok = ^uint64(0)/uint64(t.n)+1, true
+	return t
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// cursor reads the graph node by node; every reader goes through it. It
+// remembers the stretch of sequence numbers the last node it read lies in —
+// one run, or the stored nodes between two runs — so that a search moving
+// among neighbouring nodes finds where each is kept without a search.
+type cursor struct {
+	s      *Slicer
+	lo, hi int32 // the stretch: [lo, hi)
+	r      *run  // its run, or nil for stored nodes
+	skip   int32 // for stored nodes: the run nodes before it
+	buf    [8]int32
+}
+
+func (s *Slicer) cursor() *cursor { return &cursor{s: s} }
+
+// find returns the run node seq is in and its offset there, or nil and the
+// stored node seq is.
+func (c *cursor) find(seq int32) (r *run, k int32) {
+	if seq < c.lo || seq >= c.hi {
+		runs := c.s.runs
+		ri := sort.Search(len(runs), func(i int) bool { return runs[i].first > seq }) - 1
+		c.lo, c.hi, c.r, c.skip = 0, math.MaxInt32, nil, 0
+		if ri+1 < len(runs) {
+			c.hi = runs[ri+1].first
+		}
+		if ri >= 0 {
+			if r := &runs[ri]; seq < r.end {
+				c.lo, c.hi, c.r = r.first, r.end, r
+			} else {
+				c.lo, c.skip = r.end, r.skipped
+			}
+		}
+	}
+	if c.r == nil {
+		return nil, seq - c.skip
+	}
+	return c.r, seq - c.r.first
+}
+
+// iteration splits offset off of a run of t into its iteration and node.
+func (t *template) iteration(off int32) (i, j int32) {
+	hi, _ := bits.Mul64(uint64(off), t.inv)
+	return int32(hi), off - int32(hi)*t.n
+}
+
+// node returns node seq's static instruction and its dependences.
+func (c *cursor) node(seq int32) (idx int32, deps []int32) { return c.instr(seq), c.deps(seq) }
+
+// instr returns node seq's static instruction.
+func (c *cursor) instr(seq int32) int32 {
+	r, k := c.find(seq)
+	if r == nil {
+		return c.s.instrIdx.at(k)
+	}
+	t := &c.s.tmpls[r.tmpl]
+	_, j := t.iteration(k)
+	return t.head + j
+}
+
+// deps returns node seq's dependences, in the order BeforeInstr records
+// them. They are valid until the next call.
+func (c *cursor) deps(seq int32) []int32 {
+	s := c.s
+	r, k := c.find(seq)
+	if r == nil {
+		return s.deps.span(s.depStart.at(k), s.depStart.at(k+1), c.buf[:0])
+	}
+	t := &s.tmpls[r.tmpl]
+	i, row := t.iteration(k)
+	if i > 0 {
+		row += t.n
+	}
+	prev := r.first + (i-1)*t.n
+	deps := c.buf[:0]
+	for _, code := range t.codes[t.rows[row]:t.rows[row+1]] {
+		d := prev + code
+		switch {
+		case code == codeLoad:
+			d = s.loads.at(r.loads + i)
+		case code < codeLoad:
+			d = r.entry[-2-code]
+		}
+		if d >= 0 {
+			deps = append(deps, d)
+		}
+	}
+	return deps
 }
 
 // Slice is the result of a backward slice computation.
@@ -358,21 +726,48 @@ func (v seqSet) add(seq int32) bool {
 	return true
 }
 
+// instrSet is a set of static instruction indexes, a bitmap grown to the
+// largest one added: a search that visits hundreds of thousands of nodes of
+// a few thousand instructions asks it, not a map, whether it has seen one.
+type instrSet []uint64
+
+// add inserts idx and reports whether it was absent.
+func (v *instrSet) add(idx int32) bool {
+	w := int(idx >> 6)
+	if w >= len(*v) {
+		*v = append(*v, make([]uint64, w+1-len(*v))...)
+	}
+	bit := uint64(1) << (idx & 63)
+	if (*v)[w]&bit != 0 {
+		return false
+	}
+	(*v)[w] |= bit
+	return true
+}
+
 // reach explores the dependence graph backward from node from, breadth
-// first. visit, if non-nil, sees each node as it is dequeued, before its
-// dependences are followed; returning false ends the search there. reach
-// returns the nodes discovered (dequeued or still queued) and their count.
-func (s *Slicer) reach(from int32, visit func(seq int32) bool) (seen seqSet, n int) {
-	seen = make(seqSet, len(s.instrIdx.chunks))
+// first. visit, if non-nil, sees each node and its static instruction as it
+// is dequeued, before its dependences are followed; returning false ends the
+// search there. reach returns the nodes discovered (dequeued or still queued)
+// and their count.
+func (s *Slicer) reach(from int32, visit func(seq, idx int32) bool) (seen seqSet, n int) {
+	seen = make(seqSet, (s.nodes+chunkMask)>>chunkBits)
 	seen.add(from)
+	c := s.cursor()
 	queue := []int32{from}
 	for head := 0; head < len(queue); head++ {
 		cur := queue[head]
-		if visit != nil && !visit(cur) {
-			break
+		var deps []int32
+		if visit == nil {
+			deps = c.deps(cur)
+		} else {
+			var idx int32
+			if idx, deps = c.node(cur); !visit(cur, idx) {
+				break
+			}
 		}
-		for j, end := s.row(cur); j < end; j++ {
-			if d := s.deps.at(j); seen.add(d) {
+		for _, d := range deps {
+			if seen.add(d) {
 				queue = append(queue, d)
 			}
 		}
@@ -388,8 +783,11 @@ func (s *Slicer) BackwardSlice(fromSeq int) (*Slice, error) {
 	}
 	seen, n := s.reach(int32(fromSeq), nil)
 
-	// Ascending iteration keeps NodeSeqs sorted without a separate sort pass.
+	// Ascending iteration keeps NodeSeqs sorted without a separate sort pass,
+	// and reads the nodes' instructions in the order they are kept.
 	sl := &Slice{FromSeq: fromSeq, NodeSeqs: make([]int, 0, n), InstrSet: make(map[int]bool)}
+	cur := s.cursor()
+	var instrs instrSet
 	for c, words := range seen {
 		if words == nil {
 			continue
@@ -398,7 +796,9 @@ func (s *Slicer) BackwardSlice(fromSeq int) (*Slice, error) {
 			for ; word != 0; word &= word - 1 {
 				seq := int32(c<<chunkBits | w<<6 | bits.TrailingZeros64(word))
 				sl.NodeSeqs = append(sl.NodeSeqs, int(seq))
-				sl.InstrSet[int(s.instrIdx.at(seq))] = true
+				if idx := cur.instr(seq); instrs.add(idx) {
+					sl.InstrSet[int(idx)] = true
+				}
 			}
 		}
 	}
@@ -414,9 +814,10 @@ func (s *Slicer) BackwardSliceFromLast() (*Slice, error) {
 // LastSeqOf returns the sequence number of the most recent dynamic instance
 // of the given static instruction, or -1.
 func (s *Slicer) LastSeqOf(instrIdx int) int {
-	for i := s.instrIdx.n - 1; i >= 0; i-- {
-		if int(s.instrIdx.at(i)) == instrIdx {
-			return int(i)
+	c := s.cursor()
+	for seq := s.nodes - 1; seq >= 0; seq-- {
+		if int(c.instr(seq)) == instrIdx {
+			return int(seq)
 		}
 	}
 	return -1
@@ -453,17 +854,16 @@ func (s *Slicer) VerifyBackward(instrs []int) (missing []int, nodesExplored, ins
 		}
 	}
 	remaining := len(want)
-	instrSeen := make(map[int]bool)
+	var instrSeen instrSet
 	switch {
-	case s.instrIdx.n == 0:
+	case s.nodes == 0:
 	case remaining == 0:
 		nodesExplored = 1 // the root is touched even with nothing to look for
 	default:
-		_, nodesExplored = s.reach(s.instrIdx.n-1, func(seq int32) bool {
-			idx := int(s.instrIdx.at(seq))
-			if !instrSeen[idx] {
-				instrSeen[idx] = true
-				if want[idx] {
+		_, nodesExplored = s.reach(s.nodes-1, func(_, idx int32) bool {
+			if instrSeen.add(idx) {
+				instrsExplored++
+				if want[int(idx)] {
 					remaining--
 				}
 			}
@@ -471,10 +871,10 @@ func (s *Slicer) VerifyBackward(instrs []int) (missing []int, nodesExplored, ins
 		})
 	}
 	for idx := range want {
-		if !instrSeen[idx] {
+		if idx>>6 >= len(instrSeen) || instrSeen[idx>>6]&(1<<(idx&63)) == 0 {
 			missing = append(missing, idx)
 		}
 	}
 	sort.Ints(missing)
-	return missing, nodesExplored, len(instrSeen)
+	return missing, nodesExplored, instrsExplored
 }

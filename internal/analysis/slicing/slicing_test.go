@@ -14,6 +14,7 @@ import (
 	"sweeper/internal/apps"
 	"sweeper/internal/asm"
 	"sweeper/internal/exploit"
+	"sweeper/internal/monitor"
 	"sweeper/internal/netproxy"
 	"sweeper/internal/proc"
 	"sweeper/internal/vm"
@@ -163,13 +164,19 @@ func TestSliceErrorsAndTruncation(t *testing.T) {
 // from. The checkpoint is the one the attack window replays from.
 func exploitedProcess(t *testing.T, spec *apps.Spec) (*proc.Process, *proc.Snapshot) {
 	t.Helper()
+	return exploitedProcessAt(t, spec, vm.DefaultLayout())
+}
+
+// exploitedProcessAt is exploitedProcess at layout.
+func exploitedProcessAt(t *testing.T, spec *apps.Spec, layout vm.Layout) (*proc.Process, *proc.Snapshot) {
+	t.Helper()
 	payload, err := exploit.Exploit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	proxy := netproxy.New()
 	proxy.Submit(exploit.Benign(spec.Name, 0), "client", false)
-	p, err := proc.New(spec.Name, spec.Image, vm.DefaultLayout(), proxy, spec.Options)
+	p, err := proc.New(spec.Name, spec.Image, layout, proxy, spec.Options)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,58 +439,274 @@ func requireSameGraph(t *testing.T, sl *slicing.Slicer, ref *refRecorder, rng *r
 	}
 }
 
-// TestGraphIdenticalToReferenceOnFuzzCorpus records the VM's differential
-// fuzz guests under the Slicer and the reference side by side.
-func TestGraphIdenticalToReferenceOnFuzzCorpus(t *testing.T) {
-	rng := rand.New(rand.NewSource(0x511ce))
-	for trial := 0; trial < 48; trial++ {
-		seed := rng.Int63()
-		opts := slicing.Options{IncludeControlDeps: trial%2 == 0}
-		if trial%8 == 7 {
-			opts.MaxNodes = 50 + trial
+// loopGuest returns a builder for a guest of byte loops the VM runs as
+// kernels — NUL and character scans, with and without a second counter, and
+// copies, now and then overlapping their source by a few bytes either way —
+// over a buffer of letters and NULs that spans page boundaries, with stores
+// of NULs and letters between the loops, so that loops read bytes the
+// guest's own stores and copies wrote.
+func loopGuest(r *rand.Rand) func(b *asm.Builder) {
+	regs := []vm.Reg{vm.R0, vm.R1, vm.R2, vm.R3, vm.R4, vm.R5, vm.R7}
+	buf := make([]byte, 2*vm.PageSize+512)
+	for i := range buf {
+		if r.Intn(40) == 0 {
+			continue
 		}
-		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
-			r := rand.New(rand.NewSource(seed))
-			b := asm.New("fuzz")
-			vmtest.RandomGuest(r, 80)(b)
-			prog, err := b.Build()
-			if err != nil {
-				t.Fatal(err)
+		buf[i] = byte('a' + r.Intn(26))
+	}
+	// Where loops start: the buffer's head, where they overwrite each other,
+	// and just below each page boundary.
+	at := func() int32 {
+		if r.Intn(3) == 0 {
+			return int32((1+r.Intn(2))*vm.PageSize - r.Intn(40))
+		}
+		return int32(r.Intn(300))
+	}
+	return func(b *asm.Builder) {
+		b.DataBytes("buf", buf)
+		b.Func("main")
+		b.LoadDataAddr(vm.R6, "buf") // R6 anchors the stores between loops
+		for l := 0; l < 3+r.Intn(6); l++ {
+			perm := r.Perm(len(regs))
+			x, p, q, c := regs[perm[0]], regs[perm[1]], regs[perm[2]], regs[perm[3]]
+			for i := r.Intn(4); i > 0; i-- {
+				b.MovI(x, []int32{0, 'q', 0}[r.Intn(3)])
+				b.StoreB(vm.R6, at(), x)
 			}
-			m, err := vm.NewMachine(prog, vm.DefaultLayout(), nil)
-			if err != nil {
-				t.Fatal(err)
+			src := at()
+			b.LoadDataAddr(p, "buf")
+			b.AddI(p, src)
+			head, exit := fmt.Sprintf("main.l%d", l), fmt.Sprintf("main.l%d.exit", l)
+			kind := r.Intn(4)
+			switch kind {
+			case 1:
+				b.MovI(c, int32('a'+r.Intn(26)))
+			case 2:
+				dst := at()
+				if r.Intn(2) == 0 {
+					dst = src + int32(r.Intn(9)) - 6 // overlapping, mostly below
+				}
+				b.LoadDataAddr(q, "buf")
+				b.AddI(q, dst)
+			case 3:
+				b.MovI(q, int32(r.Intn(100)))
 			}
-			sl, ref := slicing.New(opts), newRef(opts)
-			m.AttachTool(sl)
-			m.AttachTool(ref)
-			m.Run(uint64(200 + r.Intn(5000)))
-			requireSameGraph(t, sl, ref, r)
-		})
+			b.Label(head)
+			b.LoadB(x, p, 0)
+			switch kind {
+			case 1:
+				b.Cmp(x, c)
+				b.Jz(exit)
+				b.CmpI(x, 0)
+				b.Jz(exit)
+				b.AddI(p, 1)
+			case 2:
+				b.StoreB(q, 0, x)
+				b.CmpI(x, 0)
+				b.Jz(exit)
+				b.AddI(q, 1)
+				b.AddI(p, 1)
+			default:
+				b.CmpI(x, 0)
+				b.Jz(exit)
+				b.AddI(p, 1)
+				if kind == 3 {
+					b.AddI(q, 1)
+				}
+			}
+			b.Jmp(head)
+			b.Label(exit)
+		}
+		b.Halt()
 	}
 }
 
+// twins returns two machines loaded with one program at the default layout.
+func twins(t *testing.T, build func(b *asm.Builder)) (a, b *vm.Machine) {
+	t.Helper()
+	asmb := asm.New("fuzz")
+	build(asmb)
+	prog, err := asmb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := [2]*vm.Machine{}
+	for i := range ms {
+		if ms[i], err = vm.NewMachine(prog, vm.DefaultLayout(), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ms[0], ms[1]
+}
+
+// TestGraphIdenticalToReferenceOnFuzzCorpus records the VM's differential
+// fuzz guests, and guests of byte loops, on twin machines: the Slicer alone
+// on one, so that the VM runs the byte loops as kernels under it, and the
+// reference on the other, which runs them one instruction at a time.
+func TestGraphIdenticalToReferenceOnFuzzCorpus(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x511ce))
+	retired := 0
+	for trial := 0; trial < 64; trial++ {
+		seed := rng.Int63()
+		opts := slicing.Options{IncludeControlDeps: trial%2 == 0}
+		loops := trial%4 >= 2
+		switch {
+		case trial%8 == 7:
+			opts.MaxNodes = 50 + trial
+		case loops && trial%8 == 6:
+			opts.MaxNodes = 100 + rng.Intn(2000)
+		}
+		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
+			r := rand.New(rand.NewSource(seed))
+			build := vmtest.RandomGuest(r, 80)
+			if loops {
+				build = loopGuest(r)
+			}
+			m, twin := twins(t, build)
+			sl, ref := slicing.New(opts), newRef(opts)
+			m.AttachTool(sl)
+			twin.AttachTool(ref)
+			budget := uint64(200 + r.Intn(5000))
+			if loops {
+				budget *= 4
+			}
+			m.Run(budget)
+			twin.Run(budget)
+			if m.InstrCount() != twin.InstrCount() || m.PC != twin.PC {
+				t.Fatalf("the twins parted: %d instructions at %d, %d at %d", m.InstrCount(), m.PC, twin.InstrCount(), twin.PC)
+			}
+			retired += inRuns(sl)
+			requireSameGraph(t, sl, ref, r)
+		})
+	}
+	t.Logf("kernels retired %d instructions under the slicer", retired)
+	if retired == 0 {
+		t.Error("no kernel ran under the slicer")
+	}
+}
+
+// inRuns counts the nodes sl recorded as loop runs: the instructions the
+// kernels retired under it.
+func inRuns(sl *slicing.Slicer) (n int) {
+	for _, r := range sl.Runs() {
+		n += r[1] - r[0]
+	}
+	return n
+}
+
+// replayTwins replays spec's exploit window at layout on twin processes: the
+// Slicer alone on one, so that the VM runs the byte loops as kernels under
+// it, and the reference on the other. It returns both recorders.
+func replayTwins(t *testing.T, spec *apps.Spec, layout vm.Layout, opts slicing.Options) (*slicing.Slicer, *refRecorder) {
+	t.Helper()
+	sl, ref := slicing.New(opts), newRef(opts)
+	var ps [2]*proc.Process
+	for i, tool := range []vm.Tool{sl, ref} {
+		p, snap := exploitedProcessAt(t, spec, layout)
+		p.Rollback(snap, proc.ModeReplay, false)
+		p.Machine.AttachTool(tool)
+		p.Run(0)
+		ps[i] = p
+	}
+	if ps[0].Machine.InstrCount() != ps[1].Machine.InstrCount() {
+		t.Fatalf("the twins parted: %d instructions, %d", ps[0].Machine.InstrCount(), ps[1].Machine.InstrCount())
+	}
+	return sl, ref
+}
+
 // TestGraphIdenticalToReferenceOnExploits replays each application's exploit
-// from its rollback checkpoint under both recorders: calls, returns, system
-// calls, heap and stack traffic over several guest pages, and tens to
-// hundreds of thousands of nodes across many chunks.
+// from its rollback checkpoint under both recorders, on twin processes (see
+// replayTwins), at the default layout and at randomised ones: calls,
+// returns, system calls, heap and stack traffic over several guest pages,
+// byte loops run as kernels, and tens to hundreds of thousands of nodes
+// across many chunks. A MaxNodes that falls inside a kernel run (its second
+// iteration, or its first when it has one) cuts both recordings at the same
+// node.
 func TestGraphIdenticalToReferenceOnExploits(t *testing.T) {
+	layouts := []vm.Layout{vm.DefaultLayout(), monitor.RandomizedLayout(11), monitor.RandomizedLayout(12)}
+	if testing.Short() {
+		layouts = layouts[:2]
+	}
 	for _, spec := range apps.All() {
 		for _, control := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%s/control=%v", spec.Name, control), func(t *testing.T) {
-				p, snap := exploitedProcess(t, spec)
-				p.Rollback(snap, proc.ModeReplay, false)
-				opts := slicing.Options{IncludeControlDeps: control}
-				sl, ref := slicing.New(opts), newRef(opts)
-				p.Machine.AttachTool(sl)
-				p.Machine.AttachTool(ref)
-				p.Run(0)
-				if sl.NodeCount() < slicing.ChunkLen {
-					t.Logf("only %d nodes: the replay stays within one chunk", sl.NodeCount())
+				var runs [][3]int
+				for i, layout := range layouts {
+					sl, ref := replayTwins(t, spec, layout, slicing.Options{IncludeControlDeps: control})
+					requireSameGraph(t, sl, ref, rand.New(rand.NewSource(int64(i))))
+					t.Logf("layout %d: %d nodes, %d in %d loop runs", i, sl.NodeCount(), inRuns(sl), len(sl.Runs()))
+					if inRuns(sl) == 0 {
+						t.Fatalf("layout %d: no kernel ran under the slicer", i)
+					}
+					if i == 0 {
+						runs = sl.Runs()
+					}
 				}
-				requireSameGraph(t, sl, ref, rand.New(rand.NewSource(1)))
+				// The longest run, and one from the middle of the replay.
+				long := runs[0]
+				for _, r := range runs {
+					if r[1]-r[0] > long[1]-long[0] {
+						long = r
+					}
+				}
+				for _, r := range [][3]int{long, runs[len(runs)/2]} {
+					cut := r[0] + 2
+					if r[1]-r[0] > r[2] {
+						cut += r[2]
+					}
+					sl, ref := replayTwins(t, spec, layouts[0], slicing.Options{IncludeControlDeps: control, MaxNodes: cut})
+					if !sl.Truncated() {
+						t.Fatalf("MaxNodes %d inside the run %v did not cut the recording", cut, r)
+					}
+					requireSameGraph(t, sl, ref, rand.New(rand.NewSource(int64(cut))))
+				}
 			})
 		}
+	}
+}
+
+// TestSquidWindowFootprint pins the work the slicer stores for the squid
+// exploit window the deferred tier replays — one benign request served
+// before the checkpoint, four after it, then the exploit — as a count, not a
+// clock: every one of its 304 060 dynamic instructions is recorded, and the
+// graph is stored in at most 730 000 int32 entries. Recording every node on
+// its own, as the slicer did before it took the byte loops' kernel runs as
+// run records, stored 1 212 682.
+func TestSquidWindowFootprint(t *testing.T) {
+	spec := apps.Squid()
+	ex, err := exploit.Exploit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := netproxy.New()
+	in.Submit(exploit.Benign(spec.Name, 0), "client", false)
+	p, err := proc.New(spec.Name, spec.Image, vm.DefaultLayout(), in, spec.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stop := p.Run(0); stop.Reason != vm.StopWaitInput {
+		t.Fatalf("benign request: %v", stop.Reason)
+	}
+	snap := p.Snapshot(1)
+	for i := 1; i <= 4; i++ {
+		in.Submit(exploit.Benign(spec.Name, i), "client", false)
+	}
+	in.Submit(ex, "worm", true)
+	if stop := p.Run(0); stop.Reason != vm.StopFault {
+		t.Fatalf("the exploit stopped the guest with %v, want a fault", stop.Reason)
+	}
+	p.Rollback(snap, proc.ModeReplay, false)
+	sl := slicing.New(slicing.Options{IncludeControlDeps: true})
+	p.Machine.AttachTool(sl)
+	if stop := p.Run(0); stop.Reason != vm.StopFault {
+		t.Fatalf("the replay stopped with %v, want the fault", stop.Reason)
+	}
+	t.Logf("%d nodes recorded, %d in %d loop runs, stored in %d int32 entries", sl.NodeCount(), inRuns(sl), len(sl.Runs()), sl.Entries())
+	if sl.NodeCount() != 304060 || sl.Truncated() {
+		t.Errorf("recorded %d nodes (truncated=%v), want 304060", sl.NodeCount(), sl.Truncated())
+	}
+	if n := sl.Entries(); n > 730_000 {
+		t.Errorf("the graph is stored in %d int32 entries, want at most 730000", n)
 	}
 }
 

@@ -74,11 +74,13 @@ func buildAnalyzers(cfg Config) ([]analysis.Analyzer, error) {
 // deferred worker, behind live service: the deferred analysis tier's and the
 // regeneration half of an adoption (see Guest.adopt). A replay yields to the
 // serving goroutine once per chunk; as measured on a 2-vCPU x86-64 host over
-// the ~300 k-instruction squid exploit, a chunk takes 1.1–2.3 ms under the
-// slicer, 0.3–0.35 ms under taint (0.45–0.5 ms before the tracker declared
-// the opcodes it observes) and 0.2–0.25 ms under membug — a fraction of the
-// runtime's 10 ms preemption quantum, and large enough that the re-entry cost
-// of vm.Machine.Run is noise.
+// the ~300 k-instruction squid exploit, a chunk takes 0.55–1.7 ms under the
+// slicer (the low end where the libc byte loops, which it records as kernel
+// runs, dominate; 1.4–1.9 ms before it did), 0.3–0.35 ms under taint
+// (0.45–0.5 ms before the tracker declared the opcodes it observes) and
+// 0.2–0.25 ms under membug — a fraction of the runtime's 10 ms preemption
+// quantum, and large enough that the re-entry cost of vm.Machine.Run is
+// noise.
 const deferredYieldInstrs = 50_000
 
 // analyzerRun is one analyzer's execution within a pipeline run. exec runs

@@ -2,9 +2,12 @@ package vm_test
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"sweeper/internal/analysis"
 	"sweeper/internal/analysis/membug"
 	"sweeper/internal/analysis/slicing"
 	"sweeper/internal/analysis/taint"
@@ -93,10 +96,10 @@ func TestRealAnalyzersDifferential(t *testing.T) {
 	}
 }
 
-// noLoopTaint and noLoopMembug are the real analysis tools with vm.LoopHook
-// hidden (a field shadows each promoted method): Run calls their hooks at
-// every instruction of a byte loop, as it did before kernels ran under
-// tools.
+// noLoopTaint, noLoopMembug and noLoopSlicer are the real analysis tools
+// with vm.LoopHook hidden (a field shadows each promoted method): Run calls
+// their hooks at every instruction of a byte loop, as it did before kernels
+// ran under tools.
 type noLoopTaint struct {
 	*taint.Tracker
 	LoopBound, LoopRan struct{}
@@ -107,6 +110,65 @@ type noLoopMembug struct {
 	LoopBound, LoopRan struct{}
 }
 
+type noLoopSlicer struct {
+	*slicing.Slicer
+	LoopBound, LoopRan struct{}
+}
+
+// diffSlicers compares what two slicers recorded through their exported
+// searches: the node count, truncation, the backward slice from the last
+// node and from each of froms (those in range), and the focused check of
+// focus.
+func diffSlicers(t *testing.T, label string, f, s *slicing.Slicer, focus []int, froms ...int) {
+	t.Helper()
+	if f.NodeCount() != s.NodeCount() || f.Truncated() != s.Truncated() {
+		t.Errorf("%s: slicer recorded %d nodes (truncated=%v) fast, %d (%v) slow", label, f.NodeCount(), f.Truncated(), s.NodeCount(), s.Truncated())
+		return
+	}
+	n := f.NodeCount()
+	if n == 0 {
+		return
+	}
+	for _, from := range append([]int{n - 1}, froms...) {
+		if from < 0 || from >= n {
+			continue
+		}
+		fs, ferr := f.BackwardSlice(from)
+		ss, serr := s.BackwardSlice(from)
+		if ferr != nil || serr != nil {
+			t.Errorf("%s: BackwardSlice(%d): %v, %v", label, from, ferr, serr)
+			return
+		}
+		if !slices.Equal(fs.NodeSeqs, ss.NodeSeqs) || !maps.Equal(fs.InstrSet, ss.InstrSet) {
+			t.Errorf("%s: BackwardSlice(%d) has %d nodes / %d instructions fast, %d / %d slow", label, from, fs.Size(), len(fs.InstrSet), ss.Size(), len(ss.InstrSet))
+		}
+	}
+	fm, fn, fi := f.VerifyBackward(focus)
+	sm, sn, si := s.VerifyBackward(focus)
+	if !slices.Equal(fm, sm) || fn != sn || fi != si {
+		t.Errorf("%s: VerifyBackward(%v) = %v, %d, %d fast; %v, %d, %d slow", label, focus, fm, fn, fi, sm, sn, si)
+	}
+}
+
+// implicated is what the fast tier implicates in spec's attack window at
+// layout: the real memory-bug and taint analyzers each replay the window and
+// implicate into one context, beside the fault's PC, which the core
+// implicates from the core dump.
+func implicated(t *testing.T, spec *apps.Spec, layout vm.Layout) []int {
+	t.Helper()
+	ctx := analysis.NewContext()
+	p := attackWindow(t, spec, layout)
+	if stop := p.Run(0); stop.Fault != nil {
+		ctx.Implicate("coredump", stop.Fault.PC)
+	}
+	for _, a := range []analysis.Analyzer{membug.Analyzer{}, taint.Analyzer{}} {
+		if _, err := a.Run(ctx, analysis.NewSandbox(attackWindow(t, spec, layout), 0, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ctx.Implicated()
+}
+
 // analyzerPair is one analysis tool attached to two machines: to fast as
 // itself, so the hook-calling engine runs the byte loops as kernels, and to
 // slow with its LoopHook hidden. done compares what the two tools concluded.
@@ -115,9 +177,10 @@ type analyzerPair struct {
 	done       func(t *testing.T, label string)
 }
 
-// attachAnalyzer attaches tool ("taint" or "membug") to ps[0] as itself and
-// to ps[1] with LoopHook hidden.
-func attachAnalyzer(t *testing.T, tool string, ps [2]*proc.Process) analyzerPair {
+// attachAnalyzer attaches tool ("taint", "membug" or "slicer") to ps[0] as
+// itself and to ps[1] with LoopHook hidden. focus is the slicers' focused
+// check's set.
+func attachAnalyzer(t *testing.T, tool string, ps [2]*proc.Process, focus []int) analyzerPair {
 	t.Helper()
 	pair := analyzerPair{fast: ps[0].Machine, slow: ps[1].Machine}
 	var fast, slow vm.Tool
@@ -137,6 +200,18 @@ func attachAnalyzer(t *testing.T, tool string, ps [2]*proc.Process) analyzerPair
 		fast, slow = f, noLoopMembug{Detector: s}
 		pair.done = func(t *testing.T, label string) {
 			diffSeq(t, label+" findings", f.Findings(), s.Findings())
+		}
+	case "slicer":
+		opts := slicing.Options{IncludeControlDeps: true}
+		f, s := slicing.New(opts), slicing.New(opts)
+		fast, slow = f, noLoopSlicer{Slicer: s}
+		pair.done = func(t *testing.T, label string) {
+			diffSlicers(t, label, f, s, focus)
+			if !f.Truncated() && len(focus) > 0 {
+				if missing, _, _ := f.VerifyBackward(focus); len(missing) != 0 {
+					t.Errorf("%s: implicated %v not in the slice from the failure", label, missing)
+				}
+			}
 		}
 	default:
 		t.Fatalf("no analyzer %q", tool)
@@ -173,20 +248,23 @@ func (pair analyzerPair) run(t *testing.T, r *rand.Rand, label string, most int)
 }
 
 // TestLoopHookDifferential replays each app's attack window, at the default
-// layout and at randomised ones, under each fast-tier analysis tool, once as
-// the tool is (the loops run as kernels) and once with its vm.LoopHook
-// hidden (every hook at every instruction), on Machine.Run both, in Run
-// calls of random length. Every stop must match — StopInfo, PC, registers,
-// flags, InstrCount, Cycles and every mapped guest byte — and so must the
-// findings, and for taint the propagators and the tainted byte count. The
-// kernels must have run on one side and not on the other.
+// layout and at randomised ones, under each analysis tool, once as the tool
+// is (the loops run as kernels) and once with its vm.LoopHook hidden (every
+// hook at every instruction), on Machine.Run both, in Run calls of random
+// length. Every stop must match — StopInfo, PC, registers, flags,
+// InstrCount, Cycles and every mapped guest byte — and so must, at the end,
+// the findings, for taint the propagators and the tainted byte count, and
+// for the slicer the node count, truncation, the backward slice from the
+// failure and the focused check of the app's real implicated set (which the
+// slice must contain). The kernels must have run on one side and not on the
+// other.
 func TestLoopHookDifferential(t *testing.T) {
 	layouts := 60
 	if testing.Short() {
 		layouts = 6
 	}
 	for ai, spec := range apps.All() {
-		for _, tool := range []string{"taint", "membug"} {
+		for _, tool := range []string{"taint", "membug", "slicer"} {
 			t.Run(spec.Name+"/"+tool, func(t *testing.T) {
 				var retired uint64
 				for i := 0; i < layouts && !t.Failed(); i++ {
@@ -194,7 +272,11 @@ func TestLoopHookDifferential(t *testing.T) {
 					if i > 0 {
 						layout = monitor.RandomizedLayout(int64(1000*ai + i))
 					}
-					pair := attachAnalyzer(t, tool, [2]*proc.Process{attackWindow(t, spec, layout), attackWindow(t, spec, layout)})
+					var focus []int
+					if tool == "slicer" {
+						focus = implicated(t, spec, layout)
+					}
+					pair := attachAnalyzer(t, tool, [2]*proc.Process{attackWindow(t, spec, layout), attackWindow(t, spec, layout)}, focus)
 					f0, s0 := pair.fast.LoopRetired(), pair.slow.LoopRetired()
 					r := rand.New(rand.NewSource(int64(i)))
 					pair.run(t, r, fmt.Sprintf("layout %d", i), 80_000)
@@ -214,9 +296,9 @@ func TestLoopHookDifferential(t *testing.T) {
 // TestLoopKernelCoverageUnderTools pins how many of the squid exploit
 // window's instructions the loop kernels retire when the window is replayed
 // under each analysis tool, as the fast and deferred tiers replay it: under
-// the taint tracker every loop runs as a kernel; under the memory-bug
-// detector every loop does until the overflow stops the replay; under the
-// slicer, which has no vm.LoopHook, none does.
+// the taint tracker and under the slicer every loop runs as a kernel; under
+// the memory-bug detector every loop does until the overflow stops the
+// replay.
 func TestLoopKernelCoverageUnderTools(t *testing.T) {
 	spec := apps.Squid()
 	for _, c := range []struct {
@@ -226,7 +308,7 @@ func TestLoopKernelCoverageUnderTools(t *testing.T) {
 	}{
 		{"taint", func(*proc.Process) vm.Tool { return taint.New(true) }, 304060, 134719},
 		{"membug", func(p *proc.Process) vm.Tool { return membug.New(p, true) }, 276060, 106719},
-		{"slicer", func(*proc.Process) vm.Tool { return slicing.New(slicing.Options{IncludeControlDeps: true}) }, 304060, 0},
+		{"slicer", func(*proc.Process) vm.Tool { return slicing.New(slicing.Options{IncludeControlDeps: true}) }, 304060, 134719},
 	} {
 		p := attackWindow(t, spec, vm.DefaultLayout())
 		p.Machine.AttachTool(c.tool(p))

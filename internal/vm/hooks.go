@@ -77,9 +77,11 @@ type ByteLoop struct {
 }
 
 // LoopHook is implemented by a tool or a probe that can account for a run of
-// a byte loop's iterations in one call. A loop's kernel runs only when
-// everything that watches the loop implements it (loops.go's header);
-// otherwise the loop runs one instruction at a time, with every hook.
+// a byte loop's iterations in one call: the taint tracker, the memory-bug
+// detector and the slicer, and the heap-bounds and taint-guard probes. A
+// loop's kernel runs only when everything that watches the loop implements
+// it (loops.go's header); otherwise the loop runs one instruction at a time,
+// with every hook.
 //
 // Before the run, LoopBound reports how many of the next most iterations of
 // l the tool or probe would record nothing in that LoopRan cannot apply: no

@@ -37,9 +37,11 @@ import (
 // overlay in rebuildOverlay whenever tools or probes change). The kernel runs
 // only if each of them takes a run in one call (LoopHook); otherwise the
 // overlay gives the head its own micro-op back and the loop runs one
-// instruction at a time. Before a run each LoopHook bounds it, after it each
-// applies it once, and every iteration is charged what the per-instruction
-// path would have charged:
+// instruction at a time. The analysis tools (the taint tracker, the
+// memory-bug detector and the slicer) and an antibody's heap-bounds and
+// taint-guard probes implement it. Before a run each LoopHook bounds it,
+// after it each applies it once, and every iteration is charged what the
+// per-instruction path would have charged:
 //
 //	n·len(instr)·CyclesPerHook + accesses·len(mem)·CyclesPerHook + per·CyclesPerProbe
 //

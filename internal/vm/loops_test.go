@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sweeper/internal/analysis/membug"
+	"sweeper/internal/analysis/slicing"
 	"sweeper/internal/analysis/taint"
 	"sweeper/internal/apps"
 	"sweeper/internal/asm"
@@ -195,8 +196,9 @@ func (p *loopProbe) LoopRan(m *vm.Machine, l *vm.ByteLoop, k uint64) {
 // shadow with an instruction hook, the taint tracker over random input
 // runs, the memory-bug detector over a heap (its chunks made on a scratch
 // memory, so the guest's bytes stay the string image) with return slots
-// inside it, and the tracker beside a tool without the interface, where no
-// kernel may run. Two more are probe sets: a loopProbe on random indexes of
+// inside it, the slicer (now and then with a MaxNodes small enough to cut
+// the recording short, inside a run or not), and the tracker beside a tool
+// without the interface, where no kernel may run. Two more are probe sets: a loopProbe on random indexes of
 // some of the loops (spans), and a loopProbe on every loop beside a probe
 // without the interface, where again no kernel may run.
 //
@@ -346,13 +348,36 @@ func loopTools(t *testing.T, r *rand.Rand, kind string, ptrs []uint32, spans [][
 		fast.AttachTool(f)
 		slow.AttachTool(noLoopMembug{Detector: s})
 		return func(label string) { diffSeq(t, label+" findings", f.Findings(), s.Findings()) }
+	case "slicer":
+		opts := slicing.Options{IncludeControlDeps: r.Intn(2) == 0}
+		if r.Intn(4) == 0 {
+			opts.MaxNodes = 1 + r.Intn(4000)
+		}
+		f, s := slicing.New(opts), slicing.New(opts)
+		fast.AttachTool(f)
+		slow.AttachTool(noLoopSlicer{Slicer: s})
+		// The focused check looks for loop indexes, and for one index no
+		// guest here reaches.
+		var focus []int
+		for _, sp := range spans {
+			focus = append(focus, sp[0]+r.Intn(sp[1]-sp[0]))
+		}
+		focus = append(focus, 1<<20)
+		return func(label string) {
+			n := f.NodeCount()
+			diffSlicers(t, label+" slicer", f, s, focus, r.Intn(n+1), r.Intn(n+1))
+			idx := focus[r.Intn(len(focus))]
+			if fs, ss := f.LastSeqOf(idx), s.LastSeqOf(idx); fs != ss {
+				t.Errorf("%s: slicer LastSeqOf(%d) fast=%d slow=%d", label, idx, fs, ss)
+			}
+		}
 	}
 	return func(string) {}
 }
 
 // loopToolKinds are loopTools' kinds.
 var loopToolKinds = []string{"shadow", "shadow+instr", "taint", "taint+plain", "membug", "probe", "probe+plain",
-	"taint+probe", "shadow+instr+taint"}
+	"taint+probe", "shadow+instr+taint", "slicer"}
 
 // loopHeap is the memory-bug detector's heap in a loop trial: pages 1-4 of
 // the loop region (page 0 lies below it, page 5 above), its chunks made on a

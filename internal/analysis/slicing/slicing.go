@@ -636,9 +636,6 @@ func (t *template) iteration(off int32) (i, j int32) {
 	return int32(hi), off - int32(hi)*t.n
 }
 
-// node returns node seq's static instruction and its dependences.
-func (c *cursor) node(seq int32) (idx int32, deps []int32) { return c.instr(seq), c.deps(seq) }
-
 // instr returns node seq's static instruction.
 func (c *cursor) instr(seq int32) int32 {
 	r, k := c.find(seq)
@@ -650,21 +647,23 @@ func (c *cursor) instr(seq int32) int32 {
 	return t.head + j
 }
 
-// deps returns node seq's dependences, in the order BeforeInstr records
-// them. They are valid until the next call.
-func (c *cursor) deps(seq int32) []int32 {
+// node returns node seq's static instruction and its dependences, in the
+// order BeforeInstr records them. The dependences are valid until the next
+// call.
+func (c *cursor) node(seq int32) (idx int32, deps []int32) {
 	s := c.s
 	r, k := c.find(seq)
 	if r == nil {
-		return s.deps.span(s.depStart.at(k), s.depStart.at(k+1), c.buf[:0])
+		return s.instrIdx.at(k), s.deps.span(s.depStart.at(k), s.depStart.at(k+1), c.buf[:0])
 	}
 	t := &s.tmpls[r.tmpl]
-	i, row := t.iteration(k)
+	i, j := t.iteration(k)
+	row := j
 	if i > 0 {
 		row += t.n
 	}
 	prev := r.first + (i-1)*t.n
-	deps := c.buf[:0]
+	deps = c.buf[:0]
 	for _, code := range t.codes[t.rows[row]:t.rows[row+1]] {
 		d := prev + code
 		switch {
@@ -677,7 +676,7 @@ func (c *cursor) deps(seq int32) []int32 {
 			deps = append(deps, d)
 		}
 	}
-	return deps
+	return t.head + j, deps
 }
 
 // Slice is the result of a backward slice computation.
@@ -726,6 +725,23 @@ func (v seqSet) add(seq int32) bool {
 	return true
 }
 
+// below returns the largest member of v that is at most seq, or -1.
+func (v seqSet) below(seq int32) int32 {
+	for seq >= 0 {
+		c := v[seq>>chunkBits]
+		if c == nil {
+			seq = seq&^chunkMask - 1
+			continue
+		}
+		// The bits of seq's word up to seq's own.
+		if w := c[(seq&chunkMask)>>6] & (^uint64(0) >> (63 - seq&63)); w != 0 {
+			return seq&^63 + int32(63-bits.LeadingZeros64(w))
+		}
+		seq = seq&^63 - 1
+	}
+	return -1
+}
+
 // instrSet is a set of static instruction indexes, a bitmap grown to the
 // largest one added: a search that visits hundreds of thousands of nodes of
 // a few thousand instructions asks it, not a map, whether it has seen one.
@@ -745,26 +761,21 @@ func (v *instrSet) add(idx int32) bool {
 	return true
 }
 
-// reach explores the dependence graph backward from node from, breadth
-// first. visit, if non-nil, sees each node and its static instruction as it
-// is dequeued, before its dependences are followed; returning false ends the
-// search there. reach returns the nodes discovered (dequeued or still queued)
-// and their count.
-func (s *Slicer) reach(from int32, visit func(seq, idx int32) bool) (seen seqSet, n int) {
-	seen = make(seqSet, (s.nodes+chunkMask)>>chunkBits)
+// reach explores the dependence graph backward from the last node, breadth
+// first. visit sees each node and its static instruction as it is dequeued,
+// before its dependences are followed; returning false ends the search
+// there. reach returns the number of nodes discovered (dequeued or still
+// queued).
+func (s *Slicer) reach(visit func(idx int32) bool) int {
+	from := s.nodes - 1
+	seen := make(seqSet, (s.nodes+chunkMask)>>chunkBits)
 	seen.add(from)
 	c := s.cursor()
 	queue := []int32{from}
 	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
-		var deps []int32
-		if visit == nil {
-			deps = c.deps(cur)
-		} else {
-			var idx int32
-			if idx, deps = c.node(cur); !visit(cur, idx) {
-				break
-			}
+		idx, deps := c.node(queue[head])
+		if !visit(idx) {
+			break
 		}
 		for _, d := range deps {
 			if seen.add(d) {
@@ -772,33 +783,44 @@ func (s *Slicer) reach(from int32, visit func(seq, idx int32) bool) (seen seqSet
 			}
 		}
 	}
-	return seen, len(queue)
+	return len(queue)
 }
 
 // BackwardSlice computes the backward slice from the dynamic instruction with
 // the given sequence number.
+//
+// A node depends only on nodes recorded before it, so one pass down from
+// fromSeq that follows each node of the slice as it passes it finds the
+// whole slice. The pass reads the graph in the order it is kept, and run by
+// run, so where each node is kept is found without a search.
 func (s *Slicer) BackwardSlice(fromSeq int) (*Slice, error) {
 	if fromSeq < 0 || fromSeq >= s.NodeCount() {
 		return nil, fmt.Errorf("slicing: sequence %d out of range (have %d nodes)", fromSeq, s.NodeCount())
 	}
-	seen, n := s.reach(int32(fromSeq), nil)
-
-	// Ascending iteration keeps NodeSeqs sorted without a separate sort pass,
-	// and reads the nodes' instructions in the order they are kept.
-	sl := &Slice{FromSeq: fromSeq, NodeSeqs: make([]int, 0, n), InstrSet: make(map[int]bool)}
-	cur := s.cursor()
+	seen := make(seqSet, (s.nodes+chunkMask)>>chunkBits)
+	seen.add(int32(fromSeq))
+	c := s.cursor()
 	var instrs instrSet
-	for c, words := range seen {
+	sl := &Slice{FromSeq: fromSeq, InstrSet: make(map[int]bool)}
+	n := 0
+	for seq := int32(fromSeq); seq >= 0; seq = seen.below(seq - 1) {
+		n++
+		idx, deps := c.node(seq)
+		if instrs.add(idx) {
+			sl.InstrSet[int(idx)] = true
+		}
+		for _, d := range deps {
+			seen.add(d)
+		}
+	}
+	sl.NodeSeqs = make([]int, 0, n)
+	for ch, words := range seen {
 		if words == nil {
 			continue
 		}
 		for w, word := range words {
 			for ; word != 0; word &= word - 1 {
-				seq := int32(c<<chunkBits | w<<6 | bits.TrailingZeros64(word))
-				sl.NodeSeqs = append(sl.NodeSeqs, int(seq))
-				if idx := cur.instr(seq); instrs.add(idx) {
-					sl.InstrSet[int(idx)] = true
-				}
+				sl.NodeSeqs = append(sl.NodeSeqs, ch<<chunkBits|w<<6|bits.TrailingZeros64(word))
 			}
 		}
 	}
@@ -860,7 +882,7 @@ func (s *Slicer) VerifyBackward(instrs []int) (missing []int, nodesExplored, ins
 	case remaining == 0:
 		nodesExplored = 1 // the root is touched even with nothing to look for
 	default:
-		_, nodesExplored = s.reach(s.nodes-1, func(_, idx int32) bool {
+		nodesExplored = s.reach(func(idx int32) bool {
 			if instrSeen.add(idx) {
 				instrsExplored++
 				if want[int(idx)] {

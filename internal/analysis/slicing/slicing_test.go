@@ -521,61 +521,88 @@ func loopGuest(r *rand.Rand) func(b *asm.Builder) {
 	}
 }
 
-// twins returns two machines loaded with one program at the default layout.
-func twins(t *testing.T, build func(b *asm.Builder)) (a, b *vm.Machine) {
+// build assembles the guest build writes.
+func build(t *testing.T, guest func(b *asm.Builder)) *vm.Program {
 	t.Helper()
-	asmb := asm.New("fuzz")
-	build(asmb)
-	prog, err := asmb.Build()
+	b := asm.New("fuzz")
+	guest(b)
+	prog, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := [2]*vm.Machine{}
-	for i := range ms {
-		if ms[i], err = vm.NewMachine(prog, vm.DefaultLayout(), nil); err != nil {
+	return prog
+}
+
+// recordTwins runs prog for budget instructions on twin machines at the
+// default layout: the Slicer alone on one, so that the VM runs the byte
+// loops as kernels under it, and the reference on the other, which runs
+// them one instruction at a time. It returns both recorders.
+func recordTwins(t *testing.T, prog *vm.Program, opts slicing.Options, budget uint64) (*slicing.Slicer, *refRecorder) {
+	t.Helper()
+	sl, ref := slicing.New(opts), newRef(opts)
+	var ms [2]*vm.Machine
+	for i, tool := range []vm.Tool{sl, ref} {
+		m, err := vm.NewMachine(prog, vm.DefaultLayout(), nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		m.AttachTool(tool)
+		m.Run(budget)
+		ms[i] = m
 	}
-	return ms[0], ms[1]
+	if ms[0].InstrCount() != ms[1].InstrCount() || ms[0].PC != ms[1].PC {
+		t.Fatalf("the twins parted: %d instructions at %d, %d at %d", ms[0].InstrCount(), ms[0].PC, ms[1].InstrCount(), ms[1].PC)
+	}
+	return sl, ref
 }
 
 // TestGraphIdenticalToReferenceOnFuzzCorpus records the VM's differential
-// fuzz guests, and guests of byte loops, on twin machines: the Slicer alone
-// on one, so that the VM runs the byte loops as kernels under it, and the
-// reference on the other, which runs them one instruction at a time.
+// fuzz guests on twin machines (see recordTwins).
 func TestGraphIdenticalToReferenceOnFuzzCorpus(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x511ce))
-	retired := 0
-	for trial := 0; trial < 64; trial++ {
+	for trial := 0; trial < 48; trial++ {
 		seed := rng.Int63()
 		opts := slicing.Options{IncludeControlDeps: trial%2 == 0}
-		loops := trial%4 >= 2
-		switch {
-		case trial%8 == 7:
+		if trial%8 == 7 {
 			opts.MaxNodes = 50 + trial
-		case loops && trial%8 == 6:
-			opts.MaxNodes = 100 + rng.Intn(2000)
 		}
 		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
-			build := vmtest.RandomGuest(r, 80)
-			if loops {
-				build = loopGuest(r)
-			}
-			m, twin := twins(t, build)
-			sl, ref := slicing.New(opts), newRef(opts)
-			m.AttachTool(sl)
-			twin.AttachTool(ref)
-			budget := uint64(200 + r.Intn(5000))
-			if loops {
-				budget *= 4
-			}
-			m.Run(budget)
-			twin.Run(budget)
-			if m.InstrCount() != twin.InstrCount() || m.PC != twin.PC {
-				t.Fatalf("the twins parted: %d instructions at %d, %d at %d", m.InstrCount(), m.PC, twin.InstrCount(), twin.PC)
-			}
+			prog := build(t, vmtest.RandomGuest(r, 80))
+			sl, ref := recordTwins(t, prog, opts, uint64(200+r.Intn(5000)))
+			requireSameGraph(t, sl, ref, r)
+		})
+	}
+}
+
+// TestGraphIdenticalToReferenceOnLoopGuests records guests of byte loops
+// (loopGuest) on twin machines (see recordTwins), and records every fourth
+// again with a MaxNodes that falls inside one of its kernel runs, which
+// must cut both recordings at the same node.
+func TestGraphIdenticalToReferenceOnLoopGuests(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x100b5))
+	retired := 0
+	for trial := 0; trial < 24; trial++ {
+		seed := rng.Int63()
+		opts := slicing.Options{IncludeControlDeps: trial%2 == 0}
+		cut := trial%4 == 3
+		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
+			r := rand.New(rand.NewSource(seed))
+			prog := build(t, loopGuest(r))
+			budget := uint64(800 + r.Intn(20000))
+			sl, ref := recordTwins(t, prog, opts, budget)
 			retired += inRuns(sl)
+			requireSameGraph(t, sl, ref, r)
+			runs := sl.Runs()
+			if !cut || len(runs) == 0 {
+				return
+			}
+			run := runs[r.Intn(len(runs))]
+			opts.MaxNodes = run[0] + 1 + r.Intn(run[1]-run[0]-1) // after its first node, before its last
+			sl, ref = recordTwins(t, prog, opts, budget)
+			if !sl.Truncated() {
+				t.Fatalf("MaxNodes %d inside the run %v did not cut the recording", opts.MaxNodes, run)
+			}
 			requireSameGraph(t, sl, ref, r)
 		})
 	}

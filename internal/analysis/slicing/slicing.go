@@ -49,20 +49,32 @@ const (
 // is re-allocated ~30 times on the way to a few hundred thousand entries and
 // moves about four times its final size through fresh large spans — garbage
 // the collector then chases on the processors the recovered service needs.
-// Its tail may be handed back by lowering n; a chunk it held is kept for the
+// Its tail may be handed back (truncate); a chunk it held is kept for the
 // next pushes.
 type slab struct {
 	chunks []*[chunkLen]int32
+	tail   *[chunkLen]int32 // the chunk of entry n-1: push's, unless n starts a chunk
 	n      int32
 }
 
 func (b *slab) push(v int32) {
-	c := int(b.n >> chunkBits)
-	if c == len(b.chunks) {
-		b.chunks = append(b.chunks, new([chunkLen]int32))
+	if b.n&chunkMask == 0 {
+		c := int(b.n >> chunkBits)
+		if c == len(b.chunks) {
+			b.chunks = append(b.chunks, new([chunkLen]int32))
+		}
+		b.tail = b.chunks[c]
 	}
-	b.chunks[c][b.n&chunkMask] = v
+	b.tail[b.n&chunkMask] = v
 	b.n++
+}
+
+// truncate hands back the entries from n on.
+func (b *slab) truncate(n int32) {
+	b.n = n
+	if n&chunkMask != 0 {
+		b.tail = b.chunks[n>>chunkBits]
+	}
 }
 
 func (b *slab) at(i int32) int32 { return b.chunks[i>>chunkBits][i&chunkMask] }
@@ -100,6 +112,7 @@ const (
 	locFlags  = int(vm.NumRegs)
 	locBranch = locFlags + 1
 	numLocs   = locBranch + 1
+	locSink   = numLocs // the last writer of nothing
 )
 
 // Slicer is the dynamic-slicing tool; attach it with vm.Machine.AttachTool
@@ -134,11 +147,13 @@ type Slicer struct {
 	loads slab       // per run iteration: its loadb's memory dependence, or -1
 	tmpls []template // per loop head the VM has run as a kernel
 
-	last [numLocs]int32 // the last writer of each location, or -1
+	last [numLocs + 1]int32 // the last writer of each location, or -1
 
 	shadow [1 << shadowDirBits]*[1 << shadowLeafBits]*shadowPage
 
-	sym symbolic // a template derivation in progress
+	steps []step // per static instruction of the machine's code, once executed
+	tmp   step   // an instruction from no machine's code
+	sym   int32  // while deriving a template, the symbolic writer of memory; else 0
 
 	truncated bool
 }
@@ -171,18 +186,6 @@ func (s *Slicer) addDep(d int32) {
 	}
 }
 
-func (s *Slicer) depReg(r vm.Reg) {
-	if r < vm.NumRegs {
-		s.addDep(s.last[r])
-	}
-}
-
-func (s *Slicer) writeReg(r vm.Reg, seq int32) {
-	if r < vm.NumRegs {
-		s.last[r] = seq
-	}
-}
-
 // page returns the shadow of guest page pn. Without create it returns nil
 // for a page no recorded instruction has written.
 func (s *Slicer) page(pn uint32, create bool) *shadowPage {
@@ -208,9 +211,8 @@ func (s *Slicer) page(pn uint32, create bool) *shadowPage {
 // depMem adds a dependence on the last writer of each of the size bytes at
 // addr, in address order.
 func (s *Slicer) depMem(addr, size uint32) {
-	if s.sym.on {
-		s.sym.access(&s.sym.reads, size)
-		s.addDep(s.sym.mem)
+	if s.sym != 0 {
+		s.addDep(s.sym)
 		return
 	}
 	off := addr & (vm.PageSize - 1)
@@ -230,8 +232,7 @@ func (s *Slicer) depMem(addr, size uint32) {
 
 // writeMem makes seq the last writer of the size bytes at addr.
 func (s *Slicer) writeMem(addr, size uint32, seq int32) {
-	if s.sym.on {
-		s.sym.access(&s.sym.writes, size)
+	if s.sym != 0 {
 		return
 	}
 	off := addr & (vm.PageSize - 1)
@@ -255,112 +256,121 @@ func (s *Slicer) BeforeInstr(m *vm.Machine, idx int, in *vm.Instr) {
 		s.truncated = true
 		return
 	}
-	s.record(&m.Regs, in, s.nodes)
+	var st *step
+	if uint(idx) < uint(len(s.steps)) && s.steps[idx].ok {
+		st = &s.steps[idx]
+	} else {
+		st = s.step(m, idx, in) // idx's first execution
+	}
+	s.record(&m.Regs, st, s.nodes)
 	s.instrIdx.push(int32(idx))
 	s.depStart.push(s.deps.n)
 	s.nodes++
 }
 
-// record is the recording rules: it pushes the dependences of instruction in,
-// executed as node seq from registers regs, onto deps and makes seq the last
-// writer of what it writes.
-func (s *Slicer) record(regs *[vm.NumRegs]uint32, in *vm.Instr, seq int32) {
+// step is the recording rules for one static instruction, decoded from its
+// opcode's vm.Effects: the locations whose last writers it depends on, in
+// order (the last branch first when control dependences are recorded), its
+// memory access, and the locations it writes.
+type step struct {
+	uses  [5]uint8 // right-aligned: the last nuse
+	nuse  uint8
+	defs  [2]uint8 // locSink where unused
+	size  uint8    // of the memory access; 0 for none
+	write bool
+	base  vm.Reg
+	disp  int32
+	ok    bool // decoded
+}
+
+// step decodes in's rules and keeps them for index idx of m's code, which in
+// is whenever a machine calls its hooks; an instruction from no machine's
+// code is decoded into tmp at every call.
+func (s *Slicer) step(m *vm.Machine, idx int, in *vm.Instr) *step {
+	if s.steps == nil {
+		s.steps = make([]step, len(m.Code()))
+	}
+	st := &s.tmp
+	if uint(idx) < uint(len(s.steps)) {
+		st = &s.steps[idx]
+	}
+	*st = s.decode(in)
+	return st
+}
+
+// decode works in's step out of its opcode's effects. The registers its
+// operands name are in range: the loader refuses code that names one past bp.
+func (s *Slicer) decode(in *vm.Instr) step {
+	e := in.Op.Effects()
+	st := step{size: uint8(e.Mem.Size), write: e.Mem.Write, base: in.Reg(e.Mem.Base), disp: e.Mem.Disp(in), ok: true}
+	var ub, db [8]uint8
+	uses, defs := ub[:0], db[:0]
 	if s.opts.IncludeControlDeps {
-		s.addDep(s.last[locBranch])
+		uses = append(uses, uint8(locBranch))
 	}
-
-	switch in.Op {
-	case vm.OpNop, vm.OpHalt:
-
-	case vm.OpMovI:
-		s.writeReg(in.Rd, seq)
-	case vm.OpMov, vm.OpLea:
-		s.depReg(in.Rs)
-		s.writeReg(in.Rd, seq)
-
-	case vm.OpLoadB, vm.OpLoadW:
-		size := uint32(4)
-		if in.Op == vm.OpLoadB {
-			size = 1
+	for _, r := range e.Reads {
+		// A call reads SP to push its return address, but the recording
+		// rules have never made it depend on SP's last writer; the graph
+		// keeps that shape.
+		if r != vm.SP || in.Op != vm.OpCall && in.Op != vm.OpCallReg {
+			uses = append(uses, uint8(in.Reg(r)))
 		}
-		s.depReg(in.Rs)
-		s.depMem(regs[in.Rs]+uint32(in.Imm), size)
-		s.writeReg(in.Rd, seq)
-
-	case vm.OpStoreB, vm.OpStoreW:
-		size := uint32(4)
-		if in.Op == vm.OpStoreB {
-			size = 1
-		}
-		s.depReg(in.Rd)
-		s.depReg(in.Rs)
-		s.writeMem(regs[in.Rd]+uint32(in.Imm), size, seq)
-
-	case vm.OpAdd, vm.OpSub, vm.OpMul, vm.OpDiv, vm.OpMod, vm.OpAnd, vm.OpOr, vm.OpXor, vm.OpShl, vm.OpShr:
-		s.depReg(in.Rd)
-		s.depReg(in.Rs)
-		s.writeReg(in.Rd, seq)
-	case vm.OpAddI, vm.OpSubI, vm.OpMulI, vm.OpDivI, vm.OpModI, vm.OpAndI, vm.OpOrI, vm.OpXorI, vm.OpShlI, vm.OpShrI:
-		s.depReg(in.Rd)
-		s.writeReg(in.Rd, seq)
-
-	case vm.OpCmp:
-		s.depReg(in.Rd)
-		s.depReg(in.Rs)
-		s.last[locFlags] = seq
-	case vm.OpCmpI:
-		s.depReg(in.Rd)
-		s.last[locFlags] = seq
-
-	case vm.OpJmp:
-		s.last[locBranch] = seq
-	case vm.OpJz, vm.OpJnz, vm.OpJlt, vm.OpJle, vm.OpJgt, vm.OpJge:
-		s.addDep(s.last[locFlags])
-		s.last[locBranch] = seq
-	case vm.OpJmpReg:
-		s.depReg(in.Rd)
-		s.last[locBranch] = seq
-
-	case vm.OpCall:
-		s.writeMem(regs[vm.SP]-4, 4, seq)
-		s.writeReg(vm.SP, seq)
-		s.last[locBranch] = seq
-	case vm.OpCallReg:
-		s.depReg(in.Rd)
-		s.writeMem(regs[vm.SP]-4, 4, seq)
-		s.writeReg(vm.SP, seq)
-		s.last[locBranch] = seq
-	case vm.OpRet:
-		s.depReg(vm.SP)
-		s.depMem(regs[vm.SP], 4)
-		s.writeReg(vm.SP, seq)
-		s.last[locBranch] = seq
-
-	case vm.OpPush:
-		s.depReg(in.Rd)
-		s.depReg(vm.SP)
-		s.writeMem(regs[vm.SP]-4, 4, seq)
-		s.writeReg(vm.SP, seq)
-	case vm.OpPushI:
-		s.depReg(vm.SP)
-		s.writeMem(regs[vm.SP]-4, 4, seq)
-		s.writeReg(vm.SP, seq)
-	case vm.OpPop:
-		s.depReg(vm.SP)
-		s.depMem(regs[vm.SP], 4)
-		s.writeReg(in.Rd, seq)
-		s.writeReg(vm.SP, seq)
-
-	case vm.OpSyscall:
-		// Syscalls read the argument registers and write R0; their memory
-		// effects (recv buffers) are treated as fresh definitions by the
-		// InputHook path of other tools, so here only register flow is kept.
-		s.depReg(vm.R0)
-		s.depReg(vm.R1)
-		s.depReg(vm.R2)
-		s.depReg(vm.R3)
-		s.writeReg(vm.R0, seq)
 	}
+	for _, r := range e.Writes {
+		defs = append(defs, uint8(in.Reg(r)))
+	}
+	if e.ReadsFlags {
+		uses = append(uses, uint8(locFlags))
+	}
+	if e.WritesFlags {
+		defs = append(defs, uint8(locFlags))
+	}
+	if e.Branch {
+		defs = append(defs, uint8(locBranch))
+	}
+	if len(uses) > len(st.uses) || len(defs) > len(st.defs) {
+		panic(fmt.Sprintf("slicing: %v touches more locations than a step holds", in.Op))
+	}
+	st.nuse = uint8(copy(st.uses[len(st.uses)-len(uses):], uses))
+	st.defs = [2]uint8{uint8(locSink), uint8(locSink)}
+	copy(st.defs[:], defs)
+	return st
+}
+
+// record is the recording rules: it pushes the dependences of the
+// instruction st decodes, executed as node seq from registers regs, onto deps
+// and makes seq the last writer of what it writes.
+func (s *Slicer) record(regs *[vm.NumRegs]uint32, st *step, seq int32) {
+	// One jump into straight-line code rather than a loop, whose exit, at a
+	// different count from one instruction to the next, the branch
+	// predictor missed often enough to slow recording by a tenth.
+	u := &st.uses
+	switch st.nuse {
+	case 5:
+		s.addDep(s.last[u[0]])
+		fallthrough
+	case 4:
+		s.addDep(s.last[u[1]])
+		fallthrough
+	case 3:
+		s.addDep(s.last[u[2]])
+		fallthrough
+	case 2:
+		s.addDep(s.last[u[3]])
+		fallthrough
+	case 1:
+		s.addDep(s.last[u[4]])
+	}
+	if st.size != 0 {
+		addr := regs[st.base] + uint32(st.disp)
+		if st.write {
+			s.writeMem(addr, uint32(st.size), seq)
+		} else {
+			s.depMem(addr, uint32(st.size))
+		}
+	}
+	s.last[st.defs[0]] = seq
+	s.last[st.defs[1]] = seq
 }
 
 // A template is what the recording rules make of one iteration of a byte
@@ -400,10 +410,6 @@ const storeNode = 1
 // second counter, destination or character, and the last branch).
 const maxEntries = 4
 
-// maxSpan bounds the search for a loop's closing jmp; the longest recognised
-// span is seven instructions.
-const maxSpan = 8
-
 // run is one kernel run of a byte loop: nodes [first, end) of template tmpl,
 // the writers of its template's entry locations when it began, and where its
 // iterations' memory dependences start in loads. skipped counts the nodes
@@ -415,22 +421,6 @@ type run struct {
 	tmpl       int32
 	loads      int32
 	entry      [maxEntries]int32
-}
-
-// symbolic is a template derivation's view of memory: the recording rules
-// then add mem for a read instead of a last writer, and change no shadow.
-// reads and writes count the bytes accessed by the node being derived; bad
-// is set by an access of more than one byte.
-type symbolic struct {
-	on            bool
-	mem           int32
-	reads, writes int
-	bad           bool
-}
-
-func (y *symbolic) access(count *int, size uint32) {
-	*count++
-	y.bad = y.bad || size != 1
 }
 
 // LoopBound implements vm.LoopHook. A run records nothing LoopRan cannot
@@ -511,47 +501,42 @@ func (s *Slicer) template(m *vm.Machine, l *vm.ByteLoop) int {
 }
 
 // derive works out l's loop's template by running the recording rules
-// (record) over two iterations of its span — from l.Load through the jmp
-// back to it — with symbolic writers: node u of the two iterations is
-// sequence number u, the entry writer of location loc is 2n+loc, and a
-// memory read adds 2n+numLocs. Iteration 1's rows and last writers are then
-// every later iteration's, shifted. The rows are pushed on the dependence
-// slab's tail and handed back, and the real last writers are restored, so
-// deriving allocates no graph storage. The span must read one byte with its
-// head (the loadb), write one with the next instruction in a copy (the
-// storeb) and access memory nowhere else, as vm.ByteLoop describes.
+// (record) over two iterations of its span with symbolic writers: node u of
+// the two iterations is sequence number u, the entry writer of location loc
+// is 2n+loc, and a memory read adds 2n+numLocs (s.sym). Iteration 1's rows
+// and last writers are then every later iteration's, shifted. The rows are
+// pushed on the dependence slab's tail and handed back, and the real last
+// writers are restored, so deriving allocates no graph storage. The span's
+// memory accesses must be a loadb's at its head, a storeb's at a copy's
+// Load+1 and none elsewhere, as vm.ByteLoop describes it.
 func (s *Slicer) derive(m *vm.Machine, l *vm.ByteLoop) template {
-	t := template{head: int32(l.Load)}
-	code := m.Code()
-	for j := l.Load; j < len(code) && j < l.Load+maxSpan; j++ {
-		if code[j].Op == vm.OpJmp && int(code[j].Imm) == l.Load {
-			t.n = int32(j - l.Load + 1)
-			break
-		}
+	t := template{head: int32(l.Load), n: int32(l.N)}
+	span := m.Code()[l.Load : l.Load+l.N]
+	want := map[int]vm.MemAccess{0: vm.OpLoadB.Effects().Mem}
+	if l.Copy {
+		want[storeNode] = vm.OpStoreB.Effects().Mem
 	}
-	if t.n == 0 {
-		return t
+	for j := range span {
+		if span[j].Op.Effects().Mem != want[j] {
+			return t
+		}
 	}
 	n2 := 2 * t.n
 	saved, base := s.last, s.deps.n
-	defer func() { s.last, s.deps.n, s.sym = saved, base, symbolic{} }()
-	for loc := range s.last {
+	defer func() { s.last, s.sym = saved, 0; s.deps.truncate(base) }()
+	for loc := range numLocs {
 		s.last[loc] = n2 + int32(loc)
 	}
-	s.sym = symbolic{on: true, mem: n2 + int32(numLocs)}
+	s.sym = n2 + int32(numLocs)
 	t.rows = append(make([]int32, 0, n2+1), 0)
 	for u := int32(0); u < n2; u++ {
-		j := u % t.n
+		j := int(u % t.n)
 		from := s.deps.n
-		s.sym.reads, s.sym.writes = 0, 0
-		s.record(&m.Regs, &code[l.Load+int(j)], u)
-		if s.sym.bad || s.sym.reads != b2i(j == 0) || s.sym.writes != b2i(l.Copy && j == storeNode) {
-			return t
-		}
+		s.record(&m.Regs, s.step(m, l.Load+j, &span[j]), u)
 		for p := from; p < s.deps.n; p++ {
 			c := s.deps.at(p)
 			switch {
-			case c == s.sym.mem:
+			case c == s.sym:
 				c = codeLoad
 			case c >= n2:
 				e := 0
@@ -572,7 +557,7 @@ func (s *Slicer) derive(m *vm.Machine, l *vm.ByteLoop) template {
 	if len(t.entries) > maxEntries {
 		return t
 	}
-	for loc, w := range s.last {
+	for loc, w := range s.last[:numLocs] {
 		switch {
 		case w >= n2: // never written in the loop
 		case w < t.n:
@@ -583,13 +568,6 @@ func (s *Slicer) derive(m *vm.Machine, l *vm.ByteLoop) template {
 	}
 	t.inv, t.ok = ^uint64(0)/uint64(t.n)+1, true
 	return t
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // cursor reads the graph node by node; every reader goes through it. It

@@ -692,27 +692,24 @@ func TestGraphIdenticalToReferenceOnExploits(t *testing.T) {
 	}
 }
 
-// TestSquidWindowFootprint pins the work the slicer stores for the squid
-// exploit window the deferred tier replays — one benign request served
-// before the checkpoint, four after it, then the exploit — as a count, not a
-// clock: every one of its 304 060 dynamic instructions is recorded, and the
-// graph is stored in at most 730 000 int32 entries. Recording every node on
-// its own, as the slicer did before it took the byte loops' kernel runs as
-// run records, stored 1 212 682.
-func TestSquidWindowFootprint(t *testing.T) {
+// squidWindow returns squid's exploit window as the deferred tier replays it
+// — one benign request served before the checkpoint, four after it, then the
+// exploit — and the checkpoint to replay it from.
+func squidWindow(tb testing.TB) (*proc.Process, *proc.Snapshot) {
+	tb.Helper()
 	spec := apps.Squid()
 	ex, err := exploit.Exploit(spec)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	in := netproxy.New()
 	in.Submit(exploit.Benign(spec.Name, 0), "client", false)
 	p, err := proc.New(spec.Name, spec.Image, vm.DefaultLayout(), in, spec.Options)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if stop := p.Run(0); stop.Reason != vm.StopWaitInput {
-		t.Fatalf("benign request: %v", stop.Reason)
+		tb.Fatalf("benign request: %v", stop.Reason)
 	}
 	snap := p.Snapshot(1)
 	for i := 1; i <= 4; i++ {
@@ -720,20 +717,50 @@ func TestSquidWindowFootprint(t *testing.T) {
 	}
 	in.Submit(ex, "worm", true)
 	if stop := p.Run(0); stop.Reason != vm.StopFault {
-		t.Fatalf("the exploit stopped the guest with %v, want a fault", stop.Reason)
+		tb.Fatalf("the exploit stopped the guest with %v, want a fault", stop.Reason)
 	}
+	return p, snap
+}
+
+// recordSquidWindow replays the window under a slicer recording control
+// dependences, as the deferred tier does, and checks that every one of its
+// 304 060 dynamic instructions is recorded.
+func recordSquidWindow(tb testing.TB, p *proc.Process, snap *proc.Snapshot) *slicing.Slicer {
+	tb.Helper()
 	p.Rollback(snap, proc.ModeReplay, false)
 	sl := slicing.New(slicing.Options{IncludeControlDeps: true})
 	p.Machine.AttachTool(sl)
 	if stop := p.Run(0); stop.Reason != vm.StopFault {
-		t.Fatalf("the replay stopped with %v, want the fault", stop.Reason)
+		tb.Fatalf("the replay stopped with %v, want the fault", stop.Reason)
 	}
-	t.Logf("%d nodes recorded, %d in %d loop runs, stored in %d int32 entries", sl.NodeCount(), inRuns(sl), len(sl.Runs()), sl.Entries())
+	p.Machine.DetachTool(sl.Name())
 	if sl.NodeCount() != 304060 || sl.Truncated() {
-		t.Errorf("recorded %d nodes (truncated=%v), want 304060", sl.NodeCount(), sl.Truncated())
+		tb.Fatalf("recorded %d nodes (truncated=%v), want 304060", sl.NodeCount(), sl.Truncated())
 	}
+	return sl
+}
+
+// TestSquidWindowFootprint pins the work the slicer stores for squid's
+// exploit window (squidWindow) as a count, not a clock: every node is
+// recorded, and the graph is stored in at most 730 000 int32 entries.
+// Recording every node on its own, as the slicer did before it took the byte
+// loops' kernel runs as run records, stored 1 212 682.
+func TestSquidWindowFootprint(t *testing.T) {
+	p, snap := squidWindow(t)
+	sl := recordSquidWindow(t, p, snap)
+	t.Logf("%d nodes recorded, %d in %d loop runs, stored in %d int32 entries", sl.NodeCount(), inRuns(sl), len(sl.Runs()), sl.Entries())
 	if n := sl.Entries(); n > 730_000 {
 		t.Errorf("the graph is stored in %d int32 entries, want at most 730000", n)
+	}
+}
+
+// BenchmarkSquidWindowRecord times what TestSquidWindowFootprint counts: one
+// replay of squid's exploit window under the slicer, per iteration.
+func BenchmarkSquidWindowRecord(b *testing.B) {
+	p, snap := squidWindow(b)
+	b.ResetTimer()
+	for range b.N {
+		recordSquidWindow(b, p, snap)
 	}
 }
 

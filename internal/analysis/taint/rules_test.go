@@ -204,3 +204,35 @@ func TestRestrictedLoopBound(t *testing.T) {
 		t.Errorf("full tracker: copy bound %d, want %d", got, most)
 	}
 }
+
+// TestOnlyAPushClearsTheSlotBelowSP taints the four bytes below SP and runs
+// one branch through BeforeInstr, as the VM calls the tracker, then reads
+// those bytes. Of jmpr, callr, jmp and ret only callr writes them — it
+// pushes its return address, a constant — so only callr leaves them clean.
+func TestOnlyAPushClearsTheSlotBelowSP(t *testing.T) {
+	b := asm.New("slot")
+	b.Func("main")
+	b.Halt()
+	m, err := vm.NewMachine(b.MustBuild(), vm.DefaultLayout(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := m.Regs[vm.SP]
+	for _, c := range []struct {
+		op      vm.Op
+		tainted int
+	}{{vm.OpJmpReg, 4}, {vm.OpCallReg, 0}, {vm.OpJmp, 4}, {vm.OpRet, 4}} {
+		tr := New(false)
+		tr.OnInput(m, sp-4, make([]byte, 4), 1)
+		tr.BeforeInstr(m, 0, &vm.Instr{Op: c.op, Rd: vm.R1})
+		n := 0
+		for a := sp - 4; a < sp; a++ {
+			if _, ok := tr.memTaint(a, 1); ok {
+				n++
+			}
+		}
+		if n != c.tainted {
+			t.Errorf("after %v, %d of the 4 bytes below SP are tainted, want %d", c.op, n, c.tainted)
+		}
+	}
+}

@@ -310,21 +310,21 @@ func (t *Tracker) BeforeInstr(m *vm.Machine, idx int, in *vm.Instr) {
 // reaches a sink, so the tracker is not called there.
 func (t *Tracker) ObservedOps() vm.OpSet { return observedOps }
 
-// rule is what Propagate does at an opcode.
+// rule is what Propagate does at an opcode: its policy, which operand's
+// taint moves where. The memory an instruction reads or writes is its
+// opcode's vm.Effects, through EffectiveAddr.
 type rule uint8
 
 const (
 	ruleNone     rule = iota
 	ruleConstReg      // movi: the destination register is clean
-	ruleConstMem      // pushi: the pushed slot is clean
+	ruleConstMem      // pushi, call: the pushed slot is clean
 	ruleCopy          // mov, lea: the destination takes the source's taint
-	ruleLoad          // loadb, loadw: the register takes the bytes' taint
+	ruleLoad          // loadb, loadw, pop: the register takes the bytes' taint
 	ruleStore         // storeb, storew: the bytes take the register's taint
 	ruleALU           // reg-reg arithmetic: a clean destination takes the source's taint
 	rulePush          // push: the slot takes the register's taint
-	rulePop           // pop: the register takes the slot's taint
-	ruleCall          // call: the pushed return address is clean
-	ruleIndirect      // callr, jmpr: sink, the target register
+	ruleIndirect      // callr, jmpr: sink, the target register; callr's pushed slot is clean
 	ruleRet           // ret: sink, the return address
 	ruleSyscall       // syscall: sink, the argument of free
 )
@@ -333,14 +333,13 @@ const (
 // Propagate switches on it and ObservedOps is its domain, so the two cannot
 // drift apart.
 var rules = [256]rule{
-	vm.OpMovI: ruleConstReg, vm.OpPushI: ruleConstMem,
+	vm.OpMovI: ruleConstReg, vm.OpPushI: ruleConstMem, vm.OpCall: ruleConstMem,
 	vm.OpMov: ruleCopy, vm.OpLea: ruleCopy,
-	vm.OpLoadB: ruleLoad, vm.OpLoadW: ruleLoad,
+	vm.OpLoadB: ruleLoad, vm.OpLoadW: ruleLoad, vm.OpPop: ruleLoad,
 	vm.OpStoreB: ruleStore, vm.OpStoreW: ruleStore,
 	vm.OpAdd: ruleALU, vm.OpSub: ruleALU, vm.OpMul: ruleALU, vm.OpDiv: ruleALU, vm.OpMod: ruleALU,
 	vm.OpAnd: ruleALU, vm.OpOr: ruleALU, vm.OpXor: ruleALU, vm.OpShl: ruleALU, vm.OpShr: ruleALU,
-	vm.OpPush: rulePush, vm.OpPop: rulePop,
-	vm.OpCall: ruleCall, vm.OpCallReg: ruleIndirect, vm.OpJmpReg: ruleIndirect,
+	vm.OpPush: rulePush, vm.OpCallReg: ruleIndirect, vm.OpJmpReg: ruleIndirect,
 	vm.OpRet: ruleRet, vm.OpSyscall: ruleSyscall,
 }
 
@@ -358,22 +357,18 @@ var observedOps = func() vm.OpSet {
 // It is exported so that taint-VSEF probes can reuse the exact semantics of
 // the full tool at selected instructions.
 func (t *Tracker) Propagate(m *vm.Machine, idx int, in *vm.Instr) {
+	addr, size, _, _ := m.EffectiveAddr(in)
 	switch rules[in.Op] {
 	case ruleConstReg:
 		t.setReg(in.Rd, regTaint{})
 
 	case ruleConstMem:
-		t.clearMem(m.Regs[vm.SP]-4, 4)
+		t.clearMem(addr, size)
 
 	case ruleCopy:
 		t.copyRegTaint(idx, in.Rd, in.Rs)
 
 	case ruleLoad:
-		size := 4
-		if in.Op == vm.OpLoadB {
-			size = 1
-		}
-		addr := m.Regs[in.Rs] + uint32(in.Imm)
 		if lbl, ok := t.memTaint(addr, size); ok {
 			t.setReg(in.Rd, regTaint{tainted: true, label: lbl})
 			t.markPropagator(idx)
@@ -382,11 +377,6 @@ func (t *Tracker) Propagate(m *vm.Machine, idx int, in *vm.Instr) {
 		}
 
 	case ruleStore:
-		size := 4
-		if in.Op == vm.OpStoreB {
-			size = 1
-		}
-		addr := m.Regs[in.Rd] + uint32(in.Imm)
 		if rt := t.regs[in.Rs]; rt.tainted {
 			t.taintMem(addr, size, rt.label)
 			t.markPropagator(idx)
@@ -403,29 +393,15 @@ func (t *Tracker) Propagate(m *vm.Machine, idx int, in *vm.Instr) {
 		}
 
 	case rulePush:
-		addr := m.Regs[vm.SP] - 4
 		if rt := t.regs[in.Rd]; rt.tainted {
-			t.taintMem(addr, 4, rt.label)
+			t.taintMem(addr, size, rt.label)
 			t.markPropagator(idx)
 		} else {
-			t.clearMem(addr, 4)
+			t.clearMem(addr, size)
 		}
-
-	case rulePop:
-		addr := m.Regs[vm.SP]
-		if lbl, ok := t.memTaint(addr, 4); ok {
-			t.setReg(in.Rd, regTaint{tainted: true, label: lbl})
-			t.markPropagator(idx)
-		} else {
-			t.setReg(in.Rd, regTaint{})
-		}
-
-	case ruleCall:
-		// The pushed return address is a constant: untainted.
-		t.clearMem(m.Regs[vm.SP]-4, 4)
 
 	case ruleIndirect:
-		t.clearMem(m.Regs[vm.SP]-4, 4)
+		t.clearMem(addr, size)
 		if rt := t.regs[in.Rd]; rt.tainted {
 			t.record(m, Finding{
 				Kind:     vm.ViolationTaintedControl,
@@ -437,8 +413,7 @@ func (t *Tracker) Propagate(m *vm.Machine, idx int, in *vm.Instr) {
 		}
 
 	case ruleRet:
-		addr := m.Regs[vm.SP]
-		if lbl, ok := t.memTaint(addr, 4); ok {
+		if lbl, ok := t.memTaint(addr, size); ok {
 			t.record(m, Finding{
 				Kind:     vm.ViolationTaintedControl,
 				InstrIdx: idx,
@@ -567,7 +542,8 @@ func (t *Tracker) OnFault(m *vm.Machine, f *vm.Fault) {
 			lbl, tainted = rt.label, true
 		}
 	case vm.OpRet:
-		if l, ok := t.memTaint(m.Regs[vm.SP], 4); ok {
+		addr, size, _, _ := m.EffectiveAddr(&in)
+		if l, ok := t.memTaint(addr, size); ok {
 			lbl, tainted = l, true
 		}
 	case vm.OpJmpReg, vm.OpCallReg:

@@ -346,10 +346,7 @@ func (p *heapBoundsProbe) OnProbe(m *vm.Machine, idx int, in *vm.Instr) {
 	if !in.Op.IsStore() && !in.Op.IsLoad() {
 		return
 	}
-	addr, size, _, ok := m.EffectiveAddr(in)
-	if !ok {
-		return
-	}
+	addr, size, _, _ := m.EffectiveAddr(in)
 	if !p.alloc.InHeapRegion(addr) {
 		return
 	}
@@ -434,10 +431,7 @@ func (p *stackStoreProbe) OnProbe(m *vm.Machine, idx int, in *vm.Instr) {
 	if !in.Op.IsStore() {
 		return
 	}
-	addr, size, _, ok := m.EffectiveAddr(in)
-	if !ok {
-		return
-	}
+	addr, size, _, _ := m.EffectiveAddr(in)
 	layout := m.Layout()
 	if addr < layout.StackBase || addr >= layout.StackTop() {
 		return

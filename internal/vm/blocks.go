@@ -172,19 +172,10 @@ func packUops(code []Instr, desc []uint64) []uint64 {
 // addresses are 32-bit, so no real page number reaches it.
 const invalidPN = ^uint32(0)
 
-// fusible reports whether the fused body loop can execute op: false for
-// terminators and other non-fusible ops (control flow, syscall, halt, illegal
-// opcodes).
+// fusible reports whether the fused body loop can execute op: an opcode of
+// the ISA that neither branches (Effects), traps nor halts.
 func fusible(op Op) bool {
-	switch op {
-	case OpNop, OpMovI, OpMov, OpLea,
-		OpAdd, OpSub, OpMul, OpDiv, OpMod, OpAnd, OpOr, OpXor, OpShl, OpShr,
-		OpAddI, OpSubI, OpMulI, OpDivI, OpModI, OpAndI, OpOrI, OpXorI, OpShlI, OpShrI,
-		OpCmp, OpCmpI,
-		OpLoadB, OpLoadW, OpStoreB, OpStoreW, OpPush, OpPushI, OpPop:
-		return true
-	}
-	return false
+	return op < numOps && !opEffects[op].Branch && op != OpSyscall && op != OpHalt
 }
 
 // buildBlocks decodes relocated code into its block descriptors: a single

@@ -62,16 +62,17 @@ func observedOps(h InstrHook) OpSet {
 }
 
 // ByteLoop is a run of a recognised byte loop's continuing iterations (see
-// loops.go) as an engine hands it to a LoopHook. Iteration i, from 0, reads
-// the byte at Src+i with the loadb at index Load (the loop's head) into
-// register X; in a copy it then writes that byte to Dst+i with the storeb at
-// Load+1. No other instruction of an iteration touches memory or calls
-// anything a tool hooks: compares, a conditional jump not taken, immediate
-// adds to the pointers and the jump back to the head. It is the machine's:
-// valid only for the call, and read-only.
+// loops.go) as an engine hands it to a LoopHook. An iteration retires the N
+// instructions from the loadb at index Load (the loop's head) through the
+// jmp back to it. Iteration i, from 0, reads the byte at Src+i with the loadb
+// into register X; in a copy it then writes that byte to Dst+i with the
+// storeb at Load+1. No other instruction of an iteration touches memory or
+// calls anything a tool hooks: compares, a conditional jump not taken,
+// immediate adds to the pointers and the jump back to the head. It is the
+// machine's: valid only for the call, and read-only.
 type ByteLoop struct {
 	Copy     bool
-	Load     int
+	Load, N  int
 	X        Reg
 	Src, Dst uint32
 }

@@ -134,28 +134,16 @@ func (o Op) String() string {
 }
 
 // IsBranch reports whether the opcode may change control flow.
-func (o Op) IsBranch() bool {
-	switch o {
-	case OpJmp, OpJz, OpJnz, OpJlt, OpJle, OpJgt, OpJge, OpJmpReg, OpCall, OpCallReg, OpRet:
-		return true
-	}
-	return false
-}
+func (o Op) IsBranch() bool { return opEffects[o].Branch }
 
 // IsCondBranch reports whether the opcode is a conditional branch.
-func (o Op) IsCondBranch() bool {
-	switch o {
-	case OpJz, OpJnz, OpJlt, OpJle, OpJgt, OpJge:
-		return true
-	}
-	return false
-}
+func (o Op) IsCondBranch() bool { return opEffects[o].Branch && opEffects[o].ReadsFlags }
 
 // IsLoad reports whether the opcode reads from memory (excluding pops).
-func (o Op) IsLoad() bool { return o == OpLoadB || o == OpLoadW }
+func (o Op) IsLoad() bool { a := &opEffects[o].Mem; return a.Size != 0 && !a.Write && a.Base != SP }
 
 // IsStore reports whether the opcode writes to memory (excluding pushes).
-func (o Op) IsStore() bool { return o == OpStoreB || o == OpStoreW }
+func (o Op) IsStore() bool { a := &opEffects[o].Mem; return a.Write && a.Base != SP }
 
 // InstrSize is the notional encoded size of one instruction in bytes; code
 // addresses are CodeBase + InstrSize*index.
@@ -170,6 +158,22 @@ type Instr struct {
 	Rs  Reg    // source register
 	Imm int32  // immediate, displacement or branch target (instruction index)
 	Sym string // enclosing function symbol, for diagnostics and VSEF context
+}
+
+// The operand fields, as Effects names a register an instruction takes from
+// its Rd or Rs.
+const (
+	OperandRd Reg = 0xF0 + iota
+	OperandRs
+)
+
+// Reg resolves r, a register Effects names, against the instruction: its Rd
+// or Rs for an operand field, r itself for a fixed register.
+func (in *Instr) Reg(r Reg) Reg {
+	if r >= OperandRd {
+		return [2]Reg{in.Rd, in.Rs}[r-OperandRd]
+	}
+	return r
 }
 
 // String renders the instruction in assembler-like syntax.

@@ -215,7 +215,7 @@ func (m *Machine) runKernel(id uint32, room uint64) uint64 {
 		return 0
 	}
 	l := &m.loopArg
-	*l = ByteLoop{Copy: lp.kind == loopCopy, Load: lp.head, X: Reg(lp.x), Src: m.Regs[lp.p]}
+	*l = ByteLoop{Copy: lp.kind == loopCopy, Load: lp.head, N: lp.n, X: Reg(lp.x), Src: m.Regs[lp.p]}
 	if l.Copy {
 		l.Dst = m.Regs[lp.q]
 	}

@@ -118,6 +118,71 @@ var opCycles = [256]uint8{
 	OpSyscall: cyclesSyscall,
 }
 
+// Effects is what an opcode reads and writes besides the PC, the one account
+// of the ISA's data flow that the loader, the analysis tools and the opcode
+// predicates read. A register is a fixed one or an operand field (Instr.Reg).
+// An opcode past the ISA has none. A syscall's registers are the handler's
+// convention; what it writes to memory reaches tools through InputHook.
+type Effects struct {
+	Reads       []Reg // in the order the slicer records its dependences
+	Writes      []Reg
+	ReadsFlags  bool
+	WritesFlags bool
+	Branch      bool // may change control flow
+	Mem         MemAccess
+}
+
+// MemAccess is an opcode's one data memory access: Size bytes (0: none) at
+// register Base plus the instruction's Imm or, off SP, plus SPOff.
+type MemAccess struct {
+	Size  int
+	Write bool
+	Base  Reg
+	SPOff int32
+}
+
+// Disp returns the displacement of in's access from its base register.
+func (a *MemAccess) Disp(in *Instr) int32 {
+	if a.Base == SP {
+		return a.SPOff
+	}
+	return in.Imm
+}
+
+// Effects returns the opcode's entry in the effects table.
+func (o Op) Effects() *Effects { return &opEffects[o] }
+
+var opEffects = func() (t [256]Effects) {
+	rd, rs, rdrs, sp := []Reg{OperandRd}, []Reg{OperandRs}, []Reg{OperandRd, OperandRs}, []Reg{SP}
+	push, pop := MemAccess{Size: 4, Write: true, Base: SP, SPOff: -4}, MemAccess{Size: 4, Base: SP}
+	t[OpMovI] = Effects{Writes: rd}
+	t[OpMov] = Effects{Reads: rs, Writes: rd}
+	t[OpLea] = t[OpMov]
+	t[OpLoadB] = Effects{Reads: rs, Writes: rd, Mem: MemAccess{Size: 1, Base: OperandRs}}
+	t[OpLoadW] = Effects{Reads: rs, Writes: rd, Mem: MemAccess{Size: 4, Base: OperandRs}}
+	t[OpStoreB] = Effects{Reads: rdrs, Mem: MemAccess{Size: 1, Write: true, Base: OperandRd}}
+	t[OpStoreW] = Effects{Reads: rdrs, Mem: MemAccess{Size: 4, Write: true, Base: OperandRd}}
+	for op := OpAdd; op <= OpShr; op++ {
+		t[op] = Effects{Reads: rdrs, Writes: rd}
+		t[op-OpAdd+OpAddI] = Effects{Reads: rd, Writes: rd}
+	}
+	t[OpCmp] = Effects{Reads: rdrs, WritesFlags: true}
+	t[OpCmpI] = Effects{Reads: rd, WritesFlags: true}
+	t[OpJmp] = Effects{Branch: true}
+	for op := OpJz; op <= OpJge; op++ {
+		t[op] = Effects{ReadsFlags: true, Branch: true}
+	}
+	t[OpJmpReg] = Effects{Reads: rd, Branch: true}
+	t[OpCall] = Effects{Reads: sp, Writes: sp, Branch: true, Mem: push}
+	t[OpCallReg] = Effects{Reads: []Reg{OperandRd, SP}, Writes: sp, Branch: true, Mem: push}
+	t[OpRet] = Effects{Reads: sp, Writes: sp, Branch: true, Mem: pop}
+	t[OpPush] = Effects{Reads: []Reg{OperandRd, SP}, Writes: sp, Mem: push}
+	t[OpPushI] = Effects{Reads: sp, Writes: sp, Mem: push}
+	t[OpPop] = Effects{Reads: sp, Writes: []Reg{OperandRd, SP}, Mem: pop}
+	t[OpSyscall] = Effects{Reads: []Reg{R0, R1, R2, R3}, Writes: []Reg{R0}}
+	return t
+}()
+
 // Machine is a loaded guest program plus CPU and memory state.
 type Machine struct {
 	Mem   *Memory
@@ -630,25 +695,12 @@ func (m *Machine) RestoreRegs(s RegSnapshot) {
 	m.pendingViolation = nil
 }
 
-// EffectiveAddr computes the data address accessed by a load/store/push/pop
-// instruction given the current register state, for analysis tools that need
-// it before execution.
+// EffectiveAddr computes the data address an instruction accesses (its
+// opcode's Effects.Mem) from the current register state, for analysis tools
+// that need it before execution. Without an access, ok is false and size 0.
 func (m *Machine) EffectiveAddr(in *Instr) (addr uint32, size int, isWrite bool, ok bool) {
-	switch in.Op {
-	case OpLoadB:
-		return m.Regs[in.Rs] + uint32(in.Imm), 1, false, true
-	case OpLoadW:
-		return m.Regs[in.Rs] + uint32(in.Imm), 4, false, true
-	case OpStoreB:
-		return m.Regs[in.Rd] + uint32(in.Imm), 1, true, true
-	case OpStoreW:
-		return m.Regs[in.Rd] + uint32(in.Imm), 4, true, true
-	case OpPush, OpPushI, OpCall, OpCallReg:
-		return m.Regs[SP] - 4, 4, true, true
-	case OpPop, OpRet:
-		return m.Regs[SP], 4, false, true
-	}
-	return 0, 0, false, false
+	a := &opEffects[in.Op].Mem
+	return m.Regs[in.Reg(a.Base)] + uint32(a.Disp(in)), a.Size, a.Write, a.Size != 0
 }
 
 func cmp32(a, b int32) int {

@@ -115,22 +115,18 @@ func (p *Program) relocImage(layout Layout) (*relocImage, error) {
 }
 
 // checkRegs rejects code that names a register outside r0-bp in an operand its
-// opcode uses: the engines index the register file with that field, so such
-// code would load and then panic the host mid-run. Fields an opcode ignores
-// may hold anything, RegNone included.
+// opcode reads or writes (Effects): the engines index the register file with
+// that field, so such code would load and then panic the host mid-run. Fields
+// an opcode ignores may hold anything, RegNone included.
 func checkRegs(name string, code []Instr) error {
-	for i, in := range code {
-		var rd, rs bool
-		switch in.Op {
-		case OpMov, OpLea, OpLoadB, OpLoadW, OpStoreB, OpStoreW,
-			OpAdd, OpSub, OpMul, OpDiv, OpMod, OpAnd, OpOr, OpXor, OpShl, OpShr, OpCmp:
-			rd, rs = true, true
-		case OpMovI, OpAddI, OpSubI, OpMulI, OpDivI, OpModI, OpAndI, OpOrI, OpXorI, OpShlI, OpShrI,
-			OpCmpI, OpJmpReg, OpCallReg, OpPush, OpPop:
-			rd = true
-		}
-		if rd && in.Rd >= NumRegs || rs && in.Rs >= NumRegs {
-			return fmt.Errorf("vm: program %q instruction %d (%v) names a register outside r0-bp", name, i, in)
+	for i := range code {
+		in := &code[i]
+		for _, regs := range [2][]Reg{in.Op.Effects().Reads, in.Op.Effects().Writes} {
+			for _, r := range regs {
+				if in.Reg(r) >= NumRegs {
+					return fmt.Errorf("vm: program %q instruction %d (%v) names a register outside r0-bp", name, i, *in)
+				}
+			}
 		}
 	}
 	return nil

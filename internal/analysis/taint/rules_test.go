@@ -236,3 +236,53 @@ func TestOnlyAPushClearsTheSlotBelowSP(t *testing.T) {
 		}
 	}
 }
+
+// TestRetFaultBlamesThePoppedSlot runs a ret whose slot holds 0x41414141, an
+// address outside the code, under a tracker attached as a tool, with 4 bytes
+// tainted by request 7. The engines move SP past the slot before they raise
+// the bad-PC fault, so OnFault must read the slot below SP there, and the slot
+// at SP when the slot itself is unmapped. A full tracker's ret rule checks the
+// slot before the ret runs; a restricted tracker (a taint guard) whose set
+// lacks the ret sees the slot only at the fault.
+func TestRetFaultBlamesThePoppedSlot(t *testing.T) {
+	b := asm.New("ret")
+	b.Func("main")
+	b.Ret()
+	prog := b.MustBuild()
+	for _, c := range []struct {
+		name    string
+		tr      *Tracker
+		slot    uint32 // 0: a mapped stack slot
+		tainted uint32 // offset of the tainted word from the slot
+		kind    vm.FaultKind
+		blamed  bool
+	}{
+		{"full tracker, clean slot, tainted word above it", New(false), 0, 4, vm.FaultBadPC, false},
+		{"restricted tracker, tainted slot", NewRestricted("guard", nil, false), 0, 0, vm.FaultBadPC, true},
+		{"restricted tracker, tainted unmapped slot", NewRestricted("guard", nil, false), 0x100, 0, vm.FaultPage, true},
+	} {
+		m, err := vm.NewMachine(prog, vm.DefaultLayout(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slot := c.slot
+		if slot == 0 {
+			slot = m.Layout().StackTop() - 16
+			m.Mem.WriteWord(slot, 0x41414141)
+		}
+		m.Regs[vm.SP] = slot
+		c.tr.OnInput(m, slot+c.tainted, make([]byte, 4), 7)
+		m.AttachTool(c.tr)
+		stop := m.Run(0)
+		if stop.Reason != vm.StopFault || stop.Fault.Kind != c.kind {
+			t.Fatalf("%s: stopped with %v %v, want a %v fault", c.name, stop.Reason, stop.Fault, c.kind)
+		}
+		want := 0
+		if c.blamed {
+			want = 1
+		}
+		if got := c.tr.Findings(); len(got) != want || want == 1 && got[0].Label != (Label{RequestID: 7}) {
+			t.Errorf("%s: findings %v, want %d blaming req#7+0", c.name, got, want)
+		}
+	}
+}

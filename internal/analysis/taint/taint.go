@@ -542,7 +542,12 @@ func (t *Tracker) OnFault(m *vm.Machine, f *vm.Fault) {
 			lbl, tainted = rt.label, true
 		}
 	case vm.OpRet:
+		// The engines pop the slot before they check the return address: on
+		// a bad-PC fault SP is already past it, on a failed read it is not.
 		addr, size, _, _ := m.EffectiveAddr(&in)
+		if f.Kind == vm.FaultBadPC {
+			addr -= uint32(size)
+		}
 		if l, ok := t.memTaint(addr, size); ok {
 			lbl, tainted = l, true
 		}

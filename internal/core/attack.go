@@ -89,10 +89,9 @@ type AttackReport struct {
 
 	// Recovery.
 	Recovered bool
-	// RecoveryPipelined reports that the live process adopted the state of a
-	// prefix replay that ran concurrently with the analyses (the pipelined
-	// recovery path) instead of re-executing the benign history serially
-	// after them.
+	// RecoveryPipelined reports that recovery replayed from the state of a
+	// prefix replay that ran concurrently with the analyses instead of
+	// re-executing the benign history from the checkpoint after them.
 	RecoveryPipelined  bool
 	RecoveryTime       time.Duration
 	RecoveryVirtualMs  uint64
@@ -256,15 +255,11 @@ func (s *Sweeper) publish(a *antibody.Antibody) {
 
 // prefixReplay is a recovery clone replaying the benign history prefix —
 // everything logged before the suspect request — concurrently with the
-// analysis tier. join delivers the finished clone exactly once.
+// analysis tier. done delivers the clone exactly once: suspended at the
+// suspect's boundary, or nil when its replay stopped anywhere else.
 type prefixReplay struct {
 	suspect int
-	ch      chan prefixResult
-}
-
-type prefixResult struct {
-	clone *proc.Process
-	stop  *vm.StopInfo
+	done    chan *proc.Process
 }
 
 // startPrefixReplay forks a recovery clone from the checkpoint and sets it
@@ -284,10 +279,12 @@ func (s *Sweeper) startPrefixReplay(snap *proc.Snapshot) *prefixReplay {
 		return nil
 	}
 	clone.SetReplayStopBefore(suspect)
-	pr := &prefixReplay{suspect: suspect, ch: make(chan prefixResult, 1)}
+	pr := &prefixReplay{suspect: suspect, done: make(chan *proc.Process, 1)}
 	go func() {
-		stop := clone.Run(s.cfg.ReplayBudget)
-		pr.ch <- prefixResult{clone: clone, stop: stop}
+		if clone.Run(s.cfg.ReplayBudget).Reason != vm.StopWaitInput {
+			clone = nil
+		}
+		pr.done <- clone
 	}()
 	return pr
 }
@@ -353,9 +350,10 @@ func (s *Sweeper) HandleAttack(stop *vm.StopInfo, det monitor.Detection) *Attack
 	// the suspect request is the same whatever the analyses conclude, so it
 	// starts now, on a recovery clone, and proceeds concurrently with the
 	// whole analysis tier below. Only a tool- and probe-free live machine can
-	// adopt the result: stateful monitors and previously installed VSEF
-	// probes rebuild their shadow state during a serial replay, which the
-	// clone (which carries neither) cannot stand in for.
+	// start recovery from the clone's state: stateful monitors and previously
+	// installed VSEF probes rebuild their shadow state during a replay from
+	// the checkpoint, which the clone (which carries neither) cannot stand in
+	// for.
 	var prefix *prefixReplay
 	if s.proc.Machine.ProbeCount() == 0 && len(s.proc.Machine.Tools()) == 0 {
 		prefix = s.startPrefixReplay(snap)
@@ -487,58 +485,48 @@ func (s *Sweeper) HandleAttack(stop *vm.StopInfo, det monitor.Detection) *Attack
 	// log is exhausted the process is back in a safe, up-to-date state and is
 	// switched to live mode so the ServeAll loop can continue serving queued
 	// and future requests (each of which is now covered by the new VSEFs and
-	// input filters). The replayed history is known benign — every request in
-	// it completed service before — so a probe that raises a violation during
-	// this replay is itself faulty: it is uninstalled and the replay retried
-	// (bounded), instead of a bad filter taking the service down.
-	appliedFinal := false
-	applyFinal := func() {
-		// Probes survive rollbacks; the antibody is installed once, whichever
-		// path (and however many serial retries) recovery takes.
-		if appliedFinal {
-			return
-		}
-		appliedFinal = true
-		if applied, err := final.Apply(s.proc, s.proxy); err == nil {
-			s.applied = append(s.applied, applied)
+	// input filters). The replay starts from the prefix clone's state when
+	// that clone suspended cleanly at the suspect's boundary AND the excision
+	// decision removed exactly the suspect — if the culprit were an earlier
+	// request, excision would reach into the already-replayed prefix and the
+	// clone's state would include the attack's effects — and from the
+	// checkpoint otherwise. The replayed history is known benign — every
+	// request in it completed service before — so a probe that raises a
+	// violation during a replay from the checkpoint is itself faulty: it is
+	// uninstalled and the replay retried (bounded), instead of a bad filter
+	// taking the service down.
+	start := snap
+	var prefixClone *proc.Process
+	if prefix != nil {
+		if prefixClone = <-prefix.done; prefixClone != nil && report.CulpritRequestID == prefix.suspect {
+			start = prefixClone.Snapshot(0)
 		}
 	}
-	pipelined := false
-	if prefix != nil {
-		// Join the concurrent prefix replay. Its state is adoptable only when
-		// it suspended cleanly at the suspect's boundary AND the excision
-		// decision removed exactly the suspect — if the culprit were an
-		// earlier request, excision would reach into the already-replayed
-		// prefix and the clone's state would include the attack's effects.
-		res := <-prefix.ch
-		if res.stop != nil && res.stop.Reason == vm.StopWaitInput &&
-			report.CulpritRequestID == prefix.suspect {
-			s.proc.AdoptReplayState(res.clone, proc.ModeReplay, false)
-			applyFinal()
-			// Finish the (usually empty) tail: replay consumes the excised
-			// suspect's log entries and reaches the wait-input boundary.
-			tail := s.proc.Run(s.cfg.ReplayBudget)
-			if tail.Reason == vm.StopWaitInput {
-				pipelined = true
-				report.RecoveryPipelined = true
-				report.Recovered = true
-				s.proc.SetMode(proc.ModeLive, false)
-				// Start the post-recovery epoch from a fresh checkpoint so
-				// later analyses never need to replay across the excised
-				// attack.
-				s.ckpt.Checkpoint(s.proc)
-			}
-			// Any other tail stop (e.g. a freshly installed probe raising a
-			// violation) falls back to the full serial replay below, which
-			// re-rolls back from the checkpoint and keeps the bad-probe
-			// removal semantics intact.
-		}
+	// Probes survive rollbacks: the antibody is installed once, however many
+	// times recovery replays.
+	if applied, err := final.Apply(s.proc, s.proxy); err == nil {
+		s.applied = append(s.applied, applied)
 	}
 	const maxBadProbeRemovals = 3
-	for !pipelined {
-		s.proc.Rollback(snap, proc.ModeReplay, false)
-		applyFinal()
+	for {
+		s.proc.Rollback(start, proc.ModeReplay, false)
 		replayStop := s.proc.Run(s.cfg.ReplayBudget)
+		if replayStop.Reason == vm.StopWaitInput {
+			report.Recovered = true
+			report.RecoveryPipelined = start != snap
+			s.proc.SetMode(proc.ModeLive)
+			// Start the post-recovery epoch from a fresh checkpoint so later
+			// analyses never need to replay across the excised attack.
+			s.ckpt.Checkpoint(s.proc)
+			break
+		}
+		if start != snap {
+			// Any other stop from the prefix state (e.g. a freshly installed
+			// probe raising a violation) retries from the checkpoint, where
+			// bad-probe removal applies.
+			start = snap
+			continue
+		}
 		if replayStop.Reason == vm.StopViolation && replayStop.Violation != nil &&
 			len(report.BadProbesRemoved) < maxBadProbeRemovals {
 			owner := strings.TrimSuffix(replayStop.Violation.Tool, ".tracker")
@@ -549,24 +537,17 @@ func (s *Sweeper) HandleAttack(stop *vm.StopInfo, det monitor.Detection) *Attack
 				continue
 			}
 		}
-		switch replayStop.Reason {
-		case vm.StopWaitInput:
-			report.Recovered = true
-			s.proc.SetMode(proc.ModeLive, false)
-			// Start the post-recovery epoch from a fresh checkpoint so later
-			// analyses never need to replay across the excised attack.
-			s.ckpt.Checkpoint(s.proc)
-		default:
-			// The replayed benign traffic itself faulted or ran away (should
-			// not happen); treat recovery as failed so the caller can fall
-			// back to a restart.
-			report.Recovered = false
-		}
+		// The replayed benign traffic itself faulted or ran away (should not
+		// happen); recovery failed, so the caller can fall back to a restart.
 		break
 	}
 	report.RecoveryTime = time.Since(t)
 	report.RecoveryVirtualMs = s.proc.Machine.NowMillis() - recoveryStartMs
 	report.RecoveryDiverged, report.RecoveryDivergence = s.proc.Diverged()
+	if report.RecoveryPipelined && !report.RecoveryDiverged {
+		// The prefix was replayed on the clone: its sends were checked there.
+		report.RecoveryDiverged, report.RecoveryDivergence = prefixClone.Diverged()
+	}
 	report.addStep("recovery", report.RecoveryTime)
 	report.finishPart()
 	return report

@@ -157,7 +157,7 @@ func TestEveryRetainedCheckpointReplays(t *testing.T) {
 			}
 		}
 	}
-	p.SetMode(proc.ModeLive, false)
+	p.SetMode(proc.ModeLive)
 
 	for _, at := range []int{0, genesis.LogLen, snaps[0].LogLen - 1} {
 		if snap, err := s.Checkpoints().BeforeLogIndex(at); err == nil {

@@ -161,7 +161,7 @@ func (s *Sweeper) verifyGate(a *antibody.Antibody, installed []*antibody.Antibod
 	if s.hasFastAnalyzers() {
 		base = clone.Snapshot(0)
 	}
-	clone.SetMode(proc.ModeLive, false)
+	clone.SetMode(proc.ModeLive)
 	clone.Proxy().Submit(a.ExploitInput, "verifier", true)
 	stop := s.runToQuiescence(clone)
 	det := monitor.Classify(stop)

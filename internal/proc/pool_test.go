@@ -77,8 +77,9 @@ func TestClonePoolReusesShells(t *testing.T) {
 }
 
 // TestClonePoolResetIsolation is the dirty-shell test: a returned sandbox
-// carrying leftover tools, probes, dropped requests, trashed memory and
-// registers must not leak any of it into the next analyzer run.
+// carrying leftover tools, probes, dropped requests, a replay stop point,
+// trashed memory and registers must not leak any of it into the next
+// analyzer run.
 func TestClonePoolResetIsolation(t *testing.T) {
 	p, snap := poolTestProcess(t, 6)
 	pool := NewClonePool(p)
@@ -93,6 +94,7 @@ func TestClonePoolResetIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	dirty.ExciseRequests(1, 2, 3)
+	dirty.SetReplayStopBefore(p.Log.RequestsSince(snap.LogLen)[3])
 	dirty.Run(2000) // partial replay: mid-request machine state
 	dirty.Machine.Mem.WriteBytes(p.Machine.Layout().DataBase, []byte{0xde, 0xad, 0xbe, 0xef})
 	dirty.Machine.Regs[vm.R3] = 0xdeadbeef
@@ -122,7 +124,7 @@ func TestClonePoolResetIsolation(t *testing.T) {
 	clean.Run(0)
 	fresh.Run(0)
 	if clean.ServedRequests() != fresh.ServedRequests() {
-		t.Errorf("served: reused %d, fresh %d (dropped requests leaked?)", clean.ServedRequests(), fresh.ServedRequests())
+		t.Errorf("served: reused %d, fresh %d (dropped requests or the stop point leaked?)", clean.ServedRequests(), fresh.ServedRequests())
 	}
 	if clean.Machine.InstrCount() != fresh.Machine.InstrCount() {
 		t.Errorf("instructions: reused %d, fresh %d (state leaked)", clean.Machine.InstrCount(), fresh.Machine.InstrCount())

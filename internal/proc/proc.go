@@ -8,6 +8,7 @@ package proc
 import (
 	"bytes"
 	"fmt"
+	"maps"
 
 	"sweeper/internal/heap"
 	"sweeper/internal/netproxy"
@@ -84,9 +85,10 @@ type Process struct {
 	// stopBeforeReq, when non-zero, suspends a replay at the recv boundary
 	// immediately before this request would be delivered: the recv returns
 	// SysWaitInput without consuming the request, leaving the log cursor
-	// positioned so a later run (or an adopting process) can continue from
-	// exactly that boundary. Pipelined recovery uses it to replay the benign
-	// history prefix while the analyses still deliberate over the suspect.
+	// positioned so a later run (or a Rollback to a snapshot taken there) can
+	// continue from exactly that boundary. Recovery uses it to replay the
+	// benign history prefix while the analyses still deliberate over the
+	// suspect.
 	stopBeforeReq int
 
 	logMessages []LogMessage
@@ -143,12 +145,8 @@ func (p *Process) Mode() Mode { return p.mode }
 // clone an exploit candidate after its replay window is drained.
 func (p *Process) Proxy() *netproxy.Proxy { return p.proxy }
 
-// SetMode switches between live and replay execution. replayThenLive only
-// matters in replay mode.
-func (p *Process) SetMode(mode Mode, replayThenLive bool) {
-	p.mode = mode
-	p.replayThenLive = replayThenLive
-}
+// SetMode switches between live and replay execution.
+func (p *Process) SetMode(mode Mode) { p.mode = mode }
 
 // SetReplayStopBefore arranges for replay to suspend (recv returns wait-input
 // without consuming anything) at the boundary immediately before the given
@@ -426,8 +424,8 @@ func (p *Process) sysLog(m *vm.Machine) (vm.SyscallResult, *vm.Fault) {
 // --- snapshot / rollback ---
 
 // Snapshot is a whole-process checkpoint: memory (copy-on-write), registers,
-// allocator and RNG state, and the positions in the event log and output
-// stream at the time of the checkpoint.
+// allocator and RNG state, the position in the event log (LogLen) and the
+// request counters at the time of the checkpoint.
 type Snapshot struct {
 	SeqNo     int
 	TakenAtMs uint64
@@ -474,6 +472,11 @@ func (p *Process) Snapshot(seq int) *Snapshot {
 		// its original creation cost, which was already paid.
 		captured = 0
 	}
+	// A replaying process is where its cursor is; a live one at the log's end.
+	pos := p.Log.Len()
+	if p.mode == ModeReplay {
+		pos = p.Log.Cursor()
+	}
 	s := &Snapshot{
 		SeqNo:         seq,
 		TakenAtMs:     p.Machine.NowMillis(),
@@ -483,7 +486,7 @@ func (p *Process) Snapshot(seq int) *Snapshot {
 		Rng:           p.rng,
 		DirtyPages:    dirty,
 		CapturedBytes: captured,
-		LogLen:        p.Log.Len(),
+		LogLen:        pos,
 		ServedCount:   p.servedCount,
 		CurrentReqID:  p.currentReqID,
 	}
@@ -496,7 +499,8 @@ func (p *Process) Snapshot(seq int) *Snapshot {
 	return s
 }
 
-// Clone derives an independent replay process from a checkpoint of this one.
+// Clone derives an independent replay process from a checkpoint of this one:
+// a new shell given the same reset a pooled shell gets (see ClonePool.Get).
 // The clone shares memory pages copy-on-write with the snapshot (cheap fork)
 // and consumes a private cursor over the shared event log, so several clones
 // can re-execute the same attack window concurrently, each under its own
@@ -506,35 +510,60 @@ func (p *Process) Snapshot(seq int) *Snapshot {
 // it blocks at the next recv instead of falling through to live input. Its
 // machine carries no tools or probes; callers attach what they need.
 func (p *Process) Clone(s *Snapshot) (*Process, error) {
-	log, err := p.replayLog(s)
-	if err != nil {
-		return nil, err
-	}
-	clone := &Process{
-		Name:         p.Name,
-		Log:          log,
-		proxy:        netproxy.New(),
-		mode:         ModeReplay,
-		excised:      make(map[int]bool, len(p.excised)),
-		currentReqID: s.CurrentReqID,
-		servedCount:  s.ServedCount,
-		rng:          s.Rng,
-	}
-	for id := range p.excised {
-		clone.excised[id] = true
-	}
-	m, err := vm.NewMachine(p.Machine.Program(), p.Machine.Layout(), clone)
+	c := &Process{Name: p.Name}
+	m, err := vm.NewMachine(p.Machine.Program(), p.Machine.Layout(), c)
 	if err != nil {
 		return nil, fmt.Errorf("proc: cloning %s: %w", p.Name, err)
 	}
-	m.Mem.Restore(s.Mem)
-	m.RestoreRegs(s.Regs)
-	clone.Machine = m
+	c.Machine = m
 	layout := p.Machine.Layout()
-	clone.Alloc = heap.New(m.Mem, layout.HeapBase, layout.HeapSize)
-	clone.Alloc.SetMmapThreshold(p.Alloc.MmapThreshold())
-	clone.Alloc.Restore(s.Alloc)
-	return clone, nil
+	c.Alloc = heap.New(m.Mem, layout.HeapBase, layout.HeapSize)
+	c.Alloc.SetMmapThreshold(p.Alloc.MmapThreshold())
+	if err := c.reset(p, s); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// reset makes a tool- and probe-free shell a replay clone of src at the
+// snapshot: src's log view and excised set, a fresh proxy, replay mode, and
+// the snapshot's state. Unlike Rollback, the virtual clock is the snapshot's:
+// a sandbox has no client-visible clock to keep monotonic.
+func (c *Process) reset(src *Process, s *Snapshot) error {
+	log, err := src.replayLog(s)
+	if err != nil {
+		return err
+	}
+	c.Log = log
+	c.proxy = netproxy.New()
+	c.mode, c.replayThenLive = ModeReplay, false
+	c.excised = maps.Clone(src.excised)
+	c.restore(s)
+	return nil
+}
+
+// restore puts the process at the snapshot: memory, registers and virtual
+// clock, allocator, RNG, log position and request counters. It clears the
+// replay stop point and any divergence, and tells attached monitors and
+// probes, whose shadow of the abandoned execution (saved return addresses,
+// taint labels) must not leak into the next one. The mode, the log view and
+// the excised set are the caller's.
+func (p *Process) restore(s *Snapshot) {
+	p.Machine.Mem.Restore(s.Mem)
+	p.Machine.RestoreRegs(s.Regs)
+	p.Alloc.Restore(s.Alloc)
+	p.rng = s.Rng
+	p.Log.SetCursor(s.LogLen)
+	p.servedCount = s.ServedCount
+	p.currentReqID = s.CurrentReqID
+	p.stopBeforeReq = 0
+	p.diverged, p.divergence = false, ""
+	// A tool- and probe-free machine, every clone's, has nothing to tell;
+	// walking its probe table, a slot per instruction, took ~0.2 µs of a
+	// squid clone's ~2 µs (2-vCPU host).
+	if p.Machine.ProbeCount() > 0 || len(p.Machine.Tools()) > 0 {
+		p.Machine.NotifyRollback()
+	}
 }
 
 // replayable returns an error when events that followed the snapshot have
@@ -557,9 +586,10 @@ func (p *Process) replayLog(s *Snapshot) (*replay.Log, error) {
 }
 
 // Rollback reinstates the process state captured in s and switches the
-// process into the requested mode. After a rollback for analysis the event
-// log's cursor points at the first event logged after the checkpoint, so the
-// attack period replays deterministically.
+// process into the requested mode. The log's cursor goes back to the
+// snapshot's position, so the history after it replays deterministically.
+// The snapshot may be a checkpoint of this process or a snapshot of one of
+// its clones, taken where the clone's replay stopped.
 func (p *Process) Rollback(s *Snapshot, mode Mode, replayThenLive bool) {
 	if err := p.replayable(s); err != nil {
 		panic(err) // only a caller that kept a snapshot past its eviction gets here
@@ -568,27 +598,14 @@ func (p *Process) Rollback(s *Snapshot, mode Mode, replayThenLive bool) {
 	// keeps running across rollbacks (the work spent re-executing and
 	// analysing is real time during which no requests complete).
 	elapsed := p.Machine.Cycles()
-	p.Machine.Mem.Restore(s.Mem)
-	p.Machine.RestoreRegs(s.Regs)
-	if elapsed > p.Machine.Cycles() {
-		p.Machine.AddCycles(elapsed - p.Machine.Cycles())
-	}
-	p.Alloc.Restore(s.Alloc)
-	p.rng = s.Rng
-	p.Log.SetCursor(s.LogLen)
-	// Attached monitors and VSEF probes shadow the execution (saved return
-	// addresses, taint labels); their state from the abandoned execution must
-	// not leak into the replay or it raises false violations.
-	p.Machine.NotifyRollback()
 	// Outputs already delivered to clients are history that rollback cannot
 	// undo (the output-commit problem); the record of them is kept and
 	// replayed sends are compared against the log instead of being re-sent.
-	p.servedCount = s.ServedCount
-	p.currentReqID = s.CurrentReqID
-	p.diverged = false
-	p.divergence = ""
-	p.mode = mode
-	p.replayThenLive = replayThenLive
+	p.restore(s)
+	if elapsed > p.Machine.Cycles() {
+		p.Machine.AddCycles(elapsed - p.Machine.Cycles())
+	}
+	p.mode, p.replayThenLive = mode, replayThenLive
 	// Rollback is nearly a context switch; charge a small fixed cost.
 	p.Machine.AddCycles(2000)
 }
@@ -603,55 +620,6 @@ func (p *Process) Rollback(s *Snapshot, mode Mode, replayThenLive bool) {
 // clock continues from the persisted cycle count — a warm restart does not
 // rewind time any more than a rollback does.
 func (p *Process) RestorePersisted(mem *vm.MemSnapshot, regs vm.RegSnapshot, alloc heap.State, rng uint32) {
-	p.Machine.Mem.Restore(mem)
-	p.Machine.RestoreRegs(regs)
-	p.Alloc.Restore(alloc)
-	p.rng = rng
-	p.Log.SetCursor(0)
-	// Probes attached before the restore shadowed the cold image; reset them
-	// so stale state cannot raise false violations (same as Rollback).
-	p.Machine.NotifyRollback()
-	p.servedCount = 0
-	p.currentReqID = 0
-	p.diverged = false
-	p.divergence = ""
-	p.mode = ModeLive
-	p.replayThenLive = false
-}
-
-// AdoptReplayState reinstates this process's state from a clone (derived via
-// Clone from a checkpoint of this process) that has replayed a prefix of the
-// shared history. It is a rollback whose destination is the clone's current
-// state rather than a checkpoint: pipelined recovery replays the benign
-// prefix on a clone concurrently with the analyses, then the live process
-// adopts the finished state instead of re-executing the prefix serially. The
-// clone must be quiescent (its Run returned) and is dead to further use once
-// adopted. Like Rollback, the virtual clock never rewinds: the adopted cycle
-// count is raised to the live clock when the clone's is behind, so clients
-// still observe the elapsed detection-to-recovery gap.
-func (p *Process) AdoptReplayState(c *Process, mode Mode, replayThenLive bool) {
-	elapsed := p.Machine.Cycles()
-	p.Machine.Mem.Restore(c.Machine.Mem.Snapshot())
-	p.Machine.RestoreRegs(c.Machine.SaveRegs())
-	if elapsed > p.Machine.Cycles() {
-		p.Machine.AddCycles(elapsed - p.Machine.Cycles())
-	}
-	p.Alloc.Restore(c.Alloc.Save())
-	p.rng = c.rng
-	// The clone consumed a private cursor over the shared event backing;
-	// continuing from its position resumes replay at the exact boundary where
-	// the clone suspended. the excised set stays the live process's own: the
-	// excision decision was taken after the clone forked and must win.
-	p.Log.SetCursor(c.Log.Cursor())
-	// Monitors and probes attached here shadow the abandoned execution; their
-	// state must not leak into the adopted one (same as Rollback).
-	p.Machine.NotifyRollback()
-	p.servedCount = c.servedCount
-	p.currentReqID = c.currentReqID
-	p.diverged = c.diverged
-	p.divergence = c.divergence
-	p.mode = mode
-	p.replayThenLive = replayThenLive
-	// Adoption costs the same context-switch constant as a rollback.
-	p.Machine.AddCycles(2000)
+	p.restore(&Snapshot{Mem: mem, Regs: regs, Alloc: alloc, Rng: rng})
+	p.mode, p.replayThenLive = ModeLive, false
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 
 	"sweeper/internal/netproxy"
 	"sweeper/internal/proc"
@@ -36,6 +37,24 @@ type Antibody struct {
 	// measured from the protected process's clock.
 	CreatedAtMs uint64   `json:"created_at_ms"`
 	Notes       []string `json:"notes,omitempty"`
+}
+
+// New builds an antibody: its ID, program and stage, the virtual time it
+// became available, the non-nil ones of vsefs, and the notes. Given an exploit
+// input it carries that input too, with one exact signature over it named
+// <id>-sig.
+func New(id, program string, stage Stage, createdAtMs uint64, vsefs []*VSEF, exploit []byte, notes ...string) *Antibody {
+	a := &Antibody{ID: id, Program: program, Stage: stage, CreatedAtMs: createdAtMs, Notes: notes}
+	for _, v := range vsefs {
+		if v != nil {
+			a.VSEFs = append(a.VSEFs, v)
+		}
+	}
+	if exploit != nil {
+		a.Sigs = []*Signature{ExactSignature(id+"-sig", exploit)}
+		a.ExploitInput = exploit
+	}
+	return a
 }
 
 // String summarises the antibody.
@@ -96,8 +115,28 @@ type AppliedAntibody struct {
 	proxy    *netproxy.Proxy
 }
 
-// Antibody returns the antibody this handle installed.
+// Antibody returns what this handle carries: the antibody it installed, less
+// any VSEF RemoveFaulty took out.
 func (ap *AppliedAntibody) Antibody() *Antibody { return ap.antibody }
+
+// RemoveFaulty uninstalls the VSEF whose probe raised a violation under tool
+// (vm.Violation.Tool) and returns its name; it reports false when no VSEF of
+// this handle raises under tool. What Antibody returns afterwards no longer
+// lists the VSEF.
+func (ap *AppliedAntibody) RemoveFaulty(tool string) (string, bool) {
+	for i, h := range ap.vsefs {
+		if h.tool != tool {
+			continue
+		}
+		h.Remove()
+		ap.vsefs = slices.Delete(ap.vsefs, i, i+1)
+		carried := *ap.antibody
+		carried.VSEFs = slices.DeleteFunc(slices.Clone(carried.VSEFs), func(v *VSEF) bool { return v == h.vsef })
+		ap.antibody = &carried
+		return h.vsef.Name, true
+	}
+	return "", false
+}
 
 // Remove uninstalls the antibody's VSEF probes and proxy filters.
 func (ap *AppliedAntibody) Remove() {

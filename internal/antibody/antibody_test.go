@@ -284,6 +284,48 @@ func TestAntibodyApplyInstallsFiltersAndProbes(t *testing.T) {
 	}
 }
 
+// TestRemoveFaultyTakesOutOneVSEF: a violation's tool names one VSEF of an
+// installed antibody — a taint guard's by its tracker — and RemoveFaulty
+// uninstalls that VSEF alone: its probes and input tool leave the machine,
+// what the handle carries no longer lists it, and the antibody it was applied
+// from is untouched.
+func TestRemoveFaultyTakesOutOneVSEF(t *testing.T) {
+	spec, _ := apps.ByName("cvs")
+	p, proxy, _ := newProcess(t, "cvs")
+	guard := &antibody.VSEF{Kind: antibody.VSEFDoubleFree, Program: "cvs", Name: "g",
+		InstrIdx: spec.Image.Symbols["dirswitch.second_free"], CallerIdx: -1}
+	taintGuard := &antibody.VSEF{Kind: antibody.VSEFTaint, Program: "cvs", Name: "tg",
+		InstrIdx: 2, TaintInstrs: []int{1, 2}, CallerIdx: -1}
+	a := antibody.New("cvs-final", "cvs", antibody.StageFinal, 0, []*antibody.VSEF{guard, taintGuard}, nil)
+	applied, err := a.Apply(p, proxy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes, tools := p.Machine.ProbeCount(), len(p.Machine.Tools())
+	if _, ok := applied.RemoveFaulty("someone-else"); ok {
+		t.Error("RemoveFaulty removed a VSEF for a tool it does not carry")
+	}
+	if name, ok := applied.RemoveFaulty("tg.tracker"); !ok || name != "tg" {
+		t.Fatalf("RemoveFaulty(tg.tracker) = %q, %v; want tg, true", name, ok)
+	}
+	if got := p.Machine.ProbeCount(); got != probes-2 {
+		t.Errorf("probes = %d after removing the taint guard, want %d", got, probes-2)
+	}
+	if got := len(p.Machine.Tools()); got != tools-1 {
+		t.Errorf("tools = %d after removing the taint guard, want %d", got, tools-1)
+	}
+	if got := applied.Antibody().VSEFs; len(got) != 1 || got[0] != guard {
+		t.Errorf("the handle carries %v, want only %s", got, guard.Name)
+	}
+	if len(a.VSEFs) != 2 || a.VSEFs[0] != guard || a.VSEFs[1] != taintGuard {
+		t.Errorf("the applied antibody lost a VSEF: %v", a.VSEFs)
+	}
+	applied.Remove()
+	if p.Machine.ProbeCount() != 0 || len(p.Machine.Tools()) != tools-1 {
+		t.Errorf("Remove left probes=%d tools=%v", p.Machine.ProbeCount(), p.Machine.Tools())
+	}
+}
+
 func TestVSEFStringAndInstrumentedInstrs(t *testing.T) {
 	kinds := []*antibody.VSEF{
 		{Kind: antibody.VSEFReturnGuard, FuncSym: "f", CallerIdx: -1},

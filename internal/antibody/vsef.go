@@ -196,11 +196,13 @@ func FromTaint(name string, program string, t *taint.Tracker) *VSEF {
 
 // Applied is a handle to a VSEF installed on a process; Remove uninstalls it.
 type Applied struct {
-	p *proc.Process
+	p    *proc.Process
+	vsef *VSEF
 	// probe is the VSEF's one probe instance and sites the instructions it
-	// is registered on.
+	// is registered on; tool is the name its violations carry.
 	probe vm.Probe
 	sites []int
+	tool  string
 	// extraTools lists full tools (not probes) attached for this VSEF.
 	extraTools []string
 }
@@ -224,7 +226,7 @@ func (a *Applied) Remove() {
 // guards, a lightweight input hook). The returned handle removes it again.
 func (v *VSEF) Apply(p *proc.Process) (*Applied, error) {
 	m := p.Machine
-	applied := &Applied{p: p}
+	applied := &Applied{p: p, vsef: v, tool: v.Name}
 	sites := []int{v.InstrIdx}
 	switch v.Kind {
 	case VSEFReturnGuard:
@@ -247,6 +249,7 @@ func (v *VSEF) Apply(p *proc.Process) (*Applied, error) {
 	case VSEFTaint:
 		tracker := taint.NewRestricted(v.Name+".tracker", v.TaintInstrs, true)
 		applied.probe = &taintProbe{name: v.Name, Tracker: tracker}
+		applied.tool = tracker.Name()
 		sites = v.TaintInstrs
 		src := &taintSource{name: v.Name + ".source", tracker: tracker}
 		m.AttachTool(src)

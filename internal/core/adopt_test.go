@@ -76,11 +76,11 @@ func waitProvisional(t *testing.T, f *Fleet, want int) {
 func installedID(t *testing.T, f *Fleet, a *antibody.Antibody) string {
 	t.Helper()
 	g, _ := f.Guest(consumerName)
-	ap := g.applied[antibodyFamily(a.ID)]
-	if ap == nil {
+	i := g.s.stageOf(antibodyFamily(a.ID))
+	if i < 0 {
 		t.Fatalf("nothing installed for the family of %s", a.ID)
 	}
-	return ap.Antibody().ID
+	return g.s.installed[i].Antibody().ID
 }
 
 func consumerStats(f *Fleet) GuestStats { return statsOf(f, consumerName) }
@@ -451,7 +451,10 @@ func TestConsumerAbsorbsOwnAttacksDuringWindow(t *testing.T) {
 	for g.busy || g.pending {
 		g.cond.Wait()
 	}
-	prov := g.applied[antibodyFamily(final.ID)]
+	var prov *antibody.AppliedAntibody
+	if i := g.s.stageOf(antibodyFamily(final.ID)); i >= 0 {
+		prov = g.s.installed[i]
+	}
 	g.mu.Unlock()
 	if prov == nil || prov.Antibody().ID != final.ID+"+gate" {
 		t.Fatalf("installed during the window: %v, want the provisional antibody", prov)

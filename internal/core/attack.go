@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,13 +96,15 @@ type AttackReport struct {
 	RecoveryVirtualMs  uint64
 	RecoveryDiverged   bool
 	RecoveryDivergence string
-	// BadProbesRemoved lists filters that raised violations while the known
-	// benign history replayed during recovery. A filter that fires on
-	// requests which previously completed service is wrong by definition
+	// BadProbesRemoved names the VSEFs whose probes raised violations while
+	// the known benign history replayed during recovery. A probe that fires
+	// on requests which previously completed service is wrong by definition
 	// (incorrect — or malicious, since VSEF-only antibodies from peers are
 	// applied before any exploit-replay verification is possible), so
-	// recovery uninstalls it and retries rather than letting it take the
-	// service down.
+	// recovery uninstalls its VSEF from every installed antibody carrying it
+	// and retries rather than letting it take the service down. What is
+	// installed then no longer lists the VSEF, so no verification sandbox
+	// re-applies it either.
 	BadProbesRemoved []string
 
 	// inFlightRequestID is the request being served when the monitor tripped
@@ -323,16 +324,8 @@ func (s *Sweeper) HandleAttack(stop *vm.StopInfo, det monitor.Detection) *Attack
 	initVSEF := antibody.FromCoreDump(s.newAntibodyID("initial")+"-vsef", s.name, cd)
 	report.addStep("memory-state", time.Since(t))
 
-	initial := &antibody.Antibody{
-		ID:          s.newAntibodyID(antibody.StageInitial),
-		Program:     s.name,
-		Stage:       antibody.StageInitial,
-		CreatedAtMs: s.proc.Machine.NowMillis(),
-		Notes:       []string{cd.Summary()},
-	}
-	if initVSEF != nil {
-		initial.VSEFs = append(initial.VSEFs, initVSEF)
-	}
+	initial := antibody.New(s.newAntibodyID(antibody.StageInitial), s.name, antibody.StageInitial,
+		s.proc.Machine.NowMillis(), []*antibody.VSEF{initVSEF}, nil, cd.Summary())
 	report.InitialAntibody = initial
 	report.TimeToFirstVSEF = time.Since(t0)
 	s.publish(initial)
@@ -380,19 +373,9 @@ func (s *Sweeper) HandleAttack(stop *vm.StopInfo, det monitor.Detection) *Attack
 	}
 	refinedVSEF := antibody.FromMemBug(s.newAntibodyID("refined")+"-vsef", s.name, membugPrimary)
 	if refinedVSEF != nil {
-		refined := &antibody.Antibody{
-			ID:          s.newAntibodyID(antibody.StageRefined),
-			Program:     s.name,
-			Stage:       antibody.StageRefined,
-			CreatedAtMs: s.proc.Machine.NowMillis(),
-		}
-		if initVSEF != nil {
-			refined.VSEFs = append(refined.VSEFs, initVSEF)
-		}
-		refined.VSEFs = append(refined.VSEFs, refinedVSEF)
-		if membugPrimary != nil {
-			refined.Notes = append(refined.Notes, membugPrimary.Summary())
-		}
+		// A refined VSEF exists only for a membug finding.
+		refined := antibody.New(s.newAntibodyID(antibody.StageRefined), s.name, antibody.StageRefined,
+			s.proc.Machine.NowMillis(), []*antibody.VSEF{initVSEF, refinedVSEF}, nil, membugPrimary.Summary())
 		report.RefinedAntibody = refined
 		s.publish(refined)
 		report.TimeToBestVSEF = time.Since(t0)
@@ -441,26 +424,8 @@ func (s *Sweeper) HandleAttack(stop *vm.StopInfo, det monitor.Detection) *Attack
 	// --- Final antibody: best VSEFs + input signature + exploit input. It
 	// ships before the deferred cross-check completes: slicing contributes
 	// nothing to the antibody, so hosts should not wait for it. ---
-	final := &antibody.Antibody{
-		ID:          s.newAntibodyID(antibody.StageFinal),
-		Program:     s.name,
-		Stage:       antibody.StageFinal,
-		CreatedAtMs: s.proc.Machine.NowMillis(),
-	}
-	if initVSEF != nil {
-		final.VSEFs = append(final.VSEFs, initVSEF)
-	}
-	if refinedVSEF != nil {
-		final.VSEFs = append(final.VSEFs, refinedVSEF)
-	}
-	if taintVSEF != nil {
-		final.VSEFs = append(final.VSEFs, taintVSEF)
-	}
-	if report.CulpritPayload != nil {
-		sig := antibody.ExactSignature(final.ID+"-sig", report.CulpritPayload)
-		final.Sigs = append(final.Sigs, sig)
-		final.ExploitInput = report.CulpritPayload
-	}
+	final := antibody.New(s.newAntibodyID(antibody.StageFinal), s.name, antibody.StageFinal,
+		s.proc.Machine.NowMillis(), []*antibody.VSEF{initVSEF, refinedVSEF, taintVSEF}, report.CulpritPayload)
 	report.FinalAntibody = final
 	s.publish(final)
 	report.TimeToFinalAntibody = time.Since(t0)
@@ -492,9 +457,10 @@ func (s *Sweeper) HandleAttack(stop *vm.StopInfo, det monitor.Detection) *Attack
 	// clone's state would include the attack's effects — and from the
 	// checkpoint otherwise. The replayed history is known benign — every
 	// request in it completed service before — so a probe that raises a
-	// violation during a replay from the checkpoint is itself faulty: it is
-	// uninstalled and the replay retried (bounded), instead of a bad filter
-	// taking the service down.
+	// violation during a replay from the checkpoint is itself faulty: its
+	// VSEF is uninstalled through the handle of the antibody that installed
+	// it and the replay retried (bounded), instead of a bad filter taking the
+	// service down.
 	start := snap
 	var prefixClone *proc.Process
 	if prefix != nil {
@@ -504,9 +470,7 @@ func (s *Sweeper) HandleAttack(stop *vm.StopInfo, det monitor.Detection) *Attack
 	}
 	// Probes survive rollbacks: the antibody is installed once, however many
 	// times recovery replays.
-	if applied, err := final.Apply(s.proc, s.proxy); err == nil {
-		s.applied = append(s.applied, applied)
-	}
+	s.install(final)
 	const maxBadProbeRemovals = 3
 	for {
 		s.proc.Rollback(start, proc.ModeReplay, false)
@@ -529,11 +493,14 @@ func (s *Sweeper) HandleAttack(stop *vm.StopInfo, det monitor.Detection) *Attack
 		}
 		if replayStop.Reason == vm.StopViolation && replayStop.Violation != nil &&
 			len(report.BadProbesRemoved) < maxBadProbeRemovals {
-			owner := strings.TrimSuffix(replayStop.Violation.Tool, ".tracker")
-			removed := s.proc.Machine.RemoveProbes(owner)
-			s.proc.Machine.DetachTool(owner + ".source")
-			if removed > 0 {
-				report.BadProbesRemoved = append(report.BadProbesRemoved, owner)
+			removed := ""
+			for _, ap := range s.installed {
+				if name, ok := ap.RemoveFaulty(replayStop.Violation.Tool); ok {
+					removed = name
+				}
+			}
+			if removed != "" {
+				report.BadProbesRemoved = append(report.BadProbesRemoved, removed)
 				continue
 			}
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"sweeper/internal/antibody"
@@ -56,15 +55,9 @@ type Guest struct {
 	// mirrored at the end of each serving pass like halted.
 	counts GuestStats
 
-	// applied maps an antibody family (owner-attackN) to the currently
-	// installed refinement stage, so a refined antibody replaces the initial
-	// one instead of stacking probes; appliedRank remembers how refined the
-	// installed stage is, so an earlier stage delivered late (store
-	// notifications from concurrent publishers may arrive out of order) can
-	// never displace a more refined one.
-	applied     map[string]*antibody.AppliedAntibody
-	appliedRank map[string]int
-	adopted     map[string]bool
+	// adopted holds the IDs of the antibodies the guest has taken up or
+	// generated itself; what is installed is the Sweeper's (Sweeper.install).
+	adopted map[string]bool
 	// verifyRetries counts re-runs of verifications whose sandbox failed
 	// transiently; after the bounded retries the rejection becomes final.
 	verifyRetries map[string]int
@@ -111,8 +104,6 @@ func (f *Fleet) AddGuest(guestName, program string, image *vm.Program, opts proc
 		fleet:         f,
 		s:             s,
 		counts:        GuestStats{Guest: guestName, Program: program},
-		applied:       make(map[string]*antibody.AppliedAntibody),
-		appliedRank:   make(map[string]int),
 		adopted:       make(map[string]bool),
 		verifyRetries: make(map[string]int),
 	}
@@ -332,43 +323,6 @@ func (g *Guest) enqueueAntibody(a *antibody.Antibody) {
 	g.mu.Unlock()
 }
 
-// antibodyFamily groups the piecemeal stages of one attack's antibody
-// (initial, refined, final share the "owner-attackN" ID prefix).
-func antibodyFamily(id string) string {
-	if i := strings.LastIndex(id, "-"); i >= 0 {
-		return id[:i]
-	}
-	return id
-}
-
-// stageRank orders the piecemeal refinement stages; an unknown stage ranks
-// lowest so it can never displace anything.
-func stageRank(s antibody.Stage) int {
-	switch s {
-	case antibody.StageRefined:
-		return 1
-	case antibody.StageFinal:
-		return 2
-	default:
-		return 0
-	}
-}
-
-// installedAntibodies returns every antibody currently protecting the guest:
-// the ones it adopted from the store and the ones its own recovery path
-// applied. Verification sandboxes re-apply their VSEF probes so exploits only
-// those probes can detect still reproduce. Runs on the guest's goroutine.
-func (g *Guest) installedAntibodies() []*antibody.Antibody {
-	out := make([]*antibody.Antibody, 0, len(g.applied)+len(g.s.applied))
-	for _, ap := range g.applied {
-		out = append(out, ap.Antibody())
-	}
-	for _, ap := range g.s.applied {
-		out = append(out, ap.Antibody())
-	}
-	return out
-}
-
 // markOwn records an antibody ID as generated by this guest, so the
 // store-driven fan-out does not re-adopt (or re-verify) what the guest's own
 // recovery path installs. Runs on the guest's goroutine, like adopt: both are
@@ -377,7 +331,7 @@ func (g *Guest) markOwn(id string) { g.adopted[id] = true }
 
 // adopt installs a received antibody on the guest: VSEF probes on the
 // process, input signatures on the proxy. A more refined stage of the same
-// attack's antibody replaces the earlier one (see install).
+// attack's antibody replaces the earlier one (see Sweeper.install).
 //
 // With cfg.VerifyAdoption set, the antibody is first re-verified by replaying
 // its attached exploit input on a clone sandbox (see Sweeper.VerifyAntibody)
@@ -398,20 +352,16 @@ func (g *Guest) adopt(a *antibody.Antibody, mayDefer bool) {
 		return
 	}
 	g.adopted[a.ID] = true
-	family := antibodyFamily(a.ID)
-	rank := stageRank(a.Stage)
-	if _, replacing := g.applied[family]; replacing && rank < g.appliedRank[family] {
-		// A more refined stage of this attack's antibody is already
-		// installed; an earlier stage delivered late must not strip it (and
-		// is not worth a verification sandbox run).
+	if g.s.outranked(a) {
+		// Not worth a verification sandbox run either.
 		return
 	}
 	if !g.s.cfg.VerifyAdoption {
-		g.installAdopted(family, rank, a)
+		g.installAdopted(a)
 		return
 	}
 	const maxVerifyRetries = 3
-	dec, rep := g.s.verifyGate(a, g.installedAntibodies())
+	dec, rep := g.s.verifyGate(a)
 	if dec.Transient && g.verifyRetries[a.ID] < maxVerifyRetries {
 		// The sandbox failed, proving nothing about the antibody:
 		// forget the ID and requeue it so the serving loop retries the
@@ -437,18 +387,18 @@ func (g *Guest) adopt(a *antibody.Antibody, mayDefer bool) {
 	if rep == nil {
 		// Nothing to regenerate from (VSEF-only, or regeneration is not
 		// configured): the verified sender antibody is the end state.
-		g.installAdopted(family, rank, a)
+		g.installAdopted(a)
 		return
 	}
 	prov := g.s.provisionalAntibody(a)
-	if !g.install(family, rank, prov) {
+	r := &regeneration{received: a, dec: dec, provisional: g.s.install(prov)}
+	if r.provisional == nil {
 		// A sender VSEF that does not apply here must not cost the guest
 		// its immunity: the exact filter alone always installs.
 		prov.VSEFs = nil
-		g.install(family, rank, prov)
+		r.provisional = g.s.install(prov)
 	}
 	g.count(func(st *GuestStats) { st.ProvisionalInstalls++ })
-	r := &regeneration{received: a, dec: dec, provisional: g.applied[family]}
 	if mayDefer && g.s.enqueueDeferred(func() {
 		r.dec.Regenerated = rep.regenerate(deferredYieldInstrs)
 		g.mu.Lock()
@@ -489,40 +439,22 @@ type regeneration struct {
 // clock.
 func (g *Guest) finishAdoption(r *regeneration) {
 	g.count(func(st *GuestStats) { st.FindingsRegenerated += len(r.dec.Regenerated) })
-	family := antibodyFamily(r.received.ID)
-	if g.applied[family] != r.provisional {
+	if i := g.s.stageOf(antibodyFamily(r.received.ID)); i < 0 || g.s.installed[i] != r.provisional {
 		return
 	}
-	rank := stageRank(r.received.Stage)
 	if regen := g.s.RegenerateAntibody(r.received, r.dec); regen != nil {
-		if g.installAdopted(family, rank, regen) {
+		if g.installAdopted(regen) {
 			g.count(func(st *GuestStats) { st.AntibodiesRegenerated++ })
 		}
 		return
 	}
-	g.installAdopted(family, rank, r.received)
+	g.installAdopted(r.received)
 }
 
-// install applies an antibody as the family's installed stage. The new stage
-// is applied first and the one it replaces removed only on success, so a
-// failed application never leaves the guest less protected than before.
-func (g *Guest) install(family string, rank int, a *antibody.Antibody) bool {
-	ap, err := a.Apply(g.s.Process(), g.s.Proxy())
-	if err != nil {
-		return false
-	}
-	if prev, replacing := g.applied[family]; replacing {
-		prev.Remove()
-	}
-	g.applied[family] = ap
-	g.appliedRank[family] = rank
-	return true
-}
-
-// installAdopted is install for an adoption's end state, which is what
-// AntibodiesAdopted counts.
-func (g *Guest) installAdopted(family string, rank int, a *antibody.Antibody) bool {
-	if !g.install(family, rank, a) {
+// installAdopted installs an adoption's end state (Sweeper.install), which is
+// what AntibodiesAdopted counts.
+func (g *Guest) installAdopted(a *antibody.Antibody) bool {
+	if g.s.install(a) == nil {
 		return false
 	}
 	g.count(func(st *GuestStats) { st.AntibodiesAdopted++ })

@@ -10,6 +10,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -125,7 +127,11 @@ type Sweeper struct {
 	deferredDropped atomic.Int64
 
 	antibodies []*antibody.Antibody
-	applied    []*antibody.AppliedAntibody
+	// installed is what protects the guest: per antibody family (see
+	// antibodyFamily), the stage applied to the live process and proxy now,
+	// in install order. Only install adds to it. Owned by the serving
+	// goroutine.
+	installed []*antibody.AppliedAntibody
 
 	// attacksMu guards attacks: reports are appended on the serving
 	// goroutine, while WaitAnalyses (e.g. a draining fleet) reads the list
@@ -309,6 +315,65 @@ func (s *Sweeper) DeferredBacklog() int { return int(s.deferredDepth.Load()) }
 // DeferredDropped returns how many attacks had their deferred analyses
 // dropped because the bounded deferred queue was full.
 func (s *Sweeper) DeferredDropped() int { return int(s.deferredDropped.Load()) }
+
+// antibodyFamily groups the piecemeal stages of one attack's antibody
+// (initial, refined, final share the "owner-attackN" ID prefix).
+func antibodyFamily(id string) string {
+	if i := strings.LastIndex(id, "-"); i >= 0 {
+		return id[:i]
+	}
+	return id
+}
+
+// stageRank orders the piecemeal refinement stages; an unknown stage ranks
+// lowest so it can never displace anything.
+func stageRank(s antibody.Stage) int {
+	switch s {
+	case antibody.StageRefined:
+		return 1
+	case antibody.StageFinal:
+		return 2
+	default:
+		return 0
+	}
+}
+
+// stageOf returns where family's stage is in s.installed, or -1.
+func (s *Sweeper) stageOf(family string) int {
+	return slices.IndexFunc(s.installed, func(ap *antibody.AppliedAntibody) bool {
+		return antibodyFamily(ap.Antibody().ID) == family
+	})
+}
+
+// outranked reports whether a more refined stage of a's family is installed:
+// store notifications from concurrent publishers may arrive out of order, and
+// an earlier stage delivered late must not strip a more refined one.
+func (s *Sweeper) outranked(a *antibody.Antibody) bool {
+	i := s.stageOf(antibodyFamily(a.ID))
+	return i >= 0 && stageRank(a.Stage) < stageRank(s.installed[i].Antibody().Stage)
+}
+
+// install applies a to the live process and proxy as its family's stage —
+// the one way an antibody reaches the guest, for recovery's own final stage
+// and every adoption alike — unless a more refined stage is installed. The
+// new stage is applied first and the one it replaces removed only on
+// success, so a failed application never leaves the guest less protected than
+// before. It returns the new stage's handle, or nil if nothing was installed.
+func (s *Sweeper) install(a *antibody.Antibody) *antibody.AppliedAntibody {
+	if s.outranked(a) {
+		return nil
+	}
+	ap, err := a.Apply(s.proc, s.proxy)
+	if err != nil {
+		return nil
+	}
+	if i := s.stageOf(antibodyFamily(a.ID)); i >= 0 {
+		s.installed[i].Remove()
+		s.installed = slices.Delete(s.installed, i, i+1)
+	}
+	s.installed = append(s.installed, ap)
+	return ap
+}
 
 // Submit offers a request payload to the protected server through the proxy.
 // It reports whether the request was accepted (false when an input-signature

@@ -49,12 +49,12 @@ type VerifyDecision struct {
 //     corrupted in transit, generated for a different program, or a benign
 //     payload masquerading as an exploit to poison the filters — is rejected.
 //
-// The optional installed antibodies are re-applied (VSEF probes only, no
+// The antibodies installed on this guest are re-applied (VSEF probes only, no
 // input filters) to the sandbox, so an exploit that only the host's existing
 // filters can detect — e.g. a polymorphic variant the generating host caught
 // via an earlier antibody's probes — still reproduces.
-func (s *Sweeper) VerifyAntibody(a *antibody.Antibody, installed ...*antibody.Antibody) VerifyDecision {
-	dec, rep := s.verifyGate(a, installed)
+func (s *Sweeper) VerifyAntibody(a *antibody.Antibody) VerifyDecision {
+	dec, rep := s.verifyGate(a)
 	if rep != nil {
 		dec.Regenerated = rep.regenerate(0)
 	}
@@ -102,7 +102,7 @@ type reproduction struct {
 // fast-tier analyzer is configured to regenerate from it; the caller owes it
 // a regenerate call (which also returns the sandbox to the pool), on this
 // goroutine or another.
-func (s *Sweeper) verifyGate(a *antibody.Antibody, installed []*antibody.Antibody) (VerifyDecision, *reproduction) {
+func (s *Sweeper) verifyGate(a *antibody.Antibody) (VerifyDecision, *reproduction) {
 	if len(a.ExploitInput) == 0 {
 		if len(a.Sigs) > 0 {
 			return VerifyDecision{Reason: "input signatures without an exploit input to verify them"}, nil
@@ -133,21 +133,18 @@ func (s *Sweeper) verifyGate(a *antibody.Antibody, installed []*antibody.Antibod
 	// The sandbox must detect everything the live guest would: clones carry
 	// no tools or probes, so re-attach the configured lightweight monitor
 	// (the layout, and with it ASLR, is inherited) and re-apply the VSEF
-	// probes of the already-installed antibodies. Without these, an exploit
-	// the live guest catches via e.g. the shadow stack or an earlier
-	// antibody's probes would fail to "reproduce" on a bare clone and a
-	// genuine antibody would be rejected. Input filters are deliberately NOT
-	// installed on the sandbox proxy: they would swallow the exploit before
-	// it could prove anything.
+	// probes of the installed antibodies, in install order, less any VSEF
+	// recovery removed as faulty. Without these, an exploit the live guest
+	// catches via e.g. the shadow stack or an earlier antibody's probes would
+	// fail to "reproduce" on a bare clone and a genuine antibody would be
+	// rejected. Input filters are deliberately NOT installed on the sandbox
+	// proxy: they would swallow the exploit before it could prove anything.
 	if s.cfg.ShadowStack {
 		clone.Machine.AttachTool(monitor.NewShadowStack())
 	}
-	for _, inst := range installed {
-		if inst == nil {
-			continue
-		}
-		if _, err := inst.Apply(clone, nil); err != nil {
-			return VerifyDecision{Transient: true, Reason: fmt.Sprintf("verification sandbox: re-applying %s: %v", inst.ID, err)}, nil
+	for _, ap := range s.installed {
+		if _, err := ap.Antibody().Apply(clone, nil); err != nil {
+			return VerifyDecision{Transient: true, Reason: fmt.Sprintf("verification sandbox: re-applying %s: %v", ap.Antibody().ID, err)}, nil
 		}
 	}
 	if stop := s.runToQuiescence(clone); stop.Reason != vm.StopWaitInput {
@@ -197,30 +194,18 @@ func (s *Sweeper) RegenerateAntibody(a *antibody.Antibody, dec VerifyDecision) *
 	// identical to the sender's, so stage replacement keeps working across
 	// regenerated and original antibodies of the same attack.
 	id := a.ID + "+regen"
-	var vsefs []*antibody.VSEF
-	if res, ok := dec.Regenerated[membug.AnalyzerName].(*membug.Result); ok && res.Primary != nil {
-		if v := antibody.FromMemBug(id+"-vsef", a.Program, res.Primary); v != nil {
-			vsefs = append(vsefs, v)
-		}
+	var mb, tt *antibody.VSEF
+	if res, ok := dec.Regenerated[membug.AnalyzerName].(*membug.Result); ok {
+		mb = antibody.FromMemBug(id+"-vsef", a.Program, res.Primary)
 	}
 	if res, ok := dec.Regenerated[taint.AnalyzerName].(*taint.Result); ok && res.Tracker != nil {
-		if v := antibody.FromTaint(id+"-taint-vsef", a.Program, res.Tracker); v != nil {
-			vsefs = append(vsefs, v)
-		}
+		tt = antibody.FromTaint(id+"-taint-vsef", a.Program, res.Tracker)
 	}
-	if len(vsefs) == 0 {
+	if mb == nil && tt == nil {
 		return nil
 	}
-	return &antibody.Antibody{
-		ID:           id,
-		Program:      a.Program,
-		Stage:        a.Stage,
-		VSEFs:        vsefs,
-		Sigs:         []*antibody.Signature{antibody.ExactSignature(id+"-sig", a.ExploitInput)},
-		ExploitInput: a.ExploitInput,
-		CreatedAtMs:  s.proc.Machine.NowMillis(),
-		Notes:        []string{"regenerated locally from verified exploit replay of " + a.ID},
-	}
+	return antibody.New(id, a.Program, a.Stage, s.proc.Machine.NowMillis(), []*antibody.VSEF{mb, tt}, a.ExploitInput,
+		"regenerated locally from verified exploit replay of "+a.ID)
 }
 
 // provisionalAntibody builds what a guest installs the moment a received
@@ -231,9 +216,11 @@ func (s *Sweeper) RegenerateAntibody(a *antibody.Antibody, dec VerifyDecision) *
 // guest already adopts unverified as VSEF-only stages (an incorrect one only
 // adds checking, a faulty one is uninstalled by recovery), and without them
 // the family replacement would leave the guest with fewer probes than the
-// refined stage it displaces. The copies are renamed because probes are
-// removed by name: these must survive the removal of the sender's earlier
-// stage, and must not take the sender's own antibody with them when they go.
+// refined stage it displaces. The copies are renamed <id>/<name>: a VSEF's
+// name is what its probe's violations carry, so a violation, and a faulty
+// probe in AttackReport.BadProbesRemoved, names this guest's provisional
+// antibody and not the sender's, whose own VSEFs the guest may install as
+// the adoption's end state.
 func (s *Sweeper) provisionalAntibody(a *antibody.Antibody) *antibody.Antibody {
 	id := a.ID + "+gate"
 	vsefs := make([]*antibody.VSEF, len(a.VSEFs))
@@ -242,16 +229,8 @@ func (s *Sweeper) provisionalAntibody(a *antibody.Antibody) *antibody.Antibody {
 		c.Name = id + "/" + v.Name
 		vsefs[i] = &c
 	}
-	return &antibody.Antibody{
-		ID:           id,
-		Program:      a.Program,
-		Stage:        a.Stage,
-		VSEFs:        vsefs,
-		Sigs:         []*antibody.Signature{antibody.ExactSignature(id+"-sig", a.ExploitInput)},
-		ExploitInput: a.ExploitInput,
-		CreatedAtMs:  s.proc.Machine.NowMillis(),
-		Notes:        []string{"provisional: exploit of " + a.ID + " reproduced here, regeneration pending"},
-	}
+	return antibody.New(id, a.Program, a.Stage, s.proc.Machine.NowMillis(), vsefs, a.ExploitInput,
+		"provisional: exploit of "+a.ID+" reproduced here, regeneration pending")
 }
 
 // hasFastAnalyzers reports whether any configured analyzer runs in the fast

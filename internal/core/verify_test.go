@@ -464,6 +464,60 @@ func TestMaliciousVSEFOnlyAntibodyCannotTakeDownGuest(t *testing.T) {
 	f.Stop()
 }
 
+// TestRemovedBadProbeDoesNotBlockLaterAdoption: once recovery has removed a
+// rogue probe, no verification sandbox may carry it again. The guest of
+// TestMaliciousVSEFOnlyAntibodyCannotTakeDownGuest serves three more benign
+// requests after the removal — each would trip the rogue probe if a sandbox
+// re-applied it — and is then offered a genuine final antibody, which must be
+// verified and adopted, so the exploit is filtered at the proxy instead of
+// attacking the guest a second time.
+func TestRemovedBadProbeDoesNotBlockLaterAdoption(t *testing.T) {
+	final := genuineFinalAntibody(t, "squid")
+	f := newVerifyingConsumer(t, "squid", "squid-victim", 112233)
+	defer f.Stop()
+	if !f.Store().Publish(rogueDoubleFreeAntibody(t)) {
+		t.Fatal("store rejected the rogue antibody outright")
+	}
+	f.Drain()
+	for i := 0; i < 6; i++ {
+		f.Submit("squid-victim", exploit.Benign("squid", 10+i), "client", false)
+	}
+	f.Drain()
+	g, _ := f.Guest("squid-victim")
+	removed := false
+	for _, r := range g.Sweeper().Attacks() {
+		for _, name := range r.BadProbesRemoved {
+			removed = removed || name == "rogue-dos-vsef"
+		}
+	}
+	if !removed {
+		t.Fatal("recovery did not remove the rogue probe; the scenario was not exercised")
+	}
+	for i := 0; i < 3; i++ {
+		if !f.Submit("squid-victim", exploit.Benign("squid", 20+i), "client", false) {
+			t.Fatalf("benign request %d filtered", i)
+		}
+	}
+	f.Drain()
+	attacks := len(g.Sweeper().Attacks())
+
+	if !f.Store().Publish(final) {
+		t.Fatal("store rejected the genuine antibody")
+	}
+	f.Drain()
+	if st := statsOf(f, "squid-victim"); st.AntibodiesVerified != 1 || st.AntibodiesRejected != 0 {
+		t.Errorf("verified=%d rejected=%d, want 1/0: a removed probe still reached the verification sandbox",
+			st.AntibodiesVerified, st.AntibodiesRejected)
+	}
+	if f.Submit("squid-victim", final.ExploitInput, "worm", true) {
+		t.Error("exploit accepted at the proxy after the genuine antibody was published")
+	}
+	f.Drain()
+	if got := len(g.Sweeper().Attacks()); got != attacks {
+		t.Errorf("the exploit reached the guest: %d attacks handled, want %d", got, attacks)
+	}
+}
+
 // TestMalformedPeerAntibodyCannotCrashVerifyingConsumer: a peer serving
 // antibodies with a nil VSEF or a nil signature must not reach a verifying
 // guest, whose adoption would dereference the nil on its serving goroutine

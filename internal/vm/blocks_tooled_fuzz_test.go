@@ -240,6 +240,15 @@ type probedPair struct {
 	fastLog, slowLog []probeHit
 	fastSeq, slowSeq []sight
 	step             bool
+	// probes lists what probe registered and remove has not taken off.
+	probes []pairedProbe
+}
+
+// pairedProbe is one probe registration on both machines.
+type pairedProbe struct {
+	name       string
+	idx        int
+	fast, slow vm.Probe
 }
 
 func (pp *probedPair) runFast(budget uint64) *vm.StopInfo {
@@ -262,14 +271,38 @@ func newProbedPair(t *testing.T, build func(b *asm.Builder)) *probedPair {
 // probe registers one probe on idx on both machines; raiseOn as in stateProbe.
 func (pp *probedPair) probe(t *testing.T, name string, idx, raiseOn int) {
 	t.Helper()
+	reg := pairedProbe{name: name, idx: idx}
 	for _, side := range []struct {
 		m   *vm.Machine
 		log *[]probeHit
-	}{{pp.fast, &pp.fastLog}, {pp.slow, &pp.slowLog}} {
-		if err := side.m.AddProbe(idx, stateProbe{name, side.log, new(int), raiseOn}); err != nil {
+		p   *vm.Probe
+	}{{pp.fast, &pp.fastLog, &reg.fast}, {pp.slow, &pp.slowLog, &reg.slow}} {
+		*side.p = stateProbe{name, side.log, new(int), raiseOn}
+		if err := side.m.AddProbe(idx, *side.p); err != nil {
 			t.Fatal(err)
 		}
 	}
+	pp.probes = append(pp.probes, reg)
+}
+
+// remove takes every probe registered under name off both machines, one
+// RemoveProbe per registration, and returns how many each side removed.
+func (pp *probedPair) remove(name string) (fast, slow int) {
+	kept := pp.probes[:0]
+	for _, r := range pp.probes {
+		if r.name != name {
+			kept = append(kept, r)
+			continue
+		}
+		if pp.fast.RemoveProbe(r.idx, r.fast) {
+			fast++
+		}
+		if pp.slow.RemoveProbe(r.idx, r.slow) {
+			slow++
+		}
+	}
+	pp.probes = kept
+	return fast, slow
 }
 
 // run executes budget instructions on both sides and compares the stop
@@ -349,7 +382,7 @@ func probedTrial(t *testing.T, seed int64) {
 			if r.Intn(6) == 0 {
 				raiseOn = 1 + r.Intn(20)
 			}
-			// Names repeat, so RemoveProbes below takes out several;
+			// Names repeat, so remove below takes out several;
 			// indexes repeat, so some carry two probes.
 			pp.probe(t, fmt.Sprintf("p%d", r.Intn(4)), r.Intn(n), raiseOn)
 		}
@@ -363,8 +396,8 @@ func probedTrial(t *testing.T, seed int64) {
 		switch r.Intn(5) {
 		case 0:
 			name := fmt.Sprintf("p%d", r.Intn(4))
-			if f, s := pp.fast.RemoveProbes(name), pp.slow.RemoveProbes(name); f != s {
-				t.Fatalf("%s: RemoveProbes(%s) fast=%d slow=%d", label, name, f, s)
+			if f, s := pp.remove(name); f != s {
+				t.Fatalf("%s: remove(%s) fast=%d slow=%d", label, name, f, s)
 			}
 		case 1:
 			addProbes(1 + r.Intn(3))
@@ -580,8 +613,8 @@ func TestInLoopProbesDirected(t *testing.T) {
 		pp.probe(t, "a", 2, 0)
 		pp.probe(t, "b", 4, 0)
 		pp.run(t, "a+b", 9)
-		if pp.fast.RemoveProbes("a") != 1 || pp.slow.RemoveProbes("a") != 1 {
-			t.Fatal("RemoveProbes(a) did not remove exactly one probe")
+		if f, s := pp.remove("a"); f != 1 || s != 1 {
+			t.Fatal("remove(a) did not remove exactly one probe")
 		}
 		pp.run(t, "b only", 9)
 		pp.probe(t, "c", 1, 0)

@@ -587,8 +587,8 @@ func loopTrial(t *testing.T, seed int64, tools string) uint64 {
 			probe()
 		case 1:
 			name := fmt.Sprintf("p%d", r.Intn(3))
-			if f, s := pp.fast.RemoveProbes(name), pp.slow.RemoveProbes(name); f != s {
-				t.Fatalf("%s: RemoveProbes(%s) fast=%d slow=%d", label, name, f, s)
+			if f, s := pp.remove(name); f != s {
+				t.Fatalf("%s: remove(%s) fast=%d slow=%d", label, name, f, s)
 			}
 		}
 	}

@@ -445,29 +445,6 @@ func (m *Machine) AddProbe(idx int, p Probe) error {
 	return nil
 }
 
-// RemoveProbes removes every probe registered under the given name and
-// returns how many were removed.
-func (m *Machine) RemoveProbes(name string) int {
-	removed := 0
-	for i, list := range m.probes {
-		if len(list) == 0 {
-			continue
-		}
-		kept := list[:0]
-		for _, p := range list {
-			if p.Name() == name {
-				removed++
-			} else {
-				kept = append(kept, p)
-			}
-		}
-		m.probes[i] = kept
-	}
-	m.probeCount -= removed
-	m.overlayDirty = true
-	return removed
-}
-
 // RemoveProbe removes one registration of p on instruction idx: what one
 // AddProbe(idx, p) added, and nothing another owner registered there under
 // the same name. It reports whether p was registered on idx.

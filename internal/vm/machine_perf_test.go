@@ -115,7 +115,8 @@ func TestDispatchFastPathFlags(t *testing.T) {
 	}
 
 	// Probes: registration leaves the fast path, removal restores it.
-	if err := m.AddProbe(m.PC, nopProbe{}); err != nil {
+	probeAt := m.PC
+	if err := m.AddProbe(probeAt, nopProbe{}); err != nil {
 		t.Fatal(err)
 	}
 	if m.ProbeCount() != 1 {
@@ -126,8 +127,8 @@ func TestDispatchFastPathFlags(t *testing.T) {
 	if got := m.Cycles() - base; got <= untooledCycles {
 		t.Errorf("probed run cost %d cycles, want more than untooled %d", got, untooledCycles)
 	}
-	if removed := m.RemoveProbes("test.probe"); removed != 1 {
-		t.Fatalf("RemoveProbes = %d, want 1", removed)
+	if !m.RemoveProbe(probeAt, nopProbe{}) {
+		t.Fatal("RemoveProbe found no probe to remove")
 	}
 	if m.ProbeCount() != 0 {
 		t.Errorf("ProbeCount after removal = %d, want 0", m.ProbeCount())

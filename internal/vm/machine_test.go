@@ -418,8 +418,8 @@ func TestProbesFireOnlyAtTheirInstruction(t *testing.T) {
 	if p.fired != 5 {
 		t.Errorf("probe fired %d times, want 5", p.fired)
 	}
-	if n := m.RemoveProbes("p"); n != 1 {
-		t.Errorf("RemoveProbes = %d", n)
+	if !m.RemoveProbe(target, p) {
+		t.Error("RemoveProbe found no probe to remove")
 	}
 }
 

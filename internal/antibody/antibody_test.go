@@ -286,9 +286,10 @@ func TestAntibodyApplyInstallsFiltersAndProbes(t *testing.T) {
 
 // TestRemoveFaultyTakesOutOneVSEF: a violation's tool names one VSEF of an
 // installed antibody — a taint guard's by its tracker — and RemoveFaulty
-// uninstalls that VSEF alone: its probes and input tool leave the machine,
-// what the handle carries no longer lists it, and the antibody it was applied
-// from is untouched.
+// uninstalls that VSEF alone: its probes leave the machine, and with them
+// the taint guard's input delivery, what the handle carries no longer lists
+// it, and the antibody it was applied from is untouched. No VSEF attaches a
+// tool.
 func TestRemoveFaultyTakesOutOneVSEF(t *testing.T) {
 	spec, _ := apps.ByName("cvs")
 	p, proxy, _ := newProcess(t, "cvs")
@@ -301,7 +302,19 @@ func TestRemoveFaultyTakesOutOneVSEF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probes, tools := p.Machine.ProbeCount(), len(p.Machine.Tools())
+	probes := p.Machine.ProbeCount()
+	if tools := p.Machine.Tools(); len(tools) != 0 {
+		t.Errorf("applying the antibody attached tools %v, want probes only", tools)
+	}
+	// inputCost is what one request's bytes cost the machine's clock.
+	inputCost := func() uint64 {
+		c := p.Machine.Cycles()
+		p.Machine.NotifyInput(0x1000, []byte("input"), 1)
+		return p.Machine.Cycles() - c
+	}
+	if got := inputCost(); got != vm.CyclesPerHook {
+		t.Errorf("input delivery cost %d cycles with the taint guard installed, want %d", got, vm.CyclesPerHook)
+	}
 	if _, ok := applied.RemoveFaulty("someone-else"); ok {
 		t.Error("RemoveFaulty removed a VSEF for a tool it does not carry")
 	}
@@ -311,8 +324,8 @@ func TestRemoveFaultyTakesOutOneVSEF(t *testing.T) {
 	if got := p.Machine.ProbeCount(); got != probes-2 {
 		t.Errorf("probes = %d after removing the taint guard, want %d", got, probes-2)
 	}
-	if got := len(p.Machine.Tools()); got != tools-1 {
-		t.Errorf("tools = %d after removing the taint guard, want %d", got, tools-1)
+	if got := inputCost(); got != 0 {
+		t.Errorf("input delivery cost %d cycles after removing the taint guard, want 0", got)
 	}
 	if got := applied.Antibody().VSEFs; len(got) != 1 || got[0] != guard {
 		t.Errorf("the handle carries %v, want only %s", got, guard.Name)
@@ -321,8 +334,8 @@ func TestRemoveFaultyTakesOutOneVSEF(t *testing.T) {
 		t.Errorf("the applied antibody lost a VSEF: %v", a.VSEFs)
 	}
 	applied.Remove()
-	if p.Machine.ProbeCount() != 0 || len(p.Machine.Tools()) != tools-1 {
-		t.Errorf("Remove left probes=%d tools=%v", p.Machine.ProbeCount(), p.Machine.Tools())
+	if p.Machine.ProbeCount() != 0 {
+		t.Errorf("Remove left %d probes", p.Machine.ProbeCount())
 	}
 }
 

@@ -203,27 +203,22 @@ type Applied struct {
 	probe vm.Probe
 	sites []int
 	tool  string
-	// extraTools lists full tools (not probes) attached for this VSEF.
-	extraTools []string
 }
 
 // Remove uninstalls what this handle installed and nothing else. The stages
 // of one attack's antibody share VSEFs by name (initial ⊂ refined ⊂ final)
 // and a stage is replaced by applying its successor first, so at the moment
-// of removal a second registration stands under each shared name: probes are
-// removed by identity, and a tool by name, which detaches the oldest holder
-// of the name — this handle's.
+// of removal a second registration stands under each shared name: the probe
+// is removed by identity, from each of its sites.
 func (a *Applied) Remove() {
 	for _, idx := range a.sites {
 		a.p.Machine.RemoveProbe(idx, a.probe)
 	}
-	for _, t := range a.extraTools {
-		a.p.Machine.DetachTool(t)
-	}
 }
 
-// Apply installs the VSEF on the process as targeted probes (plus, for taint
-// guards, a lightweight input hook). The returned handle removes it again.
+// Apply installs the VSEF on the process as one probe on each of its sites,
+// and as nothing else: a taint guard's probe takes the request bytes itself
+// (vm.InputHook). The returned handle removes it again.
 func (v *VSEF) Apply(p *proc.Process) (*Applied, error) {
 	m := p.Machine
 	applied := &Applied{p: p, vsef: v, tool: v.Name}
@@ -251,9 +246,6 @@ func (v *VSEF) Apply(p *proc.Process) (*Applied, error) {
 		applied.probe = &taintProbe{name: v.Name, Tracker: tracker}
 		applied.tool = tracker.Name()
 		sites = v.TaintInstrs
-		src := &taintSource{name: v.Name + ".source", tracker: tracker}
-		m.AttachTool(src)
-		applied.extraTools = append(applied.extraTools, src.Name())
 	default:
 		return nil, fmt.Errorf("antibody: unknown VSEF kind %q", v.Kind)
 	}
@@ -517,11 +509,12 @@ func (p *nullCheckProbe) OnProbe(m *vm.Machine, idx int, in *vm.Instr) {
 }
 
 // taintProbe is a taint guard: a tracker restricted to the guard's
-// instructions, which it propagates at. The rest is the tracker's: it takes
-// a byte loop's run in one call (vm.LoopHook), and on a rollback it clears
-// its shadow taint (vm.RollbackHook), since labels introduced by the
-// abandoned execution (often the excised attack request itself) must not
-// survive into the replay.
+// instructions, which it propagates at. The rest is the tracker's: it taints
+// each request's bytes as they arrive (vm.InputHook), takes a byte loop's run
+// in one call (vm.LoopHook), and on a rollback it clears its shadow taint
+// (vm.RollbackHook), since labels introduced by the abandoned execution
+// (often the excised attack request itself) must not survive into the
+// replay.
 type taintProbe struct {
 	name string
 	*taint.Tracker
@@ -531,17 +524,4 @@ func (p *taintProbe) Name() string { return p.name }
 
 func (p *taintProbe) OnProbe(m *vm.Machine, idx int, in *vm.Instr) {
 	p.Propagate(m, idx, in)
-}
-
-// taintSource feeds request bytes into a restricted tracker; it implements
-// only the input hook, so it adds no per-instruction cost.
-type taintSource struct {
-	name    string
-	tracker *taint.Tracker
-}
-
-func (s *taintSource) Name() string { return s.name }
-
-func (s *taintSource) OnInput(m *vm.Machine, addr uint32, data []byte, requestID int) {
-	s.tracker.OnInput(m, addr, data, requestID)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -20,7 +21,8 @@ const consumerName = "squid-consumer"
 
 // holdAnalyzer is a custom fast-tier analyzer that finds nothing and holds
 // every Run until released: registered on a consumer, it keeps a regeneration
-// — and with it the provisional window — open for as long as a test needs.
+// — and with it the window between gate and end state — open for as long as
+// a test needs.
 type holdAnalyzer struct {
 	once    sync.Once
 	started chan struct{}
@@ -57,8 +59,8 @@ func blockDeferredWorker(t *testing.T, g *Guest, extra int) (release func()) {
 	return func() { close(gate) }
 }
 
-// waitProvisional blocks until the guest has installed want provisional
-// antibodies.
+// waitProvisional blocks until want adoptions have installed their verified
+// antibody at the gate (GuestStats.ProvisionalInstalls).
 func waitProvisional(t *testing.T, f *Fleet, want int) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(200 * time.Microsecond) {
@@ -66,7 +68,17 @@ func waitProvisional(t *testing.T, f *Fleet, want int) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no provisional antibody #%d within 10s", want)
+			t.Fatalf("no gate-time install #%d within 10s", want)
+		}
+	}
+}
+
+// waitServed blocks until the guest has served want requests.
+func waitServed(t *testing.T, f *Fleet, want int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); consumerStats(f).RequestsServed < want; time.Sleep(200 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("served %d requests within 10s, want %d", consumerStats(f).RequestsServed, want)
 		}
 	}
 }
@@ -113,13 +125,14 @@ func wantRegeneratedEndState(t *testing.T, f *Fleet, final *antibody.Antibody) {
 	}
 }
 
-// TestProvisionalWindowTrustsNoSenderSignature: a sender's final antibody
-// carries, beside its own exact signature, a second one — a copy of the
-// exploit under another name. While regeneration is held open the consumer's
-// proxy holds exactly the one exact filter the consumer built itself, none of
-// the sender's: the exploit is rejected, the benign request is served.
-// Afterwards the end state is the regenerated antibody, as it always was.
-func TestProvisionalWindowTrustsNoSenderSignature(t *testing.T) {
+// TestWindowFiltersOnlyTheVerifiedExploit: a sender's final antibody carries,
+// beside its own exact signature, a second one — a copy of the exploit under
+// another name. Both pass the gate, and the antibody is installed as
+// received. While regeneration is held open every filter on the consumer's
+// proxy matches the exploit and not the benign request: the exploit is
+// rejected, the benign request is served. Afterwards the end state is the
+// regenerated antibody, as it always was.
+func TestWindowFiltersOnlyTheVerifiedExploit(t *testing.T) {
 	final := genuineFinalAntibody(t, "squid")
 	benign := exploit.Benign("squid", 1)
 	extra := antibody.ExactSignature("sender-extra-sig", final.ExploitInput)
@@ -140,8 +153,22 @@ func TestProvisionalWindowTrustsNoSenderSignature(t *testing.T) {
 	}
 	<-hold.started
 
-	if got := consumerFilters(f); len(got) != 1 || got[0] != final.ID+"+gate-sig" {
-		t.Errorf("filters during the window = %v, want only the consumer's own %s+gate-sig", got, final.ID)
+	// What the proxy filters by is the installed antibodies' signatures.
+	g, _ := f.Guest(consumerName)
+	sigs := map[string]*antibody.Signature{}
+	for _, ap := range g.s.installed {
+		for _, sig := range ap.Antibody().Sigs {
+			sigs[sig.Name()] = sig
+		}
+	}
+	filters := consumerFilters(f)
+	if len(filters) == 0 {
+		t.Error("no filter on the proxy during the window")
+	}
+	for _, name := range filters {
+		if sig := sigs[name]; sig == nil || !sig.Match(final.ExploitInput) || sig.Match(benign) {
+			t.Errorf("filter %s during the window does not match exactly the exploit", name)
+		}
 	}
 	if f.Submit(consumerName, final.ExploitInput, "worm", true) {
 		t.Error("exploit accepted during the window")
@@ -150,11 +177,7 @@ func TestProvisionalWindowTrustsNoSenderSignature(t *testing.T) {
 	if !f.Submit(consumerName, benign, "client", false) {
 		t.Error("benign request filtered during the window: a sender signature was installed")
 	}
-	for deadline := time.Now().Add(10 * time.Second); consumerStats(f).RequestsServed == served; time.Sleep(200 * time.Microsecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("benign request not served while regeneration was held open")
-		}
-	}
+	waitServed(t, f, served+1)
 
 	close(hold.release)
 	f.Drain()
@@ -327,8 +350,11 @@ func TestLandingRegenerationDoesNotDisplaceMoreRefinedStage(t *testing.T) {
 		t.Fatal("store rejected the final antibody")
 	}
 	waitProvisional(t, f, 2)
-	if got := consumerFilters(f); len(got) != 1 || got[0] != final.ID+"+gate-sig" {
-		t.Errorf("filters with both regenerations in flight = %v, want only %s+gate-sig", got, final.ID)
+	if got := installedID(t, f, final); got != final.ID {
+		t.Errorf("installed with both regenerations in flight = %s, want %s", got, final.ID)
+	}
+	if got := consumerFilters(f); len(got) != 1 || got[0] != final.ID+"-sig" {
+		t.Errorf("filters with both regenerations in flight = %v, want only %s-sig", got, final.ID)
 	}
 	release()
 	f.Drain()
@@ -405,34 +431,18 @@ func TestAdoptBeforeStartCompletesInline(t *testing.T) {
 // TestConsumerAbsorbsOwnAttacksDuringWindow: while its regeneration is in
 // flight the consumer serves benign traffic, absorbs a polymorphic variant
 // the exact filter does not match, and trips over a faulty VSEF the sender
-// planted — which arrives renamed in the provisional antibody and is
+// planted — installed with the rest of the verified antibody at the gate and
 // uninstalled by recovery. It must come out serving, with the regenerated
-// antibody installed, and removing the provisional antibody again (its probes
+// antibody installed, and removing the gate's antibody again (its probes
 // partly gone already) must change nothing.
 func TestConsumerAbsorbsOwnAttacksDuringWindow(t *testing.T) {
 	final := genuineFinalAntibody(t, "squid")
-	spec, err := apps.ByName("squid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	freeEntry, ok := spec.Image.Symbols["free"]
-	if !ok {
-		t.Fatal("squid image has no free symbol")
-	}
-	tampered := *final
-	tampered.VSEFs = append(append([]*antibody.VSEF(nil), final.VSEFs...), &antibody.VSEF{
-		Kind:      antibody.VSEFDoubleFree,
-		Program:   "squid",
-		Name:      "rogue-dos-vsef",
-		InstrIdx:  freeEntry + 2, // free's Ret: R1 still holds the freed pointer
-		InstrSym:  "free",
-		CallerIdx: -1,
-	})
+	tampered := withVSEF(final, rogueDoubleFreeAntibody(t).VSEFs[0])
 
 	f := newVerifyingConsumer(t, "squid", consumerName, 112233)
 	g, _ := f.Guest(consumerName)
 	release := blockDeferredWorker(t, g, 0)
-	if !f.Store().Publish(&tampered) {
+	if !f.Store().Publish(tampered) {
 		t.Fatal("store rejected the antibody")
 	}
 	waitProvisional(t, f, 1)
@@ -456,8 +466,8 @@ func TestConsumerAbsorbsOwnAttacksDuringWindow(t *testing.T) {
 		prov = g.s.installed[i]
 	}
 	g.mu.Unlock()
-	if prov == nil || prov.Antibody().ID != final.ID+"+gate" {
-		t.Fatalf("installed during the window: %v, want the provisional antibody", prov)
+	if prov == nil || prov.Antibody().ID != final.ID {
+		t.Fatalf("installed during the window: %v, want the verified antibody %s", prov, final.ID)
 	}
 	release()
 	f.Drain()
@@ -471,7 +481,7 @@ func TestConsumerAbsorbsOwnAttacksDuringWindow(t *testing.T) {
 			t.Errorf("recovery failed for attack %d", r.Seq)
 		}
 		for _, name := range r.BadProbesRemoved {
-			if name == final.ID+"+gate/rogue-dos-vsef" {
+			if name == "rogue-dos-vsef" {
 				rogueRemoved = true
 			}
 		}
@@ -494,7 +504,7 @@ func TestConsumerAbsorbsOwnAttacksDuringWindow(t *testing.T) {
 	if got := g.Sweeper().Process().ServedRequests(); got != served+1 {
 		t.Errorf("served %d requests after the window, want %d", got, served+1)
 	}
-	// The landing removed the provisional antibody after recovery had already
+	// The landing removed the gate's antibody after recovery had already
 	// taken one of its probes; removing it again must change nothing.
 	filters, probes := consumerFilters(f), g.Sweeper().Process().Machine.ProbeCount()
 	prov.Remove()
@@ -505,4 +515,137 @@ func TestConsumerAbsorbsOwnAttacksDuringWindow(t *testing.T) {
 		t.Errorf("probe count after a second Remove = %d, want %d", got, probes)
 	}
 	f.Stop()
+}
+
+// withVSEF returns a copy of a carrying one more VSEF.
+func withVSEF(a *antibody.Antibody, v *antibody.VSEF) *antibody.Antibody {
+	c := *a
+	c.VSEFs = append(slices.Clone(a.VSEFs), v)
+	return &c
+}
+
+// TestRogueVSEFRemovedInTheWindowStaysRemoved: a verified antibody carries
+// the rogue double-free guard on free's Ret (rogueDoubleFreeAntibody) to a
+// consumer whose regeneration yields no VSEF, so the antibody installed at
+// the gate is the end state. Benign traffic trips the rogue VSEF while
+// regeneration is held back, and recovery removes it. When regeneration
+// lands, the rogue VSEF must stay uninstalled: a later benign request is
+// served with no second recovery. The consumer is squid with a fast tier
+// that finds nothing: apache2, whose default regeneration yields no VSEF,
+// never touches the heap while serving a benign request, and no VSEF kind
+// fires on its benign traffic.
+func TestRogueVSEFRemovedInTheWindowStaysRemoved(t *testing.T) {
+	final := genuineFinalAntibody(t, "squid")
+	rogue := rogueDoubleFreeAntibody(t).VSEFs[0]
+	idle := newHoldAnalyzer()
+	close(idle.release)
+	reg := DefaultRegistry()
+	if err := reg.Register(idle); err != nil {
+		t.Fatal(err)
+	}
+	f := newVerifyingConsumer(t, "squid", consumerName, 314159, func(c *Config) {
+		c.Registry = reg
+		c.Analyses = []string{idle.Name()}
+	})
+	g, _ := f.Guest(consumerName)
+	release := blockDeferredWorker(t, g, 0)
+	if !f.Store().Publish(withVSEF(final, rogue)) {
+		t.Fatal("store rejected the antibody")
+	}
+	waitProvisional(t, f, 1)
+	served := consumerStats(f).RequestsServed
+	for i := 0; i < 3; i++ {
+		if !f.Submit(consumerName, exploit.Benign("squid", 10+i), "client", false) {
+			t.Fatalf("benign request %d filtered during the window", i)
+		}
+	}
+	waitServed(t, f, served+3)
+	removed := false
+	for _, r := range g.Sweeper().Attacks() {
+		for _, name := range r.BadProbesRemoved {
+			removed = removed || name == rogue.Name
+		}
+	}
+	if !removed {
+		t.Errorf("recovery did not remove %s during the window", rogue.Name)
+	}
+	release()
+	f.Drain()
+
+	if got := installedID(t, f, final); got != final.ID {
+		t.Errorf("installed antibody = %s, want the verified %s", got, final.ID)
+	}
+	i := g.s.stageOf(antibodyFamily(final.ID))
+	for _, v := range g.s.installed[i].Antibody().VSEFs {
+		if v.Name == rogue.Name {
+			t.Errorf("%s is installed again after the window", rogue.Name)
+		}
+	}
+	attacks := len(g.Sweeper().Attacks())
+	served = consumerStats(f).RequestsServed
+	if !f.Submit(consumerName, exploit.Benign("squid", 20), "client", false) {
+		t.Error("benign request filtered after the window")
+	}
+	f.Drain()
+	if got := len(g.Sweeper().Attacks()); got != attacks {
+		t.Errorf("a benign request after the window caused %d more recoveries, want none", got-attacks)
+	}
+	if st := consumerStats(f); st.RequestsServed != served+1 || st.AntibodiesAdopted != 1 || st.AntibodiesRegenerated != 0 {
+		t.Errorf("served=%d adopted=%d regenerated=%d, want %d/1/0",
+			st.RequestsServed, st.AntibodiesAdopted, st.AntibodiesRegenerated, served+1)
+	}
+	if f.Submit(consumerName, final.ExploitInput, "worm", true) {
+		t.Error("exploit accepted after the window")
+	}
+	f.Stop()
+}
+
+// TestSenderVSEFThatDoesNotApplyCostsNoImmunity: a verified antibody one of
+// whose VSEFs cannot be applied on this guest — an index past its code, or a
+// function it does not have — is installed at the gate as its signatures
+// alone. From that moment the exploit is filtered and benign requests are
+// served, with no probe of the sender's on the machine. Regeneration's end
+// state then replaces that stage as it does any other.
+func TestSenderVSEFThatDoesNotApplyCostsNoImmunity(t *testing.T) {
+	final := genuineFinalAntibody(t, "squid")
+	for _, tc := range []struct {
+		name string
+		vsef *antibody.VSEF
+	}{
+		{"index past the code", &antibody.VSEF{Kind: antibody.VSEFNullCheck, Program: "squid",
+			Name: "far-vsef", InstrIdx: 1 << 20, CallerIdx: -1}},
+		{"unknown function", &antibody.VSEF{Kind: antibody.VSEFReturnGuard, Program: "squid",
+			Name: "nofunc-vsef", FuncSym: "no_such_function", CallerIdx: -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newVerifyingConsumer(t, "squid", consumerName, 271828)
+			g, _ := f.Guest(consumerName)
+			release := blockDeferredWorker(t, g, 0)
+			if !f.Store().Publish(withVSEF(final, tc.vsef)) {
+				t.Fatal("store rejected the antibody")
+			}
+			waitProvisional(t, f, 1)
+			if got := installedID(t, f, final); got != final.ID {
+				t.Errorf("installed at the gate: %s, want %s", got, final.ID)
+			}
+			if n := g.s.Process().Machine.ProbeCount(); n != 0 {
+				t.Errorf("%d probes installed at the gate, want the signatures alone", n)
+			}
+			if got := consumerFilters(f); len(got) != 1 || got[0] != final.ID+"-sig" {
+				t.Errorf("filters at the gate = %v, want only %s-sig", got, final.ID)
+			}
+			if f.Submit(consumerName, final.ExploitInput, "worm", true) {
+				t.Error("exploit accepted after the gate passed")
+			}
+			served := consumerStats(f).RequestsServed
+			if !f.Submit(consumerName, exploit.Benign("squid", 5), "client", false) {
+				t.Error("benign request filtered after the gate passed")
+			}
+			waitServed(t, f, served+1)
+			release()
+			f.Drain()
+			wantRegeneratedEndState(t, f, final)
+			f.Stop()
+		})
+	}
 }

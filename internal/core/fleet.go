@@ -210,7 +210,7 @@ func (g *Guest) submit(payload []byte, src string, malicious bool) (reqID int, a
 // Drain blocks until every guest is quiescent: no queued requests, no
 // pending antibody applications, no attack analysis in flight — including
 // the deferred analysis tier, which completes after a guest has already
-// resumed service — and no adoption still holding its provisional antibody.
+// resumed service — and no adoption still waiting for its regeneration.
 // It must not race with Submit calls.
 func (f *Fleet) Drain() {
 	for {
@@ -336,17 +336,17 @@ func (g *Guest) markOwn(id string) { g.adopted[id] = true }
 // With cfg.VerifyAdoption set, the antibody is first re-verified by replaying
 // its attached exploit input on a clone sandbox (see Sweeper.VerifyAntibody)
 // and rejected — counted, never installed — if the exploit does not reproduce
-// a violation here. That gate is all that stands between the guest and the
-// worm, so when it passes and regeneration is configured the adoption is
-// piecemeal, like antibody generation itself: the guest at once installs a
-// provisional antibody of its own making (see provisionalAntibody) and is
-// immune to the exploit after one replay; the regeneration replays run on the
-// Sweeper's deferred worker, off the serving goroutine, and finishAdoption
-// installs the end state when their findings come back — the locally
-// regenerated antibody, or the sender's verified one when the findings yield
-// no VSEF. With mayDefer false (no serving loop exists yet to finish the
-// adoption), or when the deferred queue is full, regeneration runs inline:
-// it is never skipped. Runs on the guest's goroutine.
+// a violation here. Once the gate passes, the verified antibody is installed
+// as received: each of its signatures is the exploit's exact bytes, and its
+// VSEFs only add checking (a faulty one is uninstalled by recovery). The
+// guest is immune to the exploit after that one replay. When regeneration is
+// configured, its replays run on the Sweeper's deferred worker, off the
+// serving goroutine, and finishAdoption replaces the installed antibody with
+// the locally regenerated one when their findings come back, or leaves it
+// installed when they yield no VSEF. With mayDefer false (no serving loop
+// exists yet to finish the adoption), or when the deferred queue is full,
+// regeneration runs inline: it is never skipped. Runs on the guest's
+// goroutine.
 func (g *Guest) adopt(a *antibody.Antibody, mayDefer bool) {
 	if g.adopted[a.ID] {
 		return
@@ -390,13 +390,13 @@ func (g *Guest) adopt(a *antibody.Antibody, mayDefer bool) {
 		g.installAdopted(a)
 		return
 	}
-	prov := g.s.provisionalAntibody(a)
-	r := &regeneration{received: a, dec: dec, provisional: g.s.install(prov)}
-	if r.provisional == nil {
+	r := &regeneration{received: a, dec: dec, installed: g.s.install(a)}
+	if r.installed == nil {
 		// A sender VSEF that does not apply here must not cost the guest
-		// its immunity: the exact filter alone always installs.
-		prov.VSEFs = nil
-		r.provisional = g.s.install(prov)
+		// its immunity: the verified signatures alone always install.
+		sigs := *a
+		sigs.VSEFs = nil
+		r.installed = g.s.install(&sigs)
 	}
 	g.count(func(st *GuestStats) { st.ProvisionalInstalls++ })
 	if mayDefer && g.s.enqueueDeferred(func() {
@@ -419,36 +419,38 @@ func (g *Guest) adopt(a *antibody.Antibody, mayDefer bool) {
 }
 
 // regeneration is an adoption between its two halves: the gate passed, the
-// provisional antibody is installed, the end state is not.
+// verified antibody is installed, its regeneration has not landed.
 type regeneration struct {
 	received *antibody.Antibody
 	// dec is the gate's decision; Regenerated is filled in by the
 	// regeneration half before the serving goroutine sees it again.
 	dec VerifyDecision
-	// provisional is the family's installed handle at hand-over. If it is
-	// no longer the installed one when the findings land, a more refined
-	// stage took the family over and the end state must not displace it.
-	provisional *antibody.AppliedAntibody
+	// installed is the family's handle installed at the gate. If it is no
+	// longer the installed one when the findings land, a more refined stage
+	// took the family over and the end state must not displace it.
+	installed *antibody.AppliedAntibody
 }
 
-// finishAdoption installs the end state of a verified adoption once its
-// findings are in: the antibody regenerated from them (nothing of the
-// received probe or filter definitions survives, only evidence this host
-// re-derived itself), or the sender's verified antibody when they yield no
-// VSEF. Runs on the guest's goroutine — RegenerateAntibody reads the live
-// clock.
+// finishAdoption settles a verified adoption once its findings are in: the
+// antibody regenerated from them replaces the one installed at the gate
+// (nothing of the received probe or filter definitions survives, only
+// evidence this host re-derived itself); when they yield no VSEF, the
+// antibody installed at the gate, less any VSEF recovery removed as faulty
+// meanwhile, is the end state. Runs on the guest's goroutine —
+// RegenerateAntibody reads the live clock.
 func (g *Guest) finishAdoption(r *regeneration) {
 	g.count(func(st *GuestStats) { st.FindingsRegenerated += len(r.dec.Regenerated) })
-	if i := g.s.stageOf(antibodyFamily(r.received.ID)); i < 0 || g.s.installed[i] != r.provisional {
+	if i := g.s.stageOf(antibodyFamily(r.received.ID)); i < 0 || g.s.installed[i] != r.installed {
 		return
 	}
-	if regen := g.s.RegenerateAntibody(r.received, r.dec); regen != nil {
-		if g.installAdopted(regen) {
-			g.count(func(st *GuestStats) { st.AntibodiesRegenerated++ })
+	regen := g.s.RegenerateAntibody(r.received, r.dec)
+	regenerated := regen != nil && g.s.install(regen) != nil
+	g.count(func(st *GuestStats) {
+		st.AntibodiesAdopted++
+		if regenerated {
+			st.AntibodiesRegenerated++
 		}
-		return
-	}
-	g.installAdopted(r.received)
+	})
 }
 
 // installAdopted installs an adoption's end state (Sweeper.install), which is
@@ -555,8 +557,8 @@ type GuestStats struct {
 	// guest's own verification findings — instead of the sender's contents.
 	AntibodiesRegenerated int
 	// ProvisionalInstalls counts adoptions that made the guest immune the
-	// moment the exploit reproduced in its sandbox, with a provisional
-	// antibody of the guest's own making, before regeneration finished.
+	// moment the exploit reproduced in its sandbox, by installing the
+	// verified antibody before regeneration finished.
 	ProvisionalInstalls int
 	// FilteredInputs counts requests dropped by input-signature filters at
 	// this guest's proxy.

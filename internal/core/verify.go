@@ -185,7 +185,7 @@ func (s *Sweeper) verifyGate(a *antibody.Antibody) (VerifyDecision, *reproductio
 // filter definitions survives, only the exploit they were claimed to stop.
 //
 // Returns nil when the regenerated findings cannot produce any VSEF — the
-// caller falls back to the verified sender antibody.
+// caller keeps the verified sender antibody it installed at the gate.
 func (s *Sweeper) RegenerateAntibody(a *antibody.Antibody, dec VerifyDecision) *antibody.Antibody {
 	if !dec.Reproduced || len(dec.Regenerated) == 0 || len(a.ExploitInput) == 0 {
 		return nil
@@ -206,31 +206,6 @@ func (s *Sweeper) RegenerateAntibody(a *antibody.Antibody, dec VerifyDecision) *
 	}
 	return antibody.New(id, a.Program, a.Stage, s.proc.Machine.NowMillis(), []*antibody.VSEF{mb, tt}, a.ExploitInput,
 		"regenerated locally from verified exploit replay of "+a.ID)
-}
-
-// provisionalAntibody builds what a guest installs the moment a received
-// antibody's exploit reproduced in its sandbox (see Guest.adopt): an exact
-// signature over that exploit, built here, plus copies of the sender's VSEFs.
-// None of the sender's signatures is in it — passing the gate shows that each
-// matches the exploit, not what else it matches. VSEFs are the trust class a
-// guest already adopts unverified as VSEF-only stages (an incorrect one only
-// adds checking, a faulty one is uninstalled by recovery), and without them
-// the family replacement would leave the guest with fewer probes than the
-// refined stage it displaces. The copies are renamed <id>/<name>: a VSEF's
-// name is what its probe's violations carry, so a violation, and a faulty
-// probe in AttackReport.BadProbesRemoved, names this guest's provisional
-// antibody and not the sender's, whose own VSEFs the guest may install as
-// the adoption's end state.
-func (s *Sweeper) provisionalAntibody(a *antibody.Antibody) *antibody.Antibody {
-	id := a.ID + "+gate"
-	vsefs := make([]*antibody.VSEF, len(a.VSEFs))
-	for i, v := range a.VSEFs {
-		c := *v
-		c.Name = id + "/" + v.Name
-		vsefs[i] = &c
-	}
-	return antibody.New(id, a.Program, a.Stage, s.proc.Machine.NowMillis(), vsefs, a.ExploitInput,
-		"provisional: exploit of "+a.ID+" reproduced here, regeneration pending")
 }
 
 // hasFastAnalyzers reports whether any configured analyzer runs in the fast

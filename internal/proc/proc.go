@@ -558,12 +558,7 @@ func (p *Process) restore(s *Snapshot) {
 	p.currentReqID = s.CurrentReqID
 	p.stopBeforeReq = 0
 	p.diverged, p.divergence = false, ""
-	// A tool- and probe-free machine, every clone's, has nothing to tell;
-	// walking its probe table, a slot per instruction, took ~0.2 µs of a
-	// squid clone's ~2 µs (2-vCPU host).
-	if p.Machine.ProbeCount() > 0 || len(p.Machine.Tools()) > 0 {
-		p.Machine.NotifyRollback()
-	}
+	p.Machine.NotifyRollback()
 }
 
 // replayable returns an error when events that followed the snapshot have

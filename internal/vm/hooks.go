@@ -122,18 +122,20 @@ type AllocHook interface {
 
 // InputHook receives a callback whenever untrusted input bytes are copied
 // into guest memory (the recv syscall). Taint analysis uses it to introduce
-// taint labels.
+// taint labels: as an attached tool, or as a taint guard's probe, which is
+// called once per input however many instructions it is registered on.
 type InputHook interface {
 	OnInput(m *Machine, addr uint32, data []byte, requestID int)
 }
 
 // RollbackHook is implemented by tools and probes whose internal state
 // shadows the guest's execution (saved return addresses, shadow stacks,
-// taint labels). The machine invokes it when the process is rolled back to a
-// checkpoint: shadow state accumulated by the abandoned execution describes
-// memory that no longer exists, and letting it leak into the re-execution
-// produces false violations (e.g. an adopted taint VSEF still considering
-// bytes of the excised attack request tainted during recovery replay).
+// taint labels). The machine invokes it, once per tool and per distinct
+// probe, when the process is rolled back to a checkpoint: shadow state
+// accumulated by the abandoned execution describes memory that no longer
+// exists, and letting it leak into the re-execution produces false
+// violations (e.g. an adopted taint VSEF still considering bytes of the
+// excised attack request tainted during recovery replay).
 type RollbackHook interface {
 	OnRollback(m *Machine)
 }

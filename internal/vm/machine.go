@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 )
 
 // StopReason says why Machine.Run returned.
@@ -196,6 +197,9 @@ type Machine struct {
 
 	tools  toolSet
 	probes [][]Probe
+	// listeners are the distinct probes implementing InputHook or
+	// RollbackHook, which the notifications walk instead of probes.
+	listeners []listener
 
 	// Cached dispatch state, recomputed whenever tools change, so
 	// an untooled live guest pays no hook iteration on the per-instruction
@@ -442,7 +446,33 @@ func (m *Machine) AddProbe(idx int, p Probe) error {
 	m.probes[idx] = append(m.probes[idx], p)
 	m.probeCount++
 	m.overlayDirty = true
+	m.listen(p, 1)
 	return nil
+}
+
+// listener is a registered probe that takes input or rollback notifications
+// and how many registrations it has.
+type listener struct {
+	p Probe
+	n int
+}
+
+// listen adds d to p's registrations in m.listeners, entering p at its first
+// and dropping it at its last, if p implements InputHook or RollbackHook.
+func (m *Machine) listen(p Probe, d int) {
+	_, in := p.(InputHook)
+	if _, rb := p.(RollbackHook); !in && !rb {
+		return
+	}
+	i := slices.IndexFunc(m.listeners, func(l listener) bool { return l.p == p })
+	switch {
+	case i < 0:
+		m.listeners = append(m.listeners, listener{p: p, n: d})
+	case m.listeners[i].n+d == 0:
+		m.listeners = slices.Delete(m.listeners, i, i+1)
+	default:
+		m.listeners[i].n += d
+	}
 }
 
 // RemoveProbe removes one registration of p on instruction idx: what one
@@ -458,6 +488,7 @@ func (m *Machine) RemoveProbe(idx int, p Probe) bool {
 			m.probes[idx] = append(list[:i], list[i+1:]...)
 			m.probeCount--
 			m.overlayDirty = true
+			m.listen(p, -1)
 			return true
 		}
 	}
@@ -471,6 +502,7 @@ func (m *Machine) ClearProbes() {
 		m.probes[i] = nil
 	}
 	clear(m.watches)
+	m.listeners = nil
 	m.probeCount = 0
 	m.overlayDirty = true
 }
@@ -478,21 +510,20 @@ func (m *Machine) ClearProbes() {
 // ProbeCount returns the total number of registered probes.
 func (m *Machine) ProbeCount() int { return m.probeCount }
 
-// NotifyRollback tells every attached tool and probe implementing
+// NotifyRollback tells every attached tool and registered probe implementing
 // RollbackHook that the process has been rolled back to a checkpoint, so
 // execution-shadowing state must be dropped. A probe registered on several
-// instructions is notified once per registration; resets are idempotent.
+// instructions is told once. A machine with no tools and no probes does no
+// work.
 func (m *Machine) NotifyRollback() {
 	for _, t := range m.tools.all {
 		if h, ok := t.(RollbackHook); ok {
 			h.OnRollback(m)
 		}
 	}
-	for _, list := range m.probes {
-		for _, p := range list {
-			if h, ok := p.(RollbackHook); ok {
-				h.OnRollback(m)
-			}
+	for _, l := range m.listeners {
+		if h, ok := l.p.(RollbackHook); ok {
+			h.OnRollback(m)
 		}
 	}
 }
@@ -512,11 +543,19 @@ func (m *Machine) RaiseViolation(v *Violation) {
 }
 
 // NotifyInput reports that untrusted input bytes were written to guest memory
-// (called by the syscall handler implementing recv).
+// (called by the syscall handler implementing recv) to every attached tool and
+// registered probe implementing InputHook, a probe once however many
+// instructions it is on. Each delivery costs CyclesPerHook.
 func (m *Machine) NotifyInput(addr uint32, data []byte, requestID int) {
 	for _, h := range m.tools.input {
 		m.cycles += CyclesPerHook
 		h.OnInput(m, addr, data, requestID)
+	}
+	for _, l := range m.listeners {
+		if h, ok := l.p.(InputHook); ok {
+			m.cycles += CyclesPerHook
+			h.OnInput(m, addr, data, requestID)
+		}
 	}
 }
 

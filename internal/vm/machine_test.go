@@ -423,6 +423,87 @@ func TestProbesFireOnlyAtTheirInstruction(t *testing.T) {
 	}
 }
 
+// listeningProbe counts the input and rollback notifications it hears.
+type listeningProbe struct {
+	countingProbe
+	inputs, rollbacks int
+}
+
+func (p *listeningProbe) OnInput(m *vm.Machine, addr uint32, data []byte, requestID int) { p.inputs++ }
+func (p *listeningProbe) OnRollback(m *vm.Machine)                                       { p.rollbacks++ }
+
+// TestProbeListenersHearEachNotificationOnce: a probe implementing InputHook
+// and RollbackHook hears each input and each rollback once, however many
+// instructions it is registered on, and each input it hears costs
+// CyclesPerHook. After its last registration goes, by RemoveProbe or
+// ClearProbes, it hears nothing. A machine with no tools and no probes pays
+// nothing and allocates nothing for either notification.
+func TestProbeListenersHearEachNotificationOnce(t *testing.T) {
+	b := asm.New("listen")
+	b.Func("main")
+	for i := 0; i < 4; i++ {
+		b.Nop()
+	}
+	b.Halt()
+	m, err := vm.NewMachine(b.MustBuild(), vm.DefaultLayout(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// notify delivers one input and one rollback and returns their cost.
+	req := []byte("req")
+	notify := func() uint64 {
+		c := m.Cycles()
+		m.NotifyInput(m.Layout().DataBase, req, 1)
+		m.NotifyRollback()
+		return m.Cycles() - c
+	}
+	if got := notify(); got != 0 {
+		t.Errorf("a bare machine charged %d cycles for notifications", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { notify() }); allocs != 0 {
+		t.Errorf("a bare machine allocated %.0f times per notification", allocs)
+	}
+
+	p, q := &listeningProbe{}, &listeningProbe{}
+	for idx := 0; idx < 3; idx++ {
+		if err := m.AddProbe(idx, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.AddProbe(1, q); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddProbe(2, &countingProbe{name: "deaf"}); err != nil {
+		t.Fatal(err)
+	}
+	want := func(step string, cycles, got uint64, pHeard, qHeard int) {
+		t.Helper()
+		if got != cycles {
+			t.Errorf("%s: notifications cost %d cycles, want %d", step, got, cycles)
+		}
+		if p.inputs != pHeard || p.rollbacks != pHeard || q.inputs != qHeard || q.rollbacks != qHeard {
+			t.Errorf("%s: p heard %d inputs %d rollbacks, q %d/%d; want %d each and %d each",
+				step, p.inputs, p.rollbacks, q.inputs, q.rollbacks, pHeard, qHeard)
+		}
+	}
+	want("registered", 2*vm.CyclesPerHook, notify(), 1, 1)
+	m.RemoveProbe(0, p)
+	m.RemoveProbe(1, p)
+	want("one registration left", 2*vm.CyclesPerHook, notify(), 2, 2)
+	m.RemoveProbe(2, p)
+	want("last registration removed", vm.CyclesPerHook, notify(), 2, 3)
+	if m.RemoveProbe(2, p) {
+		t.Error("RemoveProbe removed a registration twice")
+	}
+	want("removed twice", vm.CyclesPerHook, notify(), 2, 4)
+	if err := m.AddProbe(3, p); err != nil {
+		t.Fatal(err)
+	}
+	want("registered again", 2*vm.CyclesPerHook, notify(), 3, 5)
+	m.ClearProbes()
+	want("cleared", 0, notify(), 3, 5)
+}
+
 func TestRegSnapshotRoundTrip(t *testing.T) {
 	b := asm.New("snap")
 	b.Func("main")
